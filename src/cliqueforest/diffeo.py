@@ -185,7 +185,11 @@ class DiffeoExpr:
         raise NotImplementedError
 
     def _inv_raw(self, y: float) -> float:
-        """Invert via guaranteed-bracketing monotone root search."""
+        """Invert via guaranteed-bracketing monotone root search.
+
+        Perturbed maps use this; Möbius, rotation and translation maps
+        override it with their closed-form inverses.
+        """
         return _solve_increasing(self, y)
 
     def kind(self) -> str:
@@ -240,6 +244,9 @@ class MobiusI(DiffeoExpr):
         den = (self.alpha - 1.0) * x + 1.0
         return self.alpha / (den * den)
 
+    def _inv_raw(self, y):
+        return y / (self.alpha - (self.alpha - 1.0) * y)
+
     def kind(self):
         return "mobius"
 
@@ -262,6 +269,9 @@ class RotationS1(DiffeoExpr):
 
     def _draw(self, x):
         return 1.0
+
+    def _inv_raw(self, y):
+        return y - self.theta / (2 * math.pi)
 
     def kind(self):
         return "rotation"
@@ -610,8 +620,9 @@ def _check_domain(e: DiffeoExpr, x: float) -> float:
 def evaluate(e: DiffeoExpr, x: float) -> float:
     """Evaluate ``e`` at ``x`` in the manifold's model domain.
 
-    Inverse nodes are resolved by bracketed monotone root search
-    (tolerance 1e-14).  The result lies in the same model domain.
+    Möbius, rotation and translation maps invert in closed form; perturbed
+    maps invert by bracketed monotone root search (tolerance 1e-14).  The
+    result lies in the same model domain.
     """
     x = _check_domain(e, x)
     y = e._raw(x)
@@ -712,12 +723,7 @@ def fixed_points(
         pts, flags = _dedup(found, tol)
         # sign of f - id strictly between consecutive fixed points
         signs = []
-        bounds = list(pts)
-        if m is Manifold.INTERVAL:
-            probes = [0.5 * (a + b) for a, b in zip(bounds, bounds[1:])]
-        else:
-            probes = [0.5 * (a + b) for a, b in zip(bounds, bounds[1:])]
-        for q in probes:
+        for q in (0.5 * (a + b) for a, b in zip(pts, pts[1:])):
             r = e._raw(q) - q
             signs.append(0 if abs(r) < tol else (1 if r > 0 else -1))
         signs = tuple(signs)
@@ -772,6 +778,24 @@ def _apply_seq(seq, x: float) -> float:
     return x
 
 
+def _grid_sup(seq, grid_n: int, domain) -> Tuple[float, float]:
+    """(x, r): the first grid point maximizing r = dist(seq(x), x), where
+    ``seq`` is applied as in ``_apply_seq``; circle distances are lifted
+    angular distances."""
+    m = seq[0][0].manifold
+    for e, _ in seq:
+        if e.manifold is not m:
+            raise TagMismatchError(f"{m} vs {e.manifold}")
+    xs = _grid(m, grid_n, domain)
+    worst, wx = -1.0, float(xs[0])
+    for x in xs:
+        x = float(x)
+        r = point_distance(m, _apply_seq(seq, x), x)
+        if r > worst:
+            worst, wx = r, x
+    return wx, worst
+
+
 def commutator_residual(
     e1: DiffeoExpr,
     e2: DiffeoExpr,
@@ -783,18 +807,7 @@ def commutator_residual(
     Zero at working precision iff the two maps commute; circle residuals are
     lifted angular distances.
     """
-    if e1.manifold is not e2.manifold:
-        raise TagMismatchError(f"{e1.manifold} vs {e2.manifold}")
-    m = e1.manifold
-    xs = _grid(m, grid_n, domain)
-    seq = [(e1, 1), (e2, 1), (e1, -1), (e2, -1)]
-    worst = 0.0
-    for x in xs:
-        y = _apply_seq(seq, float(x))
-        r = point_distance(m, y, float(x)) if m is Manifold.CIRCLE else abs(y - float(x))
-        if r > worst:
-            worst = r
-    return worst
+    return commutator_witness(e1, e2, grid_n, domain)[1]
 
 
 def commutator_witness(
@@ -804,18 +817,7 @@ def commutator_witness(
     domain=None,
 ) -> Tuple[float, float]:
     """(x, residual) maximizing the commutator residual over the grid."""
-    if e1.manifold is not e2.manifold:
-        raise TagMismatchError(f"{e1.manifold} vs {e2.manifold}")
-    m = e1.manifold
-    xs = _grid(m, grid_n, domain)
-    seq = [(e1, 1), (e2, 1), (e1, -1), (e2, -1)]
-    worst, wx = -1.0, float(xs[0])
-    for x in xs:
-        y = _apply_seq(seq, float(x))
-        r = point_distance(m, y, float(x)) if m is Manifold.CIRCLE else abs(y - float(x))
-        if r > worst:
-            worst, wx = r, float(x)
-    return wx, worst
+    return _grid_sup(((e1, 1), (e2, 1), (e1, -1), (e2, -1)), grid_n, domain)
 
 
 Word = Sequence[Tuple[str, int]]
@@ -825,7 +827,8 @@ def word_evaluate(word: Word, assignment: Mapping[str, DiffeoExpr], x: float) ->
     """Apply a word over named generators to ``x``, right to left.
 
     ``word`` is a sequence of (name, exponent) pairs, assumed freely reduced.
-    Negative exponents invert through the monotone root search.
+    Negative exponents invert in closed form for Möbius, rotation and
+    translation maps, and by monotone root search for perturbed maps.
     """
     exprs = []
     tag = None
@@ -854,12 +857,4 @@ def word_evaluate(word: Word, assignment: Mapping[str, DiffeoExpr], x: float) ->
 
 def identity_residual(e: DiffeoExpr, grid_n: int = DEFAULT_GRID, domain=None) -> float:
     """Grid sup of |e(x) - x| (distance from the identity map)."""
-    m = e.manifold
-    xs = _grid(m, grid_n, domain)
-    worst = 0.0
-    for x in xs:
-        y = e._raw(float(x))
-        r = point_distance(m, y, float(x)) if m is Manifold.CIRCLE else abs(y - float(x))
-        if r > worst:
-            worst = r
-    return worst
+    return _grid_sup(((e, 1),), grid_n, domain)[1]

@@ -235,38 +235,41 @@ def parse_edge_list(text: str) -> SimpleGraph:
 
 
 def parse_dot(text: str) -> SimpleGraph:
-    body = text
-    if "{" in body:
-        ln_open = body[: body.index("{")].count("\n") + 1
-        head = body[: body.index("{")]
-        if "graph" not in head:
-            raise GraphFormatError("only undirected 'graph' documents supported", ln_open)
-        body = body[body.index("{") + 1:]
-        if "}" not in body:
-            raise GraphFormatError("missing closing '}'")
-        body = body[: body.rindex("}")]
+    """Parse ``graph NAME { ... }``: statements inside the braces are split on
+    ';' and on newlines, and are either a vertex or an edge chain
+    ``u -- v -- ...``; ``//`` starts a comment running to the end of the line.
+    """
+    if "{" not in text:
+        raise GraphFormatError("missing opening '{'")
+    head, body = text.split("{", 1)
+    ln_open = head.count("\n") + 1
+    if head.split()[:1] != ["graph"]:
+        raise GraphFormatError("only undirected 'graph' documents supported", ln_open)
+    if "}" not in body:
+        raise GraphFormatError("missing closing '}'")
+    body = body[: body.rindex("}")]
     verts = set()
     edges = []
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip().rstrip(";").strip()
-        if not line or line.startswith(("graph", "{", "}", "//")) or line.endswith("{"):
-            continue
-        if "--" in line:
-            parts = [p.strip() for p in line.split("--")]
-            try:
-                chain = [int(p) for p in parts]
-            except ValueError:
-                raise GraphFormatError(f"non-integer vertex in {line!r}", ln)
-            verts.update(chain)
-            for u, v in zip(chain, chain[1:]):
-                if u == v:
-                    raise GraphFormatError(f"loop at vertex {u}", ln)
-                edges.append((u, v))
-        else:
-            try:
-                verts.add(int(line))
-            except ValueError:
-                raise GraphFormatError(f"unsupported statement {line!r}", ln)
+    for ln, raw in enumerate(body.split("\n"), ln_open):
+        for stmt in raw.split("//", 1)[0].split(";"):
+            stmt = stmt.strip()
+            if not stmt:
+                continue
+            if "--" in stmt:
+                try:
+                    chain = [int(p) for p in stmt.split("--")]
+                except ValueError:
+                    raise GraphFormatError(f"non-integer vertex in {stmt!r}", ln)
+                verts.update(chain)
+                for u, v in zip(chain, chain[1:]):
+                    if u == v:
+                        raise GraphFormatError(f"loop at vertex {u}", ln)
+                    edges.append((u, v))
+            else:
+                try:
+                    verts.add(int(stmt))
+                except ValueError:
+                    raise GraphFormatError(f"unsupported statement {stmt!r}", ln)
     n = max(verts) + 1 if verts else 0
     return SimpleGraph.from_edges(n, edges)
 

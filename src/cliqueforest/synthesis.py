@@ -288,6 +288,40 @@ def _word_margin(word, f, gens, p, manifold) -> float:
     return point_distance(manifold, _word_apply(word, f, gens, p), p)
 
 
+class _ScheduleValues:
+    """Values at p of the words of one schedule under a fixed f.
+
+    A word's value is its first letter applied to the value of its suffix,
+    ``value(l w) = l(value(w))``; the values of all words shorter than
+    ``max_len`` are memoised, so each letter runs once per distinct suffix.
+    The float operations and their order are those of ``_word_apply``, so
+    the values are bitwise identical to it.  Build a new instance whenever f
+    changes.
+    """
+
+    def __init__(self, f: DiffeoExpr, gens: Sequence[DiffeoExpr], p: float,
+                 manifold: Manifold, max_len: int):
+        self._letters = {}
+        for sym, e in enumerate((f,) + tuple(gens)):
+            self._letters[(sym, 1)] = e._raw
+            self._letters[(sym, -1)] = e._inv_raw
+        self._memo: Dict[FreeWord, float] = {(): p}
+        self._max_len = max_len
+        self._p = p
+        self._manifold = manifold
+
+    def value(self, word: FreeWord) -> float:
+        v = self._memo.get(word)
+        if v is None:
+            v = self._letters[word[0]](self.value(word[1:]))
+            if len(word) < self._max_len:
+                self._memo[word] = v
+        return v
+
+    def margin(self, word: FreeWord) -> float:
+        return point_distance(self._manifold, self.value(word), self._p)
+
+
 def _measure_lambda(f: DiffeoExpr, gens: Sequence[DiffeoExpr], grid_n: int) -> float:
     xs = np.linspace(0.0, 1.0, grid_n + 1)
     lam = 1.0
@@ -401,6 +435,8 @@ def _perturb_f_at(words, gens, p, opts, manifold, num_g):
     eps: List[float] = []
     eps_prev = 1.0
     fp_forest = _free_product_forest(num_g) if num_g else None
+    max_len = max(len(w) for w in words)
+    values = _ScheduleValues(f, gens, p, manifold, max_len)
 
     for m, word in enumerate(words, 1):
         sup_budget = math.ldexp(eps_prev, -(m + 1))
@@ -414,7 +450,7 @@ def _perturb_f_at(words, gens, p, opts, manifold, num_g):
             margins.append(None)
             eps.append(eps_prev)
             continue
-        d_prev = _word_margin(word, f, gens, p, manifold)
+        d_prev = values.margin(word)
         if d_prev > sup_budget:
             d_m = d_prev  # zero bump: budgets hold vacuously, margin already there
         else:
@@ -432,6 +468,7 @@ def _perturb_f_at(words, gens, p, opts, manifold, num_g):
             d_m, bump, f = best
             bumps.append(bump)
             lam = _measure_lambda(f, gens, grid_n)
+            values = _ScheduleValues(f, gens, p, manifold, max_len)
         margins.append(d_m)
         # Lipschitz tolerance: a word of length L built from letters with grid
         # derivative sup <= lam moves by at most L lam^(L-1) times a sup-norm
@@ -447,10 +484,11 @@ def _perturb_f_at(words, gens, p, opts, manifold, num_g):
 
     # final map and direct re-verification of every margin
     final_f = _build_f(manifold, tuple(bumps), grid_n)
+    values = _ScheduleValues(final_f, gens, p, manifold, max_len)
     for m, (word, d_m) in enumerate(zip(words, margins), 1):
         if d_m is None:
             continue
-        got = _word_margin(word, final_f, gens, p, manifold)
+        got = values.margin(word)
         if not got > d_m / 2.0:
             raise SynthesisError(
                 f"stage {m} ({word_str(word)}): final margin {got} <= D/2 = {d_m / 2}"
@@ -459,7 +497,6 @@ def _perturb_f_at(words, gens, p, opts, manifold, num_g):
     xs = np.linspace(0.0, 1.0, grid_n + 1)
     min_deriv = float(min(final_f._draw(float(x)) for x in xs))
     bound = 1.0 - sum(math.ldexp(1.0, -(b.stage + 1)) for b in bumps)
-    max_len = max(len(w) for w in words)
     state = SynthesisState(
         manifold=manifold,
         p=p,
@@ -665,13 +702,14 @@ def verify_assignment(
                 f"({state.max_len}); certification truncated there"
             )
         words = state.words()
+        values = _ScheduleValues(assignment.f, assignment.gens, state.p,
+                                 assignment.manifold, wl)
         for idx, (word, d_m) in enumerate(zip(words, state.margins), 1):
             if len(word) > wl:
                 continue
             if d_m is None:
                 continue
-            margin = _word_margin(word, assignment.f, assignment.gens, state.p,
-                                  assignment.manifold)
+            margin = values.margin(word)
             margin_checks.append((idx, margin, d_m / 2.0))
             if not margin > d_m / 2.0:
                 ok = False

@@ -43,6 +43,12 @@ class TestDecide:
         jsonschema.validate(doc, DECISION_SCHEMA)
         assert doc["missing_edge"] == {"u": 0, "v": 2, "path": [0, 1, 2]}
 
+    def test_one_line_dot_path_rejected(self, graph_file, tmp_path):
+        out = tmp_path / "d.json"
+        path = graph_file("graph G { 0 -- 1; 1 -- 2 }\n", "g.dot")
+        assert main(["decide", path, "--out", str(out)]) == EXIT_FINDING
+        assert json.loads(out.read_text())["missing_edge"]["path"] == [0, 1, 2]
+
     def test_circle_manifold(self, graph_file, capsys):
         assert main(["decide", graph_file(K3), "--manifold", "S1"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["manifold"] == "S1"

@@ -5,24 +5,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliqueforest import (
+    BumpPoly,
     Compose,
     DomainError,
     Identity,
     Inverse,
     Manifold,
     MobiusI,
+    PerturbedF,
     Power,
     RotationS1,
     SineShear,
     TagMismatchError,
     Translation,
     commutator_residual,
+    commutator_witness,
     derivative,
     evaluate,
     fixed_points,
     lift_evaluate,
+    point_distance,
     word_evaluate,
 )
+from cliqueforest.diffeo import _solve_increasing, identity_residual
 from conftest import mobius_matrix, mobius_matrix_apply
 
 GRID = [i / 64 for i in range(65)]
@@ -122,6 +127,35 @@ class TestInversion:
         assert evaluate(Power(e, -3), y) == pytest.approx(x, abs=1e-10)
 
 
+class TestClosedFormInverse:
+    YS = [i / 256 for i in range(257)]
+    ALPHAS = [1.0 + (math.pi - 1.0) * j / 32 for j in range(1, 32)]
+
+    def test_mobius_matches_root_search(self):
+        for a in self.ALPHAS:
+            e = MobiusI(a)
+            for y in self.YS:
+                assert abs(e._inv_raw(y) - _solve_increasing(e, y)) <= 1e-15
+
+    def test_mobius_round_trip(self):
+        for a in self.ALPHAS:
+            e = MobiusI(a)
+            for y in self.YS:
+                assert abs(e._raw(e._inv_raw(y)) - y) <= 4.5e-16
+                assert abs(e._inv_raw(e._raw(y)) - y) <= 1e-15
+
+    def test_mobius_endpoints_exact(self):
+        for a in self.ALPHAS:
+            assert MobiusI(a)._inv_raw(0.0) == 0.0
+            assert MobiusI(a)._inv_raw(1.0) == 1.0
+
+    def test_rotation_inverse_is_negation(self):
+        for theta in (0.7, -2.1, math.pi, 5.0):
+            for y in (-1.5, 0.0, 0.3, 0.999, 2.25):
+                assert RotationS1(theta)._inv_raw(y) == RotationS1(-theta)._raw(y)
+                assert RotationS1(theta)._inv_raw(y) == y - theta / (2 * math.pi)
+
+
 class TestFixedPoints:
     def test_mobius_endpoints(self):
         fps = fixed_points(MobiusI(2.0), 256, 1e-10)
@@ -188,6 +222,33 @@ class TestCommutatorResidual:
         a, b = MobiusI(1.5), MobiusI(2.5)
         assert commutator_residual(a, b, 128) < 1e-12
         assert commutator_residual(b, a, 128) < 1e-12
+
+    @staticmethod
+    def _reference_sup(m, fn, xs):
+        worst, wx = -1.0, xs[0]
+        for x in xs:
+            r = point_distance(m, fn(x), x)
+            if r > worst:
+                worst, wx = r, x
+        return wx, worst
+
+    def test_grid_sup_matches_reference_scan(self):
+        xs = [i / 256 for i in range(257)]
+        f = PerturbedF((BumpPoly(0.1, 1),))
+        g = MobiusI(2.3)
+        ref = self._reference_sup(
+            Manifold.INTERVAL, lambda x: f._raw(g._raw(f._inv_raw(g._inv_raw(x)))), xs
+        )
+        assert commutator_witness(f, g, 256) == ref
+        assert commutator_residual(f, g, 256) == ref[1]
+        assert identity_residual(f, 256) == self._reference_sup(
+            Manifold.INTERVAL, f._raw, xs
+        )[1]
+        r1, r2 = RotationS1(0.7), RotationS1(2.1)
+        ref = self._reference_sup(
+            Manifold.CIRCLE, lambda x: r1._raw(r2._raw(r1._inv_raw(r2._inv_raw(x)))), xs
+        )
+        assert commutator_witness(r1, r2, 256) == ref
 
     def test_same_fixed_points_when_commuting(self):
         # transitivity harness: commuting Mobius maps share their fixed sets

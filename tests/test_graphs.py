@@ -172,6 +172,26 @@ class TestFormats:
         g = parse_graph("graph G {\n  0 -- 1 -- 2;\n}\n")
         assert g == SimpleGraph.from_edges(3, [(0, 1), (1, 2)])
 
+    def test_dot_one_line_body(self):
+        g = parse_graph("graph G { 0 -- 1; 1 -- 2 }")
+        assert g == SimpleGraph.from_edges(3, [(0, 1), (1, 2)])
+        assert isinstance(is_clique_forest(g), MissingEdgeWitness)
+
+    def test_dot_statements_split_on_semicolons_and_newlines(self):
+        g = parse_graph("graph G {\n  0 -- 1; 3\n  2 -- 3 // comment\n}\n")
+        assert g == SimpleGraph.from_edges(4, [(0, 1), (2, 3)])
+
+    def test_dot_error_line_number(self):
+        with pytest.raises(GraphFormatError) as ei:
+            parse_graph("graph G {\n  0 -- 1;\n  1 -- 2; x -- 3\n}\n")
+        assert ei.value.line == 3
+
+    def test_dot_requires_braces_and_graph_keyword(self):
+        with pytest.raises(GraphFormatError):
+            parse_graph("graph G\n0 -- 1\n")
+        with pytest.raises(GraphFormatError):
+            parse_graph("{ 0 -- 1 }")
+
     def test_dot_bad_statement(self):
         with pytest.raises(GraphFormatError):
             parse_graph("graph G {\n  frob;\n}\n")

@@ -5,11 +5,16 @@ import math
 import pytest
 
 from cliqueforest import (
+    BumpPoly,
+    BumpTrig,
     Identity,
     Manifold,
     MobiusI,
     NotApplicableError,
     NotEmbeddableError,
+    PerturbedF,
+    PerturbedLiftS1,
+    RotationS1,
     SimpleGraph,
     choose_alphas,
     commutator_residual,
@@ -21,10 +26,13 @@ from cliqueforest import (
     verify_assignment,
 )
 from cliqueforest.synthesis import (
+    DEFAULT_BASEPOINT,
     GeneratorAssignment,
     SynthesisOptions,
     SynthesisState,
     _letter_key,
+    _ScheduleValues,
+    _word_apply,
     word_is_nontrivial,
 )
 
@@ -181,6 +189,24 @@ class TestPerturbF:
         with pytest.raises(ValueError):
             perturb_f(enumerate_words(1, 1), (MobiusI(2.0),), 1.5,
                       SynthesisOptions(fallback_basepoints=()))
+
+
+class TestScheduleValues:
+    """The suffix-memo evaluator reproduces the per-word path bit for bit."""
+
+    def _check(self, f, gens, manifold):
+        words = enumerate_words(3, 4)
+        values = _ScheduleValues(f, gens, DEFAULT_BASEPOINT, manifold, 4)
+        for w in words:
+            assert values.value(w).hex() == _word_apply(w, f, gens, DEFAULT_BASEPOINT).hex()
+
+    def test_interval_bumped_f(self):
+        gens = tuple(MobiusI(a) for a in choose_alphas(3).alphas)
+        self._check(PerturbedF((BumpPoly(0.124875, 1),)), gens, Manifold.INTERVAL)
+
+    def test_circle_bumped_lift(self):
+        gens = tuple(RotationS1(a) for a in choose_alphas(3).alphas)
+        self._check(PerturbedLiftS1((BumpTrig(0.02, 1, 0.5),)), gens, Manifold.CIRCLE)
 
 
 class TestSynthesizeEmbedding:
