@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from typing import Optional
 
@@ -233,17 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # CLIQUE_FOREST_THREADS caps worker parallelism; all current operations
-    # run sequentially, so any positive value is honoured trivially
-    threads = os.environ.get("CLIQUE_FOREST_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                print("CLIQUE_FOREST_THREADS must be >= 1", file=sys.stderr)
-                return EXIT_INPUT
-        except ValueError:
-            print(f"bad CLIQUE_FOREST_THREADS value {threads!r}", file=sys.stderr)
-            return EXIT_INPUT
     ap = build_parser()
     args = ap.parse_args(argv)
     try:

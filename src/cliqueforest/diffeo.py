@@ -173,7 +173,9 @@ class DiffeoExpr:
     """Base class: an orientation-preserving analytic map of one 1-manifold.
 
     Subclasses implement ``_raw`` / ``_draw`` on the model domain ([0,1] for I,
-    the lift for S^1, all of R for the line).
+    the lift for S^1, all of R for the line).  Both accept a float or a
+    float64 ndarray; on an ndarray they compute, element by element, the
+    same float operations in the same order as on a float.
     """
 
     manifold: Manifold
@@ -188,8 +190,11 @@ class DiffeoExpr:
         """Invert via guaranteed-bracketing monotone root search.
 
         Perturbed maps use this; Möbius, rotation and translation maps
-        override it with their closed-form inverses.
+        override it with their closed-form inverses.  An ndarray is inverted
+        in one masked pass by ``_solve_increasing_array``.
         """
+        if isinstance(y, np.ndarray):
+            return _solve_increasing_array(self, y)
         return _solve_increasing(self, y)
 
     def kind(self) -> str:
@@ -295,10 +300,12 @@ class SineShear(DiffeoExpr):
         return Manifold.LINE
 
     def _raw(self, x):
-        return 0.5 * math.sin(self.a * x) + x
+        sin = np.sin if isinstance(x, np.ndarray) else math.sin
+        return 0.5 * sin(self.a * x) + x
 
     def _draw(self, x):
-        return 0.5 * self.a * math.cos(self.a * x) + 1.0
+        cos = np.cos if isinstance(x, np.ndarray) else math.cos
+        return 0.5 * self.a * cos(self.a * x) + 1.0
 
     def kind(self):
         return "sine_shear"
@@ -401,15 +408,19 @@ class PerturbedLiftS1(DiffeoExpr):
         return Manifold.CIRCLE
 
     def _raw(self, x):
+        # math.sin on floats keeps the scalar path fast; np.sin agrees with
+        # it bitwise on the platforms tested (tests/test_diffeo.py)
+        sin = np.sin if isinstance(x, np.ndarray) else math.sin
         y = x
         for b in self.bumps:
-            y += b.c * math.sin(2 * math.pi * x + b.phase)
+            y = y + b.c * sin(2 * math.pi * x + b.phase)
         return y
 
     def _draw(self, x):
+        cos = np.cos if isinstance(x, np.ndarray) else math.cos
         d = 1.0
         for b in self.bumps:
-            d += b.c * 2 * math.pi * math.cos(2 * math.pi * x + b.phase)
+            d = d + b.c * 2 * math.pi * cos(2 * math.pi * x + b.phase)
         return d
 
     def kind(self):
@@ -480,7 +491,7 @@ class Inverse(DiffeoExpr):
     def _draw(self, x):
         y = self.inner._inv_raw(x)
         d = self.inner._draw(y)
-        if d <= 0:
+        if np.any(d <= 0):
             raise InvariantBreach(f"non-positive derivative at preimage {y}")
         return 1.0 / d
 
@@ -522,7 +533,7 @@ class Power(DiffeoExpr):
             for _ in range(-self.exponent):
                 x = self.inner._inv_raw(x)
                 di = self.inner._draw(x)
-                if di <= 0:
+                if np.any(di <= 0):
                     raise InvariantBreach("non-positive derivative in inverse power")
                 d /= di
         return d
@@ -601,6 +612,84 @@ def _solve_increasing(e: DiffeoExpr, y: float) -> float:
     return x
 
 
+def _expand_array(e: DiffeoExpr, y: np.ndarray, upper: bool) -> np.ndarray:
+    """The bracket expansion of ``_solve_increasing`` for every element of y.
+
+    Elements still expanding after t steps all use the step 2^t, so one
+    scalar step serves them all.
+    """
+    b = y + 1.0 if upper else y - 1.0
+    todo = np.arange(y.size)
+    step = 1.0
+    for _ in range(64):
+        r = e._raw(b[todo]) - y[todo]
+        todo = todo[~(r >= 0) if upper else ~(r <= 0)]
+        if not todo.size:
+            return b
+        b[todo] = b[todo] + step if upper else b[todo] - step
+        step *= 2
+    raise InversionError(f"bracket expansion failed ({'upper' if upper else 'lower'})")
+
+
+def _solve_increasing_array(e: DiffeoExpr, y: np.ndarray) -> np.ndarray:
+    """``_solve_increasing`` for every element of a float64 array at once.
+
+    Each element takes the scalar solver's steps (bracket, first guess,
+    Newton step inside the bracket or else bisection, stopping test), with
+    per-element masks, so each result is bitwise the scalar solver's.
+    Raises InversionError if any element fails.
+    """
+    y = np.asarray(y, dtype=float)
+    if e.manifold is Manifold.INTERVAL:
+        lo, hi = np.zeros_like(y), np.ones_like(y)
+        flo, fhi = e._raw(lo) - y, e._raw(hi) - y
+        bad = (flo > 0) | (fhi < 0)
+        if np.any(bad):
+            raise InversionError(
+                f"target {y[bad][0]} outside range of {e.kind()} on [0,1]"
+            )
+    else:
+        lo, hi = _expand_array(e, y, False), _expand_array(e, y, True)
+        flo, fhi = e._raw(lo) - y, e._raw(hi) - y
+
+    x = np.minimum(np.maximum(y, lo), hi)  # good first guess for near-identity maps
+    at_lo = flo == 0.0
+    at_hi = ~at_lo & (fhi == 0.0)
+    x[at_lo], x[at_hi] = lo[at_lo], hi[at_hi]
+    idx = np.flatnonzero(~(at_lo | at_hi))
+    scale = np.maximum(1.0, np.abs(y[idx]))
+    xa, lo, hi, ya = x[idx], lo[idx], hi[idx], y[idx]
+    for _ in range(INVERSION_MAX_ITER):
+        if not idx.size:
+            return x
+        fx = e._raw(xa) - ya
+        up = fx > 0
+        hi = np.where(up, xa, hi)
+        lo = np.where(up, lo, xa)
+        done = (fx == 0.0) | (
+            (hi - lo <= 4e-16 * np.maximum(np.maximum(1.0, np.abs(lo)), np.abs(hi)))
+            & (np.abs(fx) <= INVERSION_TOL * scale)
+        )
+        x[idx[done]] = xa[done]
+        keep = ~done
+        idx, xa, lo, hi, ya, scale, fx = (
+            a[keep] for a in (idx, xa, lo, hi, ya, scale, fx)
+        )
+        d = e._draw(xa)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cand = xa - fx / d
+        newton = (d > 0) & (lo < cand) & (cand < hi)
+        xa = np.where(newton, cand, 0.5 * (lo + hi))
+    x[idx] = xa
+    bad = np.abs(e._raw(xa) - ya) > 1e-9 * scale
+    if np.any(bad):
+        raise InversionError(
+            f"inversion of {e.kind()} did not converge at y={ya[bad][0]} "
+            "(non-monotone expression?)"
+        )
+    return x
+
+
 # ---------------------------------------------------------------------------
 # public operations
 
@@ -622,7 +711,10 @@ def evaluate(e: DiffeoExpr, x: float) -> float:
 
     Möbius, rotation and translation maps invert in closed form; perturbed
     maps invert by bracketed monotone root search (tolerance 1e-14).  The
-    result lies in the same model domain.
+    result lies in the same model domain.  Grid checks (commutator and
+    identity residuals, fixed points) evaluate all grid points in one array
+    pass instead, where perturbed maps invert by a vectorised bracketed
+    Newton search that takes the scalar search's steps element by element.
     """
     x = _check_domain(e, x)
     y = e._raw(x)
@@ -649,16 +741,16 @@ def derivative(e: DiffeoExpr, x: float) -> float:
     return d
 
 
-def _circle_dist(u: float, v: float) -> float:
-    d = abs(u - v) % 1.0
-    return min(d, 1.0 - d)
+def point_distance(m: Manifold, u, v):
+    """Distance between two points of the manifold (lifted circle distance).
 
-
-def point_distance(m: Manifold, u: float, v: float) -> float:
-    """Distance between two points of the manifold (lifted circle distance)."""
+    Elementwise when ``u`` or ``v`` is an ndarray.
+    """
+    d = abs(u - v)
     if m is Manifold.CIRCLE:
-        return _circle_dist(u, v)
-    return abs(u - v)
+        d = d % 1.0
+        return np.minimum(d, 1.0 - d) if isinstance(d, np.ndarray) else min(d, 1.0 - d)
+    return d
 
 
 @dataclass(frozen=True)
@@ -701,24 +793,23 @@ def fixed_points(
     m = e.manifold
     xs = _grid(m, grid_n, domain)
 
+    rs = e._raw(xs) - xs
     if m is Manifold.CIRCLE:
-        rs = np.array([e._raw(x) - x for x in xs])
         if float(np.max(np.abs(rs - np.round(rs)))) < tol:
             return FixedPointSet(tuple(xs), ("tangency-suspect",) * len(xs), tol, (), True, grid_n)
         n_lo = int(math.floor(rs.min()))
         n_hi = int(math.ceil(rs.max()))
         found = []
         for n in range(n_lo, n_hi + 1):
-            found.extend(_roots_on_grid(lambda x: e._raw(x) - x - n, xs, tol))
+            found.extend(_roots_on_grid(lambda x: e._raw(x) - x - n, xs, rs - n, tol))
         found = [( _p % 1.0, fl) for _p, fl in found]
         found.sort()
         pts, flags = _dedup(found, tol)
         signs = ()
     else:
-        rs = np.array([e._raw(x) - x for x in xs])
         if float(np.max(np.abs(rs))) < tol:
             return FixedPointSet(tuple(xs), ("tangency-suspect",) * len(xs), tol, (), True, grid_n)
-        found = _roots_on_grid(lambda x: e._raw(x) - x, xs, tol)
+        found = _roots_on_grid(lambda x: e._raw(x) - x, xs, rs, tol)
         found.sort()
         pts, flags = _dedup(found, tol)
         # sign of f - id strictly between consecutive fixed points
@@ -730,10 +821,17 @@ def fixed_points(
     return FixedPointSet(tuple(pts), tuple(flags), tol, signs, False, grid_n)
 
 
-def _roots_on_grid(f, xs, tol):
+def _roots_on_grid(f, xs, vals, tol):
+    """Roots of ``f`` on the grid cells of ``xs``, where ``vals`` = f(xs).
+
+    Only the cells with a zero at the left end, a sign change or a small
+    value at an end are visited; bisection refines the sign changes.
+    """
     out = []
-    vals = [f(x) for x in xs]
-    for i in range(len(xs) - 1):
+    left, right = vals[:-1], vals[1:]
+    near = ((left == 0.0) | (left * right < 0)
+            | (np.minimum(np.abs(left), np.abs(right)) < tol))
+    for i in np.flatnonzero(near):
         a, b = xs[i], xs[i + 1]
         fa, fb = vals[i], vals[i + 1]
         if fa == 0.0:
@@ -771,29 +869,21 @@ def _dedup(found, tol):
     return pts, flags
 
 
-def _apply_seq(seq, x: float) -> float:
-    """Apply [(expr, +-1), ...] right to left."""
-    for e, s in reversed(seq):
-        x = e._raw(x) if s > 0 else e._inv_raw(x)
-    return x
-
-
 def _grid_sup(seq, grid_n: int, domain) -> Tuple[float, float]:
     """(x, r): the first grid point maximizing r = dist(seq(x), x), where
-    ``seq`` is applied as in ``_apply_seq``; circle distances are lifted
-    angular distances."""
+    ``seq`` = [(expr, +-1), ...] is applied right to left to the whole grid
+    in one array pass; circle distances are lifted angular distances."""
     m = seq[0][0].manifold
     for e, _ in seq:
         if e.manifold is not m:
             raise TagMismatchError(f"{m} vs {e.manifold}")
     xs = _grid(m, grid_n, domain)
-    worst, wx = -1.0, float(xs[0])
-    for x in xs:
-        x = float(x)
-        r = point_distance(m, _apply_seq(seq, x), x)
-        if r > worst:
-            worst, wx = r, x
-    return wx, worst
+    v = xs
+    for e, s in reversed(seq):
+        v = e._raw(v) if s > 0 else e._inv_raw(v)
+    r = point_distance(m, v, xs)
+    i = int(np.argmax(r))
+    return float(xs[i]), float(r[i])
 
 
 def commutator_residual(
@@ -805,7 +895,8 @@ def commutator_residual(
     """Grid sup of |[e1, e2](x) - x| with [e1, e2] = e1 e2 e1^-1 e2^-1.
 
     Zero at working precision iff the two maps commute; circle residuals are
-    lifted angular distances.
+    lifted angular distances.  All grid points are evaluated in one array
+    pass; perturbed maps invert there by a vectorised bracketed Newton search.
     """
     return commutator_witness(e1, e2, grid_n, domain)[1]
 

@@ -10,7 +10,6 @@ Lipschitz bound and protect all earlier margins against later bumps.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -48,6 +47,7 @@ DEFAULT_WORD_LEN = 6
 DEFAULT_ALPHA_K = 5
 _RELATION_TOL = 1e-9
 _RELATION_CHECK_LIMIT = 5_000_000
+_RELATION_CHUNK = 1 << 16  # relation vectors summed per numpy pass
 
 
 class SynthesisError(RuntimeError):
@@ -124,16 +124,39 @@ def choose_alphas(n: int, k: int = DEFAULT_ALPHA_K) -> AlphaSequence:
         raise SynthesisError(f"alpha values escaped (1, pi): {alphas}")
     if (2 * k + 1) ** n - 1 > _RELATION_CHECK_LIMIT:
         raise ValueError("relation check too large; lower n or k")
-    best = math.inf
-    for ks in itertools.product(range(-k, k + 1), repeat=n):
-        if all(v == 0 for v in ks):
-            continue
-        best = min(best, abs(sum(kv * lg for kv, lg in zip(ks, logs))))
+    best = _min_relation(logs, k)
     if best <= _RELATION_TOL:
         raise SynthesisError(
             f"alpha relation check failed: minimum {best} at height {k}"
         )
     return AlphaSequence(alphas, k, best)
+
+
+def _min_relation(logs: Sequence[float], k: int) -> float:
+    """min |sum_i k_i logs[i]| over nonzero integer vectors with max|k_i| <= k.
+
+    Each sum is accumulated left to right over the coordinates: the prefix
+    sums of all but the last two coordinates first, then the last two added
+    as a (2k+1)^2 block per prefix, a chunk of prefixes at a time so that
+    memory stays small.
+    """
+    ks = np.arange(-k, k + 1, dtype=float)
+    head, tail = logs[:-2], logs[-2:]
+    pre, pre_zero = np.zeros(1), np.ones(1, dtype=bool)
+    for lg in head:
+        pre = (pre[:, None] + ks * lg).ravel()
+        pre_zero = (pre_zero[:, None] & (ks == 0)).ravel()
+    chunk = max(1, _RELATION_CHUNK // ks.size ** len(tail))
+    best = math.inf
+    for start in range(0, pre.size, chunk):
+        v, zero = pre[start:start + chunk], pre_zero[start:start + chunk]
+        for lg in tail:
+            v = v[..., None] + ks * lg
+            zero = zero[..., None] & (ks == 0)
+        v = np.abs(v)
+        v[zero] = math.inf  # the all-zero vector is no relation
+        best = min(best, float(v.min()))
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +349,7 @@ def _measure_lambda(f: DiffeoExpr, gens: Sequence[DiffeoExpr], grid_n: int) -> f
     xs = np.linspace(0.0, 1.0, grid_n + 1)
     lam = 1.0
     for e in list(gens) + [f]:
-        ds = np.array([e._draw(float(x)) for x in xs])
+        ds = e._draw(xs)
         dmin, dmax = float(np.min(ds)), float(np.max(ds))
         if dmin <= 0:
             raise SynthesisError(f"letter {e.kind()} has non-positive grid derivative")
@@ -495,7 +518,7 @@ def _perturb_f_at(words, gens, p, opts, manifold, num_g):
             )
 
     xs = np.linspace(0.0, 1.0, grid_n + 1)
-    min_deriv = float(min(final_f._draw(float(x)) for x in xs))
+    min_deriv = float(np.min(final_f._draw(xs)))
     bound = 1.0 - sum(math.ldexp(1.0, -(b.stage + 1)) for b in bumps)
     state = SynthesisState(
         manifold=manifold,

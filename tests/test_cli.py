@@ -78,16 +78,6 @@ class TestInputErrors:
     def test_loop_graph(self, graph_file):
         assert main(["decide", graph_file("n=2\n1 1\n")]) == EXIT_INPUT
 
-    def test_bad_thread_env(self, graph_file, monkeypatch):
-        monkeypatch.setenv("CLIQUE_FOREST_THREADS", "zero")
-        assert main(["decide", graph_file(K3)]) == EXIT_INPUT
-        monkeypatch.setenv("CLIQUE_FOREST_THREADS", "0")
-        assert main(["decide", graph_file(K3)]) == EXIT_INPUT
-
-    def test_good_thread_env(self, graph_file, monkeypatch):
-        monkeypatch.setenv("CLIQUE_FOREST_THREADS", "4")
-        assert main(["decide", graph_file(K3)]) == EXIT_OK
-
 
 class TestSynthesizeVerify:
     def test_synthesize_and_reverify(self, graph_file, tmp_path):

@@ -1,18 +1,22 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliqueforest import (
     BumpPoly,
+    BumpTrig,
     Compose,
     DomainError,
     Identity,
     Inverse,
+    InversionError,
     Manifold,
     MobiusI,
     PerturbedF,
+    PerturbedLiftS1,
     Power,
     RotationS1,
     SineShear,
@@ -27,7 +31,13 @@ from cliqueforest import (
     point_distance,
     word_evaluate,
 )
-from cliqueforest.diffeo import _solve_increasing, identity_residual
+from cliqueforest.diffeo import (
+    DiffeoExpr,
+    _roots_on_grid,
+    _solve_increasing,
+    _solve_increasing_array,
+    identity_residual,
+)
 from conftest import mobius_matrix, mobius_matrix_apply
 
 GRID = [i / 64 for i in range(65)]
@@ -342,3 +352,157 @@ class TestStructuralErrors:
     def test_sine_shear_nonzero(self):
         with pytest.raises(ValueError):
             SineShear(0.0)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class _LineMap(DiffeoExpr):
+    """A line map without a closed-form inverse, so inverting it root-searches."""
+
+    manifold = Manifold.LINE
+
+    def __init__(self, raw, draw):
+        self._r, self._d = raw, draw
+
+    def _raw(self, x):
+        return self._r(x)
+
+    def _draw(self, x):
+        return self._d(x)
+
+    def kind(self):
+        return "test_line_map"
+
+
+def _conjugate(f, g, depth):
+    return Compose((Power(f, depth), g, Power(f, -depth)))
+
+
+def _reference_roots(f, xs, tol):
+    """Reference: the per-grid-point scan, calling f at every grid point."""
+    out = []
+    vals = [f(x) for x in xs]
+    for i in range(len(xs) - 1):
+        a, b = xs[i], xs[i + 1]
+        fa, fb = vals[i], vals[i + 1]
+        if fa == 0.0:
+            out.append((a, "transverse"))
+            continue
+        if fa * fb < 0:
+            for _ in range(200):
+                mid = 0.5 * (a + b)
+                fm = f(mid)
+                if fm == 0.0 or b - a < tol:
+                    break
+                if fa * fm < 0:
+                    b, fb = mid, fm
+                else:
+                    a, fa = mid, fm
+            out.append((0.5 * (a + b), "transverse"))
+        elif min(abs(fa), abs(fb)) < tol:
+            out.append((a if abs(fa) <= abs(fb) else b, "tangency-suspect"))
+    if vals[-1] == 0.0:
+        out.append((xs[-1], "transverse"))
+    return out
+
+
+class TestArrayGridPath:
+    """Grid scans run as one array pass and reproduce the scalar scan."""
+
+    F = PerturbedF((BumpPoly(0.124875, 1), BumpPoly(-0.01, 2, 1, (0.0, 1.0))))
+    LIFT = PerturbedLiftS1((BumpTrig(0.02, 1, 0.5), BumpTrig(-0.004, 2, math.pi / 4)))
+    XS = [i / 256 for i in range(257)]
+
+    def _scalar_commutator(self, a, b):
+        return lambda x: a._raw(b._raw(a._inv_raw(b._inv_raw(x))))
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_interval_conjugates_match_scalar_scan(self, depth):
+        h = _conjugate(self.F, MobiusI(2.3), depth)
+        k = _conjugate(self.F, MobiusI(1.7), 1)
+        xs = np.array(self.XS)
+        assert _bits(h._raw(xs)) == _bits([h._raw(x) for x in self.XS])
+        assert _bits(h._inv_raw(xs)) == _bits([h._inv_raw(x) for x in self.XS])
+        ref = TestCommutatorResidual._reference_sup(
+            Manifold.INTERVAL, self._scalar_commutator(h, k), self.XS
+        )
+        assert commutator_witness(h, k, 256) == ref
+        assert identity_residual(h, 256) == TestCommutatorResidual._reference_sup(
+            Manifold.INTERVAL, h._raw, self.XS
+        )[1]
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_circle_conjugates_match_scalar_scan(self, depth):
+        # np.sin/np.cos agree with math.sin/math.cos bitwise where tested; a
+        # platform whose vector trig differs may be off by rounding only
+        xs = np.array(self.XS)
+        angles = 2 * math.pi * xs
+        exact = _bits(np.sin(angles)) == _bits([math.sin(t) for t in angles])
+        tol = 0.0 if exact else 1e-15
+        h = _conjugate(self.LIFT, RotationS1(2.1), depth)
+        k = _conjugate(self.LIFT, RotationS1(0.7), 1)
+        for arr, ref in ((h._raw(xs), [h._raw(x) for x in self.XS]),
+                         (h._inv_raw(xs), [h._inv_raw(x) for x in self.XS])):
+            assert np.max(np.abs(arr - np.array(ref))) <= tol
+        wx, r = commutator_witness(h, k, 256)
+        rx, rr = TestCommutatorResidual._reference_sup(
+            Manifold.CIRCLE, self._scalar_commutator(h, k), self.XS
+        )
+        assert abs(r - rr) <= tol
+        if exact:
+            assert (wx, r) == (rx, rr)
+
+    @pytest.mark.parametrize("e, ys", [
+        (F, [0.0, 1e-300, 0.25, 0.5, 0.70710678, 0.999, 1.0]),
+        (LIFT, [-1.5, -0.2, 0.0, 0.3, 0.999, 2.25, 7.0]),
+        # steep enough that some Newton steps leave the bracket and bisect
+        (SineShear(1.9), [-40.0, -3.0, 0.0, 0.5, math.pi, 12.0]
+         + [-10.0 + i / 10 for i in range(201)]),
+        # far shifts: the bracket must expand several times on one side
+        (_LineMap(lambda x: x + 37.5 + 0.5 * np.sin(1.9 * x),
+                  lambda x: 1.0 + 0.95 * np.cos(1.9 * x)),
+         [-100.0, 0.0, 3.3] + [i / 10 for i in range(100)]),
+        (_LineMap(lambda x: 1.5 * x - 900.0, lambda x: 1.5), [-2.0, 0.0, 1e3]),
+    ])
+    def test_array_solver_matches_scalar(self, e, ys):
+        ys = ys + [i / 97 for i in range(98)]
+        got = _solve_increasing_array(e, np.array(ys))
+        assert _bits(got) == _bits([_solve_increasing(e, y) for y in ys])
+
+    def test_array_solver_out_of_range(self):
+        with pytest.raises(InversionError):
+            _solve_increasing_array(self.F, np.array([0.2, 1.5, 0.4]))
+        with pytest.raises(InversionError):
+            self.F._inv_raw(np.array([-0.1]))
+        bounded = _LineMap(np.arctan, lambda x: 1.0 / (1.0 + x * x))
+        assert _bits(bounded._inv_raw(np.array([0.5]))) == _bits([_solve_increasing(bounded, 0.5)])
+        with pytest.raises(InversionError):
+            bounded._inv_raw(np.array([0.5, 2.0]))
+
+    def test_draw_matches_scalar(self):
+        xs = np.array(self.XS)
+        for e in (Identity(Manifold.INTERVAL), MobiusI(2.3), self.F,
+                  Inverse(self.F), Power(self.F, -2), _conjugate(self.F, MobiusI(1.7), 2),
+                  self.LIFT, SineShear(1.3)):
+            assert _bits(np.broadcast_to(e._draw(xs), xs.shape)) == _bits(
+                [e._draw(x) for x in self.XS]
+            ), e
+
+    @pytest.mark.parametrize("e, domain", [
+        (MobiusI(2.0), None),
+        (Compose((MobiusI(2.0), Inverse(MobiusI(2.0)))), None),
+        (SineShear(1.0), (0.5, 4.0)),
+        (RotationS1(1.0), None),
+        (PerturbedF((BumpPoly(0.05, 1, 1, (1.0, -2.0)),)), None),
+        (Compose((RotationS1(0.1), PerturbedLiftS1((BumpTrig(0.03, 1),)))), None),
+    ])
+    def test_fixed_point_scans_match_scalar(self, e, domain):
+        lo, hi = domain or (0.0, 1.0)
+        xs = np.linspace(lo, hi, 513)
+        rs = e._raw(xs) - xs
+        assert _bits(rs) == _bits([e._raw(x) - x for x in xs])
+        for n in (0, -1, 1):
+            f = lambda x: e._raw(x) - x - n  # noqa: E731
+            assert _roots_on_grid(f, xs, rs - n, 1e-10) == _reference_roots(f, xs, 1e-10)

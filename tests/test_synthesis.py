@@ -31,6 +31,8 @@ from cliqueforest.synthesis import (
     SynthesisOptions,
     SynthesisState,
     _letter_key,
+    _measure_lambda,
+    _min_relation,
     _ScheduleValues,
     _word_apply,
     word_is_nontrivial,
@@ -82,6 +84,36 @@ class TestChooseAlphas:
             if (k1, k2) != (0, 0)
         )
         assert seq.min_relation == pytest.approx(best, rel=1e-9)
+
+    @staticmethod
+    def _reference_min_relation(logs, k):
+        """Reference: the exhaustive loop over all relation vectors, each sum
+        accumulated left to right (as sum() does before Python 3.12)."""
+        best = math.inf
+        for ks in itertools.product(range(-k, k + 1), repeat=len(logs)):
+            if not any(ks):
+                continue
+            acc = 0
+            for kv, lg in zip(ks, logs):
+                acc += kv * lg
+            best = min(best, abs(acc))
+        return best
+
+    @pytest.mark.parametrize("n, k", [(1, 5), (3, 6), (6, 5)])
+    def test_relation_minimum_matches_exhaustive_loop(self, n, k):
+        primes = [2, 3, 5, 7, 11, 13][:n]
+        c = math.sqrt(primes[-1]) / 1.1
+        logs = [math.sqrt(p) / c for p in primes]
+        got = choose_alphas(n, k).min_relation
+        assert got == self._reference_min_relation(logs, k)
+        assert _min_relation(logs, k) == got
+        if (n, k) == (6, 5):
+            assert got == 6.273708170301262e-06
+
+    def test_relation_minimum_masks_only_the_zero_vector(self):
+        # an exact relation (2 * 0.5 - 1 * 1.0 = 0) must be found, not masked
+        assert _min_relation([0.5, 1.0, 0.25], 2) == 0.0
+        assert _min_relation([0.5, 1.0], 1) == 0.5
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
@@ -163,6 +195,22 @@ class TestPerturbF:
         assert all(a >= b for a, b in zip(state.eps, state.eps[1:]))
         assert state.eps[-1] > 0
         assert state.min_derivative > 0
+        xs = [i / state.grid_n for i in range(state.grid_n + 1)]
+        assert state.min_derivative == min(f._draw(x) for x in xs)
+
+    @pytest.mark.parametrize("f, gens", [
+        (Identity(Manifold.INTERVAL), (MobiusI(2.0), MobiusI(2.5))),
+        (PerturbedF((BumpPoly(0.124875, 1),)), (MobiusI(2.0), MobiusI(2.5))),
+        (PerturbedLiftS1((BumpTrig(0.02, 1, 0.5), BumpTrig(-0.004, 2))),
+         (RotationS1(1.3), RotationS1(2.2))),
+    ])
+    def test_lambda_matches_scalar_scan(self, f, gens):
+        xs = [i / 256 for i in range(257)]
+        lam = 1.0
+        for e in gens + (f,):
+            ds = [e._draw(x) for x in xs]
+            lam = max(lam, max(ds), 1.0 / min(ds))
+        assert _measure_lambda(f, gens, 256) == lam
 
     def test_margins_survive_final_map(self):
         gens = (MobiusI(2.0), MobiusI(2.5))
