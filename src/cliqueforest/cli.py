@@ -188,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decide", help="clique-forest embeddability decision")
     p.add_argument("graph", help="edge-list or DOT file")
     p.add_argument("--manifold", type=_manifold, default=Manifold.INTERVAL)
-    _add_common(p)
+    p.add_argument("--out", help="output file (default: stdout)")
     p.set_defaults(func=cmd_decide)
 
     p = sub.add_parser("synthesize", help="build and verify an explicit embedding")
@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("obstruct", help="centralizer-quadruple search")
     p.add_argument("--radius", type=int, default=2, help="Heisenberg ball radius")
     p.add_argument("--elements", help="file of labelled unipotent matrices")
-    _add_common(p)
+    p.add_argument("--out", help="output file (default: stdout)")
     p.set_defaults(func=cmd_obstruct)
     return ap
 

@@ -17,6 +17,7 @@ import numpy as np
 
 INVERSION_TOL = 1e-14
 INVERSION_MAX_ITER = 200
+SCALAR_SOLVE_MAX = 32  # arrays up to this size invert faster element by element
 DEFAULT_GRID = 1024
 
 
@@ -191,7 +192,7 @@ class DiffeoExpr:
 
         Perturbed maps use this; Möbius, rotation and translation maps
         override it with their closed-form inverses.  An ndarray is inverted
-        in one masked pass by ``_solve_increasing_array``.
+        elementwise by ``_solve_increasing_array``.
         """
         if isinstance(y, np.ndarray):
             return _solve_increasing_array(self, y)
@@ -559,7 +560,9 @@ def _solve_increasing(e: DiffeoExpr, y: float) -> float:
     if e.manifold is Manifold.INTERVAL:
         lo, hi = 0.0, 1.0
         flo, fhi = e._raw(lo) - y, e._raw(hi) - y
-        if flo > 0 or fhi < 0:
+        # a map of I fixes 0 and 1, but its rounded value there may miss a
+        # target in [0, 1] by an ulp; the endpoint is then the preimage
+        if (flo > 0 or fhi < 0) and not 0.0 <= y <= 1.0:
             raise InversionError(f"target {y} outside range of {e.kind()} on [0,1]")
     else:
         # expanding bracket around y (lift / line maps are near-translations)
@@ -581,9 +584,9 @@ def _solve_increasing(e: DiffeoExpr, y: float) -> float:
         else:
             raise InversionError("bracket expansion failed (upper)")
         flo, fhi = e._raw(lo) - y, e._raw(hi) - y
-    if flo == 0.0:
+    if flo >= 0.0:
         return lo
-    if fhi == 0.0:
+    if fhi <= 0.0:
         return hi
 
     scale = max(1.0, abs(y))
@@ -640,10 +643,12 @@ def _solve_increasing_array(e: DiffeoExpr, y: np.ndarray) -> np.ndarray:
     Raises InversionError if any element fails.
     """
     y = np.asarray(y, dtype=float)
+    if y.size <= SCALAR_SOLVE_MAX:
+        return np.array([_solve_increasing(e, v) for v in y.tolist()])
     if e.manifold is Manifold.INTERVAL:
         lo, hi = np.zeros_like(y), np.ones_like(y)
         flo, fhi = e._raw(lo) - y, e._raw(hi) - y
-        bad = (flo > 0) | (fhi < 0)
+        bad = ((flo > 0) | (fhi < 0)) & ~((0.0 <= y) & (y <= 1.0))
         if np.any(bad):
             raise InversionError(
                 f"target {y[bad][0]} outside range of {e.kind()} on [0,1]"
@@ -653,8 +658,8 @@ def _solve_increasing_array(e: DiffeoExpr, y: np.ndarray) -> np.ndarray:
         flo, fhi = e._raw(lo) - y, e._raw(hi) - y
 
     x = np.minimum(np.maximum(y, lo), hi)  # good first guess for near-identity maps
-    at_lo = flo == 0.0
-    at_hi = ~at_lo & (fhi == 0.0)
+    at_lo = flo >= 0.0
+    at_hi = ~at_lo & (fhi <= 0.0)
     x[at_lo], x[at_hi] = lo[at_lo], hi[at_hi]
     idx = np.flatnonzero(~(at_lo | at_hi))
     scale = np.maximum(1.0, np.abs(y[idx]))

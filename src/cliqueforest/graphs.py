@@ -139,6 +139,15 @@ def _bfs_path(g: SimpleGraph, s: int, t: int) -> Tuple[int, ...]:
     raise ValueError(f"no path {s} -> {t}")
 
 
+def _first_missing_pair(g: SimpleGraph, comp: Tuple[int, ...]) -> Optional[Tuple[int, int]]:
+    """The first non-adjacent pair (u, v), u before v, of a sorted component."""
+    for i, u in enumerate(comp):
+        for v in comp[i + 1:]:
+            if not g.has_edge(u, v):
+                return u, v
+    return None
+
+
 def is_clique_forest(g: SimpleGraph) -> Union[CliqueForest, MissingEdgeWitness]:
     """Decide whether every connected component of ``g`` is complete.
 
@@ -147,10 +156,9 @@ def is_clique_forest(g: SimpleGraph) -> Union[CliqueForest, MissingEdgeWitness]:
     """
     comps = g.connected_components()
     for comp in comps:
-        for i, u in enumerate(comp):
-            for v in comp[i + 1:]:
-                if not g.has_edge(u, v):
-                    return MissingEdgeWitness(u, v, _bfs_path(g, u, v))
+        missing = _first_missing_pair(g, comp)
+        if missing:
+            return MissingEdgeWitness(*missing, _bfs_path(g, *missing))
     return CliqueForest(tuple(comps))
 
 
@@ -183,19 +191,10 @@ class CompletenessReport:
 def check_component_completeness(g: SimpleGraph) -> CompletenessReport:
     """Per-component completeness report (empirical commutation-graph check)."""
     reports = []
-    ok = True
     for comp in g.connected_components():
-        missing = None
-        for i, u in enumerate(comp):
-            if missing:
-                break
-            for v in comp[i + 1:]:
-                if not g.has_edge(u, v):
-                    missing = (u, v)
-                    break
+        missing = _first_missing_pair(g, comp)
         reports.append(ComponentReport(comp, missing is None, missing))
-        ok = ok and missing is None
-    return CompletenessReport(tuple(reports), ok)
+    return CompletenessReport(tuple(reports), all(r.complete for r in reports))
 
 
 # ---------------------------------------------------------------------------

@@ -183,33 +183,23 @@ def enumerate_words(num_g: int, max_len: int, require_f: bool = True) -> List[Fr
     """All freely reduced words of length <= max_len over f, g_1..g_num_g and
     inverses, ordered by length then lexicographically.
 
-    With ``require_f`` (the default) only words containing f or f^-1 are kept,
-    matching the schedule the recursion needs.
+    Level L prepends each letter, in ``_letter_key`` order, to the level L-1
+    words it may precede.  With ``require_f`` (the default) only words
+    containing f or f^-1 are kept, matching the schedule the recursion needs.
     """
     if num_g < 1:
         raise ValueError("need at least one g generator")
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    letters = sorted(
-        [(s, sgn) for s in range(num_g + 1) for sgn in (1, -1)], key=_letter_key
-    )
-    # length-major order: enumerate per length
-    by_len: List[FreeWord] = []
-    for length in range(1, max_len + 1):
-        def exact(prefix: List[Letter], has_f: bool):
-            if len(prefix) == length:
-                if has_f or not require_f:
-                    by_len.append(tuple(prefix))
-                return
-            for let in letters:
-                if prefix and prefix[-1] == (let[0], -let[1]):
-                    continue
-                prefix.append(let)
-                exact(prefix, has_f or let[0] == 0)
-                prefix.pop()
-
-        exact([], False)
-    return by_len
+    letters = [(s, sgn) for s in range(num_g + 1) for sgn in (1, -1)]  # _letter_key order
+    level: List[FreeWord] = [()]
+    words: List[FreeWord] = []
+    for _ in range(max_len):
+        level = [(l,) + w for l in letters for w in level
+                 if not w or w[0] != (l[0], -l[1])]
+        words.extend(w for w in level
+                     if not require_f or (0, 1) in w or (0, -1) in w)
+    return words
 
 
 def _free_product_forest(num_g: int) -> CliqueForest:
@@ -243,8 +233,8 @@ class SynthesisState:
 
     ``margins[m-1]`` is D_m for the m-th scheduled word (None when the word is
     trivial in the free product and the stage is vacuous), ``eps[m-1]`` the
-    tolerance after stage m.  Words are not stored: the schedule is exactly
-    ``enumerate_words(num_g, max_len)`` and is regenerated on load.
+    tolerance after stage m.  The words are ``enumerate_words(num_g, max_len)``
+    for num_g = len(gens) and max_len = the word length, regenerated on load.
     """
 
     manifold: Manifold
@@ -311,38 +301,29 @@ def _word_margin(word, f, gens, p, manifold) -> float:
     return point_distance(manifold, _word_apply(word, f, gens, p), p)
 
 
-class _ScheduleValues:
-    """Values at p of the words of one schedule under a fixed f.
+def _schedule_margins(f: DiffeoExpr, gens: Sequence[DiffeoExpr], p: float,
+                      manifold: Manifold, max_len: int) -> np.ndarray:
+    """Margins at p of ``enumerate_words(len(gens), max_len)``, in that order.
 
-    A word's value is its first letter applied to the value of its suffix,
-    ``value(l w) = l(value(w))``; the values of all words shorter than
-    ``max_len`` are memoised, so each letter runs once per distinct suffix.
-    The float operations and their order are those of ``_word_apply``, so
-    the values are bitwise identical to it.  Build a new instance whenever f
-    changes.
+    Walks the levels of ``enumerate_words`` over the values at p of all
+    reduced words, ``value(l w) = l(value(w))``: letter i is ``exprs[i // 2]``,
+    inverted for odd i, applied once per level to the words it may precede.
+    The float operations are those of ``_word_apply``, so the margins are
+    bitwise equal to ``_word_margin``.
     """
-
-    def __init__(self, f: DiffeoExpr, gens: Sequence[DiffeoExpr], p: float,
-                 manifold: Manifold, max_len: int):
-        self._letters = {}
-        for sym, e in enumerate((f,) + tuple(gens)):
-            self._letters[(sym, 1)] = e._raw
-            self._letters[(sym, -1)] = e._inv_raw
-        self._memo: Dict[FreeWord, float] = {(): p}
-        self._max_len = max_len
-        self._p = p
-        self._manifold = manifold
-
-    def value(self, word: FreeWord) -> float:
-        v = self._memo.get(word)
-        if v is None:
-            v = self._letters[word[0]](self.value(word[1:]))
-            if len(word) < self._max_len:
-                self._memo[word] = v
-        return v
-
-    def margin(self, word: FreeWord) -> float:
-        return point_distance(self._manifold, self.value(word), self._p)
+    exprs = (f,) + tuple(gens)
+    vals, first, has_f = np.array([p]), np.array([-1]), np.array([False])
+    margins = []
+    for _ in range(max_len):
+        parts = []
+        for i in range(2 * len(exprs)):
+            keep = first != (i ^ 1)  # a letter never precedes its inverse
+            e, v = exprs[i // 2], vals[keep]
+            parts.append((e._inv_raw(v) if i % 2 else e._raw(v),
+                          np.full(v.size, i), has_f[keep] | (i < 2)))
+        vals, first, has_f = (np.concatenate(c) for c in zip(*parts))
+        margins.append(point_distance(manifold, vals[has_f], p))
+    return np.concatenate(margins)
 
 
 def _measure_lambda(f: DiffeoExpr, gens: Sequence[DiffeoExpr], grid_n: int) -> float:
@@ -417,66 +398,56 @@ def _build_f(manifold, bumps, grid_n):
 
 
 def perturb_f(
-    words: Sequence[FreeWord],
     gens: Sequence[DiffeoExpr],
     p: float,
     opts: SynthesisOptions = SynthesisOptions(),
     manifold: Optional[Manifold] = None,
 ) -> Tuple[DiffeoExpr, SynthesisState]:
-    """Run the recursion over ``words`` and return (f, audit state).
+    """Run the recursion over ``enumerate_words(len(gens), opts.word_len)``
+    and return (f, audit state).
 
     Stage m leaves f unchanged when the word already moves p by more than the
     stage's sup budget; otherwise it picks the budgeted bump maximizing the
     margin D_m.  The margin of every earlier word is protected by the eps
-    chain; all margins are re-verified against the final f before returning.
+    chain.  The margins of the whole schedule are evaluated level by level
+    (``_schedule_margins``) at the start and after each bump, and re-verified
+    against the final f before returning.
     """
     if manifold is None:
-        manifold = gens[0].manifold if gens else Manifold.INTERVAL
-    num_g = len(gens)
-    if not words:
-        state = SynthesisState(
-            manifold, p, num_g, 0, 0, (), (), (), 1.0, opts.grid_n, 1.0, 1.0
-        )
-        return Identity(manifold), state
-
+        manifold = gens[0].manifold
     for basepoint in (p,) + tuple(opts.fallback_basepoints):
         try:
-            return _perturb_f_at(words, gens, basepoint, opts, manifold, num_g)
+            return _perturb_f_at(gens, basepoint, opts, manifold)
         except SynthesisError as exc:
             last_exc = exc
     raise SynthesisError(f"all basepoint retries failed; last: {last_exc}")
 
 
-def _perturb_f_at(words, gens, p, opts, manifold, num_g):
+def _perturb_f_at(gens, p, opts, manifold):
     if not (0.0 < p < 1.0):
         raise ValueError("basepoint must lie in (0, 1)")
-    grid_n = opts.grid_n
+    grid_n, num_g, max_len = opts.grid_n, len(gens), opts.word_len
+    words = enumerate_words(num_g, max_len)
     bumps: List[object] = []
     f: DiffeoExpr = Identity(manifold)
     lam = _measure_lambda(f, gens, grid_n)
     margins: List[Optional[float]] = []
     eps: List[float] = []
     eps_prev = 1.0
-    fp_forest = _free_product_forest(num_g) if num_g else None
-    max_len = max(len(w) for w in words)
-    values = _ScheduleValues(f, gens, p, manifold, max_len)
+    fp_forest = _free_product_forest(num_g)
+    current = _schedule_margins(f, gens, p, manifold, max_len).tolist()
 
     for m, word in enumerate(words, 1):
         sup_budget = math.ldexp(eps_prev, -(m + 1))
         deriv_budget = math.ldexp(1.0, -(m + 1))
-        nontrivial = (
-            not normal_form(word, fp_forest).trivial if fp_forest else bool(word)
-        )
-        if not nontrivial:
+        if normal_form(word, fp_forest).trivial:
             # trivial in <f> * <g's abelian>: the paper's free-group schedule
             # includes such words but no basepoint displacement exists for them
             margins.append(None)
             eps.append(eps_prev)
             continue
-        d_prev = values.margin(word)
-        if d_prev > sup_budget:
-            d_m = d_prev  # zero bump: budgets hold vacuously, margin already there
-        else:
+        d_m = current[m - 1]
+        if not d_m > sup_budget:  # else no bump: budgets hold vacuously
             best = None
             for bump in _candidate_bumps(manifold, m, sup_budget, deriv_budget, grid_n):
                 cand_f = _build_f(manifold, tuple(bumps) + (bump,), grid_n)
@@ -491,7 +462,7 @@ def _perturb_f_at(words, gens, p, opts, manifold, num_g):
             d_m, bump, f = best
             bumps.append(bump)
             lam = _measure_lambda(f, gens, grid_n)
-            values = _ScheduleValues(f, gens, p, manifold, max_len)
+            current = _schedule_margins(f, gens, p, manifold, max_len).tolist()
         margins.append(d_m)
         # Lipschitz tolerance: a word of length L built from letters with grid
         # derivative sup <= lam moves by at most L lam^(L-1) times a sup-norm
@@ -507,12 +478,9 @@ def _perturb_f_at(words, gens, p, opts, manifold, num_g):
 
     # final map and direct re-verification of every margin
     final_f = _build_f(manifold, tuple(bumps), grid_n)
-    values = _ScheduleValues(final_f, gens, p, manifold, max_len)
-    for m, (word, d_m) in enumerate(zip(words, margins), 1):
-        if d_m is None:
-            continue
-        got = values.margin(word)
-        if not got > d_m / 2.0:
+    final = _schedule_margins(final_f, gens, p, manifold, max_len).tolist()
+    for m, (word, d_m, got) in enumerate(zip(words, margins, final), 1):
+        if d_m is not None and not got > d_m / 2.0:
             raise SynthesisError(
                 f"stage {m} ({word_str(word)}): final margin {got} <= D/2 = {d_m / 2}"
             )
@@ -632,8 +600,7 @@ def synthesize_embedding(
         return GeneratorAssignment(
             g, manifold, forest, alphas, layout, Identity(manifold), gens, None
         )
-    words = enumerate_words(num_g, opts.word_len)
-    f, state = perturb_f(words, gens, opts.basepoint, opts, manifold)
+    f, state = perturb_f(gens, opts.basepoint, opts, manifold)
     return GeneratorAssignment(g, manifold, forest, alphas, layout, f, gens, state)
 
 
@@ -688,6 +655,10 @@ def verify_assignment(
     Margin certification is truncated at ``word_len`` (the state's own
     schedule length by default); the report says so prominently.
     """
+    state = assignment.state
+    if state is not None and state.num_g != len(assignment.gens):
+        raise ValueError(f"synthesis state schedules {state.num_g} g generators, "
+                         f"the assignment has {len(assignment.gens)}")
     g = assignment.graph
     exprs = assignment.exprs()
     notes = []
@@ -716,61 +687,51 @@ def verify_assignment(
     margin_failures: List[dict] = []
     pure_g_checked = 0
     pure_g_ok = True
-    state = assignment.state
-    if state is not None and state.word_count:
+    if state is not None:
         wl = state.max_len if word_len is None else min(word_len, state.max_len)
         if word_len is not None and word_len > state.max_len:
             notes.append(
                 f"requested word_len {word_len} exceeds the recorded schedule "
                 f"({state.max_len}); certification truncated there"
             )
-        words = state.words()
-        values = _ScheduleValues(assignment.f, assignment.gens, state.p,
-                                 assignment.manifold, wl)
-        for idx, (word, d_m) in enumerate(zip(words, state.margins), 1):
-            if len(word) > wl:
-                continue
-            if d_m is None:
-                continue
-            margin = values.margin(word)
-            margin_checks.append((idx, margin, d_m / 2.0))
-            if not margin > d_m / 2.0:
-                ok = False
-                margin_failures.append(
-                    {"index": idx, "word": word_str(word), "margin": margin,
-                     "threshold": d_m / 2.0}
-                )
+        if wl < 1:
+            raise ValueError("word_len must be >= 1")
+        # the schedule is length-major: these are its words of length <= wl
+        margins = _schedule_margins(assignment.f, assignment.gens, state.p,
+                                    assignment.manifold, wl).tolist()
+        margin_checks = [
+            (idx, margin, d_m / 2.0)
+            for idx, (margin, d_m) in enumerate(zip(margins, state.margins), 1)
+            if d_m is not None
+        ]
+        failing = [c for c in margin_checks if not c[1] > c[2]]
+        words = state.words() if failing else []  # only to name failing words
+        margin_failures = [
+            {"index": i, "word": word_str(words[i - 1]), "margin": m, "threshold": t}
+            for i, m, t in failing
+        ]
+        ok = ok and not failing
         # pure-g words: nontrivial exactly when the exponent vector is nonzero;
         # the alpha independence record certifies the nonzero case as long as
-        # the exponents stay within the checked height
-        fp = _free_product_forest(state.num_g)
-        for word in enumerate_words(state.num_g, wl, require_f=False):
-            if any(sym == 0 for sym, _ in word):
-                continue
-            pure_g_checked += 1
-            nf = normal_form(word, fp)
-            if nf.trivial:
-                continue  # zero exponent vector: genuinely trivial
-            worst = max(abs(e) for _, e in nf.syllables[0].exponents)
-            if worst > assignment.alphas.k_bound:
-                pure_g_ok = False
-                notes.append(
-                    f"pure-g word {word_str(word)} has exponent height {worst} "
-                    f"above the checked alpha relation bound {assignment.alphas.k_bound}"
-                )
+        # the exponents stay within the checked height.  There are
+        # 2n(2n-1)^(L-1) of length L, and g_1^wl reaches the highest exponent.
+        n = state.num_g
+        pure_g_checked = sum(2 * n * (2 * n - 1) ** (L - 1) for L in range(1, wl + 1))
+        pure_g_ok = wl <= assignment.alphas.k_bound
+        if not pure_g_ok:
+            notes.append(f"pure-g words reach exponent height {wl} (g1^{wl}), above "
+                         f"the checked alpha relation bound {assignment.alphas.k_bound}")
         ok = ok and pure_g_ok
-        wl_used = wl
     else:
-        wl_used = word_len or 0
-        if state is None:
-            notes.append("single-clique assignment: no f, free-product checks vacuous")
+        wl = word_len or 0
+        notes.append("single-clique assignment: no f, free-product checks vacuous")
 
     return VerificationReport(
         ok=ok,
         manifold=assignment.manifold,
         grid_n=grid_n,
         tol=tol,
-        word_len=wl_used,
+        word_len=wl,
         edge_checks=tuple(edge_checks),
         non_edge_checks=tuple(non_edge_checks),
         margin_checks=tuple(margin_checks),

@@ -78,6 +78,15 @@ class TestInputErrors:
     def test_loop_graph(self, graph_file):
         assert main(["decide", graph_file("n=2\n1 1\n")]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("argv", [["decide", "g.txt", "--grid", "8"],
+                                      ["decide", "g.txt", "--tol", "1e-6"],
+                                      ["obstruct", "--grid", "8"]])
+    def test_decide_obstruct_take_no_check_flags(self, argv):
+        # argparse rejects an unknown option with exit code 2
+        with pytest.raises(SystemExit) as ei:
+            main(argv)
+        assert ei.value.code == 2
+
 
 class TestSynthesizeVerify:
     def test_synthesize_and_reverify(self, graph_file, tmp_path):
@@ -96,6 +105,16 @@ class TestSynthesizeVerify:
         rc2 = main(["verify", str(asg), "--word-len", "4", "--out", str(out2)])
         assert rc2 == EXIT_OK
         assert json.loads(out2.read_text())["ok"]
+
+    def test_verify_rejects_num_g_mismatch(self, graph_file, tmp_path, capsys):
+        asg = tmp_path / "asg.json"
+        assert main(["synthesize", graph_file(TWO_CLIQUES), "--word-len", "3",
+                     "--out", str(asg), "--report", str(tmp_path / "rep.json")]) == EXIT_OK
+        doc = json.loads(asg.read_text())
+        doc["state"]["num_g"] = len(doc["gens"]) - 1
+        asg.write_text(json.dumps(doc))
+        assert main(["verify", str(asg)]) == EXIT_INPUT
+        assert "g generators" in capsys.readouterr().err
 
     def test_synthesize_rejects_path(self, graph_file, capsys):
         assert main(["synthesize", graph_file(P3)]) == EXIT_FINDING

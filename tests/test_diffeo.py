@@ -472,14 +472,33 @@ class TestArrayGridPath:
         assert _bits(got) == _bits([_solve_increasing(e, y) for y in ys])
 
     def test_array_solver_out_of_range(self):
-        with pytest.raises(InversionError):
-            _solve_increasing_array(self.F, np.array([0.2, 1.5, 0.4]))
-        with pytest.raises(InversionError):
-            self.F._inv_raw(np.array([-0.1]))
+        # small arrays are solved element by element, larger ones in one
+        # masked pass: both raise
         bounded = _LineMap(np.arctan, lambda x: 1.0 / (1.0 + x * x))
-        assert _bits(bounded._inv_raw(np.array([0.5]))) == _bits([_solve_increasing(bounded, 0.5)])
-        with pytest.raises(InversionError):
-            bounded._inv_raw(np.array([0.5, 2.0]))
+        for pad in ([], [i / 64 for i in range(65)]):
+            with pytest.raises(InversionError):
+                _solve_increasing_array(self.F, np.array([0.2, 1.5, 0.4] + pad))
+            with pytest.raises(InversionError):
+                self.F._inv_raw(np.array([-0.1] + pad))
+            ys = [0.5] + pad
+            assert _bits(bounded._inv_raw(np.array(ys))) == _bits(
+                [_solve_increasing(bounded, y) for y in ys]
+            )
+            with pytest.raises(InversionError):
+                bounded._inv_raw(np.array([0.5, 2.0] + pad))
+
+    def test_endpoint_rounding_on_interval(self):
+        # f fixes 1, but its rounded value there is 1 - 2^-53: a target in
+        # [0, 1] past the rounded endpoint value inverts to the endpoint
+        f = PerturbedF((BumpPoly(0.10014586905202105, 1),))
+        assert f._raw(1.0) == 1.0 - 2.0 ** -53
+        assert _solve_increasing(f, 1.0) == 1.0
+        ys = [0.0, 0.5, 1.0 - 2.0 ** -53, 1.0] + [i / 64 for i in range(65)]
+        assert _bits(_solve_increasing_array(f, np.array(ys))) == _bits(
+            [_solve_increasing(f, y) for y in ys]
+        )
+        h = Compose((Power(f, 1), MobiusI(2.0), Power(f, -1)))
+        assert commutator_residual(h, MobiusI(1.5)) > 1e-8
 
     def test_draw_matches_scalar(self):
         xs = np.array(self.XS)

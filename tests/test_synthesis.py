@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -33,8 +34,8 @@ from cliqueforest.synthesis import (
     _letter_key,
     _measure_lambda,
     _min_relation,
-    _ScheduleValues,
-    _word_apply,
+    _schedule_margins,
+    _word_margin,
     word_is_nontrivial,
 )
 
@@ -183,8 +184,9 @@ class TestPerturbF:
     def test_small_interval_run(self):
         gens = (MobiusI(2.0), MobiusI(2.5))
         words = enumerate_words(2, 3)
-        f, state = perturb_f(words, gens, 0.70710678)
+        f, state = perturb_f(gens, 0.70710678, SynthesisOptions(word_len=3))
         assert state.word_count == len(words)
+        assert state.words() == words
         # margins: positive for nontrivial words, None for free-product-trivial
         for w, m in zip(words, state.margins):
             if word_is_nontrivial(w, 2):
@@ -215,38 +217,31 @@ class TestPerturbF:
     def test_margins_survive_final_map(self):
         gens = (MobiusI(2.0), MobiusI(2.5))
         words = enumerate_words(2, 3)
-        f, state = perturb_f(words, gens, 0.70710678)
-        from cliqueforest.synthesis import _word_margin
-
+        f, state = perturb_f(gens, 0.70710678, SynthesisOptions(word_len=3))
         for w, m in zip(words, state.margins):
             if m is not None:
                 assert _word_margin(w, f, gens, state.p, Manifold.INTERVAL) > m / 2
 
     def test_state_round_trip_exact(self):
         gens = (MobiusI(2.0), MobiusI(2.5))
-        f, state = perturb_f(enumerate_words(2, 3), gens, 0.70710678)
+        f, state = perturb_f(gens, 0.70710678, SynthesisOptions(word_len=3))
         back = SynthesisState.from_dict(json.loads(json.dumps(state.to_dict())))
         assert back == state
 
-    def test_empty_schedule(self):
-        f, state = perturb_f((), (MobiusI(2.0),), 0.5)
-        assert isinstance(f, Identity)
-        assert state.word_count == 0
-
     def test_bad_basepoint(self):
         with pytest.raises(ValueError):
-            perturb_f(enumerate_words(1, 1), (MobiusI(2.0),), 1.5,
-                      SynthesisOptions(fallback_basepoints=()))
+            perturb_f((MobiusI(2.0),), 1.5,
+                      SynthesisOptions(word_len=1, fallback_basepoints=()))
 
 
 class TestScheduleValues:
-    """The suffix-memo evaluator reproduces the per-word path bit for bit."""
+    """The level-by-level array pass reproduces the per-word path bit for bit."""
 
     def _check(self, f, gens, manifold):
-        words = enumerate_words(3, 4)
-        values = _ScheduleValues(f, gens, DEFAULT_BASEPOINT, manifold, 4)
-        for w in words:
-            assert values.value(w).hex() == _word_apply(w, f, gens, DEFAULT_BASEPOINT).hex()
+        got = _schedule_margins(f, gens, DEFAULT_BASEPOINT, manifold, 4).tolist()
+        ref = [_word_margin(w, f, gens, DEFAULT_BASEPOINT, manifold)
+               for w in enumerate_words(3, 4)]
+        assert [m.hex() for m in got] == [m.hex() for m in ref]
 
     def test_interval_bumped_f(self):
         gens = tuple(MobiusI(a) for a in choose_alphas(3).alphas)
@@ -346,12 +341,27 @@ class TestVerifyAssignment:
         rep = verify_assignment(doctored)
         assert not rep.ok
 
+    def test_alpha_height_below_word_len_fails(self):
+        # g_1^4 reaches exponent height 4, which a height-3 relation check
+        # does not cover
+        g = SimpleGraph.from_edges(4, [(0, 1), (2, 3)])
+        asg = synthesize_embedding(g, opts=SynthesisOptions(word_len=4))
+        low = dataclasses.replace(asg.alphas, k_bound=3)
+        rep = verify_assignment(dataclasses.replace(asg, alphas=low), word_len=4)
+        assert not rep.ok
+        assert not rep.pure_g_all_nontrivial
+        assert rep.pure_g_checked == 4 + 12 + 36 + 108
+        assert sum("exponent height 4" in n for n in rep.notes) == 1
+        assert verify_assignment(asg, word_len=4).pure_g_all_nontrivial
+
 
 class TestAcceptanceScaleRun:
     def test_k2_k3_report_ok(self, k2_k3_assignment):
         rep = verify_assignment(k2_k3_assignment, word_len=6)
         assert rep.ok
         assert rep.pure_g_all_nontrivial
+        # every reduced word of length <= 6 in g_1..g_3 and inverses
+        assert rep.pure_g_checked == 23436
 
     def test_k2_k3_distinct_components_forced_apart(self, k2_k3_assignment):
         # vertices in different components genuinely fail to commute
