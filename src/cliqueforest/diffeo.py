@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,10 +41,6 @@ class InvariantBreach(RuntimeError):
 
 class InversionError(InvariantBreach):
     """Monotone root search did not converge (non-monotone expression)."""
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 # ---------------------------------------------------------------------------
@@ -90,30 +86,6 @@ class BumpPoly:
             xs, np.polynomial.polynomial.polyder(self.coeffs)
         )
 
-    def to_dict(self) -> dict:
-        d = {
-            "c": _fmt(self.c),
-            "stage": self.stage,
-            "k": self.k,
-            "t_coeffs": [_fmt(t) for t in self.t_coeffs],
-        }
-        if self.sup_bound is not None:
-            d["sup_bound"] = _fmt(self.sup_bound)
-        if self.deriv_bound is not None:
-            d["deriv_bound"] = _fmt(self.deriv_bound)
-        return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "BumpPoly":
-        return BumpPoly(
-            c=float(d["c"]),
-            stage=int(d["stage"]),
-            k=int(d["k"]),
-            t_coeffs=tuple(float(t) for t in d["t_coeffs"]),
-            sup_bound=float(d["sup_bound"]) if "sup_bound" in d else None,
-            deriv_bound=float(d["deriv_bound"]) if "deriv_bound" in d else None,
-        )
-
 
 @lru_cache(maxsize=None)
 def _bump_coeffs(c: float, k: int, t_coeffs: Tuple[float, ...]) -> Tuple[float, ...]:
@@ -147,24 +119,6 @@ class BumpTrig:
     def deriv(self, x):
         return self.c * 2 * math.pi * np.cos(2 * math.pi * x + self.phase)
 
-    def to_dict(self) -> dict:
-        d = {"c": _fmt(self.c), "stage": self.stage, "phase": _fmt(self.phase)}
-        if self.sup_bound is not None:
-            d["sup_bound"] = _fmt(self.sup_bound)
-        if self.deriv_bound is not None:
-            d["deriv_bound"] = _fmt(self.deriv_bound)
-        return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "BumpTrig":
-        return BumpTrig(
-            c=float(d["c"]),
-            stage=int(d["stage"]),
-            phase=float(d["phase"]),
-            sup_bound=float(d["sup_bound"]) if "sup_bound" in d else None,
-            deriv_bound=float(d["deriv_bound"]) if "deriv_bound" in d else None,
-        )
-
 
 # ---------------------------------------------------------------------------
 # expression nodes
@@ -176,9 +130,12 @@ class DiffeoExpr:
     Subclasses implement ``_raw`` / ``_draw`` on the model domain ([0,1] for I,
     the lift for S^1, all of R for the line).  Both accept a float or a
     float64 ndarray; on an ndarray they compute, element by element, the
-    same float operations in the same order as on a float.
+    same float operations in the same order as on a float.  ``KIND`` names
+    the node in the JSON format (``serialize.NODES``); a class that fixes
+    its manifold states it as the class attribute ``manifold``.
     """
 
+    KIND: str
     manifold: Manifold
 
     def _raw(self, x: float) -> float:
@@ -199,22 +156,13 @@ class DiffeoExpr:
         return _solve_increasing(self, y)
 
     def kind(self) -> str:
-        raise NotImplementedError
-
-    def children(self) -> Tuple["DiffeoExpr", ...]:
-        return ()
-
-    def params(self) -> dict:
-        return {}
-
-    def __repr__(self):
-        ps = ", ".join(f"{k}={v}" for k, v in self.params().items())
-        return f"{self.kind()}({ps})"
+        return self.KIND
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class Identity(DiffeoExpr):
-    manifold: Manifold = Manifold.INTERVAL
+    KIND = "identity"
+    manifold: Manifold
 
     def _raw(self, x):
         return x
@@ -225,23 +173,18 @@ class Identity(DiffeoExpr):
     def _inv_raw(self, y):
         return y
 
-    def kind(self):
-        return "identity"
 
-
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class MobiusI(DiffeoExpr):
     """x -> alpha x / ((alpha - 1) x + 1) on [0,1]; fixes 0 and 1 exactly."""
 
+    KIND = "mobius"
+    manifold = Manifold.INTERVAL
     alpha: float
 
     def __post_init__(self):
         if not self.alpha > 0:
             raise ValueError("Mobius parameter must be positive")
-
-    @property
-    def manifold(self):
-        return Manifold.INTERVAL
 
     def _raw(self, x):
         return self.alpha * x / ((self.alpha - 1.0) * x + 1.0)
@@ -253,22 +196,14 @@ class MobiusI(DiffeoExpr):
     def _inv_raw(self, y):
         return y / (self.alpha - (self.alpha - 1.0) * y)
 
-    def kind(self):
-        return "mobius"
 
-    def params(self):
-        return {"alpha": self.alpha}
-
-
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class RotationS1(DiffeoExpr):
     """Rotation by ``theta`` radians; lift x -> x + theta / 2 pi."""
 
+    KIND = "rotation"
+    manifold = Manifold.CIRCLE
     theta: float
-
-    @property
-    def manifold(self):
-        return Manifold.CIRCLE
 
     def _raw(self, x):
         return x + self.theta / (2 * math.pi)
@@ -279,26 +214,18 @@ class RotationS1(DiffeoExpr):
     def _inv_raw(self, y):
         return y - self.theta / (2 * math.pi)
 
-    def kind(self):
-        return "rotation"
 
-    def params(self):
-        return {"theta": self.theta}
-
-
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class SineShear(DiffeoExpr):
     """x -> sin(a x) / 2 + x on the line (monotone for |a| <= 2)."""
 
+    KIND = "sine_shear"
+    manifold = Manifold.LINE
     a: float
 
     def __post_init__(self):
         if self.a == 0:
             raise ValueError("sine-shear parameter must be nonzero")
-
-    @property
-    def manifold(self):
-        return Manifold.LINE
 
     def _raw(self, x):
         sin = np.sin if isinstance(x, np.ndarray) else math.sin
@@ -308,20 +235,12 @@ class SineShear(DiffeoExpr):
         cos = np.cos if isinstance(x, np.ndarray) else math.cos
         return 0.5 * self.a * cos(self.a * x) + 1.0
 
-    def kind(self):
-        return "sine_shear"
 
-    def params(self):
-        return {"a": self.a}
-
-
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class Translation(DiffeoExpr):
+    KIND = "translation"
+    manifold = Manifold.LINE
     c: float
-
-    @property
-    def manifold(self):
-        return Manifold.LINE
 
     def _raw(self, x):
         return x + self.c
@@ -332,21 +251,33 @@ class Translation(DiffeoExpr):
     def _inv_raw(self, y):
         return y - self.c
 
-    def kind(self):
-        return "translation"
 
-    def params(self):
-        return {"c": self.c}
+class _IdentityPlusBumps(DiffeoExpr):
+    """Storage, equality and hash shared by the perturbed maps; each
+    subclass evaluates its own basis of bumps."""
+
+    __slots__ = ("bumps",)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.bumps == other.bumps
+
+    def __hash__(self):
+        return hash((self.KIND, self.bumps))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(bumps={self.bumps!r})"
 
 
-class PerturbedF(DiffeoExpr):
+class PerturbedF(_IdentityPlusBumps):
     """Identity plus a finite schedule of polynomial bumps on [0,1].
 
     Strict monotonicity is certified by grid derivative positivity at
     construction; there is no closed-form inverse.
     """
 
-    __slots__ = ("bumps", "_coeffs", "_dcoeffs")
+    KIND = "perturbed"
+    manifold = Manifold.INTERVAL
+    __slots__ = ("_coeffs", "_dcoeffs")
 
     def __init__(self, bumps: Sequence[BumpPoly] = (), grid_n: int = DEFAULT_GRID):
         self.bumps = tuple(bumps)
@@ -361,10 +292,6 @@ class PerturbedF(DiffeoExpr):
         if dmin <= 0:
             raise InvariantBreach(f"perturbed map not increasing (min grid derivative {dmin})")
 
-    @property
-    def manifold(self):
-        return Manifold.INTERVAL
-
     def _raw(self, x):
         acc = 0.0
         for c in reversed(self._coeffs):
@@ -377,23 +304,12 @@ class PerturbedF(DiffeoExpr):
             acc = acc * x + c
         return acc
 
-    def kind(self):
-        return "perturbed"
 
-    def params(self):
-        return {"bumps": len(self.bumps)}
-
-    def __eq__(self, other):
-        return isinstance(other, PerturbedF) and self.bumps == other.bumps
-
-    def __hash__(self):
-        return hash(("perturbed", self.bumps))
-
-
-class PerturbedLiftS1(DiffeoExpr):
+class PerturbedLiftS1(_IdentityPlusBumps):
     """Degree-one circle lift: identity plus periodic trigonometric bumps."""
 
-    __slots__ = ("bumps",)
+    KIND = "perturbed_lift"
+    manifold = Manifold.CIRCLE
 
     def __init__(self, bumps: Sequence[BumpTrig] = (), grid_n: int = DEFAULT_GRID):
         self.bumps = tuple(bumps)
@@ -403,10 +319,6 @@ class PerturbedLiftS1(DiffeoExpr):
             d = d + b.deriv(xs)
         if float(np.min(d)) <= 0:
             raise InvariantBreach("perturbed lift not increasing on grid")
-
-    @property
-    def manifold(self):
-        return Manifold.CIRCLE
 
     def _raw(self, x):
         # math.sin on floats keeps the scalar path fast; np.sin agrees with
@@ -424,23 +336,12 @@ class PerturbedLiftS1(DiffeoExpr):
             d = d + b.c * 2 * math.pi * cos(2 * math.pi * x + b.phase)
         return d
 
-    def kind(self):
-        return "perturbed_lift"
 
-    def params(self):
-        return {"bumps": len(self.bumps)}
-
-    def __eq__(self, other):
-        return isinstance(other, PerturbedLiftS1) and self.bumps == other.bumps
-
-    def __hash__(self):
-        return hash(("perturbed_lift", self.bumps))
-
-
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class Compose(DiffeoExpr):
     """Compose(parts) applies parts right to left: parts[0] o ... o parts[-1]."""
 
+    KIND = "compose"
     parts: Tuple[DiffeoExpr, ...]
 
     def __post_init__(self):
@@ -471,15 +372,10 @@ class Compose(DiffeoExpr):
             y = p._inv_raw(y)
         return y
 
-    def kind(self):
-        return "compose"
 
-    def children(self):
-        return self.parts
-
-
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class Inverse(DiffeoExpr):
+    KIND = "inverse"
     inner: DiffeoExpr
 
     @property
@@ -499,15 +395,10 @@ class Inverse(DiffeoExpr):
     def _inv_raw(self, y):
         return self.inner._raw(y)
 
-    def kind(self):
-        return "inverse"
 
-    def children(self):
-        return (self.inner,)
-
-
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class Power(DiffeoExpr):
+    KIND = "power"
     inner: DiffeoExpr
     exponent: int
 
@@ -541,15 +432,6 @@ class Power(DiffeoExpr):
 
     def _inv_raw(self, y):
         return Power(self.inner, -self.exponent)._raw(y)
-
-    def kind(self):
-        return "power"
-
-    def children(self):
-        return (self.inner,)
-
-    def params(self):
-        return {"exponent": self.exponent}
 
 
 # ---------------------------------------------------------------------------

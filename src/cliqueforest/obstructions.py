@@ -127,7 +127,7 @@ def oracle_from_matrices(entries: Sequence[Tuple[str, Sequence[Sequence[int]]]])
 
 def parse_oracle(text: str) -> CommutationOracle:
     """One element per line: 'label a11 a12 a13 a21 a22 a23 a31 a32 a33'."""
-    entries = []
+    labels, elems = [], []
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -139,12 +139,12 @@ def parse_oracle(text: str) -> CommutationOracle:
             nums = [int(p) for p in parts[1:]]
         except ValueError:
             raise ValueError(f"line {ln}: non-integer matrix entry")
-        rows = [nums[0:3], nums[3:6], nums[6:9]]
         try:
-            entries.append((parts[0], rows))
+            elems.append(UnipotentMatrix.from_rows([nums[0:3], nums[3:6], nums[6:9]]))
         except ValueError as exc:
             raise ValueError(f"line {ln}: {exc}")
-    return oracle_from_matrices(entries)
+        labels.append(parts[0])
+    return CommutationOracle(tuple(labels), tuple(elems))
 
 
 @dataclass(frozen=True)

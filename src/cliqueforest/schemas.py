@@ -1,29 +1,32 @@
 """Published JSON schemas for the CLI output documents."""
 
-_DECIMAL = {"type": "string", "pattern": r"^-?(\d+\.?\d*|\.\d+|inf)([eE][+-]?\d+)?$"}
+from .serialize import BUMP_FIELDS, NODES
+
 _EXPR_NODE = {"$ref": "#/$defs/node"}
 
+
+def _properties(field_lists) -> dict:
+    return {name: codec.schema for fields in field_lists for name, codec in fields}
+
+
+# node and bump objects, derived from the node table of ``serialize``
 _NODE_DEFS = {
     "node": {
         "type": "object",
         "required": ["kind"],
         "properties": {
-            "kind": {
-                "enum": [
-                    "identity", "mobius", "rotation", "sine_shear", "translation",
-                    "perturbed", "perturbed_lift", "compose", "inverse", "power",
-                ]
-            },
-            "alpha": _DECIMAL,
-            "theta": _DECIMAL,
-            "a": _DECIMAL,
-            "c": _DECIMAL,
-            "exponent": {"type": "integer"},
-            "bumps": {"type": "array"},
-            "parts": {"type": "array", "items": {"$ref": "#/$defs/node"}},
-            "inner": {"$ref": "#/$defs/node"},
+            "kind": {"enum": list(NODES)},
+            **_properties(fields for _, fields in NODES.values()),
         },
-    }
+    },
+    "bump": {
+        "type": "object",
+        "required": sorted(set.intersection(*(
+            {name for name, codec in fields if not codec.optional}
+            for fields in BUMP_FIELDS.values()
+        ))),
+        "properties": _properties(BUMP_FIELDS.values()),
+    },
 }
 
 EXPR_SCHEMA = {

@@ -1,11 +1,18 @@
 """JSON tree format for diffeomorphism expressions.
 
-Node kind plus parameters, numeric fields as decimal strings with 17
-significant digits (exact float round trip), manifold tag at the root.
+``NODES`` is the one table of the format: for each node kind, the
+expression class and its fields, each with a codec.  Numeric fields are
+decimal strings with 17 significant digits (exact float round trip), integer
+fields are JSON integers, and the manifold tag sits at the root.  A kind
+whose class fixes a manifold is accepted only under that tag.  Encoding,
+decoding, the bump lists of the synthesis state and the published node
+schema (``schemas``) all derive from this table.
 """
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, Optional, Tuple
 
 from .diffeo import (
     BumpPoly,
@@ -22,7 +29,6 @@ from .diffeo import (
     RotationS1,
     SineShear,
     Translation,
-    _fmt,
 )
 
 
@@ -30,29 +36,98 @@ class ExprFormatError(ValueError):
     """Malformed expression document."""
 
 
+def _fmt(x: float) -> str:
+    return format(float(x), ".17g")
+
+
+@dataclass(frozen=True)
+class Codec:
+    """How one field is written to JSON, read back and described in the schema."""
+
+    encode: Callable[[object], object]
+    decode: Callable[[object, Manifold], object]  # (JSON value, document manifold)
+    schema: dict
+    optional: bool = False  # omitted from the document when None
+
+
+def _integer(v, manifold):
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ExprFormatError(f"expected an integer, got {v!r}")
+    return v
+
+
+_DECIMAL_SCHEMA = {"type": "string", "pattern": r"^-?(\d+\.?\d*|\.\d+|inf)([eE][+-]?\d+)?$"}
+_NODE_REF = {"$ref": "#/$defs/node"}
+
+DECIMAL = Codec(_fmt, lambda v, m: float(v), _DECIMAL_SCHEMA)
+OPTIONAL_DECIMAL = replace(DECIMAL, optional=True)
+INTEGER = Codec(lambda v: v, _integer, {"type": "integer"})
+DECIMALS = Codec(lambda vs: [_fmt(v) for v in vs], lambda vs, m: tuple(float(v) for v in vs),
+                 {"type": "array", "items": _DECIMAL_SCHEMA})
+NODE = Codec(lambda e: expr_to_node(e), lambda v, m: node_to_expr(v, m), _NODE_REF)
+NODE_LIST = Codec(lambda es: [expr_to_node(e) for e in es],
+                  lambda vs, m: tuple(node_to_expr(v, m) for v in vs),
+                  {"type": "array", "items": _NODE_REF})
+
+Fields = Tuple[Tuple[str, Codec], ...]
+
+BUMP_FIELDS: Dict[type, Fields] = {
+    BumpPoly: (("c", DECIMAL), ("stage", INTEGER), ("k", INTEGER), ("t_coeffs", DECIMALS),
+               ("sup_bound", OPTIONAL_DECIMAL), ("deriv_bound", OPTIONAL_DECIMAL)),
+    BumpTrig: (("c", DECIMAL), ("stage", INTEGER), ("phase", DECIMAL),
+               ("sup_bound", OPTIONAL_DECIMAL), ("deriv_bound", OPTIONAL_DECIMAL)),
+}
+
+
+def _bump_list(cls: type) -> Codec:
+    fields = BUMP_FIELDS[cls]
+    return Codec(lambda bs: [_encode(b, fields) for b in bs],
+                 lambda vs, m: tuple(_build(cls, v, fields, m, "bump") for v in vs),
+                 {"type": "array", "items": {"$ref": "#/$defs/bump"}})
+
+
+NODES: Dict[str, Tuple[type, Fields]] = {cls.KIND: (cls, fields) for cls, fields in (
+    (Identity, ()),
+    (MobiusI, (("alpha", DECIMAL),)),
+    (RotationS1, (("theta", DECIMAL),)),
+    (SineShear, (("a", DECIMAL),)),
+    (Translation, (("c", DECIMAL),)),
+    (PerturbedF, (("bumps", _bump_list(BumpPoly)),)),
+    (PerturbedLiftS1, (("bumps", _bump_list(BumpTrig)),)),
+    (Compose, (("parts", NODE_LIST),)),
+    (Inverse, (("inner", NODE),)),
+    (Power, (("inner", NODE), ("exponent", INTEGER))),
+)}
+
+
+def required_manifold(cls: type) -> Optional[Manifold]:
+    """The manifold a node class fixes (identity and composite nodes fix none)."""
+    m = getattr(cls, "manifold", None)
+    return m if isinstance(m, Manifold) else None
+
+
+# bump-list codec of the perturbed node kind on each manifold
+BUMPS: Dict[Manifold, Codec] = {
+    required_manifold(cls): codec
+    for cls, fields in NODES.values() for name, codec in fields if name == "bumps"
+}
+
+
+def _encode(obj, fields: Fields) -> dict:
+    return {name: codec.encode(getattr(obj, name)) for name, codec in fields
+            if not (codec.optional and getattr(obj, name) is None)}
+
+
+def _build(cls: type, d: dict, fields: Fields, manifold: Manifold, what: str):
+    try:
+        return cls(**{name: codec.decode(d[name], manifold) for name, codec in fields
+                      if not (codec.optional and name not in d)})
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ExprFormatError(f"bad {what}: {exc}") from exc
+
+
 def expr_to_node(e: DiffeoExpr) -> dict:
-    k = e.kind()
-    if k == "identity":
-        return {"kind": "identity"}
-    if k == "mobius":
-        return {"kind": "mobius", "alpha": _fmt(e.alpha)}
-    if k == "rotation":
-        return {"kind": "rotation", "theta": _fmt(e.theta)}
-    if k == "sine_shear":
-        return {"kind": "sine_shear", "a": _fmt(e.a)}
-    if k == "translation":
-        return {"kind": "translation", "c": _fmt(e.c)}
-    if k == "perturbed":
-        return {"kind": "perturbed", "bumps": [b.to_dict() for b in e.bumps]}
-    if k == "perturbed_lift":
-        return {"kind": "perturbed_lift", "bumps": [b.to_dict() for b in e.bumps]}
-    if k == "compose":
-        return {"kind": "compose", "parts": [expr_to_node(p) for p in e.parts]}
-    if k == "inverse":
-        return {"kind": "inverse", "inner": expr_to_node(e.inner)}
-    if k == "power":
-        return {"kind": "power", "exponent": e.exponent, "inner": expr_to_node(e.inner)}
-    raise ExprFormatError(f"unknown node kind {k!r}")
+    return {"kind": e.kind(), **_encode(e, NODES[e.kind()][1])}
 
 
 def node_to_expr(node: dict, manifold: Manifold) -> DiffeoExpr:
@@ -60,41 +135,15 @@ def node_to_expr(node: dict, manifold: Manifold) -> DiffeoExpr:
         kind = node["kind"]
     except (TypeError, KeyError):
         raise ExprFormatError("node without a 'kind' field")
-    try:
-        if kind == "identity":
-            return Identity(manifold)
-        if kind == "mobius":
-            _require(manifold, Manifold.INTERVAL, kind)
-            return MobiusI(float(node["alpha"]))
-        if kind == "rotation":
-            _require(manifold, Manifold.CIRCLE, kind)
-            return RotationS1(float(node["theta"]))
-        if kind == "sine_shear":
-            _require(manifold, Manifold.LINE, kind)
-            return SineShear(float(node["a"]))
-        if kind == "translation":
-            _require(manifold, Manifold.LINE, kind)
-            return Translation(float(node["c"]))
-        if kind == "perturbed":
-            _require(manifold, Manifold.INTERVAL, kind)
-            return PerturbedF([BumpPoly.from_dict(b) for b in node["bumps"]])
-        if kind == "perturbed_lift":
-            _require(manifold, Manifold.CIRCLE, kind)
-            return PerturbedLiftS1([BumpTrig.from_dict(b) for b in node["bumps"]])
-        if kind == "compose":
-            return Compose(tuple(node_to_expr(p, manifold) for p in node["parts"]))
-        if kind == "inverse":
-            return Inverse(node_to_expr(node["inner"], manifold))
-        if kind == "power":
-            return Power(node_to_expr(node["inner"], manifold), int(node["exponent"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ExprFormatError(f"bad {kind!r} node: {exc}") from exc
-    raise ExprFormatError(f"unknown node kind {kind!r}")
-
-
-def _require(m: Manifold, want: Manifold, kind: str):
-    if m is not want:
-        raise ExprFormatError(f"{kind!r} node requires manifold {want.value}, got {m.value}")
+    if not isinstance(kind, str) or kind not in NODES:
+        raise ExprFormatError(f"unknown node kind {kind!r}")
+    cls, fields = NODES[kind]
+    want = required_manifold(cls)
+    if want not in (None, manifold):
+        raise ExprFormatError(f"{kind!r} node requires manifold {want.value}, got {manifold.value}")
+    if cls is Identity:
+        return Identity(manifold)
+    return _build(cls, node, fields, manifold, f"{kind!r} node")
 
 
 def expr_to_dict(e: DiffeoExpr) -> dict:

@@ -29,7 +29,6 @@ from .diffeo import (
     PerturbedLiftS1,
     Power,
     RotationS1,
-    _fmt,
     commutator_residual,
     commutator_witness,
     point_distance,
@@ -37,6 +36,7 @@ from .diffeo import (
 from .graphs import CliqueForest, MissingEdgeWitness, SimpleGraph, is_clique_forest
 from .raag import NotApplicableError, normal_form
 from . import serialize
+from .serialize import _fmt
 
 # word letters: (sym, sign) with sym 0 = f and sym n >= 1 = g_n; sign is +-1
 Letter = Tuple[int, int]
@@ -262,7 +262,7 @@ class SynthesisState:
             "word_count": self.word_count,
             "margins": [None if m is None else _fmt(m) for m in self.margins],
             "eps": [_fmt(e) for e in self.eps],
-            "bumps": [b.to_dict() for b in self.bumps],
+            "bumps": serialize.BUMPS[self.manifold].encode(self.bumps),
             "lambda_est": _fmt(self.lambda_est),
             "grid_n": self.grid_n,
             "min_derivative": _fmt(self.min_derivative),
@@ -272,7 +272,6 @@ class SynthesisState:
     @staticmethod
     def from_dict(d: dict) -> "SynthesisState":
         m = Manifold(d["manifold"])
-        bump_cls = BumpPoly if m is Manifold.INTERVAL else BumpTrig
         return SynthesisState(
             manifold=m,
             p=float(d["p"]),
@@ -281,7 +280,7 @@ class SynthesisState:
             word_count=int(d["word_count"]),
             margins=tuple(None if v is None else float(v) for v in d["margins"]),
             eps=tuple(float(v) for v in d["eps"]),
-            bumps=tuple(bump_cls.from_dict(b) for b in d["bumps"]),
+            bumps=serialize.BUMPS[m].decode(d["bumps"], m),
             lambda_est=float(d["lambda_est"]),
             grid_n=int(d["grid_n"]),
             min_derivative=float(d["min_derivative"]),
@@ -548,17 +547,33 @@ class GeneratorAssignment:
 
     @staticmethod
     def from_dict(d: dict) -> "GeneratorAssignment":
+        """Load a document; its layout must be the one its clique forest
+        gives (``forest_layout``), with every slot among its generators."""
         m = Manifold(d["manifold"])
+        forest = CliqueForest.from_dict(d["clique_forest"])
+        layout = forest_layout(forest)
+        if d["layout"] != [list(t) for t in layout]:
+            raise ValueError("layout differs from the one the clique forest gives")
+        gens = tuple(serialize.node_to_expr(g, m) for g in d["gens"])
+        if max(forest.sizes, default=0) > len(gens):
+            raise ValueError(f"layout names slot {max(forest.sizes)} of {len(gens)} generators")
         return GeneratorAssignment(
             graph=SimpleGraph.from_dict(d["graph"]),
             manifold=m,
-            forest=CliqueForest.from_dict(d["clique_forest"]),
+            forest=forest,
             alphas=AlphaSequence.from_dict(d["alphas"]),
-            layout=tuple(tuple(t) for t in d["layout"]),
+            layout=layout,
             f=serialize.node_to_expr(d["f"], m),
-            gens=tuple(serialize.node_to_expr(g, m) for g in d["gens"]),
+            gens=gens,
             state=SynthesisState.from_dict(d["state"]) if d["state"] else None,
         )
+
+
+def forest_layout(forest: CliqueForest) -> Tuple[Tuple[int, int, int], ...]:
+    """(vertex, component index i, slot n) of every vertex, sorted: the n-th
+    vertex of the i-th component, both counted from 1, gets h_{i,n}."""
+    return tuple(sorted((v, i, n) for i, comp in enumerate(forest.components, 1)
+                        for n, v in enumerate(comp, 1)))
 
 
 def synthesize_embedding(
@@ -591,11 +606,7 @@ def synthesize_embedding(
         gens = tuple(MobiusI(a) for a in alphas.alphas)
     else:
         gens = tuple(RotationS1(a) for a in alphas.alphas)
-    layout = []
-    for i, comp in enumerate(forest.components, 1):
-        for n, v in enumerate(comp, 1):
-            layout.append((v, i, n))
-    layout = tuple(sorted(layout))
+    layout = forest_layout(forest)
     if len(forest.components) == 1:
         return GeneratorAssignment(
             g, manifold, forest, alphas, layout, Identity(manifold), gens, None

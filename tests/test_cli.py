@@ -6,6 +6,7 @@ import pytest
 from cliqueforest import MobiusI, RotationS1, dumps_expr
 from cliqueforest.cli import EXIT_FINDING, EXIT_INPUT, EXIT_OK, main
 from cliqueforest.schemas import (
+    ASSIGNMENT_SCHEMA,
     COMMGRAPH_SCHEMA,
     DECISION_SCHEMA,
     FIXPOINTS_SCHEMA,
@@ -16,6 +17,7 @@ from cliqueforest.schemas import (
 K3 = "n=3\n0 1\n0 2\n1 2\n"
 P3 = "n=3\n0 1\n1 2\n"
 TWO_CLIQUES = "n=4\n0 1\n2 3\n"
+K2_K3 = "n=5\n0 1\n2 3\n2 4\n3 4\n"
 
 
 @pytest.fixture
@@ -116,6 +118,36 @@ class TestSynthesizeVerify:
         assert main(["verify", str(asg)]) == EXIT_INPUT
         assert "g generators" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("manifold, f_kind", [("I", "perturbed"), ("S1", "perturbed_lift")])
+    def test_assignment_matches_schema(self, graph_file, tmp_path, manifold, f_kind):
+        asg = tmp_path / "asg.json"
+        assert main(["synthesize", graph_file(K2_K3), "--manifold", manifold, "--word-len", "3",
+                     "--out", str(asg), "--report", str(tmp_path / "rep.json")]) == EXIT_OK
+        doc = json.loads(asg.read_text())
+        jsonschema.validate(doc, ASSIGNMENT_SCHEMA)
+        assert doc["f"]["kind"] == f_kind and doc["f"]["bumps"]
+
+    @pytest.mark.parametrize("slot", [0, 9])
+    def test_verify_rejects_bad_layout_slot(self, graph_file, tmp_path, capsys, slot):
+        asg = tmp_path / "asg.json"
+        assert main(["synthesize", graph_file(K2_K3), "--word-len", "3",
+                     "--out", str(asg), "--report", str(tmp_path / "rep.json")]) == EXIT_OK
+        doc = json.loads(asg.read_text())
+        doc["layout"][0][2] = slot
+        asg.write_text(json.dumps(doc))
+        assert main(["verify", str(asg)]) == EXIT_INPUT
+        assert "layout differs" in capsys.readouterr().err
+
+    def test_verify_rejects_missing_generator(self, graph_file, tmp_path, capsys):
+        asg = tmp_path / "asg.json"
+        assert main(["synthesize", graph_file(K3), "--out", str(asg),
+                     "--report", str(tmp_path / "rep.json")]) == EXIT_OK
+        doc = json.loads(asg.read_text())
+        doc["gens"].pop()
+        asg.write_text(json.dumps(doc))
+        assert main(["verify", str(asg)]) == EXIT_INPUT
+        assert "names slot 3" in capsys.readouterr().err
+
     def test_synthesize_rejects_path(self, graph_file, capsys):
         assert main(["synthesize", graph_file(P3)]) == EXIT_FINDING
         doc = json.loads(capsys.readouterr().out)
@@ -198,3 +230,9 @@ class TestObstruct:
         ef = tmp_path / "elems.txt"
         ef.write_text("a 1 1\n")
         assert main(["obstruct", "--elements", str(ef)]) == EXIT_INPUT
+
+    def test_non_unipotent_element_names_line(self, tmp_path, capsys):
+        ef = tmp_path / "elems.txt"
+        ef.write_text("a 1 1 0 0 1 0 0 0 1\nb 2 0 0 0 1 0 0 0 1\n")
+        assert main(["obstruct", "--elements", str(ef)]) == EXIT_INPUT
+        assert "line 2: matrix is not upper-triangular unipotent" in capsys.readouterr().err

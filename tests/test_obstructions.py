@@ -154,6 +154,10 @@ class TestOracleParsing:
         with pytest.raises(ValueError):
             parse_oracle("x 1 q 0 0 1 0 0 0 1\n")
 
+    def test_parse_non_unipotent_names_line(self):
+        with pytest.raises(ValueError, match="line 3: matrix is not upper-triangular unipotent"):
+            parse_oracle("# header\nx 1 1 0 0 1 0 0 0 1\ny 1 0 0 1 1 0 0 0 1\n")
+
     def test_duplicate_labels(self):
         with pytest.raises(ValueError):
             parse_oracle("x 1 1 0 0 1 0 0 0 1\nx 1 0 0 0 1 1 0 0 1\n")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cliqueforest import (
     BumpPoly,
+    BumpTrig,
     Compose,
     ExprFormatError,
     Identity,
@@ -15,6 +16,7 @@ from cliqueforest import (
     Manifold,
     MobiusI,
     PerturbedF,
+    PerturbedLiftS1,
     Power,
     RotationS1,
     SineShear,
@@ -26,6 +28,7 @@ from cliqueforest import (
     loads_expr,
 )
 from cliqueforest.schemas import EXPR_SCHEMA
+from cliqueforest.serialize import NODES, expr_to_node, node_to_expr
 
 SAMPLES = [
     Identity(Manifold.INTERVAL),
@@ -35,6 +38,12 @@ SAMPLES = [
     SineShear(1.5),
     Translation(-2 * math.pi),
     PerturbedF((BumpPoly(0.01, 3), BumpPoly(-0.002, 5, 1, (0.0, 1.0)))),
+    pytest.param(
+        PerturbedF((BumpPoly(0.01, 2, sup_bound=0.01, deriv_bound=0.05),
+                    BumpPoly(-0.003, 4, 2, (1.0, -0.5), sup_bound=1e-3, deriv_bound=0.02))),
+        id="perturbed_bounded",
+    ),
+    PerturbedLiftS1((BumpTrig(0.02, 1), BumpTrig(-0.005, 4, math.pi / 4, 0.01, 0.05))),
     Compose((MobiusI(2.0), Inverse(MobiusI(1.5)), Power(MobiusI(1.2), -3))),
     Power(RotationS1(0.5), 7),
 ]
@@ -64,6 +73,53 @@ class TestRoundTrip:
         back = loads_expr(dumps_expr(e))
         for x in (0.0, 0.3, 0.7, 1.0):
             assert evaluate(back, x) == evaluate(e, x)
+
+
+# the literal node of every kind: the format the table must keep
+LITERAL_NODES = [
+    (Identity(Manifold.CIRCLE), {"kind": "identity"}),
+    (MobiusI(2.5), {"kind": "mobius", "alpha": "2.5"}),
+    (RotationS1(0.1), {"kind": "rotation", "theta": "0.10000000000000001"}),
+    (SineShear(-1.5), {"kind": "sine_shear", "a": "-1.5"}),
+    (Translation(3.0), {"kind": "translation", "c": "3"}),
+    (
+        PerturbedF((BumpPoly(0.25, 2, 1, (1.0, -1.0), sup_bound=0.5, deriv_bound=2.0),
+                    BumpPoly(-0.125, 3))),
+        {"kind": "perturbed", "bumps": [
+            {"c": "0.25", "stage": 2, "k": 1, "t_coeffs": ["1", "-1"],
+             "sup_bound": "0.5", "deriv_bound": "2"},
+            {"c": "-0.125", "stage": 3, "k": 1, "t_coeffs": ["1"]},
+        ]},
+    ),
+    (
+        PerturbedLiftS1((BumpTrig(0.125, 3, 0.5), BumpTrig(0.01, 4, 0.0, 0.02, 0.1))),
+        {"kind": "perturbed_lift", "bumps": [
+            {"c": "0.125", "stage": 3, "phase": "0.5"},
+            {"c": "0.01", "stage": 4, "phase": "0", "sup_bound": "0.02", "deriv_bound": "0.10000000000000001"},
+        ]},
+    ),
+    (
+        Compose((MobiusI(2.0), MobiusI(0.5))),
+        {"kind": "compose", "parts": [{"kind": "mobius", "alpha": "2"},
+                                      {"kind": "mobius", "alpha": "0.5"}]},
+    ),
+    (Inverse(RotationS1(1.0)), {"kind": "inverse", "inner": {"kind": "rotation", "theta": "1"}}),
+    (
+        Power(Translation(0.5), -2),
+        {"kind": "power", "inner": {"kind": "translation", "c": "0.5"}, "exponent": -2},
+    ),
+]
+
+
+class TestNodeFormat:
+    def test_every_kind_pinned(self):
+        assert {e.kind() for e, _ in LITERAL_NODES} == set(NODES)
+
+    @pytest.mark.parametrize("e, node", LITERAL_NODES, ids=[e.kind() for e, _ in LITERAL_NODES])
+    def test_literal_node(self, e, node):
+        assert expr_to_node(e) == node
+        assert node_to_expr(node, e.manifold) == e
+        jsonschema.validate({"manifold": e.manifold.value, "expr": node}, EXPR_SCHEMA)
 
 
 class TestErrors:
@@ -98,3 +154,18 @@ class TestErrors:
         }
         with pytest.raises(ExprFormatError):
             dict_to_expr(doc)
+
+    @pytest.mark.parametrize("manifold, node", [
+        ("I", {"kind": "power", "exponent": 1.5, "inner": {"kind": "mobius", "alpha": "2"}}),
+        ("I", {"kind": "power", "exponent": True, "inner": {"kind": "mobius", "alpha": "2"}}),
+        ("I", {"kind": "power", "exponent": "2", "inner": {"kind": "mobius", "alpha": "2"}}),
+        ("I", {"kind": "perturbed",
+               "bumps": [{"c": "0.01", "stage": 1.5, "k": 1, "t_coeffs": ["1"]}]}),
+        ("I", {"kind": "perturbed",
+               "bumps": [{"c": "0.01", "stage": 1, "k": True, "t_coeffs": ["1"]}]}),
+        ("S1", {"kind": "perturbed_lift", "bumps": [{"c": "0.01", "stage": 2.0, "phase": "0"}]}),
+    ], ids=["exponent-float", "exponent-bool", "exponent-string", "stage-float", "k-bool",
+            "trig-stage-float"])
+    def test_integer_fields_take_only_integers(self, manifold, node):
+        with pytest.raises(ExprFormatError, match="expected an integer"):
+            dict_to_expr({"manifold": manifold, "expr": node})
