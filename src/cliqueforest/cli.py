@@ -81,8 +81,8 @@ def _add_common(p: argparse.ArgumentParser):
 
 
 def cmd_decide(args) -> int:
-    g = _load_graph(args.graph)
-    decision = embeddable_raag(g, args.manifold)
+    # the graph is not kept alive while the decision is written
+    decision = embeddable_raag(_load_graph(args.graph), args.manifold)
     _write(decision.to_dict(), args.out)
     return EXIT_OK if decision.embeddable else EXIT_FINDING
 

@@ -1,9 +1,13 @@
 """Finite simple graphs, the clique-forest decision, and graph file formats."""
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Tuple, Union
+from itertools import chain
+from typing import FrozenSet, List, NamedTuple, Optional, Tuple, Union
+
+import numpy as np
 
 
 class GraphFormatError(ValueError):
@@ -22,10 +26,11 @@ class SimpleGraph:
     def __post_init__(self):
         if self.n < 0:
             raise GraphFormatError("negative vertex count")
+        n = self.n
         for u, v in self.edges:
-            if u == v:
-                raise GraphFormatError(f"loop at vertex {u}")
-            if not (0 <= u < v < self.n):
+            if not (0 <= u < v < n):
+                if u == v:
+                    raise GraphFormatError(f"loop at vertex {u}")
                 raise GraphFormatError(f"edge ({u}, {v}) out of range or unordered")
 
     @staticmethod
@@ -45,32 +50,9 @@ class SimpleGraph:
                 out.append(a)
         return sorted(out)
 
-    def adjacency(self) -> List[List[int]]:
-        adj: List[List[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
-
     def connected_components(self) -> List[Tuple[int, ...]]:
-        adj = self.adjacency()
-        seen = [False] * self.n
-        comps = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            comp = []
-            q = deque([s])
-            seen[s] = True
-            while q:
-                u = q.popleft()
-                comp.append(u)
-                for w in adj[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        q.append(w)
-            comps.append(tuple(sorted(comp)))
-        return comps
+        """Components ordered by their smallest vertex, each sorted."""
+        return _scan_components(self).components
 
     def to_dict(self) -> dict:
         return {"n": self.n, "edges": sorted(list(e) for e in self.edges)}
@@ -120,8 +102,62 @@ class MissingEdgeWitness:
         return MissingEdgeWitness(int(d["u"]), int(d["v"]), tuple(d["path"]))
 
 
-def _bfs_path(g: SimpleGraph, s: int, t: int) -> Tuple[int, ...]:
-    adj = g.adjacency()
+class _ComponentScan(NamedTuple):
+    components: List[Tuple[int, ...]]  # ordered by smallest vertex, each sorted
+    complete: List[bool]
+    labels: np.ndarray  # labels[v]: smallest vertex of v's component
+    edges: np.ndarray  # (m, 2) array of the graph's edges
+
+
+def _component_labels(n: int, ends: np.ndarray) -> np.ndarray:
+    """Smallest vertex of every vertex's component; ``ends`` is the (2, m)
+    array of edge ends.
+
+    Each round hooks, for every edge whose ends lie in different trees, the
+    larger root onto the smaller, then jumps pointers until every vertex
+    points at its root.  Roots only ever point lower, so the root of a
+    component is its smallest vertex.  An edge whose ends share a root keeps
+    sharing it, so each round carries only the edges still crossing.
+    """
+    parent = np.arange(n, dtype=ends.dtype)
+    while True:
+        roots = parent[ends]
+        cross = roots[0] != roots[1]
+        if not cross.any():
+            return parent
+        ends = ends[:, cross]
+        roots = roots[:, cross]
+        parent[np.maximum(*roots)] = np.minimum(*roots)
+        while True:
+            jumped = parent[parent]
+            if (jumped == parent).all():
+                break
+            parent = jumped
+
+
+def _scan_components(g: SimpleGraph) -> _ComponentScan:
+    """One labelling pass over the edge arrays; a component of s vertices is
+    complete exactly when it holds s(s-1)/2 edges."""
+    edges = np.fromiter(chain.from_iterable(g.edges), dtype=np.int32 if g.n < 2**31 else np.int64,
+                        count=2 * len(g.edges)).reshape(-1, 2)
+    labels = _component_labels(g.n, edges.T)
+    sizes = np.bincount(labels, minlength=g.n)
+    roots = np.flatnonzero(sizes)
+    s = sizes[roots]
+    complete = np.bincount(labels[edges[:, 0]], minlength=g.n)[roots] == s * (s - 1) // 2
+    order = np.argsort(labels, kind="stable").tolist()
+    ends = np.cumsum(s).tolist()
+    comps = [tuple(order[a:b]) for a, b in zip([0] + ends, ends)]
+    return _ComponentScan(comps, complete.tolist(), labels, edges)
+
+
+def _bfs_path(n: int, edges: np.ndarray, s: int, t: int) -> Tuple[int, ...]:
+    """Shortest path from s to t over the (m, 2) edge array, neighbours taken
+    in increasing order."""
+    arcs = np.concatenate([edges, edges[:, ::-1]])
+    arcs = arcs[np.lexsort((arcs[:, 1], arcs[:, 0]))]
+    start = np.searchsorted(arcs[:, 0], np.arange(n + 1)).tolist()
+    nbrs = arcs[:, 1].tolist()
     prev = {s: None}
     q = deque([s])
     while q:
@@ -132,7 +168,7 @@ def _bfs_path(g: SimpleGraph, s: int, t: int) -> Tuple[int, ...]:
                 path.append(u)
                 u = prev[u]
             return tuple(reversed(path))
-        for w in sorted(adj[u]):
+        for w in nbrs[start[u]:start[u + 1]]:
             if w not in prev:
                 prev[w] = u
                 q.append(w)
@@ -151,15 +187,17 @@ def _first_missing_pair(g: SimpleGraph, comp: Tuple[int, ...]) -> Optional[Tuple
 def is_clique_forest(g: SimpleGraph) -> Union[CliqueForest, MissingEdgeWitness]:
     """Decide whether every connected component of ``g`` is complete.
 
-    Returns a certified CliqueForest, or a missing-edge witness inside one
-    component together with a connecting path.
+    Returns a certified CliqueForest, or a missing-edge witness inside the
+    first incomplete component (by smallest vertex) together with a
+    connecting path over that component's edges.
     """
-    comps = g.connected_components()
-    for comp in comps:
-        missing = _first_missing_pair(g, comp)
-        if missing:
-            return MissingEdgeWitness(*missing, _bfs_path(g, *missing))
-    return CliqueForest(tuple(comps))
+    scan = _scan_components(g)
+    if all(scan.complete):
+        return CliqueForest(tuple(scan.components))
+    comp = scan.components[scan.complete.index(False)]
+    u, v = _first_missing_pair(g, comp)
+    inside = scan.edges[scan.labels[scan.edges[:, 0]] == comp[0]]
+    return MissingEdgeWitness(u, v, _bfs_path(g.n, inside, u, v))
 
 
 @dataclass(frozen=True)
@@ -190,11 +228,10 @@ class CompletenessReport:
 
 def check_component_completeness(g: SimpleGraph) -> CompletenessReport:
     """Per-component completeness report (empirical commutation-graph check)."""
-    reports = []
-    for comp in g.connected_components():
-        missing = _first_missing_pair(g, comp)
-        reports.append(ComponentReport(comp, missing is None, missing))
-    return CompletenessReport(tuple(reports), all(r.complete for r in reports))
+    scan = _scan_components(g)
+    reports = tuple(ComponentReport(comp, ok, None if ok else _first_missing_pair(g, comp))
+                    for comp, ok in zip(scan.components, scan.complete))
+    return CompletenessReport(reports, all(scan.complete))
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +239,57 @@ def check_component_completeness(g: SimpleGraph) -> CompletenessReport:
 
 
 def parse_edge_list(text: str) -> SimpleGraph:
+    """An ``n=<count>`` header, then one ``u v`` edge per line; ``#`` starts a
+    comment and blank lines are skipped."""
+    g = _parse_edge_text(text)
+    return g if g is not None else _parse_edge_lines(text)
+
+
+_TEXT_BLOCK = 1 << 18  # characters tokenized at a time by the whole-text path
+
+
+def _parse_edge_text(text: str) -> Optional[SimpleGraph]:
+    """Whole-text reading of a plain document: the header on the first line,
+    then only lines of two integers, in range and distinct.  Returns None for
+    anything else (comments, blank lines, line breaks other than newline, any
+    error), which ``_parse_edge_lines`` then reads line by line.  The body is
+    tokenized in blocks of whole lines, so the token strings of only one
+    block are alive at a time."""
+    if not text.isascii() or any(c in text for c in "#;\r\x0b\x0c\x1c\x1d\x1e"):
+        return None
+    head, _, body = text.partition("\n")
+    head = head.strip()
+    if not head.startswith("n="):
+        return None
+    try:
+        n = int(head[2:])
+    except ValueError:
+        return None
+    if body and not body.endswith("\n"):
+        body += "\n"
+    edges = []
+    start = 0
+    while start < len(body):
+        end = body.find("\n", start + _TEXT_BLOCK) + 1 or len(body)
+        # every line must come out as exactly "u v ;"
+        tokens = body[start:end].replace("\n", " ; ").split()
+        start = end
+        ends = tokens[2::3]
+        if len(tokens) % 3 or ends.count(";") != len(ends):
+            return None
+        try:
+            us, vs = list(map(int, tokens[0::3])), list(map(int, tokens[1::3]))
+        except ValueError:
+            return None
+        if min(us) < 0 or min(vs) < 0 or max(us) >= n or max(vs) >= n:
+            return None
+        if any(map(operator.eq, us, vs)):
+            return None
+        edges += [(u, v) if u < v else (v, u) for u, v in zip(us, vs)]
+    return SimpleGraph(n, frozenset(edges))
+
+
+def _parse_edge_lines(text: str) -> SimpleGraph:
     n = None
     edges = []
     for ln, raw in enumerate(text.splitlines(), 1):

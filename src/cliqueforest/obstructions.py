@@ -10,9 +10,9 @@ the (non-compact) line.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, Optional, Sequence, Tuple
 
 from .diffeo import (
     DEFAULT_GRID,
@@ -49,7 +49,7 @@ class UnipotentMatrix:
 
     def commutes_with(self, other: "UnipotentMatrix") -> bool:
         # [m, n] = 1 iff a1 b2 = a2 b1 for unipotent 3x3 matrices
-        return self * other == other * self
+        return self.a * other.b == other.a * self.b
 
     def rows(self) -> Tuple[Tuple[int, int, int], ...]:
         return ((1, self.a, self.c), (0, 1, self.b), (0, 0, 1))
@@ -92,6 +92,24 @@ class CommutationOracle:
 
     def is_identity(self, label: str) -> bool:
         return self.element(label).is_identity()
+
+    @cached_property
+    def commutation(self) -> Tuple[int, ...]:
+        """Bitset rows of the commutation relation: bit j of row i is set
+        when element i commutes with element j.  One ``commutes_with`` call
+        per unordered pair; every element commutes with itself."""
+        rows = [1 << i for i in range(len(self.elements))]
+        for i, e in enumerate(self.elements):
+            for j in range(i + 1, len(self.elements)):
+                if e.commutes_with(self.elements[j]):
+                    rows[i] |= 1 << j
+                    rows[j] |= 1 << i
+        return tuple(rows)
+
+    @cached_property
+    def non_identity(self) -> int:
+        """Bitset of the indices of non-identity elements."""
+        return sum(1 << i for i, e in enumerate(self.elements) if not e.is_identity())
 
 
 def heisenberg_ball(radius: int) -> CommutationOracle:
@@ -180,40 +198,36 @@ class ObstructionCertificate:
         }
 
 
+def _lowest_bit(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
 def find_centralizer_quadruple(oracle: CommutationOracle) -> Optional[ObstructionCertificate]:
     """Exhaustive deterministic search for a centralizer quadruple.
 
-    The search is lexicographic over labels with pruning on the first failed
-    commutation; a None result means no quadruple exists within this element
-    list, never a group-level conclusion.
+    The search is lexicographic over the non-identity labels, in list order,
+    on the commutation bitsets: for each pair (g1, g2) the candidates are
+    h1 in C[g1] & C[g2] and h2 in C[g2] - C[g1], and the first pair with
+    both nonempty yields its lowest h1 and lowest h2 (h1 != h2 since only h1
+    commutes with g1).  A None result means no quadruple exists within this
+    element list, never a group-level conclusion.
     """
-    labels = [l for l in oracle.labels if not oracle.is_identity(l)]
-    elems = {l: oracle.element(l) for l in labels}
-    for lg1 in labels:
-        e_g1 = elems[lg1]
-        for lg2 in labels:
-            if lg2 == lg1:
+    rows, live = oracle.commutation, oracle.non_identity
+    labels = oracle.labels
+    idx = [i for i in range(len(labels)) if live >> i & 1]
+    for g1 in idx:
+        c1 = rows[g1]
+        for g2 in idx:
+            if g2 == g1:
                 continue
-            e_g2 = elems[lg2]
-            for lh1 in labels:
-                if lh1 in (lg1, lg2):
-                    continue
-                e_h1 = elems[lh1]
-                if not e_g1.commutes_with(e_h1):
-                    continue
-                if not e_g2.commutes_with(e_h1):
-                    continue
-                for lh2 in labels:
-                    if lh2 in (lg1, lg2, lh1):
-                        continue
-                    e_h2 = elems[lh2]
-                    if not e_g2.commutes_with(e_h2):
-                        continue
-                    if e_g1.commutes_with(e_h2):
-                        continue
-                    cert = ObstructionCertificate(lg1, lg2, lh1, lh2)
-                    assert cert.reverify(oracle)
-                    return cert
+            rest = live & ~(1 << g1 | 1 << g2)
+            h2s = rows[g2] & ~c1 & rest
+            h1s = rows[g2] & c1 & rest
+            if h1s and h2s:
+                cert = ObstructionCertificate(labels[g1], labels[g2],
+                                              labels[_lowest_bit(h1s)], labels[_lowest_bit(h2s)])
+                assert cert.reverify(oracle)
+                return cert
     return None
 
 
@@ -226,23 +240,14 @@ class CenterWitness:
 def center_nonabelian_check(oracle: CommutationOracle) -> Tuple[bool, Optional[CenterWitness]]:
     """True with witnesses when some non-identity element commutes with every
     listed element while the list is not abelian."""
-    labels = list(oracle.labels)
-    elems = [oracle.element(l) for l in labels]
-    central = None
-    for l, e in zip(labels, elems):
-        if e.is_identity():
-            continue
-        if all(e.commutes_with(o) for o in elems):
-            central = l
-            break
-    pair = None
-    for i in range(len(elems)):
-        for j in range(i + 1, len(elems)):
-            if not elems[i].commutes_with(elems[j]):
-                pair = (labels[i], labels[j])
-                break
-        if pair:
-            break
+    rows, labels = oracle.commutation, oracle.labels
+    full = (1 << len(labels)) - 1
+    central = next((labels[i] for i, row in enumerate(rows)
+                     if oracle.non_identity >> i & 1 and row == full), None)
+    # commutation is symmetric, so the first incomplete row's lowest
+    # missing bit lies above its own index
+    pair = next(((labels[i], labels[_lowest_bit(full & ~row)])
+                 for i, row in enumerate(rows) if row != full), None)
     if central is not None and pair is not None:
         return True, CenterWitness(central, pair)
     return False, None

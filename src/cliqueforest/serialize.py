@@ -2,7 +2,8 @@
 
 ``NODES`` is the one table of the format: for each node kind, the
 expression class and its fields, each with a codec.  Numeric fields are
-decimal strings with 17 significant digits (exact float round trip), integer
+decimal strings with 17 significant digits (exact float round trip), and
+only strings matching the schema's decimal pattern are read back; integer
 fields are JSON integers, and the manifold tag sits at the root.  A kind
 whose class fixes a manifold is accepted only under that tag.  Encoding,
 decoding, the bump lists of the synthesis state and the published node
@@ -11,6 +12,7 @@ schema (``schemas``) all derive from this table.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Optional, Tuple
 
@@ -57,12 +59,26 @@ def _integer(v, manifold):
 
 
 _DECIMAL_SCHEMA = {"type": "string", "pattern": r"^-?(\d+\.?\d*|\.\d+|inf)([eE][+-]?\d+)?$"}
+_DECIMAL_RE = re.compile(_DECIMAL_SCHEMA["pattern"], re.ASCII)
 _NODE_REF = {"$ref": "#/$defs/node"}
 
-DECIMAL = Codec(_fmt, lambda v, m: float(v), _DECIMAL_SCHEMA)
+
+def _decimal(v, manifold):
+    if not isinstance(v, str) or not _DECIMAL_RE.fullmatch(v):
+        raise ExprFormatError(f"expected a decimal string, got {v!r}")
+    return float(v)
+
+
+def _decimals(vs, manifold):
+    if not isinstance(vs, list):
+        raise ExprFormatError(f"expected a list of decimal strings, got {vs!r}")
+    return tuple(_decimal(v, manifold) for v in vs)
+
+
+DECIMAL = Codec(_fmt, _decimal, _DECIMAL_SCHEMA)
 OPTIONAL_DECIMAL = replace(DECIMAL, optional=True)
 INTEGER = Codec(lambda v: v, _integer, {"type": "integer"})
-DECIMALS = Codec(lambda vs: [_fmt(v) for v in vs], lambda vs, m: tuple(float(v) for v in vs),
+DECIMALS = Codec(lambda vs: [_fmt(v) for v in vs], _decimals,
                  {"type": "array", "items": _DECIMAL_SCHEMA})
 NODE = Codec(lambda e: expr_to_node(e), lambda v, m: node_to_expr(v, m), _NODE_REF)
 NODE_LIST = Codec(lambda es: [expr_to_node(e) for e in es],

@@ -92,7 +92,7 @@ class AlphaSequence:
     def from_dict(d: dict) -> "AlphaSequence":
         return AlphaSequence(
             tuple(float(a) for a in d["alphas"]),
-            int(d["k_bound"]),
+            serialize.INTEGER.decode(d["k_bound"], None),
             float(d["min_relation"]),
         )
 
@@ -275,14 +275,14 @@ class SynthesisState:
         return SynthesisState(
             manifold=m,
             p=float(d["p"]),
-            num_g=int(d["num_g"]),
-            max_len=int(d["max_len"]),
-            word_count=int(d["word_count"]),
+            num_g=serialize.INTEGER.decode(d["num_g"], m),
+            max_len=serialize.INTEGER.decode(d["max_len"], m),
+            word_count=serialize.INTEGER.decode(d["word_count"], m),
             margins=tuple(None if v is None else float(v) for v in d["margins"]),
             eps=tuple(float(v) for v in d["eps"]),
             bumps=serialize.BUMPS[m].decode(d["bumps"], m),
             lambda_est=float(d["lambda_est"]),
-            grid_n=int(d["grid_n"]),
+            grid_n=serialize.INTEGER.decode(d["grid_n"], m),
             min_derivative=float(d["min_derivative"]),
             deriv_lower_bound=float(d["deriv_lower_bound"]),
         )

@@ -118,6 +118,23 @@ class TestSynthesizeVerify:
         assert main(["verify", str(asg)]) == EXIT_INPUT
         assert "g generators" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, edits", [
+        ("state", {"num_g": 3.7, "max_len": 4.2}),
+        ("state", {"word_count": True}),
+        ("state", {"grid_n": "1025"}),
+        ("alphas", {"k_bound": 6.5}),
+    ], ids=["num_g-max_len", "word_count", "grid_n", "k_bound"])
+    def test_verify_rejects_non_integer_fields(self, graph_file, tmp_path, capsys,
+                                               section, edits):
+        asg = tmp_path / "asg.json"
+        assert main(["synthesize", graph_file(K2_K3), "--word-len", "4",
+                     "--out", str(asg), "--report", str(tmp_path / "rep.json")]) == EXIT_OK
+        doc = json.loads(asg.read_text())
+        doc[section].update(edits)
+        asg.write_text(json.dumps(doc))
+        assert main(["verify", str(asg), "--out", str(tmp_path / "v.json")]) == EXIT_INPUT
+        assert "expected an integer" in capsys.readouterr().err
+
     @pytest.mark.parametrize("manifold, f_kind", [("I", "perturbed"), ("S1", "perturbed_lift")])
     def test_assignment_matches_schema(self, graph_file, tmp_path, manifold, f_kind):
         asg = tmp_path / "asg.json"
@@ -182,6 +199,16 @@ class TestFixpoints:
         ef = tmp_path / "e.json"
         ef.write_text("{}")
         assert main(["fixpoints", str(ef)]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("doc", [
+        {"manifold": "I", "expr": {"kind": "mobius", "alpha": True}},
+        {"manifold": "S1", "expr": {"kind": "rotation", "theta": "nan"}},
+    ], ids=["bool-alpha", "nan-theta"])
+    def test_non_decimal_parameter_rejected(self, tmp_path, capsys, doc):
+        ef = tmp_path / "e.json"
+        ef.write_text(json.dumps(doc))
+        assert main(["fixpoints", str(ef)]) == EXIT_INPUT
+        assert "expected a decimal string" in capsys.readouterr().err
 
 
 class TestCommGraph:

@@ -169,3 +169,36 @@ class TestErrors:
     def test_integer_fields_take_only_integers(self, manifold, node):
         with pytest.raises(ExprFormatError, match="expected an integer"):
             dict_to_expr({"manifold": manifold, "expr": node})
+
+    @pytest.mark.parametrize("manifold, node", [
+        ("I", {"kind": "mobius", "alpha": True}),
+        ("I", {"kind": "mobius", "alpha": 2.0}),
+        ("I", {"kind": "mobius", "alpha": 2}),
+        ("I", {"kind": "mobius", "alpha": None}),
+        ("S1", {"kind": "rotation", "theta": "nan"}),
+        ("S1", {"kind": "rotation", "theta": "1_0"}),
+        ("S1", {"kind": "rotation", "theta": " 1"}),
+        ("S1", {"kind": "rotation", "theta": "1\n"}),
+        ("S1", {"kind": "rotation", "theta": "Infinity"}),
+        ("S1", {"kind": "rotation", "theta": "\u0661"}),  # a non-ASCII digit
+        ("I", {"kind": "perturbed",
+               "bumps": [{"c": "0.01", "stage": 1, "k": 1, "t_coeffs": ["1", 0.5]}]}),
+        ("I", {"kind": "perturbed",
+               "bumps": [{"c": "0.01", "stage": 1, "k": 1, "t_coeffs": "12"}]}),
+        ("I", {"kind": "perturbed",
+               "bumps": [{"c": "0.01", "stage": 1, "k": 1, "t_coeffs": ["1"],
+                          "sup_bound": False}]}),
+    ], ids=["bool", "float", "int", "null", "nan", "underscore", "space", "newline",
+            "infinity-word", "unicode-digit", "list-number", "list-as-string",
+            "optional-bool"])
+    def test_decimal_fields_take_only_decimal_strings(self, manifold, node):
+        with pytest.raises(ExprFormatError, match="expected a (list of )?decimal string"):
+            dict_to_expr({"manifold": manifold, "expr": node})
+
+    @pytest.mark.parametrize("text, value", [
+        ("2", 2.0), ("-0.5", -0.5), (".5", 0.5), ("2.", 2.0), ("1e-3", 1e-3),
+        ("1E+2", 100.0), ("inf", math.inf), ("-inf", -math.inf),
+    ])
+    def test_decimal_strings_accepted(self, text, value):
+        e = dict_to_expr({"manifold": "R", "expr": {"kind": "translation", "c": text}})
+        assert e == Translation(value)
