@@ -231,9 +231,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_PARSER: Optional[argparse.ArgumentParser] = None  # built on the first call
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (GraphFormatError, serialize.ExprFormatError, NotApplicableError,

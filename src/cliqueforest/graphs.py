@@ -16,6 +16,10 @@ class GraphFormatError(ValueError):
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class SimpleGraph:
     """Loop-free undirected graph on vertices 0..n-1."""
@@ -59,7 +63,12 @@ class SimpleGraph:
 
     @staticmethod
     def from_dict(d: dict) -> "SimpleGraph":
-        return SimpleGraph.from_edges(int(d["n"]), [tuple(e) for e in d["edges"]])
+        """Load a graph; ``n`` and the edge ends must be JSON integers."""
+        n, edges = d["n"], d["edges"]
+        if not (_is_int(n) and isinstance(edges, list) and all(
+                isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)) for e in edges)):
+            raise ValueError("graph: n and the edge ends must be JSON integers, two per edge")
+        return SimpleGraph.from_edges(n, [tuple(e) for e in edges])
 
 
 @dataclass(frozen=True)

@@ -2,17 +2,20 @@
 recursion building f, generator assembly h_{i,n} = f^i g_n f^-i, and the
 verification of a finished assignment.
 
-The recursion walks the word list in order; each stage either certifies that
-the current word already moves the basepoint (zero bump) or adds one small
-polynomial bump chosen so that the sup/derivative budgets of the stage hold
-on a verification grid.  Tolerances eps_m are derived from an explicit
-Lipschitz bound and protect all earlier margins against later bumps.
+The recursion walks the word schedule in order; each stage either certifies
+that the current word already moves the basepoint (zero bump) or adds one
+small polynomial bump chosen so that the sup/derivative budgets of the stage
+hold on a verification grid.  Tolerances eps_m are derived from an explicit
+Lipschitz bound and protect all earlier margins against later bumps.  The
+schedule is held as per-level arrays (``_Schedule``) and the stages between
+two bumps are settled in one numpy pass.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import chain, compress, repeat
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -91,9 +94,9 @@ class AlphaSequence:
     @staticmethod
     def from_dict(d: dict) -> "AlphaSequence":
         return AlphaSequence(
-            tuple(float(a) for a in d["alphas"]),
+            serialize.DECIMALS.decode(d["alphas"], None),
             serialize.INTEGER.decode(d["k_bound"], None),
-            float(d["min_relation"]),
+            serialize.DECIMAL.decode(d["min_relation"], None),
         )
 
 
@@ -179,26 +182,119 @@ def word_str(word: FreeWord) -> str:
     return " ".join(letter_str(l) for l in word) if word else "1"
 
 
+def _letters(num_g: int) -> List[Letter]:
+    """The letters in ``_letter_key`` order: letter i is sym i // 2, inverted
+    when i is odd."""
+    return [(s, sgn) for s in range(num_g + 1) for sgn in (1, -1)]
+
+
+class _Level(NamedTuple):
+    parent: np.ndarray  # index in the level below of the suffix w of each word l w
+    first: np.ndarray  # letter index i of l
+    has_f: np.ndarray  # the word contains f or f^-1
+    bounds: np.ndarray  # the words with first letter i are bounds[i]:bounds[i + 1]
+
+
+class _Schedule:
+    """The freely reduced words of length 1..max_len over f, g_1..g_num_g and
+    inverses, held as the levels of their suffix tree.
+
+    Level L lists the words ``l w`` of length L letter by letter, in
+    ``_letter_key`` order, each letter over the level L-1 words w it may
+    precede.  The scheduled words are those containing f or f^-1, level by
+    level: the order of ``enumerate_words``.  A word tuple is built only to
+    name a word (``word``).
+    """
+
+    def __init__(self, num_g: int, max_len: int):
+        if num_g < 1:
+            raise ValueError("need at least one g generator")
+        if max_len < 1:
+            raise ValueError("max_len must be >= 1")
+        self.num_g, self.max_len = num_g, max_len
+        n_letters = 2 * num_g + 2
+        letter_ids = np.arange(n_letters, dtype=np.min_scalar_type(n_letters))
+        first, has_f = np.array([-1]), np.array([False])
+        self.levels: List[_Level] = []
+        for _ in range(max_len):
+            # a letter never precedes its inverse
+            blocks = [np.flatnonzero(first != (i ^ 1)) for i in range(n_letters)]
+            sizes = [b.size for b in blocks]
+            parent = np.concatenate(blocks)
+            first = np.repeat(letter_ids, sizes)
+            has_f = has_f[parent] | (first < 2)
+            self.levels.append(_Level(parent, first, has_f, np.cumsum([0] + sizes)))
+        counts = [int(np.count_nonzero(lv.has_f)) for lv in self.levels]
+        self._ends = np.cumsum(counts)
+        self.lengths = np.repeat(np.arange(1, max_len + 1), counts)  # of the scheduled words
+        self.word_count = int(self._ends[-1])
+
+    def word(self, k: int) -> FreeWord:
+        """The scheduled word of index k (stage k + 1)."""
+        top = int(np.searchsorted(self._ends, k, side="right"))
+        before = int(self._ends[top - 1]) if top else 0
+        idx = int(np.flatnonzero(self.levels[top].has_f)[k - before])
+        letters, word = _letters(self.num_g), []
+        for lv in reversed(self.levels[:top + 1]):
+            word.append(letters[lv.first[idx]])
+            idx = lv.parent[idx]
+        return tuple(word)
+
+    def trivial(self) -> np.ndarray:
+        """Mask of the scheduled words that are trivial in
+        <f> * <g_1, ..., g_num_g abelian>.
+
+        The free-product normal form is carried through the levels as a
+        persistent syllable stack.  Node 0 is the empty form (kind -1); node
+        j > 0 is a head syllable, of kind ``kind[j]`` (0 for f, 1 for g) and
+        exponent vector ``head[j]`` over f, g_1..g_num_g, above the node
+        ``tail[j]``.
+        Prepending a letter adds it to the head when the kinds match, and
+        leaves the tail when the head becomes zero; otherwise it pushes a new
+        head.  Adjacent syllables differ in kind, so nothing else cancels.
+        """
+        size = 1 + sum(lv.parent.size for lv in self.levels)
+        kind = np.full(size, -1, np.int8)
+        head = np.zeros((size, self.num_g + 1), np.min_scalar_type(-self.max_len))
+        tail = np.zeros(size, np.intp)
+        node, used, out = np.zeros(1, np.intp), 1, []
+        for lv in self.levels:
+            below = node[lv.parent]
+            k = (lv.first >= 2).astype(np.int8)
+            same = kind[below] == k
+            # the letter adds to a head of its kind, or starts one from zero
+            h = np.take(head, below, axis=0)
+            np.multiply(h, same[:, None], out=h)
+            for i, (lo, hi) in enumerate(zip(lv.bounds[:-1], lv.bounds[1:])):
+                h[lo:hi, i // 2] += -1 if i % 2 else 1
+            new = ~same  # a pushed head, or a merged head that stays nonzero
+            for column in h.T:
+                new |= column != 0
+            node = np.where(same, tail[below], below)  # the tail under the new head
+            fresh = slice(used, used + np.count_nonzero(new))
+            kind[fresh], tail[fresh] = k[new], node[new]
+            head[fresh] = np.compress(new, h, axis=0)
+            node[new] = np.arange(fresh.start, fresh.stop)
+            used = fresh.stop
+            out.append(node[lv.has_f] == 0)
+        return np.concatenate(out)
+
+
 def enumerate_words(num_g: int, max_len: int, require_f: bool = True) -> List[FreeWord]:
     """All freely reduced words of length <= max_len over f, g_1..g_num_g and
     inverses, ordered by length then lexicographically.
 
-    Level L prepends each letter, in ``_letter_key`` order, to the level L-1
-    words it may precede.  With ``require_f`` (the default) only words
-    containing f or f^-1 are kept, matching the schedule the recursion needs.
+    The words are built from the levels of ``_Schedule``: level L prepends
+    each letter, in ``_letter_key`` order, to the level L-1 words it may
+    precede.  With ``require_f`` (the default) only words containing f or
+    f^-1 are kept, matching the schedule the recursion needs.
     """
-    if num_g < 1:
-        raise ValueError("need at least one g generator")
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
-    letters = [(s, sgn) for s in range(num_g + 1) for sgn in (1, -1)]  # _letter_key order
+    schedule, letters = _Schedule(num_g, max_len), _letters(num_g)
     level: List[FreeWord] = [()]
     words: List[FreeWord] = []
-    for _ in range(max_len):
-        level = [(l,) + w for l in letters for w in level
-                 if not w or w[0] != (l[0], -l[1])]
-        words.extend(w for w in level
-                     if not require_f or (0, 1) in w or (0, -1) in w)
+    for lv in schedule.levels:
+        level = [(letters[i],) + level[j] for i, j in zip(lv.first.tolist(), lv.parent.tolist())]
+        words.extend(compress(level, lv.has_f.tolist()) if require_f else level)
     return words
 
 
@@ -234,7 +330,9 @@ class SynthesisState:
     ``margins[m-1]`` is D_m for the m-th scheduled word (None when the word is
     trivial in the free product and the stage is vacuous), ``eps[m-1]`` the
     tolerance after stage m.  The words are ``enumerate_words(num_g, max_len)``
-    for num_g = len(gens) and max_len = the word length, regenerated on load.
+    for num_g = len(gens) and max_len = the word length, never stored: the
+    recursion holds them as the arrays of ``_Schedule(num_g, max_len)``,
+    from which ``words`` also derives.
     """
 
     manifold: Manifold
@@ -271,20 +369,23 @@ class SynthesisState:
 
     @staticmethod
     def from_dict(d: dict) -> "SynthesisState":
+        """Load a state; ``margins`` and ``eps`` (one entry per scheduled
+        word) are read with ``float`` for speed, the other fields with their
+        ``serialize`` codecs."""
         m = Manifold(d["manifold"])
         return SynthesisState(
             manifold=m,
-            p=float(d["p"]),
+            p=serialize.DECIMAL.decode(d["p"], m),
             num_g=serialize.INTEGER.decode(d["num_g"], m),
             max_len=serialize.INTEGER.decode(d["max_len"], m),
             word_count=serialize.INTEGER.decode(d["word_count"], m),
             margins=tuple(None if v is None else float(v) for v in d["margins"]),
             eps=tuple(float(v) for v in d["eps"]),
             bumps=serialize.BUMPS[m].decode(d["bumps"], m),
-            lambda_est=float(d["lambda_est"]),
+            lambda_est=serialize.DECIMAL.decode(d["lambda_est"], m),
             grid_n=serialize.INTEGER.decode(d["grid_n"], m),
-            min_derivative=float(d["min_derivative"]),
-            deriv_lower_bound=float(d["deriv_lower_bound"]),
+            min_derivative=serialize.DECIMAL.decode(d["min_derivative"], m),
+            deriv_lower_bound=serialize.DECIMAL.decode(d["deriv_lower_bound"], m),
         )
 
 
@@ -301,27 +402,26 @@ def _word_margin(word, f, gens, p, manifold) -> float:
 
 
 def _schedule_margins(f: DiffeoExpr, gens: Sequence[DiffeoExpr], p: float,
-                      manifold: Manifold, max_len: int) -> np.ndarray:
-    """Margins at p of ``enumerate_words(len(gens), max_len)``, in that order.
+                      manifold: Manifold, schedule: _Schedule) -> np.ndarray:
+    """Margins at p of the words of ``schedule`` (over ``len(gens)`` g
+    generators), in schedule order.
 
-    Walks the levels of ``enumerate_words`` over the values at p of all
-    reduced words, ``value(l w) = l(value(w))``: letter i is ``exprs[i // 2]``,
-    inverted for odd i, applied once per level to the words it may precede.
+    Walks the levels of the schedule over the values at p of all reduced
+    words, ``value(l w) = l(value(w))``: letter i is ``exprs[i // 2]``,
+    inverted for odd i, applied once per level to the words it precedes.
     The float operations are those of ``_word_apply``, so the margins are
     bitwise equal to ``_word_margin``.
     """
     exprs = (f,) + tuple(gens)
-    vals, first, has_f = np.array([p]), np.array([-1]), np.array([False])
+    vals = np.array([p])
     margins = []
-    for _ in range(max_len):
+    for lv in schedule.levels:
         parts = []
-        for i in range(2 * len(exprs)):
-            keep = first != (i ^ 1)  # a letter never precedes its inverse
-            e, v = exprs[i // 2], vals[keep]
-            parts.append((e._inv_raw(v) if i % 2 else e._raw(v),
-                          np.full(v.size, i), has_f[keep] | (i < 2)))
-        vals, first, has_f = (np.concatenate(c) for c in zip(*parts))
-        margins.append(point_distance(manifold, vals[has_f], p))
+        for i, (lo, hi) in enumerate(zip(lv.bounds[:-1], lv.bounds[1:])):
+            e, v = exprs[i // 2], vals[lv.parent[lo:hi]]
+            parts.append(e._inv_raw(v) if i % 2 else e._raw(v))
+        vals = np.concatenate(parts)
+        margins.append(point_distance(manifold, vals[lv.has_f], p))
     return np.concatenate(margins)
 
 
@@ -408,9 +508,17 @@ def perturb_f(
     Stage m leaves f unchanged when the word already moves p by more than the
     stage's sup budget; otherwise it picks the budgeted bump maximizing the
     margin D_m.  The margin of every earlier word is protected by the eps
-    chain.  The margins of the whole schedule are evaluated level by level
-    (``_schedule_margins``) at the start and after each bump, and re-verified
-    against the final f before returning.
+    chain.
+
+    The schedule is held as arrays (``_Schedule``): no word tuple is built
+    except to name a word or for the candidate trials of a bumped stage.
+    The walk over its levels carries the free-product normal form, which
+    marks the vacuous stages, and evaluates the margins of the whole
+    schedule (``_schedule_margins``) at the start and after each bump.
+    Between two bumps f is fixed, so the stages up to the next bump are one
+    numpy pass: the eps chain is a running minimum, and the budgets and the
+    stage decisions are bitwise those of a stage-by-stage loop.  The margins
+    are re-verified against the final f before returning.
     """
     if manifold is None:
         manifold = gens[0].manifold
@@ -426,63 +534,77 @@ def _perturb_f_at(gens, p, opts, manifold):
     if not (0.0 < p < 1.0):
         raise ValueError("basepoint must lie in (0, 1)")
     grid_n, num_g, max_len = opts.grid_n, len(gens), opts.word_len
-    words = enumerate_words(num_g, max_len)
+    schedule = _Schedule(num_g, max_len)
+    n = schedule.word_count
+    # words trivial in <f> * <g's abelian>: the paper's free-group schedule
+    # includes such words but no basepoint displacement exists for them
+    live = ~schedule.trivial()
+    shift = -np.arange(2, n + 2)  # stage m's budgets carry the factor 2^-(m+1)
+    margins, eps = np.empty(n), np.empty(n)
     bumps: List[object] = []
     f: DiffeoExpr = Identity(manifold)
-    lam = _measure_lambda(f, gens, grid_n)
-    margins: List[Optional[float]] = []
-    eps: List[float] = []
-    eps_prev = 1.0
-    fp_forest = _free_product_forest(num_g)
-    current = _schedule_margins(f, gens, p, manifold, max_len).tolist()
-
-    for m, word in enumerate(words, 1):
-        sup_budget = math.ldexp(eps_prev, -(m + 1))
-        deriv_budget = math.ldexp(1.0, -(m + 1))
-        if normal_form(word, fp_forest).trivial:
-            # trivial in <f> * <g's abelian>: the paper's free-group schedule
-            # includes such words but no basepoint displacement exists for them
-            margins.append(None)
-            eps.append(eps_prev)
-            continue
-        d_m = current[m - 1]
-        if not d_m > sup_budget:  # else no bump: budgets hold vacuously
-            best = None
-            for bump in _candidate_bumps(manifold, m, sup_budget, deriv_budget, grid_n):
-                cand_f = _build_f(manifold, tuple(bumps) + (bump,), grid_n)
-                d_c = _word_margin(word, cand_f, gens, p, manifold)
-                if best is None or d_c > best[0]:
-                    best = (d_c, bump, cand_f)
-            if best is None or best[0] <= 0.0:
-                raise SynthesisError(
-                    f"stage {m} ({word_str(word)}): no candidate bump moves the "
-                    f"basepoint {p} (budget {sup_budget:.3e})"
-                )
-            d_m, bump, f = best
-            bumps.append(bump)
-            lam = _measure_lambda(f, gens, grid_n)
-            current = _schedule_margins(f, gens, p, manifold, max_len).tolist()
-        margins.append(d_m)
+    d = _schedule_margins(f, gens, p, manifold, schedule)
+    start, eps_prev, decided = 0, 1.0, False
+    while True:
+        # f and lam stay fixed up to the next bump, so the stages from start on
+        # are one pass: the eps chain is a running minimum (vacuous stages
+        # carry it), the sup budget of a stage scales the eps before it, and
+        # the first nonvacuous stage whose word moves p by no more than its
+        # budget takes the next bump.  A stage already decided (the bumped
+        # one) is not tested again.
+        lam = _measure_lambda(f, gens, grid_n)
         # Lipschitz tolerance: a word of length L built from letters with grid
         # derivative sup <= lam moves by at most L lam^(L-1) times a sup-norm
         # perturbation of one letter; divide by a safety factor of 4
-        length = len(word)
-        eps_m = min(eps_prev, d_m / (8.0 * length * lam ** (length - 1)))
-        if not (eps_m > opts.eps_floor):
+        lip = np.array([8.0 * length * lam ** (length - 1) for length in range(max_len + 1)])
+        seg = slice(start, n)
+        ratio = np.where(live[seg], d[seg] / lip[schedule.lengths[seg]], np.inf)
+        # np.fmin, like min(eps, x), keeps eps over a NaN
+        run = np.fmin.accumulate(np.concatenate(([eps_prev], ratio)))
+        before, after = run[:-1], run[1:]  # eps before and after each stage
+        moved = d[seg] > np.ldexp(before, shift[seg])
+        moved[0] |= decided
+        k = _first(live[seg] & ~moved, n - start)  # the next bump, counted from start
+        low = _first(live[start:start + k] & ~(after[:k] > opts.eps_floor), None)
+        if low is not None:
             raise SynthesisError(
-                f"stage {m}: tolerance underflow (eps={eps_m!r}); margins too small"
+                f"stage {start + low + 1}: tolerance underflow "
+                f"(eps={float(after[low])!r}); margins too small"
             )
-        eps.append(eps_m)
-        eps_prev = eps_m
+        stop = start + k
+        margins[start:stop], eps[start:stop] = d[start:stop], after[:k]
+        if stop == n:
+            break
+        m, eps_prev = stop + 1, float(before[k])
+        word = schedule.word(stop)
+        sup_budget = math.ldexp(eps_prev, -(m + 1))
+        deriv_budget = math.ldexp(1.0, -(m + 1))
+        best = None
+        for bump in _candidate_bumps(manifold, m, sup_budget, deriv_budget, grid_n):
+            cand_f = _build_f(manifold, tuple(bumps) + (bump,), grid_n)
+            d_c = _word_margin(word, cand_f, gens, p, manifold)
+            if best is None or d_c > best[0]:
+                best = (d_c, bump, cand_f)
+        if best is None or best[0] <= 0.0:
+            raise SynthesisError(
+                f"stage {m} ({word_str(word)}): no candidate bump moves the "
+                f"basepoint {p} (budget {sup_budget:.3e})"
+            )
+        d_m, bump, f = best
+        bumps.append(bump)
+        d = _schedule_margins(f, gens, p, manifold, schedule)
+        d[stop] = d_m
+        start, decided = stop, True
 
     # final map and direct re-verification of every margin
     final_f = _build_f(manifold, tuple(bumps), grid_n)
-    final = _schedule_margins(final_f, gens, p, manifold, max_len).tolist()
-    for m, (word, d_m, got) in enumerate(zip(words, margins, final), 1):
-        if d_m is not None and not got > d_m / 2.0:
-            raise SynthesisError(
-                f"stage {m} ({word_str(word)}): final margin {got} <= D/2 = {d_m / 2}"
-            )
+    final = _schedule_margins(final_f, gens, p, manifold, schedule)
+    bad = _first(live & ~(final > margins / 2.0), None)
+    if bad is not None:
+        raise SynthesisError(
+            f"stage {bad + 1} ({word_str(schedule.word(bad))}): final margin "
+            f"{float(final[bad])} <= D/2 = {float(margins[bad]) / 2}"
+        )
 
     xs = np.linspace(0.0, 1.0, grid_n + 1)
     min_deriv = float(np.min(final_f._draw(xs)))
@@ -492,9 +614,9 @@ def _perturb_f_at(gens, p, opts, manifold):
         p=p,
         num_g=num_g,
         max_len=max_len,
-        word_count=len(words),
-        margins=tuple(margins),
-        eps=tuple(eps),
+        word_count=n,
+        margins=_with_none(margins, ~live),
+        eps=_runs_shared(eps),
         bumps=tuple(bumps),
         lambda_est=lam,
         grid_n=grid_n,
@@ -502,6 +624,28 @@ def _perturb_f_at(gens, p, opts, manifold):
         deriv_lower_bound=bound,
     )
     return final_f, state
+
+
+def _with_none(a: np.ndarray, vacuous: np.ndarray) -> Tuple[Optional[float], ...]:
+    """The values of ``a``, None where ``vacuous``."""
+    values = a.tolist()
+    for i in np.flatnonzero(vacuous).tolist():
+        values[i] = None
+    return tuple(values)
+
+
+def _runs_shared(a: np.ndarray) -> Tuple[float, ...]:
+    """The values of ``a``, one float object per run of equal values (eps
+    runs unchanged over most stages, so this keeps the state small)."""
+    starts = np.flatnonzero(np.concatenate(([True], a[1:] != a[:-1])))
+    counts = np.diff(np.append(starts, a.size))
+    return tuple(chain.from_iterable(map(repeat, a[starts].tolist(), counts.tolist())))
+
+
+def _first(mask: np.ndarray, default):
+    """Index of the first True entry of ``mask``, or ``default``."""
+    i = int(np.argmax(mask)) if mask.size else 0
+    return i if mask.size and mask[i] else default
 
 
 # ---------------------------------------------------------------------------
@@ -709,16 +853,16 @@ def verify_assignment(
             raise ValueError("word_len must be >= 1")
         # the schedule is length-major: these are its words of length <= wl
         margins = _schedule_margins(assignment.f, assignment.gens, state.p,
-                                    assignment.manifold, wl).tolist()
+                                    assignment.manifold, _Schedule(state.num_g, wl)).tolist()
         margin_checks = [
             (idx, margin, d_m / 2.0)
             for idx, (margin, d_m) in enumerate(zip(margins, state.margins), 1)
             if d_m is not None
         ]
         failing = [c for c in margin_checks if not c[1] > c[2]]
-        words = state.words() if failing else []  # only to name failing words
+        schedule = _Schedule(state.num_g, wl) if failing else None  # to name failing words
         margin_failures = [
-            {"index": i, "word": word_str(words[i - 1]), "margin": m, "threshold": t}
+            {"index": i, "word": word_str(schedule.word(i - 1)), "margin": m, "threshold": t}
             for i, m, t in failing
         ]
         ok = ok and not failing

@@ -4,7 +4,7 @@ import jsonschema
 import pytest
 
 from cliqueforest import MobiusI, RotationS1, dumps_expr
-from cliqueforest.cli import EXIT_FINDING, EXIT_INPUT, EXIT_OK, main
+from cliqueforest.cli import EXIT_FINDING, EXIT_INPUT, EXIT_OK, build_parser, main
 from cliqueforest.schemas import (
     ASSIGNMENT_SCHEMA,
     COMMGRAPH_SCHEMA,
@@ -89,6 +89,19 @@ class TestInputErrors:
             main(argv)
         assert ei.value.code == 2
 
+    @pytest.mark.parametrize("argv", [["--help"], ["synthesize", "--help"],
+                                      ["decide"], ["verify", "a.json", "--word-len", "x"]])
+    def test_parser_reused_across_calls(self, capsys, argv):
+        # the parser is built once per process; every call prints and exits
+        # as a freshly built one does
+        runs = []
+        for parser in (build_parser(), None, None):
+            with pytest.raises(SystemExit) as ei:
+                parser.parse_args(argv) if parser else main(argv)
+            runs.append((ei.value.code, capsys.readouterr()))
+        assert runs[0] == runs[1] == runs[2]
+        assert runs[0][0] == (0 if "--help" in argv else 2)
+
 
 class TestSynthesizeVerify:
     def test_synthesize_and_reverify(self, graph_file, tmp_path):
@@ -134,6 +147,46 @@ class TestSynthesizeVerify:
         asg.write_text(json.dumps(doc))
         assert main(["verify", str(asg), "--out", str(tmp_path / "v.json")]) == EXIT_INPUT
         assert "expected an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("state", "p", True),
+        ("state", "lambda_est", 3.0),
+        ("state", "min_derivative", "nan"),
+        ("state", "deriv_lower_bound", "0.5x"),
+        ("alphas", "alphas", ["nan", "1.5", "2.0"]),
+        ("alphas", "alphas", "1.5"),
+        ("alphas", "min_relation", False),
+    ], ids=["bool-p", "number-lambda", "nan-min-derivative", "bad-bound", "nan-alpha",
+            "string-alphas", "bool-min-relation"])
+    def test_verify_rejects_non_decimal_fields(self, graph_file, tmp_path, capsys,
+                                               section, key, value):
+        asg = tmp_path / "asg.json"
+        assert main(["synthesize", graph_file(K2_K3), "--word-len", "4",
+                     "--out", str(asg), "--report", str(tmp_path / "rep.json")]) == EXIT_OK
+        doc = json.loads(asg.read_text())
+        doc[section][key] = value
+        asg.write_text(json.dumps(doc))
+        assert main(["verify", str(asg), "--out", str(tmp_path / "v.json")]) == EXIT_INPUT
+        assert "expected a" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        {"n": 5.9},
+        {"n": True},
+        {"n": "5"},
+        {"edges": [[0, 1.0], [2, 3], [2, 4], [3, 4]]},
+        {"edges": [[0, True], [2, 3], [2, 4], [3, 4]]},
+        {"edges": [[0, 1, 2], [2, 3], [2, 4], [3, 4]]},
+        {"edges": {"0": 1}},
+    ], ids=["float-n", "bool-n", "string-n", "float-end", "bool-end", "three-ends", "dict"])
+    def test_verify_rejects_non_integer_graph(self, graph_file, tmp_path, capsys, edit):
+        asg = tmp_path / "asg.json"
+        assert main(["synthesize", graph_file(K2_K3), "--word-len", "4",
+                     "--out", str(asg), "--report", str(tmp_path / "rep.json")]) == EXIT_OK
+        doc = json.loads(asg.read_text())
+        doc["graph"].update(edit)
+        asg.write_text(json.dumps(doc))
+        assert main(["verify", str(asg), "--out", str(tmp_path / "v.json")]) == EXIT_INPUT
+        assert "must be JSON integers" in capsys.readouterr().err
 
     @pytest.mark.parametrize("manifold, f_kind", [("I", "perturbed"), ("S1", "perturbed_lift")])
     def test_assignment_matches_schema(self, graph_file, tmp_path, manifold, f_kind):

@@ -1,15 +1,18 @@
-"""The bitset obstruction search and the labelled clique-forest decision
-against the nested-loop and BFS procedures they replaced.
+"""The bitset obstruction search, the labelled clique-forest decision and
+the array-held synthesis schedule against the procedures they replaced.
 
 The reference functions below are those procedures, kept verbatim in
 behaviour: the four-loop quadruple search, the all-pairs center check, the
-BFS component walk with its first-missing-pair witness, and the per-line
-edge-list parser.  Their commutation predicate multiplies the matrices, so
-the closed form of ``commutes_with`` is checked on the way.
+BFS component walk with its first-missing-pair witness, the per-line
+edge-list parser, and the stage-by-stage perturbation recursion over word
+tuples.  Their commutation predicate multiplies the matrices, so the closed
+form of ``commutes_with`` is checked on the way.
 """
+import math
 import random
 from collections import deque
 
+import numpy as np
 import pytest
 
 from cliqueforest import (
@@ -26,8 +29,24 @@ from cliqueforest import (
     heisenberg_ball,
     is_clique_forest,
 )
-from cliqueforest import graphs
+from cliqueforest import Manifold, MobiusI, RotationS1, choose_alphas, enumerate_words
+from cliqueforest import graphs, synthesis
 from cliqueforest.graphs import ComponentReport, CompletenessReport, parse_edge_list
+from cliqueforest.raag import normal_form
+from cliqueforest.synthesis import (
+    Identity,
+    SynthesisError,
+    SynthesisOptions,
+    SynthesisState,
+    _build_f,
+    _candidate_bumps,
+    _free_product_forest,
+    _measure_lambda,
+    _perturb_f_at,
+    _Schedule,
+    _word_margin,
+    word_str,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -355,3 +374,203 @@ def test_parse_random_documents_take_whole_text_path():
         text = "\n".join(lines) + rng.choice(["", "\n"])
         assert graphs._parse_edge_text(text) == g
         assert parse_edge_list(text) == ref_parse_edge_list(text) == g
+
+
+# ---------------------------------------------------------------------------
+# the perturbation recursion, stage by stage over word tuples
+
+
+def ref_perturb_f_at(gens, p, opts, manifold):
+    """The recursion as a loop over the word tuples, one stage at a time:
+    normal forms mark the vacuous stages and every margin is evaluated word
+    by word."""
+    if not (0.0 < p < 1.0):
+        raise ValueError("basepoint must lie in (0, 1)")
+    grid_n, num_g, max_len = opts.grid_n, len(gens), opts.word_len
+    words = enumerate_words(num_g, max_len)
+    bumps = []
+    f = Identity(manifold)
+    lam = _measure_lambda(f, gens, grid_n)
+    margins, eps = [], []
+    eps_prev = 1.0
+    fp_forest = _free_product_forest(num_g)
+    current = [_word_margin(w, f, gens, p, manifold) for w in words]
+
+    for m, word in enumerate(words, 1):
+        sup_budget = math.ldexp(eps_prev, -(m + 1))
+        deriv_budget = math.ldexp(1.0, -(m + 1))
+        if normal_form(word, fp_forest).trivial:
+            margins.append(None)
+            eps.append(eps_prev)
+            continue
+        d_m = current[m - 1]
+        if not d_m > sup_budget:
+            best = None
+            for bump in _candidate_bumps(manifold, m, sup_budget, deriv_budget, grid_n):
+                cand_f = _build_f(manifold, tuple(bumps) + (bump,), grid_n)
+                d_c = _word_margin(word, cand_f, gens, p, manifold)
+                if best is None or d_c > best[0]:
+                    best = (d_c, bump, cand_f)
+            if best is None or best[0] <= 0.0:
+                raise SynthesisError(
+                    f"stage {m} ({word_str(word)}): no candidate bump moves the "
+                    f"basepoint {p} (budget {sup_budget:.3e})"
+                )
+            d_m, bump, f = best
+            bumps.append(bump)
+            lam = _measure_lambda(f, gens, grid_n)
+            current = [_word_margin(w, f, gens, p, manifold) for w in words]
+        margins.append(d_m)
+        length = len(word)
+        eps_m = min(eps_prev, d_m / (8.0 * length * lam ** (length - 1)))
+        if not (eps_m > opts.eps_floor):
+            raise SynthesisError(
+                f"stage {m}: tolerance underflow (eps={eps_m!r}); margins too small"
+            )
+        eps.append(eps_m)
+        eps_prev = eps_m
+
+    final_f = _build_f(manifold, tuple(bumps), grid_n)
+    for m, (word, d_m) in enumerate(zip(words, margins), 1):
+        got = _word_margin(word, final_f, gens, p, manifold)
+        if d_m is not None and not got > d_m / 2.0:
+            raise SynthesisError(
+                f"stage {m} ({word_str(word)}): final margin {got} <= D/2 = {d_m / 2}"
+            )
+    xs = np.linspace(0.0, 1.0, grid_n + 1)
+    return final_f, SynthesisState(
+        manifold=manifold, p=p, num_g=num_g, max_len=max_len, word_count=len(words),
+        margins=tuple(margins), eps=tuple(eps), bumps=tuple(bumps), lambda_est=lam,
+        grid_n=grid_n, min_derivative=float(np.min(final_f._draw(xs))),
+        deriv_lower_bound=1.0 - sum(math.ldexp(1.0, -(b.stage + 1)) for b in bumps),
+    )
+
+
+def _bits(x):
+    return None if x is None else float(x).hex()
+
+
+def state_bits(state):
+    """Every field of a state, floats as their exact hex form."""
+    return (state.manifold, _bits(state.p), state.num_g, state.max_len, state.word_count,
+            [_bits(m) for m in state.margins], [_bits(e) for e in state.eps],
+            state.bumps, _bits(state.lambda_est), state.grid_n,
+            _bits(state.min_derivative), _bits(state.deriv_lower_bound))
+
+
+def alpha_gens(manifold, num_g, word_len):
+    alphas = choose_alphas(num_g, max(5, word_len)).alphas
+    return tuple((MobiusI if manifold is Manifold.INTERVAL else RotationS1)(a) for a in alphas)
+
+
+def near_identity_gens(manifold, num_g, delta):
+    """Generators so close to the identity that a later word moves the
+    basepoint by less than its budget and takes a second bump."""
+    if manifold is Manifold.INTERVAL:
+        return tuple(MobiusI(1.0 + delta * (k + 1)) for k in range(num_g))
+    return tuple(RotationS1(delta * (k + 1)) for k in range(num_g))
+
+
+def outcome(run, gens, p, opts, manifold):
+    try:
+        f, state = run(gens, p, opts, manifold)
+    except SynthesisError as exc:
+        return ("error", str(exc))
+    return f, state_bits(state)
+
+
+@pytest.mark.parametrize("manifold", [Manifold.INTERVAL, Manifold.CIRCLE], ids=["I", "S1"])
+@pytest.mark.parametrize("num_g, word_len", [(3, 5), (6, 3), (1, 2)])
+def test_recursion_matches_stage_loop(manifold, num_g, word_len):
+    gens, opts = alpha_gens(manifold, num_g, word_len), SynthesisOptions(word_len=word_len)
+    got = outcome(_perturb_f_at, gens, 0.70710678, opts, manifold)
+    assert got[0] != "error"
+    assert got == outcome(ref_perturb_f_at, gens, 0.70710678, opts, manifold)
+
+
+@pytest.mark.parametrize("manifold", [Manifold.INTERVAL, Manifold.CIRCLE], ids=["I", "S1"])
+@pytest.mark.parametrize("num_g, word_len, delta, stages", [
+    (1, 4, 1e-9, (1, 17)),
+    (2, 4, 1e-11, (1, 27)),
+])
+def test_recursion_matches_stage_loop_with_a_later_bump(manifold, num_g, word_len, delta,
+                                                        stages):
+    gens, opts = near_identity_gens(manifold, num_g, delta), SynthesisOptions(word_len=word_len)
+    got = outcome(_perturb_f_at, gens, 0.70710678, opts, manifold)
+    assert tuple(b.stage for b in got[1][7]) == stages
+    assert got == outcome(ref_perturb_f_at, gens, 0.70710678, opts, manifold)
+
+
+@pytest.mark.parametrize("manifold", [Manifold.INTERVAL, Manifold.CIRCLE], ids=["I", "S1"])
+@pytest.mark.parametrize("num_g, word_len, delta", [(1, 4, 10 ** -7.5), (2, 3, 10 ** -10.5)],
+                         ids=["1g-len4", "2g-len3"])
+def test_recursion_matches_stage_loop_near_a_budget(manifold, num_g, word_len, delta):
+    # a later stage moves p by more than its sup budget but by less than
+    # twice it, so only the exact budget keeps the stage free of a bump
+    gens, opts = near_identity_gens(manifold, num_g, delta), SynthesisOptions(word_len=word_len)
+    got = outcome(_perturb_f_at, gens, 0.70710678, opts, manifold)
+    assert tuple(b.stage for b in got[1][7]) == (1,)
+    assert got == outcome(ref_perturb_f_at, gens, 0.70710678, opts, manifold)
+
+
+@pytest.mark.parametrize("eps_floor", [1e-4, 1e-6, 1e-9, 1e-12])
+def test_recursion_matches_stage_loop_on_tolerance_underflow(eps_floor):
+    gens = near_identity_gens(Manifold.INTERVAL, 1, 1e-9)
+    opts = SynthesisOptions(word_len=4, eps_floor=eps_floor)
+    got = outcome(_perturb_f_at, gens, 0.70710678, opts, Manifold.INTERVAL)
+    assert got[0] == "error" and "tolerance underflow" in got[1]
+    assert got == outcome(ref_perturb_f_at, gens, 0.70710678, opts, Manifold.INTERVAL)
+
+
+def test_recursion_matches_stage_loop_when_no_bump_moves():
+    # with g = id, f g f^-1 g^-1 fixes every point whatever f is
+    gens = (Identity(Manifold.INTERVAL),)
+    opts = SynthesisOptions(word_len=3)
+    got = outcome(_perturb_f_at, gens, 0.70710678, opts, Manifold.INTERVAL)
+    assert got[0] == "error" and "no candidate bump" in got[1]
+    assert got == outcome(ref_perturb_f_at, gens, 0.70710678, opts, Manifold.INTERVAL)
+
+
+def test_recursion_builds_no_word_list(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the recursion ran a per-word procedure")
+
+    count = len(enumerate_words(3, 4))
+    monkeypatch.setattr(synthesis, "normal_form", forbidden)
+    monkeypatch.setattr(synthesis, "enumerate_words", forbidden)
+    gens = alpha_gens(Manifold.INTERVAL, 3, 4)
+    _, state = _perturb_f_at(gens, 0.70710678, SynthesisOptions(word_len=4), Manifold.INTERVAL)
+    assert state.word_count == count
+
+
+@pytest.mark.parametrize("num_g, max_len, trivial", [(3, 6, 48), (2, 5, 0), (6, 4, 0)])
+def test_trivial_mask_matches_normal_form(num_g, max_len, trivial):
+    forest = _free_product_forest(num_g)
+    ref = [normal_form(w, forest).trivial for w in enumerate_words(num_g, max_len)]
+    got = _Schedule(num_g, max_len).trivial()
+    assert got.tolist() == ref
+    assert int(got.sum()) == trivial
+
+
+@pytest.mark.parametrize("num_g, max_len", [(3, 6), (1, 5), (6, 3)])
+def test_named_words_match_enumeration(num_g, max_len):
+    schedule, words = _Schedule(num_g, max_len), enumerate_words(num_g, max_len)
+    assert schedule.word_count == len(words)
+    assert schedule.lengths.tolist() == [len(w) for w in words]
+    rng = random.Random(num_g * 100 + max_len)
+    picks = {0, len(words) - 1} | set(rng.sample(range(len(words)), 200))
+    for k in sorted(picks):
+        assert schedule.word(k) == words[k]
+
+
+def test_array_ldexp_matches_math_ldexp_past_underflow():
+    # stage budgets ldexp(eps, -(m+1)) turn subnormal, then 0, from about
+    # stage 1,020 on at eps near 1, and far earlier for small eps
+    rng = random.Random(5)
+    eps = [1.0, 0.5, 1e-300, 5e-324] + [rng.uniform(0.0, 1.0) for _ in range(60)] + [
+        10.0 ** rng.uniform(-300.0, 0.0) for _ in range(60)]
+    stages = np.arange(1, 1200)
+    got = np.ldexp(np.array(eps)[:, None], -(stages + 1)[None, :])
+    ref = [[math.ldexp(e, -(m + 1)) for m in stages.tolist()] for e in eps]
+    assert got.view(np.int64).tolist() == np.array(ref).view(np.int64).tolist()
+    assert (got[:2, 1100:] == 0.0).all()

@@ -34,9 +34,11 @@ from cliqueforest.synthesis import (
     _letter_key,
     _measure_lambda,
     _min_relation,
+    _Schedule,
     _schedule_margins,
     _word_margin,
     word_is_nontrivial,
+    word_str,
 )
 
 
@@ -238,7 +240,7 @@ class TestScheduleValues:
     """The level-by-level array pass reproduces the per-word path bit for bit."""
 
     def _check(self, f, gens, manifold):
-        got = _schedule_margins(f, gens, DEFAULT_BASEPOINT, manifold, 4).tolist()
+        got = _schedule_margins(f, gens, DEFAULT_BASEPOINT, manifold, _Schedule(3, 4)).tolist()
         ref = [_word_margin(w, f, gens, DEFAULT_BASEPOINT, manifold)
                for w in enumerate_words(3, 4)]
         assert [m.hex() for m in got] == [m.hex() for m in ref]
@@ -340,6 +342,20 @@ class TestVerifyAssignment:
         )
         rep = verify_assignment(doctored)
         assert not rep.ok
+
+    def test_inflated_margins_fail_and_name_their_words(self):
+        g = SimpleGraph.from_edges(5, [(0, 1), (2, 3), (2, 4), (3, 4)])
+        asg = synthesize_embedding(g, opts=SynthesisOptions(word_len=3))
+        margins = list(asg.state.margins)
+        picks = [i for i, m in enumerate(margins) if m is not None][5::40]
+        for i in picks:
+            margins[i] *= 4.0  # the recorded D/2 now exceeds the actual margin
+        state = dataclasses.replace(asg.state, margins=tuple(margins))
+        rep = verify_assignment(dataclasses.replace(asg, state=state), word_len=3)
+        words = enumerate_words(3, 3)
+        assert not rep.ok
+        assert [(f["index"], f["word"]) for f in rep.margin_failures] == [
+            (i + 1, word_str(words[i])) for i in picks]
 
     def test_alpha_height_below_word_len_fails(self):
         # g_1^4 reaches exponent height 4, which a height-3 relation check
