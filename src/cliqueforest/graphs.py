@@ -1,10 +1,9 @@
 """Finite simple graphs, the clique-forest decision, and graph file formats."""
 from __future__ import annotations
 
-import operator
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
+from functools import cached_property
 from typing import FrozenSet, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -20,55 +19,94 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-@dataclass(frozen=True)
+def _int_list(v) -> bool:
+    return isinstance(v, list) and all(map(_is_int, v))
+
+
+_MAX_N = 2**31  # largest vertex count: vertices fit int32, packed edge keys lo*n + hi int64
+_DIGITS = bytes(48 <= b < 58 for b in range(256))  # bytes.translate tables: digit or not,
+_NEWLINES = bytes(b == 10 for b in range(256))  # newline or not
+
+
+@dataclass(frozen=True, eq=False)
 class SimpleGraph:
-    """Loop-free undirected graph on vertices 0..n-1."""
+    """Loop-free undirected graph on vertices 0..n-1.
+
+    ``ends`` is the one store of the edges: an (m, 2) int32 array with
+    u < v in each row and the rows sorted and distinct.  ``from_edges``,
+    ``from_dict`` and the parsers build it; the constructor takes it as
+    given.  ``edges``, the frozenset of (u, v) tuples, is built on first use
+    only (``has_edge`` and ``hash`` use it); the decision, ``neighbors``,
+    ``to_dict`` and ``to_dot`` read the array.
+    """
 
     n: int
-    edges: FrozenSet[Tuple[int, int]]
+    ends: np.ndarray
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise GraphFormatError("negative vertex count")
-        n = self.n
-        for u, v in self.edges:
-            if not (0 <= u < v < n):
-                if u == v:
-                    raise GraphFormatError(f"loop at vertex {u}")
-                raise GraphFormatError(f"edge ({u}, {v}) out of range or unordered")
+    @cached_property
+    def edges(self) -> FrozenSet[Tuple[int, int]]:
+        return frozenset(map(tuple, self.ends.tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, SimpleGraph):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.ends, other.ends)
+
+    def __hash__(self):
+        return hash((self.n, self.edges))
 
     @staticmethod
     def from_edges(n: int, edges) -> "SimpleGraph":
-        norm = frozenset((min(u, v), max(u, v)) for u, v in edges)
-        return SimpleGraph(n, norm)
+        """The graph of (u, v) pairs given in any order and orientation,
+        repeats allowed."""
+        if n < 0:
+            raise GraphFormatError("negative vertex count")
+        if n > _MAX_N:
+            raise GraphFormatError(f"vertex count {n} above the limit 2**31")
+        e = np.array(list(edges) or np.empty((0, 2), np.int64))
+        if e.ndim != 2 or e.shape[1] != 2 or e.dtype.kind not in "iu":
+            raise GraphFormatError(f"edges must be pairs of vertices in 0..{n - 1}")
+        lo, hi = np.minimum(*e.T), np.maximum(*e.T)
+        bad = (lo == hi) | (lo < 0) | (hi >= n)
+        if bad.any():
+            u, v = lo[np.argmax(bad)], hi[np.argmax(bad)]
+            raise GraphFormatError(f"loop at vertex {u}" if u == v else f"edge ({u}, {v}) out of range")
+        return SimpleGraph(n, _edge_array(n, lo.astype(np.int64), hi.astype(np.int64)))
 
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
 
     def neighbors(self, u: int) -> List[int]:
-        out = []
-        for a, b in self.edges:
-            if a == u:
-                out.append(b)
-            elif b == u:
-                out.append(a)
-        return sorted(out)
+        e = self.ends  # rows sorted: lower neighbours first, each part increasing
+        return np.concatenate((e[e[:, 1] == u, 0], e[e[:, 0] == u, 1])).tolist()
 
     def connected_components(self) -> List[Tuple[int, ...]]:
         """Components ordered by their smallest vertex, each sorted."""
-        return _scan_components(self).components
+        return _component_tuples(_scan_components(self))
 
     def to_dict(self) -> dict:
-        return {"n": self.n, "edges": sorted(list(e) for e in self.edges)}
+        return {"n": self.n, "edges": self.ends.tolist()}
 
     @staticmethod
     def from_dict(d: dict) -> "SimpleGraph":
         """Load a graph; ``n`` and the edge ends must be JSON integers."""
         n, edges = d["n"], d["edges"]
-        if not (_is_int(n) and isinstance(edges, list) and all(
-                isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)) for e in edges)):
+        if not (_is_int(n) and isinstance(edges, list)
+                and all(_int_list(e) and len(e) == 2 for e in edges)):
             raise ValueError("graph: n and the edge ends must be JSON integers, two per edge")
-        return SimpleGraph.from_edges(n, [tuple(e) for e in edges])
+        return SimpleGraph.from_edges(n, edges)
+
+
+def _edge_array(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The canonical edge array of the int64 pairs (u[k], v[k]), all in
+    range and none a loop: rows (min, max), sorted, repeats dropped.  One
+    sort of the packed keys lo*n + hi, which stay below 2**62."""
+    key = np.minimum(u, v) * n + np.maximum(u, v)
+    key.sort()
+    key = np.concatenate((key[:1], key[1:][key[1:] != key[:-1]]))
+    ends = np.empty((len(key), 2), np.int32)
+    np.divmod(key, max(n, 1), out=(ends[:, 0], ends[:, 1]))
+    return ends
 
 
 @dataclass(frozen=True)
@@ -92,7 +130,11 @@ class CliqueForest:
 
     @staticmethod
     def from_dict(d: dict) -> "CliqueForest":
-        return CliqueForest(tuple(tuple(c) for c in d["components"]))
+        """Load a forest; every component is a list of JSON integers."""
+        comps = d["components"]
+        if not (isinstance(comps, list) and all(map(_int_list, comps))):
+            raise ValueError("clique_forest: components must be lists of JSON integers")
+        return CliqueForest(tuple(tuple(c) for c in comps))
 
 
 @dataclass(frozen=True)
@@ -108,14 +150,18 @@ class MissingEdgeWitness:
 
     @staticmethod
     def from_dict(d: dict) -> "MissingEdgeWitness":
-        return MissingEdgeWitness(int(d["u"]), int(d["v"]), tuple(d["path"]))
+        """Load a witness; ``u``, ``v`` and the path take only JSON integers."""
+        u, v, path = d["u"], d["v"], d["path"]
+        if not (_is_int(u) and _is_int(v) and _int_list(path)):
+            raise ValueError("missing_edge: u, v and the path must be JSON integers")
+        return MissingEdgeWitness(u, v, tuple(path))
 
 
 class _ComponentScan(NamedTuple):
-    components: List[Tuple[int, ...]]  # ordered by smallest vertex, each sorted
-    complete: List[bool]
     labels: np.ndarray  # labels[v]: smallest vertex of v's component
-    edges: np.ndarray  # (m, 2) array of the graph's edges
+    roots: np.ndarray  # smallest vertex of each component, increasing
+    sizes: np.ndarray  # vertex count of each component
+    complete: np.ndarray  # whether each component is complete
 
 
 def _component_labels(n: int, ends: np.ndarray) -> np.ndarray:
@@ -136,7 +182,7 @@ def _component_labels(n: int, ends: np.ndarray) -> np.ndarray:
             return parent
         ends = ends[:, cross]
         roots = roots[:, cross]
-        parent[np.maximum(*roots)] = np.minimum(*roots)
+        parent[np.maximum(roots[0], roots[1])] = np.minimum(roots[0], roots[1])
         while True:
             jumped = parent[parent]
             if (jumped == parent).all():
@@ -145,52 +191,72 @@ def _component_labels(n: int, ends: np.ndarray) -> np.ndarray:
 
 
 def _scan_components(g: SimpleGraph) -> _ComponentScan:
-    """One labelling pass over the edge arrays; a component of s vertices is
+    """One labelling pass over the edge array; a component of s vertices is
     complete exactly when it holds s(s-1)/2 edges."""
-    edges = np.fromiter(chain.from_iterable(g.edges), dtype=np.int32 if g.n < 2**31 else np.int64,
-                        count=2 * len(g.edges)).reshape(-1, 2)
-    labels = _component_labels(g.n, edges.T)
-    sizes = np.bincount(labels, minlength=g.n)
-    roots = np.flatnonzero(sizes)
-    s = sizes[roots]
-    complete = np.bincount(labels[edges[:, 0]], minlength=g.n)[roots] == s * (s - 1) // 2
-    order = np.argsort(labels, kind="stable").tolist()
-    ends = np.cumsum(s).tolist()
-    comps = [tuple(order[a:b]) for a, b in zip([0] + ends, ends)]
-    return _ComponentScan(comps, complete.tolist(), labels, edges)
+    labels = _component_labels(g.n, g.ends.T)
+    counts = np.bincount(labels, minlength=g.n)
+    roots = counts.nonzero()[0]
+    s = counts[roots]
+    complete = np.bincount(labels[g.ends[:, 0]], minlength=g.n)[roots] == s * (s - 1) // 2
+    return _ComponentScan(labels, roots, s, complete)
 
 
-def _bfs_path(n: int, edges: np.ndarray, s: int, t: int) -> Tuple[int, ...]:
-    """Shortest path from s to t over the (m, 2) edge array, neighbours taken
-    in increasing order."""
-    arcs = np.concatenate([edges, edges[:, ::-1]])
-    arcs = arcs[np.lexsort((arcs[:, 1], arcs[:, 0]))]
-    start = np.searchsorted(arcs[:, 0], np.arange(n + 1)).tolist()
-    nbrs = arcs[:, 1].tolist()
-    prev = {s: None}
-    q = deque([s])
+def _component_tuples(scan: _ComponentScan) -> List[Tuple[int, ...]]:
+    order = scan.labels.argsort(kind="stable").tolist()
+    ends = scan.sizes.cumsum().tolist()
+    return [tuple(order[a:b]) for a, b in zip([0] + ends, ends)]
+
+
+def _incomplete(g: SimpleGraph, scan: _ComponentScan):
+    """Each incomplete component, by smallest vertex, as its sorted vertices
+    and its sorted edges (a[k], b[k]) in their numbering 0..s-1.  One stable
+    sort gathers the vertices and edges of just those components."""
+    roots = scan.roots[~scan.complete]
+    bad = np.zeros(g.n, bool)
+    bad[roots] = True
+    verts, rows = bad[scan.labels].nonzero()[0], g.ends[bad[scan.labels[g.ends[:, 0]]]]
+    parts = []
+    for items, key in ((verts, scan.labels[verts]), (rows, scan.labels[rows[:, 0]])):
+        order = np.argsort(key, kind="stable")
+        parts.append(np.split(items[order], np.searchsorted(key[order], roots))[1:])
+    for verts, rows in zip(*parts):
+        yield (verts, *np.searchsorted(verts, rows.T))
+
+
+def _first_missing_pair(s: int, a: np.ndarray, b: np.ndarray) -> Tuple[int, int]:
+    """The first pair (i, j), i < j < s, in lexicographic order that is not
+    an edge (a[k], b[k]) of an incomplete component."""
+    rank = a * (2 * s - a - 1) // 2 + (b - a - 1)  # place of (a, b) among all pairs
+    gaps = (rank != np.arange(len(rank))).nonzero()[0]
+    k = int(gaps[0]) if len(gaps) else len(rank)
+    if k == 0:
+        return 0, 1
+    i, j = int(a[k - 1]), int(b[k - 1])  # the pair before the missing one
+    return (i, j + 1) if j + 1 < s else (i + 1, i + 2)
+
+
+def _bfs_path(s: int, a: np.ndarray, b: np.ndarray, src: int, dst: int) -> List[int]:
+    """Shortest path from src to dst over the edges (a[k], b[k]) on 0..s-1,
+    neighbours taken in increasing order."""
+    tails, heads = np.concatenate((a, b)), np.concatenate((b, a))
+    order = np.lexsort((heads, tails))
+    start = np.searchsorted(tails[order], np.arange(s + 1)).tolist()
+    nbrs = heads[order].tolist()
+    prev = {src: None}
+    q = deque([src])
     while q:
         u = q.popleft()
-        if u == t:
+        if u == dst:
             path = []
             while u is not None:
                 path.append(u)
                 u = prev[u]
-            return tuple(reversed(path))
+            return path[::-1]
         for w in nbrs[start[u]:start[u + 1]]:
             if w not in prev:
                 prev[w] = u
                 q.append(w)
-    raise ValueError(f"no path {s} -> {t}")
-
-
-def _first_missing_pair(g: SimpleGraph, comp: Tuple[int, ...]) -> Optional[Tuple[int, int]]:
-    """The first non-adjacent pair (u, v), u before v, of a sorted component."""
-    for i, u in enumerate(comp):
-        for v in comp[i + 1:]:
-            if not g.has_edge(u, v):
-                return u, v
-    return None
+    raise ValueError(f"no path {src} -> {dst}")
 
 
 def is_clique_forest(g: SimpleGraph) -> Union[CliqueForest, MissingEdgeWitness]:
@@ -198,15 +264,15 @@ def is_clique_forest(g: SimpleGraph) -> Union[CliqueForest, MissingEdgeWitness]:
 
     Returns a certified CliqueForest, or a missing-edge witness inside the
     first incomplete component (by smallest vertex) together with a
-    connecting path over that component's edges.
+    connecting path over that component's edges.  Both read the edge array
+    only; the witness works in the component's own vertex numbering.
     """
     scan = _scan_components(g)
-    if all(scan.complete):
-        return CliqueForest(tuple(scan.components))
-    comp = scan.components[scan.complete.index(False)]
-    u, v = _first_missing_pair(g, comp)
-    inside = scan.edges[scan.labels[scan.edges[:, 0]] == comp[0]]
-    return MissingEdgeWitness(u, v, _bfs_path(g.n, inside, u, v))
+    if scan.complete.all():
+        return CliqueForest(tuple(_component_tuples(scan)))
+    verts, a, b = next(_incomplete(g, scan))
+    path = verts[_bfs_path(len(verts), a, b, *_first_missing_pair(len(verts), a, b))].tolist()
+    return MissingEdgeWitness(path[0], path[-1], tuple(path))
 
 
 @dataclass(frozen=True)
@@ -238,9 +304,11 @@ class CompletenessReport:
 def check_component_completeness(g: SimpleGraph) -> CompletenessReport:
     """Per-component completeness report (empirical commutation-graph check)."""
     scan = _scan_components(g)
-    reports = tuple(ComponentReport(comp, ok, None if ok else _first_missing_pair(g, comp))
-                    for comp, ok in zip(scan.components, scan.complete))
-    return CompletenessReport(reports, all(scan.complete))
+    missing = iter([tuple(verts[list(_first_missing_pair(len(verts), a, b))].tolist())
+                    for verts, a, b in _incomplete(g, scan)])
+    reports = tuple(ComponentReport(comp, ok, None if ok else next(missing))
+                    for comp, ok in zip(_component_tuples(scan), scan.complete.tolist()))
+    return CompletenessReport(reports, bool(scan.complete.all()))
 
 
 # ---------------------------------------------------------------------------
@@ -254,19 +322,18 @@ def parse_edge_list(text: str) -> SimpleGraph:
     return g if g is not None else _parse_edge_lines(text)
 
 
-_TEXT_BLOCK = 1 << 18  # characters tokenized at a time by the whole-text path
-
-
 def _parse_edge_text(text: str) -> Optional[SimpleGraph]:
-    """Whole-text reading of a plain document: the header on the first line,
-    then only lines of two integers, in range and distinct.  Returns None for
-    anything else (comments, blank lines, line breaks other than newline, any
-    error), which ``_parse_edge_lines`` then reads line by line.  The body is
-    tokenized in blocks of whole lines, so the token strings of only one
-    block are alive at a time."""
-    if not text.isascii() or any(c in text for c in "#;\r\x0b\x0c\x1c\x1d\x1e"):
+    """Array reading of a plain document: the header on the first line, then
+    only lines of two unsigned decimal integers between spaces or tabs, in
+    range and distinct; the last newline is optional.  The body is read in
+    blocks of whole lines (``_read_block``), and the range and loop checks
+    run on the arrays.  Returns None for anything else (comments, blank
+    lines, signs, underscores, other whitespace, any error), which
+    ``_parse_edge_lines`` then reads line by line."""
+    end = text.find("\n")
+    head = text[:end] if end >= 0 else text
+    if not (text.isascii() and head.isprintable()) or "#" in head:
         return None
-    head, _, body = text.partition("\n")
     head = head.strip()
     if not head.startswith("n="):
         return None
@@ -274,28 +341,43 @@ def _parse_edge_text(text: str) -> Optional[SimpleGraph]:
         n = int(head[2:])
     except ValueError:
         return None
-    if body and not body.endswith("\n"):
-        body += "\n"
-    edges = []
-    start = 0
-    while start < len(body):
-        end = body.find("\n", start + _TEXT_BLOCK) + 1 or len(body)
-        # every line must come out as exactly "u v ;"
-        tokens = body[start:end].replace("\n", " ; ").split()
-        start = end
-        ends = tokens[2::3]
-        if len(tokens) % 3 or ends.count(";") != len(ends):
+    raw = text[end:].encode("ascii") if end >= 0 else b"\n"  # led by the header's newline
+    if not 0 <= n <= _MAX_N or raw.translate(None, b"0123456789 \t\n"):
+        return None
+    if not raw.endswith(b"\n"):
+        raw += b"\n"
+    vals, a = [], 0
+    while a < len(raw) - 1:  # raw[a] and raw[b] are the newlines around a block
+        b = raw.find(b"\n", a + _BLOCK)
+        b = b if b >= 0 else len(raw) - 1
+        vals.append(_read_block(raw[a:b + 1]))
+        if vals[-1] is None:
             return None
-        try:
-            us, vs = list(map(int, tokens[0::3])), list(map(int, tokens[1::3]))
-        except ValueError:
-            return None
-        if min(us) < 0 or min(vs) < 0 or max(us) >= n or max(vs) >= n:
-            return None
-        if any(map(operator.eq, us, vs)):
-            return None
-        edges += [(u, v) if u < v else (v, u) for u, v in zip(us, vs)]
-    return SimpleGraph(n, frozenset(edges))
+        a = b
+    val = np.concatenate(vals) if vals else np.empty(0, np.int64)
+    u, v = val[0::2], val[1::2]
+    if val.max(initial=-1) >= n or (u == v).any():
+        return None
+    return SimpleGraph(n, _edge_array(n, u, v))
+
+
+_BLOCK = 1 << 20  # body bytes per block: bounds the text-sized temporary arrays
+
+
+def _read_block(block: bytes) -> Optional[np.ndarray]:
+    """The integers of lines that lie between a leading and a trailing
+    newline, or None unless every line holds exactly two tokens.  The line
+    shape is checked on the bytes at once; numpy reads the integers."""
+    digit = np.frombuffer(block.translate(_DIGITS), bool)
+    before = (digit[1:] > digit[:-1]).nonzero()[0]  # the byte before each token
+    nls = np.frombuffer(block.translate(_NEWLINES), bool).nonzero()[0]
+    # tokens 2k and 2k+1 lie between newlines k and k+1
+    if (len(before) != 2 * len(nls) - 2 or (before[0::2] < nls[:-1]).any()
+            or (before[1::2] >= nls[1:]).any()):
+        return None
+    # strtoll reads a token beyond int64 as 2**63 - 1, which is never a vertex
+    val = np.fromstring(block, dtype=np.int64, sep=" ")
+    return val if len(val) == len(before) else None
 
 
 def _parse_edge_lines(text: str) -> SimpleGraph:
@@ -379,13 +461,9 @@ def parse_graph(text: str) -> SimpleGraph:
 
 
 def to_dot(g: SimpleGraph, name: str = "G") -> str:
-    lines = [f"graph {name} {{"]
-    covered = set()
-    for u, v in sorted(g.edges):
-        lines.append(f"  {u} -- {v};")
-        covered.update((u, v))
-    for v in range(g.n):
-        if v not in covered:
-            lines.append(f"  {v};")
+    lines = [f"graph {name} {{"] + [f"  {u} -- {v};" for u, v in g.ends.tolist()]
+    covered = np.zeros(g.n, bool)
+    covered[g.ends] = True
+    lines += [f"  {v};" for v in (~covered).nonzero()[0].tolist()]
     lines.append("}")
     return "\n".join(lines) + "\n"

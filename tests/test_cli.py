@@ -1,9 +1,11 @@
 import json
+import random
+from itertools import combinations
 
 import jsonschema
 import pytest
 
-from cliqueforest import MobiusI, RotationS1, dumps_expr
+from cliqueforest import MobiusI, RotationS1, SimpleGraph, dumps_expr
 from cliqueforest.cli import EXIT_FINDING, EXIT_INPUT, EXIT_OK, build_parser, main
 from cliqueforest.schemas import (
     ASSIGNMENT_SCHEMA,
@@ -62,6 +64,33 @@ class TestDecide:
         assert main(["decide", graph_file(K3)]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["embeddable"]
 
+    def test_large_forest_decided_without_edge_tuples(self, graph_file, tmp_path, monkeypatch):
+        """Parse, decide and write for a 200k-vertex forest, then for the same
+        forest with one edge of a 3-clique cut: neither builds the frozenset."""
+        def built(self):
+            raise AssertionError("the edges frozenset was built")
+
+        monkeypatch.setattr(SimpleGraph, "edges", property(built))
+        rng = random.Random(41)
+        n = 200_000
+        perm = list(range(n))
+        rng.shuffle(perm)
+        cliques, edges, start = [], [], 0
+        while start < n:
+            cliques.append(sorted(perm[start:start + rng.randint(2, 6)]))
+            start += len(cliques[-1])
+            edges += [(u, v) if rng.random() < 0.5 else (v, u)
+                      for u, v in combinations(cliques[-1], 2)]
+        out = tmp_path / "d.json"
+        text = f"n={n}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+        assert main(["decide", graph_file(text), "--out", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["clique_forest"]["components"] == sorted(cliques)
+        a, b, c = next(q for q in cliques if len(q) == 3)
+        kept = [e for e in edges if sorted(e) != [a, c]]
+        text = f"n={n}\n" + "".join(f"{u} {v}\n" for u, v in kept)
+        assert main(["decide", graph_file(text, "cut.txt"), "--out", str(out)]) == EXIT_FINDING
+        assert json.loads(out.read_text())["missing_edge"] == {"u": a, "v": c, "path": [a, b, c]}
+
     def test_deterministic_output(self, graph_file, tmp_path):
         o1, o2 = tmp_path / "a.json", tmp_path / "b.json"
         main(["decide", graph_file(TWO_CLIQUES), "--out", str(o1)])
@@ -79,6 +108,11 @@ class TestInputErrors:
 
     def test_loop_graph(self, graph_file):
         assert main(["decide", graph_file("n=2\n1 1\n")]) == EXIT_INPUT
+
+    def test_vertex_count_above_limit(self, graph_file, capsys):
+        # the labelling pass needs n-sized arrays: 2**50 vertices is an input error
+        assert main(["decide", graph_file(f"n={2**50}\n0 1\n")]) == EXIT_INPUT
+        assert "above the limit 2**31" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [["decide", "g.txt", "--grid", "8"],
                                       ["decide", "g.txt", "--tol", "1e-6"],
@@ -187,6 +221,26 @@ class TestSynthesizeVerify:
         asg.write_text(json.dumps(doc))
         assert main(["verify", str(asg), "--out", str(tmp_path / "v.json")]) == EXIT_INPUT
         assert "must be JSON integers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("components, layout_ends", [
+        ([[0, 1.0], [2, 3, 4]], None),
+        ([[False, True], [2, 3, 4]], [False, True]),
+        ([[0, 1], "234"], None),
+        ({"0": [0, 1]}, None),
+    ], ids=["float-vertex", "bool-component", "string-component", "dict"])
+    def test_verify_rejects_non_integer_forest(self, graph_file, tmp_path, capsys,
+                                               components, layout_ends):
+        asg = tmp_path / "asg.json"
+        assert main(["synthesize", graph_file(K2_K3), "--word-len", "3",
+                     "--out", str(asg), "--report", str(tmp_path / "rep.json")]) == EXIT_OK
+        doc = json.loads(asg.read_text())
+        doc["clique_forest"]["components"] = components
+        if layout_ends:  # the layout names the same vertices as the edited forest
+            doc["layout"][0][0], doc["layout"][1][0] = layout_ends
+        asg.write_text(json.dumps(doc))
+        assert main(["verify", str(asg), "--word-len", "3",
+                     "--out", str(tmp_path / "v.json")]) == EXIT_INPUT
+        assert "components must be lists of JSON integers" in capsys.readouterr().err
 
     @pytest.mark.parametrize("manifold, f_kind", [("I", "perturbed"), ("S1", "perturbed_lift")])
     def test_assignment_matches_schema(self, graph_file, tmp_path, manifold, f_kind):

@@ -11,6 +11,7 @@ form of ``commutes_with`` is checked on the way.
 import math
 import random
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -262,10 +263,11 @@ def test_commutation_tests_shared_and_counted(monkeypatch):
 # clique-forest decision
 
 
-def random_graph(rng):
+def random_pairs(rng):
+    """A vertex count and an edge list, with repeated and reversed edges."""
     n = rng.choice([0, 1, 2, rng.randint(0, 14)])
     if n < 2:
-        return SimpleGraph.from_edges(n, [])
+        return n, []
     if rng.random() < 0.5:
         # a clique forest with isolated vertices, maybe missing edges
         verts = list(range(n))
@@ -281,8 +283,11 @@ def random_graph(rng):
     else:
         edges = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 2 * n))]
     edges += rng.sample(edges, min(len(edges), rng.randint(0, 3)))  # repeated, maybe reversed
-    edges = [e if rng.random() < 0.5 else e[::-1] for e in edges]
-    return SimpleGraph.from_edges(n, edges)
+    return n, [e if rng.random() < 0.5 else e[::-1] for e in edges]
+
+
+def random_graph(rng):
+    return SimpleGraph.from_edges(*random_pairs(rng))
 
 
 def assert_same_decision(g):
@@ -299,6 +304,63 @@ def test_random_graphs():
         assert_same_decision(g)
         kinds.add((g.n == 0, isinstance(is_clique_forest(g), CliqueForest)))
     assert kinds == {(True, True), (False, True), (False, False)}
+
+
+@dataclass(frozen=True)
+class RefGraph:
+    """The frozenset-held graph that the edge array replaced."""
+
+    n: int
+    edges: frozenset
+
+    def has_edge(self, u, v):
+        return (min(u, v), max(u, v)) in self.edges
+
+    def neighbors(self, u):
+        out = []
+        for a, b in self.edges:
+            if a == u:
+                out.append(b)
+            elif b == u:
+                out.append(a)
+        return sorted(out)
+
+    def to_dict(self):
+        return {"n": self.n, "edges": sorted(list(e) for e in self.edges)}
+
+
+def ref_to_dot(g, name="G"):
+    lines = [f"graph {name} {{"]
+    covered = set()
+    for u, v in sorted(g.edges):
+        lines.append(f"  {u} -- {v};")
+        covered.update((u, v))
+    for v in range(g.n):
+        if v not in covered:
+            lines.append(f"  {v};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def test_random_graphs_match_frozenset_reference():
+    rng = random.Random(29)
+    prev = None
+    for _ in range(2500):
+        n, pairs = random_pairs(rng)
+        g = SimpleGraph.from_edges(n, pairs)
+        ref = RefGraph(n, frozenset((min(e), max(e)) for e in pairs))
+        assert g.to_dict() == ref.to_dict()
+        assert graphs.to_dot(g) == ref_to_dot(ref)
+        assert g.connected_components() == ref_components(ref)[0]
+        assert [g.neighbors(u) for u in range(n + 1)] == [ref.neighbors(u) for u in range(n + 1)]
+        assert "edges" not in vars(g)  # none of the above builds the frozenset
+        assert g.edges == ref.edges and hash(g) == hash(ref)
+        assert all(g.has_edge(u, v) == ref.has_edge(u, v) for u in range(n) for v in range(n))
+        shuffled = SimpleGraph.from_edges(n, [e[::-1] for e in rng.sample(pairs, len(pairs))])
+        assert g == shuffled and hash(g) == hash(shuffled)
+        if prev is not None:
+            assert (g == prev[0]) == (ref == prev[1])
+        prev = g, ref
 
 
 def test_shuffled_long_path():
@@ -360,9 +422,43 @@ def parse_outcome(parse, text):
         return ("error", str(exc), exc.line)
 
 
-@pytest.mark.parametrize("text", MALFORMED + WELL_FORMED)
+# plain documents at the edges of what the array reader takes: it reads
+# those of ARRAY_READ and hands the rest to the line reader
+ARRAY_READ = [
+    "n=12\n007 0011\n00 1\n",  # leading zeros
+    "n=4\n0\t1\n\t2 \t3\t\n",  # tabs
+    "n=4\n0 1   \n2 3 \n",  # trailing blanks
+    "n=4\n0 1\n2 3",  # no final newline
+    "n=4\n0 1\n2 3  \t",
+    "n=4\n0 1\n1 0\n0 1\n3 2\n2 3\n",  # repeated and reversed
+    f"n={2**31}\n0 {2**31 - 1}\n{2**31 - 1} 5\n",  # the largest vertex count
+]
+LINE_READ = [
+    "n=10\n99999999999999999999 1\n",  # beyond int64
+    f"n=10\n{2**63} 1\n",
+    f"n=10\n{2**63 - 1} 1\n",
+    f"n={10**20}\n99999999999999999999 1\n",  # in range, above the vertex count limit
+    f"n={2**31 + 1}\n{2**31} 0\n3 {2**31}\n",
+    f"n={2**63}\n0 1\n",
+    "n=0\n0 1\n",  # n=0 with an edge
+    f"n={2**31}\n0 {2**31}\n",
+    "n=4\n0 1\n\n",  # a trailing blank line
+    "n=5\n0 1 2\n3\n4 0\n",  # as many tokens as two a line, not two on each
+    "n=4\n0 1\n2 3\n3 3\n",
+]
+
+
+@pytest.mark.parametrize("text", MALFORMED + WELL_FORMED + ARRAY_READ + LINE_READ)
 def test_parse_matches_line_parser(text):
     assert parse_outcome(parse_edge_list, text) == parse_outcome(ref_parse_edge_list, text)
+
+
+@pytest.mark.parametrize("text", ARRAY_READ + LINE_READ)
+def test_array_reader_takes_plain_documents_only(text):
+    g = graphs._parse_edge_text(text)
+    assert (g is not None) == (text in ARRAY_READ)
+    if g is not None:
+        assert g == ref_parse_edge_list(text)
 
 
 def test_parse_random_documents_take_whole_text_path():
@@ -374,6 +470,21 @@ def test_parse_random_documents_take_whole_text_path():
         text = "\n".join(lines) + rng.choice(["", "\n"])
         assert graphs._parse_edge_text(text) == g
         assert parse_edge_list(text) == ref_parse_edge_list(text) == g
+
+
+@pytest.mark.parametrize("block", [1, 5, 64])
+def test_array_reader_blocks(monkeypatch, block):
+    """Documents read in many small blocks of lines give what one block gives."""
+    rng = random.Random(block)
+    texts = MALFORMED + WELL_FORMED + ARRAY_READ + LINE_READ
+    for _ in range(200):
+        g = random_graph(rng)
+        seps = [rng.choice([" ", "\t", " \t "]) for _ in range(len(g.ends))]
+        lines = [f"n={g.n}"] + [f"{u}{sep}{v}" for (u, v), sep in zip(g.ends.tolist(), seps)]
+        texts.append("\n".join(lines) + rng.choice(["", "\n", "\n\n", " 1\n"]))
+    whole = [parse_outcome(graphs._parse_edge_text, t) for t in texts]
+    monkeypatch.setattr(graphs, "_BLOCK", block)
+    assert [parse_outcome(graphs._parse_edge_text, t) for t in texts] == whole
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -47,6 +48,31 @@ class TestSimpleGraph:
         g = SimpleGraph.from_edges(4, [(0, 1), (2, 3)])
         assert SimpleGraph.from_dict(g.to_dict()) == g
 
+    def test_canonical_edge_array(self):
+        g = SimpleGraph.from_edges(5, [(4, 2), (0, 1), (2, 4), (1, 0), (3, 2)])
+        assert g.ends.tolist() == [[0, 1], [2, 3], [2, 4]]
+        assert g.ends.dtype == np.int32
+        assert SimpleGraph.from_edges(2**31, [(2**31 - 1, 0)]).ends.tolist() == [[0, 2**31 - 1]]
+
+    @pytest.mark.parametrize("edges", [[(0, 1.5)], [(0, 1, 2)], [(True, False)], [(0, 2**64)]],
+                             ids=["float", "triple", "bool", "huge"])
+    def test_non_integer_or_unpaired_edges_rejected(self, edges):
+        with pytest.raises(GraphFormatError):
+            SimpleGraph.from_edges(3, edges)
+
+    def test_vertex_count_limit(self):
+        with pytest.raises(GraphFormatError, match="above the limit 2\\*\\*31"):
+            SimpleGraph.from_edges(2**31 + 1, [])
+        with pytest.raises(GraphFormatError, match="negative"):
+            SimpleGraph.from_edges(-1, [])
+
+    def test_edges_built_on_first_use(self):
+        g = SimpleGraph.from_edges(4, [(1, 0), (2, 3)])
+        assert g.neighbors(1) == [0] and g.to_dict()["edges"] == [[0, 1], [2, 3]]
+        assert "edges" not in vars(g)
+        assert g.has_edge(3, 2) and not g.has_edge(0, 2)
+        assert vars(g)["edges"] == frozenset({(0, 1), (2, 3)})
+
 
 class TestCliqueForestDecision:
     def test_empty_graph(self):
@@ -84,6 +110,31 @@ class TestCliqueForestDecision:
     def test_witness_round_trip(self):
         w = MissingEdgeWitness(0, 2, (0, 1, 2))
         assert MissingEdgeWitness.from_dict(w.to_dict()) == w
+
+    @pytest.mark.parametrize("doc", [
+        {"u": 1.7, "v": True, "path": [1, "x"]},
+        {"u": 0, "v": 2.0, "path": [0, 1, 2]},
+        {"u": 0, "v": 2, "path": [0, 1.0, 2]},
+        {"u": False, "v": 2, "path": [0, 1, 2]},
+        {"u": 0, "v": 2, "path": "012"},
+    ], ids=["mixed", "float-v", "float-path", "bool-u", "string-path"])
+    def test_witness_takes_only_json_integers(self, doc):
+        with pytest.raises(ValueError, match="must be JSON integers"):
+            MissingEdgeWitness.from_dict(doc)
+
+    def test_forest_round_trip(self):
+        f = CliqueForest(((0, 1), (2, 3, 4)))
+        assert CliqueForest.from_dict(f.to_dict()) == f
+
+    @pytest.mark.parametrize("components", [
+        [[0, 1.0], [2, 3, 4]],
+        [[False, True], [2, 3, 4]],
+        [[0, 1], "234"],
+        {"0": [0, 1]},
+    ], ids=["float-vertex", "bool-component", "string-component", "dict"])
+    def test_forest_takes_only_json_integers(self, components):
+        with pytest.raises(ValueError, match="must be lists of JSON integers"):
+            CliqueForest.from_dict({"components": components})
 
     @given(
         st.integers(min_value=0, max_value=7).flatmap(
