@@ -29,7 +29,7 @@ from .obstructions import (
     heisenberg_ball,
     parse_oracle,
 )
-from .raag import NotApplicableError, commutation_graph, embeddable_raag
+from .raag import EmbeddabilityDecision, NotApplicableError, commutation_graph, embeddable_raag
 from .synthesis import (
     GeneratorAssignment,
     NotEmbeddableError,
@@ -98,9 +98,8 @@ def cmd_synthesize(args) -> int:
     try:
         assignment = synthesize_embedding(g, args.manifold, opts)
     except NotEmbeddableError as exc:
-        _write(
-            {"embeddable": False, "missing_edge": exc.witness.to_dict()}, args.out
-        )
+        _write(EmbeddabilityDecision(False, args.manifold, missing_edge=exc.witness).to_dict(),
+               args.out)
         return EXIT_FINDING
     except SynthesisError as exc:
         print(f"synthesis failed: {exc}", file=sys.stderr)
@@ -254,6 +253,9 @@ def main(argv=None) -> int:
     except InvariantBreach as exc:
         print(f"invariant breach: {exc}", file=sys.stderr)
         return EXIT_SYNTH
+    except MemoryError:
+        print(f"input error: {args.command} input too large for memory", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

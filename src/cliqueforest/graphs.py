@@ -2,25 +2,19 @@
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import FrozenSet, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
+
+from . import serialize
 
 
 class GraphFormatError(ValueError):
     def __init__(self, message: str, line: Optional[int] = None):
         self.line = line
         super().__init__(message if line is None else f"line {line}: {message}")
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _int_list(v) -> bool:
-    return isinstance(v, list) and all(map(_is_int, v))
 
 
 _MAX_N = 2**31  # largest vertex count: vertices fit int32, packed edge keys lo*n + hi int64
@@ -37,7 +31,7 @@ class SimpleGraph:
     ``from_dict`` and the parsers build it; the constructor takes it as
     given.  ``edges``, the frozenset of (u, v) tuples, is built on first use
     only (``has_edge`` and ``hash`` use it); the decision, ``neighbors``,
-    ``to_dict`` and ``to_dot`` read the array.
+    the document (``FIELDS``) and ``to_dot`` read the array.
     """
 
     n: int
@@ -84,17 +78,16 @@ class SimpleGraph:
         """Components ordered by their smallest vertex, each sorted."""
         return _component_tuples(_scan_components(self))
 
-    def to_dict(self) -> dict:
-        return {"n": self.n, "edges": self.ends.tolist()}
+    FIELDS = (("n", serialize.INTEGER),
+              ("edges", replace(serialize.integer_rows(2), encode=np.ndarray.tolist, attr="ends")))
+    to_dict = serialize.to_dict
 
-    @staticmethod
-    def from_dict(d: dict) -> "SimpleGraph":
-        """Load a graph; ``n`` and the edge ends must be JSON integers."""
-        n, edges = d["n"], d["edges"]
-        if not (_is_int(n) and isinstance(edges, list)
-                and all(_int_list(e) and len(e) == 2 for e in edges)):
-            raise ValueError("graph: n and the edge ends must be JSON integers, two per edge")
-        return SimpleGraph.from_edges(n, edges)
+    @classmethod
+    def from_dict(cls, d: dict) -> "SimpleGraph":
+        """Load a graph through ``from_edges``, which checks the edges and
+        builds their canonical array."""
+        return serialize.build(lambda n, ends: cls.from_edges(n, ends), d, cls.FIELDS,
+                               "graph (n and the edge ends must be JSON integers, two per edge)")
 
 
 def _edge_array(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -125,16 +118,9 @@ class CliqueForest:
                 return i
         raise KeyError(v)
 
-    def to_dict(self) -> dict:
-        return {"components": [list(c) for c in self.components]}
-
-    @staticmethod
-    def from_dict(d: dict) -> "CliqueForest":
-        """Load a forest; every component is a list of JSON integers."""
-        comps = d["components"]
-        if not (isinstance(comps, list) and all(map(_int_list, comps))):
-            raise ValueError("clique_forest: components must be lists of JSON integers")
-        return CliqueForest(tuple(tuple(c) for c in comps))
+    FIELDS = (("components", serialize.integer_rows()),)
+    to_dict = serialize.to_dict
+    from_dict = serialize.loader("clique_forest (components must be lists of JSON integers)")
 
 
 @dataclass(frozen=True)
@@ -145,16 +131,9 @@ class MissingEdgeWitness:
     v: int
     path: Tuple[int, ...]
 
-    def to_dict(self) -> dict:
-        return {"u": self.u, "v": self.v, "path": list(self.path)}
-
-    @staticmethod
-    def from_dict(d: dict) -> "MissingEdgeWitness":
-        """Load a witness; ``u``, ``v`` and the path take only JSON integers."""
-        u, v, path = d["u"], d["v"], d["path"]
-        if not (_is_int(u) and _is_int(v) and _int_list(path)):
-            raise ValueError("missing_edge: u, v and the path must be JSON integers")
-        return MissingEdgeWitness(u, v, tuple(path))
+    FIELDS = (("u", serialize.INTEGER), ("v", serialize.INTEGER), ("path", serialize.INTEGERS))
+    to_dict = serialize.to_dict
+    from_dict = serialize.loader("missing_edge (u, v and the path must be JSON integers)")
 
 
 class _ComponentScan(NamedTuple):

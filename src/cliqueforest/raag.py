@@ -6,8 +6,8 @@ syllable normal form implemented here.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .diffeo import (
     DEFAULT_GRID,
@@ -18,6 +18,7 @@ from .diffeo import (
     commutator_residual,
     identity_residual,
 )
+from . import serialize
 from .graphs import (
     CliqueForest,
     MissingEdgeWitness,
@@ -120,17 +121,23 @@ def word_concat(*words: RaagWord) -> Tuple[Tuple[int, int], ...]:
 
 @dataclass(frozen=True)
 class EmbeddabilityDecision:
+    """The verdict with its certificate: the clique forest of an embeddable
+    graph, or a missing edge with its path."""
+
     embeddable: bool
     manifold: Manifold
-    certificate: Union[CliqueForest, MissingEdgeWitness]
+    clique_forest: Optional[CliqueForest] = None
+    missing_edge: Optional[MissingEdgeWitness] = None
 
-    def to_dict(self) -> dict:
-        d = {"embeddable": self.embeddable, "manifold": self.manifold.value}
-        if self.embeddable:
-            d["clique_forest"] = self.certificate.to_dict()
-        else:
-            d["missing_edge"] = self.certificate.to_dict()
-        return d
+    FIELDS = (("embeddable", serialize.BOOLEAN), ("manifold", serialize.MANIFOLD),
+              ("clique_forest", serialize.document(CliqueForest, optional=True)),
+              ("missing_edge", serialize.document(MissingEdgeWitness, optional=True)))
+    to_dict = serialize.to_dict
+    from_dict = serialize.loader("decision")
+
+    def __post_init__(self):
+        if not self.embeddable == (self.clique_forest is not None) == (self.missing_edge is None):
+            raise ValueError("a decision carries the certificate of its verdict, and only that")
 
 
 def embeddable_raag(g: SimpleGraph, manifold: Manifold) -> EmbeddabilityDecision:
@@ -144,7 +151,9 @@ def embeddable_raag(g: SimpleGraph, manifold: Manifold) -> EmbeddabilityDecision
     if manifold is Manifold.LINE:
         raise NotApplicableError("the decision criterion covers I and S1 only")
     cert = is_clique_forest(g)
-    return EmbeddabilityDecision(isinstance(cert, CliqueForest), manifold, cert)
+    if isinstance(cert, CliqueForest):
+        return EmbeddabilityDecision(True, manifold, clique_forest=cert)
+    return EmbeddabilityDecision(False, manifold, missing_edge=cert)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,13 @@
-"""Published JSON schemas for the CLI output documents."""
+"""Published JSON schemas for the CLI output documents.
 
-from .serialize import BUMP_FIELDS, NODES
+The node, bump, decision, assignment and report schemas derive from the
+field tables of ``serialize`` and of the document classes; the fixpoints,
+commgraph and obstruct payloads are still written out here.
+"""
 
-_EXPR_NODE = {"$ref": "#/$defs/node"}
+from .raag import EmbeddabilityDecision
+from .serialize import BUMP_FIELDS, NODES, object_schema
+from .synthesis import GeneratorAssignment, VerificationReport
 
 
 def _properties(field_lists) -> dict:
@@ -29,85 +34,20 @@ _NODE_DEFS = {
     },
 }
 
+
+def _document(cls: type) -> dict:
+    return {**object_schema(cls.FIELDS), "$defs": _NODE_DEFS}
+
+
 EXPR_SCHEMA = {
     "type": "object",
     "required": ["manifold", "expr"],
-    "properties": {"manifold": {"enum": ["I", "S1", "R"]}, "expr": _EXPR_NODE},
+    "properties": {"manifold": {"enum": ["I", "S1", "R"]}, "expr": {"$ref": "#/$defs/node"}},
     "$defs": _NODE_DEFS,
 }
-
-DECISION_SCHEMA = {
-    "type": "object",
-    "required": ["embeddable", "manifold"],
-    "properties": {
-        "embeddable": {"type": "boolean"},
-        "manifold": {"enum": ["I", "S1"]},
-        "clique_forest": {
-            "type": "object",
-            "required": ["components"],
-            "properties": {
-                "components": {
-                    "type": "array",
-                    "items": {"type": "array", "items": {"type": "integer"}},
-                }
-            },
-        },
-        "missing_edge": {
-            "type": "object",
-            "required": ["u", "v", "path"],
-            "properties": {
-                "u": {"type": "integer"},
-                "v": {"type": "integer"},
-                "path": {"type": "array", "items": {"type": "integer"}},
-            },
-        },
-    },
-}
-
-ASSIGNMENT_SCHEMA = {
-    "type": "object",
-    "required": ["graph", "manifold", "clique_forest", "alphas", "layout", "f", "gens"],
-    "properties": {
-        "manifold": {"enum": ["I", "S1"]},
-        "graph": {
-            "type": "object",
-            "required": ["n", "edges"],
-            "properties": {
-                "n": {"type": "integer"},
-                "edges": {"type": "array"},
-            },
-        },
-        "alphas": {
-            "type": "object",
-            "required": ["alphas", "k_bound", "min_relation"],
-        },
-        "layout": {"type": "array"},
-        "f": _EXPR_NODE,
-        "gens": {"type": "array", "items": _EXPR_NODE},
-        "state": {"type": ["object", "null"]},
-    },
-    "$defs": _NODE_DEFS,
-}
-
-REPORT_SCHEMA = {
-    "type": "object",
-    "required": [
-        "ok", "manifold", "grid_n", "tol", "word_len", "truncation_note",
-        "edge_checks", "non_edge_checks", "margins",
-    ],
-    "properties": {
-        "ok": {"type": "boolean"},
-        "manifold": {"enum": ["I", "S1"]},
-        "grid_n": {"type": "integer"},
-        "tol": {"type": "number"},
-        "word_len": {"type": "integer"},
-        "edge_checks": {"type": "array"},
-        "non_edge_checks": {"type": "array"},
-        "margins": {"type": "array"},
-        "margin_failures": {"type": "array"},
-        "notes": {"type": "array"},
-    },
-}
+DECISION_SCHEMA = _document(EmbeddabilityDecision)
+ASSIGNMENT_SCHEMA = _document(GeneratorAssignment)
+REPORT_SCHEMA = _document(VerificationReport)
 
 FIXPOINTS_SCHEMA = {
     "type": "object",

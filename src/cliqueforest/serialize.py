@@ -1,18 +1,22 @@
-"""JSON tree format for diffeomorphism expressions.
+"""JSON formats: expression trees and the CLI documents.
 
-``NODES`` is the one table of the format: for each node kind, the
-expression class and its fields, each with a codec.  Numeric fields are
-decimal strings with 17 significant digits (exact float round trip), and
-only strings matching the schema's decimal pattern are read back; integer
-fields are JSON integers, and the manifold tag sits at the root.  A kind
-whose class fixes a manifold is accepted only under that tag.  Encoding,
-decoding, the bump lists of the synthesis state and the published node
-schema (``schemas``) all derive from this table.
+``NODES`` is the one table of the expression format: for each node kind,
+the expression class and its fields, each with a codec.  Each document
+class (graph, clique forest, missing-edge witness, decision, alpha
+sequence, synthesis state, assignment, report) likewise declares its fields
+once, in its ``FIELDS`` table.  Encoding, decoding and the published
+schemas (``schemas``) all derive from these tables.
+
+Numeric fields are decimal strings with 17 significant digits (exact float
+round trip), and only strings matching the schema's decimal pattern are read
+back; integer fields are JSON integers, and the manifold tag sits at the
+root.  A kind whose class fixes a manifold is accepted only under that tag.
 """
 from __future__ import annotations
 
 import json
 import re
+import reprlib
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Optional, Tuple
 
@@ -47,43 +51,109 @@ class Codec:
     """How one field is written to JSON, read back and described in the schema."""
 
     encode: Callable[[object], object]
-    decode: Callable[[object, Manifold], object]  # (JSON value, document manifold)
+    # (JSON value, document manifold) -> value; None for a field computed
+    # from others, which is written but not read back
+    decode: Optional[Callable[[object, Optional[Manifold]], object]]
     schema: dict
     optional: bool = False  # omitted from the document when None
+    attr: Optional[str] = None  # the attribute and constructor argument, when not the key
 
 
-def _integer(v, manifold):
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ExprFormatError(f"expected an integer, got {v!r}")
+def _same(v):
     return v
 
 
-_DECIMAL_SCHEMA = {"type": "string", "pattern": r"^-?(\d+\.?\d*|\.\d+|inf)([eE][+-]?\d+)?$"}
+def _checked(ok: Callable[[object], bool], expected: str, convert: Callable = _same):
+    """Decoder of the JSON values passing ``ok``, converted by ``convert``."""
+    def decode(v, manifold):
+        if not ok(v):
+            raise ExprFormatError(f"expected {expected}, got {reprlib.repr(v)}")
+        return convert(v)
+    return decode
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _int_list(v) -> bool:
+    return isinstance(v, list) and all(map(_is_int, v))
+
+
+_DECIMAL_SCHEMA = {"type": "string", "pattern": r"^-?((\d+\.?\d*|\.\d+)([eE][+-]?\d+)?|inf)$"}
 _DECIMAL_RE = re.compile(_DECIMAL_SCHEMA["pattern"], re.ASCII)
 _NODE_REF = {"$ref": "#/$defs/node"}
 
 
-def _decimal(v, manifold):
-    if not isinstance(v, str) or not _DECIMAL_RE.fullmatch(v):
-        raise ExprFormatError(f"expected a decimal string, got {v!r}")
-    return float(v)
-
-
-def _decimals(vs, manifold):
+def _decimal_list(vs, nullable: bool) -> tuple:
+    """The floats of a list of decimal strings (and nulls, read as None, when
+    ``nullable``).  Each distinct entry is matched and converted once, so the
+    per-stage lists of a synthesis state, whose entries repeat, cost about
+    what bare ``float`` does."""
     if not isinstance(vs, list):
-        raise ExprFormatError(f"expected a list of decimal strings, got {vs!r}")
-    return tuple(_decimal(v, manifold) for v in vs)
+        raise ExprFormatError(f"expected a list of decimal strings, got {reprlib.repr(vs)}")
+    try:
+        distinct = set(vs) - {None} if nullable else set(vs)
+        if all(map(_DECIMAL_RE.fullmatch, distinct)):
+            values = {s: float(s) for s in distinct}
+            return tuple(map(values.get, vs))
+    except TypeError:  # an entry that is neither a string nor None
+        pass
+    for v in vs:  # raises on the first entry that is no decimal string
+        if not (nullable and v is None):
+            DECIMAL.decode(v, None)
 
 
-DECIMAL = Codec(_fmt, _decimal, _DECIMAL_SCHEMA)
+DECIMAL = Codec(_fmt, _checked(lambda v: isinstance(v, str) and _DECIMAL_RE.fullmatch(v),
+                               "a decimal string", float), _DECIMAL_SCHEMA)
 OPTIONAL_DECIMAL = replace(DECIMAL, optional=True)
-INTEGER = Codec(lambda v: v, _integer, {"type": "integer"})
-DECIMALS = Codec(lambda vs: [_fmt(v) for v in vs], _decimals,
+DECIMALS = Codec(lambda vs: [_fmt(v) for v in vs], lambda vs, m: _decimal_list(vs, False),
                  {"type": "array", "items": _DECIMAL_SCHEMA})
+NULLABLE_DECIMALS = Codec(lambda vs: [None if v is None else _fmt(v) for v in vs],
+                          lambda vs, m: _decimal_list(vs, True),
+                          {"type": "array", "items": {"anyOf": [{"type": "null"}, _DECIMAL_SCHEMA]}})
+INTEGER = Codec(_same, _checked(_is_int, "an integer"), {"type": "integer"})
+INTEGERS = Codec(list, _checked(_int_list, "a list of integers", tuple),
+                 {"type": "array", "items": {"type": "integer"}})
+BOOLEAN = Codec(_same, _checked(lambda v: isinstance(v, bool), "a boolean"), {"type": "boolean"})
+NUMBER = Codec(_same, _checked(lambda v: _is_int(v) or isinstance(v, float), "a number"),
+               {"type": "number"})
+STRINGS = Codec(list, _checked(lambda v: isinstance(v, list)
+                               and all(isinstance(s, str) for s in v), "a list of strings", tuple),
+                {"type": "array", "items": {"type": "string"}})
+MANIFOLD = Codec(lambda m: m.value,
+                 _checked(lambda v: v in ("I", "S1"), "manifold I or S1", Manifold),
+                 {"enum": ["I", "S1"]})
 NODE = Codec(lambda e: expr_to_node(e), lambda v, m: node_to_expr(v, m), _NODE_REF)
 NODE_LIST = Codec(lambda es: [expr_to_node(e) for e in es],
                   lambda vs, m: tuple(node_to_expr(v, m) for v in vs),
                   {"type": "array", "items": _NODE_REF})
+# the bumps of a perturbed map: polynomial on I, trigonometric on S1
+_BUMP_CLASS = {Manifold.INTERVAL: BumpPoly, Manifold.CIRCLE: BumpTrig}
+BUMPS = Codec(lambda bs: [_encode(b, BUMP_FIELDS[type(b)]) for b in bs],
+              lambda vs, m: tuple(build(_BUMP_CLASS[m], v, BUMP_FIELDS[_BUMP_CLASS[m]], "bump", m)
+                                  for v in vs),
+              {"type": "array", "items": {"$ref": "#/$defs/bump"}})
+
+
+def integer_rows(width: Optional[int] = None) -> Codec:
+    """Codec of a list of rows of JSON integers, each of ``width`` entries
+    when given."""
+    sized = {"minItems": width, "maxItems": width} if width else {}
+    return Codec(lambda rows: [list(r) for r in rows],
+                 _checked(lambda v: isinstance(v, list) and all(
+                     _int_list(r) and len(r) == (width or len(r)) for r in v),
+                     f"rows of {width or 'any number of'} integers", lambda v: tuple(map(tuple, v))),
+                 {"type": "array", "items": {**INTEGERS.schema, **sized}})
+
+
+def records(*keys: str) -> Codec:
+    """Codec of a list of JSON objects, each with ``keys`` among its own."""
+    return Codec(list, _checked(lambda v: isinstance(v, list) and all(
+        isinstance(r, dict) and r.keys() >= set(keys) for r in v),
+        f"a list of objects with {', '.join(keys)}", tuple),
+        {"type": "array", "items": {"type": "object", "required": list(keys)}})
+
 
 Fields = Tuple[Tuple[str, Codec], ...]
 
@@ -94,52 +164,74 @@ BUMP_FIELDS: Dict[type, Fields] = {
                ("sup_bound", OPTIONAL_DECIMAL), ("deriv_bound", OPTIONAL_DECIMAL)),
 }
 
-
-def _bump_list(cls: type) -> Codec:
-    fields = BUMP_FIELDS[cls]
-    return Codec(lambda bs: [_encode(b, fields) for b in bs],
-                 lambda vs, m: tuple(_build(cls, v, fields, m, "bump") for v in vs),
-                 {"type": "array", "items": {"$ref": "#/$defs/bump"}})
-
-
 NODES: Dict[str, Tuple[type, Fields]] = {cls.KIND: (cls, fields) for cls, fields in (
     (Identity, ()),
     (MobiusI, (("alpha", DECIMAL),)),
     (RotationS1, (("theta", DECIMAL),)),
     (SineShear, (("a", DECIMAL),)),
     (Translation, (("c", DECIMAL),)),
-    (PerturbedF, (("bumps", _bump_list(BumpPoly)),)),
-    (PerturbedLiftS1, (("bumps", _bump_list(BumpTrig)),)),
+    (PerturbedF, (("bumps", BUMPS),)),
+    (PerturbedLiftS1, (("bumps", BUMPS),)),
     (Compose, (("parts", NODE_LIST),)),
     (Inverse, (("inner", NODE),)),
     (Power, (("inner", NODE), ("exponent", INTEGER))),
 )}
 
 
-def required_manifold(cls: type) -> Optional[Manifold]:
-    """The manifold a node class fixes (identity and composite nodes fix none)."""
-    m = getattr(cls, "manifold", None)
-    return m if isinstance(m, Manifold) else None
-
-
-# bump-list codec of the perturbed node kind on each manifold
-BUMPS: Dict[Manifold, Codec] = {
-    required_manifold(cls): codec
-    for cls, fields in NODES.values() for name, codec in fields if name == "bumps"
-}
-
-
 def _encode(obj, fields: Fields) -> dict:
-    return {name: codec.encode(getattr(obj, name)) for name, codec in fields
-            if not (codec.optional and getattr(obj, name) is None)}
+    doc = {}
+    for name, codec in fields:
+        v = getattr(obj, codec.attr or name)
+        if not (codec.optional and v is None):
+            doc[name] = codec.encode(v)
+    return doc
 
 
-def _build(cls: type, d: dict, fields: Fields, manifold: Manifold, what: str):
+def build(cls: Callable, d: dict, fields: Fields, what: str, manifold: Optional[Manifold] = None):
+    """Decode the fields of ``d`` and pass them to ``cls`` by attribute name;
+    ``what`` names the object in errors.  The node and bump fields take
+    ``manifold``, which a document gives by its own tag."""
     try:
-        return cls(**{name: codec.decode(d[name], manifold) for name, codec in fields
-                      if not (codec.optional and name not in d)})
+        if manifold is None and "manifold" in d:
+            manifold = MANIFOLD.decode(d["manifold"], None)
+        return cls(**{codec.attr or name: codec.decode(d[name], manifold) for name, codec in fields
+                      if codec.decode and not (codec.optional and name not in d)})
     except (KeyError, TypeError, ValueError) as exc:
         raise ExprFormatError(f"bad {what}: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
+# documents: a class with a ``FIELDS`` table takes ``to_dict`` and ``from_dict``
+# from here, and ``schemas`` publishes ``object_schema`` of its table
+
+
+def to_dict(obj) -> dict:
+    """The document of ``obj``, by the ``FIELDS`` table of its class."""
+    return _encode(obj, type(obj).FIELDS)
+
+
+def loader(what: str) -> classmethod:
+    """A ``from_dict`` that builds the class from its ``FIELDS`` table."""
+    return classmethod(lambda cls, d: build(cls, d, cls.FIELDS, what))
+
+
+def object_schema(fields: Fields) -> dict:
+    return {"type": "object",
+            "required": [name for name, codec in fields if not codec.optional],
+            "properties": {name: codec.schema for name, codec in fields}}
+
+
+def document(cls: type, **kw) -> Codec:
+    """Codec of a document nested in another, by the ``FIELDS`` table of its
+    class; ``kw`` sets ``optional`` or ``attr``."""
+    return Codec(to_dict, lambda v, m: cls.from_dict(v), object_schema(cls.FIELDS), **kw)
+
+
+def nullable(codec: Codec) -> Codec:
+    """``codec``, with None written as JSON null."""
+    return replace(codec, encode=lambda v: None if v is None else codec.encode(v),
+                   decode=lambda v, m: None if v is None else codec.decode(v, m),
+                   schema={"anyOf": [{"type": "null"}, codec.schema]})
 
 
 def expr_to_node(e: DiffeoExpr) -> dict:
@@ -154,12 +246,12 @@ def node_to_expr(node: dict, manifold: Manifold) -> DiffeoExpr:
     if not isinstance(kind, str) or kind not in NODES:
         raise ExprFormatError(f"unknown node kind {kind!r}")
     cls, fields = NODES[kind]
-    want = required_manifold(cls)
-    if want not in (None, manifold):
+    want = getattr(cls, "manifold", None)  # the manifold the class fixes, if any
+    if isinstance(want, Manifold) and want is not manifold:
         raise ExprFormatError(f"{kind!r} node requires manifold {want.value}, got {manifold.value}")
     if cls is Identity:
         return Identity(manifold)
-    return _build(cls, node, fields, manifold, f"{kind!r} node")
+    return build(cls, node, fields, f"{kind!r} node", manifold)
 
 
 def expr_to_dict(e: DiffeoExpr) -> dict:

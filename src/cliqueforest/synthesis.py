@@ -13,7 +13,7 @@ two bumps are settled in one numpy pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -84,20 +84,10 @@ class AlphaSequence:
     k_bound: int
     min_relation: float
 
-    def to_dict(self) -> dict:
-        return {
-            "alphas": [_fmt(a) for a in self.alphas],
-            "k_bound": self.k_bound,
-            "min_relation": _fmt(self.min_relation),
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "AlphaSequence":
-        return AlphaSequence(
-            serialize.DECIMALS.decode(d["alphas"], None),
-            serialize.INTEGER.decode(d["k_bound"], None),
-            serialize.DECIMAL.decode(d["min_relation"], None),
-        )
+    FIELDS = (("alphas", serialize.DECIMALS), ("k_bound", serialize.INTEGER),
+              ("min_relation", serialize.DECIMAL))
+    to_dict = serialize.to_dict
+    from_dict = serialize.loader("alpha sequence")
 
 
 def _first_primes(n: int) -> List[int]:
@@ -348,45 +338,35 @@ class SynthesisState:
     min_derivative: float
     deriv_lower_bound: float
 
+    FIELDS = (("manifold", serialize.MANIFOLD), ("p", serialize.DECIMAL),
+              ("num_g", serialize.INTEGER), ("max_len", serialize.INTEGER),
+              ("word_count", serialize.INTEGER), ("margins", serialize.NULLABLE_DECIMALS),
+              ("eps", serialize.DECIMALS), ("bumps", serialize.BUMPS),
+              ("lambda_est", serialize.DECIMAL), ("grid_n", serialize.INTEGER),
+              ("min_derivative", serialize.DECIMAL), ("deriv_lower_bound", serialize.DECIMAL))
+    to_dict = serialize.to_dict
+    from_dict = serialize.loader("synthesis state")
+
+    def __post_init__(self):
+        """A state covers its own schedule: one margin and one eps for each of
+        the ``word_count`` scheduled words, which number the sum over
+        L <= max_len of 2r(2r-1)^(L-1) - 2n(2n-1)^(L-1), n = num_g and
+        r = n + 1 (the reduced words with f).  The sum stops once it passes
+        ``word_count``, so a huge ``max_len`` fails fast."""
+        if not len(self.margins) == len(self.eps) == self.word_count:
+            raise ValueError(f"{len(self.margins)} margins and {len(self.eps)} eps recorded "
+                             f"for {self.word_count} scheduled words")
+        n, r, count = self.num_g, self.num_g + 1, 0
+        for length in range(1, self.max_len + 1):
+            count += 2 * r * (2 * r - 1) ** (length - 1) - 2 * n * (2 * n - 1) ** (length - 1)
+            if count > self.word_count:
+                break
+        if count != self.word_count:
+            raise ValueError(f"word_count {self.word_count} is not the number of words "
+                             f"scheduled up to length {self.max_len} over {n} g generators")
+
     def words(self) -> List[FreeWord]:
         return enumerate_words(self.num_g, self.max_len)
-
-    def to_dict(self) -> dict:
-        return {
-            "manifold": self.manifold.value,
-            "p": _fmt(self.p),
-            "num_g": self.num_g,
-            "max_len": self.max_len,
-            "word_count": self.word_count,
-            "margins": [None if m is None else _fmt(m) for m in self.margins],
-            "eps": [_fmt(e) for e in self.eps],
-            "bumps": serialize.BUMPS[self.manifold].encode(self.bumps),
-            "lambda_est": _fmt(self.lambda_est),
-            "grid_n": self.grid_n,
-            "min_derivative": _fmt(self.min_derivative),
-            "deriv_lower_bound": _fmt(self.deriv_lower_bound),
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "SynthesisState":
-        """Load a state; ``margins`` and ``eps`` (one entry per scheduled
-        word) are read with ``float`` for speed, the other fields with their
-        ``serialize`` codecs."""
-        m = Manifold(d["manifold"])
-        return SynthesisState(
-            manifold=m,
-            p=serialize.DECIMAL.decode(d["p"], m),
-            num_g=serialize.INTEGER.decode(d["num_g"], m),
-            max_len=serialize.INTEGER.decode(d["max_len"], m),
-            word_count=serialize.INTEGER.decode(d["word_count"], m),
-            margins=tuple(None if v is None else float(v) for v in d["margins"]),
-            eps=tuple(float(v) for v in d["eps"]),
-            bumps=serialize.BUMPS[m].decode(d["bumps"], m),
-            lambda_est=serialize.DECIMAL.decode(d["lambda_est"], m),
-            grid_n=serialize.INTEGER.decode(d["grid_n"], m),
-            min_derivative=serialize.DECIMAL.decode(d["min_derivative"], m),
-            deriv_lower_bound=serialize.DECIMAL.decode(d["deriv_lower_bound"], m),
-        )
 
 
 def _word_apply(word: FreeWord, f: DiffeoExpr, gens: Sequence[DiffeoExpr], x: float) -> float:
@@ -665,6 +645,13 @@ class GeneratorAssignment:
     gens: Tuple[DiffeoExpr, ...]
     state: Optional[SynthesisState]
 
+    FIELDS = (("graph", serialize.document(SimpleGraph)), ("manifold", serialize.MANIFOLD),
+              ("clique_forest", serialize.document(CliqueForest, attr="forest")),
+              ("alphas", serialize.document(AlphaSequence)), ("layout", serialize.integer_rows(3)),
+              ("f", serialize.NODE), ("gens", serialize.NODE_LIST),
+              ("state", serialize.nullable(serialize.document(SynthesisState))))
+    to_dict = serialize.to_dict
+
     def expr_for(self, v: int) -> DiffeoExpr:
         for vv, i, n in self.layout:
             if vv == v:
@@ -677,40 +664,17 @@ class GeneratorAssignment:
     def exprs(self) -> Dict[int, DiffeoExpr]:
         return {v: self.expr_for(v) for v, _, _ in self.layout}
 
-    def to_dict(self) -> dict:
-        return {
-            "graph": self.graph.to_dict(),
-            "manifold": self.manifold.value,
-            "clique_forest": self.forest.to_dict(),
-            "alphas": self.alphas.to_dict(),
-            "layout": [list(t) for t in self.layout],
-            "f": serialize.expr_to_node(self.f),
-            "gens": [serialize.expr_to_node(g) for g in self.gens],
-            "state": self.state.to_dict() if self.state else None,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "GeneratorAssignment":
+    @classmethod
+    def from_dict(cls, d: dict) -> "GeneratorAssignment":
         """Load a document; its layout must be the one its clique forest
         gives (``forest_layout``), with every slot among its generators."""
-        m = Manifold(d["manifold"])
-        forest = CliqueForest.from_dict(d["clique_forest"])
-        layout = forest_layout(forest)
-        if d["layout"] != [list(t) for t in layout]:
+        asg = serialize.build(cls, d, cls.FIELDS, "assignment")
+        if asg.layout != forest_layout(asg.forest):
             raise ValueError("layout differs from the one the clique forest gives")
-        gens = tuple(serialize.node_to_expr(g, m) for g in d["gens"])
-        if max(forest.sizes, default=0) > len(gens):
-            raise ValueError(f"layout names slot {max(forest.sizes)} of {len(gens)} generators")
-        return GeneratorAssignment(
-            graph=SimpleGraph.from_dict(d["graph"]),
-            manifold=m,
-            forest=forest,
-            alphas=AlphaSequence.from_dict(d["alphas"]),
-            layout=layout,
-            f=serialize.node_to_expr(d["f"], m),
-            gens=gens,
-            state=SynthesisState.from_dict(d["state"]) if d["state"] else None,
-        )
+        slots = max(asg.forest.sizes, default=0)
+        if slots > len(asg.gens):
+            raise ValueError(f"layout names slot {slots} of {len(asg.gens)} generators")
+        return asg
 
 
 def forest_layout(forest: CliqueForest) -> Tuple[Tuple[int, int, int], ...]:
@@ -763,6 +727,12 @@ def synthesize_embedding(
 # verification
 
 
+def _margin_rows(rows, manifold) -> Tuple[Tuple[int, float, float], ...]:
+    """The report's [index, margin, threshold] rows."""
+    num, dec = serialize.INTEGER.decode, serialize.DECIMAL.decode
+    return tuple((num(i, None), dec(m, None), dec(t, None)) for i, m, t in rows)
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     ok: bool
@@ -778,24 +748,24 @@ class VerificationReport:
     pure_g_all_nontrivial: bool
     notes: Tuple[str, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "manifold": self.manifold.value,
-            "grid_n": self.grid_n,
-            "tol": self.tol,
-            "word_len": self.word_len,
-            "truncation_note": (
-                f"certification covers words of length <= {self.word_len} only"
-            ),
-            "edge_checks": list(self.edge_checks),
-            "non_edge_checks": list(self.non_edge_checks),
-            "margins": [[i, _fmt(m), _fmt(t)] for i, m, t in self.margin_checks],
-            "margin_failures": list(self.margin_failures),
-            "pure_g_checked": self.pure_g_checked,
-            "pure_g_all_nontrivial": self.pure_g_all_nontrivial,
-            "notes": list(self.notes),
-        }
+    FIELDS = (("ok", serialize.BOOLEAN), ("manifold", serialize.MANIFOLD),
+              ("grid_n", serialize.INTEGER), ("tol", serialize.NUMBER),
+              ("word_len", serialize.INTEGER),
+              ("truncation_note", serialize.Codec(
+                  lambda wl: f"certification covers words of length <= {wl} only", None,
+                  {"type": "string"}, attr="word_len")),
+              ("edge_checks", serialize.records("u", "v", "residual", "ok")),
+              ("non_edge_checks", serialize.records("u", "v", "witness_x", "residual", "ok")),
+              ("margins", serialize.Codec(
+                  lambda rows: [[i, _fmt(m), _fmt(t)] for i, m, t in rows], _margin_rows, {
+                      "type": "array", "items": {"type": "array", "items": False, "prefixItems": [
+                          {"type": "integer"}, serialize.DECIMAL.schema, serialize.DECIMAL.schema]},
+                  }, attr="margin_checks")),
+              ("margin_failures", serialize.records("index", "word", "margin", "threshold")),
+              ("pure_g_checked", serialize.INTEGER), ("pure_g_all_nontrivial", serialize.BOOLEAN),
+              ("notes", serialize.STRINGS))
+    to_dict = serialize.to_dict
+    from_dict = serialize.loader("report")
 
 
 def verify_assignment(
@@ -852,15 +822,20 @@ def verify_assignment(
         if wl < 1:
             raise ValueError("word_len must be >= 1")
         # the schedule is length-major: these are its words of length <= wl
+        schedule = _Schedule(state.num_g, wl)
+        recorded = state.margins[:schedule.word_count]
+        if np.flatnonzero(schedule.trivial()).tolist() != [
+                i for i, d_m in enumerate(recorded) if d_m is None]:
+            raise ValueError("the state's margins are not null exactly at the scheduled "
+                             "words trivial in the free product")
         margins = _schedule_margins(assignment.f, assignment.gens, state.p,
-                                    assignment.manifold, _Schedule(state.num_g, wl)).tolist()
+                                    assignment.manifold, schedule).tolist()
         margin_checks = [
             (idx, margin, d_m / 2.0)
-            for idx, (margin, d_m) in enumerate(zip(margins, state.margins), 1)
+            for idx, (margin, d_m) in enumerate(zip(margins, recorded), 1)
             if d_m is not None
         ]
         failing = [c for c in margin_checks if not c[1] > c[2]]
-        schedule = _Schedule(state.num_g, wl) if failing else None  # to name failing words
         margin_failures = [
             {"index": i, "word": word_str(schedule.word(i - 1)), "margin": m, "threshold": t}
             for i, m, t in failing

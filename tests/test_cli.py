@@ -5,7 +5,16 @@ from itertools import combinations
 import jsonschema
 import pytest
 
-from cliqueforest import MobiusI, RotationS1, SimpleGraph, dumps_expr
+from cliqueforest import (
+    EmbeddabilityDecision,
+    GeneratorAssignment,
+    MobiusI,
+    RotationS1,
+    SimpleGraph,
+    VerificationReport,
+    dumps_expr,
+)
+from cliqueforest import cli
 from cliqueforest.cli import EXIT_FINDING, EXIT_INPUT, EXIT_OK, build_parser, main
 from cliqueforest.schemas import (
     ASSIGNMENT_SCHEMA,
@@ -109,6 +118,14 @@ class TestInputErrors:
     def test_loop_graph(self, graph_file):
         assert main(["decide", graph_file("n=2\n1 1\n")]) == EXIT_INPUT
 
+    def test_graph_too_large_for_memory(self, graph_file, capsys, monkeypatch):
+        def exhausted(g, manifold):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "embeddable_raag", exhausted)
+        assert main(["decide", graph_file(K3)]) == EXIT_INPUT
+        assert "input error: decide input too large for memory" in capsys.readouterr().err
+
     def test_vertex_count_above_limit(self, graph_file, capsys):
         # the labelling pass needs n-sized arrays: 2**50 vertices is an input error
         assert main(["decide", graph_file(f"n={2**50}\n0 1\n")]) == EXIT_INPUT
@@ -190,18 +207,42 @@ class TestSynthesizeVerify:
         ("alphas", "alphas", ["nan", "1.5", "2.0"]),
         ("alphas", "alphas", "1.5"),
         ("alphas", "min_relation", False),
+        # a callable edits the recorded list in place of a literal value
+        ("state", "eps", lambda es: [True] + es[1:]),
+        ("state", "eps", lambda es: es[:-1] + ["nan"]),
+        ("state", "margins", lambda ms: [m if m is None else float(m) for m in ms]),
     ], ids=["bool-p", "number-lambda", "nan-min-derivative", "bad-bound", "nan-alpha",
-            "string-alphas", "bool-min-relation"])
+            "string-alphas", "bool-min-relation", "bool-eps", "nan-eps", "number-margins"])
     def test_verify_rejects_non_decimal_fields(self, graph_file, tmp_path, capsys,
                                                section, key, value):
         asg = tmp_path / "asg.json"
         assert main(["synthesize", graph_file(K2_K3), "--word-len", "4",
                      "--out", str(asg), "--report", str(tmp_path / "rep.json")]) == EXIT_OK
         doc = json.loads(asg.read_text())
-        doc[section][key] = value
+        doc[section][key] = value(doc[section][key]) if callable(value) else value
         asg.write_text(json.dumps(doc))
         assert main(["verify", str(asg), "--out", str(tmp_path / "v.json")]) == EXIT_INPUT
         assert "expected a" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda st: {"margins": st["margins"][:2]}, "2 margins and 28 eps recorded"),
+        (lambda st: {"margins": [None] * len(st["margins"])}, "not null exactly at"),
+        (lambda st: {"word_count": 7}, "28 margins and 28 eps recorded for 7 scheduled words"),
+        (lambda st: {"word_count": 7, "margins": st["margins"][:7], "eps": st["eps"][:7]},
+         "word_count 7 is not the number of words scheduled up to length 2 over 3 g generators"),
+    ], ids=["truncated-margins", "null-margins", "word-count", "word-count-and-lists"])
+    def test_verify_rejects_state_not_covering_its_schedule(self, graph_file, tmp_path, capsys,
+                                                            edit, message):
+        # K2+K3 at word length 2 schedules 28 words
+        asg = tmp_path / "asg.json"
+        assert main(["synthesize", graph_file(K2_K3), "--word-len", "2",
+                     "--out", str(asg), "--report", str(tmp_path / "rep.json")]) == EXIT_OK
+        doc = json.loads(asg.read_text())
+        assert doc["state"]["word_count"] == 28
+        doc["state"].update(edit(doc["state"]))
+        asg.write_text(json.dumps(doc))
+        assert main(["verify", str(asg), "--out", str(tmp_path / "v.json")]) == EXIT_INPUT
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit", [
         {"n": 5.9},
@@ -273,9 +314,11 @@ class TestSynthesizeVerify:
         assert "names slot 3" in capsys.readouterr().err
 
     def test_synthesize_rejects_path(self, graph_file, capsys):
-        assert main(["synthesize", graph_file(P3)]) == EXIT_FINDING
+        assert main(["synthesize", graph_file(P3), "--manifold", "S1"]) == EXIT_FINDING
         doc = json.loads(capsys.readouterr().out)
-        assert not doc["embeddable"]
+        jsonschema.validate(doc, DECISION_SCHEMA)
+        assert doc == {"embeddable": False, "manifold": "S1",
+                       "missing_edge": {"u": 0, "v": 2, "path": [0, 1, 2]}}
 
     def test_single_clique(self, graph_file, tmp_path):
         asg = tmp_path / "asg.json"
@@ -284,6 +327,49 @@ class TestSynthesizeVerify:
         assert rc == EXIT_OK
         doc = json.loads(asg.read_text())
         assert doc["f"] == {"kind": "identity"}
+
+
+class TestDocuments:
+    """Every decide, synthesize and verify document, of either verdict,
+    matches the schema derived from its class's field table and reads back
+    through ``from_dict`` to the same document."""
+
+    def _check(self, path, schema, cls):
+        doc = json.loads(path.read_text())
+        jsonschema.validate(doc, schema)
+        assert cls.from_dict(doc).to_dict() == doc
+        return doc
+
+    @pytest.mark.parametrize("text, rc", [(K2_K3, EXIT_OK), (K3, EXIT_OK), (P3, EXIT_FINDING)],
+                             ids=["forest", "clique", "path"])
+    def test_decide_and_synthesize(self, graph_file, tmp_path, text, rc):
+        src, out = graph_file(text), tmp_path / "out.json"
+        assert main(["decide", src, "--out", str(out)]) == rc
+        assert self._check(out, DECISION_SCHEMA, EmbeddabilityDecision)["embeddable"] == (rc == 0)
+        rep = tmp_path / "rep.json"
+        for m in ("I", "S1"):
+            assert main(["synthesize", src, "--manifold", m, "--word-len", "3",
+                         "--out", str(out), "--report", str(rep)]) == rc
+            if rc == EXIT_OK:
+                self._check(out, ASSIGNMENT_SCHEMA, GeneratorAssignment)
+                assert self._check(rep, REPORT_SCHEMA, VerificationReport)["ok"]
+            else:
+                self._check(out, DECISION_SCHEMA, EmbeddabilityDecision)
+
+    def test_verify_both_verdicts(self, graph_file, tmp_path):
+        asg, out = tmp_path / "asg.json", tmp_path / "v.json"
+        assert main(["synthesize", graph_file(K2_K3), "--word-len", "3", "--out", str(asg),
+                     "--report", str(tmp_path / "rep.json")]) == EXIT_OK
+        assert main(["verify", str(asg), "--out", str(out)]) == EXIT_OK
+        assert self._check(out, REPORT_SCHEMA, VerificationReport)["ok"]
+        # recorded margins four times the actual ones fail every margin check
+        doc = json.loads(asg.read_text())
+        doc["state"]["margins"] = [m if m is None else repr(4 * float(m))
+                                   for m in doc["state"]["margins"]]
+        asg.write_text(json.dumps(doc))
+        assert main(["verify", str(asg), "--out", str(out)]) == EXIT_FINDING
+        report = self._check(out, REPORT_SCHEMA, VerificationReport)
+        assert not report["ok"] and len(report["margin_failures"]) == len(report["margins"])
 
 
 class TestFixpoints:

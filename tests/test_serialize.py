@@ -3,7 +3,7 @@ import math
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cliqueforest import (
@@ -28,7 +28,14 @@ from cliqueforest import (
     loads_expr,
 )
 from cliqueforest.schemas import EXPR_SCHEMA
-from cliqueforest.serialize import NODES, expr_to_node, node_to_expr
+from cliqueforest.serialize import (
+    _DECIMAL_RE,
+    _DECIMAL_SCHEMA,
+    DECIMAL,
+    NODES,
+    expr_to_node,
+    node_to_expr,
+)
 
 SAMPLES = [
     Identity(Manifold.INTERVAL),
@@ -202,3 +209,21 @@ class TestErrors:
     def test_decimal_strings_accepted(self, text, value):
         e = dict_to_expr({"manifold": "R", "expr": {"kind": "translation", "c": text}})
         assert e == Translation(value)
+
+    @given(st.from_regex(_DECIMAL_RE, fullmatch=True))
+    @example("1.")
+    @example(".5")
+    @example("-inf")
+    @example("1e+05")
+    @example("-0.")
+    @example("inf")
+    def test_every_string_of_the_pattern_decodes(self, text):
+        jsonschema.validate(text, _DECIMAL_SCHEMA)
+        assert DECIMAL.decode(text, None) == float(text)
+
+    @pytest.mark.parametrize("text", ["infe5", "-infE+2", "e5", "."])
+    def test_non_decimals_fail_schema_and_codec(self, text):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(text, _DECIMAL_SCHEMA)
+        with pytest.raises(ExprFormatError, match="expected a decimal string"):
+            DECIMAL.decode(text, None)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from cliqueforest import CliqueForest, Manifold, NotApplicableError, SimpleGraph
 from cliqueforest.raag import (
+    EmbeddabilityDecision,
     embeddable_raag,
     normal_form,
     word_concat,
@@ -166,6 +167,17 @@ class TestEmbeddabilityDecision:
         d = embeddable_raag(g, Manifold.INTERVAL)
         assert not d.embeddable
         assert d.to_dict()["missing_edge"] == {"u": 0, "v": 2, "path": [0, 1, 2]}
+
+    @pytest.mark.parametrize("doc", [
+        {"embeddable": True, "manifold": "I", "missing_edge": {"u": 0, "v": 2, "path": [0, 1, 2]}},
+        {"embeddable": False, "manifold": "I", "clique_forest": {"components": [[0, 1]]}},
+        {"embeddable": True, "manifold": "I"},
+        {"embeddable": False, "manifold": "S1", "clique_forest": {"components": [[0, 1]]},
+         "missing_edge": {"u": 0, "v": 2, "path": [0, 1, 2]}},
+    ], ids=["forest-verdict-witness", "witness-verdict-forest", "none", "both"])
+    def test_certificate_must_match_verdict(self, doc):
+        with pytest.raises(ValueError, match="certificate of its verdict"):
+            EmbeddabilityDecision.from_dict(doc)
 
     def test_line_out_of_scope(self):
         g = SimpleGraph.from_edges(2, [(0, 1)])
