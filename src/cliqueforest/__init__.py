@@ -68,6 +68,7 @@ from .synthesis import (
 from .obstructions import (
     CommutationOracle,
     ObstructionCertificate,
+    ObstructionSearch,
     UnipotentMatrix,
     center_nonabelian_check,
     find_centralizer_quadruple,

@@ -22,8 +22,9 @@ from .diffeo import (
     TagMismatchError,
     fixed_points,
 )
-from .graphs import GraphFormatError, check_component_completeness, parse_graph, to_dot
+from .graphs import GraphFormatError, parse_graph, to_dot
 from .obstructions import (
+    ObstructionSearch,
     center_nonabelian_check,
     find_centralizer_quadruple,
     heisenberg_ball,
@@ -74,9 +75,23 @@ def _manifold(arg: str) -> Manifold:
         raise argparse.ArgumentTypeError(f"unknown manifold {arg!r} (use I or S1)")
 
 
+def _grid(arg: str) -> int:
+    n = int(arg)
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"grid must be at least 2, got {n}")
+    return n
+
+
+def _tol(arg: str) -> float:
+    t = float(arg)
+    if not (math.isfinite(t) and t > 0):
+        raise argparse.ArgumentTypeError(f"tol must be finite and positive, got {arg}")
+    return t
+
+
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--grid", type=int, default=DEFAULT_GRID)
+    p.add_argument("--tol", type=_tol, default=1e-9)
+    p.add_argument("--grid", type=_grid, default=DEFAULT_GRID)
     p.add_argument("--out", help="output file (default: stdout)")
 
 
@@ -119,21 +134,9 @@ def cmd_verify(args) -> int:
 
 def cmd_fixpoints(args) -> int:
     e = _load_expr(args.expr)
-    domain = None
-    if e.manifold is Manifold.LINE:
-        domain = (args.lo, args.hi)
+    domain = (args.lo, args.hi) if e.manifold is Manifold.LINE else None
     fps = fixed_points(e, args.grid, args.tol, domain)
-    _write(
-        {
-            "points": list(fps.points),
-            "flags": list(fps.flags),
-            "residual_tol": fps.residual_tol,
-            "interval_signs": list(fps.interval_signs),
-            "degenerate": fps.degenerate,
-            "grid_n": fps.grid_n,
-        },
-        args.out,
-    )
+    _write(fps.to_dict(), args.out)
     return EXIT_FINDING if fps.degenerate else EXIT_OK
 
 
@@ -141,14 +144,11 @@ def cmd_commgraph(args) -> int:
     exprs = [_load_expr(p) for p in args.exprs]
     domain = (args.lo, args.hi) if exprs and exprs[0].manifold is Manifold.LINE else None
     result = commutation_graph(exprs, args.tol, args.power_bound, args.grid, domain)
-    completeness = check_component_completeness(result.graph)
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(to_dot(result.graph))
-    payload = result.to_dict()
-    payload["completeness"] = completeness.to_dict()
-    _write(payload, args.out)
-    return EXIT_OK if completeness.ok else EXIT_FINDING
+    _write(result.to_dict(), args.out)
+    return EXIT_OK if result.completeness.ok else EXIT_FINDING
 
 
 def cmd_obstruct(args) -> int:
@@ -157,20 +157,10 @@ def cmd_obstruct(args) -> int:
     else:
         oracle = heisenberg_ball(args.radius)
     cert = find_centralizer_quadruple(oracle)
-    nonab, witness = center_nonabelian_check(oracle)
-    payload = {
-        "found": cert is not None,
-        "certificate": cert.to_dict() if cert else None,
-        "center_nonabelian": nonab,
-        "center_witness": (
-            {"central": witness.central, "noncommuting_pair": list(witness.noncommuting_pair)}
-            if witness
-            else None
-        ),
-        "ball_size": len(oracle.labels),
-    }
-    _write(payload, args.out)
-    return EXIT_FINDING if cert is not None else EXIT_OK
+    _, witness = center_nonabelian_check(oracle)
+    result = ObstructionSearch(cert, witness, len(oracle.labels))
+    _write(result.to_dict(), args.out)
+    return EXIT_FINDING if result.found else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -756,6 +756,15 @@ def _dedup(found, tol):
     return pts, flags
 
 
+def apply_letters(letters: Sequence[Tuple[DiffeoExpr, int]], x):
+    """Apply the letters ``[(expr, sign), ...]`` to ``x`` (a float or an
+    array), right to left, on lifts for the circle: ``_raw`` for a positive
+    sign, ``_inv_raw`` for a negative one."""
+    for e, s in reversed(letters):
+        x = e._raw(x) if s > 0 else e._inv_raw(x)
+    return x
+
+
 def _grid_sup(seq, grid_n: int, domain) -> Tuple[float, float]:
     """(x, r): the first grid point maximizing r = dist(seq(x), x), where
     ``seq`` = [(expr, +-1), ...] is applied right to left to the whole grid
@@ -765,10 +774,7 @@ def _grid_sup(seq, grid_n: int, domain) -> Tuple[float, float]:
         if e.manifold is not m:
             raise TagMismatchError(f"{m} vs {e.manifold}")
     xs = _grid(m, grid_n, domain)
-    v = xs
-    for e, s in reversed(seq):
-        v = e._raw(v) if s > 0 else e._inv_raw(v)
-    r = point_distance(m, v, xs)
+    r = point_distance(m, apply_letters(seq, xs), xs)
     i = int(np.argmax(r))
     return float(xs[i]), float(r[i])
 
@@ -821,11 +827,8 @@ def word_evaluate(word: Word, assignment: Mapping[str, DiffeoExpr], x: float) ->
         exprs.append((e, k))
     if tag is None:
         return x
-    x = _check_domain(exprs[0][0], x)
-    for e, k in reversed(exprs):
-        s = 1 if k > 0 else -1
-        for _ in range(abs(k)):
-            x = e._raw(x) if s > 0 else e._inv_raw(x)
+    x = apply_letters([(e, k) for e, k in exprs for _ in range(abs(k))],
+                      _check_domain(exprs[0][0], x))
     if tag is Manifold.INTERVAL:
         return min(max(x, 0.0), 1.0)
     if tag is Manifold.CIRCLE:

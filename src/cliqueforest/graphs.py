@@ -79,8 +79,9 @@ class SimpleGraph:
         return _component_tuples(_scan_components(self))
 
     FIELDS = (("n", serialize.INTEGER),
-              ("edges", replace(serialize.integer_rows(2), encode=np.ndarray.tolist, attr="ends")))
-    to_dict = serialize.to_dict
+              ("edges", replace(serialize.rows(serialize.INTEGER, serialize.INTEGER),
+                                encode=np.ndarray.tolist, attr="ends")))
+    to_dict = serialize.encode
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimpleGraph":
@@ -118,8 +119,8 @@ class CliqueForest:
                 return i
         raise KeyError(v)
 
-    FIELDS = (("components", serialize.integer_rows()),)
-    to_dict = serialize.to_dict
+    FIELDS = (("components", serialize.list_of(serialize.INTEGERS)),)
+    to_dict = serialize.encode
     from_dict = serialize.loader("clique_forest (components must be lists of JSON integers)")
 
 
@@ -132,7 +133,7 @@ class MissingEdgeWitness:
     path: Tuple[int, ...]
 
     FIELDS = (("u", serialize.INTEGER), ("v", serialize.INTEGER), ("path", serialize.INTEGERS))
-    to_dict = serialize.to_dict
+    to_dict = serialize.encode
     from_dict = serialize.loader("missing_edge (u, v and the path must be JSON integers)")
 
 
@@ -260,24 +261,18 @@ class ComponentReport:
     complete: bool
     missing: Optional[Tuple[int, int]]
 
+    FIELDS = (("vertices", serialize.INTEGERS), ("complete", serialize.BOOLEAN),
+              ("missing", serialize.nullable(serialize.INTEGERS)))
+
 
 @dataclass(frozen=True)
 class CompletenessReport:
     components: Tuple[ComponentReport, ...]
     ok: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "components": [
-                {
-                    "vertices": list(c.vertices),
-                    "complete": c.complete,
-                    "missing": list(c.missing) if c.missing else None,
-                }
-                for c in self.components
-            ],
-        }
+    FIELDS = (("ok", serialize.BOOLEAN),
+              ("components", serialize.list_of(serialize.document(ComponentReport))))
+    to_dict = serialize.encode
 
 
 def check_component_completeness(g: SimpleGraph) -> CompletenessReport:

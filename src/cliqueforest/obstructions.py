@@ -10,10 +10,11 @@ the (non-compact) line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
+from . import serialize
 from .diffeo import (
     DEFAULT_GRID,
     Power,
@@ -185,17 +186,15 @@ class ObstructionCertificate:
     def reverify(self, oracle: CommutationOracle) -> bool:
         return all(oracle.commute(a, b) == want for a, b, want in self.facts())
 
-    def to_dict(self) -> dict:
-        return {
-            "g1": self.g1,
-            "g2": self.g2,
-            "h1": self.h1,
-            "h2": self.h2,
-            "facts": [
-                {"pair": [a, b], "commute": want} for a, b, want in self.facts()
-            ],
-            "scope_note": "search was over this finite element list only",
-        }
+    scope_note = "search was over this finite element list only"
+    FIELDS = (("g1", serialize.STRING), ("g2", serialize.STRING),
+              ("h1", serialize.STRING), ("h2", serialize.STRING),
+              ("facts", serialize.Codec(
+                  lambda facts: [{"pair": [a, b], "commute": want} for a, b, want in facts()],
+                  None, {"type": "array", "items": serialize.object_schema(
+                      (("pair", serialize.STRINGS), ("commute", serialize.BOOLEAN)))})),
+              ("scope_note", replace(serialize.STRING, decode=None)))
+    to_dict = serialize.encode
 
 
 def _lowest_bit(mask: int) -> int:
@@ -236,6 +235,8 @@ class CenterWitness:
     central: str
     noncommuting_pair: Tuple[str, str]
 
+    FIELDS = (("central", serialize.STRING), ("noncommuting_pair", serialize.STRINGS))
+
 
 def center_nonabelian_check(oracle: CommutationOracle) -> Tuple[bool, Optional[CenterWitness]]:
     """True with witnesses when some non-identity element commutes with every
@@ -253,8 +254,42 @@ def center_nonabelian_check(oracle: CommutationOracle) -> Tuple[bool, Optional[C
     return False, None
 
 
+@dataclass(frozen=True)
+class ObstructionSearch:
+    """The obstruct command's result on an element list: the first
+    centralizer quadruple, if any, and the center witness, if any."""
+
+    certificate: Optional[ObstructionCertificate]
+    center_witness: Optional[CenterWitness]
+    ball_size: int  # the number of elements searched
+
+    @property
+    def found(self) -> bool:
+        return self.certificate is not None
+
+    @property
+    def center_nonabelian(self) -> bool:
+        return self.center_witness is not None
+
+    FIELDS = (("found", replace(serialize.BOOLEAN, decode=None)),
+              ("certificate", serialize.nullable(serialize.document(ObstructionCertificate))),
+              ("center_nonabelian", replace(serialize.BOOLEAN, decode=None)),
+              ("center_witness", serialize.nullable(serialize.document(CenterWitness))),
+              ("ball_size", serialize.INTEGER))
+    to_dict = serialize.encode
+
+
 # ---------------------------------------------------------------------------
 # the line counterexample family
+
+
+class PowerResidual(NamedTuple):
+    n: int
+    witness_x: float
+    residual: float
+
+    FIELDS = (("n", serialize.INTEGER), ("witness_x", serialize.NUMBER),
+              ("residual", serialize.NUMBER))
 
 
 @dataclass(frozen=True)
@@ -273,26 +308,18 @@ class CounterexampleReport:
     domain: Tuple[float, float]
     res_fa_ga: float
     res_ga_gb: float
-    power_residuals: Tuple[Tuple[int, float, float], ...]  # (n, witness x, residual)
+    power_residuals: Tuple[PowerResidual, ...]
 
     @property
     def max_power_residual(self) -> float:
         return max((r for _, _, r in self.power_residuals), default=0.0)
 
-    def to_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "n_max": self.n_max,
-            "grid_n": self.grid_n,
-            "domain": list(self.domain),
-            "residual_fa_ga": self.res_fa_ga,
-            "residual_ga_gb": self.res_ga_gb,
-            "power_residuals": [
-                {"n": n, "witness_x": x, "residual": r}
-                for n, x, r in self.power_residuals
-            ],
-        }
+    FIELDS = (("a", serialize.NUMBER), ("b", serialize.NUMBER), ("n_max", serialize.INTEGER),
+              ("grid_n", serialize.INTEGER), ("domain", serialize.NUMBERS),
+              ("residual_fa_ga", replace(serialize.NUMBER, attr="res_fa_ga")),
+              ("residual_ga_gb", replace(serialize.NUMBER, attr="res_ga_gb")),
+              ("power_residuals", serialize.list_of(serialize.document(PowerResidual))))
+    to_dict = serialize.encode
 
 
 def remark_counterexample_suite(
@@ -308,10 +335,6 @@ def remark_counterexample_suite(
     ga, gb = Translation(2 * math.pi / a), Translation(2 * math.pi / b)
     res_fa_ga = commutator_residual(fa, ga, grid_n, domain)
     res_ga_gb = commutator_residual(ga, gb, grid_n, domain)
-    powers = []
-    for n in range(1, n_max + 1):
-        x, r = commutator_witness(Power(fa, n), Power(fb, n), grid_n, domain)
-        powers.append((n, x, r))
-    return CounterexampleReport(
-        a, b, n_max, grid_n, domain, res_fa_ga, res_ga_gb, tuple(powers)
-    )
+    powers = tuple(PowerResidual(n, *commutator_witness(Power(fa, n), Power(fb, n), grid_n, domain))
+                   for n in range(1, n_max + 1))
+    return CounterexampleReport(a, b, n_max, grid_n, domain, res_fa_ga, res_ga_gb, powers)

@@ -7,6 +7,7 @@ syllable normal form implemented here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .diffeo import (
@@ -21,8 +22,10 @@ from .diffeo import (
 from . import serialize
 from .graphs import (
     CliqueForest,
+    CompletenessReport,
     MissingEdgeWitness,
     SimpleGraph,
+    check_component_completeness,
     is_clique_forest,
 )
 
@@ -40,9 +43,6 @@ class NotApplicableError(ValueError):
 class Syllable:
     component: int
     exponents: Tuple[Tuple[int, int], ...]  # (vertex, exponent), vertex-sorted
-
-    def to_dict(self):
-        return {"component": self.component, "exponents": [list(p) for p in self.exponents]}
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,7 @@ class EmbeddabilityDecision:
     FIELDS = (("embeddable", serialize.BOOLEAN), ("manifold", serialize.MANIFOLD),
               ("clique_forest", serialize.document(CliqueForest, optional=True)),
               ("missing_edge", serialize.document(MissingEdgeWitness, optional=True)))
-    to_dict = serialize.to_dict
+    to_dict = serialize.encode
     from_dict = serialize.loader("decision")
 
     def __post_init__(self):
@@ -167,15 +167,16 @@ class CommutationGraphResult:
     grid_n: int
     residuals: Tuple[Tuple[int, int, float], ...]  # (i, j, best residual)
 
-    def to_dict(self) -> dict:
-        return {
-            "graph": self.graph.to_dict(),
-            "manifold": self.manifold.value,
-            "tol": self.tol,
-            "power_bound": self.power_bound,
-            "grid_n": self.grid_n,
-            "residuals": [[i, j, r] for i, j, r in self.residuals],
-        }
+    @cached_property
+    def completeness(self) -> CompletenessReport:
+        return check_component_completeness(self.graph)
+
+    FIELDS = (("graph", serialize.document(SimpleGraph)), ("manifold", serialize.ANY_MANIFOLD),
+              ("tol", serialize.NUMBER), ("power_bound", serialize.INTEGER),
+              ("grid_n", serialize.INTEGER),
+              ("residuals", serialize.rows(serialize.INTEGER, serialize.INTEGER, serialize.NUMBER)),
+              ("completeness", serialize.document(CompletenessReport)))
+    to_dict = serialize.encode
 
 
 def commutation_graph(

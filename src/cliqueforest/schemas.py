@@ -1,12 +1,15 @@
 """Published JSON schemas for the CLI output documents.
 
-The node, bump, decision, assignment and report schemas derive from the
-field tables of ``serialize`` and of the document classes; the fixpoints,
-commgraph and obstruct payloads are still written out here.
+Every schema derives from the field tables of ``serialize`` and of the
+document classes: the node and bump definitions from ``serialize.NODES``
+and ``serialize.BUMP_FIELDS``, and each document schema from the
+``FIELDS`` table of its class.
 """
 
-from .raag import EmbeddabilityDecision
-from .serialize import BUMP_FIELDS, NODES, object_schema
+from .diffeo import FixedPointSet
+from .obstructions import ObstructionSearch
+from .raag import CommutationGraphResult, EmbeddabilityDecision
+from .serialize import ANY_MANIFOLD, BUMP_FIELDS, NODES, object_schema
 from .synthesis import GeneratorAssignment, VerificationReport
 
 
@@ -42,54 +45,12 @@ def _document(cls: type) -> dict:
 EXPR_SCHEMA = {
     "type": "object",
     "required": ["manifold", "expr"],
-    "properties": {"manifold": {"enum": ["I", "S1", "R"]}, "expr": {"$ref": "#/$defs/node"}},
+    "properties": {"manifold": ANY_MANIFOLD.schema, "expr": {"$ref": "#/$defs/node"}},
     "$defs": _NODE_DEFS,
 }
 DECISION_SCHEMA = _document(EmbeddabilityDecision)
 ASSIGNMENT_SCHEMA = _document(GeneratorAssignment)
 REPORT_SCHEMA = _document(VerificationReport)
-
-FIXPOINTS_SCHEMA = {
-    "type": "object",
-    "required": ["points", "flags", "residual_tol", "degenerate", "grid_n"],
-    "properties": {
-        "points": {"type": "array", "items": {"type": "number"}},
-        "flags": {"type": "array", "items": {"enum": ["transverse", "tangency-suspect"]}},
-        "residual_tol": {"type": "number"},
-        "interval_signs": {"type": "array", "items": {"type": "integer"}},
-        "degenerate": {"type": "boolean"},
-        "grid_n": {"type": "integer"},
-    },
-}
-
-COMMGRAPH_SCHEMA = {
-    "type": "object",
-    "required": ["graph", "manifold", "tol", "power_bound", "grid_n", "completeness"],
-    "properties": {
-        "graph": {"type": "object"},
-        "manifold": {"enum": ["I", "S1", "R"]},
-        "tol": {"type": "number"},
-        "power_bound": {"type": "integer"},
-        "grid_n": {"type": "integer"},
-        "residuals": {"type": "array"},
-        "completeness": {
-            "type": "object",
-            "required": ["ok", "components"],
-        },
-    },
-}
-
-OBSTRUCTION_SCHEMA = {
-    "type": "object",
-    "required": ["found"],
-    "properties": {
-        "found": {"type": "boolean"},
-        "certificate": {
-            "type": ["object", "null"],
-            "required": ["g1", "g2", "h1", "h2", "facts"],
-        },
-        "center_nonabelian": {"type": "boolean"},
-        "center_witness": {"type": ["object", "null"]},
-        "ball_size": {"type": "integer"},
-    },
-}
+FIXPOINTS_SCHEMA = _document(FixedPointSet)
+COMMGRAPH_SCHEMA = _document(CommutationGraphResult)
+OBSTRUCTION_SCHEMA = _document(ObstructionSearch)

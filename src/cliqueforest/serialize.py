@@ -1,11 +1,14 @@
 """JSON formats: expression trees and the CLI documents.
 
 ``NODES`` is the one table of the expression format: for each node kind,
-the expression class and its fields, each with a codec.  Each document
-class (graph, clique forest, missing-edge witness, decision, alpha
-sequence, synthesis state, assignment, report) likewise declares its fields
-once, in its ``FIELDS`` table.  Encoding, decoding and the published
-schemas (``schemas``) all derive from these tables.
+the expression class and its fields, each with a codec.  Each class of a
+CLI document, or of a part of one, likewise declares its fields once, in
+its ``FIELDS`` table.  The graph, clique forest, missing-edge witness,
+decision, alpha sequence, synthesis state, assignment and report are also
+read back; the fixed-point set (whose table is here), completeness report,
+commutation graph, obstruction certificate, center witness, obstruction
+search and line counterexample report are only written.  Encoding, decoding
+and the published schemas (``schemas``) all derive from these tables.
 
 Numeric fields are decimal strings with 17 significant digits (exact float
 round trip), and only strings matching the schema's decimal pattern are read
@@ -25,6 +28,7 @@ from .diffeo import (
     BumpTrig,
     Compose,
     DiffeoExpr,
+    FixedPointSet,
     Identity,
     Inverse,
     Manifold,
@@ -118,33 +122,52 @@ INTEGERS = Codec(list, _checked(_int_list, "a list of integers", tuple),
 BOOLEAN = Codec(_same, _checked(lambda v: isinstance(v, bool), "a boolean"), {"type": "boolean"})
 NUMBER = Codec(_same, _checked(lambda v: _is_int(v) or isinstance(v, float), "a number"),
                {"type": "number"})
-STRINGS = Codec(list, _checked(lambda v: isinstance(v, list)
-                               and all(isinstance(s, str) for s in v), "a list of strings", tuple),
-                {"type": "array", "items": {"type": "string"}})
-MANIFOLD = Codec(lambda m: m.value,
-                 _checked(lambda v: v in ("I", "S1"), "manifold I or S1", Manifold),
-                 {"enum": ["I", "S1"]})
+STRING = Codec(_same, _checked(lambda v: isinstance(v, str), "a string"), {"type": "string"})
+
+
+def list_of(codec: Codec) -> Codec:
+    """Codec of a JSON list, each entry by ``codec``."""
+    def decode(vs, manifold):
+        if not isinstance(vs, list):
+            raise ExprFormatError(f"expected a list, got {reprlib.repr(vs)}")
+        return tuple(codec.decode(v, manifold) for v in vs)
+    return Codec(lambda vs: [codec.encode(v) for v in vs], decode,
+                 {"type": "array", "items": codec.schema})
+
+
+def rows(*columns: Codec) -> Codec:
+    """Codec of a list of rows of ``len(columns)`` scalars, the k-th entry of
+    each by the k-th codec.  Encoded a column at a time, which beats row by
+    row on the report's one margin row per scheduled word."""
+    width = len(columns)
+    return Codec(
+        lambda rs: [list(r) for r in zip(*[list(map(c.encode, col))
+                                           for c, col in zip(columns, zip(*rs))])],
+        _checked(lambda v: isinstance(v, list) and all(
+            isinstance(r, list) and len(r) == width for r in v), f"rows of {width} entries",
+            lambda v: tuple(tuple(c.decode(x, None) for c, x in zip(columns, r)) for r in v)),
+        {"type": "array", "items": {"type": "array", "prefixItems": [c.schema for c in columns],
+                                    "items": False, "minItems": width}})
+
+
+def _manifolds(*tags: str) -> Codec:
+    return Codec(lambda m: m.value,
+                 _checked(lambda v: v in tags, f"manifold {' or '.join(tags)}", Manifold),
+                 {"enum": list(tags)})
+
+
+NUMBERS = list_of(NUMBER)
+STRINGS = list_of(STRING)
+MANIFOLD = _manifolds("I", "S1")  # the manifolds of the decision theorem
+ANY_MANIFOLD = _manifolds(*(m.value for m in Manifold))  # the line too
 NODE = Codec(lambda e: expr_to_node(e), lambda v, m: node_to_expr(v, m), _NODE_REF)
-NODE_LIST = Codec(lambda es: [expr_to_node(e) for e in es],
-                  lambda vs, m: tuple(node_to_expr(v, m) for v in vs),
-                  {"type": "array", "items": _NODE_REF})
+NODE_LIST = list_of(NODE)
 # the bumps of a perturbed map: polynomial on I, trigonometric on S1
 _BUMP_CLASS = {Manifold.INTERVAL: BumpPoly, Manifold.CIRCLE: BumpTrig}
-BUMPS = Codec(lambda bs: [_encode(b, BUMP_FIELDS[type(b)]) for b in bs],
+BUMPS = Codec(lambda bs: [encode(b, BUMP_FIELDS[type(b)]) for b in bs],
               lambda vs, m: tuple(build(_BUMP_CLASS[m], v, BUMP_FIELDS[_BUMP_CLASS[m]], "bump", m)
                                   for v in vs),
               {"type": "array", "items": {"$ref": "#/$defs/bump"}})
-
-
-def integer_rows(width: Optional[int] = None) -> Codec:
-    """Codec of a list of rows of JSON integers, each of ``width`` entries
-    when given."""
-    sized = {"minItems": width, "maxItems": width} if width else {}
-    return Codec(lambda rows: [list(r) for r in rows],
-                 _checked(lambda v: isinstance(v, list) and all(
-                     _int_list(r) and len(r) == (width or len(r)) for r in v),
-                     f"rows of {width or 'any number of'} integers", lambda v: tuple(map(tuple, v))),
-                 {"type": "array", "items": {**INTEGERS.schema, **sized}})
 
 
 def records(*keys: str) -> Codec:
@@ -178,9 +201,11 @@ NODES: Dict[str, Tuple[type, Fields]] = {cls.KIND: (cls, fields) for cls, fields
 )}
 
 
-def _encode(obj, fields: Fields) -> dict:
+def encode(obj, fields: Optional[Fields] = None) -> dict:
+    """The JSON object of ``obj`` by ``fields``, by default the ``FIELDS``
+    table of its class: a document class takes this as its ``to_dict``."""
     doc = {}
-    for name, codec in fields:
+    for name, codec in type(obj).FIELDS if fields is None else fields:
         v = getattr(obj, codec.attr or name)
         if not (codec.optional and v is None):
             doc[name] = codec.encode(v)
@@ -201,13 +226,9 @@ def build(cls: Callable, d: dict, fields: Fields, what: str, manifold: Optional[
 
 
 # ---------------------------------------------------------------------------
-# documents: a class with a ``FIELDS`` table takes ``to_dict`` and ``from_dict``
-# from here, and ``schemas`` publishes ``object_schema`` of its table
-
-
-def to_dict(obj) -> dict:
-    """The document of ``obj``, by the ``FIELDS`` table of its class."""
-    return _encode(obj, type(obj).FIELDS)
+# documents: a class with a ``FIELDS`` table takes ``to_dict`` (``encode``) and,
+# when its documents are read back, ``from_dict`` from here, and ``schemas``
+# publishes ``object_schema`` of its table
 
 
 def loader(what: str) -> classmethod:
@@ -224,7 +245,7 @@ def object_schema(fields: Fields) -> dict:
 def document(cls: type, **kw) -> Codec:
     """Codec of a document nested in another, by the ``FIELDS`` table of its
     class; ``kw`` sets ``optional`` or ``attr``."""
-    return Codec(to_dict, lambda v, m: cls.from_dict(v), object_schema(cls.FIELDS), **kw)
+    return Codec(encode, lambda v, m: cls.from_dict(v), object_schema(cls.FIELDS), **kw)
 
 
 def nullable(codec: Codec) -> Codec:
@@ -234,8 +255,18 @@ def nullable(codec: Codec) -> Codec:
                    schema={"anyOf": [{"type": "null"}, codec.schema]})
 
 
+# diffeo cannot import this module, so the table of its fixed-point set is here
+FixedPointSet.FIELDS = (
+    ("points", NUMBERS),
+    ("flags", replace(STRINGS, schema={"type": "array",
+                                       "items": {"enum": ["transverse", "tangency-suspect"]}})),
+    ("residual_tol", NUMBER), ("interval_signs", INTEGERS), ("degenerate", BOOLEAN),
+    ("grid_n", INTEGER))
+FixedPointSet.to_dict = encode
+
+
 def expr_to_node(e: DiffeoExpr) -> dict:
-    return {"kind": e.kind(), **_encode(e, NODES[e.kind()][1])}
+    return {"kind": e.kind(), **encode(e, NODES[e.kind()][1])}
 
 
 def node_to_expr(node: dict, manifold: Manifold) -> DiffeoExpr:

@@ -13,7 +13,7 @@ two bumps are settled in one numpy pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, compress, repeat
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -32,6 +32,7 @@ from .diffeo import (
     PerturbedLiftS1,
     Power,
     RotationS1,
+    apply_letters,
     commutator_residual,
     commutator_witness,
     point_distance,
@@ -39,7 +40,6 @@ from .diffeo import (
 from .graphs import CliqueForest, MissingEdgeWitness, SimpleGraph, is_clique_forest
 from .raag import NotApplicableError, normal_form
 from . import serialize
-from .serialize import _fmt
 
 # word letters: (sym, sign) with sym 0 = f and sym n >= 1 = g_n; sign is +-1
 Letter = Tuple[int, int]
@@ -86,7 +86,7 @@ class AlphaSequence:
 
     FIELDS = (("alphas", serialize.DECIMALS), ("k_bound", serialize.INTEGER),
               ("min_relation", serialize.DECIMAL))
-    to_dict = serialize.to_dict
+    to_dict = serialize.encode
     from_dict = serialize.loader("alpha sequence")
 
 
@@ -344,7 +344,7 @@ class SynthesisState:
               ("eps", serialize.DECIMALS), ("bumps", serialize.BUMPS),
               ("lambda_est", serialize.DECIMAL), ("grid_n", serialize.INTEGER),
               ("min_derivative", serialize.DECIMAL), ("deriv_lower_bound", serialize.DECIMAL))
-    to_dict = serialize.to_dict
+    to_dict = serialize.encode
     from_dict = serialize.loader("synthesis state")
 
     def __post_init__(self):
@@ -369,16 +369,10 @@ class SynthesisState:
         return enumerate_words(self.num_g, self.max_len)
 
 
-def _word_apply(word: FreeWord, f: DiffeoExpr, gens: Sequence[DiffeoExpr], x: float) -> float:
-    """Apply a free word to x (right to left), on lifts for the circle."""
-    for sym, sign in reversed(word):
-        e = f if sym == 0 else gens[sym - 1]
-        x = e._raw(x) if sign > 0 else e._inv_raw(x)
-    return x
-
-
 def _word_margin(word, f, gens, p, manifold) -> float:
-    return point_distance(manifold, _word_apply(word, f, gens, p), p)
+    exprs = (f, *gens)
+    x = apply_letters([(exprs[sym], sign) for sym, sign in word], p)
+    return point_distance(manifold, x, p)
 
 
 def _schedule_margins(f: DiffeoExpr, gens: Sequence[DiffeoExpr], p: float,
@@ -389,7 +383,7 @@ def _schedule_margins(f: DiffeoExpr, gens: Sequence[DiffeoExpr], p: float,
     Walks the levels of the schedule over the values at p of all reduced
     words, ``value(l w) = l(value(w))``: letter i is ``exprs[i // 2]``,
     inverted for odd i, applied once per level to the words it precedes.
-    The float operations are those of ``_word_apply``, so the margins are
+    The float operations are those of ``apply_letters``, so the margins are
     bitwise equal to ``_word_margin``.
     """
     exprs = (f,) + tuple(gens)
@@ -647,10 +641,11 @@ class GeneratorAssignment:
 
     FIELDS = (("graph", serialize.document(SimpleGraph)), ("manifold", serialize.MANIFOLD),
               ("clique_forest", serialize.document(CliqueForest, attr="forest")),
-              ("alphas", serialize.document(AlphaSequence)), ("layout", serialize.integer_rows(3)),
+              ("alphas", serialize.document(AlphaSequence)),
+              ("layout", serialize.rows(serialize.INTEGER, serialize.INTEGER, serialize.INTEGER)),
               ("f", serialize.NODE), ("gens", serialize.NODE_LIST),
               ("state", serialize.nullable(serialize.document(SynthesisState))))
-    to_dict = serialize.to_dict
+    to_dict = serialize.encode
 
     def expr_for(self, v: int) -> DiffeoExpr:
         for vv, i, n in self.layout:
@@ -727,12 +722,6 @@ def synthesize_embedding(
 # verification
 
 
-def _margin_rows(rows, manifold) -> Tuple[Tuple[int, float, float], ...]:
-    """The report's [index, margin, threshold] rows."""
-    num, dec = serialize.INTEGER.decode, serialize.DECIMAL.decode
-    return tuple((num(i, None), dec(m, None), dec(t, None)) for i, m, t in rows)
-
-
 @dataclass(frozen=True)
 class VerificationReport:
     ok: bool
@@ -756,15 +745,12 @@ class VerificationReport:
                   {"type": "string"}, attr="word_len")),
               ("edge_checks", serialize.records("u", "v", "residual", "ok")),
               ("non_edge_checks", serialize.records("u", "v", "witness_x", "residual", "ok")),
-              ("margins", serialize.Codec(
-                  lambda rows: [[i, _fmt(m), _fmt(t)] for i, m, t in rows], _margin_rows, {
-                      "type": "array", "items": {"type": "array", "items": False, "prefixItems": [
-                          {"type": "integer"}, serialize.DECIMAL.schema, serialize.DECIMAL.schema]},
-                  }, attr="margin_checks")),
+              ("margins", replace(serialize.rows(serialize.INTEGER, serialize.DECIMAL,
+                                                 serialize.DECIMAL), attr="margin_checks")),
               ("margin_failures", serialize.records("index", "word", "margin", "threshold")),
               ("pure_g_checked", serialize.INTEGER), ("pure_g_all_nontrivial", serialize.BOOLEAN),
               ("notes", serialize.STRINGS))
-    to_dict = serialize.to_dict
+    to_dict = serialize.encode
     from_dict = serialize.loader("report")
 
 

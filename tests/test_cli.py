@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from itertools import combinations
 
@@ -9,8 +10,10 @@ from cliqueforest import (
     EmbeddabilityDecision,
     GeneratorAssignment,
     MobiusI,
+    Power,
     RotationS1,
     SimpleGraph,
+    SineShear,
     VerificationReport,
     dumps_expr,
 )
@@ -139,6 +142,23 @@ class TestInputErrors:
         with pytest.raises(SystemExit) as ei:
             main(argv)
         assert ei.value.code == 2
+
+    @pytest.mark.parametrize("flags", [["--grid", "1"], ["--grid", "0"], ["--tol", "nan"],
+                                       ["--tol", "-1"], ["--tol", "0"], ["--tol", "inf"]],
+                             ids=["grid-1", "grid-0", "tol-nan", "tol-neg", "tol-0", "tol-inf"])
+    @pytest.mark.parametrize("argv", [["synthesize", "k2k3.txt", "--word-len", "3"],
+                                      ["verify", "asg.json"], ["fixpoints", "e.json"],
+                                      ["commgraph", "e.json"]],
+                             ids=["synthesize", "verify", "fixpoints", "commgraph"])
+    def test_degenerate_grid_and_tol_rejected(self, capsys, argv, flags):
+        # a grid of fewer than two cells or a tolerance that is not a finite
+        # positive number is an input error, never a finding (exit 1)
+        with pytest.raises(SystemExit) as ei:
+            main(argv + flags)
+        assert ei.value.code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert ("grid must be at least 2" if "--grid" in flags
+                else "tol must be finite and positive") in err
 
     @pytest.mark.parametrize("argv", [["--help"], ["synthesize", "--help"],
                                       ["decide"], ["verify", "a.json", "--word-len", "x"]])
@@ -382,11 +402,33 @@ class TestFixpoints:
         jsonschema.validate(doc, FIXPOINTS_SCHEMA)
         assert doc["points"] == [0.0, 1.0]
         assert not doc["degenerate"]
+        # typed by the field table: interval_signs is required, flags enumerated
+        malformed = {k: v for k, v in doc.items() if k != "interval_signs"}
+        for bad in ({**malformed, "residual_tol": 1}, {**doc, "flags": ["fixed"]},
+                    {**doc, "points": ["0"]}):
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(bad, FIXPOINTS_SCHEMA)
 
     def test_degenerate_flagged(self, tmp_path):
         ef = tmp_path / "e.json"
         ef.write_text(dumps_expr(RotationS1(0.0)))
-        assert main(["fixpoints", str(ef), "--out", str(tmp_path / "o.json")]) == EXIT_FINDING
+        out = tmp_path / "o.json"
+        assert main(["fixpoints", str(ef), "--out", str(out)]) == EXIT_FINDING
+        doc = json.loads(out.read_text())
+        jsonschema.validate(doc, FIXPOINTS_SCHEMA)
+        assert doc["degenerate"] and set(doc["flags"]) == {"tangency-suspect"}
+
+    def test_line_sine_shear(self, tmp_path):
+        ef = tmp_path / "e.json"
+        ef.write_text(dumps_expr(SineShear(1.0)))
+        out = tmp_path / "fp.json"
+        assert main(["fixpoints", str(ef), "--lo", "0", "--hi", "12.5",
+                     "--out", str(out)]) == EXIT_OK
+        doc = json.loads(out.read_text())
+        jsonschema.validate(doc, FIXPOINTS_SCHEMA)
+        # sin(x)/2 vanishes at the multiples of pi, with f - id changing sign
+        assert doc["points"] == pytest.approx([0.0, math.pi, 2 * math.pi, 3 * math.pi])
+        assert doc["interval_signs"] == [1, -1, 1]
 
     def test_bad_expr_file(self, tmp_path):
         ef = tmp_path / "e.json"
@@ -419,6 +461,24 @@ class TestCommGraph:
         jsonschema.validate(doc, COMMGRAPH_SCHEMA)
         assert doc["completeness"]["ok"]
         assert "0 -- 1" in dot.read_text()
+        malformed = {**doc, "graph": {"n": "five", "edges": "none"},
+                     "completeness": {"ok": "yes", "components": 3}}
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(malformed, COMMGRAPH_SCHEMA)
+
+    def test_circle_power_search(self, tmp_path):
+        paths = []
+        for i, e in enumerate((RotationS1(0.25), Power(RotationS1(0.1), 3))):
+            paths.append(tmp_path / f"e{i}.json")
+            paths[-1].write_text(dumps_expr(e))
+        out = tmp_path / "cg.json"
+        assert main(["commgraph", *map(str, paths), "--power-bound", "4",
+                     "--out", str(out)]) == EXIT_OK
+        doc = json.loads(out.read_text())
+        jsonschema.validate(doc, COMMGRAPH_SCHEMA)
+        assert doc["manifold"] == "S1" and doc["power_bound"] == 4
+        assert [row[:2] for row in doc["residuals"]] == [[0, 1]]
+        assert doc["graph"] == {"n": 2, "edges": [[0, 1]]}
 
     def test_identity_map_rejected(self, tmp_path):
         p = tmp_path / "e.json"
@@ -434,6 +494,9 @@ class TestObstruct:
         jsonschema.validate(doc, OBSTRUCTION_SCHEMA)
         assert doc["found"]
         assert doc["center_nonabelian"]
+        malformed = {"g1": 1, "g2": None, "h1": [], "h2": {}, "facts": 0}
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate({**doc, "certificate": malformed}, OBSTRUCTION_SCHEMA)
 
     def test_abelian_elements_file(self, tmp_path):
         ef = tmp_path / "elems.txt"
@@ -444,7 +507,9 @@ class TestObstruct:
         )
         out = tmp_path / "ob.json"
         assert main(["obstruct", "--elements", str(ef), "--out", str(out)]) == EXIT_OK
-        assert not json.loads(out.read_text())["found"]
+        doc = json.loads(out.read_text())
+        jsonschema.validate(doc, OBSTRUCTION_SCHEMA)
+        assert not doc["found"] and doc["certificate"] is None
 
     def test_malformed_elements(self, tmp_path):
         ef = tmp_path / "elems.txt"
