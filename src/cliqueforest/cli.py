@@ -16,13 +16,11 @@ from . import serialize
 from .diffeo import (
     DEFAULT_GRID,
     DiffeoExpr,
-    DomainError,
     InvariantBreach,
     Manifold,
-    TagMismatchError,
     fixed_points,
 )
-from .graphs import GraphFormatError, parse_graph, to_dot
+from .graphs import parse_graph, to_dot
 from .obstructions import (
     ObstructionSearch,
     center_nonabelian_check,
@@ -30,7 +28,7 @@ from .obstructions import (
     heisenberg_ball,
     parse_oracle,
 )
-from .raag import EmbeddabilityDecision, NotApplicableError, commutation_graph, embeddable_raag
+from .raag import EmbeddabilityDecision, commutation_graph, embeddable_raag
 from .synthesis import (
     GeneratorAssignment,
     NotEmbeddableError,
@@ -230,14 +228,9 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphFormatError, serialize.ExprFormatError, NotApplicableError,
-            DomainError, TagMismatchError, json.JSONDecodeError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, FileNotFoundError) as exc:
+        # graph, expression and JSON format errors, DomainError,
+        # TagMismatchError and NotApplicableError are all ValueErrors
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InvariantBreach as exc:

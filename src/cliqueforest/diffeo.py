@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -68,7 +68,7 @@ class BumpPoly:
         if self.k < 1:
             raise ValueError("shape exponent must be >= 1")
         if self.sup_bound is not None or self.deriv_bound is not None:
-            xs = np.linspace(0.0, 1.0, DEFAULT_GRID + 1)
+            xs = _grid(Manifold.INTERVAL, DEFAULT_GRID)
             if self.sup_bound is not None and np.max(np.abs(self.values(xs))) >= self.sup_bound:
                 raise InvariantBreach(f"bump stage {self.stage}: sup bound violated")
             if self.deriv_bound is not None and np.max(np.abs(self.deriv_values(xs))) >= self.deriv_bound:
@@ -124,19 +124,30 @@ class BumpTrig:
 # expression nodes
 
 
+Letters = Tuple[Tuple["DiffeoExpr", int], ...]
+
+
 class DiffeoExpr:
     """Base class: an orientation-preserving analytic map of one 1-manifold.
 
-    Subclasses implement ``_raw`` / ``_draw`` on the model domain ([0,1] for I,
-    the lift for S^1, all of R for the line).  Both accept a float or a
-    float64 ndarray; on an ndarray they compute, element by element, the
-    same float operations in the same order as on a float.  ``KIND`` names
-    the node in the JSON format (``serialize.NODES``); a class that fixes
-    its manifold states it as the class attribute ``manifold``.
+    Every expression is the flat sequence of its ``letters``, (leaf, +-1)
+    pairs applied right to left, a negative sign meaning the leaf's inverse:
+    a leaf is its own single letter, and ``Compose``, ``Inverse`` and
+    ``Power`` are evaluated through their letters only.  Leaves implement
+    ``_raw`` / ``_draw`` on the model domain ([0,1] for I, the lift for
+    S^1, all of R for the line).  Both accept a float or a float64 ndarray;
+    on an ndarray they compute, element by element, the same float
+    operations in the same order as on a float.  ``KIND`` names the node in
+    the JSON format (``serialize.NODES``); a class that fixes its manifold
+    states it as the class attribute ``manifold``.
     """
 
     KIND: str
     manifold: Manifold
+
+    @property
+    def letters(self) -> Letters:
+        return ((self, 1),)
 
     def _raw(self, x: float) -> float:
         raise NotImplementedError
@@ -148,8 +159,9 @@ class DiffeoExpr:
         """Invert via guaranteed-bracketing monotone root search.
 
         Perturbed maps use this; Möbius, rotation and translation maps
-        override it with their closed-form inverses.  An ndarray is inverted
-        elementwise by ``_solve_increasing_array``.
+        override it with their closed-form inverses, and composites apply
+        their inverted letters.  An ndarray is inverted elementwise by
+        ``_solve_increasing_array``.
         """
         if isinstance(y, np.ndarray):
             return _solve_increasing_array(self, y)
@@ -287,7 +299,7 @@ class PerturbedF(_IdentityPlusBumps):
             coeffs = P.polyadd(coeffs, b.coeffs)
         self._coeffs = tuple(float(v) for v in coeffs)
         self._dcoeffs = tuple(float(v) for v in P.polyder(self._coeffs))
-        xs = np.linspace(0.0, 1.0, grid_n + 1)
+        xs = _grid(self.manifold, grid_n)
         dmin = float(np.min(P.polyval(xs, self._dcoeffs)))
         if dmin <= 0:
             raise InvariantBreach(f"perturbed map not increasing (min grid derivative {dmin})")
@@ -313,7 +325,7 @@ class PerturbedLiftS1(_IdentityPlusBumps):
 
     def __init__(self, bumps: Sequence[BumpTrig] = (), grid_n: int = DEFAULT_GRID):
         self.bumps = tuple(bumps)
-        xs = np.linspace(0.0, 1.0, grid_n + 1)
+        xs = _grid(self.manifold, grid_n)
         d = np.ones_like(xs)
         for b in self.bumps:
             d = d + b.deriv(xs)
@@ -337,8 +349,39 @@ class PerturbedLiftS1(_IdentityPlusBumps):
         return d
 
 
+def _invert(letters: Letters) -> Letters:
+    """The letters of the inverse map: reversed, with their signs flipped."""
+    return tuple((e, -s) for e, s in reversed(letters))
+
+
+class _Composite(DiffeoExpr):
+    """A composite node, evaluated as its flat letter sequence: the value
+    and the inverse apply the letters, the derivative is the chain rule
+    over them."""
+
+    def _raw(self, x):
+        return apply_letters(self.letters, x)
+
+    def _inv_raw(self, y):
+        return apply_letters(_invert(self.letters), y)
+
+    def _draw(self, x):
+        d = 1.0
+        for e, s in reversed(self.letters):
+            if s > 0:
+                d *= e._draw(x)
+                x = e._raw(x)
+            else:
+                x = e._inv_raw(x)
+                di = e._draw(x)
+                if np.any(di <= 0):
+                    raise InvariantBreach(f"non-positive derivative at preimage {x}")
+                d /= di
+        return d
+
+
 @dataclass(frozen=True)
-class Compose(DiffeoExpr):
+class Compose(_Composite):
     """Compose(parts) applies parts right to left: parts[0] o ... o parts[-1]."""
 
     KIND = "compose"
@@ -355,26 +398,13 @@ class Compose(DiffeoExpr):
     def manifold(self):
         return self.parts[0].manifold
 
-    def _raw(self, x):
-        for p in reversed(self.parts):
-            x = p._raw(x)
-        return x
-
-    def _draw(self, x):
-        d = 1.0
-        for p in reversed(self.parts):
-            d *= p._draw(x)
-            x = p._raw(x)
-        return d
-
-    def _inv_raw(self, y):
-        for p in self.parts:
-            y = p._inv_raw(y)
-        return y
+    @cached_property
+    def letters(self) -> Letters:
+        return tuple(l for p in self.parts for l in p.letters)
 
 
 @dataclass(frozen=True)
-class Inverse(DiffeoExpr):
+class Inverse(_Composite):
     KIND = "inverse"
     inner: DiffeoExpr
 
@@ -382,22 +412,13 @@ class Inverse(DiffeoExpr):
     def manifold(self):
         return self.inner.manifold
 
-    def _raw(self, x):
-        return self.inner._inv_raw(x)
-
-    def _draw(self, x):
-        y = self.inner._inv_raw(x)
-        d = self.inner._draw(y)
-        if np.any(d <= 0):
-            raise InvariantBreach(f"non-positive derivative at preimage {y}")
-        return 1.0 / d
-
-    def _inv_raw(self, y):
-        return self.inner._raw(y)
+    @cached_property
+    def letters(self) -> Letters:
+        return _invert(self.inner.letters)
 
 
 @dataclass(frozen=True)
-class Power(DiffeoExpr):
+class Power(_Composite):
     KIND = "power"
     inner: DiffeoExpr
     exponent: int
@@ -406,32 +427,10 @@ class Power(DiffeoExpr):
     def manifold(self):
         return self.inner.manifold
 
-    def _raw(self, x):
-        if self.exponent >= 0:
-            for _ in range(self.exponent):
-                x = self.inner._raw(x)
-        else:
-            for _ in range(-self.exponent):
-                x = self.inner._inv_raw(x)
-        return x
-
-    def _draw(self, x):
-        d = 1.0
-        if self.exponent >= 0:
-            for _ in range(self.exponent):
-                d *= self.inner._draw(x)
-                x = self.inner._raw(x)
-        else:
-            for _ in range(-self.exponent):
-                x = self.inner._inv_raw(x)
-                di = self.inner._draw(x)
-                if np.any(di <= 0):
-                    raise InvariantBreach("non-positive derivative in inverse power")
-                d /= di
-        return d
-
-    def _inv_raw(self, y):
-        return Power(self.inner, -self.exponent)._raw(y)
+    @cached_property
+    def letters(self) -> Letters:
+        base = self.inner.letters if self.exponent >= 0 else _invert(self.inner.letters)
+        return base * abs(self.exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +619,7 @@ def lift_evaluate(e: DiffeoExpr, x: float) -> float:
 
 
 def derivative(e: DiffeoExpr, x: float) -> float:
-    """Derivative of ``e`` at ``x`` by the chain rule over the tree."""
+    """Derivative of ``e`` at ``x`` by the chain rule over its letters."""
     x = _check_domain(e, x)
     d = e._draw(x)
     if d <= 0:
@@ -651,16 +650,19 @@ class FixedPointSet:
     degenerate: bool  # |f - id| < tol on the whole grid
     grid_n: int
 
-    def transverse_points(self) -> Tuple[float, ...]:
-        return tuple(p for p, fl in zip(self.points, self.flags) if fl == "transverse")
 
-
-def _grid(m: Manifold, grid_n: int, domain=None):
+def _grid(m: Manifold, grid_n: int, domain=None) -> np.ndarray:
+    """The grid_n + 1 evenly spaced points of [0, 1] (I, and the lift of
+    S^1 over one turn) or, on the line, of ``domain`` = (lo, hi), which must
+    be finite with lo < hi."""
+    lo, hi = 0.0, 1.0
     if m is Manifold.LINE:
         if domain is None:
             raise DomainError("line expressions need an explicit (lo, hi) domain")
-        return np.linspace(domain[0], domain[1], grid_n + 1)
-    return np.linspace(0.0, 1.0, grid_n + 1)
+        lo, hi = domain
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise DomainError(f"line domain ({lo}, {hi}) is not finite with lo < hi")
+    return np.linspace(lo, hi, grid_n + 1)
 
 
 def fixed_points(
@@ -765,16 +767,13 @@ def apply_letters(letters: Sequence[Tuple[DiffeoExpr, int]], x):
     return x
 
 
-def _grid_sup(seq, grid_n: int, domain) -> Tuple[float, float]:
-    """(x, r): the first grid point maximizing r = dist(seq(x), x), where
-    ``seq`` = [(expr, +-1), ...] is applied right to left to the whole grid
-    in one array pass; circle distances are lifted angular distances."""
-    m = seq[0][0].manifold
-    for e, _ in seq:
-        if e.manifold is not m:
-            raise TagMismatchError(f"{m} vs {e.manifold}")
+def _grid_sup(e: DiffeoExpr, grid_n: int, domain) -> Tuple[float, float]:
+    """(x, r): the first grid point maximizing r = dist(e(x), x), with ``e``
+    evaluated on the whole grid in one array pass; circle distances are
+    lifted angular distances."""
+    m = e.manifold
     xs = _grid(m, grid_n, domain)
-    r = point_distance(m, apply_letters(seq, xs), xs)
+    r = point_distance(m, e._raw(xs), xs)
     i = int(np.argmax(r))
     return float(xs[i]), float(r[i])
 
@@ -801,7 +800,7 @@ def commutator_witness(
     domain=None,
 ) -> Tuple[float, float]:
     """(x, residual) maximizing the commutator residual over the grid."""
-    return _grid_sup(((e1, 1), (e2, 1), (e1, -1), (e2, -1)), grid_n, domain)
+    return _grid_sup(Compose((e1, e2, Inverse(e1), Inverse(e2))), grid_n, domain)
 
 
 Word = Sequence[Tuple[str, int]]
@@ -814,28 +813,14 @@ def word_evaluate(word: Word, assignment: Mapping[str, DiffeoExpr], x: float) ->
     Negative exponents invert in closed form for Möbius, rotation and
     translation maps, and by monotone root search for perturbed maps.
     """
-    exprs = []
-    tag = None
-    for name, k in word:
+    if not word:
+        return x
+    for name, _ in word:
         if name not in assignment:
             raise KeyError(f"unassigned generator name {name!r}")
-        e = assignment[name]
-        if tag is None:
-            tag = e.manifold
-        elif e.manifold is not tag:
-            raise TagMismatchError(f"{e.manifold} vs {tag} for {name!r}")
-        exprs.append((e, k))
-    if tag is None:
-        return x
-    x = apply_letters([(e, k) for e, k in exprs for _ in range(abs(k))],
-                      _check_domain(exprs[0][0], x))
-    if tag is Manifold.INTERVAL:
-        return min(max(x, 0.0), 1.0)
-    if tag is Manifold.CIRCLE:
-        return x % 1.0
-    return x
+    return evaluate(Compose(tuple(Power(assignment[name], k) for name, k in word)), x)
 
 
 def identity_residual(e: DiffeoExpr, grid_n: int = DEFAULT_GRID, domain=None) -> float:
     """Grid sup of |e(x) - x| (distance from the identity map)."""
-    return _grid_sup(((e, 1),), grid_n, domain)[1]
+    return _grid_sup(e, grid_n, domain)[1]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import chain, compress, repeat
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -32,6 +33,7 @@ from .diffeo import (
     PerturbedLiftS1,
     Power,
     RotationS1,
+    _grid,
     apply_letters,
     commutator_residual,
     commutator_witness,
@@ -400,7 +402,7 @@ def _schedule_margins(f: DiffeoExpr, gens: Sequence[DiffeoExpr], p: float,
 
 
 def _measure_lambda(f: DiffeoExpr, gens: Sequence[DiffeoExpr], grid_n: int) -> float:
-    xs = np.linspace(0.0, 1.0, grid_n + 1)
+    xs = _grid(f.manifold, grid_n)
     lam = 1.0
     for e in list(gens) + [f]:
         ds = e._draw(xs)
@@ -421,45 +423,22 @@ _TRIG_PHASES: Tuple[float, ...] = (0.0, math.pi / 2, math.pi / 4)
 
 def _candidate_bumps(manifold, stage, sup_budget, deriv_budget, grid_n):
     """Deterministic candidate list honouring the stage budgets strictly."""
-    xs = np.linspace(0.0, 1.0, grid_n + 1)
-    cands = []
+    bounds = dict(stage=stage, sup_bound=sup_budget, deriv_bound=deriv_budget)
     if manifold is Manifold.INTERVAL:
+        xs = _grid(manifold, grid_n)
+        shapes = []  # (largest coefficient, bump constructor) per shape
         for k, t in _POLY_SHAPES:
             probe = BumpPoly(1.0, stage, k, t)
             s_sup = float(np.max(np.abs(probe.values(xs))))
             ds_sup = float(np.max(np.abs(probe.deriv_values(xs))))
-            cmax = 0.999 * min(sup_budget / s_sup, deriv_budget / ds_sup)
-            if not (cmax > 0 and math.isfinite(cmax)):
-                continue
-            for frac in (2, 4, 8):
-                for sign in (1.0, -1.0):
-                    cands.append(
-                        BumpPoly(
-                            sign * cmax / frac,
-                            stage,
-                            k,
-                            t,
-                            sup_bound=sup_budget,
-                            deriv_bound=deriv_budget,
-                        )
-                    )
+            shapes.append((0.999 * min(sup_budget / s_sup, deriv_budget / ds_sup),
+                           partial(BumpPoly, k=k, t_coeffs=t, **bounds)))
     else:
-        for phase in _TRIG_PHASES:
-            cmax = 0.999 * min(sup_budget, deriv_budget / (2 * math.pi))
-            if not (cmax > 0 and math.isfinite(cmax)):
-                continue
-            for frac in (2, 4, 8):
-                for sign in (1.0, -1.0):
-                    cands.append(
-                        BumpTrig(
-                            sign * cmax / frac,
-                            stage,
-                            phase,
-                            sup_bound=sup_budget,
-                            deriv_bound=deriv_budget,
-                        )
-                    )
-    return cands
+        cmax = 0.999 * min(sup_budget, deriv_budget / (2 * math.pi))
+        shapes = [(cmax, partial(BumpTrig, phase=phase, **bounds)) for phase in _TRIG_PHASES]
+    return [make(sign * cmax / frac)
+            for cmax, make in shapes if cmax > 0 and math.isfinite(cmax)
+            for frac in (2, 4, 8) for sign in (1.0, -1.0)]
 
 
 def _build_f(manifold, bumps, grid_n):
@@ -580,7 +559,7 @@ def _perturb_f_at(gens, p, opts, manifold):
             f"{float(final[bad])} <= D/2 = {float(margins[bad]) / 2}"
         )
 
-    xs = np.linspace(0.0, 1.0, grid_n + 1)
+    xs = _grid(manifold, grid_n)
     min_deriv = float(np.min(final_f._draw(xs)))
     bound = 1.0 - sum(math.ldexp(1.0, -(b.stage + 1)) for b in bumps)
     state = SynthesisState(

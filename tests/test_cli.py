@@ -486,6 +486,20 @@ class TestCommGraph:
         assert main(["commgraph", str(p)]) == EXIT_INPUT
 
 
+
+class TestLineDomain:
+    @pytest.mark.parametrize("command", ["fixpoints", "commgraph"])
+    @pytest.mark.parametrize("bounds", [["--lo", "nan"], ["--lo", "5", "--hi", "1"],
+                                        ["--hi", "inf"]],
+                             ids=["nan-lo", "reversed", "infinite-hi"])
+    def test_bad_domain_rejected(self, tmp_path, capsys, command, bounds):
+        ef = tmp_path / "e.json"
+        ef.write_text(dumps_expr(SineShear(1.0)))
+        out = tmp_path / "o.json"
+        assert main([command, str(ef), *bounds, "--out", str(out)]) == EXIT_INPUT
+        assert "line domain" in capsys.readouterr().err
+        assert not out.exists()
+
 class TestObstruct:
     def test_heisenberg_default(self, tmp_path):
         out = tmp_path / "ob.json"

@@ -525,3 +525,56 @@ class TestArrayGridPath:
         for n in (0, -1, 1):
             f = lambda x: e._raw(x) - x - n  # noqa: E731
             assert _roots_on_grid(f, xs, rs - n, 1e-10) == _reference_roots(f, xs, 1e-10)
+
+
+class TestLetters:
+    """Composites are evaluated as their flat letter sequence."""
+
+    F = PerturbedF((BumpPoly(0.1, 1),))
+    G, H = MobiusI(2.3), MobiusI(0.7)
+    REGROUPINGS = [
+        (Compose((Power(F, 2), G)), Compose((F, F, G))),
+        (Compose((Compose((F, G)), H)), Compose((F, Compose((G, H))))),
+        (Inverse(Compose((F, G))), Compose((Inverse(G), Inverse(F)))),
+        (Power(Compose((F, G)), -2), Compose((Inverse(G), Inverse(F), Inverse(G), Inverse(F)))),
+        (Inverse(Power(F, 3)), Power(Inverse(F), 3)),
+        (Compose((Power(F, 0), G)), G),
+    ]
+
+    def test_composites_have_no_evaluators_of_their_own(self):
+        for cls in (Compose, Inverse, Power):
+            assert not {"_raw", "_inv_raw", "_draw"} & set(vars(cls)), cls
+
+    def test_letters(self):
+        f, g = self.F, self.G
+        assert f.letters == ((f, 1),)
+        assert Power(f, -2).letters == ((f, -1), (f, -1))
+        assert Compose((f, Inverse(g))).letters == ((f, 1), (g, -1))
+        assert Inverse(Compose((f, Inverse(g)))).letters == ((g, 1), (f, -1))
+        assert Power(f, 0).letters == () and Power(f, 0).manifold is Manifold.INTERVAL
+        assert evaluate(Power(f, 0), 0.3) == 0.3
+
+    @pytest.mark.parametrize("pair", range(len(REGROUPINGS)))
+    def test_regrouping_keeps_values_and_derivatives(self, pair):
+        a, b = self.REGROUPINGS[pair]
+        assert a.letters == b.letters
+        for x in (0.0, 0.3, 0.7071, 1.0):
+            assert evaluate(a, x) == evaluate(b, x)
+            assert derivative(a, x) == derivative(b, x)
+        for n in (8, 100):
+            xs = np.linspace(0.0, 1.0, n)
+            for method in ("_raw", "_inv_raw", "_draw"):
+                assert _bits(getattr(a, method)(xs)) == _bits(getattr(b, method)(xs)), method
+
+    @pytest.mark.parametrize("e, domain", [
+        (SineShear(1.0), (float("nan"), 1.0)),
+        (SineShear(1.0), (5.0, 1.0)),
+        (SineShear(1.0), (2.0, 2.0)),
+        (Translation(0.5), (0.0, float("inf"))),
+        (Translation(0.5), (float("-inf"), 0.0)),
+    ])
+    def test_line_domain_must_be_finite_and_increasing(self, e, domain):
+        with pytest.raises(DomainError, match="line domain"):
+            fixed_points(e, 64, 1e-10, domain)
+        with pytest.raises(DomainError, match="line domain"):
+            identity_residual(e, 64, domain)

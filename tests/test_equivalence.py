@@ -1,11 +1,12 @@
-"""The bitset obstruction search, the labelled clique-forest decision and
-the array-held synthesis schedule against the procedures they replaced.
+"""The bitset obstruction search, the labelled clique-forest decision, the
+array-held synthesis schedule and the letter-sequence evaluation of
+composite maps against the procedures they replaced.
 
 The reference functions below are those procedures, kept verbatim in
 behaviour: the four-loop quadruple search, the all-pairs center check, the
 BFS component walk with its first-missing-pair witness, the per-line
-edge-list parser, and the stage-by-stage perturbation recursion over word
-tuples.  Their commutation predicate multiplies the matrices, so the closed
+edge-list parser, the stage-by-stage perturbation recursion over word
+tuples, and the per-node recursion of Compose, Inverse and Power.  Their commutation predicate multiplies the matrices, so the closed
 form of ``commutes_with`` is checked on the way.
 """
 import math
@@ -30,7 +31,22 @@ from cliqueforest import (
     heisenberg_ball,
     is_clique_forest,
 )
-from cliqueforest import Manifold, MobiusI, RotationS1, choose_alphas, enumerate_words
+from cliqueforest import (
+    BumpPoly,
+    BumpTrig,
+    Compose,
+    Inverse,
+    Manifold,
+    MobiusI,
+    PerturbedF,
+    PerturbedLiftS1,
+    Power,
+    RotationS1,
+    SineShear,
+    Translation,
+    choose_alphas,
+    enumerate_words,
+)
 from cliqueforest import graphs, synthesis
 from cliqueforest.graphs import ComponentReport, CompletenessReport, parse_edge_list
 from cliqueforest.raag import normal_form
@@ -685,3 +701,153 @@ def test_array_ldexp_matches_math_ldexp_past_underflow():
     ref = [[math.ldexp(e, -(m + 1)) for m in stages.tolist()] for e in eps]
     assert got.view(np.int64).tolist() == np.array(ref).view(np.int64).tolist()
     assert (got[:2, 1100:] == 0.0).all()
+
+
+# ---------------------------------------------------------------------------
+# composite expressions: the letter sequence against the per-node recursion
+
+
+def ref_raw(e, x):
+    if isinstance(e, Compose):
+        for p in reversed(e.parts):
+            x = ref_raw(p, x)
+        return x
+    if isinstance(e, Inverse):
+        return ref_inv_raw(e.inner, x)
+    if isinstance(e, Power):
+        for _ in range(abs(e.exponent)):
+            x = ref_raw(e.inner, x) if e.exponent >= 0 else ref_inv_raw(e.inner, x)
+        return x
+    return e._raw(x)
+
+
+def ref_inv_raw(e, y):
+    if isinstance(e, Compose):
+        for p in e.parts:
+            y = ref_inv_raw(p, y)
+        return y
+    if isinstance(e, Inverse):
+        return ref_raw(e.inner, y)
+    if isinstance(e, Power):
+        return ref_raw(Power(e.inner, -e.exponent), y)
+    return e._inv_raw(y)
+
+
+def ref_draw(e, x):
+    if isinstance(e, Compose):
+        d = 1.0
+        for p in reversed(e.parts):
+            d *= ref_draw(p, x)
+            x = ref_raw(p, x)
+        return d
+    if isinstance(e, Inverse):
+        return 1.0 / ref_draw(e.inner, ref_inv_raw(e.inner, x))
+    if isinstance(e, Power):
+        d = 1.0
+        for _ in range(abs(e.exponent)):
+            if e.exponent >= 0:
+                d *= ref_draw(e.inner, x)
+                x = ref_raw(e.inner, x)
+            else:
+                x = ref_inv_raw(e.inner, x)
+                d /= ref_draw(e.inner, x)
+        return d
+    return e._draw(x)
+
+
+LEAVES = {
+    Manifold.INTERVAL: (PerturbedF((BumpPoly(0.08, 1), BumpPoly(-0.03, 2, 1, (0.0, 1.0)))),
+                        MobiusI(1.7), MobiusI(0.6)),
+    Manifold.CIRCLE: (PerturbedLiftS1((BumpTrig(0.04, 1), BumpTrig(-0.02, 2, math.pi / 4))),
+                      RotationS1(0.9), RotationS1(-2.3)),
+    Manifold.LINE: (SineShear(1.0), SineShear(-0.7), Translation(0.4)),
+}
+POINTS = {Manifold.INTERVAL: (0.0, 1.0), Manifold.CIRCLE: (-1.0, 2.0),
+          Manifold.LINE: (-5.0, 5.0)}
+
+
+def random_composite(rng, leaves, depth):
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(leaves)
+    kind = rng.choice(("compose", "inverse", "power"))
+    if kind == "compose":
+        return Compose(tuple(random_composite(rng, leaves, depth - 1)
+                             for _ in range(rng.randint(1, 3))))
+    if kind == "inverse":
+        return Inverse(random_composite(rng, leaves, depth - 1))
+    return Power(random_composite(rng, leaves, depth - 1), rng.randint(-2, 2))
+
+
+def composites(manifold, count, seed):
+    """Nested composites of at most 10 letters (the letter count of the
+    reference tree), each with at least one composite node."""
+    rng, out = random.Random(seed), []
+    while len(out) < count:
+        e = random_composite(rng, LEAVES[manifold], 3)
+        if isinstance(e, (Compose, Inverse, Power)) and len(e.letters) <= 10:
+            out.append(e)
+    return out
+
+
+def sample_points(manifold, rng):
+    lo, hi = POINTS[manifold]
+    scalars = [lo, hi] + [rng.uniform(lo, hi) for _ in range(3)]
+    arrays = [np.array([rng.uniform(lo, hi) for _ in range(n)]) for n in (20, 32, 33, 100)]
+    return scalars, arrays
+
+
+def _hex(values):
+    return [float(v).hex() for v in np.atleast_1d(np.asarray(values, dtype=float))]
+
+
+@pytest.mark.parametrize("manifold", list(LEAVES), ids=lambda m: m.value)
+def test_letters_match_per_node_recursion(manifold):
+    rng = random.Random(17)
+    scalars, arrays = sample_points(manifold, rng)
+    for e in composites(manifold, 30, 3):
+        for x in scalars + arrays:
+            assert _hex(e._raw(x)) == _hex(ref_raw(e, x)), e
+            assert _hex(e._inv_raw(x)) == _hex(ref_inv_raw(e, x)), e
+
+
+def ref_roundings(e):
+    """Multiplications and divisions ``ref_draw`` makes on ``e``."""
+    if isinstance(e, Compose):
+        return sum(ref_roundings(p) for p in e.parts) + len(e.parts)
+    if isinstance(e, Inverse):
+        return ref_roundings(e.inner) + 1
+    if isinstance(e, Power):
+        return abs(e.exponent) * (ref_roundings(e.inner) + 1)
+    return 0
+
+
+def conjugates(manifold):
+    """The paper's h_{i,n} = f^i g_n f^-i for i = 1, 2, 3."""
+    f, g1, g2 = LEAVES[manifold]
+    return [Compose((Power(f, i), g, Power(f, -i))) for i in (1, 2, 3) for g in (g1, g2)]
+
+
+def assert_derivatives_close(e, points, rel):
+    for x in points:
+        got, ref = np.asarray(e._draw(x)), np.asarray(ref_draw(e, x))
+        assert np.all(np.abs(got - ref) <= rel * np.abs(ref)), (e, x)
+
+
+@pytest.mark.parametrize("manifold", list(LEAVES), ids=lambda m: m.value)
+def test_conjugate_derivatives_within_1e15_of_the_recursion(manifold):
+    scalars, arrays = sample_points(manifold, random.Random(29))
+    for h in conjugates(manifold):
+        assert_derivatives_close(h, scalars + arrays, 1e-15)
+
+
+@pytest.mark.parametrize("manifold", list(LEAVES), ids=lambda m: m.value)
+def test_composite_derivatives_within_rounding_of_the_recursion(manifold):
+    # the two evaluations multiply the same leaf derivatives in different
+    # groupings, and the recursion takes inverse letters' derivatives at
+    # round-tripped points; allow 1e-15 relative per rounding step of either
+    scalars, arrays = sample_points(manifold, random.Random(31))
+    hs = conjugates(manifold)
+    commutators = [Compose((a, b, Inverse(a), Inverse(b))) for a in hs for b in hs[:3]]
+    for e in composites(manifold, 30, 5) + commutators:
+        steps = ref_roundings(e) + len(e.letters)
+        assert_derivatives_close(e, scalars + arrays, 1e-15 * max(1, steps))
