@@ -1,14 +1,17 @@
 """Command-line front end.
 
 Exit codes: 0 success/pass, 1 finding (not embeddable, obstruction found,
-verification failure), 2 input error, 3 synthesis stage failure.  All output
-is deterministic for a fixed configuration.
+verification failure), 2 input error (an unreadable input or an unwritable
+output included), 3 synthesis stage failure.  All output is deterministic for
+a fixed configuration; every document is written by ``serialize.write``.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 from typing import Optional
 
@@ -44,13 +47,44 @@ EXIT_INPUT = 2
 EXIT_SYNTH = 3
 
 
-def _write(payload: dict, out: Optional[str]):
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+class OutputError(Exception):
+    """An output file, or stdout, could not be opened or written."""
+
+
+def _discard_stdout() -> None:
+    """Point the stdout file descriptor at the null device, so that the flush
+    at interpreter exit does not fail again on a closed pipe."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # not a file: nothing is flushed at exit
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
+@contextlib.contextmanager
+def _output(path: Optional[str]):
+    """The file ``path`` opened for writing, or stdout; an OSError while
+    opening or writing it is raised as an OutputError."""
+    try:
+        if path:
+            with open(path, "w") as fh:
+                yield fh
+        else:
+            yield sys.stdout
+            sys.stdout.flush()  # a closed pipe fails here rather than at exit
+    except OSError as exc:
+        if not path and isinstance(exc, BrokenPipeError):
+            _discard_stdout()
+        raise OutputError(f"{path or 'stdout'}: {exc.strerror or exc}") from exc
+
+
+def _write(doc, out: Optional[str]):
+    """Write the document of ``doc``, an object with a ``FIELDS`` table, to
+    the file ``out`` or to stdout."""
+    with _output(out) as fh:
+        serialize.write(doc, fh)
 
 
 def _read(path: str) -> str:
@@ -96,7 +130,7 @@ def _add_common(p: argparse.ArgumentParser):
 def cmd_decide(args) -> int:
     # the graph is not kept alive while the decision is written
     decision = embeddable_raag(_load_graph(args.graph), args.manifold)
-    _write(decision.to_dict(), args.out)
+    _write(decision, args.out)
     return EXIT_OK if decision.embeddable else EXIT_FINDING
 
 
@@ -111,22 +145,21 @@ def cmd_synthesize(args) -> int:
     try:
         assignment = synthesize_embedding(g, args.manifold, opts)
     except NotEmbeddableError as exc:
-        _write(EmbeddabilityDecision(False, args.manifold, missing_edge=exc.witness).to_dict(),
-               args.out)
+        _write(EmbeddabilityDecision(False, args.manifold, missing_edge=exc.witness), args.out)
         return EXIT_FINDING
     except SynthesisError as exc:
         print(f"synthesis failed: {exc}", file=sys.stderr)
         return EXIT_SYNTH
-    _write(assignment.to_dict(), args.out)
+    _write(assignment, args.out)
     report = verify_assignment(assignment, args.word_len, args.grid, args.tol)
-    _write(report.to_dict(), args.report)
+    _write(report, args.report)
     return EXIT_OK if report.ok else EXIT_FINDING
 
 
 def cmd_verify(args) -> int:
     assignment = GeneratorAssignment.from_dict(json.loads(_read(args.assignment)))
     report = verify_assignment(assignment, args.word_len, args.grid, args.tol)
-    _write(report.to_dict(), args.out)
+    _write(report, args.out)
     return EXIT_OK if report.ok else EXIT_FINDING
 
 
@@ -134,7 +167,7 @@ def cmd_fixpoints(args) -> int:
     e = _load_expr(args.expr)
     domain = (args.lo, args.hi) if e.manifold is Manifold.LINE else None
     fps = fixed_points(e, args.grid, args.tol, domain)
-    _write(fps.to_dict(), args.out)
+    _write(fps, args.out)
     return EXIT_FINDING if fps.degenerate else EXIT_OK
 
 
@@ -143,9 +176,9 @@ def cmd_commgraph(args) -> int:
     domain = (args.lo, args.hi) if exprs and exprs[0].manifold is Manifold.LINE else None
     result = commutation_graph(exprs, args.tol, args.power_bound, args.grid, domain)
     if args.dot:
-        with open(args.dot, "w") as fh:
+        with _output(args.dot) as fh:
             fh.write(to_dot(result.graph))
-    _write(result.to_dict(), args.out)
+    _write(result, args.out)
     return EXIT_OK if result.completeness.ok else EXIT_FINDING
 
 
@@ -157,7 +190,7 @@ def cmd_obstruct(args) -> int:
     cert = find_centralizer_quadruple(oracle)
     _, witness = center_nonabelian_check(oracle)
     result = ObstructionSearch(cert, witness, len(oracle.labels))
-    _write(result.to_dict(), args.out)
+    _write(result, args.out)
     return EXIT_FINDING if result.found else EXIT_OK
 
 
@@ -228,9 +261,13 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except (ValueError, KeyError, OSError) as exc:
         # graph, expression and JSON format errors, DomainError,
-        # TagMismatchError and NotApplicableError are all ValueErrors
+        # TagMismatchError and NotApplicableError are all ValueErrors; an
+        # OSError here comes from opening or reading an input file
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InvariantBreach as exc:

@@ -14,6 +14,13 @@ Numeric fields are decimal strings with 17 significant digits (exact float
 round trip), and only strings matching the schema's decimal pattern are read
 back; integer fields are JSON integers, and the manifold tag sits at the
 root.  A kind whose class fixes a manifold is accepted only under that tag.
+
+``write`` puts a document's text on a file straight from its table, piece by
+piece: the scalars, the decimal and integer lists, the rows and the nested
+documents through each codec's ``text`` writer, long lists in blocks of
+``_BLOCK`` entries, every other field through one ``json.dumps`` of its
+encoded value.  The text is exactly ``json.dumps(obj.to_dict(),
+sort_keys=True, indent=2)`` plus a newline, without building the JSON tree.
 """
 from __future__ import annotations
 
@@ -21,7 +28,8 @@ import json
 import re
 import reprlib
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Optional, Tuple
+from json.encoder import encode_basestring_ascii
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from .diffeo import (
     BumpPoly,
@@ -52,7 +60,14 @@ def _fmt(x: float) -> str:
 
 @dataclass(frozen=True)
 class Codec:
-    """How one field is written to JSON, read back and described in the schema."""
+    """How one field is written to JSON, read back and described in the schema.
+
+    ``text(value, indent)``, when given, yields the pieces of the value's
+    ``json.dumps(encode(value), sort_keys=True, indent=2)`` text, with each
+    line after the first indented by ``indent`` (the indentation of the line
+    the value starts on).  Without it the value is written as one such
+    ``json.dumps`` call, re-indented (``_pieces``).
+    """
 
     encode: Callable[[object], object]
     # (JSON value, document manifold) -> value; None for a field computed
@@ -61,6 +76,62 @@ class Codec:
     schema: dict
     optional: bool = False  # omitted from the document when None
     attr: Optional[str] = None  # the attribute and constructor argument, when not the key
+    text: Optional[Callable[[object, str], Iterable[str]]] = None
+
+
+def _pieces(codec: Codec, value, indent: str) -> Iterable[str]:
+    """The ``json.dumps(..., sort_keys=True, indent=2)`` text of ``value`` by
+    ``codec``, at ``indent``.  Without a writer of the codec's own: one
+    ``json.dumps`` of the encoded value, its later lines indented (a JSON
+    string holds no raw newline, so every newline starts a line)."""
+    if codec.text is not None:
+        return codec.text(value, indent)
+    return (json.dumps(codec.encode(value), sort_keys=True, indent=2).replace("\n", "\n" + indent),)
+
+
+_BLOCK = 4096  # entries of a long list written as one piece
+
+
+def _list_text(entries: Callable[[Sequence, str], Iterable[str]]):
+    """Text writer of a list whose entries ``entries(block, indent)`` gives
+    for a slice of the list, at the list's inner indentation."""
+    def text(vs, indent):
+        if not len(vs):
+            return ("[]",)
+        inner = indent + "  "
+        sep = ",\n" + inner
+        if len(vs) <= _BLOCK:
+            return ("[\n" + inner + sep.join(entries(vs, inner)) + "\n" + indent + "]",)
+        return _blocks(vs, entries, inner, sep, "\n" + indent + "]")
+    return text
+
+
+def _blocks(vs, entries, inner, sep, close):
+    yield "[\n" + inner
+    for k in range(0, len(vs), _BLOCK):
+        if k:
+            yield sep
+        yield sep.join(entries(vs[k:k + _BLOCK], inner))
+    yield close
+
+
+def _scalar_text(fmt: Callable[[object], str]):
+    return lambda v, indent: (fmt(v),)
+
+
+_QUOTED = '"%.17g"'  # the JSON text of a decimal: _fmt in quotes
+
+
+def _decimal_texts(vs, indent=None) -> Iterable[str]:
+    """The JSON texts of decimals (and Nones), each distinct value formatted
+    once: the per-stage lists of a synthesis state repeat their values."""
+    distinct = set(vs)
+    distinct.discard(None)
+    texts = dict(zip(distinct, map(_QUOTED.__mod__, distinct)))
+    texts[None] = "null"
+    if 0.0 in texts:  # 0.0 and -0.0 share a key, not a text
+        return [_QUOTED % v if v == 0 else texts[v] for v in vs]
+    return map(texts.__getitem__, vs)
 
 
 def _same(v):
@@ -109,37 +180,64 @@ def _decimal_list(vs, nullable: bool) -> tuple:
 
 
 DECIMAL = Codec(_fmt, _checked(lambda v: isinstance(v, str) and _DECIMAL_RE.fullmatch(v),
-                               "a decimal string", float), _DECIMAL_SCHEMA)
+                               "a decimal string", float), _DECIMAL_SCHEMA,
+                text=_scalar_text(_QUOTED.__mod__))
 OPTIONAL_DECIMAL = replace(DECIMAL, optional=True)
 DECIMALS = Codec(lambda vs: [_fmt(v) for v in vs], lambda vs, m: _decimal_list(vs, False),
-                 {"type": "array", "items": _DECIMAL_SCHEMA})
+                 {"type": "array", "items": _DECIMAL_SCHEMA}, text=_list_text(_decimal_texts))
 NULLABLE_DECIMALS = Codec(lambda vs: [None if v is None else _fmt(v) for v in vs],
                           lambda vs, m: _decimal_list(vs, True),
-                          {"type": "array", "items": {"anyOf": [{"type": "null"}, _DECIMAL_SCHEMA]}})
-INTEGER = Codec(_same, _checked(_is_int, "an integer"), {"type": "integer"})
+                          {"type": "array", "items": {"anyOf": [{"type": "null"}, _DECIMAL_SCHEMA]}},
+                          text=_list_text(_decimal_texts))
+INTEGER = Codec(_same, _checked(_is_int, "an integer"), {"type": "integer"},
+                text=_scalar_text(int.__repr__))
 INTEGERS = Codec(list, _checked(_int_list, "a list of integers", tuple),
-                 {"type": "array", "items": {"type": "integer"}})
-BOOLEAN = Codec(_same, _checked(lambda v: isinstance(v, bool), "a boolean"), {"type": "boolean"})
+                 {"type": "array", "items": {"type": "integer"}},
+                 text=_list_text(lambda vs, indent: map(int.__repr__, vs)))
+BOOLEAN = Codec(_same, _checked(lambda v: isinstance(v, bool), "a boolean"), {"type": "boolean"},
+                text=_scalar_text(lambda v: "true" if v else "false"))
 NUMBER = Codec(_same, _checked(lambda v: _is_int(v) or isinstance(v, float), "a number"),
                {"type": "number"})
-STRING = Codec(_same, _checked(lambda v: isinstance(v, str), "a string"), {"type": "string"})
+STRING = Codec(_same, _checked(lambda v: isinstance(v, str), "a string"), {"type": "string"},
+               text=_scalar_text(encode_basestring_ascii))
+
+
+def _streamed(codec: Codec) -> bool:
+    """Whether ``codec`` writes a list or an object of its own (not a scalar,
+    not through ``json.dumps``)."""
+    return codec.text is not None and (codec.schema.get("type") in ("array", "object")
+                                       or "anyOf" in codec.schema)
 
 
 def list_of(codec: Codec) -> Codec:
-    """Codec of a JSON list, each entry by ``codec``."""
+    """Codec of a JSON list, each entry by ``codec``; written entry by entry
+    when ``codec`` writes a list or an object of its own."""
     def decode(vs, manifold):
         if not isinstance(vs, list):
             raise ExprFormatError(f"expected a list, got {reprlib.repr(vs)}")
         return tuple(codec.decode(v, manifold) for v in vs)
+    text = None
+    if _streamed(codec):
+        text = _list_text(lambda vs, indent: ["".join(codec.text(v, indent)) for v in vs])
     return Codec(lambda vs: [codec.encode(v) for v in vs], decode,
-                 {"type": "array", "items": codec.schema})
+                 {"type": "array", "items": codec.schema}, text=text)
 
 
 def rows(*columns: Codec) -> Codec:
     """Codec of a list of rows of ``len(columns)`` scalars, the k-th entry of
-    each by the k-th codec.  Encoded a column at a time, which beats row by
-    row on the report's one margin row per scheduled word."""
+    each by the k-th codec.  ``encode`` goes a column at a time, which beats
+    row by row; the CLI writes through ``text`` instead, which formats each
+    row with one ``%`` when every column is an integer or a decimal (an array
+    value is taken as its ``tolist()``).  Other rows go through
+    ``json.dumps``."""
     width = len(columns)
+    cells = ["%d" if c is INTEGER else _QUOTED if c is DECIMAL else None for c in columns]
+
+    def entries(rs, indent):
+        at = ",\n" + indent + "  "
+        return map(("[" + at[1:] + at.join(cells) + "\n" + indent + "]").__mod__, map(tuple, rs))
+
+    listed = _list_text(entries)
     return Codec(
         lambda rs: [list(r) for r in zip(*[list(map(c.encode, col))
                                            for c, col in zip(columns, zip(*rs))])],
@@ -147,13 +245,16 @@ def rows(*columns: Codec) -> Codec:
             isinstance(r, list) and len(r) == width for r in v), f"rows of {width} entries",
             lambda v: tuple(tuple(c.decode(x, None) for c, x in zip(columns, r)) for r in v)),
         {"type": "array", "items": {"type": "array", "prefixItems": [c.schema for c in columns],
-                                    "items": False, "minItems": width}})
+                                    "items": False, "minItems": width}},
+        text=None if None in cells else
+        lambda rs, indent: listed(rs.tolist() if hasattr(rs, "tolist") else rs, indent))
 
 
 def _manifolds(*tags: str) -> Codec:
     return Codec(lambda m: m.value,
                  _checked(lambda v: v in tags, f"manifold {' or '.join(tags)}", Manifold),
-                 {"enum": list(tags)})
+                 {"enum": list(tags)},
+                 text=_scalar_text(lambda m: encode_basestring_ascii(m.value)))
 
 
 NUMBERS = list_of(NUMBER)
@@ -242,17 +343,51 @@ def object_schema(fields: Fields) -> dict:
             "properties": {name: codec.schema for name, codec in fields}}
 
 
+def _object_text(fields: Fields):
+    """Text writer of an object by ``fields``, field by field in sorted key
+    order; None when no field writes a list or an object of its own, since
+    one ``json.dumps`` of the encoded object then costs less."""
+    if not any(_streamed(codec) for _, codec in fields):
+        return None
+    order = [(encode_basestring_ascii(name) + ": ", codec.attr or name, codec)
+             for name, codec in sorted(fields, key=lambda f: f[0])]
+
+    def text(obj, indent):
+        inner = indent + "  "
+        opened = False
+        for key, attr, codec in order:
+            v = getattr(obj, attr)
+            if not (codec.optional and v is None):
+                yield (",\n" if opened else "{\n") + inner + key
+                yield from _pieces(codec, v, inner)
+                opened = True
+        yield "\n" + indent + "}" if opened else "{}"
+    return text
+
+
+def write(obj, fh) -> None:
+    """Write the document of ``obj``, by the ``FIELDS`` table of its class,
+    to the text file ``fh``: ``json.dumps(obj.to_dict(), sort_keys=True,
+    indent=2)`` and a newline, in pieces."""
+    text = _object_text(type(obj).FIELDS)
+    fh.writelines(text(obj, "") if text else (json.dumps(encode(obj), sort_keys=True, indent=2),))
+    fh.write("\n")
+
+
 def document(cls: type, **kw) -> Codec:
     """Codec of a document nested in another, by the ``FIELDS`` table of its
     class; ``kw`` sets ``optional`` or ``attr``."""
-    return Codec(encode, lambda v, m: cls.from_dict(v), object_schema(cls.FIELDS), **kw)
+    return Codec(encode, lambda v, m: cls.from_dict(v), object_schema(cls.FIELDS),
+                 text=_object_text(cls.FIELDS), **kw)
 
 
 def nullable(codec: Codec) -> Codec:
     """``codec``, with None written as JSON null."""
     return replace(codec, encode=lambda v: None if v is None else codec.encode(v),
                    decode=lambda v, m: None if v is None else codec.decode(v, m),
-                   schema={"anyOf": [{"type": "null"}, codec.schema]})
+                   schema={"anyOf": [{"type": "null"}, codec.schema]},
+                   text=codec.text and (lambda v, indent: ("null",) if v is None
+                                        else codec.text(v, indent)))
 
 
 # diffeo cannot import this module, so the table of its fixed-point set is here

@@ -1,15 +1,22 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
+from types import SimpleNamespace
 
 import jsonschema
 import pytest
 
 from cliqueforest import (
+    BumpPoly,
     EmbeddabilityDecision,
     GeneratorAssignment,
     MobiusI,
+    PerturbedF,
     Power,
     RotationS1,
     SimpleGraph,
@@ -120,6 +127,22 @@ class TestInputErrors:
 
     def test_loop_graph(self, graph_file):
         assert main(["decide", graph_file("n=2\n1 1\n")]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("command", ["decide", "synthesize"])
+    def test_directory_as_graph(self, tmp_path, capsys, command):
+        assert main([command, str(tmp_path)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["decide", "{graph}", "--out", "{dir}"],
+        ["synthesize", "{graph}", "--word-len", "2", "--out", "{dir}", "--report", "{dir}/r"],
+        ["synthesize", "{graph}", "--word-len", "2", "--out", "{dir}/a", "--report", "{dir}"],
+    ], ids=["decide-out", "synthesize-out", "synthesize-report"])
+    def test_directory_as_output(self, graph_file, tmp_path, capsys, argv):
+        graph = graph_file(K2_K3)
+        assert main([a.format(graph=graph, dir=tmp_path) for a in argv]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"output error: {tmp_path}: Is a directory\n"
 
     def test_graph_too_large_for_memory(self, graph_file, capsys, monkeypatch):
         def exhausted(g, manifold):
@@ -535,3 +558,90 @@ class TestObstruct:
         ef.write_text("a 1 1 0 0 1 0 0 0 1\nb 2 0 0 0 1 0 0 0 1\n")
         assert main(["obstruct", "--elements", str(ef)]) == EXIT_INPUT
         assert "line 2: matrix is not upper-triangular unipotent" in capsys.readouterr().err
+
+
+class TestClosedPipe:
+    def test_synthesize_into_closed_pipe(self, graph_file):
+        """A reader that stops after a few bytes ends the command with exit 2
+        and one line on stderr: no traceback, none at interpreter exit."""
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cliqueforest.cli", "synthesize", graph_file(K2_K3),
+             "--word-len", "5"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.read(8) == b'{\n  "alp'
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=300) == EXIT_INPUT
+        assert err == "output error: stdout: Broken pipe\n"
+
+
+def _write_elements(tmp_path):
+    p = tmp_path / "elems.txt"
+    p.write_text("e 1 0 0 0 1 0 0 0 1\na 1 1 0 0 1 0 0 0 1\nz 1 0 1 0 1 0 0 0 1\n")
+    return str(p)
+
+
+def _write_exprs(tmp_path, *exprs):
+    paths = []
+    for i, e in enumerate(exprs):
+        paths.append(str(tmp_path / f"e{i}.json"))
+        Path(paths[-1]).write_text(dumps_expr(e))
+    return paths
+
+
+class TestDocumentText:
+    """Every command writes ``json.dumps(doc.to_dict(), sort_keys=True,
+    indent=2)`` and a newline for each document it builds."""
+
+    @pytest.mark.parametrize("argv", [
+        lambda p: ["decide", p.graph(K2_K3)],
+        lambda p: ["decide", p.graph(P3), "--manifold", "S1"],
+        lambda p: ["synthesize", p.graph(K2_K3), "--word-len", "3", "--report", p.out("r")],
+        lambda p: ["synthesize", p.graph(K2_K3), "--manifold", "S1", "--word-len", "2",
+                   "--report", p.out("r")],
+        lambda p: ["synthesize", p.graph(P3)],
+        lambda p: ["verify", p.assignment(), "--word-len", "2"],
+        lambda p: ["fixpoints", *_write_exprs(p.tmp, SineShear(1.0))],
+        lambda p: ["fixpoints", *_write_exprs(p.tmp, MobiusI(2.0))],
+        lambda p: ["commgraph", *_write_exprs(p.tmp, MobiusI(1.5), MobiusI(2.0),
+                                              PerturbedF((BumpPoly(0.01, 1),)))],
+        lambda p: ["commgraph", *_write_exprs(p.tmp, RotationS1(0.25), RotationS1(0.1))],
+        lambda p: ["obstruct", "--radius", "2"],
+        lambda p: ["obstruct", "--elements", _write_elements(p.tmp)],
+    ], ids=["decide", "decide-witness", "synthesize-I", "synthesize-S1", "synthesize-path",
+            "verify", "fixpoints-line", "fixpoints-I", "commgraph-I", "commgraph-S1",
+            "obstruct-ball", "obstruct-elements"])
+    def test_out_is_json_dumps_of_to_dict(self, graph_file, tmp_path, monkeypatch, argv):
+        def assignment():
+            path = str(tmp_path / "asg.json")
+            main(["synthesize", graph_file(K2_K3), "--word-len", "2", "--out", path,
+                  "--report", str(tmp_path / "r0.json")])
+            return path
+
+        paths = SimpleNamespace(tmp=tmp_path, graph=graph_file, assignment=assignment,
+                                out=lambda name: str(tmp_path / f"{name}.json"))
+        args = argv(paths) + ["--out", str(tmp_path / "o.json")]
+        written = self._spy(monkeypatch)
+        main(args)
+        assert written and all(out for _, out in written)
+        for doc, out in written:
+            expected = json.dumps(doc.to_dict(), sort_keys=True, indent=2) + "\n"
+            assert Path(out).read_bytes() == expected.encode()
+
+    def test_stdout_is_json_dumps_of_to_dict(self, graph_file, capsys, monkeypatch):
+        written = self._spy(monkeypatch)
+        main(["synthesize", graph_file(K2_K3), "--word-len", "2"])
+        assert [out for _, out in written] == [None, None]
+        assert capsys.readouterr().out == "".join(
+            json.dumps(doc.to_dict(), sort_keys=True, indent=2) + "\n" for doc, _ in written)
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """The (document, output path) of every write, in order."""
+        written, write = [], cli._write
+        monkeypatch.setattr(cli, "_write",
+                            lambda doc, out: written.append((doc, out)) or write(doc, out))
+        return written

@@ -1,5 +1,7 @@
+import io
 import json
 import math
+from unittest import mock
 
 import jsonschema
 import pytest
@@ -7,26 +9,40 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cliqueforest import (
+    AlphaSequence,
     BumpPoly,
     BumpTrig,
+    CliqueForest,
+    CommutationGraphResult,
     Compose,
+    EmbeddabilityDecision,
     ExprFormatError,
+    FixedPointSet,
+    GeneratorAssignment,
     Identity,
     Inverse,
     Manifold,
+    MissingEdgeWitness,
     MobiusI,
+    ObstructionCertificate,
+    ObstructionSearch,
     PerturbedF,
     PerturbedLiftS1,
     Power,
     RotationS1,
+    SimpleGraph,
     SineShear,
+    SynthesisState,
     Translation,
+    VerificationReport,
     dict_to_expr,
     dumps_expr,
     evaluate,
     expr_to_dict,
     loads_expr,
 )
+from cliqueforest import serialize
+from cliqueforest.obstructions import CenterWitness, CounterexampleReport, PowerResidual
 from cliqueforest.schemas import EXPR_SCHEMA
 from cliqueforest.serialize import (
     _DECIMAL_RE,
@@ -227,3 +243,142 @@ class TestErrors:
             jsonschema.validate(text, _DECIMAL_SCHEMA)
         with pytest.raises(ExprFormatError, match="expected a decimal string"):
             DECIMAL.decode(text, None)
+
+
+# ---------------------------------------------------------------------------
+# the streamed writer: every document class, with empty lists, absent and
+# null fields, signed zeros, infinities and any text
+
+INTS = st.integers(-2**70, 2**70)
+DECIMALS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, math.inf, -math.inf, 0.5]))
+TEXTS = st.one_of(st.text(), st.sampled_from(['say "hi"', "back\\slash", "\u00fcber \u221e",
+                                              "tab\tnew\nline", "\U0001f600"]))
+BOTH = st.sampled_from([Manifold.INTERVAL, Manifold.CIRCLE])
+
+
+def _tuples(elements, **kw):
+    return st.lists(elements, **kw).map(tuple)
+
+
+@st.composite
+def _graphs(draw):
+    n = draw(st.integers(0, 8))
+    pairs = draw(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=12))
+    return SimpleGraph.from_edges(n, [(u, v) for u, v in pairs if u != v and max(u, v) < n])
+
+
+FORESTS = _tuples(_tuples(INTS, max_size=4), max_size=5).map(CliqueForest)
+
+
+@st.composite
+def _decisions(draw):
+    m = draw(BOTH)
+    if draw(st.booleans()):
+        return EmbeddabilityDecision(True, m, clique_forest=draw(FORESTS))
+    witness = MissingEdgeWitness(draw(INTS), draw(INTS), draw(_tuples(INTS)))
+    return EmbeddabilityDecision(False, m, missing_edge=witness)
+
+
+@st.composite
+def _states(draw, m):
+    num_g, max_len = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    r = num_g + 1  # the words with f, of each length L up to max_len
+    count = sum(2 * r * (2 * r - 1) ** (L - 1) - 2 * num_g * (2 * num_g - 1) ** (L - 1)
+                for L in range(1, max_len + 1))
+    margins = draw(_tuples(st.none() | DECIMALS, min_size=count, max_size=count))
+    eps = draw(_tuples(DECIMALS, min_size=count, max_size=count))
+    bump = BumpPoly(0.01, 1, sup_bound=0.02) if m is Manifold.INTERVAL else BumpTrig(0.02, 1, 0.5)
+    bumps = draw(st.sampled_from([(), (bump,)]))
+    return SynthesisState(m, draw(DECIMALS), num_g, max_len, count, margins, eps, bumps,
+                          draw(DECIMALS), draw(INTS), draw(DECIMALS), draw(DECIMALS))
+
+
+@st.composite
+def _assignments(draw):
+    m = draw(BOTH)
+    if m is Manifold.INTERVAL:
+        fs, gens = [Identity(m), PerturbedF((BumpPoly(0.01, 1),))], (MobiusI(2.0), MobiusI(3.5))
+    else:
+        fs, gens = [Identity(m), PerturbedLiftS1((BumpTrig(0.02, 1),))], (RotationS1(0.25),)
+    return GeneratorAssignment(
+        draw(_graphs()), m, draw(FORESTS),
+        AlphaSequence(draw(_tuples(DECIMALS, max_size=3)), draw(INTS), draw(DECIMALS)),
+        draw(_tuples(st.tuples(INTS, INTS, INTS), max_size=5)), draw(st.sampled_from(fs)),
+        gens[:draw(st.integers(0, len(gens)))], draw(st.none() | _states(m)))
+
+
+@st.composite
+def _reports(draw):
+    edge = st.fixed_dictionaries({"u": INTS, "v": INTS, "residual": st.floats(),
+                                  "ok": st.booleans()})
+    non_edge = st.fixed_dictionaries({"u": INTS, "v": INTS, "witness_x": st.floats(),
+                                      "residual": st.floats(), "ok": st.booleans()})
+    failure = st.fixed_dictionaries({"index": INTS, "word": TEXTS, "margin": st.floats(),
+                                     "threshold": st.floats()})
+    return VerificationReport(
+        draw(st.booleans()), draw(BOTH), draw(INTS), draw(st.floats()), draw(INTS),
+        draw(_tuples(edge, max_size=3)), draw(_tuples(non_edge, max_size=3)),
+        draw(_tuples(st.tuples(INTS, DECIMALS, DECIMALS), max_size=9)),
+        draw(_tuples(failure, max_size=2)), draw(INTS), draw(st.booleans()),
+        draw(_tuples(TEXTS, max_size=3)))
+
+
+FIXED_POINTS = st.builds(
+    FixedPointSet, _tuples(st.floats()),
+    _tuples(st.sampled_from(["transverse", "tangency-suspect"])), st.floats(), _tuples(INTS),
+    st.booleans(), INTS)
+COMMGRAPHS = st.builds(
+    CommutationGraphResult, _graphs(), st.sampled_from(list(Manifold)), st.floats(), INTS, INTS,
+    _tuples(st.tuples(INTS, INTS, st.floats()), max_size=5))
+OBSTRUCTIONS = st.builds(
+    ObstructionSearch, st.none() | st.builds(ObstructionCertificate, TEXTS, TEXTS, TEXTS, TEXTS),
+    st.none() | st.builds(CenterWitness, TEXTS, st.tuples(TEXTS, TEXTS)), INTS)
+COUNTEREXAMPLES = st.builds(
+    CounterexampleReport, st.floats(), st.floats(), INTS, INTS, st.tuples(st.floats(), st.floats()),
+    st.floats(), st.floats(), _tuples(st.builds(PowerResidual, INTS, st.floats(), st.floats()),
+                                      max_size=3))
+
+
+class _Pieces(list):
+    """A text file that keeps each written piece."""
+
+    write = list.append
+    writelines = list.extend
+
+
+def _written(obj) -> str:
+    fh = io.StringIO()
+    serialize.write(obj, fh)
+    return fh.getvalue()
+
+
+class TestWriter:
+    """``serialize.write`` writes exactly the ``json.dumps(..., sort_keys=True,
+    indent=2)`` text of ``to_dict`` and a newline, with long lists split into
+    blocks anywhere."""
+
+    @pytest.mark.parametrize("documents", [
+        _decisions(), _assignments(), _reports(), FIXED_POINTS, COMMGRAPHS, OBSTRUCTIONS,
+        COUNTEREXAMPLES,
+    ], ids=["decision", "assignment", "report", "fixpoints", "commgraph", "obstruct",
+            "counterexample"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_equals_json_dumps_of_to_dict(self, documents, data):
+        doc = data.draw(documents)
+        reference = json.dumps(doc.to_dict(), sort_keys=True, indent=2) + "\n"
+        assert _written(doc) == reference
+        with mock.patch.object(serialize, "_BLOCK", 2):
+            assert _written(doc) == reference
+
+    def test_long_lists_written_in_blocks(self):
+        """A list longer than a block is written as several pieces, none
+        holding the whole list."""
+        rows = tuple((i, i / 7, -0.0 if i % 3 else 0.0) for i in range(3 * serialize._BLOCK))
+        report = VerificationReport(True, Manifold.INTERVAL, 2, 1e-9, 1, (), (), rows, (), 0,
+                                    True, ())
+        pieces = _Pieces()
+        serialize.write(report, pieces)
+        text = "".join(pieces)
+        assert text == json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+        assert max(map(len, pieces)) < len(text) / 2
