@@ -114,6 +114,13 @@ def _grid(arg: str) -> int:
     return n
 
 
+def _word_len(arg: str) -> int:
+    n = int(arg)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"word length must be at least 1, got {n}")
+    return n
+
+
 def _tol(arg: str) -> float:
     t = float(arg)
     if not (math.isfinite(t) and t > 0):
@@ -214,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synthesize", help="build and verify an explicit embedding")
     p.add_argument("graph")
     p.add_argument("--manifold", type=_manifold, default=Manifold.INTERVAL)
-    p.add_argument("--word-len", type=int, default=6)
+    p.add_argument("--word-len", type=_word_len, default=6)
     p.add_argument("--basepoint", type=float, default=SynthesisOptions().basepoint)
     p.add_argument("--alpha-k", type=int, default=SynthesisOptions().alpha_k)
     p.add_argument("--report", help="verification report file (default: stdout)")
@@ -223,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="re-verify a serialized assignment")
     p.add_argument("assignment")
-    p.add_argument("--word-len", type=int, default=None)
+    p.add_argument("--word-len", type=_word_len, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_verify)
 

@@ -8,14 +8,16 @@ small polynomial bump chosen so that the sup/derivative budgets of the stage
 hold on a verification grid.  Tolerances eps_m are derived from an explicit
 Lipschitz bound and protect all earlier margins against later bumps.  The
 schedule is held as per-level arrays (``_Schedule``) and the stages between
-two bumps are settled in one numpy pass.
+two bumps are settled in one numpy pass.  One level walk (``_walk``)
+evaluates the schedule's words at the basepoint and, over the trie of their
+letter sequences, the commutators that verification checks on the grid.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import chain, compress, repeat
+from itertools import accumulate, chain, compress, repeat
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,6 +37,8 @@ from .diffeo import (
     RotationS1,
     _grid,
     apply_letters,
+    # the reference of _commutator_sups, not called here; perfbench's spans
+    # hook both names in this module
     commutator_residual,
     commutator_witness,
     point_distance,
@@ -377,28 +381,45 @@ def _word_margin(word, f, gens, p, manifold) -> float:
     return point_distance(manifold, x, p)
 
 
+# values one letter is applied to at a time: this bounds the working arrays
+# of a monotone inversion, which run faster while they stay in cache
+_APPLY_ELEMENTS = 1 << 13
+
+
+def _walk(levels: Sequence[Tuple[Optional[np.ndarray], List[int]]],
+          exprs: Sequence[DiffeoExpr], xs: np.ndarray):
+    """Yield, level by level, the values at the points ``xs`` of the words of
+    ``levels``, each given as the ``parent`` array and the ``bounds`` list of
+    a ``_Level``: one row of ``xs.size`` values per word.  A ``parent`` of
+    None stands for each word of the level below, in order.
+
+    ``value(l w) = l(value(w))``: letter i is ``exprs[i // 2]``, inverted
+    for odd i, applied once per level to the values of all the words it
+    precedes, as flat arrays of at most ``_APPLY_ELEMENTS`` values (or one
+    word).  The float operations of each element are those of
+    ``apply_letters``, so every value is bitwise its result.
+    """
+    width, vals = xs.size, xs.reshape(1, -1)
+    step = max(1, _APPLY_ELEMENTS // width)
+    for parent, bounds in levels:
+        parts = []
+        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            for start in range(lo, hi, step):
+                rows = slice(start, min(start + step, hi))
+                v = (vals[rows] if parent is None else np.take(vals, parent[rows], 0)).ravel()
+                parts.append(exprs[i // 2]._inv_raw(v) if i % 2 else exprs[i // 2]._raw(v))
+        vals = (np.concatenate(parts) if len(parts) > 1 else parts[0]).reshape(-1, width)
+        yield vals
+
+
 def _schedule_margins(f: DiffeoExpr, gens: Sequence[DiffeoExpr], p: float,
                       manifold: Manifold, schedule: _Schedule) -> np.ndarray:
     """Margins at p of the words of ``schedule`` (over ``len(gens)`` g
-    generators), in schedule order.
-
-    Walks the levels of the schedule over the values at p of all reduced
-    words, ``value(l w) = l(value(w))``: letter i is ``exprs[i // 2]``,
-    inverted for odd i, applied once per level to the words it precedes.
-    The float operations are those of ``apply_letters``, so the margins are
-    bitwise equal to ``_word_margin``.
-    """
-    exprs = (f,) + tuple(gens)
-    vals = np.array([p])
-    margins = []
-    for lv in schedule.levels:
-        parts = []
-        for i, (lo, hi) in enumerate(zip(lv.bounds[:-1], lv.bounds[1:])):
-            e, v = exprs[i // 2], vals[lv.parent[lo:hi]]
-            parts.append(e._inv_raw(v) if i % 2 else e._raw(v))
-        vals = np.concatenate(parts)
-        margins.append(point_distance(manifold, vals[lv.has_f], p))
-    return np.concatenate(margins)
+    generators), in schedule order: the walk of its levels from p."""
+    levels = schedule.levels
+    walk = _walk([(lv.parent, lv.bounds.tolist()) for lv in levels], (f, *gens), np.array([p]))
+    return np.concatenate([point_distance(manifold, vals[lv.has_f, 0], p)
+                           for lv, vals in zip(levels, walk)])
 
 
 def _measure_lambda(f: DiffeoExpr, gens: Sequence[DiffeoExpr], grid_n: int) -> float:
@@ -671,6 +692,8 @@ def synthesize_embedding(
     """
     if manifold is Manifold.LINE:
         raise NotApplicableError("synthesis covers I and S1 only")
+    if opts.word_len < 1:
+        raise ValueError("word_len must be >= 1")
     cert = is_clique_forest(g)
     if isinstance(cert, MissingEdgeWitness):
         raise NotEmbeddableError(cert)
@@ -733,6 +756,78 @@ class VerificationReport:
     from_dict = serialize.loader("report")
 
 
+_WALK_ELEMENTS = 1 << 20  # grid values held per level of one commutator walk
+
+
+def _trie(seqs: Sequence[Sequence[int]], n_letters: int):
+    """The trie of the letter sequences ``seqs``, each in the order its
+    letters apply: for each level, its (parent, bounds) as in ``_Level``, and
+    the sequences that end there with their words.
+
+    Level L holds the distinct prefixes of L + 1 letters, as the words
+    ``l w`` of a last letter l over a prefix w of level L - 1, numbered by
+    l, then w.
+    """
+    tables: List[Dict[Tuple[int, int], int]] = [{} for _ in range(max(map(len, seqs)))]
+    ends: List[Tuple[List[int], List[int]]] = [([], []) for _ in tables]
+    for k, seq in enumerate(seqs):
+        w = 0  # words are numbered in order of insertion until renumbered below
+        for table, letter in zip(tables, seq):
+            w = table.setdefault((letter, w), len(table))
+        ends[len(seq) - 1][0].append(k)
+        ends[len(seq) - 1][1].append(w)
+    levels, ids = [], [0]
+    for table, (_, words_ending) in zip(tables, ends):
+        words = sorted((letter, ids[w], v) for (letter, w), v in table.items())
+        below, ids, counts = len(ids), [0] * len(words), [0] * (n_letters + 1)
+        for j, (letter, _, v) in enumerate(words):
+            ids[v] = j
+            counts[letter + 1] += 1
+        words_ending[:] = [ids[v] for v in words_ending]
+        parent = [w for _, w, _ in words]
+        # a level extending each word below once, in order, is a path: None
+        levels.append((None if parent == list(range(below)) else np.array(parent),
+                       list(accumulate(counts))))
+    return levels, ends
+
+
+def _commutator_sups(assignment: GeneratorAssignment, pairs: Sequence[Tuple[int, int]],
+                     grid_n: int) -> List[Tuple[float, float]]:
+    """(witness_x, residual) of [h_u, h_v] for each pair (u, v): bitwise
+    ``commutator_witness(h_u, h_v, grid_n)``.
+
+    Each commutator is the letter sequence of
+    ``Compose((h_u, h_v, Inverse(h_u), Inverse(h_v)))``, taken in the order
+    its letters apply.  The leaves of the letters, in order of first use,
+    index them as in ``_walk``.  The sequences share their first letters
+    across pairs, so all of them are one trie, walked over the grid.  A
+    level holds at most one word per sequence, so the pairs are walked in
+    runs of as many as keep a level within ``_WALK_ELEMENTS`` values.  Each
+    sequence's values give its grid sup as ``_grid_sup`` takes it, at the
+    first point of largest distance.
+    """
+    m = assignment.manifold
+    xs = _grid(m, grid_n)
+    leaves: Dict[int, Tuple[int, DiffeoExpr]] = {}
+    applied = {v: [2 * leaves.setdefault(id(e), (len(leaves), e))[0] + (s < 0)
+                   for e, s in reversed(h.letters)]
+               for v, h in assignment.exprs().items()}
+    inverse = {v: [i ^ 1 for i in reversed(a)] for v, a in applied.items()}
+    seqs = [inverse[v] + inverse[u] + applied[v] + applied[u] for u, v in pairs]
+    exprs = [e for _, e in leaves.values()]
+    sups: List[Tuple[float, float]] = [(0.0, 0.0)] * len(seqs)
+    run = max(1, _WALK_ELEMENTS // xs.size)
+    for start in range(0, len(seqs), run):
+        levels, ends = _trie(seqs[start:start + run], 2 * len(exprs))
+        for vals, (done, words) in zip(_walk(levels, exprs, xs), ends):
+            if done:
+                d = point_distance(m, vals[words], xs)
+                i = np.argmax(d, axis=1)
+                for k, x, r in zip(done, xs[i].tolist(), d[np.arange(i.size), i].tolist()):
+                    sups[start + k] = (x, r)
+    return sups
+
+
 def verify_assignment(
     assignment: GeneratorAssignment,
     word_len: Optional[int] = None,
@@ -742,36 +837,29 @@ def verify_assignment(
     """Check edges (commutation), non-edges (a witness point moved by more
     than 10 tol), and the free-product margins of the synthesis state.
 
-    Margin certification is truncated at ``word_len`` (the state's own
-    schedule length by default); the report says so prominently.
+    Every checked commutator is evaluated on the grid in one walk over the
+    shared letter prefixes of all of them, in bounded memory
+    (``_commutator_sups``); each residual and witness is bitwise that of
+    ``commutator_residual`` and ``commutator_witness``.  Margin
+    certification is truncated at ``word_len`` (the state's own schedule
+    length by default); the report says so prominently.
     """
     state = assignment.state
     if state is not None and state.num_g != len(assignment.gens):
         raise ValueError(f"synthesis state schedules {state.num_g} g generators, "
                          f"the assignment has {len(assignment.gens)}")
+    if word_len is not None and word_len < 1:
+        raise ValueError("word_len must be >= 1")
     g = assignment.graph
-    exprs = assignment.exprs()
     notes = []
-    ok = True
-
-    edge_checks = []
-    for u, v in sorted(g.edges):
-        r = commutator_residual(exprs[u], exprs[v], grid_n)
-        good = r < tol
-        ok = ok and good
-        edge_checks.append({"u": u, "v": v, "residual": r, "ok": good})
-
-    non_edge_checks = []
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if g.has_edge(u, v):
-                continue
-            x, r = commutator_witness(exprs[u], exprs[v], grid_n)
-            good = r > 10 * tol
-            ok = ok and good
-            non_edge_checks.append(
-                {"u": u, "v": v, "witness_x": x, "residual": r, "ok": good}
-            )
+    edges = sorted(g.edges)
+    non_edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+    sups = _commutator_sups(assignment, edges + non_edges, grid_n)
+    edge_checks = [{"u": u, "v": v, "residual": r, "ok": r < tol}
+                   for (u, v), (_, r) in zip(edges, sups)]
+    non_edge_checks = [{"u": u, "v": v, "witness_x": x, "residual": r, "ok": r > 10 * tol}
+                       for (u, v), (x, r) in zip(non_edges, sups[len(edges):])]
+    ok = all(c["ok"] for c in chain(edge_checks, non_edge_checks))
 
     margin_checks: List[Tuple[int, float, float]] = []
     margin_failures: List[dict] = []

@@ -35,6 +35,7 @@ from cliqueforest.schemas import (
     REPORT_SCHEMA,
 )
 
+K2 = "n=2\n0 1\n"
 K3 = "n=3\n0 1\n0 2\n1 2\n"
 P3 = "n=3\n0 1\n1 2\n"
 TWO_CLIQUES = "n=4\n0 1\n2 3\n"
@@ -362,6 +363,22 @@ class TestSynthesizeVerify:
         jsonschema.validate(doc, DECISION_SCHEMA)
         assert doc == {"embeddable": False, "manifold": "S1",
                        "missing_edge": {"u": 0, "v": 2, "path": [0, 1, 2]}}
+
+    @pytest.mark.parametrize("word_len", ["0", "-3"])
+    @pytest.mark.parametrize("text", [K2, K2_K3], ids=["K2", "K2+K3"])
+    def test_word_len_below_one_rejected(self, graph_file, tmp_path, capsys, text, word_len):
+        # a word length below 1 certifies nothing, on a single clique as on a
+        # forest: an input error, as a grid of fewer than two cells is
+        src, asg = graph_file(text), tmp_path / "asg.json"
+        assert main(["synthesize", src, "--word-len", "2", "--out", str(asg),
+                     "--report", str(tmp_path / "rep.json")]) == EXIT_OK
+        capsys.readouterr()
+        for argv in (["synthesize", src], ["verify", str(asg)]):
+            with pytest.raises(SystemExit) as ei:
+                main(argv + ["--word-len", word_len, "--out", str(tmp_path / "out.json")])
+            assert ei.value.code == EXIT_INPUT
+            assert "word length must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
 
     def test_single_clique(self, graph_file, tmp_path):
         asg = tmp_path / "asg.json"

@@ -6,9 +6,12 @@ The reference functions below are those procedures, kept verbatim in
 behaviour: the four-loop quadruple search, the all-pairs center check, the
 BFS component walk with its first-missing-pair witness, the per-line
 edge-list parser, the stage-by-stage perturbation recursion over word
-tuples, and the per-node recursion of Compose, Inverse and Power.  Their commutation predicate multiplies the matrices, so the closed
+tuples, the per-node recursion of Compose, Inverse and Power, and the
+per-pair grid scans of ``commutator_witness`` and ``commutator_residual``
+that verification replaced by one walk over shared letter prefixes.  Their commutation predicate multiplies the matrices, so the closed
 form of ``commutes_with`` is checked on the way.
 """
+import itertools
 import math
 import random
 from collections import deque
@@ -16,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliqueforest import (
     CliqueForest,
@@ -42,12 +47,18 @@ from cliqueforest import (
     PerturbedLiftS1,
     Power,
     RotationS1,
+    SimpleGraph,
     SineShear,
     Translation,
     choose_alphas,
+    commutator_residual,
+    commutator_witness,
     enumerate_words,
+    synthesize_embedding,
+    verify_assignment,
 )
 from cliqueforest import graphs, synthesis
+from cliqueforest.diffeo import DEFAULT_GRID
 from cliqueforest.graphs import ComponentReport, CompletenessReport, parse_edge_list
 from cliqueforest.raag import normal_form
 from cliqueforest.synthesis import (
@@ -851,3 +862,98 @@ def test_composite_derivatives_within_rounding_of_the_recursion(manifold):
     for e in composites(manifold, 30, 5) + commutators:
         steps = ref_roundings(e) + len(e.letters)
         assert_derivatives_close(e, scalars + arrays, 1e-15 * max(1, steps))
+
+
+# ---------------------------------------------------------------------------
+# verification: the commutator walk against the per-pair grid scans
+
+
+def forest_graph(sizes):
+    edges, base = [], 0
+    for size in sizes:
+        edges += [(base + a, base + b) for a, b in itertools.combinations(range(size), 2)]
+        base += size
+    return SimpleGraph.from_edges(base, edges)
+
+
+def assert_walk_matches_pair_scans(asg, grid_n, sample=None):
+    """The walk's (witness_x, residual) of every vertex pair is == that of
+    ``commutator_witness``; the report's edge residuals are == those of
+    ``commutator_residual`` and its non-edge rows those of
+    ``commutator_witness``.  With ``sample``, the per-pair scans run on that
+    many random pairs and the first and last, while the walks cover all."""
+    g, exprs = asg.graph, asg.exprs()
+    pairs = list(itertools.combinations(range(g.n), 2))
+    checked = pairs if sample is None else sorted(
+        set(random.Random(17).sample(pairs, sample)) | {pairs[0], pairs[-1], (0, g.n - 1)})
+    ref = {(u, v): commutator_witness(exprs[u], exprs[v], grid_n) for u, v in checked}
+    sups = dict(zip(pairs, synthesis._commutator_sups(asg, pairs, grid_n)))
+    assert [sups[p] for p in checked] == [ref[p] for p in checked]
+    report = verify_assignment(asg, grid_n=grid_n)
+    edges = [(c["u"], c["v"], c["residual"]) for c in report.edge_checks]
+    assert [(u, v) for u, v, _ in edges] == sorted(g.edges)
+    assert [e for e in edges if e[:2] in ref] == [
+        (u, v, commutator_residual(exprs[u], exprs[v], grid_n)) for u, v in checked
+        if (u, v) in g.edges]
+    rows = [(c["u"], c["v"], c["witness_x"], c["residual"]) for c in report.non_edge_checks]
+    assert [r[:2] for r in rows] == [p for p in pairs if p not in g.edges]
+    assert [r for r in rows if r[:2] in ref] == [
+        (u, v, *ref[u, v]) for u, v in checked if (u, v) not in g.edges]
+
+
+# 20xK2 is checked on a 64-cell grid and on a sample of pairs: its per-pair
+# scans invert f 2(i + j) times for the pair of components i and j, 32,760
+# solver calls over its 780 pairs
+@pytest.mark.parametrize("sizes, manifold, word_len, grid_n, sample", [
+    ((2,) * 20, Manifold.INTERVAL, 2, 64, 40),
+    ((6, 2, 2, 2), Manifold.CIRCLE, 3, DEFAULT_GRID, None),
+    ((2, 3), Manifold.INTERVAL, 3, DEFAULT_GRID, None),
+    ((2, 3), Manifold.CIRCLE, 3, DEFAULT_GRID, None),
+], ids=["20xK2-I", "K6+3xK2-S1", "K2+K3-I", "K2+K3-S1"])
+def test_commutator_walk_matches_pair_scans(sizes, manifold, word_len, grid_n, sample):
+    asg = synthesize_embedding(forest_graph(sizes), manifold, SynthesisOptions(word_len=word_len))
+    assert not isinstance(asg.f, Identity)
+    assert_walk_matches_pair_scans(asg, grid_n, sample)
+
+
+@pytest.mark.parametrize("manifold", [Manifold.INTERVAL, Manifold.CIRCLE], ids=["I", "S1"])
+def test_commutator_walk_matches_pair_scans_on_a_clique(manifold):
+    asg = synthesize_embedding(forest_graph((4,)), manifold, SynthesisOptions(word_len=2))
+    assert isinstance(asg.f, Identity)
+    assert_walk_matches_pair_scans(asg, DEFAULT_GRID)
+
+
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=4),
+       st.sampled_from([Manifold.INTERVAL, Manifold.CIRCLE]), st.integers(1, 2),
+       st.sampled_from([2, 8, 40, 64]))
+@settings(max_examples=15, deadline=None)
+def test_commutator_walk_matches_pair_scans_on_random_forests(sizes, manifold, word_len, grid_n):
+    # grids of up to 31 cells take the scalar inversion path in the per-pair
+    # scans, while the walk inverts many pairs' values in one array
+    asg = synthesize_embedding(forest_graph(sizes), manifold, SynthesisOptions(word_len=word_len))
+    assert_walk_matches_pair_scans(asg, grid_n)
+
+
+@pytest.mark.parametrize("cap, apply, runs", [
+    (1, 1, 28), (3 * (DEFAULT_GRID + 1), 2 * (DEFAULT_GRID + 1) + 5, 10),
+    (40 * (DEFAULT_GRID + 1), synthesis._APPLY_ELEMENTS, 1)])
+def test_commutator_walk_in_chunks(monkeypatch, cap, apply, runs):
+    # runs of pairs whose levels hold at most cap values, each letter applied
+    # to at most apply values (or one word) at a time
+    asg = synthesize_embedding(forest_graph((3, 2, 2, 1)), Manifold.CIRCLE,
+                               SynthesisOptions(word_len=2))
+    monkeypatch.setattr(synthesis, "_WALK_ELEMENTS", cap)
+    monkeypatch.setattr(synthesis, "_APPLY_ELEMENTS", apply)
+    widths, walk = [], synthesis._walk
+
+    def recording(levels, exprs, xs):
+        if xs.size > 1:  # not the schedule's walk from p
+            widths.append(max(bounds[-1] for _, bounds in levels) * xs.size)
+        return walk(levels, exprs, xs)
+
+    monkeypatch.setattr(synthesis, "_walk", recording)
+    assert_walk_matches_pair_scans(asg, DEFAULT_GRID)
+    # one walk per run of pairs, in the direct call and in the report's;
+    # a run of one pair may exceed the cap
+    assert max(widths) <= max(cap, DEFAULT_GRID + 1)
+    assert len(widths) == 2 * runs

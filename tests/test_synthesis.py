@@ -26,6 +26,7 @@ from cliqueforest import (
     synthesize_embedding,
     verify_assignment,
 )
+from cliqueforest import synthesis
 from cliqueforest.synthesis import (
     DEFAULT_BASEPOINT,
     GeneratorAssignment,
@@ -253,6 +254,13 @@ class TestScheduleValues:
         gens = tuple(RotationS1(a) for a in choose_alphas(3).alphas)
         self._check(PerturbedLiftS1((BumpTrig(0.02, 1, 0.5),)), gens, Manifold.CIRCLE)
 
+    @pytest.mark.parametrize("apply", [1, 7, 100])
+    def test_letters_applied_in_slices(self, monkeypatch, apply):
+        # a letter applied to a few words at a time gives the same bits
+        monkeypatch.setattr(synthesis, "_APPLY_ELEMENTS", apply)
+        gens = tuple(MobiusI(a) for a in choose_alphas(3).alphas)
+        self._check(PerturbedF((BumpPoly(0.124875, 1),)), gens, Manifold.INTERVAL)
+
 
 class TestSynthesizeEmbedding:
     def test_single_clique_needs_no_f(self):
@@ -274,6 +282,18 @@ class TestSynthesizeEmbedding:
     def test_line_rejected(self):
         with pytest.raises(NotApplicableError):
             synthesize_embedding(SimpleGraph.from_edges(2, [(0, 1)]), Manifold.LINE)
+
+    @pytest.mark.parametrize("n, edges", [(2, [(0, 1)]), (5, [(0, 1), (2, 3), (2, 4), (3, 4)])],
+                             ids=["K2", "K2+K3"])
+    def test_word_len_below_one_rejected(self, n, edges):
+        # a single clique has no schedule, but its report states a word length
+        g = SimpleGraph.from_edges(n, edges)
+        with pytest.raises(ValueError, match="word_len must be >= 1"):
+            synthesize_embedding(g, opts=SynthesisOptions(word_len=0))
+        asg = synthesize_embedding(g, opts=SynthesisOptions(word_len=2))
+        for word_len in (0, -3):
+            with pytest.raises(ValueError, match="word_len must be >= 1"):
+                verify_assignment(asg, word_len=word_len)
 
     def test_empty_graph(self):
         asg = synthesize_embedding(SimpleGraph.from_edges(0, []))
