@@ -121,6 +121,13 @@ def _word_len(arg: str) -> int:
     return n
 
 
+def _alpha_k(arg: str) -> int:
+    n = int(arg)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"alpha-k must be at least 1, got {n}")
+    return n
+
+
 def _tol(arg: str) -> float:
     t = float(arg)
     if not (math.isfinite(t) and t > 0):
@@ -223,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifold", type=_manifold, default=Manifold.INTERVAL)
     p.add_argument("--word-len", type=_word_len, default=6)
     p.add_argument("--basepoint", type=float, default=SynthesisOptions().basepoint)
-    p.add_argument("--alpha-k", type=int, default=SynthesisOptions().alpha_k)
+    p.add_argument("--alpha-k", type=_alpha_k, default=SynthesisOptions().alpha_k)
     p.add_argument("--report", help="verification report file (default: stdout)")
     _add_common(p)
     p.set_defaults(func=cmd_synthesize)

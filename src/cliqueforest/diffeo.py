@@ -496,78 +496,115 @@ def _solve_increasing(e: DiffeoExpr, y: float) -> float:
     return x
 
 
-def _expand_array(e: DiffeoExpr, y: np.ndarray, upper: bool) -> np.ndarray:
+def _expand_array(e: DiffeoExpr, y: np.ndarray, upper: bool) -> Tuple[np.ndarray, np.ndarray]:
     """The bracket expansion of ``_solve_increasing`` for every element of y.
 
-    Elements still expanding after t steps all use the step 2^t, so one
-    scalar step serves them all.
+    Returns (b, r): the final bracket end b of each element and its residual
+    r = e(b) - y, which the scalar solver recomputes from the same b.  The
+    first test runs on the whole array; later ones only on the elements
+    still expanding, which after t steps all use the step 2^t, so one scalar
+    step serves them all.
     """
     b = y + 1.0 if upper else y - 1.0
-    todo = np.arange(y.size)
+    r = e._raw(b) - y
+    todo = np.flatnonzero(~(r >= 0) if upper else ~(r <= 0))
     step = 1.0
-    for _ in range(64):
-        r = e._raw(b[todo]) - y[todo]
-        todo = todo[~(r >= 0) if upper else ~(r <= 0)]
+    for _ in range(63):  # with the test above, the scalar solver's 64
         if not todo.size:
-            return b
+            break
         b[todo] = b[todo] + step if upper else b[todo] - step
         step *= 2
-    raise InversionError(f"bracket expansion failed ({'upper' if upper else 'lower'})")
+        rt = e._raw(b[todo]) - y[todo]
+        r[todo] = rt
+        todo = todo[~(rt >= 0) if upper else ~(rt <= 0)]
+    if todo.size:
+        raise InversionError(f"bracket expansion failed ({'upper' if upper else 'lower'})")
+    return b, r
 
 
 def _solve_increasing_array(e: DiffeoExpr, y: np.ndarray) -> np.ndarray:
     """``_solve_increasing`` for every element of a float64 array at once.
 
-    Each element takes the scalar solver's steps (bracket, first guess,
-    Newton step inside the bracket or else bisection, stopping test), with
-    per-element masks, so each result is bitwise the scalar solver's.
-    Raises InversionError if any element fails.
+    Each element takes the scalar solver's steps with the same float
+    operations on the same operands, so each result is bitwise the scalar
+    solver's: the bracket and its end residuals (``[0, 1]`` on I, where
+    e(0) and e(1) are evaluated once for all elements; else
+    ``_expand_array``), an element at a bracket end returns it, the others
+    start from y clipped to the bracket.  Each iteration then runs on the
+    active elements only:
+
+    1. fx = e(x) - y, and x replaces hi where fx > 0, else lo;
+    2. the stopping test: only elements with |fx| <= tol (tol = 1e-14
+       max(1, |y|), computed once) can stop, so the bracket width is
+       tested on those alone;
+    3. if some element stopped, its x is stored and the active arrays are
+       compacted, with one index array and a ``take`` per array;
+    4. x - fx / e'(x) for every element, replaced by the bisection midpoint
+       on the few elements whose derivative is not positive or whose Newton
+       step leaves the open bracket.
+
+    Arrays of at most ``SCALAR_SOLVE_MAX`` elements run the scalar solver
+    element by element.  Raises InversionError if any element fails.
     """
     y = np.asarray(y, dtype=float)
     if y.size <= SCALAR_SOLVE_MAX:
         return np.array([_solve_increasing(e, v) for v in y.tolist()])
     if e.manifold is Manifold.INTERVAL:
         lo, hi = np.zeros_like(y), np.ones_like(y)
-        flo, fhi = e._raw(lo) - y, e._raw(hi) - y
+        e0, e1 = e._raw(np.array([0.0, 1.0]))
+        flo, fhi = e0 - y, e1 - y
         bad = ((flo > 0) | (fhi < 0)) & ~((0.0 <= y) & (y <= 1.0))
         if np.any(bad):
             raise InversionError(
                 f"target {y[bad][0]} outside range of {e.kind()} on [0,1]"
             )
     else:
-        lo, hi = _expand_array(e, y, False), _expand_array(e, y, True)
-        flo, fhi = e._raw(lo) - y, e._raw(hi) - y
+        (lo, flo), (hi, fhi) = _expand_array(e, y, False), _expand_array(e, y, True)
 
     x = np.minimum(np.maximum(y, lo), hi)  # good first guess for near-identity maps
+    at_hi = fhi <= 0.0
     at_lo = flo >= 0.0
-    at_hi = ~at_lo & (fhi <= 0.0)
-    x[at_lo], x[at_hi] = lo[at_lo], hi[at_hi]
+    x[at_hi] = hi[at_hi]
+    x[at_lo] = lo[at_lo]  # the scalar solver tests the lower end first
     idx = np.flatnonzero(~(at_lo | at_hi))
-    scale = np.maximum(1.0, np.abs(y[idx]))
-    xa, lo, hi, ya = x[idx], lo[idx], hi[idx], y[idx]
-    for _ in range(INVERSION_MAX_ITER):
+    xa, ya = x, y  # compacted only if some element is at a bracket end
+    if idx.size < y.size:
         if not idx.size:
             return x
-        fx = e._raw(xa) - ya
-        up = fx > 0
-        hi = np.where(up, xa, hi)
-        lo = np.where(up, lo, xa)
-        done = (fx == 0.0) | (
-            (hi - lo <= 4e-16 * np.maximum(np.maximum(1.0, np.abs(lo)), np.abs(hi)))
-            & (np.abs(fx) <= INVERSION_TOL * scale)
-        )
-        x[idx[done]] = xa[done]
-        keep = ~done
-        idx, xa, lo, hi, ya, scale, fx = (
-            a[keep] for a in (idx, xa, lo, hi, ya, scale, fx)
-        )
-        d = e._draw(xa)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cand = xa - fx / d
-        newton = (d > 0) & (lo < cand) & (cand < hi)
-        xa = np.where(newton, cand, 0.5 * (lo + hi))
+        xa, lo, hi, ya = x.take(idx), lo.take(idx), hi.take(idx), y.take(idx)
+    tol = INVERSION_TOL * np.maximum(1.0, np.abs(ya))
+    # a zero derivative gives a non-finite Newton step, which then bisects
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(INVERSION_MAX_ITER):
+            fx = e._raw(xa) - ya
+            up = fx > 0
+            hi = np.where(up, xa, hi)
+            lo = np.where(up, lo, xa)
+            near = np.flatnonzero(np.abs(fx) <= tol)
+            if near.size:
+                ln, hn = lo.take(near), hi.take(near)
+                stop = (fx.take(near) == 0.0) | (
+                    hn - ln <= 4e-16 * np.maximum(np.maximum(1.0, np.abs(ln)), np.abs(hn))
+                )
+                done = near[stop]
+                if done.size:
+                    x[idx.take(done)] = xa.take(done)
+                    if done.size == idx.size:
+                        return x
+                    keep = np.ones(idx.size, dtype=bool)
+                    keep[done] = False
+                    keep = np.flatnonzero(keep)
+                    idx, xa, lo, hi, ya, tol, fx = (
+                        a.take(keep) for a in (idx, xa, lo, hi, ya, tol, fx)
+                    )
+            d = e._draw(xa)
+            xn = xa - fx / d
+            out = np.flatnonzero(~((lo < xn) & (xn < hi) & (d > 0)))
+            if out.size:
+                xn[out] = 0.5 * (lo.take(out) + hi.take(out))
+            xa = xn
     x[idx] = xa
-    bad = np.abs(e._raw(xa) - ya) > 1e-9 * scale
+    bad = np.abs(e._raw(xa) - ya) > 1e-9 * np.maximum(1.0, np.abs(ya))
     if np.any(bad):
         raise InversionError(
             f"inversion of {e.kind()} did not converge at y={ya[bad][0]} "

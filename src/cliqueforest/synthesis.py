@@ -694,6 +694,8 @@ def synthesize_embedding(
         raise NotApplicableError("synthesis covers I and S1 only")
     if opts.word_len < 1:
         raise ValueError("word_len must be >= 1")
+    if opts.alpha_k < 1:
+        raise ValueError("alpha_k must be >= 1")
     cert = is_clique_forest(g)
     if isinstance(cert, MissingEdgeWitness):
         raise NotEmbeddableError(cert)

@@ -380,6 +380,18 @@ class TestSynthesizeVerify:
             assert "word length must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "out.json").exists()
 
+    @pytest.mark.parametrize("alpha_k", ["0", "-7"])
+    @pytest.mark.parametrize("text", ["n=0\n", K2, K2_K3], ids=["empty", "K2", "K2+K3"])
+    def test_alpha_k_below_one_rejected(self, graph_file, tmp_path, capsys, text, alpha_k):
+        # a relation height below 1 bounds no word: an input error on every
+        # graph, the empty one (which would store it as its k_bound) included
+        out = tmp_path / "out.json"
+        with pytest.raises(SystemExit) as ei:
+            main(["synthesize", graph_file(text), "--alpha-k", alpha_k, "--out", str(out)])
+        assert ei.value.code == EXIT_INPUT
+        assert "alpha-k must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_single_clique(self, graph_file, tmp_path):
         asg = tmp_path / "asg.json"
         rep = tmp_path / "rep.json"

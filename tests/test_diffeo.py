@@ -32,6 +32,7 @@ from cliqueforest import (
     word_evaluate,
 )
 from cliqueforest.diffeo import (
+    SCALAR_SOLVE_MAX,
     DiffeoExpr,
     _roots_on_grid,
     _solve_increasing,
@@ -454,22 +455,60 @@ class TestArrayGridPath:
         if exact:
             assert (wx, r) == (rx, rr)
 
+    PAD = [i / 97 for i in range(98)]
+
     @pytest.mark.parametrize("e, ys", [
-        (F, [0.0, 1e-300, 0.25, 0.5, 0.70710678, 0.999, 1.0]),
-        (LIFT, [-1.5, -0.2, 0.0, 0.3, 0.999, 2.25, 7.0]),
+        (F, [0.0, 1e-300, 0.25, 0.5, 0.70710678, 0.999, 1.0] + PAD),
+        (LIFT, [-1.5, -0.2, 0.0, 0.3, 0.999, 2.25, 7.0] + PAD),
         # steep enough that some Newton steps leave the bracket and bisect
         (SineShear(1.9), [-40.0, -3.0, 0.0, 0.5, math.pi, 12.0]
-         + [-10.0 + i / 10 for i in range(201)]),
+         + [-10.0 + i / 10 for i in range(201)] + PAD),
         # far shifts: the bracket must expand several times on one side
         (_LineMap(lambda x: x + 37.5 + 0.5 * np.sin(1.9 * x),
                   lambda x: 1.0 + 0.95 * np.cos(1.9 * x)),
-         [-100.0, 0.0, 3.3] + [i / 10 for i in range(100)]),
-        (_LineMap(lambda x: 1.5 * x - 900.0, lambda x: 1.5), [-2.0, 0.0, 1e3]),
+         [-100.0, 0.0, 3.3] + [i / 10 for i in range(100)] + PAD),
+        (_LineMap(lambda x: 1.5 * x - 900.0, lambda x: 1.5), [-2.0, 0.0, 1e3] + PAD),
+        # the lift fixes the integers and half-integers exactly, so those stop
+        # at the first iterate while the others take three to four more
+        (PerturbedLiftS1((BumpTrig(0.02, 1),)),
+         [float(k) for k in range(-3, 4)] + [k + 0.5 for k in range(-3, 3)] + PAD),
+        # every element at a bracket end: 0 and 1 on I; on the line the
+        # residual at the expanded upper end y + 1 is exactly 0
+        (F, [0.0, 1.0] * 20),
+        (_LineMap(lambda x: x - 1.0, lambda x: 1.0), [k / 4 for k in range(-40, 40)]),
+        (PerturbedLiftS1((BumpTrig(0.03, 1, 0.3), BumpTrig(-0.01, 2, 1.1),
+                          BumpTrig(0.005, 3, 2.0), BumpTrig(0.002, 4, 4.5))),
+         [-2.5, -0.01, 0.0, 0.77, 3.5] + PAD),
+        # just past the element-by-element size, and one past the walk's chunk
+        (LIFT, [-1.0 + i / 16 for i in range(SCALAR_SOLVE_MAX + 1)]),
+        (LIFT, [-2.0 + i / 1024 for i in range(2 ** 13 + 1)]),
     ])
     def test_array_solver_matches_scalar(self, e, ys):
-        ys = ys + [i / 97 for i in range(98)]
         got = _solve_increasing_array(e, np.array(ys))
         assert _bits(got) == _bits([_solve_increasing(e, y) for y in ys])
+
+    def test_lift_bracket_evaluated_once_per_side(self):
+        # the bracket [y - 1, y + 1] of a near-identity lift holds at once:
+        # one evaluation per element per side, whose residuals are the
+        # bracket-end values, then one at the first iterate y before any
+        # derivative is taken
+        calls = []
+
+        class Counted(PerturbedLiftS1):
+            def _raw(self, x):
+                calls.append(("raw", np.size(x)))
+                return super()._raw(x)
+
+            def _draw(self, x):
+                calls.append(("draw", np.size(x)))
+                return super()._draw(x)
+
+        lift = Counted(self.LIFT.bumps)
+        ys = [-2.0 + i / 256 for i in range(1281)]
+        got = _solve_increasing_array(lift, np.array(ys))
+        assert _bits(got) == _bits([_solve_increasing(self.LIFT, y) for y in ys])
+        first_draw = next(i for i, (kind, _) in enumerate(calls) if kind == "draw")
+        assert sum(n for _, n in calls[:first_draw]) <= 3 * len(ys)
 
     def test_array_solver_out_of_range(self):
         # small arrays are solved element by element, larger ones in one

@@ -295,6 +295,17 @@ class TestSynthesizeEmbedding:
             with pytest.raises(ValueError, match="word_len must be >= 1"):
                 verify_assignment(asg, word_len=word_len)
 
+    @pytest.mark.parametrize("alpha_k", [0, -7])
+    @pytest.mark.parametrize("n, edges", [(0, []), (2, [(0, 1)]),
+                                          (5, [(0, 1), (2, 3), (2, 4), (3, 4)])],
+                             ids=["empty", "K2", "K2+K3"])
+    def test_alpha_k_below_one_rejected(self, n, edges, alpha_k):
+        # rejected up front: neither raised to the word length nor, on the
+        # empty graph, stored as the k_bound
+        g = SimpleGraph.from_edges(n, edges)
+        with pytest.raises(ValueError, match="alpha_k must be >= 1"):
+            synthesize_embedding(g, opts=SynthesisOptions(word_len=2, alpha_k=alpha_k))
+
     def test_empty_graph(self):
         asg = synthesize_embedding(SimpleGraph.from_edges(0, []))
         assert asg.layout == ()
