@@ -258,8 +258,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_commgraph)
 
     p = sub.add_parser("obstruct", help="centralizer-quadruple search")
-    p.add_argument("--radius", type=int, default=2, help="Heisenberg ball radius")
-    p.add_argument("--elements", help="file of labelled unipotent matrices")
+    source = p.add_mutually_exclusive_group()
+    # a str default, which argparse converts by type: an int default would
+    # be the very object `--radius 2` parses to, which the group takes as absent
+    source.add_argument("--radius", type=int, default="2", help="Heisenberg ball radius")
+    source.add_argument("--elements", help="file of labelled unipotent matrices")
     p.add_argument("--out", help="output file (default: stdout)")
     p.set_defaults(func=cmd_obstruct)
     return ap

@@ -4,6 +4,11 @@ Every expression carries exactly one manifold tag.  Circle maps are stored
 through their degree-one lifts F: R -> R with F(x+1) = F(x) + 1; evaluation
 reduces mod 1, residuals are measured as circle distances.  All objects are
 immutable after construction and every operation is a pure function.
+
+Every grid sup (commutator and identity residuals, the verification of an
+assignment, commutation graphs) is taken by ``grid_sups``, one walk over
+the trie of the expressions' letter sequences; ``apply_letters`` is the
+reference of each value it walks.
 """
 from __future__ import annotations
 
@@ -11,7 +16,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Mapping, Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -442,8 +448,9 @@ def _solve_increasing(e: DiffeoExpr, y: float) -> float:
         lo, hi = 0.0, 1.0
         flo, fhi = e._raw(lo) - y, e._raw(hi) - y
         # a map of I fixes 0 and 1, but its rounded value there may miss a
-        # target in [0, 1] by an ulp; the endpoint is then the preimage
-        if (flo > 0 or fhi < 0) and not 0.0 <= y <= 1.0:
+        # target in [0, 1] by an ulp; the endpoint is then the preimage.  A
+        # NaN target fails both tests
+        if not (flo <= 0 and fhi >= 0) and not 0.0 <= y <= 1.0:
             raise InversionError(f"target {y} outside range of {e.kind()} on [0,1]")
     else:
         # expanding bracket around y (lift / line maps are near-translations)
@@ -553,7 +560,7 @@ def _solve_increasing_array(e: DiffeoExpr, y: np.ndarray) -> np.ndarray:
         lo, hi = np.zeros_like(y), np.ones_like(y)
         e0, e1 = e._raw(np.array([0.0, 1.0]))
         flo, fhi = e0 - y, e1 - y
-        bad = ((flo > 0) | (fhi < 0)) & ~((0.0 <= y) & (y <= 1.0))
+        bad = ~((flo <= 0) & (fhi >= 0)) & ~((0.0 <= y) & (y <= 1.0))
         if np.any(bad):
             raise InversionError(
                 f"target {y[bad][0]} outside range of {e.kind()} on [0,1]"
@@ -804,15 +811,110 @@ def apply_letters(letters: Sequence[Tuple[DiffeoExpr, int]], x):
     return x
 
 
-def _grid_sup(e: DiffeoExpr, grid_n: int, domain) -> Tuple[float, float]:
-    """(x, r): the first grid point maximizing r = dist(e(x), x), with ``e``
-    evaluated on the whole grid in one array pass; circle distances are
-    lifted angular distances."""
-    m = e.manifold
+# values one letter is applied to at a time: this bounds the working arrays
+# of a monotone inversion, which run faster while they stay in cache
+_APPLY_ELEMENTS = 1 << 13
+
+
+def _walk(levels: Sequence[Tuple[Optional[np.ndarray], List[int]]],
+          exprs: Sequence[DiffeoExpr], xs: np.ndarray):
+    """Yield, level by level, the values at the points ``xs`` of the words of
+    ``levels``, each given as the ``parent`` array and the ``bounds`` list of
+    a ``synthesis._Level``: one row of ``xs.size`` values per word.  A
+    ``parent`` of None stands for each word of the level below, in order.
+
+    ``value(l w) = l(value(w))``: letter i is ``exprs[i // 2]``, inverted
+    for odd i, applied once per level to the values of all the words it
+    precedes, as flat arrays of at most ``_APPLY_ELEMENTS`` values (or one
+    word).  The float operations of each element are those of
+    ``apply_letters``, so every value is bitwise its result.
+    """
+    width, vals = xs.size, xs.reshape(1, -1)
+    step = max(1, _APPLY_ELEMENTS // width)
+    for parent, bounds in levels:
+        parts = []
+        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            for start in range(lo, hi, step):
+                rows = slice(start, min(start + step, hi))
+                v = (vals[rows] if parent is None else np.take(vals, parent[rows], 0)).ravel()
+                parts.append(exprs[i // 2]._inv_raw(v) if i % 2 else exprs[i // 2]._raw(v))
+        vals = (np.concatenate(parts) if len(parts) > 1 else parts[0]).reshape(-1, width)
+        yield vals
+
+
+_WALK_ELEMENTS = 1 << 20  # grid values held per level of one grid-sup walk
+
+
+def _trie(seqs: Sequence[Sequence[int]], n_letters: int):
+    """The trie of the letter sequences ``seqs``, each in the order its
+    letters apply: for each level, its (parent, bounds) as in
+    ``synthesis._Level``, and the sequences that end there with their words.
+
+    Level L holds the distinct prefixes of L + 1 letters, as the words
+    ``l w`` of a last letter l over a prefix w of level L - 1, numbered by
+    l, then w.
+    """
+    tables: List[Dict[Tuple[int, int], int]] = [{} for _ in range(max(map(len, seqs)))]
+    ends: List[Tuple[List[int], List[int]]] = [([], []) for _ in tables]
+    for k, seq in enumerate(seqs):
+        w = 0  # words are numbered in order of insertion until renumbered below
+        for table, letter in zip(tables, seq):
+            w = table.setdefault((letter, w), len(table))
+        ends[len(seq) - 1][0].append(k)
+        ends[len(seq) - 1][1].append(w)
+    levels, ids = [], [0]
+    for table, (_, words_ending) in zip(tables, ends):
+        words = sorted((letter, ids[w], v) for (letter, w), v in table.items())
+        below, ids, counts = len(ids), [0] * len(words), [0] * (n_letters + 1)
+        for j, (letter, _, v) in enumerate(words):
+            ids[v] = j
+            counts[letter + 1] += 1
+        words_ending[:] = [ids[v] for v in words_ending]
+        parent = [w for _, w, _ in words]
+        # a level extending each word below once, in order, is a path: None
+        levels.append((None if parent == list(range(below)) else np.array(parent),
+                       list(accumulate(counts))))
+    return levels, ends
+
+
+def grid_sups(exprs: Sequence[DiffeoExpr], grid_n: int = DEFAULT_GRID,
+              domain=None) -> List[Tuple[float, float]]:
+    """(x, r) for each expression e: the first grid point maximizing
+    r = dist(e(x), x), circle distances being lifted angular distances.
+
+    Each expression is its letter sequence, taken in the order its letters
+    apply; the leaves of the letters, in order of first use, index them as
+    in ``_walk``.  The sequences share their first letters across
+    expressions, so all of them are one trie, walked over the grid, and
+    each value is bitwise ``apply_letters(e.letters, xs)``.  A level holds
+    at most one word per sequence, so the expressions are walked in runs of
+    as many as keep a level within ``_WALK_ELEMENTS`` values.  An
+    expression without letters is the identity: (xs[0], 0.0).
+    """
+    if not exprs:
+        return []
+    tags = {e.manifold for e in exprs}
+    if len(tags) != 1:
+        raise TagMismatchError(f"mixed manifold tags: {tags}")
+    m = exprs[0].manifold
     xs = _grid(m, grid_n, domain)
-    r = point_distance(m, e._raw(xs), xs)
-    i = int(np.argmax(r))
-    return float(xs[i]), float(r[i])
+    leaves: Dict[int, Tuple[int, DiffeoExpr]] = {}
+    seqs = [[2 * leaves.setdefault(id(leaf), (len(leaves), leaf))[0] + (s < 0)
+             for leaf, s in reversed(e.letters)] for e in exprs]
+    leaf_exprs = [leaf for _, leaf in leaves.values()]
+    sups = [(float(xs[0]), 0.0)] * len(seqs)
+    walked = [k for k, seq in enumerate(seqs) if seq]
+    run = max(1, _WALK_ELEMENTS // xs.size)
+    for start in range(0, len(walked), run):
+        ks = walked[start:start + run]
+        levels, ends = _trie([seqs[k] for k in ks], 2 * len(leaf_exprs))
+        for vals, (done, words) in zip(_walk(levels, leaf_exprs, xs), ends):
+            if done:
+                d = point_distance(m, vals[words], xs)
+                i = np.argmax(d, axis=1)
+                for k, x, r in zip(done, xs[i].tolist(), d[np.arange(i.size), i].tolist()):
+                    sups[ks[k]] = (x, r)
+    return sups
 
 
 def commutator_residual(
@@ -824,8 +926,7 @@ def commutator_residual(
     """Grid sup of |[e1, e2](x) - x| with [e1, e2] = e1 e2 e1^-1 e2^-1.
 
     Zero at working precision iff the two maps commute; circle residuals are
-    lifted angular distances.  All grid points are evaluated in one array
-    pass; perturbed maps invert there by a vectorised bracketed Newton search.
+    lifted angular distances.  A ``grid_sups`` call of one commutator.
     """
     return commutator_witness(e1, e2, grid_n, domain)[1]
 
@@ -837,7 +938,7 @@ def commutator_witness(
     domain=None,
 ) -> Tuple[float, float]:
     """(x, residual) maximizing the commutator residual over the grid."""
-    return _grid_sup(Compose((e1, e2, Inverse(e1), Inverse(e2))), grid_n, domain)
+    return grid_sups([Compose((e1, e2, Inverse(e1), Inverse(e2)))], grid_n, domain)[0]
 
 
 Word = Sequence[Tuple[str, int]]
@@ -860,4 +961,4 @@ def word_evaluate(word: Word, assignment: Mapping[str, DiffeoExpr], x: float) ->
 
 def identity_residual(e: DiffeoExpr, grid_n: int = DEFAULT_GRID, domain=None) -> float:
     """Grid sup of |e(x) - x| (distance from the identity map)."""
-    return _grid_sup(e, grid_n, domain)[1]
+    return grid_sups([e], grid_n, domain)[0][1]

@@ -17,11 +17,12 @@ from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 from . import serialize
 from .diffeo import (
     DEFAULT_GRID,
+    Compose,
+    Inverse,
     Power,
     SineShear,
     Translation,
-    commutator_residual,
-    commutator_witness,
+    grid_sups,
 )
 
 
@@ -333,8 +334,8 @@ def remark_counterexample_suite(
         raise ValueError("need distinct nonzero parameters")
     fa, fb = SineShear(a), SineShear(b)
     ga, gb = Translation(2 * math.pi / a), Translation(2 * math.pi / b)
-    res_fa_ga = commutator_residual(fa, ga, grid_n, domain)
-    res_ga_gb = commutator_residual(ga, gb, grid_n, domain)
-    powers = tuple(PowerResidual(n, *commutator_witness(Power(fa, n), Power(fb, n), grid_n, domain))
-                   for n in range(1, n_max + 1))
+    pairs = [(fa, ga), (ga, gb)] + [(Power(fa, n), Power(fb, n)) for n in range(1, n_max + 1)]
+    (_, res_fa_ga), (_, res_ga_gb), *sups = grid_sups(
+        [Compose((u, v, Inverse(u), Inverse(v))) for u, v in pairs], grid_n, domain)
+    powers = tuple(PowerResidual(n, *sup) for n, sup in enumerate(sups, 1))
     return CounterexampleReport(a, b, n_max, grid_n, domain, res_fa_ga, res_ga_gb, powers)

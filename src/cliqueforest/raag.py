@@ -8,16 +8,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .diffeo import (
     DEFAULT_GRID,
+    Compose,
     DiffeoExpr,
+    Inverse,
     Manifold,
     Power,
-    TagMismatchError,
-    commutator_residual,
-    identity_residual,
+    grid_sups,
 )
 from . import serialize
 from .graphs import (
@@ -192,42 +193,32 @@ def commutation_graph(
     commutes; absence of an edge only means no commuting powers were found
     up to the cap.  Maps indistinguishable from the identity are rejected,
     mirroring the non-triviality hypotheses of the underlying lemmas.
+
+    The identity checks are one ``grid_sups`` call, and so is each power
+    round, over the pairs whose residuals have all stayed at or above
+    ``tol``; a pair's residual is its smallest over the rounds it ran.
     """
     if not fs:
         raise ValueError("empty map list")
-    tags = {e.manifold for e in fs}
-    if len(tags) != 1:
-        raise TagMismatchError(f"mixed manifold tags: {tags}")
     m = fs[0].manifold
     if power_bound < 1:
         raise ValueError("power_bound must be >= 1")
-    for idx, e in enumerate(fs):
-        if identity_residual(e, grid_n, domain) < tol:
+    for idx, (_, r) in enumerate(grid_sups(fs, grid_n, domain)):
+        if r < tol:
             raise ValueError(f"map {idx} is numerically the identity; rejected")
-    edges = []
-    residuals = []
-    for i in range(len(fs)):
-        for j in range(i + 1, len(fs)):
-            if m is Manifold.CIRCLE:
-                best = None
-                for k in range(1, power_bound + 1):
-                    r = commutator_residual(
-                        Power(fs[i], k), Power(fs[j], k), grid_n, domain
-                    )
-                    if best is None or r < best:
-                        best = r
-                    if r < tol:
-                        break
-            else:
-                best = commutator_residual(fs[i], fs[j], grid_n, domain)
-            residuals.append((i, j, best))
-            if best < tol:
-                edges.append((i, j))
+    best: Dict[Tuple[int, int], float] = {}
+    todo = list(combinations(range(len(fs)), 2))
+    for k in range(1, power_bound + 1 if m is Manifold.CIRCLE else 2):
+        comms = []
+        for i, j in todo:
+            a, b = Power(fs[i], k), Power(fs[j], k)
+            comms.append(Compose((a, b, Inverse(a), Inverse(b))))
+        rs = [r for _, r in grid_sups(comms, grid_n, domain)]
+        for p, r in zip(todo, rs):
+            if p not in best or r < best[p]:
+                best[p] = r
+        todo = [p for p, r in zip(todo, rs) if not r < tol]
+    residuals = [(i, j, r) for (i, j), r in sorted(best.items())]
+    edges = [(i, j) for i, j, r in residuals if r < tol]
     return CommutationGraphResult(
-        SimpleGraph.from_edges(len(fs), edges),
-        m,
-        tol,
-        power_bound,
-        grid_n,
-        tuple(residuals),
-    )
+        SimpleGraph.from_edges(len(fs), edges), m, tol, power_bound, grid_n, tuple(residuals))

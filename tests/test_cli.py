@@ -588,6 +588,17 @@ class TestObstruct:
         assert main(["obstruct", "--elements", str(ef)]) == EXIT_INPUT
         assert "line 2: matrix is not upper-triangular unipotent" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("radius", ["2", "3"])
+    def test_radius_and_elements_exclusive(self, tmp_path, capsys, radius):
+        # --elements replaces the ball, so a --radius beside it would do
+        # nothing; the default radius 2 given explicitly is rejected too
+        ef = _write_elements(tmp_path)
+        for argv in (["--radius", radius, "--elements", ef], ["--elements", ef, "--radius", radius]):
+            with pytest.raises(SystemExit) as ei:
+                main(["obstruct", *argv])
+            assert ei.value.code == EXIT_INPUT
+            assert "not allowed with argument" in capsys.readouterr().err
+
 
 class TestClosedPipe:
     def test_synthesize_into_closed_pipe(self, graph_file):

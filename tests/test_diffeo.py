@@ -31,12 +31,15 @@ from cliqueforest import (
     point_distance,
     word_evaluate,
 )
+from cliqueforest import diffeo
 from cliqueforest.diffeo import (
     SCALAR_SOLVE_MAX,
     DiffeoExpr,
     _roots_on_grid,
     _solve_increasing,
     _solve_increasing_array,
+    apply_letters,
+    grid_sups,
     identity_residual,
 )
 from conftest import mobius_matrix, mobius_matrix_apply
@@ -526,6 +529,20 @@ class TestArrayGridPath:
             with pytest.raises(InversionError):
                 bounded._inv_raw(np.array([0.5, 2.0] + pad))
 
+    @pytest.mark.parametrize("ys", [
+        [math.nan],
+        [0.25, math.nan, 0.5] + [i / 32 for i in range(SCALAR_SOLVE_MAX - 3)],
+        [i / 64 for i in range(32)] + [math.nan] + [i / 64 for i in range(32, 65)],
+    ], ids=["alone", "element-by-element", "array"])
+    def test_nan_target_raises(self, ys):
+        # NaN fails every comparison, so the range test must fail on it too:
+        # else the search runs all its iterations and returns NaN as preimage
+        f = PerturbedF((BumpPoly(0.124875, 1),))
+        with pytest.raises(InversionError, match="nan"):
+            _solve_increasing_array(f, np.array(ys))
+        with pytest.raises(InversionError, match="nan"):
+            _solve_increasing(f, math.nan)
+
     def test_endpoint_rounding_on_interval(self):
         # f fixes 1, but its rounded value there is 1 - 2^-53: a target in
         # [0, 1] past the rounded endpoint value inverts to the endpoint
@@ -564,6 +581,58 @@ class TestArrayGridPath:
         for n in (0, -1, 1):
             f = lambda x: e._raw(x) - x - n  # noqa: E731
             assert _roots_on_grid(f, xs, rs - n, 1e-10) == _reference_roots(f, xs, 1e-10)
+
+
+def _commutator(a, b):
+    return Compose((a, b, Inverse(a), Inverse(b)))
+
+
+class TestGridSups:
+    """One walk over the letter trie of many expressions gives each one's
+    grid sup, bitwise that of the scalar scan."""
+
+    F, LIFT = TestArrayGridPath.F, TestArrayGridPath.LIFT
+    H_I = (_conjugate(F, MobiusI(2.3), 2), _conjugate(F, MobiusI(1.7), 1))
+    H_S1 = (_conjugate(LIFT, RotationS1(2.1), 2), _conjugate(LIFT, RotationS1(0.7), 1))
+    SHEARS = (SineShear(1.0), Translation(2 * math.pi), SineShear(0.5))
+    # the second expression of each case, a Power(e, 0), has no letters: it
+    # is the identity, (xs[0], 0.0)
+    CASES = {
+        "I": ([_commutator(*H_I), Power(F, 0), H_I[0], _commutator(H_I[1], H_I[0]), F,
+               Identity(Manifold.INTERVAL), MobiusI(2.3)], None),
+        "S1": ([_commutator(*H_S1), Power(LIFT, 0), Power(LIFT, 3), RotationS1(math.pi),
+                _commutator(Power(RotationS1(math.pi), 2), Power(LIFT, 2))], None),
+        "line": ([_commutator(SHEARS[0], SHEARS[1]), Power(SHEARS[2], 0), SHEARS[0],
+                  _commutator(Power(SHEARS[0], 2), Power(SHEARS[2], 2)), SHEARS[1]],
+                 (0.0, 4 * math.pi)),
+    }
+
+    @pytest.mark.parametrize("walk_elements", [None, 2 * 257, 1], ids=["one-run", "pairs", "ones"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_scalar_scan(self, monkeypatch, case, walk_elements):
+        # np.sin agrees with math.sin bitwise where tested; a platform whose
+        # vector trig differs may be off by rounding only
+        exprs, domain = self.CASES[case]
+        if walk_elements is not None:  # runs of two expressions, or of one
+            monkeypatch.setattr(diffeo, "_WALK_ELEMENTS", walk_elements)
+        m = exprs[0].manifold
+        xs = np.linspace(*(domain or (0.0, 1.0)), 257)
+        angles = np.concatenate((2 * math.pi * xs, xs, 0.5 * xs))
+        exact = _bits(np.sin(angles)) == _bits([math.sin(t) for t in angles])
+        got = grid_sups(exprs, 256, domain)
+        ref = [TestCommutatorResidual._reference_sup(
+            m, lambda x, e=e: apply_letters(e.letters, x), xs.tolist()) for e in exprs]
+        assert got[1] == (xs[0], 0.0)
+        if exact:
+            assert got == ref
+        else:
+            assert np.max(np.abs(np.array(got) - np.array(ref))[:, 1]) <= 1e-12
+        assert [identity_residual(e, 256, domain) for e in exprs] == [r for _, r in got]
+
+    def test_mixed_tags(self):
+        with pytest.raises(TagMismatchError):
+            grid_sups([MobiusI(2.0), RotationS1(1.0)], 64)
+        assert grid_sups([], 64) == []
 
 
 class TestLetters:

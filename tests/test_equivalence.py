@@ -7,9 +7,10 @@ behaviour: the four-loop quadruple search, the all-pairs center check, the
 BFS component walk with its first-missing-pair witness, the per-line
 edge-list parser, the stage-by-stage perturbation recursion over word
 tuples, the per-node recursion of Compose, Inverse and Power, and the
-per-pair grid scans of ``commutator_witness`` and ``commutator_residual``
-that verification replaced by one walk over shared letter prefixes.  Their commutation predicate multiplies the matrices, so the closed
-form of ``commutes_with`` is checked on the way.
+per-expression grid scan and the per-pair loop of the commutation graph
+that ``diffeo.grid_sups`` replaced by one walk over shared letter prefixes.
+Their commutation predicate multiplies the matrices, so the closed form of
+``commutes_with`` is checked on the way.
 """
 import itertools
 import math
@@ -50,15 +51,16 @@ from cliqueforest import (
     SimpleGraph,
     SineShear,
     Translation,
+    TagMismatchError,
     choose_alphas,
-    commutator_residual,
-    commutator_witness,
+    commutation_graph,
     enumerate_words,
+    point_distance,
     synthesize_embedding,
     verify_assignment,
 )
-from cliqueforest import graphs, synthesis
-from cliqueforest.diffeo import DEFAULT_GRID
+from cliqueforest import diffeo, graphs, synthesis
+from cliqueforest.diffeo import DEFAULT_GRID, _grid, apply_letters, grid_sups
 from cliqueforest.graphs import ComponentReport, CompletenessReport, parse_edge_list
 from cliqueforest.raag import normal_form
 from cliqueforest.synthesis import (
@@ -876,25 +878,36 @@ def forest_graph(sizes):
     return SimpleGraph.from_edges(base, edges)
 
 
+def reference_sup(e, grid_n, domain=None):
+    """(x, r): ``e`` applied to the whole grid in one array pass, and the
+    first grid point of largest distance."""
+    xs = _grid(e.manifold, grid_n, domain)
+    r = point_distance(e.manifold, apply_letters(e.letters, xs), xs)
+    i = int(np.argmax(r))
+    return float(xs[i]), float(r[i])
+
+
+def commutator(a, b):
+    return Compose((a, b, Inverse(a), Inverse(b)))
+
+
 def assert_walk_matches_pair_scans(asg, grid_n, sample=None):
-    """The walk's (witness_x, residual) of every vertex pair is == that of
-    ``commutator_witness``; the report's edge residuals are == those of
-    ``commutator_residual`` and its non-edge rows those of
-    ``commutator_witness``.  With ``sample``, the per-pair scans run on that
-    many random pairs and the first and last, while the walks cover all."""
+    """The walk's (witness_x, residual) of every vertex pair's commutator is
+    == that of ``reference_sup``, and so are the report's edge residuals and
+    non-edge rows.  With ``sample``, the per-pair scans run on that many
+    random pairs and the first and last, while the walks cover all."""
     g, exprs = asg.graph, asg.exprs()
     pairs = list(itertools.combinations(range(g.n), 2))
     checked = pairs if sample is None else sorted(
         set(random.Random(17).sample(pairs, sample)) | {pairs[0], pairs[-1], (0, g.n - 1)})
-    ref = {(u, v): commutator_witness(exprs[u], exprs[v], grid_n) for u, v in checked}
-    sups = dict(zip(pairs, synthesis._commutator_sups(asg, pairs, grid_n)))
+    ref = {(u, v): reference_sup(commutator(exprs[u], exprs[v]), grid_n) for u, v in checked}
+    sups = dict(zip(pairs, grid_sups([commutator(exprs[u], exprs[v]) for u, v in pairs], grid_n)))
     assert [sups[p] for p in checked] == [ref[p] for p in checked]
     report = verify_assignment(asg, grid_n=grid_n)
     edges = [(c["u"], c["v"], c["residual"]) for c in report.edge_checks]
     assert [(u, v) for u, v, _ in edges] == sorted(g.edges)
     assert [e for e in edges if e[:2] in ref] == [
-        (u, v, commutator_residual(exprs[u], exprs[v], grid_n)) for u, v in checked
-        if (u, v) in g.edges]
+        (u, v, ref[u, v][1]) for u, v in checked if (u, v) in g.edges]
     rows = [(c["u"], c["v"], c["witness_x"], c["residual"]) for c in report.non_edge_checks]
     assert [r[:2] for r in rows] == [p for p in pairs if p not in g.edges]
     assert [r for r in rows if r[:2] in ref] == [
@@ -936,24 +949,96 @@ def test_commutator_walk_matches_pair_scans_on_random_forests(sizes, manifold, w
 
 @pytest.mark.parametrize("cap, apply, runs", [
     (1, 1, 28), (3 * (DEFAULT_GRID + 1), 2 * (DEFAULT_GRID + 1) + 5, 10),
-    (40 * (DEFAULT_GRID + 1), synthesis._APPLY_ELEMENTS, 1)])
+    (40 * (DEFAULT_GRID + 1), diffeo._APPLY_ELEMENTS, 1)])
 def test_commutator_walk_in_chunks(monkeypatch, cap, apply, runs):
     # runs of pairs whose levels hold at most cap values, each letter applied
     # to at most apply values (or one word) at a time
     asg = synthesize_embedding(forest_graph((3, 2, 2, 1)), Manifold.CIRCLE,
                                SynthesisOptions(word_len=2))
-    monkeypatch.setattr(synthesis, "_WALK_ELEMENTS", cap)
-    monkeypatch.setattr(synthesis, "_APPLY_ELEMENTS", apply)
-    widths, walk = [], synthesis._walk
+    monkeypatch.setattr(diffeo, "_WALK_ELEMENTS", cap)
+    monkeypatch.setattr(diffeo, "_APPLY_ELEMENTS", apply)
+    widths, walk = [], diffeo._walk
 
     def recording(levels, exprs, xs):
-        if xs.size > 1:  # not the schedule's walk from p
-            widths.append(max(bounds[-1] for _, bounds in levels) * xs.size)
+        widths.append(max(bounds[-1] for _, bounds in levels) * xs.size)
         return walk(levels, exprs, xs)
 
-    monkeypatch.setattr(synthesis, "_walk", recording)
+    # the schedule's walk from p is synthesis's own name for _walk: only
+    # grid_sups's walks are recorded
+    monkeypatch.setattr(diffeo, "_walk", recording)
     assert_walk_matches_pair_scans(asg, DEFAULT_GRID)
     # one walk per run of pairs, in the direct call and in the report's;
     # a run of one pair may exceed the cap
     assert max(widths) <= max(cap, DEFAULT_GRID + 1)
     assert len(widths) == 2 * runs
+
+
+# ---------------------------------------------------------------------------
+# the commutation graph: one walk per power round against the per-pair loop
+
+
+def reference_commutation_graph(fs, tol, power_bound, grid_n, domain=None):
+    """(edges, residuals) of the per-pair loop: on the circle each pair tries
+    the powers 1, 2, ..., power_bound, stops at the first whose commutator
+    residual is below tol, and keeps its smallest residual."""
+    for idx, e in enumerate(fs):
+        if reference_sup(e, grid_n, domain)[1] < tol:
+            raise ValueError(f"map {idx} is numerically the identity; rejected")
+    edges, residuals = [], []
+    for i in range(len(fs)):
+        for j in range(i + 1, len(fs)):
+            if fs[0].manifold is Manifold.CIRCLE:
+                best = None
+                for k in range(1, power_bound + 1):
+                    a, b = Power(fs[i], k), Power(fs[j], k)
+                    r = reference_sup(commutator(a, b), grid_n, domain)[1]
+                    if best is None or r < best:
+                        best = r
+                    if r < tol:
+                        break
+            else:
+                best = reference_sup(commutator(fs[i], fs[j]), grid_n, domain)[1]
+            residuals.append((i, j, best))
+            if best < tol:
+                edges.append((i, j))
+    return edges, tuple(residuals)
+
+
+LIFT = PerturbedLiftS1((BumpTrig(0.02, 1, 0.5),))
+
+
+def commgraph_maps(case):
+    if case == "line":
+        return [SineShear(1.0), Translation(2 * math.pi), SineShear(0.5), Translation(math.pi)]
+    manifold = Manifold.INTERVAL if case == "I" else Manifold.CIRCLE
+    asg = synthesize_embedding(forest_graph((2, 3)), manifold, SynthesisOptions(word_len=2))
+    maps = list(asg.exprs().values())
+    if case == "I":
+        return maps + [MobiusI(2.3), Compose((MobiusI(2.3), asg.f))]
+    # a half-turn commutes with every lift only at even powers, a third of a
+    # turn only at multiples of 3, within the power bound or not
+    return [RotationS1(math.pi), LIFT, RotationS1(2 * math.pi / 3), RotationS1(0.7)] + maps
+
+
+@pytest.mark.parametrize("case, power_bound", [
+    ("I", 1), ("I", 4), ("S1", 1), ("S1", 2), ("S1", 4), ("line", 3)])
+def test_commutation_graph_matches_pair_loop(case, power_bound):
+    fs = commgraph_maps(case)
+    domain = (0.0, 4 * math.pi) if case == "line" else None
+    res = commutation_graph(fs, 1e-9, power_bound, 256, domain)
+    edges, residuals = reference_commutation_graph(fs, 1e-9, power_bound, 256, domain)
+    assert sorted(res.graph.edges) == edges
+    assert res.residuals == residuals
+    if case == "S1":
+        assert ((0, 1) in edges) == (power_bound >= 2)
+        assert ((1, 2) in edges) == (power_bound >= 3)
+        assert (0, 3) in edges and (1, 3) not in edges
+
+
+def test_commutation_graph_rejections():
+    fs = [LIFT, Power(LIFT, 0), RotationS1(0.7)]
+    for build in (commutation_graph, reference_commutation_graph):
+        with pytest.raises(ValueError, match="map 1 is numerically the identity"):
+            build(fs, 1e-9, 2, 64)
+    with pytest.raises(TagMismatchError):
+        commutation_graph([LIFT, MobiusI(2.0)], 1e-9, 2, 64)

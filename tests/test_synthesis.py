@@ -26,7 +26,7 @@ from cliqueforest import (
     synthesize_embedding,
     verify_assignment,
 )
-from cliqueforest import synthesis
+from cliqueforest import diffeo
 from cliqueforest.synthesis import (
     DEFAULT_BASEPOINT,
     GeneratorAssignment,
@@ -257,7 +257,7 @@ class TestScheduleValues:
     @pytest.mark.parametrize("apply", [1, 7, 100])
     def test_letters_applied_in_slices(self, monkeypatch, apply):
         # a letter applied to a few words at a time gives the same bits
-        monkeypatch.setattr(synthesis, "_APPLY_ELEMENTS", apply)
+        monkeypatch.setattr(diffeo, "_APPLY_ELEMENTS", apply)
         gens = tuple(MobiusI(a) for a in choose_alphas(3).alphas)
         self._check(PerturbedF((BumpPoly(0.124875, 1),)), gens, Manifold.INTERVAL)
 
