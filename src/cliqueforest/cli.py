@@ -22,6 +22,7 @@ from .diffeo import (
     InvariantBreach,
     Manifold,
     fixed_points,
+    share_leaves,
 )
 from .graphs import parse_graph, to_dot
 from .obstructions import (
@@ -186,7 +187,8 @@ def cmd_fixpoints(args) -> int:
 
 
 def cmd_commgraph(args) -> int:
-    exprs = [_load_expr(p) for p in args.exprs]
+    # one object per equal leaf, so that the walks share the letters
+    exprs = share_leaves([_load_expr(p) for p in args.exprs])
     domain = (args.lo, args.hi) if exprs and exprs[0].manifold is Manifold.LINE else None
     result = commutation_graph(exprs, args.tol, args.power_bound, args.grid, domain)
     if args.dot:

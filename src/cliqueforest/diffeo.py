@@ -877,6 +877,24 @@ def _trie(seqs: Sequence[Sequence[int]], n_letters: int):
     return levels, ends
 
 
+def share_leaves(exprs: Sequence[DiffeoExpr]) -> List[DiffeoExpr]:
+    """``exprs`` rebuilt over one object per distinct leaf, leaves matched by
+    equality.  ``grid_sups`` tells leaves apart by identity, so expressions
+    read from separate documents share letter prefixes only once their equal
+    leaves are one object; each leaf is hashed once here, never in a walk."""
+    leaves: Dict[DiffeoExpr, DiffeoExpr] = {}
+
+    def rebuild(e: DiffeoExpr) -> DiffeoExpr:
+        if isinstance(e, Compose):
+            return Compose(tuple(map(rebuild, e.parts)))
+        if isinstance(e, Inverse):
+            return Inverse(rebuild(e.inner))
+        if isinstance(e, Power):
+            return Power(rebuild(e.inner), e.exponent)
+        return leaves.setdefault(e, e)
+    return [rebuild(e) for e in exprs]
+
+
 def grid_sups(exprs: Sequence[DiffeoExpr], grid_n: int = DEFAULT_GRID,
               domain=None) -> List[Tuple[float, float]]:
     """(x, r) for each expression e: the first grid point maximizing

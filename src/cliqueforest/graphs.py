@@ -103,15 +103,32 @@ def _edge_array(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return ends
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class CliqueForest:
-    """Certified partition of the vertex set into pairwise-adjacent components."""
+    """Certified partition of the vertex set into pairwise-adjacent components.
 
-    components: Tuple[Tuple[int, ...], ...]
+    ``cliques`` holds the components flat, as ``SimpleGraph`` holds
+    ``ends``: the labelling pass's vertex order, component by component,
+    and each component's end in it (``serialize.Ragged``).  The constructor
+    takes that, or the components as integer sequences.  ``components`` and
+    ``sizes`` are tuples built on first use; the document is written from
+    the arrays.
+    """
+
+    cliques: serialize.Ragged
+
+    def __init__(self, cliques):
+        if not isinstance(cliques, serialize.Ragged):
+            cliques = serialize.Ragged.of(cliques)
+        object.__setattr__(self, "cliques", cliques)
+
+    @cached_property
+    def components(self) -> Tuple[Tuple[int, ...], ...]:
+        return tuple(map(tuple, self.cliques.lists()))
 
     @property
     def sizes(self) -> Tuple[int, ...]:
-        return tuple(len(c) for c in self.components)
+        return tuple(map(len, self.components))
 
     def component_of(self, v: int) -> int:
         for i, comp in enumerate(self.components):
@@ -119,7 +136,18 @@ class CliqueForest:
                 return i
         raise KeyError(v)
 
-    FIELDS = (("components", serialize.list_of(serialize.INTEGERS)),)
+    def __eq__(self, other):
+        if not isinstance(other, CliqueForest):
+            return NotImplemented
+        return all(map(np.array_equal, self.cliques, other.cliques))
+
+    def __hash__(self):
+        return hash(self.components)
+
+    def __repr__(self):
+        return f"CliqueForest({self.components!r})"
+
+    FIELDS = (("components", replace(serialize.INTEGER_LISTS, attr="cliques")),)
     to_dict = serialize.encode
     from_dict = serialize.loader("clique_forest (components must be lists of JSON integers)")
 
@@ -181,10 +209,13 @@ def _scan_components(g: SimpleGraph) -> _ComponentScan:
     return _ComponentScan(labels, roots, s, complete)
 
 
+def _components(scan: _ComponentScan) -> serialize.Ragged:
+    """The components, each sorted, ordered by smallest vertex."""
+    return serialize.Ragged(scan.labels.argsort(kind="stable"), scan.sizes.cumsum())
+
+
 def _component_tuples(scan: _ComponentScan) -> List[Tuple[int, ...]]:
-    order = scan.labels.argsort(kind="stable").tolist()
-    ends = scan.sizes.cumsum().tolist()
-    return [tuple(order[a:b]) for a, b in zip([0] + ends, ends)]
+    return list(map(tuple, _components(scan).lists()))
 
 
 def _incomplete(g: SimpleGraph, scan: _ComponentScan):
@@ -249,7 +280,7 @@ def is_clique_forest(g: SimpleGraph) -> Union[CliqueForest, MissingEdgeWitness]:
     """
     scan = _scan_components(g)
     if scan.complete.all():
-        return CliqueForest(tuple(_component_tuples(scan)))
+        return CliqueForest(_components(scan))
     verts, a, b = next(_incomplete(g, scan))
     path = verts[_bfs_path(len(verts), a, b, *_first_missing_pair(len(verts), a, b))].tolist()
     return MissingEdgeWitness(path[0], path[-1], tuple(path))
@@ -390,6 +421,8 @@ def parse_dot(text: str) -> SimpleGraph:
     """Parse ``graph NAME { ... }``: statements inside the braces are split on
     ';' and on newlines, and are either a vertex or an edge chain
     ``u -- v -- ...``; ``//`` starts a comment running to the end of the line.
+    The first '}' outside a comment closes the document; only whitespace and
+    comments may follow it.
     """
     if "{" not in text:
         raise GraphFormatError("missing opening '{'")
@@ -397,13 +430,18 @@ def parse_dot(text: str) -> SimpleGraph:
     ln_open = head.count("\n") + 1
     if head.split()[:1] != ["graph"]:
         raise GraphFormatError("only undirected 'graph' documents supported", ln_open)
-    if "}" not in body:
+    codes = [raw.split("//", 1)[0] for raw in body.split("\n")]  # comments dropped
+    close = next((k for k, code in enumerate(codes) if "}" in code), None)
+    if close is None:
         raise GraphFormatError("missing closing '}'")
-    body = body[: body.rindex("}")]
+    last, after = codes[close].split("}", 1)
+    for ln, rest in enumerate([after] + codes[close + 1:], ln_open + close):
+        if rest.strip():
+            raise GraphFormatError(f"text after the closing '}}': {rest.strip()!r}", ln)
     verts = set()
     edges = []
-    for ln, raw in enumerate(body.split("\n"), ln_open):
-        for stmt in raw.split("//", 1)[0].split(";"):
+    for ln, code in enumerate(codes[:close] + [last], ln_open):
+        for stmt in code.split(";"):
             stmt = stmt.strip()
             if not stmt:
                 continue

@@ -21,6 +21,10 @@ documents through each codec's ``text`` writer, long lists in blocks of
 ``_BLOCK`` entries, every other field through one ``json.dumps`` of its
 encoded value.  The text is exactly ``json.dumps(obj.to_dict(),
 sort_keys=True, indent=2)`` plus a newline, without building the JSON tree.
+Integer and decimal rows (a 2-D array, or ``Columns`` of 1-D arrays) and
+integer lists held flat (``Ragged``: a clique forest's components) are
+written one ``%`` of a template per block, over the block's values taken
+from the arrays, with no tuple and no Python function per entry.
 """
 from __future__ import annotations
 
@@ -28,8 +32,11 @@ import json
 import re
 import reprlib
 from dataclasses import dataclass, replace
+from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .diffeo import (
     BumpPoly,
@@ -92,27 +99,32 @@ def _pieces(codec: Codec, value, indent: str) -> Iterable[str]:
 _BLOCK = 4096  # entries of a long list written as one piece
 
 
+def _list_pieces(count: int, block: Callable[[int, int, str], str], indent: str) -> Iterable[str]:
+    """The text of a list of ``count`` entries, one piece per ``_BLOCK`` of
+    them: ``block(lo, hi, inner)`` gives entries lo..hi-1, each at the
+    list's inner indentation ``inner`` and joined by ``",\n" + inner``."""
+    if not count:
+        return ("[]",)
+    inner = indent + "  "
+    if count <= _BLOCK:
+        return ("[\n" + inner + block(0, count, inner) + "\n" + indent + "]",)
+    return _blocks(count, block, inner, "\n" + indent + "]")
+
+
+def _blocks(count, block, inner, close):
+    yield "[\n" + inner
+    for lo in range(0, count, _BLOCK):
+        if lo:
+            yield ",\n" + inner
+        yield block(lo, min(lo + _BLOCK, count), inner)
+    yield close
+
+
 def _list_text(entries: Callable[[Sequence, str], Iterable[str]]):
     """Text writer of a list whose entries ``entries(block, indent)`` gives
     for a slice of the list, at the list's inner indentation."""
-    def text(vs, indent):
-        if not len(vs):
-            return ("[]",)
-        inner = indent + "  "
-        sep = ",\n" + inner
-        if len(vs) <= _BLOCK:
-            return ("[\n" + inner + sep.join(entries(vs, inner)) + "\n" + indent + "]",)
-        return _blocks(vs, entries, inner, sep, "\n" + indent + "]")
-    return text
-
-
-def _blocks(vs, entries, inner, sep, close):
-    yield "[\n" + inner
-    for k in range(0, len(vs), _BLOCK):
-        if k:
-            yield sep
-        yield sep.join(entries(vs[k:k + _BLOCK], inner))
-    yield close
+    return lambda vs, indent: _list_pieces(
+        len(vs), lambda lo, hi, inner: (",\n" + inner).join(entries(vs[lo:hi], inner)), indent)
 
 
 def _scalar_text(fmt: Callable[[object], str]):
@@ -194,6 +206,55 @@ INTEGER = Codec(_same, _checked(_is_int, "an integer"), {"type": "integer"},
 INTEGERS = Codec(list, _checked(_int_list, "a list of integers", tuple),
                  {"type": "array", "items": {"type": "integer"}},
                  text=_list_text(lambda vs, indent: map(int.__repr__, vs)))
+
+
+class Ragged(NamedTuple):
+    """Integer lists held flat: list k is ``values[bounds[k - 1]:bounds[k]]``
+    (from 0 for k = 0), ``values`` and ``bounds`` being 1-D integer arrays."""
+
+    values: np.ndarray
+    bounds: np.ndarray
+
+    @classmethod
+    def of(cls, lists) -> "Ragged":
+        """The lists of a sequence of integer sequences.  Integers beyond
+        int64, which only a document can hold, go into an object array."""
+        lists = [tuple(c) for c in lists]
+        flat = [v for c in lists for v in c]
+        try:
+            values = np.array(flat, np.int64)
+        except OverflowError:
+            values = np.array(flat, object)
+        return cls(values, np.cumsum([len(c) for c in lists], dtype=np.int64))
+
+    def lists(self) -> list:
+        """The lists, as lists of Python integers."""
+        vs, ends = self.values.tolist(), self.bounds.tolist()
+        return [vs[a:b] for a, b in zip([0] + ends, ends)]
+
+
+def _ragged_text(r: Ragged, indent: str) -> Iterable[str]:
+    """The text of the lists of ``r``, each block of ``_BLOCK`` of them one
+    ``%`` of a template over its values, joined from one template per list
+    length."""
+    templates = {0: "[]"}
+    ends = np.concatenate(([0], r.bounds))
+
+    def block(lo, hi, inner):
+        at = ",\n" + inner + "  "
+        b = ends[lo:hi + 1]
+        sizes = (b[1:] - b[:-1]).tolist()
+        for k in set(sizes).difference(templates):
+            templates[k] = "[" + at[1:] + at.join(["%d"] * k) + "\n" + inner + "]"
+        return (",\n" + inner).join(map(templates.__getitem__, sizes)) % tuple(
+            r.values[b[0]:b[-1]].tolist())
+    return _list_pieces(len(r.bounds), block, indent)
+
+
+INTEGER_LISTS = Codec(Ragged.lists,
+                      _checked(lambda v: isinstance(v, list) and all(map(_int_list, v)),
+                               "lists of integers", Ragged.of),
+                      {"type": "array", "items": INTEGERS.schema}, text=_ragged_text)
 BOOLEAN = Codec(_same, _checked(lambda v: isinstance(v, bool), "a boolean"), {"type": "boolean"},
                 text=_scalar_text(lambda v: "true" if v else "false"))
 NUMBER = Codec(_same, _checked(lambda v: _is_int(v) or isinstance(v, float), "a number"),
@@ -211,7 +272,9 @@ def _streamed(codec: Codec) -> bool:
 
 def list_of(codec: Codec) -> Codec:
     """Codec of a JSON list, each entry by ``codec``; written entry by entry
-    when ``codec`` writes a list or an object of its own."""
+    when ``codec`` writes a list or an object of its own.  Lists of integer
+    lists held as arrays take ``INTEGER_LISTS`` instead, written one ``%``
+    per block."""
     def decode(vs, manifold):
         if not isinstance(vs, list):
             raise ExprFormatError(f"expected a list, got {reprlib.repr(vs)}")
@@ -223,31 +286,61 @@ def list_of(codec: Codec) -> Codec:
                  {"type": "array", "items": codec.schema}, text=text)
 
 
+class Columns(tuple):
+    """Rows held as one 1-D array per column, for ``rows``: the k-th row is
+    the k-th entry of every column."""
+
+
+def _row_values(rs, width: int) -> Callable[[int, int], list]:
+    """The values of rows lo..hi-1 of ``rs``, row after row, as one list:
+    ``rs`` is ``Columns``, a 2-D array or a sequence of rows."""
+    if isinstance(rs, Columns):
+        def values(lo, hi):
+            flat = [None] * ((hi - lo) * width)
+            for k, col in enumerate(rs):
+                flat[k::width] = col[lo:hi].tolist()
+            return flat
+        return values
+    if isinstance(rs, np.ndarray):
+        return lambda lo, hi: rs[lo:hi].ravel().tolist()
+    return lambda lo, hi: list(chain.from_iterable(rs[lo:hi]))
+
+
 def rows(*columns: Codec) -> Codec:
     """Codec of a list of rows of ``len(columns)`` scalars, the k-th entry of
-    each by the k-th codec.  ``encode`` goes a column at a time, which beats
-    row by row; the CLI writes through ``text`` instead, which formats each
-    row with one ``%`` when every column is an integer or a decimal (an array
-    value is taken as its ``tolist()``).  Other rows go through
-    ``json.dumps``."""
+    each by the k-th codec.  A value is a sequence of rows, a 2-D array or
+    ``Columns``; ``decode`` gives a tuple of row tuples.  ``encode`` goes a
+    column at a time, which beats row by row.  When every column is an
+    integer or a decimal, ``text`` writes each block of ``_BLOCK`` rows with
+    one ``%`` of a template over the block's values, taken from the arrays
+    without a tuple per row; other rows go through ``json.dumps``."""
     width = len(columns)
     cells = ["%d" if c is INTEGER else _QUOTED if c is DECIMAL else None for c in columns]
 
-    def entries(rs, indent):
-        at = ",\n" + indent + "  "
-        return map(("[" + at[1:] + at.join(cells) + "\n" + indent + "]").__mod__, map(tuple, rs))
+    def text(rs, indent):
+        values, templates = _row_values(rs, width), {}
 
-    listed = _list_text(entries)
+        def block(lo, hi, inner):
+            k = hi - lo
+            if k not in templates:
+                at = ",\n" + inner + "  "
+                row = "[" + at[1:] + at.join(cells) + "\n" + inner + "]"
+                templates[k] = (",\n" + inner).join([row] * k)
+            return templates[k] % tuple(values(lo, hi))
+        return _list_pieces(len(rs[0]) if isinstance(rs, Columns) else len(rs), block, indent)
+
+    def encode(rs):
+        cols = [col.tolist() for col in rs] if isinstance(rs, Columns) else zip(*rs)
+        return [list(r) for r in zip(*[list(map(c.encode, col)) for c, col in zip(columns, cols)])]
+
     return Codec(
-        lambda rs: [list(r) for r in zip(*[list(map(c.encode, col))
-                                           for c, col in zip(columns, zip(*rs))])],
+        encode,
         _checked(lambda v: isinstance(v, list) and all(
             isinstance(r, list) and len(r) == width for r in v), f"rows of {width} entries",
             lambda v: tuple(tuple(c.decode(x, None) for c, x in zip(columns, r)) for r in v)),
         {"type": "array", "items": {"type": "array", "prefixItems": [c.schema for c in columns],
                                     "items": False, "minItems": width}},
-        text=None if None in cells else
-        lambda rs, indent: listed(rs.tolist() if hasattr(rs, "tolist") else rs, indent))
+        text=None if None in cells else text)
 
 
 def _manifolds(*tags: str) -> Codec:

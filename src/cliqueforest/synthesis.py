@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain, compress, repeat
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -707,7 +707,9 @@ class VerificationReport:
     word_len: int  # truncation: only words up to this length are certified
     edge_checks: Tuple[dict, ...]
     non_edge_checks: Tuple[dict, ...]
-    margin_checks: Tuple[Tuple[int, float, float], ...]  # (word index, margin, D/2)
+    # (word index, margin, D/2) rows: three arrays from verify_assignment,
+    # row tuples when read back
+    margin_checks: Union[serialize.Columns, Tuple[Tuple[int, float, float], ...]]
     margin_failures: Tuple[dict, ...]
     pure_g_checked: int
     pure_g_all_nontrivial: bool
@@ -765,7 +767,7 @@ def verify_assignment(
                        for (u, v), (x, r) in zip(non_edges, sups[len(edges):])]
     ok = all(c["ok"] for c in chain(edge_checks, non_edge_checks))
 
-    margin_checks: List[Tuple[int, float, float]] = []
+    margin_checks = serialize.Columns((np.empty(0, np.int64), np.empty(0), np.empty(0)))
     margin_failures: List[dict] = []
     pure_g_checked = 0
     pure_g_ok = True
@@ -780,24 +782,21 @@ def verify_assignment(
             raise ValueError("word_len must be >= 1")
         # the schedule is length-major: these are its words of length <= wl
         schedule = _Schedule(state.num_g, wl)
-        recorded = state.margins[:schedule.word_count]
-        if np.flatnonzero(schedule.trivial()).tolist() != [
-                i for i, d_m in enumerate(recorded) if d_m is None]:
+        recorded = np.array(state.margins[:schedule.word_count], object)
+        live = np.flatnonzero(np.not_equal(recorded, None))
+        if not np.array_equal(np.flatnonzero(~schedule.trivial()), live):
             raise ValueError("the state's margins are not null exactly at the scheduled "
                              "words trivial in the free product")
         margins = _schedule_margins(assignment.f, assignment.gens, state.p,
-                                    assignment.manifold, schedule).tolist()
-        margin_checks = [
-            (idx, margin, d_m / 2.0)
-            for idx, (margin, d_m) in enumerate(zip(margins, recorded), 1)
-            if d_m is not None
-        ]
-        failing = [c for c in margin_checks if not c[1] > c[2]]
+                                    assignment.manifold, schedule)[live]
+        half = recorded[live].astype(float) / 2.0
+        margin_checks = serialize.Columns((live + 1, margins, half))
+        failing = ~(margins > half)
         margin_failures = [
             {"index": i, "word": word_str(schedule.word(i - 1)), "margin": m, "threshold": t}
-            for i, m, t in failing
+            for i, m, t in zip(*(col[failing].tolist() for col in margin_checks))
         ]
-        ok = ok and not failing
+        ok = ok and not failing.any()
         # pure-g words: nontrivial exactly when the exponent vector is nonzero;
         # the alpha independence record certifies the nonzero case as long as
         # the exponents stay within the checked height.  There are
@@ -821,7 +820,7 @@ def verify_assignment(
         word_len=wl,
         edge_checks=tuple(edge_checks),
         non_edge_checks=tuple(non_edge_checks),
-        margin_checks=tuple(margin_checks),
+        margin_checks=margin_checks,
         margin_failures=tuple(margin_failures),
         pure_g_checked=pure_g_checked,
         pure_g_all_nontrivial=pure_g_ok,

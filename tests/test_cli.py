@@ -73,6 +73,18 @@ class TestDecide:
         assert main(["decide", path, "--out", str(out)]) == EXIT_FINDING
         assert json.loads(out.read_text())["missing_edge"]["path"] == [0, 1, 2]
 
+    def test_dot_text_after_closing_brace_rejected(self, graph_file, capsys):
+        path = graph_file("graph G { 0 -- 1 } extra", "g.dot")
+        assert main(["decide", path]) == EXIT_INPUT
+        assert "line 1: text after the closing '}': 'extra'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tail", ["} // note", "}\n\n", "}\n  // note }\n"],
+                             ids=["comment", "blank-lines", "comment-line"])
+    def test_dot_comment_or_whitespace_after_closing_brace(self, graph_file, capsys, tail):
+        path = graph_file("graph G {\n  0 -- 1\n" + tail, "g.dot")
+        assert main(["decide", path]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["clique_forest"]["components"] == [[0, 1]]
+
     def test_circle_manifold(self, graph_file, capsys):
         assert main(["decide", graph_file(K3), "--manifold", "S1"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["manifold"] == "S1"

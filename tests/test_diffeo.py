@@ -41,7 +41,9 @@ from cliqueforest.diffeo import (
     apply_letters,
     grid_sups,
     identity_residual,
+    share_leaves,
 )
+from cliqueforest.serialize import dumps_expr, loads_expr
 from conftest import mobius_matrix, mobius_matrix_apply
 
 GRID = [i / 64 for i in range(65)]
@@ -633,6 +635,23 @@ class TestGridSups:
         with pytest.raises(TagMismatchError):
             grid_sups([MobiusI(2.0), RotationS1(1.0)], 64)
         assert grid_sups([], 64) == []
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_shared_leaves_same_sups(self, case):
+        """Expressions read back one by one share no leaf object; rebuilt by
+        ``share_leaves`` they hold one object per equal leaf, and their sups
+        keep every bit."""
+        exprs, domain = self.CASES[case]
+        read = [loads_expr(dumps_expr(e)) for e in exprs]
+        shared = share_leaves(read)
+        assert shared == read
+
+        def leaf_objects(es):
+            return len({id(leaf) for e in es for leaf, _ in e.letters})
+
+        assert leaf_objects(shared) == len({leaf for e in exprs for leaf, _ in e.letters})
+        assert leaf_objects(shared) < leaf_objects(read)
+        assert grid_sups(shared, 256, domain) == grid_sups(read, 256, domain)
 
 
 class TestLetters:

@@ -166,6 +166,40 @@ class TestCliqueForestDecision:
         assert res.sizes == (n,)
 
 
+class TestArrayForest:
+    """``is_clique_forest`` holds its forest as the labelling pass's arrays;
+    that forest is the one its component tuples build."""
+
+    @pytest.mark.parametrize("components", [
+        (), ((0,),), ((0, 1), (2, 3, 4)), ((0, 3), (1,), (2, 4, 5, 6, 7, 8, 9)),
+        ((0, 5, 9), (1, 2), (3,), (4, 6, 7, 8)),
+    ])
+    def test_equals_tuple_forest(self, components):
+        n = sum(map(len, components))
+        g = SimpleGraph.from_edges(n, [e for c in components for e in combinations(c, 2)])
+        forest, built = is_clique_forest(g), CliqueForest(components)
+        assert isinstance(forest.cliques.values, np.ndarray)
+        assert forest == built and hash(forest) == hash(built)
+        assert forest.components == components
+        assert all(type(v) is int for c in forest.components for v in c)
+        assert forest.sizes == tuple(map(len, components))
+        assert [forest.component_of(v) for v in range(n)] == [
+            next(i for i, c in enumerate(components) if v in c) for v in range(n)]
+        with pytest.raises(KeyError):
+            forest.component_of(n)
+
+    def test_other_partition_unequal(self):
+        forest = CliqueForest(((0, 1), (2,)))
+        assert forest != CliqueForest(((0,), (1, 2)))  # the same vertex order
+        assert forest != CliqueForest(((0, 2), (1,)))  # the same sizes
+        assert forest != ((0, 1), (2,))
+
+    def test_integers_beyond_int64_round_trip(self):
+        f = CliqueForest(((2**70, -2**70), (), (3,)))
+        assert f.components == ((2**70, -2**70), (), (3,))
+        assert CliqueForest.from_dict(f.to_dict()) == f
+
+
 class TestCompletenessReport:
     def test_ok(self):
         g = SimpleGraph.from_edges(3, [(0, 1)])
@@ -237,9 +271,21 @@ class TestFormats:
             parse_graph("graph G {\n  0 -- 1;\n  1 -- 2; x -- 3\n}\n")
         assert ei.value.line == 3
 
+    @pytest.mark.parametrize("text, line", [
+        ("graph G {\n  0 -- 1\n} 2 -- 3\n", 3),
+        ("graph G {\n  0 -- 1\n}\n\n}\n", 5),
+        ("graph G {\n  0 -- 1 // }\n}\n2\n", 4),
+    ], ids=["same-line", "second-brace", "brace-in-comment"])
+    def test_dot_text_after_closing_brace(self, text, line):
+        with pytest.raises(GraphFormatError, match="after the closing") as ei:
+            parse_graph(text)
+        assert ei.value.line == line
+
     def test_dot_requires_braces_and_graph_keyword(self):
         with pytest.raises(GraphFormatError):
             parse_graph("graph G\n0 -- 1\n")
+        with pytest.raises(GraphFormatError, match="missing closing"):
+            parse_graph("graph G {\n  0 -- 1 // }\n")
         with pytest.raises(GraphFormatError):
             parse_graph("{ 0 -- 1 }")
 

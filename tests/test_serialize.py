@@ -1,9 +1,12 @@
 import io
+import itertools
 import json
 import math
+import random
 from unittest import mock
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -39,6 +42,7 @@ from cliqueforest import (
     dumps_expr,
     evaluate,
     expr_to_dict,
+    is_clique_forest,
     loads_expr,
 )
 from cliqueforest import serialize
@@ -382,3 +386,60 @@ class TestWriter:
         text = "".join(pieces)
         assert text == json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
         assert max(map(len, pieces)) < len(text) / 2
+
+
+def _random_cliques(count: int, seed: int):
+    """``count`` cliques of 1 to 7 vertices labelled at random, as sorted
+    tuples ordered by smallest vertex."""
+    rng = random.Random(seed)
+    sizes = [rng.randint(1, 7) for _ in range(count)]
+    perm = list(range(sum(sizes)))
+    rng.shuffle(perm)
+    ends = list(itertools.accumulate(sizes))
+    return sorted(tuple(sorted(perm[e - s:e])) for s, e in zip(sizes, ends))
+
+
+class TestBlockWriter:
+    """Clique forests, margin rows and edge rows are written one ``%`` per
+    block of ``_BLOCK`` entries, from their arrays; the text stays that of
+    ``json.dumps`` of ``to_dict``, also with blocks of 3 entries."""
+
+    COUNTS = [0, 1, serialize._BLOCK, serialize._BLOCK + 1]
+
+    @staticmethod
+    def _assert_text(doc):
+        reference = json.dumps(doc.to_dict(), sort_keys=True, indent=2) + "\n"
+        assert _written(doc) == reference
+        with mock.patch.object(serialize, "_BLOCK", 3):
+            assert _written(doc) == reference
+
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_clique_forest(self, count):
+        cliques = _random_cliques(count, count)
+        g = SimpleGraph.from_edges(sum(map(len, cliques)),
+                                   [e for q in cliques for e in itertools.combinations(q, 2)])
+        for forest in (is_clique_forest(g), CliqueForest(cliques)):
+            assert forest.components == tuple(cliques)
+            self._assert_text(forest)
+            self._assert_text(EmbeddabilityDecision(True, Manifold.CIRCLE, clique_forest=forest))
+
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_margin_rows(self, count):
+        """Rows (index, margin, D/2) as three arrays, with 0.0, 5e-324 and inf
+        among the decimals; the first row fails (its margin is not above its
+        D/2), and the index column stays integer in ``to_dict``."""
+        margins = np.resize([0.0, 5e-324, math.inf, 0.1, 1 / 3], count)
+        half = np.resize([0.0, 0.0, 1e300, 5e-324, math.inf], count)
+        rows = serialize.Columns((np.arange(1, count + 1), margins, half))
+        report = VerificationReport(False, Manifold.INTERVAL, 2, 1e-9, 6, (), (), rows, (), 0,
+                                    True, ())
+        self._assert_text(report)
+        written = report.to_dict()["margins"]
+        assert len(written) == count and all(type(r[0]) is int for r in written)
+        assert written[:1] in ([], [[1, "0", "0"]])
+
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_graph_edge_rows(self, count):
+        g = SimpleGraph.from_edges(2 * count + 1, [(2 * k + 2, 2 * k) for k in range(count)])
+        assert len(g.ends) == count
+        self._assert_text(g)
