@@ -1,6 +1,7 @@
 """Finite simple graphs, the clique-forest decision, and graph file formats."""
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -418,19 +419,25 @@ def _parse_edge_lines(text: str) -> SimpleGraph:
 
 
 def parse_dot(text: str) -> SimpleGraph:
-    """Parse ``graph NAME { ... }``: statements inside the braces are split on
-    ';' and on newlines, and are either a vertex or an edge chain
-    ``u -- v -- ...``; ``//`` starts a comment running to the end of the line.
-    The first '}' outside a comment closes the document; only whitespace and
-    comments may follow it.
+    """Parse ``graph NAME { ... }`` (or ``strict graph``: every graph here is
+    simple, and repeated edges merge anyway): statements inside the braces
+    are split on ';' and on newlines, and are either a vertex or an edge
+    chain ``u -- v -- ...``; ``//`` starts a comment running to the end of
+    the line, also before the opening '{'.  The first '}' outside a comment
+    closes the document; only whitespace and comments may follow it.
     """
-    if "{" not in text:
+    codes = [raw.split("//", 1)[0] for raw in text.split("\n")]  # comments dropped
+    opened = next((k for k, code in enumerate(codes) if "{" in code), None)
+    if opened is None:
         raise GraphFormatError("missing opening '{'")
-    head, body = text.split("{", 1)
-    ln_open = head.count("\n") + 1
-    if head.split()[:1] != ["graph"]:
+    head, codes[opened] = codes[opened].split("{", 1)
+    words = " ".join(codes[:opened] + [head]).split()
+    if words[:1] == ["strict"]:
+        words = words[1:]
+    ln_open = opened + 1
+    if words[:1] != ["graph"]:
         raise GraphFormatError("only undirected 'graph' documents supported", ln_open)
-    codes = [raw.split("//", 1)[0] for raw in body.split("\n")]  # comments dropped
+    codes = codes[opened:]
     close = next((k for k, code in enumerate(codes) if "}" in code), None)
     if close is None:
         raise GraphFormatError("missing closing '}'")
@@ -464,12 +471,15 @@ def parse_dot(text: str) -> SimpleGraph:
     return SimpleGraph.from_edges(n, edges)
 
 
+# a DOT document: its first token after blank lines and // comment lines
+_DOT_START = re.compile(r"(?:\s*//[^\n]*)*\s*(?:graph|strict|digraph|\{)")
+
+
 def parse_graph(text: str) -> SimpleGraph:
-    """Parse an edge-list or DOT document (format sniffed from content)."""
-    stripped = text.lstrip()
-    if stripped.startswith("graph") or stripped.startswith("{"):
-        return parse_dot(text)
-    return parse_edge_list(text)
+    """Parse an edge-list or DOT document, told apart by the first token
+    after blank lines and ``//`` comment lines: ``graph``, ``strict``,
+    ``digraph`` (which ``parse_dot`` rejects) or '{' starts a DOT document."""
+    return parse_dot(text) if _DOT_START.match(text) else parse_edge_list(text)
 
 
 def to_dot(g: SimpleGraph, name: str = "G") -> str:

@@ -109,17 +109,6 @@ def normal_form(word: RaagWord, forest: CliqueForest) -> NormalForm:
     )
 
 
-def word_inverse(word: RaagWord) -> Tuple[Tuple[int, int], ...]:
-    return tuple((v, -e) for v, e in reversed(word))
-
-
-def word_concat(*words: RaagWord) -> Tuple[Tuple[int, int], ...]:
-    out: List[Tuple[int, int]] = []
-    for w in words:
-        out.extend(w)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class EmbeddabilityDecision:
     """The verdict with its certificate: the clique forest of an embeddable

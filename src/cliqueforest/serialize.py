@@ -25,10 +25,19 @@ Integer and decimal rows (a 2-D array, or ``Columns`` of 1-D arrays) and
 integer lists held flat (``Ragged``: a clique forest's components) are
 written one ``%`` of a template per block, over the block's values taken
 from the arrays, with no tuple and no Python function per entry.
+
+Long decimal lists (a synthesis state's margins and eps, a report's margin
+columns) are held as ``Decimals``, a float64 array with a null mask, read
+straight from the document's strings.  Each is written from one table of
+its distinct texts, each distinct value formatted once, ``_BLOCK`` values
+per ``%``; a list of some of its entries (``Decimals.take``) shares that
+table, so a report's margin column reuses the texts of the state's margins.
+The table lives on the object, and goes with it.
 """
 from __future__ import annotations
 
 import json
+import math
 import re
 import reprlib
 from dataclasses import dataclass, replace
@@ -134,18 +143,6 @@ def _scalar_text(fmt: Callable[[object], str]):
 _QUOTED = '"%.17g"'  # the JSON text of a decimal: _fmt in quotes
 
 
-def _decimal_texts(vs, indent=None) -> Iterable[str]:
-    """The JSON texts of decimals (and Nones), each distinct value formatted
-    once: the per-stage lists of a synthesis state repeat their values."""
-    distinct = set(vs)
-    distinct.discard(None)
-    texts = dict(zip(distinct, map(_QUOTED.__mod__, distinct)))
-    texts[None] = "null"
-    if 0.0 in texts:  # 0.0 and -0.0 share a key, not a text
-        return [_QUOTED % v if v == 0 else texts[v] for v in vs]
-    return map(texts.__getitem__, vs)
-
-
 def _same(v):
     return v
 
@@ -172,35 +169,190 @@ _DECIMAL_RE = re.compile(_DECIMAL_SCHEMA["pattern"], re.ASCII)
 _NODE_REF = {"$ref": "#/$defs/node"}
 
 
-def _decimal_list(vs, nullable: bool) -> tuple:
-    """The floats of a list of decimal strings (and nulls, read as None, when
-    ``nullable``).  Each distinct entry is matched and converted once, so the
-    per-stage lists of a synthesis state, whose entries repeat, cost about
-    what bare ``float`` does."""
-    if not isinstance(vs, list):
-        raise ExprFormatError(f"expected a list of decimal strings, got {reprlib.repr(vs)}")
-    try:
-        distinct = set(vs) - {None} if nullable else set(vs)
-        if all(map(_DECIMAL_RE.fullmatch, distinct)):
-            values = {s: float(s) for s in distinct}
-            return tuple(map(values.get, vs))
-    except TypeError:  # an entry that is neither a string nor None
-        pass
-    for v in vs:  # raises on the first entry that is no decimal string
-        if not (nullable and v is None):
-            DECIMAL.decode(v, None)
-
-
 DECIMAL = Codec(_fmt, _checked(lambda v: isinstance(v, str) and _DECIMAL_RE.fullmatch(v),
                                "a decimal string", float), _DECIMAL_SCHEMA,
                 text=_scalar_text(_QUOTED.__mod__))
 OPTIONAL_DECIMAL = replace(DECIMAL, optional=True)
-DECIMALS = Codec(lambda vs: [_fmt(v) for v in vs], lambda vs, m: _decimal_list(vs, False),
-                 {"type": "array", "items": _DECIMAL_SCHEMA}, text=_list_text(_decimal_texts))
-NULLABLE_DECIMALS = Codec(lambda vs: [None if v is None else _fmt(v) for v in vs],
-                          lambda vs, m: _decimal_list(vs, True),
-                          {"type": "array", "items": {"anyOf": [{"type": "null"}, _DECIMAL_SCHEMA]}},
-                          text=_list_text(_decimal_texts))
+
+
+class Decimals:
+    """A list of floats, None where ``null`` is set, held as one read-only
+    float64 array ``values`` (NaN at the nulls) and a boolean mask ``null``
+    (None when no entry is null).
+
+    It reads as the sequence of its entries: an index gives a float or None,
+    a slice another ``Decimals``, iteration and ``tolist`` the floats and
+    Nones; ``==`` and ``hash`` are those of the tuple of its entries.
+
+    Its JSON texts come from one table (``texts``), built on first use and
+    kept on the object: each distinct value, told apart by its bits so that
+    -0.0 keeps its own text, written ``"%.17g"`` in quotes, one ``%`` per
+    ``_BLOCK`` of them, and "null".  ``take`` gives entries of the list that
+    share its table.
+    """
+
+    __slots__ = ("values", "null", "_texts", "_whole")
+
+    def __init__(self, values, null=None):
+        values = np.array(values, np.float64)
+        if values.ndim != 1:
+            raise ValueError("decimals are a 1-D array")
+        if null is not None:
+            null = np.array(null, bool)
+            if null.shape != values.shape:
+                raise ValueError(f"{null.size} null flags for {values.size} decimals")
+            if null.any():
+                values[null] = np.nan
+                null.flags.writeable = False
+            else:
+                null = None
+        values.flags.writeable = False
+        self.values, self.null = values, null
+        self._texts = self._whole = None
+
+    @classmethod
+    def of(cls, entries) -> "Decimals":
+        """The decimals of a float array, or of a sequence of floats and Nones."""
+        if isinstance(entries, Decimals):
+            return entries
+        if isinstance(entries, np.ndarray):
+            return cls(entries)
+        entries = list(entries)
+        return cls([math.nan if v is None else v for v in entries], [v is None for v in entries])
+
+    @classmethod
+    def parse(cls, vs, nullable: bool) -> "Decimals":
+        """The decimals of a JSON list of decimal strings (and nulls, when
+        ``nullable``).  Each distinct string is matched and converted once;
+        the pattern admits no NaN, so the NaNs of the values are the nulls."""
+        if not isinstance(vs, list):
+            raise ExprFormatError(f"expected a list of decimal strings, got {reprlib.repr(vs)}")
+        try:
+            distinct = set(vs)
+            if nullable:
+                distinct.discard(None)
+            valid = all(map(_DECIMAL_RE.fullmatch, distinct))
+        except TypeError:  # an entry that is neither a string nor None
+            valid = False
+        if not valid:
+            for v in vs:  # raises on the first entry that is no decimal string
+                if not (nullable and v is None):
+                    DECIMAL.decode(v, None)
+        # each table is dropped once done with: at 10^6 words they weigh
+        # about as much as the document's own list
+        floats = dict.fromkeys(distinct)  # sized once, from the set
+        del distinct
+        strings = list(floats)
+        # np.array converts each string as float() does
+        floats.update(zip(strings, np.array(strings, np.float64).tolist()))
+        floats[None] = math.nan  # reached only when nullable
+        del strings
+        values = np.fromiter(map(floats.__getitem__, vs), np.float64, len(vs))
+        del floats
+        return cls(values, np.isnan(values) if nullable else None)
+
+    def live(self) -> np.ndarray:
+        """The indices of the entries that are not null."""
+        n = len(self.values)
+        return np.arange(n) if self.null is None else np.flatnonzero(~self.null)
+
+    def take(self, rows: np.ndarray) -> "Decimals":
+        """The entries ``rows``, whose texts are taken from this list's table."""
+        part = Decimals(self.values[rows], None if self.null is None else self.null[rows])
+        part._whole = (self, rows)
+        return part
+
+    def texts(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(table, index): the JSON text of entry k is ``table[index[k]]``,
+        ``table`` an object array of distinct texts."""
+        if self._texts is None:
+            if self._whole is not None:
+                whole, rows = self._whole
+                table, index = whole.texts()
+                self._texts, self._whole = (table, index[rows]), None
+            else:
+                self._texts = _text_table(self.values, self.live())
+        return self._texts
+
+    def block_texts(self, lo: int, hi: int) -> list:
+        """The JSON texts of entries lo..hi-1."""
+        table, index = self.texts()
+        return table[index[lo:hi]].tolist()
+
+    def tolist(self) -> list:
+        vs = self.values.tolist()
+        if self.null is not None:
+            for i in np.flatnonzero(self.null).tolist():
+                vs[i] = None
+        return vs
+
+    def __len__(self):
+        return len(self.values)
+
+    def __iter__(self):
+        return iter(self.tolist())
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return Decimals(self.values[k], None if self.null is None else self.null[k])
+        return None if self.null is not None and self.null[k] else float(self.values[k])
+
+    def __eq__(self, other):
+        if not isinstance(other, Decimals):
+            return NotImplemented
+        live = self.live()
+        return (np.array_equal(live, other.live()) and len(self) == len(other)
+                and np.array_equal(self.values[live], other.values[live]))
+
+    def __hash__(self):
+        return hash(tuple(self.tolist()))
+
+    def __repr__(self):
+        return f"Decimals({self.tolist()!r})"
+
+
+def _text_table(values: np.ndarray, live: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The text table of ``Decimals``: the distinct bit patterns among
+    ``values[live]`` (np.unique of the values would merge -0.0 into 0.0),
+    formatted ``_BLOCK`` at a time, then "null", the text of every entry
+    outside ``live``."""
+    keys, inverse = np.unique(values[live].view(np.int64), return_inverse=True)
+    distinct = keys.view(np.float64)
+    table = np.empty(len(distinct) + 1, object)
+    for lo in range(0, len(distinct), _BLOCK):
+        block = distinct[lo:lo + _BLOCK].tolist()
+        table[lo:lo + len(block)] = ("\n".join([_QUOTED] * len(block)) % tuple(block)).split("\n")
+    table[-1] = "null"
+    index = np.full(len(values), len(distinct), np.intp)
+    index[live] = inverse
+    return table, index
+
+
+def _decimals_text(vs, indent: str) -> Iterable[str]:
+    """The text of a list of decimals (and nulls), from its text table."""
+    d = Decimals.of(vs)
+    return _list_pieces(len(d), lambda lo, hi, inner: (",\n" + inner).join(d.block_texts(lo, hi)),
+                        indent)
+
+
+def _decimal_array(nullable: bool) -> Codec:
+    """Codec of a list of decimals held as ``Decimals``; nulls when
+    ``nullable``."""
+    item = {"anyOf": [{"type": "null"}, _DECIMAL_SCHEMA]} if nullable else _DECIMAL_SCHEMA
+    return Codec(lambda vs: [None if v is None else _fmt(v) for v in vs],
+                 lambda vs, m: Decimals.parse(vs, nullable), {"type": "array", "items": item},
+                 text=_decimals_text)
+
+
+# a few decimals held as a tuple (alphas, a bump's coefficients), read entry
+# by entry, and the per-word lists of a synthesis state held as ``Decimals``
+DECIMALS = Codec(lambda vs: [_fmt(v) for v in vs],
+                 _checked(lambda v: isinstance(v, list), "a list of decimal strings",
+                          lambda vs: tuple(DECIMAL.decode(v, None) for v in vs)),
+                 {"type": "array", "items": _DECIMAL_SCHEMA},
+                 text=_list_text(lambda vs, indent: map(_QUOTED.__mod__, vs)))
+DECIMAL_ARRAY = _decimal_array(False)
+NULLABLE_DECIMAL_ARRAY = _decimal_array(True)
 INTEGER = Codec(_same, _checked(_is_int, "an integer"), {"type": "integer"},
                 text=_scalar_text(int.__repr__))
 INTEGERS = Codec(list, _checked(_int_list, "a list of integers", tuple),
@@ -291,19 +443,26 @@ class Columns(tuple):
     the k-th entry of every column."""
 
 
-def _row_values(rs, width: int) -> Callable[[int, int], list]:
-    """The values of rows lo..hi-1 of ``rs``, row after row, as one list:
-    ``rs`` is ``Columns``, a 2-D array or a sequence of rows."""
+def _row_values(rs, columns: Sequence[Codec]) -> Tuple[Callable[[int, int], list], list]:
+    """The values of rows lo..hi-1 of ``rs``, row after row, as one list, and
+    the ``%`` cell of each column: ``rs`` is ``Columns``, a 2-D array or a
+    sequence of rows.  A decimal column of ``Columns`` gives the texts of its
+    ``Decimals`` table, through the cell ``%s``."""
+    width = len(columns)
     if isinstance(rs, Columns):
+        cols = [Decimals.of(col) if c is DECIMAL else col for c, col in zip(columns, rs)]
+
         def values(lo, hi):
             flat = [None] * ((hi - lo) * width)
-            for k, col in enumerate(rs):
-                flat[k::width] = col[lo:hi].tolist()
+            for k, col in enumerate(cols):
+                flat[k::width] = (col.block_texts(lo, hi) if isinstance(col, Decimals)
+                                  else col[lo:hi].tolist())
             return flat
-        return values
+        return values, ["%d" if c is INTEGER else "%s" for c in columns]
+    cells = ["%d" if c is INTEGER else _QUOTED for c in columns]
     if isinstance(rs, np.ndarray):
-        return lambda lo, hi: rs[lo:hi].ravel().tolist()
-    return lambda lo, hi: list(chain.from_iterable(rs[lo:hi]))
+        return lambda lo, hi: rs[lo:hi].ravel().tolist(), cells
+    return lambda lo, hi: list(chain.from_iterable(rs[lo:hi])), cells
 
 
 def rows(*columns: Codec) -> Codec:
@@ -313,12 +472,12 @@ def rows(*columns: Codec) -> Codec:
     column at a time, which beats row by row.  When every column is an
     integer or a decimal, ``text`` writes each block of ``_BLOCK`` rows with
     one ``%`` of a template over the block's values, taken from the arrays
-    without a tuple per row; other rows go through ``json.dumps``."""
+    without a tuple per row (a decimal column of ``Columns``: the texts of
+    its table); other rows go through ``json.dumps``."""
     width = len(columns)
-    cells = ["%d" if c is INTEGER else _QUOTED if c is DECIMAL else None for c in columns]
 
     def text(rs, indent):
-        values, templates = _row_values(rs, width), {}
+        (values, cells), templates = _row_values(rs, columns), {}
 
         def block(lo, hi, inner):
             k = hi - lo
@@ -340,7 +499,7 @@ def rows(*columns: Codec) -> Codec:
             lambda v: tuple(tuple(c.decode(x, None) for c, x in zip(columns, r)) for r in v)),
         {"type": "array", "items": {"type": "array", "prefixItems": [c.schema for c in columns],
                                     "items": False, "minItems": width}},
-        text=None if None in cells else text)
+        text=text if all(c is INTEGER or c is DECIMAL for c in columns) else None)
 
 
 def _manifolds(*tags: str) -> Codec:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import chain, compress, repeat
+from itertools import chain, compress
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -328,10 +328,15 @@ class SynthesisState:
 
     ``margins[m-1]`` is D_m for the m-th scheduled word (None when the word is
     trivial in the free product and the stage is vacuous), ``eps[m-1]`` the
-    tolerance after stage m.  The words are ``enumerate_words(num_g, max_len)``
-    for num_g = len(gens) and max_len = the word length, never stored: the
-    recursion holds them as the arrays of ``_Schedule(num_g, max_len)``,
-    from which ``words`` also derives.
+    tolerance after stage m.  Both are ``serialize.Decimals``: float64 arrays,
+    the margins with a null mask, which read as sequences of floats (and
+    Nones) and compare and hash as tuples do; the constructor also takes
+    sequences.  Each writes its document list from a table of its distinct
+    texts, which the report's margin column shares (``verify_assignment``).
+    The words are ``enumerate_words(num_g, max_len)`` for num_g = len(gens)
+    and max_len = the word length, never stored: the recursion holds them as
+    the arrays of ``_Schedule(num_g, max_len)``, from which ``words`` also
+    derives.
     """
 
     manifold: Manifold
@@ -339,8 +344,8 @@ class SynthesisState:
     num_g: int
     max_len: int
     word_count: int
-    margins: Tuple[Optional[float], ...]
-    eps: Tuple[float, ...]
+    margins: serialize.Decimals
+    eps: serialize.Decimals
     bumps: Tuple[object, ...]  # BumpPoly on I, BumpTrig on S1
     lambda_est: float
     grid_n: int
@@ -349,8 +354,8 @@ class SynthesisState:
 
     FIELDS = (("manifold", serialize.MANIFOLD), ("p", serialize.DECIMAL),
               ("num_g", serialize.INTEGER), ("max_len", serialize.INTEGER),
-              ("word_count", serialize.INTEGER), ("margins", serialize.NULLABLE_DECIMALS),
-              ("eps", serialize.DECIMALS), ("bumps", serialize.BUMPS),
+              ("word_count", serialize.INTEGER), ("margins", serialize.NULLABLE_DECIMAL_ARRAY),
+              ("eps", serialize.DECIMAL_ARRAY), ("bumps", serialize.BUMPS),
               ("lambda_est", serialize.DECIMAL), ("grid_n", serialize.INTEGER),
               ("min_derivative", serialize.DECIMAL), ("deriv_lower_bound", serialize.DECIMAL))
     to_dict = serialize.encode
@@ -361,7 +366,11 @@ class SynthesisState:
         the ``word_count`` scheduled words, which number the sum over
         L <= max_len of 2r(2r-1)^(L-1) - 2n(2n-1)^(L-1), n = num_g and
         r = n + 1 (the reduced words with f).  The sum stops once it passes
-        ``word_count``, so a huge ``max_len`` fails fast."""
+        ``word_count``, so a huge ``max_len`` fails fast.  No eps is null."""
+        for name in ("margins", "eps"):
+            object.__setattr__(self, name, serialize.Decimals.of(getattr(self, name)))
+        if self.eps.null is not None:
+            raise ValueError("an eps is null")
         if not len(self.margins) == len(self.eps) == self.word_count:
             raise ValueError(f"{len(self.margins)} margins and {len(self.eps)} eps recorded "
                              f"for {self.word_count} scheduled words")
@@ -561,8 +570,8 @@ def _perturb_f_at(gens, p, opts, manifold):
         num_g=num_g,
         max_len=max_len,
         word_count=n,
-        margins=_with_none(margins, ~live),
-        eps=_runs_shared(eps),
+        margins=serialize.Decimals(margins, ~live),
+        eps=serialize.Decimals(eps),
         bumps=tuple(bumps),
         lambda_est=lam,
         grid_n=grid_n,
@@ -570,22 +579,6 @@ def _perturb_f_at(gens, p, opts, manifold):
         deriv_lower_bound=bound,
     )
     return final_f, state
-
-
-def _with_none(a: np.ndarray, vacuous: np.ndarray) -> Tuple[Optional[float], ...]:
-    """The values of ``a``, None where ``vacuous``."""
-    values = a.tolist()
-    for i in np.flatnonzero(vacuous).tolist():
-        values[i] = None
-    return tuple(values)
-
-
-def _runs_shared(a: np.ndarray) -> Tuple[float, ...]:
-    """The values of ``a``, one float object per run of equal values (eps
-    runs unchanged over most stages, so this keeps the state small)."""
-    starts = np.flatnonzero(np.concatenate(([True], a[1:] != a[:-1])))
-    counts = np.diff(np.append(starts, a.size))
-    return tuple(chain.from_iterable(map(repeat, a[starts].tolist(), counts.tolist())))
 
 
 def _first(mask: np.ndarray, default):
@@ -707,8 +700,8 @@ class VerificationReport:
     word_len: int  # truncation: only words up to this length are certified
     edge_checks: Tuple[dict, ...]
     non_edge_checks: Tuple[dict, ...]
-    # (word index, margin, D/2) rows: three arrays from verify_assignment,
-    # row tuples when read back
+    # (word index, margin, D/2) rows: three columns from verify_assignment
+    # (the margins may be serialize.Decimals), row tuples when read back
     margin_checks: Union[serialize.Columns, Tuple[Tuple[int, float, float], ...]]
     margin_failures: Tuple[dict, ...]
     pure_g_checked: int
@@ -782,19 +775,23 @@ def verify_assignment(
             raise ValueError("word_len must be >= 1")
         # the schedule is length-major: these are its words of length <= wl
         schedule = _Schedule(state.num_g, wl)
-        recorded = np.array(state.margins[:schedule.word_count], object)
-        live = np.flatnonzero(np.not_equal(recorded, None))
+        live = state.margins[:schedule.word_count].live()
         if not np.array_equal(np.flatnonzero(~schedule.trivial()), live):
             raise ValueError("the state's margins are not null exactly at the scheduled "
                              "words trivial in the free product")
         margins = _schedule_margins(assignment.f, assignment.gens, state.p,
                                     assignment.manifold, schedule)[live]
-        half = recorded[live].astype(float) / 2.0
-        margin_checks = serialize.Columns((live + 1, margins, half))
+        recorded = state.margins.values[live]
+        half = recorded / 2.0
+        # margins bitwise equal to the recorded ones are written with the
+        # state's texts; the D/2 column gets a table of its own when written
+        same = np.array_equal(margins.view(np.int64), recorded.view(np.int64))
+        margin_checks = serialize.Columns(
+            (live + 1, state.margins.take(live) if same else margins, half))
         failing = ~(margins > half)
         margin_failures = [
             {"index": i, "word": word_str(schedule.word(i - 1)), "margin": m, "threshold": t}
-            for i, m, t in zip(*(col[failing].tolist() for col in margin_checks))
+            for i, m, t in zip(*(col[failing].tolist() for col in (live + 1, margins, half)))
         ]
         ok = ok and not failing.any()
         # pure-g words: nontrivial exactly when the exponent vector is nonzero;

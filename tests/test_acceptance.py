@@ -34,6 +34,7 @@ from cliqueforest import (
     remark_counterexample_suite,
     verify_assignment,
 )
+from cliqueforest.serialize import Decimals
 from cliqueforest.synthesis import (
     GeneratorAssignment,
     _word_margin,
@@ -338,6 +339,7 @@ def test_criterion_8_round_trip_residuals(k2_k3_assignment):
         diffs.append(abs(c1["residual"] - c2["residual"]))
     (i1, m1, t1), (i2, m2, t2) = r1.margin_checks, r2.margin_checks  # columns
     assert np.array_equal(i1, i2) and np.array_equal(t1, t2)
+    m1, m2 = Decimals.of(m1).values, Decimals.of(m2).values  # the state's, when equal
     diffs.extend(np.abs(m1 - m2).tolist())
     worst = max(diffs)
     _report(

@@ -73,6 +73,19 @@ class TestDecide:
         assert main(["decide", path, "--out", str(out)]) == EXIT_FINDING
         assert json.loads(out.read_text())["missing_edge"]["path"] == [0, 1, 2]
 
+    @pytest.mark.parametrize("text", ["// a path\ngraph G { 0 -- 1; 1 -- 2 }\n",
+                                      "strict graph G { 0 -- 1; 1 -- 2 }\n"],
+                             ids=["comment-line", "strict"])
+    def test_dot_after_comment_or_strict_path_rejected(self, graph_file, tmp_path, text):
+        out = tmp_path / "d.json"
+        assert main(["decide", graph_file(text, "g.dot"), "--out", str(out)]) == EXIT_FINDING
+        assert json.loads(out.read_text())["missing_edge"]["path"] == [0, 1, 2]
+
+    def test_digraph_rejected(self, graph_file, capsys):
+        path = graph_file("// arcs\ndigraph G { 0 -> 1 }\n", "g.dot")
+        assert main(["decide", path]) == EXIT_INPUT
+        assert "line 2: only undirected 'graph' documents supported" in capsys.readouterr().err
+
     def test_dot_text_after_closing_brace_rejected(self, graph_file, capsys):
         path = graph_file("graph G { 0 -- 1 } extra", "g.dot")
         assert main(["decide", path]) == EXIT_INPUT

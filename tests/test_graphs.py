@@ -289,6 +289,21 @@ class TestFormats:
         with pytest.raises(GraphFormatError):
             parse_graph("{ 0 -- 1 }")
 
+    @pytest.mark.parametrize("text", [
+        "// a path\ngraph G { 0 -- 1; 1 -- 2 }\n",
+        "\n  // a path { 5 -- 6 }\n\n// more\ngraph G // name\n{ 0 -- 1; 1 -- 2 }\n",
+        "strict graph G { 0 -- 1; 1 -- 2; 1 -- 0 }\n",
+    ], ids=["comment-line", "comments-and-blank-lines", "strict"])
+    def test_dot_after_comments_and_strict(self, text):
+        assert parse_graph(text) == SimpleGraph.from_edges(3, [(0, 1), (1, 2)])
+
+    @pytest.mark.parametrize("text", ["digraph G { 0 -> 1 }\n", "// arcs\ndigraph G { 0 -> 1 }\n",
+                                      "strict digraph G { 0 -> 1 }\n"])
+    def test_digraph_rejected_as_dot(self, text):
+        with pytest.raises(GraphFormatError, match="only undirected") as ei:
+            parse_graph(text)
+        assert ei.value.line == text.count("\n")
+
     def test_dot_bad_statement(self):
         with pytest.raises(GraphFormatError):
             parse_graph("graph G {\n  frob;\n}\n")

@@ -1,8 +1,10 @@
+import dataclasses
 import io
 import itertools
 import json
 import math
 import random
+from dataclasses import dataclass
 from unittest import mock
 
 import jsonschema
@@ -35,6 +37,7 @@ from cliqueforest import (
     RotationS1,
     SimpleGraph,
     SineShear,
+    SynthesisOptions,
     SynthesisState,
     Translation,
     VerificationReport,
@@ -44,6 +47,8 @@ from cliqueforest import (
     expr_to_dict,
     is_clique_forest,
     loads_expr,
+    synthesize_embedding,
+    verify_assignment,
 )
 from cliqueforest import serialize
 from cliqueforest.obstructions import CenterWitness, CounterexampleReport, PowerResidual
@@ -443,3 +448,154 @@ class TestBlockWriter:
         g = SimpleGraph.from_edges(2 * count + 1, [(2 * k + 2, 2 * k) for k in range(count)])
         assert len(g.ends) == count
         self._assert_text(g)
+
+
+@dataclass(frozen=True)
+class _Lists:
+    """A document of the two per-word lists of a synthesis state: margins
+    (with nulls) and eps."""
+
+    margins: object
+    eps: object
+
+    FIELDS = (("margins", serialize.NULLABLE_DECIMAL_ARRAY), ("eps", serialize.DECIMAL_ARRAY))
+    to_dict = serialize.encode
+    from_dict = serialize.loader("lists")
+
+
+_ODD_DECIMALS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 0.1, 1 / 3, 0.0, -0.0]
+
+
+def _lists(count: int) -> _Lists:
+    """``count`` margins and eps cycling through ``_ODD_DECIMALS``; the
+    margins null first, last and in a run of three in the middle."""
+    values = np.resize(_ODD_DECIMALS, count)
+    null = np.zeros(count, bool)
+    null[:1] = null[-1:] = True
+    null[count // 2:count // 2 + 3] = True
+    return _Lists(serialize.Decimals(values, null), serialize.Decimals(values[::-1]))
+
+
+@pytest.fixture(scope="module")
+def k2_k3_word_len_3():
+    g = SimpleGraph.from_edges(5, [(0, 1), (2, 3), (2, 4), (3, 4)])
+    return synthesize_embedding(g, opts=SynthesisOptions(word_len=3))
+
+
+class TestDecimals:
+    """``serialize.Decimals``: the per-word lists of a synthesis state, held
+    as float64 arrays and written from one table of their distinct texts."""
+
+    COUNTS = [0, 1, serialize._BLOCK, serialize._BLOCK + 1]
+
+    @pytest.mark.parametrize("block", [serialize._BLOCK, 3])
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_lists_written_as_json_dumps(self, count, block):
+        doc = _lists(count)
+        with mock.patch.object(serialize, "_BLOCK", block):
+            assert _written(doc) == json.dumps(doc.to_dict(), sort_keys=True, indent=2) + "\n"
+        if count > 8:
+            written = doc.to_dict()
+            assert written["margins"][:3] == [None, "-0", "nan"] and written["margins"][-1] is None
+            assert written["margins"][count // 2:count // 2 + 3] == [None] * 3
+            assert {"0", "-0", "nan", "inf", "-inf", "4.9406564584124654e-324"} <= set(
+                written["eps"])
+
+    @pytest.mark.parametrize("block", [serialize._BLOCK, 3])
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_report_rows_share_the_margin_texts(self, count, block):
+        """Margin rows whose margin column is taken from the state's list
+        (every other entry) and whose D/2 column is a plain array."""
+        margins = _lists(2 * count).eps
+        rows = np.arange(0, 2 * count, 2)
+        cols = serialize.Columns((rows + 1, margins.take(rows), margins.values[rows] / 2))
+        report = VerificationReport(True, Manifold.INTERVAL, 2, 1e-9, 6, (), (), cols, (), 0,
+                                    True, ())
+        with mock.patch.object(serialize, "_BLOCK", block):
+            assert _written(report) == json.dumps(report.to_dict(), sort_keys=True,
+                                                  indent=2) + "\n"
+        assert cols[1].texts()[0] is margins.texts()[0]
+
+    def test_equal_values_written_in_one_form(self):
+        doc = _Lists.from_dict({"margins": ["0.5", None, "0.50", "5e-1", "-0", "0"],
+                                "eps": ["5e-1", ".5", "0.500", "1E0"]})
+        assert doc.margins.tolist() == [0.5, None, 0.5, 0.5, -0.0, 0.0]
+        assert _written(doc) == json.dumps(
+            {"eps": ["0.5", "0.5", "0.5", "1"], "margins": ["0.5", None, "0.5", "0.5", "-0", "0"]},
+            sort_keys=True, indent=2) + "\n"
+
+    def test_reads_as_a_sequence(self):
+        d = serialize.Decimals.of([0.5, None, -0.0, math.inf])
+        assert list(d) == d.tolist() == [0.5, None, -0.0, math.inf]
+        assert len(d) == 4 and d[1] is None and d[-1] == math.inf and type(d[0]) is float
+        assert d[1:3] == serialize.Decimals.of([None, -0.0])
+        assert d == serialize.Decimals.of((0.5, None, 0.0, math.inf))  # -0.0 == 0.0
+        assert hash(d) == hash((0.5, None, -0.0, math.inf))
+        assert d != serialize.Decimals.of([0.5, 0.0, -0.0, math.inf])
+        assert d != serialize.Decimals.of([0.5, None, -0.0])
+        assert serialize.Decimals.of([math.nan]) != serialize.Decimals.of([math.nan])
+        with pytest.raises(ValueError):
+            d.values[0] = 1.0
+
+    def test_state_round_trip_and_tuples(self, k2_k3_word_len_3):
+        state = k2_k3_word_len_3.state
+        assert isinstance(state.margins, serialize.Decimals)
+        back = SynthesisState.from_dict(json.loads(json.dumps(state.to_dict())))
+        assert back == state and hash(back) == hash(state)
+        from_tuples = dataclasses.replace(state, margins=tuple(state.margins),
+                                          eps=tuple(state.eps))
+        assert from_tuples == state and hash(from_tuples) == hash(state)
+        assert isinstance(from_tuples.eps, serialize.Decimals)
+        assert list(state.margins)[0] == state.margins[0] and state.eps[-1] == list(state.eps)[-1]
+        with pytest.raises(ValueError, match="null"):
+            dataclasses.replace(state, eps=(None,) + tuple(state.eps)[1:])
+
+    def test_report_shares_the_state_texts(self, k2_k3_word_len_3):
+        state = k2_k3_word_len_3.state
+        report = verify_assignment(k2_k3_word_len_3)
+        margins = report.margin_checks[1]
+        assert isinstance(margins, serialize.Decimals)
+        assert margins.texts()[0] is state.margins.texts()[0]
+        assert _written(report) == json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+
+    def test_margin_off_by_its_last_bit_keeps_its_own_text(self, k2_k3_word_len_3):
+        """A recorded margin one ulp above the recomputed one: the report's
+        margin column takes its own texts, and its D/2 column the recorded
+        value's."""
+        asg = k2_k3_word_len_3
+        margins = list(asg.state.margins)
+        k = next(i for i, m in enumerate(margins) if m is not None)
+        true = margins[k]
+        margins[k] = float(np.nextafter(true, math.inf))
+        state = dataclasses.replace(asg.state, margins=tuple(margins))
+        report = verify_assignment(dataclasses.replace(asg, state=state))
+        assert not isinstance(report.margin_checks[1], serialize.Decimals)
+        text = _written(report)
+        assert text == json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+        row = json.loads(text)["margins"][0]
+        assert row == [k + 1, "%.17g" % true, "%.17g" % (margins[k] / 2)]
+        assert "%.17g" % true != "%.17g" % margins[k]
+
+    @given(st.lists(st.one_of(
+        st.from_regex(_DECIMAL_RE, fullmatch=True), st.text("0123456789.eE+-inf, \n", max_size=6),
+        st.none(), st.integers(), st.floats(), st.booleans(), st.lists(st.none(), max_size=1)),
+        max_size=8), st.booleans())
+    @example(["0.5", None, "-1E+5", ".5", "2.", "-inf"], True)
+    @example(["0.5", None], False)
+    @example(["nan"], True)
+    @example(["1\n"], True)
+    @example([0.5], True)
+    @example([True], True)
+    @example([[None]], True)
+    @example([], False)
+    @settings(max_examples=300, deadline=None)
+    def test_read_accepts_exactly_the_pattern(self, vs, nullable):
+        ok = all((nullable and v is None) or (isinstance(v, str) and _DECIMAL_RE.fullmatch(v))
+                 for v in vs)
+        if not ok:
+            with pytest.raises(ExprFormatError):
+                serialize.Decimals.parse(vs, nullable)
+            return
+        got = serialize.Decimals.parse(vs, nullable).tolist()
+        assert [None if v is None else v.hex() for v in got] == [
+            None if v is None else float(v).hex() for v in vs]

@@ -9,12 +9,19 @@ from cliqueforest.raag import (
     EmbeddabilityDecision,
     embeddable_raag,
     normal_form,
-    word_concat,
-    word_inverse,
 )
 
 K2_K3 = CliqueForest(((0, 1), (2, 3, 4)))
 FREE2 = CliqueForest(((0,), (1,)))
+
+
+def word_inverse(word):
+    """The inverse of a RAAG word of (vertex, exponent) pairs."""
+    return tuple((v, -e) for v, e in reversed(word))
+
+
+def word_concat(*words):
+    return tuple(p for w in words for p in w)
 
 
 def _comp_of(forest):
