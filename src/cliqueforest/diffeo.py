@@ -49,6 +49,12 @@ class InversionError(InvariantBreach):
     """Monotone root search did not converge (non-monotone expression)."""
 
 
+def _finite(what: str, *values: float) -> None:
+    """Reject a parameter that is infinite or NaN."""
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{what} must be finite")
+
+
 # ---------------------------------------------------------------------------
 # bump summands for perturbed maps
 
@@ -69,6 +75,7 @@ class BumpPoly:
     deriv_bound: Optional[float] = None
 
     def __post_init__(self):
+        _finite("bump coefficients", self.c, *self.t_coeffs)
         if self.stage < 1:
             raise ValueError("bump stage must be >= 1")
         if self.k < 1:
@@ -112,6 +119,7 @@ class BumpTrig:
     deriv_bound: Optional[float] = None
 
     def __post_init__(self):
+        _finite("trig bump amplitude and phase", self.c, self.phase)
         if self.stage < 1:
             raise ValueError("bump stage must be >= 1")
         if self.sup_bound is not None and abs(self.c) >= self.sup_bound:
@@ -201,6 +209,7 @@ class MobiusI(DiffeoExpr):
     alpha: float
 
     def __post_init__(self):
+        _finite("Mobius parameter", self.alpha)
         if not self.alpha > 0:
             raise ValueError("Mobius parameter must be positive")
 
@@ -223,6 +232,9 @@ class RotationS1(DiffeoExpr):
     manifold = Manifold.CIRCLE
     theta: float
 
+    def __post_init__(self):
+        _finite("rotation angle", self.theta)
+
     def _raw(self, x):
         return x + self.theta / (2 * math.pi)
 
@@ -242,6 +254,7 @@ class SineShear(DiffeoExpr):
     a: float
 
     def __post_init__(self):
+        _finite("sine-shear parameter", self.a)
         if self.a == 0:
             raise ValueError("sine-shear parameter must be nonzero")
 
@@ -259,6 +272,9 @@ class Translation(DiffeoExpr):
     KIND = "translation"
     manifold = Manifold.LINE
     c: float
+
+    def __post_init__(self):
+        _finite("translation", self.c)
 
     def _raw(self, x):
         return x + self.c

@@ -30,9 +30,15 @@ Long decimal lists (a synthesis state's margins and eps, a report's margin
 columns) are held as ``Decimals``, a float64 array with a null mask, read
 straight from the document's strings.  Each is written from one table of
 its distinct texts, each distinct value formatted once, ``_BLOCK`` values
-per ``%``; a list of some of its entries (``Decimals.take``) shares that
+at a time; a list of some of its entries (``Decimals.take``) shares that
 table, so a report's margin column reuses the texts of the state's margins.
-The table lives on the object, and goes with it.
+The table lives on the object, and goes with it.  A block's ``"%.17g"``
+texts come from an exact numpy kernel (``_digits``: the 17 significant
+digits and the decimal exponent from float64 alone, by Dekker's error-free
+product) written by one ``%`` of an integer template per layout; the values
+it does not prove (zeros, infinities, NaN, magnitudes outside its range,
+values near a rounding tie or a power of ten) and blocks of fewer than
+``_KERNEL_MIN`` values take one ``%`` of ``"%.17g"``, into the same table.
 """
 from __future__ import annotations
 
@@ -186,9 +192,10 @@ class Decimals:
 
     Its JSON texts come from one table (``texts``), built on first use and
     kept on the object: each distinct value, told apart by its bits so that
-    -0.0 keeps its own text, written ``"%.17g"`` in quotes, one ``%`` per
-    ``_BLOCK`` of them, and "null".  ``take`` gives entries of the list that
-    share its table.
+    -0.0 keeps its own text, written ``"%.17g"`` in quotes ``_BLOCK`` at a
+    time (``_quoted``: the exact digit kernel, ``%`` for what it does not
+    prove), and "null".  ``take`` gives entries of the list that share its
+    table.
     """
 
     __slots__ = ("values", "null", "_texts", "_whole")
@@ -311,17 +318,182 @@ class Decimals:
         return f"Decimals({self.tolist()!r})"
 
 
+_KERNEL_MIN = 512  # distinct values below which a block costs less through ``%``
+_KERNEL_RANGE = (1e-280, 1e280)  # the magnitudes the kernel takes
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's constant: a double into two 26-bit halves
+_TIE_BAND = 2.0 ** -46  # the deferral band, above the error of the scaled value
+_POW10 = np.array([10 ** j for j in range(18)], np.int64)
+# the layouts of "%.17g" by row: integer, fixed with a fraction, exponent
+# without and with a fraction, then "0." and 0 to 3 zeros before the digits
+# (-5 < k < 0), and those four for a negative value; each row's template and
+# its integers out of (signed integer part, fraction width, fraction,
+# exponent)
+_TEMPLATES = (('"%d"', (0,)), ('"%d.%0*d"', (0, 1, 2)), ('"%de%+03d"', (0, 3)),
+              ('"%d.%0*de%+03d"', (0, 1, 2, 3)),
+              *((f'"{sign}0.{"0" * j}%d"', (2,)) for sign in ("", "-") for j in range(4)))
+
+
+def _pow10_parts(p: int) -> Tuple[float, float, float, float]:
+    """10**p as hi + lo: hi the double nearest 10**p, lo the double nearest
+    10**p - hi, from exact integers (int to float and int true division both
+    round correctly); with the Veltkamp halves of hi, as (hi, its high half,
+    its low half, lo)."""
+    if p >= 0:
+        hi = float(10 ** p)
+        lo = float(10 ** p - int(hi))
+    else:
+        scale = 10 ** -p
+        hi = 1 / scale
+        num, den = hi.as_integer_ratio()
+        lo = (den - num * scale) / (den * scale)
+    c = hi * _SPLIT
+    high = c - (c - hi)
+    return hi, high, hi - high, lo
+
+
+def _digits(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(proved, n, k): the indices of the values of ``x`` whose ``"%.17g"``
+    this kernel proves, and for each the 17 significant digits n (10**16 <=
+    n < 10**17) and the decimal exponent k: |x| rounded to 17 significant
+    digits is n * 10**(k - 16).
+
+    With k0 = floor(log10 |x|), which may miss the decade near a power of
+    ten, and p = 16 - k0, the scaled value S = |x| 10**p is taken as hi + s
+    in float64 alone, no FMA, each operation its own ufunc call:
+    10**p = P_hi + P_lo (``_pow10_parts``); hi + lo = |x| P_hi exactly
+    (Dekker's product over the Veltkamp halves); t = RN(|x| P_lo) and
+    s = RN(lo + t).  With u = 2**-53, |10**p - P_hi - P_lo| <= u**2 10**p,
+    |t - |x| P_lo| <= (1 + u) u**2 S and |s - lo - t| <= u (|lo| + |t|) <=
+    2 (1 + u)**2 u**2 S, so |S - hi - s| < 4.01 u**2 S + 2**-140 (underflow
+    in P_lo or t) < 2**-46.9 wherever S <= 2**57.
+
+    Where n = int(hi) + rint(s) >= 10**16, hi >= 2**53 is an integer, so n
+    and f = s - rint(s) are exact.  A value is proved when |f| < 1/2 - 2**-46
+    (``_TIE_BAND``: S is not within the error of a tie, so n = round(S)),
+    n <= 10**17 and n - 10**16 + f >= 2**-46 (10**16 < S < 10**17 + 1/2, so
+    k0 is the decade, and n = 10**17, the carry to 10**16 at k0 + 1, is right
+    for S >= 10**17 too).  The rest are deferred: exact and near ties, and
+    products outside the decade, which the exact powers 1 ... 1e16 and
+    values within a few ulps of a power of ten can give.  1e-280 <= |x| <
+    1e280 keeps |x|, P_hi and their splits finite and every partial product
+    normal; zeros, infinities, NaN and other magnitudes are not proved."""
+    a = np.abs(x)
+    proved = np.flatnonzero((a >= _KERNEL_RANGE[0]) & (a < _KERNEL_RANGE[1]))
+    a = a[proved]
+    if not len(a):
+        return proved, proved, proved
+    k = np.floor(np.log10(a)).astype(np.int64)
+    p = 16 - k
+    low = int(p.min())
+    parts = np.array([_pow10_parts(j) for j in range(low, int(p.max()) + 1)])
+    b, b_h, b_l, b_lo = parts.take(p - low, 0).T
+    c = a * _SPLIT
+    a_h = c - (c - a)
+    a_l = a - a_h
+    hi = a * b
+    s = a_h * b_h  # Dekker: lo = ((a_h b_h - hi) + a_h b_l + a_l b_h) + a_l b_l
+    s -= hi
+    s += a_h * b_l
+    s += a_l * b_h
+    s += a_l * b_l
+    s += a * b_lo
+    r = np.rint(s)
+    s -= r
+    n = hi.astype(np.int64)
+    n += r.astype(np.int64)
+    ok = np.abs(s) < 0.5 - _TIE_BAND
+    ok &= n <= 10 ** 17
+    ok &= (n - 10 ** 16) + s >= _TIE_BAND
+    n, k = n[ok], k[ok]
+    carry = n == 10 ** 17
+    n -= carry * (9 * 10 ** 16)
+    k += carry
+    return proved[ok], n, k
+
+
+def _digit_texts(neg: np.ndarray, n: np.ndarray, k: np.ndarray) -> Sequence[str]:
+    """The texts ``'"%.17g"' % v`` of the nonzero values v of sign ``neg``,
+    digits n and exponent k (``_digits``), a list or an object array: the
+    digits lose the trailing zeros after the point (all 16 at most), are
+    split at the point into a signed integer part and a fraction with its
+    width, and each layout's values are written by one ``%`` of its integer
+    template."""
+    fixed = (k >= -4) & (k <= 16)
+    width = np.where(fixed, 16 - k, 16)  # digits after the point, trailing zeros too
+    m = n.copy()
+    tens = np.flatnonzero(n % 10 == 0)
+    if len(tens):
+        t, zeros = m[tens], np.zeros(len(tens), np.int64)
+        for d in (16, 8, 4, 2, 1):
+            q, rem = np.divmod(t, _POW10[d])
+            strip = rem == 0
+            t = np.where(strip, q, t)
+            zeros += strip * d
+        zeros = np.minimum(zeros, width[tens], out=zeros)  # an integer part keeps its zeros
+        width[tens] -= zeros
+        m[tens] //= _POW10[zeros]
+    scale = _POW10[np.minimum(width, 17)]
+    whole = m // scale
+    m -= whole * scale
+    np.negative(whole, out=whole, where=neg)
+    row = np.where(fixed, np.where(k < 0, 2 - k, 0), 2)
+    row += width > 0
+    row += 4 * (neg & (row >= 4))
+    columns = (whole, width, m, k)
+    rows = np.flatnonzero(np.bincount(row)).tolist()
+    if len(rows) == 1:
+        return _layout_texts(rows[0], columns)
+    texts = np.empty(len(n), object)
+    for r in rows:
+        at = np.flatnonzero(row == r)
+        texts[at] = _layout_texts(r, [c[at] for c in columns])
+    return texts
+
+
+def _layout_texts(row: int, columns) -> list:
+    """The texts of one layout, by one ``%`` of its template."""
+    template, used = _TEMPLATES[row]
+    args = [columns[j] for j in used]
+    args = args[0] if len(args) == 1 else np.stack(args, 1).ravel()
+    return ("\n".join([template] * len(columns[0])) % tuple(args.tolist())).split("\n")
+
+
+def _percent(x: np.ndarray) -> list:
+    """``'"%.17g"' % v`` for each value v of ``x``, by one ``%``."""
+    vs = x.tolist()
+    return ("\n".join([_QUOTED] * len(vs)) % tuple(vs)).split("\n")
+
+
+def _quoted(x: np.ndarray) -> Sequence[str]:
+    """``'"%.17g"' % v`` for each value v of the 1-D float64 array ``x``, a
+    list or an object array: the values ``_digits`` proves by
+    ``_digit_texts``, the others (and every value of a block of fewer than
+    ``_KERNEL_MIN``) by ``_percent``."""
+    if len(x) < _KERNEL_MIN:
+        return _percent(x)
+    proved, n, k = _digits(x)
+    if len(proved) == len(x):
+        return _digit_texts(x < 0, n, k)
+    texts = np.empty(len(x), object)
+    rest = np.ones(len(x), bool)
+    rest[proved] = False
+    texts[rest] = _percent(x[rest])
+    if len(proved):
+        texts[proved] = _digit_texts(x[proved] < 0, n, k)
+    return texts
+
+
 def _text_table(values: np.ndarray, live: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The text table of ``Decimals``: the distinct bit patterns among
     ``values[live]`` (np.unique of the values would merge -0.0 into 0.0),
-    formatted ``_BLOCK`` at a time, then "null", the text of every entry
-    outside ``live``."""
+    written ``_quoted`` ``_BLOCK`` at a time, then "null", the text of every
+    entry outside ``live``."""
     keys, inverse = np.unique(values[live].view(np.int64), return_inverse=True)
     distinct = keys.view(np.float64)
     table = np.empty(len(distinct) + 1, object)
     for lo in range(0, len(distinct), _BLOCK):
-        block = distinct[lo:lo + _BLOCK].tolist()
-        table[lo:lo + len(block)] = ("\n".join([_QUOTED] * len(block)) % tuple(block)).split("\n")
+        block = distinct[lo:lo + _BLOCK]
+        table[lo:lo + len(block)] = _quoted(block)
     table[-1] = "null"
     index = np.full(len(values), len(distinct), np.intp)
     index[live] = inverse

@@ -739,12 +739,22 @@ def verify_assignment(
     (``grid_sups``); each residual and witness is that of
     ``commutator_residual`` and ``commutator_witness``.  Margin
     certification is truncated at ``word_len`` (the state's own schedule
-    length by default); the report says so prominently.
+    length by default); the report says so prominently.  A state whose
+    basepoint is not in (0, 1), or whose recorded margins are not all finite
+    and positive, raises ``ValueError``.
     """
     state = assignment.state
-    if state is not None and state.num_g != len(assignment.gens):
-        raise ValueError(f"synthesis state schedules {state.num_g} g generators, "
-                         f"the assignment has {len(assignment.gens)}")
+    if state is not None:
+        if state.num_g != len(assignment.gens):
+            raise ValueError(f"synthesis state schedules {state.num_g} g generators, "
+                             f"the assignment has {len(assignment.gens)}")
+        # what _perturb_f_at guarantees when it records a state; a margin
+        # D <= 0 would pass the check D > D/2 below for any displacement
+        if not 0 < state.p < 1:
+            raise ValueError(f"the state's basepoint {state.p!r} is not in (0, 1)")
+        given, null = state.margins.values, state.margins.null  # NaN at the nulls
+        if not np.all(((given > 0) & (given < math.inf)) | (False if null is None else null)):
+            raise ValueError("the state's margins are not all finite and positive")
     if word_len is not None and word_len < 1:
         raise ValueError("word_len must be >= 1")
     g = assignment.graph

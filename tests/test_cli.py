@@ -313,6 +313,32 @@ class TestSynthesizeVerify:
         assert main(["verify", str(asg), "--out", str(tmp_path / "v.json")]) == EXIT_INPUT
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["gens"][0].update(alpha="inf"), "must be finite"),
+        (lambda doc: doc["state"].update(p="inf"), "basepoint"),
+        (lambda doc: doc["state"].update(p="0"), "basepoint"),
+        (lambda doc: doc["state"]["margins"].__setitem__(0, "-1"), "finite and positive"),
+        (lambda doc: doc["state"]["margins"].__setitem__(0, "0"), "finite and positive"),
+        (lambda doc: doc["state"]["margins"].__setitem__(0, "inf"), "finite and positive"),
+    ], ids=["infinite-alpha", "infinite-p", "zero-p", "negative-margin", "zero-margin",
+            "infinite-margin"])
+    def test_verify_rejects_non_finite_or_non_positive_state(self, graph_file, tmp_path,
+                                                              capsys, edit, message):
+        """An assignment the synthesis could not have written: a generator or
+        basepoint that is not finite, or a recorded margin D <= 0, which
+        would pass the check D > D/2 for any displacement."""
+        asg = tmp_path / "asg.json"
+        assert main(["synthesize", graph_file(K2_K3), "--word-len", "3",
+                     "--out", str(asg), "--report", str(tmp_path / "rep.json")]) == EXIT_OK
+        doc = json.loads(asg.read_text())
+        assert doc["state"]["margins"][0] is not None
+        edit(doc)
+        asg.write_text(json.dumps(doc))
+        out = tmp_path / "v.json"
+        assert main(["verify", str(asg), "--out", str(out)]) == EXIT_INPUT
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("edit", [
         {"n": 5.9},
         {"n": True},
@@ -522,6 +548,28 @@ class TestFixpoints:
         assert main(["fixpoints", str(ef)]) == EXIT_INPUT
         assert "expected a decimal string" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("manifold, expr", [
+        ("I", {"kind": "mobius", "alpha": "inf"}),
+        ("S1", {"kind": "rotation", "theta": "inf"}),
+        ("S1", {"kind": "rotation", "theta": "-inf"}),
+        ("R", {"kind": "translation", "c": "inf"}),
+        ("R", {"kind": "sine_shear", "a": "-inf"}),
+        ("I", {"kind": "perturbed", "bumps": [{"c": "inf", "stage": 1, "k": 1,
+                                                "t_coeffs": ["1"]}]}),
+        ("I", {"kind": "perturbed", "bumps": [{"c": "0.01", "stage": 1, "k": 1,
+                                                "t_coeffs": ["1", "inf"]}]}),
+        ("S1", {"kind": "perturbed_lift", "bumps": [{"c": "inf", "stage": 1, "phase": "0"}]}),
+        ("S1", {"kind": "perturbed_lift", "bumps": [{"c": "0.01", "stage": 1,
+                                                     "phase": "inf"}]}),
+    ], ids=["mobius", "rotation", "rotation-minus", "translation", "sine-shear", "bump-c",
+            "bump-t-coeffs", "trig-bump-c", "trig-bump-phase"])
+    def test_infinite_parameter_rejected(self, tmp_path, capsys, manifold, expr):
+        ef = tmp_path / "e.json"
+        ef.write_text(json.dumps({"manifold": manifold, "expr": expr}))
+        assert main(["fixpoints", str(ef), "--out", str(tmp_path / "fp.json")]) == EXIT_INPUT
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "fp.json").exists()
+
 
 class TestCommGraph:
     def test_complete_family(self, tmp_path):
@@ -561,6 +609,21 @@ class TestCommGraph:
         p = tmp_path / "e.json"
         p.write_text(dumps_expr(MobiusI(1.0 + 1e-15)))
         assert main(["commgraph", str(p)]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("manifold, expr", [
+        ("I", {"kind": "mobius", "alpha": "inf"}),
+        ("S1", {"kind": "rotation", "theta": "inf"}),
+        ("R", {"kind": "translation", "c": "inf"}),
+    ], ids=["mobius", "rotation", "translation"])
+    def test_infinite_parameter_rejected(self, tmp_path, capsys, manifold, expr):
+        """Two copies of a map with an infinite parameter: no graph with
+        bare Infinity or NaN tokens, but an input error."""
+        p = tmp_path / "e.json"
+        p.write_text(json.dumps({"manifold": manifold, "expr": expr}))
+        out = tmp_path / "cg.json"
+        assert main(["commgraph", str(p), str(p), "--out", str(out)]) == EXIT_INPUT
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 

@@ -232,8 +232,13 @@ class TestErrors:
         ("1E+2", 100.0), ("inf", math.inf), ("-inf", -math.inf),
     ])
     def test_decimal_strings_accepted(self, text, value):
-        e = dict_to_expr({"manifold": "R", "expr": {"kind": "translation", "c": text}})
-        assert e == Translation(value)
+        assert DECIMAL.decode(text, None) == value
+        doc = {"manifold": "R", "expr": {"kind": "translation", "c": text}}
+        if math.isfinite(value):
+            assert dict_to_expr(doc) == Translation(value)
+        else:  # the codec reads "inf", but a map's parameter must be finite
+            with pytest.raises(ExprFormatError, match="must be finite"):
+                dict_to_expr(doc)
 
     @given(st.from_regex(_DECIMAL_RE, fullmatch=True))
     @example("1.")
@@ -599,3 +604,153 @@ class TestDecimals:
         got = serialize.Decimals.parse(vs, nullable).tolist()
         assert [None if v is None else v.hex() for v in got] == [
             None if v is None else float(v).hex() for v in vs]
+
+
+def _reference(x: np.ndarray) -> list:
+    return ['"%.17g"' % v for v in x.tolist()]
+
+
+def _table_texts(x: np.ndarray) -> list:
+    """The text of each value of ``x`` in the table of its ``Decimals``."""
+    return serialize.Decimals(x).block_texts(0, len(x))
+
+
+def _random_patterns(count: int, seed: int) -> np.ndarray:
+    return np.random.default_rng(seed).integers(0, 2 ** 64, count, np.uint64).view(np.float64)
+
+
+def _log_uniform_and_halves() -> np.ndarray:
+    x = 10 ** np.random.default_rng(3).uniform(-40, 40, 100_000)
+    return np.concatenate((x, x / 2))
+
+
+def _ulps_around_powers_of_ten() -> np.ndarray:
+    vs = []
+    for e in range(-30, 21):
+        up = down = float(f"1e{e}")
+        vs.append(up)
+        for _ in range(3):
+            up, down = np.nextafter(up, math.inf), np.nextafter(down, 0.0)
+            vs += [up, down]
+    return np.array(vs + [-v for v in vs])
+
+
+def _short_expansions() -> np.ndarray:
+    """m 2**e for m < 2000 and |e| <= 60: few decimal digits, so exact ties
+    at 17 significant digits occur."""
+    return np.ldexp(np.arange(1.0, 2000.0)[:, None], np.arange(-60, 61)[None, :]).ravel()
+
+
+# every layout of "%.17g" (integer, fixed with a fraction, "0." and up to
+# three zeros, exponent with and without a fraction, 3-digit exponents) and
+# the values the kernel leaves to ``%``
+_LAYOUT_VALUES = [
+    123.0, 4.5e16, 123.5, 1.05, 1 / 3, 0.1, 0.05, 0.00123, 0.000123, 1e20, 3e-7, 1.5e-5,
+    9.5367431640625e-07, 1e100, 1.2345e-100, 6.02e23, 2.5e-250, 1.5e279, 99999999999999999.0,
+    123456789012345678.0, 0.99999999999999989, 0.0, -0.0, math.nan, math.inf, -math.inf,
+    5e-324, 2.2250738585072014e-308, 1e-300, 1.5e300, 1e16, 1.0, 1e280, 1e-280]
+
+
+def _layout_values() -> np.ndarray:
+    x = np.array(_LAYOUT_VALUES)
+    x = np.concatenate((x, -x, 10 ** np.random.default_rng(4).uniform(-280, 280, 3000)))
+    return np.concatenate((x, -x[-3000:]))
+
+
+def _layout(text: str) -> str:
+    """The layout of a "%.17g" text, as ``_digit_texts`` picks its template."""
+    body = text.strip('"').lstrip("-")
+    if body.startswith("0.") and text != '"0"':
+        return ("-" if text.startswith('"-') else "") + "0." + "0" * (
+            len(body[2:]) - len(body[2:].lstrip("0")))
+    return ("." if "." in body else "") + ("e" if "e" in body else "")
+
+
+class TestDecimalKernel:
+    """The exact 17-digit kernel behind ``Decimals``' text table: each text
+    equals ``'"%.17g"' % v``, whether the kernel proves its digits or leaves
+    the value to ``%``."""
+
+    CASES = {"random-patterns": lambda: _random_patterns(1_000_000, 1),
+             "log-uniform-and-halves": _log_uniform_and_halves,
+             "ulps-around-powers-of-ten": _ulps_around_powers_of_ten,
+             "short-expansions": _short_expansions,
+             "layouts": _layout_values}
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_texts_are_percent_17g(self, case):
+        x = self.CASES[case]()
+        assert len(x) >= serialize._KERNEL_MIN
+        assert _table_texts(x) == _reference(x)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_blocks_of_three_through_the_kernel(self, case):
+        """Every block, however small, through the kernel: each block of
+        three sees its own decades, layouts and deferrals."""
+        x = self.CASES[case]()
+        x = x[np.random.default_rng(5).permutation(len(x))[:6000]]
+        with mock.patch.object(serialize, "_BLOCK", 3), \
+                mock.patch.object(serialize, "_KERNEL_MIN", 0):
+            assert _table_texts(x) == _reference(x)
+
+    def test_every_layout_is_proved(self):
+        x = _layout_values()
+        proved, _, _ = serialize._digits(x)
+        layouts = {_layout(t) for t in _reference(x[proved])}
+        assert layouts == {"", ".", "e", ".e", "0.", "0.0", "0.00", "0.000",
+                           "-0.", "-0.0", "-0.00", "-0.000"}
+        assert any(abs(v) >= 1e100 or abs(v) < 1e-99 for v in x[proved])  # 3-digit exponents
+        left = {"0", "-0", "nan", "inf", "-inf", "4.9406564584124654e-324", "1", "10000000000000000"}
+        assert left <= {t.strip('"') for t in _reference(np.delete(x, proved))}
+
+    def test_ties_are_deferred(self):
+        x = _short_expansions()
+        proved, _, _ = serialize._digits(x)
+        deferred = np.delete(x, proved)
+        assert 0 < len(deferred) < len(x) / 10
+        ties = [v for v in deferred.tolist()
+                if len(d := format(abs(v), ".40e").split("e")[0].replace(".", "").rstrip("0")) == 18
+                and d.endswith("5")]
+        assert ties  # exact ties at the 18th digit, which only ``%`` rounds
+
+    def test_carry_to_the_next_decade(self):
+        """A decade estimate one below (log10 rounded down) scales a value
+        just under a power of ten to 10**17 - 1/2 or more, which rounds to
+        10**17: the digits carry to 10**16 at the next decade."""
+        below = np.array([1e-14, 1e98, 1e129, 1e153, 1e220, 1e-70, 1e-79])
+        assert all(t.startswith('"1e') for t in _reference(below))
+        log10 = np.log10
+        with mock.patch.object(np, "log10", lambda a: np.nextafter(log10(a), -math.inf)):
+            proved, n, k = serialize._digits(below)
+            assert len(proved) == len(below) and (n == 10 ** 16).all()
+            assert serialize._digit_texts(below < 0, n, k) == _reference(below)
+            x = _ulps_around_powers_of_ten()
+            assert _table_texts(x) == _reference(x)
+
+    def test_powers_of_ten_parts_are_exact(self):
+        from fractions import Fraction
+        for p in range(-300, 300):
+            hi, high, low, lo = serialize._pow10_parts(p)
+            exact = Fraction(10) ** p
+            assert hi == float(exact) and lo == float(exact - Fraction(hi))
+            assert Fraction(high) + Fraction(low) == Fraction(hi)
+            for half in (high, low):  # Veltkamp's halves: 26 significant bits at most
+                num = abs(Fraction(half).numerator)
+                assert (num // (num & -num)).bit_length() <= 26 if num else True
+
+    def test_deep_schedule_margins_and_halves_are_proved(self, k2_k3_assignment):
+        """K2+K3 on I at word length 6 (the deep-schedule workload): no
+        distinct margin or margin half is left to ``%``."""
+        margins = k2_k3_assignment.state.margins
+        values = np.unique(margins.values[margins.live()])
+        for x in (values, values / 2):
+            assert len(x) > 60_000
+            assert len(serialize._digits(x)[0]) == len(x)
+
+    @pytest.mark.parametrize("block", [serialize._BLOCK, 3])
+    def test_odd_lists_through_the_kernel(self, block):
+        """The lists of ``TestDecimals``, with the kernel on every block."""
+        doc = _lists(2 * serialize._BLOCK + 1)
+        with mock.patch.object(serialize, "_BLOCK", block), \
+                mock.patch.object(serialize, "_KERNEL_MIN", 0):
+            assert _written(doc) == json.dumps(doc.to_dict(), sort_keys=True, indent=2) + "\n"
