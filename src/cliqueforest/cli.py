@@ -172,7 +172,8 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    assignment = GeneratorAssignment.from_dict(json.loads(_read(args.assignment)))
+    with serialize.nesting_limit():
+        assignment = GeneratorAssignment.from_dict(json.loads(_read(args.assignment)))
     report = verify_assignment(assignment, args.word_len, args.grid, args.tol)
     _write(report, args.out)
     return EXIT_OK if report.ok else EXIT_FINDING

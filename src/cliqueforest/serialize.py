@@ -27,25 +27,41 @@ written one ``%`` of a template per block, over the block's values taken
 from the arrays, with no tuple and no Python function per entry.
 
 Long decimal lists (a synthesis state's margins and eps, a report's margin
-columns) are held as ``Decimals``, a float64 array with a null mask, read
-straight from the document's strings.  Each is written from one table of
-its distinct texts, each distinct value formatted once, ``_BLOCK`` values
-at a time; a list of some of its entries (``Decimals.take``) shares that
-table, so a report's margin column reuses the texts of the state's margins.
-The table lives on the object, and goes with it.  A block's ``"%.17g"``
-texts come from an exact numpy kernel (``_digits``: the 17 significant
-digits and the decimal exponent from float64 alone, by Dekker's error-free
-product) written by one ``%`` of an integer template per layout; the values
-it does not prove (zeros, infinities, NaN, magnitudes outside its range,
-values near a rounding tie or a power of ten) and blocks of fewer than
-``_KERNEL_MIN`` values take one ``%`` of ``"%.17g"``, into the same table.
+columns) are held as ``Decimals``, a float64 array with a null mask, and
+written from one table of bare texts (``"%.17g"``, no quotes: each writer
+puts in the quotes and the nulls, ``_decimals_text`` by joining each run of
+texts between nulls with a quoted separator, ``rows`` in its ``%``
+template).  A list built from values has one table row per distinct value,
+each formatted once, ``_BLOCK`` values at a time.  A list read from a
+document has one row per distinct string: each is converted once and its
+value formatted once, and a string equal to its value's text is proved a
+decimal (every such text of a non-NaN double matches the pattern) and is
+kept as the row's text, the very string read.  Only the other strings are
+matched against the pattern, and take the formatted text, so a document in
+other decimal forms is written back in ``"%.17g"``.  A list of some entries
+(``Decimals.take``) shares the table, so a report's margin column reuses
+the state's texts, and the halves of a list (``Decimals.halved``, the
+report's D/2 column) share its index, with a table of the halves of its
+distinct values.  The table lives on the object, and goes with it.  A
+block's ``"%.17g"`` texts come from an exact numpy kernel (``_digits``: the
+17 significant digits and the decimal exponent from float64 alone, by
+Dekker's error-free product) written by one ``%`` of an integer template
+per layout; the values it does not prove (zeros, infinities, NaN,
+magnitudes outside its range, values near a rounding tie or a power of
+ten) and blocks of fewer than ``_KERNEL_MIN`` values take one ``%`` of
+``"%.17g"``, into the same table.
+
+A document nested beyond the interpreter's recursion limit is an
+``ExprFormatError`` when decoded inside ``nesting_limit``.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import re
 import reprlib
+import sys
 from dataclasses import dataclass, replace
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -122,7 +138,7 @@ def _list_pieces(count: int, block: Callable[[int, int, str], str], indent: str)
         return ("[]",)
     inner = indent + "  "
     if count <= _BLOCK:
-        return ("[\n" + inner + block(0, count, inner) + "\n" + indent + "]",)
+        return (f"[\n{inner}{block(0, count, inner)}\n{indent}]",)  # one copy of the block
     return _blocks(count, block, inner, "\n" + indent + "]")
 
 
@@ -190,15 +206,19 @@ class Decimals:
     a slice another ``Decimals``, iteration and ``tolist`` the floats and
     Nones; ``==`` and ``hash`` are those of the tuple of its entries.
 
-    Its JSON texts come from one table (``texts``), built on first use and
-    kept on the object: each distinct value, told apart by its bits so that
-    -0.0 keeps its own text, written ``"%.17g"`` in quotes ``_BLOCK`` at a
-    time (``_quoted``: the exact digit kernel, ``%`` for what it does not
-    prove), and "null".  ``take`` gives entries of the list that share its
-    table.
+    Its JSON texts come from one table (``table``), built on first use and
+    kept on the object: distinct values, the bare text of each (its
+    ``"%.17g"``, without quotes: each writer puts in the quotes and the
+    nulls) and, for each entry, the row of its value.
+    A list built from values has a row per distinct bit pattern (so that
+    -0.0 keeps its own text), written ``_BLOCK`` at a time by ``_texts``; a
+    list read from a document (``parse``) has a row per distinct string
+    read.  ``take`` gives entries of the list on its table, and ``halved``
+    the halves of the entries on its index, with a table of the halves of
+    its values.
     """
 
-    __slots__ = ("values", "null", "_texts", "_whole")
+    __slots__ = ("values", "null", "_table", "_source")
 
     def __init__(self, values, null=None):
         values = np.array(values, np.float64)
@@ -215,7 +235,7 @@ class Decimals:
                 null = None
         values.flags.writeable = False
         self.values, self.null = values, null
-        self._texts = self._whole = None
+        self._table = self._source = None
 
     @classmethod
     def of(cls, entries) -> "Decimals":
@@ -230,61 +250,119 @@ class Decimals:
     @classmethod
     def parse(cls, vs, nullable: bool) -> "Decimals":
         """The decimals of a JSON list of decimal strings (and nulls, when
-        ``nullable``).  Each distinct string is matched and converted once;
-        the pattern admits no NaN, so the NaNs of the values are the nulls."""
+        ``nullable``), on a table of the distinct strings read.
+
+        Each distinct string is converted once and its value written once
+        ``"%.17g"`` (``_format``, ``_BLOCK`` values at a time).  A string
+        equal to that text matches the decimal pattern, as the text of every
+        value but NaN does, and is its own table text.  Only the others (a
+        string in another form, NaN, an entry that is no string) are matched
+        against the pattern, and take the written text.  A list with an
+        entry that is no decimal string raises on the first such entry."""
         if not isinstance(vs, list):
             raise ExprFormatError(f"expected a list of decimal strings, got {reprlib.repr(vs)}")
         try:
             distinct = set(vs)
-            if nullable:
-                distinct.discard(None)
-            valid = all(map(_DECIMAL_RE.fullmatch, distinct))
-        except TypeError:  # an entry that is neither a string nor None
-            valid = False
-        if not valid:
-            for v in vs:  # raises on the first entry that is no decimal string
-                if not (nullable and v is None):
-                    DECIMAL.decode(v, None)
+        except TypeError:  # an unhashable entry, which no decimal string is
+            _first_non_decimal(vs, nullable)
+            raise
+        if nullable:
+            distinct.discard(None)
         # each table is dropped once done with: at 10^6 words they weigh
         # about as much as the document's own list
-        floats = dict.fromkeys(distinct)  # sized once, from the set
+        rows = dict.fromkeys(distinct)  # sized once, from the set
         del distinct
-        strings = list(floats)
-        # np.array converts each string as float() does
-        floats.update(zip(strings, np.array(strings, np.float64).tolist()))
-        floats[None] = math.nan  # reached only when nullable
+        strings = np.empty(len(rows), object)
+        strings[:] = list(rows)
+        try:  # np.array converts each string as float() does
+            values = np.array(strings, np.float64)
+        except (TypeError, ValueError, OverflowError):
+            _first_non_decimal(vs, nullable)
+            raise
+        table = np.empty(len(strings), object)
+        for lo in range(0, len(strings), _BLOCK):
+            read, texts = strings[lo:lo + _BLOCK], table[lo:lo + _BLOCK]
+            texts[:] = _format(values[lo:lo + _BLOCK])
+            own = texts == read
+            own &= ~np.isnan(values[lo:lo + _BLOCK])
+            texts[own] = read[own]
+            if not all(isinstance(v, str) and _DECIMAL_RE.fullmatch(v)
+                       for v in read[~own].tolist()):
+                _first_non_decimal(vs, nullable)
+        rows.update(zip(strings.tolist(), range(len(strings))))
         del strings
-        values = np.fromiter(map(floats.__getitem__, vs), np.float64, len(vs))
-        del floats
-        return cls(values, np.isnan(values) if nullable else None)
+        rows[None] = len(table)  # past the table, reached only when nullable
+        index = np.fromiter(map(rows.__getitem__, vs), np.min_scalar_type(len(table)), len(vs))
+        del rows
+        d = cls(np.append(values, math.nan)[index], index == len(table) if nullable else None)
+        d._table = (values, table, index)
+        return d
 
     def live(self) -> np.ndarray:
         """The indices of the entries that are not null."""
         n = len(self.values)
         return np.arange(n) if self.null is None else np.flatnonzero(~self.null)
 
+    def table(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(values, texts, index): the entry k that is not null is
+        ``values[index[k]]``, bitwise, with the bare text ``texts[index[k]]``
+        (``texts`` an object array; ``index`` of the smallest unsigned type
+        that holds ``len(texts)``, the row of a null entry)."""
+        if self._table is None:
+            self._table = (self._source or self._own_table)()
+            self._source = None
+        return self._table
+
+    def _own_table(self):
+        """The distinct bit patterns among the live values (np.unique of the
+        values would merge -0.0 into 0.0), written by ``_texts``; a null
+        entry's row is past the table."""
+        live = self.live()
+        keys, inverse = np.unique(self.values[live].view(np.int64), return_inverse=True)
+        distinct = keys.view(np.float64)
+        index = np.full(len(self.values), len(distinct), np.min_scalar_type(len(distinct)))
+        index[live] = inverse
+        return distinct, _texts(distinct), index
+
     def take(self, rows: np.ndarray) -> "Decimals":
-        """The entries ``rows``, whose texts are taken from this list's table."""
+        """The entries ``rows``, on this list's table."""
         part = Decimals(self.values[rows], None if self.null is None else self.null[rows])
-        part._whole = (self, rows)
+
+        def table():
+            values, texts, index = self.table()
+            return values, texts, index[rows]
+        part._source = table
         return part
 
+    def halved(self) -> "Decimals":
+        """The entries halved, on this list's index: its table holds this
+        table's values / 2.0 (so each entry is bitwise its own half, where a
+        subnormal half rounds too), and writes those that an entry uses."""
+        half = Decimals(self.values / 2.0, self.null)
+
+        def table():
+            values, _, index = self.table()
+            halves = values / 2.0
+            used = np.zeros(len(halves), bool)
+            used[index[self.live()]] = True
+            texts = np.empty(len(halves), object)
+            texts[used] = _texts(halves[used])
+            return halves, texts, index
+        half._source = table
+        return half
+
     def texts(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(table, index): the JSON text of entry k is ``table[index[k]]``,
-        ``table`` an object array of distinct texts."""
-        if self._texts is None:
-            if self._whole is not None:
-                whole, rows = self._whole
-                table, index = whole.texts()
-                self._texts, self._whole = (table, index[rows]), None
-            else:
-                self._texts = _text_table(self.values, self.live())
-        return self._texts
+        """(texts, index) of ``table``: the bare text of the entry k that is
+        not null is ``texts[index[k]]``."""
+        return self.table()[1:]
 
     def block_texts(self, lo: int, hi: int) -> list:
-        """The JSON texts of entries lo..hi-1."""
-        table, index = self.texts()
-        return table[index[lo:hi]].tolist()
+        """The bare texts of the entries lo..hi-1 that are not null."""
+        _, texts, index = self.table()
+        index = index[lo:hi]
+        if self.null is not None and self.null[lo:hi].any():
+            index = index[~self.null[lo:hi]]
+        return texts[index].tolist()
 
     def tolist(self) -> list:
         vs = self.values.tolist()
@@ -318,6 +396,14 @@ class Decimals:
         return f"Decimals({self.tolist()!r})"
 
 
+def _first_non_decimal(vs: list, nullable: bool) -> None:
+    """Raise on the first entry of ``vs`` that is no decimal string (nor a
+    null, when ``nullable``)."""
+    for v in vs:
+        if not (nullable and v is None):
+            DECIMAL.decode(v, None)
+
+
 _KERNEL_MIN = 512  # distinct values below which a block costs less through ``%``
 _KERNEL_RANGE = (1e-280, 1e280)  # the magnitudes the kernel takes
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's constant: a double into two 26-bit halves
@@ -328,9 +414,9 @@ _POW10 = np.array([10 ** j for j in range(18)], np.int64)
 # (-5 < k < 0), and those four for a negative value; each row's template and
 # its integers out of (signed integer part, fraction width, fraction,
 # exponent)
-_TEMPLATES = (('"%d"', (0,)), ('"%d.%0*d"', (0, 1, 2)), ('"%de%+03d"', (0, 3)),
-              ('"%d.%0*de%+03d"', (0, 1, 2, 3)),
-              *((f'"{sign}0.{"0" * j}%d"', (2,)) for sign in ("", "-") for j in range(4)))
+_TEMPLATES = (("%d", (0,)), ("%d.%0*d", (0, 1, 2)), ("%de%+03d", (0, 3)),
+              ("%d.%0*de%+03d", (0, 1, 2, 3)),
+              *((f"{sign}0.{'0' * j}%d", (2,)) for sign in ("", "-") for j in range(4)))
 
 
 def _pow10_parts(p: int) -> Tuple[float, float, float, float]:
@@ -412,7 +498,7 @@ def _digits(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _digit_texts(neg: np.ndarray, n: np.ndarray, k: np.ndarray) -> Sequence[str]:
-    """The texts ``'"%.17g"' % v`` of the nonzero values v of sign ``neg``,
+    """The texts ``"%.17g" % v`` of the nonzero values v of sign ``neg``,
     digits n and exponent k (``_digits``), a list or an object array: the
     digits lose the trailing zeros after the point (all 16 at most), are
     split at the point into a signed integer part and a fraction with its
@@ -459,13 +545,13 @@ def _layout_texts(row: int, columns) -> list:
 
 
 def _percent(x: np.ndarray) -> list:
-    """``'"%.17g"' % v`` for each value v of ``x``, by one ``%``."""
+    """``"%.17g" % v`` for each value v of ``x``, by one ``%``."""
     vs = x.tolist()
-    return ("\n".join([_QUOTED] * len(vs)) % tuple(vs)).split("\n")
+    return ("\n".join(["%.17g"] * len(vs)) % tuple(vs)).split("\n")
 
 
-def _quoted(x: np.ndarray) -> Sequence[str]:
-    """``'"%.17g"' % v`` for each value v of the 1-D float64 array ``x``, a
+def _format(x: np.ndarray) -> Sequence[str]:
+    """``"%.17g" % v`` for each value v of the 1-D float64 array ``x``, a
     list or an object array: the values ``_digits`` proves by
     ``_digit_texts``, the others (and every value of a block of fewer than
     ``_KERNEL_MIN``) by ``_percent``."""
@@ -483,28 +569,40 @@ def _quoted(x: np.ndarray) -> Sequence[str]:
     return texts
 
 
-def _text_table(values: np.ndarray, live: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The text table of ``Decimals``: the distinct bit patterns among
-    ``values[live]`` (np.unique of the values would merge -0.0 into 0.0),
-    written ``_quoted`` ``_BLOCK`` at a time, then "null", the text of every
-    entry outside ``live``."""
-    keys, inverse = np.unique(values[live].view(np.int64), return_inverse=True)
-    distinct = keys.view(np.float64)
-    table = np.empty(len(distinct) + 1, object)
-    for lo in range(0, len(distinct), _BLOCK):
-        block = distinct[lo:lo + _BLOCK]
-        table[lo:lo + len(block)] = _quoted(block)
-    table[-1] = "null"
-    index = np.full(len(values), len(distinct), np.intp)
-    index[live] = inverse
-    return table, index
+def _texts(x: np.ndarray) -> np.ndarray:
+    """``"%.17g" % v`` for each value v of ``x``, an object array, written
+    ``_BLOCK`` values at a time by ``_format``."""
+    texts = np.empty(len(x), object)
+    for lo in range(0, len(x), _BLOCK):
+        texts[lo:lo + _BLOCK] = _format(x[lo:lo + _BLOCK])
+    return texts
 
 
 def _decimals_text(vs, indent: str) -> Iterable[str]:
-    """The text of a list of decimals (and nulls), from its text table."""
+    """The text of a list of decimals (and nulls), a block at a time from
+    the block's table texts: the nulls cut the texts into runs, each run
+    quoted and joined by a quoted separator, with ``null`` between runs."""
     d = Decimals.of(vs)
-    return _list_pieces(len(d), lambda lo, hi, inner: (",\n" + inner).join(d.block_texts(lo, hi)),
-                        indent)
+
+    def block(lo, hi, inner):
+        texts, sep = d.block_texts(lo, hi), '",\n' + inner + '"'
+
+        def run(texts):  # the quotes go on its ends, so the join is the one copy
+            texts[0] = '"' + texts[0]
+            texts[-1] += '"'
+            return sep.join(texts)
+        if d.null is None or not d.null[lo:hi].any():
+            return run(texts)
+        cells, start = [], 0
+        for k, at in enumerate(np.flatnonzero(d.null[lo:hi]).tolist()):
+            if at - k > start:  # the k-th null follows at - k texts
+                cells.append(run(texts[start:at - k]))
+            cells.append("null")
+            start = at - k
+        if start < len(texts):
+            cells.append(run(texts[start:]))
+        return (",\n" + inner).join(cells)
+    return _list_pieces(len(d), block, indent)
 
 
 def _decimal_array(nullable: bool) -> Codec:
@@ -618,8 +716,8 @@ class Columns(tuple):
 def _row_values(rs, columns: Sequence[Codec]) -> Tuple[Callable[[int, int], list], list]:
     """The values of rows lo..hi-1 of ``rs``, row after row, as one list, and
     the ``%`` cell of each column: ``rs`` is ``Columns``, a 2-D array or a
-    sequence of rows.  A decimal column of ``Columns`` gives the texts of its
-    ``Decimals`` table, through the cell ``%s``."""
+    sequence of rows.  A decimal column of ``Columns`` gives the bare texts of
+    its ``Decimals`` table, through the quoted cell ``"%s"``."""
     width = len(columns)
     if isinstance(rs, Columns):
         cols = [Decimals.of(col) if c is DECIMAL else col for c, col in zip(columns, rs)]
@@ -630,7 +728,7 @@ def _row_values(rs, columns: Sequence[Codec]) -> Tuple[Callable[[int, int], list
                 flat[k::width] = (col.block_texts(lo, hi) if isinstance(col, Decimals)
                                   else col[lo:hi].tolist())
             return flat
-        return values, ["%d" if c is INTEGER else "%s" for c in columns]
+        return values, ["%d" if c is INTEGER else '"%s"' for c in columns]
     cells = ["%d" if c is INTEGER else _QUOTED for c in columns]
     if isinstance(rs, np.ndarray):
         return lambda lo, hi: rs[lo:hi].ravel().tolist(), cells
@@ -644,8 +742,9 @@ def rows(*columns: Codec) -> Codec:
     column at a time, which beats row by row.  When every column is an
     integer or a decimal, ``text`` writes each block of ``_BLOCK`` rows with
     one ``%`` of a template over the block's values, taken from the arrays
-    without a tuple per row (a decimal column of ``Columns``: the texts of
-    its table); other rows go through ``json.dumps``."""
+    without a tuple per row (a decimal column of ``Columns``: the bare texts
+    of its ``Decimals`` table, which the template quotes); other rows go
+    through ``json.dumps``."""
     width = len(columns)
 
     def text(rs, indent):
@@ -860,9 +959,23 @@ def dumps_expr(e: DiffeoExpr) -> str:
     return json.dumps(expr_to_dict(e), sort_keys=True, indent=2)
 
 
-def loads_expr(text: str) -> DiffeoExpr:
+@contextlib.contextmanager
+def nesting_limit():
+    """Decode a document inside: the JSON parser and the decoders recurse
+    once per nesting level, so a document nested beyond the interpreter's
+    recursion limit raises ``ExprFormatError`` instead of RecursionError."""
     try:
-        d = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ExprFormatError(f"invalid JSON: {exc}") from exc
-    return dict_to_expr(d)
+        yield
+    except RecursionError:
+        raise ExprFormatError(
+            "document nested too deeply: decoding it exceeds the recursion limit "
+            f"of {sys.getrecursionlimit()} frames") from None
+
+
+def loads_expr(text: str) -> DiffeoExpr:
+    with nesting_limit():
+        try:
+            d = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ExprFormatError(f"invalid JSON: {exc}") from exc
+        return dict_to_expr(d)

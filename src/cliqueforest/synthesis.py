@@ -701,7 +701,8 @@ class VerificationReport:
     edge_checks: Tuple[dict, ...]
     non_edge_checks: Tuple[dict, ...]
     # (word index, margin, D/2) rows: three columns from verify_assignment
-    # (the margins may be serialize.Decimals), row tuples when read back
+    # (the D/2 column and maybe the margins serialize.Decimals), row tuples
+    # when read back
     margin_checks: Union[serialize.Columns, Tuple[Tuple[int, float, float], ...]]
     margin_failures: Tuple[dict, ...]
     pure_g_checked: int
@@ -791,17 +792,18 @@ def verify_assignment(
                              "words trivial in the free product")
         margins = _schedule_margins(assignment.f, assignment.gens, state.p,
                                     assignment.manifold, schedule)[live]
-        recorded = state.margins.values[live]
-        half = recorded / 2.0
-        # margins bitwise equal to the recorded ones are written with the
-        # state's texts; the D/2 column gets a table of its own when written
-        same = np.array_equal(margins.view(np.int64), recorded.view(np.int64))
-        margin_checks = serialize.Columns(
-            (live + 1, state.margins.take(live) if same else margins, half))
-        failing = ~(margins > half)
+        # the recorded margins on the state's texts, and their halves on the
+        # same index, each distinct half written once; margins bitwise equal
+        # to the recorded ones are written with the state's texts too
+        recorded = state.margins.take(live)
+        half = recorded.halved()
+        same = np.array_equal(margins.view(np.int64), recorded.values.view(np.int64))
+        margin_checks = serialize.Columns((live + 1, recorded if same else margins, half))
+        failing = ~(margins > half.values)
         margin_failures = [
             {"index": i, "word": word_str(schedule.word(i - 1)), "margin": m, "threshold": t}
-            for i, m, t in zip(*(col[failing].tolist() for col in (live + 1, margins, half)))
+            for i, m, t in zip(*(col[failing].tolist()
+                                 for col in (live + 1, margins, half.values)))
         ]
         ok = ok and not failing.any()
         # pure-g words: nontrivial exactly when the exponent vector is nonzero;

@@ -223,6 +223,47 @@ class TestInputErrors:
         assert runs[0][0] == (0 if "--help" in argv else 2)
 
 
+def _run_cli(*argv):
+    """The exit code and standard error of the command in a child process."""
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.run([sys.executable, "-m", "cliqueforest.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=300)
+    return proc.returncode, proc.stderr
+
+
+class TestDeepNesting:
+    """A document nested beyond the interpreter's recursion limit is an
+    input error (exit 2, one line), not a traceback with exit 1, which
+    these commands give a finding; each runs as the console script does."""
+
+    NESTED = "input error: document nested too deeply: decoding it exceeds the recursion limit"
+
+    @pytest.mark.parametrize("command", ["fixpoints", "commgraph"])
+    def test_nested_inverses(self, tmp_path, command):
+        """250 nested inverse nodes exceed the limit in the node decoder; 200
+        decode and run."""
+        codes = {}
+        for depth in (200, 250):
+            node = {"kind": "mobius", "alpha": "1.5"}
+            for _ in range(depth):
+                node = {"kind": "inverse", "inner": node}
+            path = tmp_path / f"inverse-{depth}.json"
+            path.write_text(json.dumps({"manifold": "I", "expr": node}))
+            codes[depth] = _run_cli(command, str(path), "--out", str(tmp_path / f"{depth}.json"))
+        assert codes[200] == (EXIT_OK, "")
+        code, err = codes[250]
+        assert code == EXIT_INPUT and err.startswith(self.NESTED) and err.count("\n") == 1
+
+    def test_verify_deep_array(self, tmp_path):
+        """A 200,000-deep JSON array exceeds the limit in the JSON parser."""
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        code, err = _run_cli("verify", str(path), "--out", str(tmp_path / "r.json"))
+        assert code == EXIT_INPUT and err.startswith(self.NESTED) and err.count("\n") == 1
+
+
 class TestSynthesizeVerify:
     def test_synthesize_and_reverify(self, graph_file, tmp_path):
         asg = tmp_path / "asg.json"

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import reprlib
 from dataclasses import dataclass
 from unittest import mock
 
@@ -556,12 +557,51 @@ class TestDecimals:
             dataclasses.replace(state, eps=(None,) + tuple(state.eps)[1:])
 
     def test_report_shares_the_state_texts(self, k2_k3_word_len_3):
+        """The margin column takes the state's texts, and the D/2 column is
+        on the margin column's index."""
         state = k2_k3_word_len_3.state
         report = verify_assignment(k2_k3_word_len_3)
-        margins = report.margin_checks[1]
+        _, margins, halves = report.margin_checks
         assert isinstance(margins, serialize.Decimals)
         assert margins.texts()[0] is state.margins.texts()[0]
+        assert halves.texts()[1] is margins.texts()[1]
+        assert halves.values.tobytes() == (margins.values / 2.0).tobytes()
         assert _written(report) == json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+
+    def test_report_of_a_rewritten_state(self, k2_k3_word_len_3):
+        """A state read back with every margin and eps in another form of the
+        same value gives the report of the state as written."""
+        doc = json.loads(_written(k2_k3_word_len_3))
+
+        def other_form(text):  # the shortest repr, a trailing zero or a capital E
+            t = repr(float(text))
+            return t.replace("e", "E") if "e" in t else t + "0"
+        for key in ("margins", "eps"):
+            texts = doc["state"][key]
+            doc["state"][key] = [t if t is None else other_form(t) for t in texts]
+            assert all(a != b for a, b in zip(texts, doc["state"][key]) if a is not None)
+        report = verify_assignment(GeneratorAssignment.from_dict(doc))
+        assert _written(report) == _written(verify_assignment(k2_k3_word_len_3))
+
+    @pytest.mark.parametrize("parsed", [False, True], ids=["built", "read"])
+    def test_halves_of_subnormal_margins(self, parsed):
+        """Halving 2**-1074 rounds to 0 and 3 * 2**-1074 to the half of
+        4 * 2**-1074: the D/2 texts are those of each margin halved."""
+        ms = [math.ldexp(m, -1074) for m in (1, 3, 4)]
+        assert [m / 2 for m in ms] == [0.0, ms[2] / 2, ms[2] / 2]
+        d = (serialize.Decimals.parse([None, *("%.17g" % m for m in ms), None], True) if parsed
+             else serialize.Decimals.of([None, *ms, None]))
+        live = d.live()
+        margins = d.take(live)
+        halves = margins.halved()
+        assert halves.texts()[1] is margins.texts()[1]
+        assert halves.values.tobytes() == (d.values[live] / 2.0).tobytes()
+        report = VerificationReport(True, Manifold.INTERVAL, 2, 1e-9, 6, (), (),
+                                    serialize.Columns((live + 1, margins, halves)), (), 0, True, ())
+        text = _written(report)
+        assert text == json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+        assert json.loads(text)["margins"] == [
+            [k + 1, "%.17g" % m, "%.17g" % (m / 2)] for k, m in zip(live.tolist(), ms)]
 
     def test_margin_off_by_its_last_bit_keeps_its_own_text(self, k2_k3_word_len_3):
         """A recorded margin one ulp above the recomputed one: the report's
@@ -575,6 +615,8 @@ class TestDecimals:
         state = dataclasses.replace(asg.state, margins=tuple(margins))
         report = verify_assignment(dataclasses.replace(asg, state=state))
         assert not isinstance(report.margin_checks[1], serialize.Decimals)
+        live, _, halves = report.margin_checks
+        assert np.array_equal(halves.texts()[1], state.margins.texts()[1][live - 1])
         text = _written(report)
         assert text == json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
         row = json.loads(text)["margins"][0]
@@ -593,25 +635,66 @@ class TestDecimals:
     @example([True], True)
     @example([[None]], True)
     @example([], False)
+    # strings that float() and numpy convert but the pattern rejects
+    @example(["0.5", "1_0"], True)
+    @example([" 0.5", "0.5"], False)
+    @example(["+0.5"], True)
+    @example(["infinity", "inf"], True)
+    @example(["NaN"], False)
+    @example(["\u0661"], True)  # ARABIC-INDIC DIGIT ONE
+    # entries that are no string among canonical ones
+    @example(["0.5", "1", 0.5], True)
+    @example(["1", True, "0.5"], False)
+    @example(["0.5", None, 1], True)
     @settings(max_examples=300, deadline=None)
     def test_read_accepts_exactly_the_pattern(self, vs, nullable):
-        ok = all((nullable and v is None) or (isinstance(v, str) and _DECIMAL_RE.fullmatch(v))
-                 for v in vs)
-        if not ok:
-            with pytest.raises(ExprFormatError):
-                serialize.Decimals.parse(vs, nullable)
-            return
-        got = serialize.Decimals.parse(vs, nullable).tolist()
-        assert [None if v is None else v.hex() for v in got] == [
-            None if v is None else float(v).hex() for v in vs]
+        """Also with blocks of three, each through the kernel: a string is
+        checked against its value's kernel text, and only a string of
+        another form against the pattern."""
+        bad = [v for v in vs if not ((nullable and v is None)
+                                     or (isinstance(v, str) and _DECIMAL_RE.fullmatch(v)))]
+        for block, kernel_min in ((serialize._BLOCK, serialize._KERNEL_MIN), (3, 0)):
+            with mock.patch.object(serialize, "_BLOCK", block), \
+                    mock.patch.object(serialize, "_KERNEL_MIN", kernel_min):
+                if bad:
+                    with pytest.raises(ExprFormatError) as ei:
+                        serialize.Decimals.parse(vs, nullable)
+                    assert str(ei.value) == f"expected a decimal string, got {reprlib.repr(bad[0])}"
+                    continue
+                d = serialize.Decimals.parse(vs, nullable)
+                assert [None if v is None else v.hex() for v in d.tolist()] == [
+                    None if v is None else float(v).hex() for v in vs]
+                assert d.block_texts(0, len(d)) == ["%.17g" % float(v) for v in vs
+                                                    if v is not None]
+
+    @pytest.mark.parametrize("block, kernel_min", [
+        (serialize._BLOCK, serialize._KERNEL_MIN), (3, 0)], ids=["default", "blocks-of-3"])
+    def test_read_strings_are_the_table(self, block, kernel_min):
+        """A string read that is its value's ``"%.17g"`` is its own table
+        text, the very object; one in another form takes that text."""
+        values = [0.5, 0.1, -0.0, 1e100, 5e-324, math.inf, 1 / 3]
+        canonical = ["%.17g" % v for v in values]
+        others = ["0.50", "5e-1", ".1", "-0.0", "1E+100", "4.9406564584124654E-324", "0.333"]
+        vs = json.loads(json.dumps(canonical + [None] + others))  # fresh string objects
+        with mock.patch.object(serialize, "_BLOCK", block), \
+                mock.patch.object(serialize, "_KERNEL_MIN", kernel_min):
+            d = serialize.Decimals.parse(vs, True)
+            texts, index = d.texts()
+            for k, v in enumerate(vs):
+                if v in canonical:
+                    assert texts[index[k]] is v
+                elif v is not None:
+                    assert texts[index[k]] == "%.17g" % float(v) != v
+            written = json.loads(_written(_Lists(d, serialize.Decimals(values))))
+        assert written["margins"] == canonical + [None] + ["%.17g" % float(v) for v in others]
 
 
 def _reference(x: np.ndarray) -> list:
-    return ['"%.17g"' % v for v in x.tolist()]
+    return ["%.17g" % v for v in x.tolist()]
 
 
 def _table_texts(x: np.ndarray) -> list:
-    """The text of each value of ``x`` in the table of its ``Decimals``."""
+    """The bare text of each value of ``x`` in the table of its ``Decimals``."""
     return serialize.Decimals(x).block_texts(0, len(x))
 
 
@@ -659,9 +742,9 @@ def _layout_values() -> np.ndarray:
 
 def _layout(text: str) -> str:
     """The layout of a "%.17g" text, as ``_digit_texts`` picks its template."""
-    body = text.strip('"').lstrip("-")
-    if body.startswith("0.") and text != '"0"':
-        return ("-" if text.startswith('"-') else "") + "0." + "0" * (
+    body = text.lstrip("-")
+    if body.startswith("0.") and text != "0":
+        return ("-" if text.startswith("-") else "") + "0." + "0" * (
             len(body[2:]) - len(body[2:].lstrip("0")))
     return ("." if "." in body else "") + ("e" if "e" in body else "")
 
@@ -701,7 +784,7 @@ class TestDecimalKernel:
                            "-0.", "-0.0", "-0.00", "-0.000"}
         assert any(abs(v) >= 1e100 or abs(v) < 1e-99 for v in x[proved])  # 3-digit exponents
         left = {"0", "-0", "nan", "inf", "-inf", "4.9406564584124654e-324", "1", "10000000000000000"}
-        assert left <= {t.strip('"') for t in _reference(np.delete(x, proved))}
+        assert left <= set(_reference(np.delete(x, proved)))
 
     def test_ties_are_deferred(self):
         x = _short_expansions()
@@ -718,7 +801,7 @@ class TestDecimalKernel:
         just under a power of ten to 10**17 - 1/2 or more, which rounds to
         10**17: the digits carry to 10**16 at the next decade."""
         below = np.array([1e-14, 1e98, 1e129, 1e153, 1e220, 1e-70, 1e-79])
-        assert all(t.startswith('"1e') for t in _reference(below))
+        assert all(t.startswith("1e") for t in _reference(below))
         log10 = np.log10
         with mock.patch.object(np, "log10", lambda a: np.nextafter(log10(a), -math.inf)):
             proved, n, k = serialize._digits(below)
