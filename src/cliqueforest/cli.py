@@ -22,7 +22,6 @@ from .diffeo import (
     InvariantBreach,
     Manifold,
     fixed_points,
-    share_leaves,
 )
 from .graphs import parse_graph, to_dot
 from .obstructions import (
@@ -108,25 +107,14 @@ def _manifold(arg: str) -> Manifold:
         raise argparse.ArgumentTypeError(f"unknown manifold {arg!r} (use I or S1)")
 
 
-def _grid(arg: str) -> int:
-    n = int(arg)
-    if n < 2:
-        raise argparse.ArgumentTypeError(f"grid must be at least 2, got {n}")
-    return n
-
-
-def _word_len(arg: str) -> int:
-    n = int(arg)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"word length must be at least 1, got {n}")
-    return n
-
-
-def _alpha_k(arg: str) -> int:
-    n = int(arg)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"alpha-k must be at least 1, got {n}")
-    return n
+def _at_least(low: int, what: str):
+    """The argparse type of an integer option of at least ``low``."""
+    def integer(arg: str) -> int:
+        n = int(arg)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"{what} must be at least {low}, got {n}")
+        return n
+    return integer
 
 
 def _tol(arg: str) -> float:
@@ -138,7 +126,7 @@ def _tol(arg: str) -> float:
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--tol", type=_tol, default=1e-9)
-    p.add_argument("--grid", type=_grid, default=DEFAULT_GRID)
+    p.add_argument("--grid", type=_at_least(2, "grid"), default=DEFAULT_GRID)
     p.add_argument("--out", help="output file (default: stdout)")
 
 
@@ -188,8 +176,7 @@ def cmd_fixpoints(args) -> int:
 
 
 def cmd_commgraph(args) -> int:
-    # one object per equal leaf, so that the walks share the letters
-    exprs = share_leaves([_load_expr(p) for p in args.exprs])
+    exprs = [_load_expr(p) for p in args.exprs]
     domain = (args.lo, args.hi) if exprs and exprs[0].manifold is Manifold.LINE else None
     result = commutation_graph(exprs, args.tol, args.power_bound, args.grid, domain)
     if args.dot:
@@ -231,16 +218,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synthesize", help="build and verify an explicit embedding")
     p.add_argument("graph")
     p.add_argument("--manifold", type=_manifold, default=Manifold.INTERVAL)
-    p.add_argument("--word-len", type=_word_len, default=6)
+    p.add_argument("--word-len", type=_at_least(1, "word length"), default=6)
     p.add_argument("--basepoint", type=float, default=SynthesisOptions().basepoint)
-    p.add_argument("--alpha-k", type=_alpha_k, default=SynthesisOptions().alpha_k)
+    p.add_argument("--alpha-k", type=_at_least(1, "alpha-k"), default=SynthesisOptions().alpha_k)
     p.add_argument("--report", help="verification report file (default: stdout)")
     _add_common(p)
     p.set_defaults(func=cmd_synthesize)
 
     p = sub.add_parser("verify", help="re-verify a serialized assignment")
     p.add_argument("assignment")
-    p.add_argument("--word-len", type=_word_len, default=None)
+    p.add_argument("--word-len", type=_at_least(1, "word length"), default=None)
     _add_common(p)
     p.set_defaults(func=cmd_verify)
 

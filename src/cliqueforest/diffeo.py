@@ -731,7 +731,9 @@ def fixed_points(
     tol: float = 1e-10,
     domain=None,
 ) -> FixedPointSet:
-    """Locate fixed points by grid sign changes of f - id refined by bisection.
+    """Locate fixed points by grid sign changes of f - id refined by bisection;
+    on the circle, of F - id - n for each integer n between the grid's
+    extremes of F - id, reduced mod 1.
 
     Near-tangencies (small residual on a grid cell without a sign change)
     are flagged, never dropped.  An everywhere-small residual yields a
@@ -742,31 +744,24 @@ def fixed_points(
     m = e.manifold
     xs = _grid(m, grid_n, domain)
 
+    # on the circle, roots of F(x) - x - n for every integer n that F(x) - x
+    # reaches; elsewhere n = 0 only, whose subtraction changes no bit
+    circle = m is Manifold.CIRCLE
     rs = e._raw(xs) - xs
-    if m is Manifold.CIRCLE:
-        if float(np.max(np.abs(rs - np.round(rs)))) < tol:
-            return FixedPointSet(tuple(xs), ("tangency-suspect",) * len(xs), tol, (), True, grid_n)
-        n_lo = int(math.floor(rs.min()))
-        n_hi = int(math.ceil(rs.max()))
-        found = []
-        for n in range(n_lo, n_hi + 1):
-            found.extend(_roots_on_grid(lambda x: e._raw(x) - x - n, xs, rs - n, tol))
-        found = [( _p % 1.0, fl) for _p, fl in found]
-        found.sort()
-        pts, flags = _dedup(found, tol)
-        signs = ()
-    else:
-        if float(np.max(np.abs(rs))) < tol:
-            return FixedPointSet(tuple(xs), ("tangency-suspect",) * len(xs), tol, (), True, grid_n)
-        found = _roots_on_grid(lambda x: e._raw(x) - x, xs, rs, tol)
-        found.sort()
-        pts, flags = _dedup(found, tol)
-        # sign of f - id strictly between consecutive fixed points
-        signs = []
-        for q in (0.5 * (a + b) for a, b in zip(pts, pts[1:])):
-            r = e._raw(q) - q
-            signs.append(0 if abs(r) < tol else (1 if r > 0 else -1))
-        signs = tuple(signs)
+    if float(np.max(np.abs(rs - np.round(rs) if circle else rs))) < tol:
+        return FixedPointSet(tuple(xs), ("tangency-suspect",) * len(xs), tol, (), True, grid_n)
+    shifts = range(math.floor(rs.min()), math.ceil(rs.max()) + 1) if circle else (0,)
+    found = []
+    for n in shifts:
+        found.extend(_roots_on_grid(lambda x: e._raw(x) - x - n, xs, rs - n, tol))
+    if circle:
+        found = [(p % 1.0, fl) for p, fl in found]
+    found.sort()
+    pts, flags = _dedup(found, tol)
+    # the sign of f - id strictly between consecutive fixed points, off the circle
+    mids = () if circle else (0.5 * (a + b) for a, b in zip(pts, pts[1:]))
+    rs_mid = (e._raw(q) - q for q in mids)
+    signs = tuple(0 if abs(r) < tol else (1 if r > 0 else -1) for r in rs_mid)
     return FixedPointSet(tuple(pts), tuple(flags), tol, signs, False, grid_n)
 
 
@@ -893,34 +888,17 @@ def _trie(seqs: Sequence[Sequence[int]], n_letters: int):
     return levels, ends
 
 
-def share_leaves(exprs: Sequence[DiffeoExpr]) -> List[DiffeoExpr]:
-    """``exprs`` rebuilt over one object per distinct leaf, leaves matched by
-    equality.  ``grid_sups`` tells leaves apart by identity, so expressions
-    read from separate documents share letter prefixes only once their equal
-    leaves are one object; each leaf is hashed once here, never in a walk."""
-    leaves: Dict[DiffeoExpr, DiffeoExpr] = {}
-
-    def rebuild(e: DiffeoExpr) -> DiffeoExpr:
-        if isinstance(e, Compose):
-            return Compose(tuple(map(rebuild, e.parts)))
-        if isinstance(e, Inverse):
-            return Inverse(rebuild(e.inner))
-        if isinstance(e, Power):
-            return Power(rebuild(e.inner), e.exponent)
-        return leaves.setdefault(e, e)
-    return [rebuild(e) for e in exprs]
-
-
 def grid_sups(exprs: Sequence[DiffeoExpr], grid_n: int = DEFAULT_GRID,
               domain=None) -> List[Tuple[float, float]]:
     """(x, r) for each expression e: the first grid point maximizing
     r = dist(e(x), x), circle distances being lifted angular distances.
 
     Each expression is its letter sequence, taken in the order its letters
-    apply; the leaves of the letters, in order of first use, index them as
-    in ``_walk``.  The sequences share their first letters across
-    expressions, so all of them are one trie, walked over the grid, and
-    each value is bitwise ``apply_letters(e.letters, xs)``.  A level holds
+    apply; the distinct leaves, in order of first use, index them as in
+    ``_walk``, equal leaves being one even as separate objects (read from
+    separate documents, say).  The sequences share their first letters
+    across expressions, so all of them are one trie, walked over the grid,
+    and each value is bitwise ``apply_letters(e.letters, xs)``.  A level holds
     at most one word per sequence, so the expressions are walked in runs of
     as many as keep a level within ``_WALK_ELEMENTS`` values.  An
     expression without letters is the identity: (xs[0], 0.0).
@@ -932,10 +910,13 @@ def grid_sups(exprs: Sequence[DiffeoExpr], grid_n: int = DEFAULT_GRID,
         raise TagMismatchError(f"mixed manifold tags: {tags}")
     m = exprs[0].manifold
     xs = _grid(m, grid_n, domain)
-    leaves: Dict[int, Tuple[int, DiffeoExpr]] = {}
-    seqs = [[2 * leaves.setdefault(id(leaf), (len(leaves), leaf))[0] + (s < 0)
-             for leaf, s in reversed(e.letters)] for e in exprs]
-    leaf_exprs = [leaf for _, leaf in leaves.values()]
+    # a perturbed map's hash covers its bumps: each leaf object is hashed
+    # once, and each letter finds its index by its object
+    objects = {id(leaf): leaf for e in exprs for leaf, _ in reversed(e.letters)}
+    index: Dict[DiffeoExpr, int] = {}
+    by_id = {k: index.setdefault(leaf, len(index)) for k, leaf in objects.items()}
+    seqs = [[2 * by_id[id(leaf)] + (s < 0) for leaf, s in reversed(e.letters)] for e in exprs]
+    leaf_exprs = list(index)
     sups = [(float(xs[0]), 0.0)] * len(seqs)
     walked = [k for k, seq in enumerate(seqs) if seq]
     run = max(1, _WALK_ELEMENTS // xs.size)
@@ -991,8 +972,3 @@ def word_evaluate(word: Word, assignment: Mapping[str, DiffeoExpr], x: float) ->
         if name not in assignment:
             raise KeyError(f"unassigned generator name {name!r}")
     return evaluate(Compose(tuple(Power(assignment[name], k) for name, k in word)), x)
-
-
-def identity_residual(e: DiffeoExpr, grid_n: int = DEFAULT_GRID, domain=None) -> float:
-    """Grid sup of |e(x) - x| (distance from the identity map)."""
-    return grid_sups([e], grid_n, domain)[0][1]

@@ -280,6 +280,10 @@ class Decimals:
             _first_non_decimal(vs, nullable)
             raise
         table = np.empty(len(strings), object)
+        # a block at a time, so that only one block's written texts are held
+        # beside the strings: all of them at once (``_texts``, then one
+        # replacement pass) raised the peak of a word-length-6 ``verify``
+        # from 62.9 to 64.4 MB
         for lo in range(0, len(strings), _BLOCK):
             read, texts = strings[lo:lo + _BLOCK], table[lo:lo + _BLOCK]
             texts[:] = _format(values[lo:lo + _BLOCK])
@@ -327,6 +331,10 @@ class Decimals:
     def take(self, rows: np.ndarray) -> "Decimals":
         """The entries ``rows``, on this list's table."""
         part = Decimals(self.values[rows], None if self.null is None else self.null[rows])
+        # ``take`` and ``halved`` build their tables when first written, not
+        # here: built at once, the report's index arrays and halves' texts
+        # were held before they were needed, and the peak of a word-length-6
+        # ``verify`` rose from 62.8 to 64.3 MB
 
         def table():
             values, texts, index = self.table()
@@ -350,11 +358,6 @@ class Decimals:
             return halves, texts, index
         half._source = table
         return half
-
-    def texts(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(texts, index) of ``table``: the bare text of the entry k that is
-        not null is ``texts[index[k]]``."""
-        return self.table()[1:]
 
     def block_texts(self, lo: int, hi: int) -> list:
         """The bare texts of the entries lo..hi-1 that are not null."""
@@ -413,7 +416,8 @@ _POW10 = np.array([10 ** j for j in range(18)], np.int64)
 # without and with a fraction, then "0." and 0 to 3 zeros before the digits
 # (-5 < k < 0), and those four for a negative value; each row's template and
 # its integers out of (signed integer part, fraction width, fraction,
-# exponent)
+# exponent); five templates with the sign and the leading zeros as
+# arguments wrote 67,179 margins in 30 ms instead of 20 ms
 _TEMPLATES = (("%d", (0,)), ("%d.%0*d", (0, 1, 2)), ("%de%+03d", (0, 3)),
               ("%d.%0*de%+03d", (0, 1, 2, 3)),
               *((f"{sign}0.{'0' * j}%d", (2,)) for sign in ("", "-") for j in range(4)))
@@ -572,6 +576,9 @@ def _format(x: np.ndarray) -> Sequence[str]:
 def _texts(x: np.ndarray) -> np.ndarray:
     """``"%.17g" % v`` for each value v of ``x``, an object array, written
     ``_BLOCK`` values at a time by ``_format``."""
+    # the kernel holds over a dozen temporaries of the values' size: over
+    # the whole array at once they raised the peak of a word-length-6
+    # ``verify`` from 62.8 to 72.6 MB
     texts = np.empty(len(x), object)
     for lo in range(0, len(x), _BLOCK):
         texts[lo:lo + _BLOCK] = _format(x[lo:lo + _BLOCK])

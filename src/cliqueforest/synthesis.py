@@ -47,7 +47,11 @@ from .diffeo import (
     point_distance,
 )
 from .graphs import CliqueForest, MissingEdgeWitness, SimpleGraph, is_clique_forest
-from .raag import NotApplicableError, normal_form
+from .raag import (
+    NotApplicableError,
+    # not called here: perfbench's spans hook this name in this module
+    normal_form,
+)
 from . import serialize
 
 # word letters: (sym, sign) with sym 0 = f and sym n >= 1 = g_n; sign is +-1
@@ -165,12 +169,6 @@ def _min_relation(logs: Sequence[float], k: int) -> float:
 # word enumeration
 
 
-def _letter_key(let: Letter) -> int:
-    sym, sign = let
-    base = 0 if sym == 0 else 2 * sym
-    return base + (0 if sign > 0 else 1)
-
-
 def letter_str(let: Letter) -> str:
     sym, sign = let
     name = "f" if sym == 0 else f"g{sym}"
@@ -182,8 +180,8 @@ def word_str(word: FreeWord) -> str:
 
 
 def _letters(num_g: int) -> List[Letter]:
-    """The letters in ``_letter_key`` order: letter i is sym i // 2, inverted
-    when i is odd."""
+    """The letters in schedule order f, f^-1, g_1, g_1^-1, ...: letter i is
+    sym i // 2, inverted when i is odd."""
     return [(s, sgn) for s in range(num_g + 1) for sgn in (1, -1)]
 
 
@@ -198,8 +196,8 @@ class _Schedule:
     """The freely reduced words of length 1..max_len over f, g_1..g_num_g and
     inverses, held as the levels of their suffix tree.
 
-    Level L lists the words ``l w`` of length L letter by letter, in
-    ``_letter_key`` order, each letter over the level L-1 words w it may
+    Level L lists the words ``l w`` of length L letter by letter, in the
+    order of ``_letters``, each letter over the level L-1 words w it may
     precede.  The scheduled words are those containing f or f^-1, level by
     level: the order of ``enumerate_words``.  A word tuple is built only to
     name a word (``word``).
@@ -284,7 +282,7 @@ def enumerate_words(num_g: int, max_len: int, require_f: bool = True) -> List[Fr
     inverses, ordered by length then lexicographically.
 
     The words are built from the levels of ``_Schedule``: level L prepends
-    each letter, in ``_letter_key`` order, to the level L-1 words it may
+    each letter, in the order of ``_letters``, to the level L-1 words it may
     precede.  With ``require_f`` (the default) only words containing f or
     f^-1 are kept, matching the schedule the recursion needs.
     """
@@ -295,17 +293,6 @@ def enumerate_words(num_g: int, max_len: int, require_f: bool = True) -> List[Fr
         level = [(letters[i],) + level[j] for i, j in zip(lv.first.tolist(), lv.parent.tolist())]
         words.extend(compress(level, lv.has_f.tolist()) if require_f else level)
     return words
-
-
-def _free_product_forest(num_g: int) -> CliqueForest:
-    # vertex 0 = f alone; vertices 1..num_g form one clique (the g's commute)
-    return CliqueForest(((0,), tuple(range(1, num_g + 1))))
-
-
-def word_is_nontrivial(word: FreeWord, num_g: int) -> bool:
-    """Nontriviality in <f> * <g_1, ..., g_num_g abelian> via the syllable
-    normal form (free reduction alone is not enough once the g's commute)."""
-    return not normal_form(word, _free_product_forest(num_g)).trivial
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from cliqueforest import Manifold, SimpleGraph
+from cliqueforest import CliqueForest, Manifold, SimpleGraph, normal_form
 from cliqueforest.synthesis import SynthesisOptions, synthesize_embedding
 
 _timings = {}
@@ -18,6 +18,19 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def free_product_forest(num_g):
+    """The clique forest of <f> * <g_1, ..., g_num_g abelian>: vertex 0 is f
+    alone, vertices 1..num_g are one clique (the g's commute)."""
+    return CliqueForest(((0,), tuple(range(1, num_g + 1))))
+
+
+def word_is_nontrivial(word, num_g):
+    """Reference: nontriviality in <f> * <g_1, ..., g_num_g abelian> by the
+    syllable normal form (free reduction alone is not enough once the g's
+    commute)."""
+    return not normal_form(word, free_product_forest(num_g)).trivial
 
 
 def mobius_matrix(alpha):

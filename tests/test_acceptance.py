@@ -38,8 +38,8 @@ from cliqueforest.serialize import Decimals
 from cliqueforest.synthesis import (
     GeneratorAssignment,
     _word_margin,
-    word_is_nontrivial,
 )
+from conftest import word_is_nontrivial
 
 
 def _report(criterion: int, ok: bool, detail: str):

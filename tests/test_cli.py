@@ -209,6 +209,15 @@ class TestInputErrors:
         assert ("grid must be at least 2" if "--grid" in flags
                 else "tol must be finite and positive") in err
 
+    @pytest.mark.parametrize("flags", [["--grid", "2.5"], ["--word-len", "x"],
+                                       ["--alpha-k", "1e3"]], ids=["grid", "word-len", "alpha-k"])
+    def test_non_integer_counts_rejected(self, capsys, flags):
+        # a count that is no integer is an input error, like one below its least value
+        with pytest.raises(SystemExit) as ei:
+            main(["synthesize", "k2k3.txt"] + flags)
+        assert ei.value.code == EXIT_INPUT
+        assert f"argument {flags[0]}: invalid integer value" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [["--help"], ["synthesize", "--help"],
                                       ["decide"], ["verify", "a.json", "--word-len", "x"]])
     def test_parser_reused_across_calls(self, capsys, argv):

@@ -35,13 +35,13 @@ from cliqueforest import diffeo
 from cliqueforest.diffeo import (
     SCALAR_SOLVE_MAX,
     DiffeoExpr,
+    _dedup,
+    _grid,
     _roots_on_grid,
     _solve_increasing,
     _solve_increasing_array,
     apply_letters,
     grid_sups,
-    identity_residual,
-    share_leaves,
 )
 from cliqueforest.serialize import dumps_expr, loads_expr
 from conftest import mobius_matrix, mobius_matrix_apply
@@ -207,6 +207,57 @@ class TestFixedPoints:
         with pytest.raises(ValueError):
             fixed_points(MobiusI(2.0), 1, 1e-10)
 
+    @pytest.mark.parametrize("e, domain", [
+        # F(x) - x = -2 + bumps lies in (-2.12, -1.88): the shifts -3, -2 and -1
+        (Compose((RotationS1(-4 * math.pi),
+                  PerturbedLiftS1((BumpTrig(0.1, 1), BumpTrig(0.02, 2, 0.3))))), None),
+        (PerturbedF((BumpPoly(0.05, 1, 1, (1.0, -2.0)),)), None),
+        (SineShear(1.0), (0.0, 4 * math.pi)),
+    ], ids=["lift-three-shifts", "interval", "line"])
+    @pytest.mark.parametrize("grid_n", [64, 256, 1000])
+    def test_matches_two_branch_search(self, e, domain, grid_n):
+        """The one root pass gives, bit for bit, the points, flags, signs and
+        degeneracy of a search with one branch for the circle and one for
+        I and R."""
+        got = fixed_points(e, grid_n, 1e-10, domain)
+        ref = _two_branch_fixed_points(e, grid_n, 1e-10, domain)
+        assert _bits(got.points) == _bits(ref.points)
+        assert (got.flags, got.interval_signs, got.degenerate) == (
+            ref.flags, ref.interval_signs, ref.degenerate)
+        assert len(got.points) >= 2 and not got.degenerate
+        for p in got.points:
+            assert point_distance(e.manifold, evaluate(e, p), p) < 1e-9
+
+
+def _two_branch_fixed_points(e, grid_n, tol, domain):
+    """Reference: the fixed-point search with one branch on the circle, over
+    the shifts n of F - id - n, and one on I and R, with the signs of f - id
+    between the points."""
+    m = e.manifold
+    xs = _grid(m, grid_n, domain)
+    rs = e._raw(xs) - xs
+    if m is Manifold.CIRCLE:
+        if float(np.max(np.abs(rs - np.round(rs)))) < tol:
+            return diffeo.FixedPointSet(tuple(xs), ("tangency-suspect",) * len(xs), tol, (),
+                                        True, grid_n)
+        found = []
+        for n in range(int(math.floor(rs.min())), int(math.ceil(rs.max())) + 1):
+            found.extend(_roots_on_grid(lambda x: e._raw(x) - x - n, xs, rs - n, tol))
+        found = sorted((p % 1.0, fl) for p, fl in found)
+        pts, flags = _dedup(found, tol)
+        signs = ()
+    else:
+        if float(np.max(np.abs(rs))) < tol:
+            return diffeo.FixedPointSet(tuple(xs), ("tangency-suspect",) * len(xs), tol, (),
+                                        True, grid_n)
+        found = sorted(_roots_on_grid(lambda x: e._raw(x) - x, xs, rs, tol))
+        pts, flags = _dedup(found, tol)
+        signs = []
+        for q in (0.5 * (a + b) for a, b in zip(pts, pts[1:])):
+            r = e._raw(q) - q
+            signs.append(0 if abs(r) < tol else (1 if r > 0 else -1))
+    return diffeo.FixedPointSet(tuple(pts), tuple(flags), tol, tuple(signs), False, grid_n)
+
 
 class TestCommutatorResidual:
     def test_mobius_family_commutes(self):
@@ -257,7 +308,7 @@ class TestCommutatorResidual:
         )
         assert commutator_witness(f, g, 256) == ref
         assert commutator_residual(f, g, 256) == ref[1]
-        assert identity_residual(f, 256) == self._reference_sup(
+        assert grid_sups([f], 256)[0][1] == self._reference_sup(
             Manifold.INTERVAL, f._raw, xs
         )[1]
         r1, r2 = RotationS1(0.7), RotationS1(2.1)
@@ -435,7 +486,7 @@ class TestArrayGridPath:
             Manifold.INTERVAL, self._scalar_commutator(h, k), self.XS
         )
         assert commutator_witness(h, k, 256) == ref
-        assert identity_residual(h, 256) == TestCommutatorResidual._reference_sup(
+        assert grid_sups([h], 256)[0][1] == TestCommutatorResidual._reference_sup(
             Manifold.INTERVAL, h._raw, self.XS
         )[1]
 
@@ -629,7 +680,7 @@ class TestGridSups:
             assert got == ref
         else:
             assert np.max(np.abs(np.array(got) - np.array(ref))[:, 1]) <= 1e-12
-        assert [identity_residual(e, 256, domain) for e in exprs] == [r for _, r in got]
+        assert [grid_sups([e], 256, domain)[0][1] for e in exprs] == [r for _, r in got]
 
     def test_mixed_tags(self):
         with pytest.raises(TagMismatchError):
@@ -637,21 +688,25 @@ class TestGridSups:
         assert grid_sups([], 64) == []
 
     @pytest.mark.parametrize("case", list(CASES))
-    def test_shared_leaves_same_sups(self, case):
-        """Expressions read back one by one share no leaf object; rebuilt by
-        ``share_leaves`` they hold one object per equal leaf, and their sups
-        keep every bit."""
+    def test_shared_leaves_same_sups(self, monkeypatch, case):
+        """Expressions read back one by one share no leaf object, yet the
+        walk gets one leaf per distinct map, equal leaves being one letter,
+        and the sups are those of the originals, bit for bit."""
         exprs, domain = self.CASES[case]
         read = [loads_expr(dumps_expr(e)) for e in exprs]
-        shared = share_leaves(read)
-        assert shared == read
+        distinct = {leaf for e in exprs for leaf, _ in e.letters}
+        assert len({id(leaf) for e in read for leaf, _ in e.letters}) > len(distinct)
+        walked, walk = [], diffeo._walk
 
-        def leaf_objects(es):
-            return len({id(leaf) for e in es for leaf, _ in e.letters})
+        def recording(levels, leaves, xs):
+            walked.append(list(leaves))
+            return walk(levels, leaves, xs)
 
-        assert leaf_objects(shared) == len({leaf for e in exprs for leaf, _ in e.letters})
-        assert leaf_objects(shared) < leaf_objects(read)
-        assert grid_sups(shared, 256, domain) == grid_sups(read, 256, domain)
+        monkeypatch.setattr(diffeo, "_walk", recording)
+        assert grid_sups(read, 256, domain) == grid_sups(exprs, 256, domain)
+        assert len(walked) == 2
+        for leaves in walked:
+            assert len(leaves) == len(distinct) and set(leaves) == distinct
 
 
 class TestLetters:
@@ -704,4 +759,4 @@ class TestLetters:
         with pytest.raises(DomainError, match="line domain"):
             fixed_points(e, 64, 1e-10, domain)
         with pytest.raises(DomainError, match="line domain"):
-            identity_residual(e, 64, domain)
+            grid_sups([e], 64, domain)

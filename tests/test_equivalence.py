@@ -70,13 +70,13 @@ from cliqueforest.synthesis import (
     SynthesisState,
     _build_f,
     _candidate_bumps,
-    _free_product_forest,
     _measure_lambda,
     _perturb_f_at,
     _Schedule,
     _word_margin,
     word_str,
 )
+from conftest import free_product_forest
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +533,7 @@ def ref_perturb_f_at(gens, p, opts, manifold):
     lam = _measure_lambda(f, gens, grid_n)
     margins, eps = [], []
     eps_prev = 1.0
-    fp_forest = _free_product_forest(num_g)
+    fp_forest = free_product_forest(num_g)
     current = [_word_margin(w, f, gens, p, manifold) for w in words]
 
     for m, word in enumerate(words, 1):
@@ -685,7 +685,7 @@ def test_recursion_builds_no_word_list(monkeypatch):
 
 @pytest.mark.parametrize("num_g, max_len, trivial", [(3, 6, 48), (2, 5, 0), (6, 4, 0)])
 def test_trivial_mask_matches_normal_form(num_g, max_len, trivial):
-    forest = _free_product_forest(num_g)
+    forest = free_product_forest(num_g)
     ref = [normal_form(w, forest).trivial for w in enumerate_words(num_g, max_len)]
     got = _Schedule(num_g, max_len).trivial()
     assert got.tolist() == ref

@@ -520,7 +520,7 @@ class TestDecimals:
         with mock.patch.object(serialize, "_BLOCK", block):
             assert _written(report) == json.dumps(report.to_dict(), sort_keys=True,
                                                   indent=2) + "\n"
-        assert cols[1].texts()[0] is margins.texts()[0]
+        assert cols[1].table()[1] is margins.table()[1]
 
     def test_equal_values_written_in_one_form(self):
         doc = _Lists.from_dict({"margins": ["0.5", None, "0.50", "5e-1", "-0", "0"],
@@ -563,8 +563,8 @@ class TestDecimals:
         report = verify_assignment(k2_k3_word_len_3)
         _, margins, halves = report.margin_checks
         assert isinstance(margins, serialize.Decimals)
-        assert margins.texts()[0] is state.margins.texts()[0]
-        assert halves.texts()[1] is margins.texts()[1]
+        assert margins.table()[1] is state.margins.table()[1]
+        assert halves.table()[2] is margins.table()[2]
         assert halves.values.tobytes() == (margins.values / 2.0).tobytes()
         assert _written(report) == json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
 
@@ -594,7 +594,7 @@ class TestDecimals:
         live = d.live()
         margins = d.take(live)
         halves = margins.halved()
-        assert halves.texts()[1] is margins.texts()[1]
+        assert halves.table()[2] is margins.table()[2]
         assert halves.values.tobytes() == (d.values[live] / 2.0).tobytes()
         report = VerificationReport(True, Manifold.INTERVAL, 2, 1e-9, 6, (), (),
                                     serialize.Columns((live + 1, margins, halves)), (), 0, True, ())
@@ -616,7 +616,7 @@ class TestDecimals:
         report = verify_assignment(dataclasses.replace(asg, state=state))
         assert not isinstance(report.margin_checks[1], serialize.Decimals)
         live, _, halves = report.margin_checks
-        assert np.array_equal(halves.texts()[1], state.margins.texts()[1][live - 1])
+        assert np.array_equal(halves.table()[2], state.margins.table()[2][live - 1])
         text = _written(report)
         assert text == json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
         row = json.loads(text)["margins"][0]
@@ -679,7 +679,7 @@ class TestDecimals:
         with mock.patch.object(serialize, "_BLOCK", block), \
                 mock.patch.object(serialize, "_KERNEL_MIN", kernel_min):
             d = serialize.Decimals.parse(vs, True)
-            texts, index = d.texts()
+            texts, index = d.table()[1:]
             for k, v in enumerate(vs):
                 if v in canonical:
                     assert texts[index[k]] is v

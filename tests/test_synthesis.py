@@ -32,20 +32,20 @@ from cliqueforest.synthesis import (
     GeneratorAssignment,
     SynthesisOptions,
     SynthesisState,
-    _letter_key,
     _measure_lambda,
     _min_relation,
     _Schedule,
     _schedule_margins,
     _word_margin,
-    word_is_nontrivial,
     word_str,
 )
+from conftest import word_is_nontrivial
 
 
 def brute_force_words(num_g, max_len, require_f=True):
     """Oracle: generate-and-filter over all letter tuples."""
     letters = [(s, sgn) for s in range(num_g + 1) for sgn in (1, -1)]
+    rank = {l: i for i, l in enumerate(letters)}  # f, f^-1, g1, g1^-1, ...
     out = []
     for n in range(1, max_len + 1):
         batch = []
@@ -55,7 +55,7 @@ def brute_force_words(num_g, max_len, require_f=True):
             if require_f and not any(sym == 0 for sym, _ in w):
                 continue
             batch.append(w)
-        batch.sort(key=lambda w: [_letter_key(l) for l in w])
+        batch.sort(key=lambda w: [rank[l] for l in w])
         out.extend(batch)
     return out
 
