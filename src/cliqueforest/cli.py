@@ -18,7 +18,6 @@ from typing import Optional
 from . import serialize
 from .diffeo import (
     DEFAULT_GRID,
-    DiffeoExpr,
     InvariantBreach,
     Manifold,
     fixed_points,
@@ -92,18 +91,10 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _load_graph(path: str):
-    return parse_graph(_read(path))
-
-
-def _load_expr(path: str) -> DiffeoExpr:
-    return serialize.loads_expr(_read(path))
-
-
 def _manifold(arg: str) -> Manifold:
     try:
-        return Manifold({"I": "I", "S1": "S1", "R": "R"}[arg])
-    except KeyError:
+        return Manifold(arg)
+    except ValueError:
         raise argparse.ArgumentTypeError(f"unknown manifold {arg!r} (use I or S1)")
 
 
@@ -132,13 +123,13 @@ def _add_common(p: argparse.ArgumentParser):
 
 def cmd_decide(args) -> int:
     # the graph is not kept alive while the decision is written
-    decision = embeddable_raag(_load_graph(args.graph), args.manifold)
+    decision = embeddable_raag(parse_graph(_read(args.graph)), args.manifold)
     _write(decision, args.out)
     return EXIT_OK if decision.embeddable else EXIT_FINDING
 
 
 def cmd_synthesize(args) -> int:
-    g = _load_graph(args.graph)
+    g = parse_graph(_read(args.graph))
     opts = SynthesisOptions(
         word_len=args.word_len,
         grid_n=args.grid,
@@ -168,7 +159,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fixpoints(args) -> int:
-    e = _load_expr(args.expr)
+    e = serialize.loads_expr(_read(args.expr))
     domain = (args.lo, args.hi) if e.manifold is Manifold.LINE else None
     fps = fixed_points(e, args.grid, args.tol, domain)
     _write(fps, args.out)
@@ -176,7 +167,7 @@ def cmd_fixpoints(args) -> int:
 
 
 def cmd_commgraph(args) -> int:
-    exprs = [_load_expr(p) for p in args.exprs]
+    exprs = [serialize.loads_expr(_read(p)) for p in args.exprs]
     domain = (args.lo, args.hi) if exprs and exprs[0].manifold is Manifold.LINE else None
     result = commutation_graph(exprs, args.tol, args.power_bound, args.grid, domain)
     if args.dot:

@@ -13,7 +13,7 @@ reference of each value it walks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import accumulate
@@ -126,12 +126,6 @@ class BumpTrig:
             raise InvariantBreach(f"trig bump stage {self.stage}: sup bound violated")
         if self.deriv_bound is not None and abs(self.c) * 2 * math.pi >= self.deriv_bound:
             raise InvariantBreach(f"trig bump stage {self.stage}: derivative bound violated")
-
-    def value(self, x):
-        return self.c * np.sin(2 * math.pi * x + self.phase)
-
-    def deriv(self, x):
-        return self.c * 2 * math.pi * np.cos(2 * math.pi * x + self.phase)
 
 
 # ---------------------------------------------------------------------------
@@ -286,43 +280,30 @@ class Translation(DiffeoExpr):
         return y - self.c
 
 
-class _IdentityPlusBumps(DiffeoExpr):
-    """Storage, equality and hash shared by the perturbed maps; each
-    subclass evaluates its own basis of bumps."""
-
-    __slots__ = ("bumps",)
-
-    def __eq__(self, other):
-        return type(other) is type(self) and self.bumps == other.bumps
-
-    def __hash__(self):
-        return hash((self.KIND, self.bumps))
-
-    def __repr__(self):
-        return f"{type(self).__name__}(bumps={self.bumps!r})"
-
-
-class PerturbedF(_IdentityPlusBumps):
+@dataclass(frozen=True)
+class PerturbedF(DiffeoExpr):
     """Identity plus a finite schedule of polynomial bumps on [0,1].
 
-    Strict monotonicity is certified by grid derivative positivity at
-    construction; there is no closed-form inverse.
+    Strict monotonicity is certified by ``_draw`` > 0 on the ``grid_n``
+    grid at construction; there is no closed-form inverse.
     """
 
     KIND = "perturbed"
     manifold = Manifold.INTERVAL
-    __slots__ = ("_coeffs", "_dcoeffs")
+    bumps: Tuple[BumpPoly, ...] = ()
+    grid_n: InitVar[int] = DEFAULT_GRID
+    _coeffs: Tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _dcoeffs: Tuple[float, ...] = field(init=False, repr=False, compare=False)
 
-    def __init__(self, bumps: Sequence[BumpPoly] = (), grid_n: int = DEFAULT_GRID):
-        self.bumps = tuple(bumps)
+    def __post_init__(self, grid_n):
+        object.__setattr__(self, "bumps", tuple(self.bumps))
         P = np.polynomial.polynomial
         coeffs = np.array([0.0, 1.0])
         for b in self.bumps:
             coeffs = P.polyadd(coeffs, b.coeffs)
-        self._coeffs = tuple(float(v) for v in coeffs)
-        self._dcoeffs = tuple(float(v) for v in P.polyder(self._coeffs))
-        xs = _grid(self.manifold, grid_n)
-        dmin = float(np.min(P.polyval(xs, self._dcoeffs)))
+        object.__setattr__(self, "_coeffs", tuple(float(v) for v in coeffs))
+        object.__setattr__(self, "_dcoeffs", tuple(float(v) for v in P.polyder(self._coeffs)))
+        dmin = float(np.min(self._draw(_grid(self.manifold, grid_n))))
         if dmin <= 0:
             raise InvariantBreach(f"perturbed map not increasing (min grid derivative {dmin})")
 
@@ -339,19 +320,19 @@ class PerturbedF(_IdentityPlusBumps):
         return acc
 
 
-class PerturbedLiftS1(_IdentityPlusBumps):
-    """Degree-one circle lift: identity plus periodic trigonometric bumps."""
+@dataclass(frozen=True)
+class PerturbedLiftS1(DiffeoExpr):
+    """Degree-one circle lift: identity plus periodic trigonometric bumps,
+    checked increasing like ``PerturbedF``."""
 
     KIND = "perturbed_lift"
     manifold = Manifold.CIRCLE
+    bumps: Tuple[BumpTrig, ...] = ()
+    grid_n: InitVar[int] = DEFAULT_GRID
 
-    def __init__(self, bumps: Sequence[BumpTrig] = (), grid_n: int = DEFAULT_GRID):
-        self.bumps = tuple(bumps)
-        xs = _grid(self.manifold, grid_n)
-        d = np.ones_like(xs)
-        for b in self.bumps:
-            d = d + b.deriv(xs)
-        if float(np.min(d)) <= 0:
+    def __post_init__(self, grid_n):
+        object.__setattr__(self, "bumps", tuple(self.bumps))
+        if float(np.min(self._draw(_grid(self.manifold, grid_n)))) <= 0:
             raise InvariantBreach("perturbed lift not increasing on grid")
 
     def _raw(self, x):
@@ -733,7 +714,8 @@ def fixed_points(
 ) -> FixedPointSet:
     """Locate fixed points by grid sign changes of f - id refined by bisection;
     on the circle, of F - id - n for each integer n between the grid's
-    extremes of F - id, reduced mod 1.
+    extremes of F - id, reduced mod 1, a point just below 1 merging with
+    the first point as its neighbours merge.
 
     Near-tangencies (small residual on a grid cell without a sign change)
     are flagged, never dropped.  An everywhere-small residual yields a
@@ -758,6 +740,11 @@ def fixed_points(
         found = [(p % 1.0, fl) for p, fl in found]
     found.sort()
     pts, flags = _dedup(found, tol)
+    if circle and len(pts) > 1 and pts[0] + 1.0 - pts[-1] <= max(tol, 1e-9):
+        # the last point is the first one across the ends of the turn
+        pts.pop()
+        if flags.pop() == "transverse":
+            flags[0] = "transverse"
     # the sign of f - id strictly between consecutive fixed points, off the circle
     mids = () if circle else (0.5 * (a + b) for a, b in zip(pts, pts[1:]))
     rs_mid = (e._raw(q) - q for q in mids)

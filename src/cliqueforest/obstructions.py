@@ -92,9 +92,6 @@ class CommutationOracle:
     def commute(self, la: str, lb: str) -> bool:
         return self.element(la).commutes_with(self.element(lb))
 
-    def is_identity(self, label: str) -> bool:
-        return self.element(label).is_identity()
-
     @cached_property
     def commutation(self) -> Tuple[int, ...]:
         """Bitset rows of the commutation relation: bit j of row i is set

@@ -600,16 +600,13 @@ class GeneratorAssignment:
     to_dict = serialize.encode
 
     def expr_for(self, v: int) -> DiffeoExpr:
-        for vv, i, n in self.layout:
-            if vv == v:
-                g = self.gens[n - 1]
-                if isinstance(self.f, Identity):
-                    return g
-                return Compose((Power(self.f, i), g, Power(self.f, -i)))
-        raise KeyError(v)
+        return self.exprs()[v]
 
     def exprs(self) -> Dict[int, DiffeoExpr]:
-        return {v: self.expr_for(v) for v, _, _ in self.layout}
+        if isinstance(self.f, Identity):
+            return {v: self.gens[n - 1] for v, _, n in self.layout}
+        return {v: Compose((Power(self.f, i), self.gens[n - 1], Power(self.f, -i)))
+                for v, i, n in self.layout}
 
     @classmethod
     def from_dict(cls, d: dict) -> "GeneratorAssignment":

@@ -105,6 +105,13 @@ class TestDecide:
     def test_line_rejected(self, graph_file):
         assert main(["decide", graph_file(K3), "--manifold", "R"]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("name", ["X", "s1", "INTERVAL"])
+    def test_unknown_manifold_rejected(self, graph_file, capsys, name):
+        with pytest.raises(SystemExit) as ei:
+            main(["decide", graph_file(K3), "--manifold", name])
+        assert ei.value.code == EXIT_INPUT
+        assert f"unknown manifold {name!r} (use I or S1)" in capsys.readouterr().err
+
     def test_stdout_default(self, graph_file, capsys):
         assert main(["decide", graph_file(K3)]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["embeddable"]

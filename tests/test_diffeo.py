@@ -12,6 +12,7 @@ from cliqueforest import (
     DomainError,
     Identity,
     Inverse,
+    InvariantBreach,
     InversionError,
     Manifold,
     MobiusI,
@@ -172,6 +173,10 @@ class TestClosedFormInverse:
                 assert RotationS1(theta)._inv_raw(y) == y - theta / (2 * math.pi)
 
 
+# a circle lift whose fixed point -1e-11 / 2 pi lies just across the ends of the turn
+SEAM = PerturbedLiftS1((BumpTrig(0.1, 1, 1e-11),))
+
+
 class TestFixedPoints:
     def test_mobius_endpoints(self):
         fps = fixed_points(MobiusI(2.0), 256, 1e-10)
@@ -207,13 +212,23 @@ class TestFixedPoints:
         with pytest.raises(ValueError):
             fixed_points(MobiusI(2.0), 1, 1e-10)
 
+    @pytest.mark.parametrize("grid_n", [64, 1024])
+    def test_seam_point_reported_once(self, grid_n):
+        # F(x) - x = 0.1 sin(2 pi x + 1e-11) vanishes at -1e-11 / 2 pi and
+        # half a turn on: the first lies just below 1, within the dedup
+        # distance of the grid root at 0, and is that point, once
+        fps = fixed_points(SEAM, grid_n, 1e-10)
+        assert fps.points == pytest.approx([0.0, 0.5], abs=1e-9)
+        assert fps.flags == ("transverse", "transverse")
+
     @pytest.mark.parametrize("e, domain", [
         # F(x) - x = -2 + bumps lies in (-2.12, -1.88): the shifts -3, -2 and -1
         (Compose((RotationS1(-4 * math.pi),
                   PerturbedLiftS1((BumpTrig(0.1, 1), BumpTrig(0.02, 2, 0.3))))), None),
         (PerturbedF((BumpPoly(0.05, 1, 1, (1.0, -2.0)),)), None),
         (SineShear(1.0), (0.0, 4 * math.pi)),
-    ], ids=["lift-three-shifts", "interval", "line"])
+        (SEAM, None),
+    ], ids=["lift-three-shifts", "interval", "line", "seam"])
     @pytest.mark.parametrize("grid_n", [64, 256, 1000])
     def test_matches_two_branch_search(self, e, domain, grid_n):
         """The one root pass gives, bit for bit, the points, flags, signs and
@@ -245,6 +260,10 @@ def _two_branch_fixed_points(e, grid_n, tol, domain):
             found.extend(_roots_on_grid(lambda x: e._raw(x) - x - n, xs, rs - n, tol))
         found = sorted((p % 1.0, fl) for p, fl in found)
         pts, flags = _dedup(found, tol)
+        # merge a last point within the dedup distance of the first point + 1
+        if len(pts) > 1 and abs(pts[0] + 1.0 - pts[-1]) <= max(tol, 1e-9):
+            flags[0] = "transverse" if "transverse" in (flags[0], flags[-1]) else flags[0]
+            del pts[-1], flags[-1]
         signs = ()
     else:
         if float(np.max(np.abs(rs))) < tol:
@@ -409,6 +428,62 @@ class TestStructuralErrors:
     def test_sine_shear_nonzero(self):
         with pytest.raises(ValueError):
             SineShear(0.0)
+
+
+class TestPerturbedMaps:
+    """The perturbed maps check their monotonicity with their own ``_draw``
+    on the grid; equal bumps, however given, make equal maps."""
+
+    POLY = [
+        (BumpPoly(0.1, 1),),
+        (BumpPoly(0.05, 1, 1, (1.0, -2.0)), BumpPoly(-0.01, 2, 2)),
+        (BumpPoly(0.2, 1, 3, (0.5, 0.25, -1.0)), BumpPoly(0.003, 2, 1), BumpPoly(-0.07, 3, 2)),
+        (),
+    ]
+    TRIG = [
+        (BumpTrig(0.1, 1),),
+        (BumpTrig(0.1, 1, 1e-11), BumpTrig(-0.02, 2, 0.3)),
+        (BumpTrig(0.05, 1, 2.0), BumpTrig(0.03, 2, -1.1), BumpTrig(0.001, 3, 5.5)),
+        (),
+    ]
+
+    def test_non_increasing_map_rejected(self):
+        with pytest.raises(InvariantBreach) as exc:
+            PerturbedF((BumpPoly(5.0, 1),))
+        assert str(exc.value) == "perturbed map not increasing (min grid derivative -4.0)"
+
+    def test_non_increasing_lift_rejected(self):
+        with pytest.raises(InvariantBreach) as exc:
+            PerturbedLiftS1((BumpTrig(0.5, 1),))
+        assert str(exc.value) == "perturbed lift not increasing on grid"
+
+    @pytest.mark.parametrize("grid_n", [64, 1000, diffeo.DEFAULT_GRID])
+    @pytest.mark.parametrize("k", range(4))
+    def test_draw_is_the_old_grid_check(self, k, grid_n):
+        """The constructors check ``_draw``, which on the grid gives bitwise
+        the formulas they checked before: numpy's Horner evaluation of the
+        derivative's coefficients, and 1 plus the derivatives of the trig
+        bumps."""
+        f = PerturbedF(self.POLY[k], grid_n)
+        xs = _grid(f.manifold, grid_n)
+        old = np.polynomial.polynomial.polyval(xs, f._dcoeffs)
+        assert _bits(f._draw(xs)) == _bits(old)
+        lift = PerturbedLiftS1(self.TRIG[k], grid_n)
+        xs = _grid(lift.manifold, grid_n)
+        old = np.ones_like(xs)
+        for b in lift.bumps:
+            old = old + b.c * 2 * math.pi * np.cos(2 * math.pi * xs + b.phase)
+        assert _bits(np.broadcast_to(lift._draw(xs), xs.shape)) == _bits(old)
+
+    @pytest.mark.parametrize("cls, bumps", [(PerturbedF, b) for b in POLY[:3]]
+                             + [(PerturbedLiftS1, b) for b in TRIG[:3]])
+    def test_list_tuple_and_document_equal(self, cls, bumps):
+        e = cls(list(bumps))
+        assert e.bumps == bumps and isinstance(e.bumps, tuple)
+        assert e == cls(bumps) and hash(e) == hash(cls(bumps))
+        back = loads_expr(dumps_expr(e))
+        assert back == e and hash(back) == hash(e) and repr(back) == repr(e)
+        assert repr(e) == f"{cls.__name__}(bumps={bumps!r})"
 
 
 def _bits(values):

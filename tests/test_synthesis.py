@@ -8,6 +8,7 @@ import pytest
 from cliqueforest import (
     BumpPoly,
     BumpTrig,
+    Compose,
     Identity,
     Manifold,
     MobiusI,
@@ -15,6 +16,7 @@ from cliqueforest import (
     NotEmbeddableError,
     PerturbedF,
     PerturbedLiftS1,
+    Power,
     RotationS1,
     SimpleGraph,
     choose_alphas,
@@ -335,6 +337,22 @@ class TestSynthesizeEmbedding:
             e = asg.expr_for(v)
             if not isinstance(asg.f, Identity):
                 assert e.parts[0].exponent == i
+
+    def test_exprs_follow_layout(self):
+        """``exprs`` gives h_{i,n} = f^i g_n f^-i in layout order, and
+        ``expr_for`` looks a vertex up there."""
+        g = SimpleGraph.from_edges(5, [(0, 1), (2, 3), (2, 4), (3, 4)])
+        asg = synthesize_embedding(g, opts=SynthesisOptions(word_len=3))
+        assert not isinstance(asg.f, Identity)
+        exprs = asg.exprs()
+        assert list(exprs) == [v for v, _, _ in asg.layout]
+        for v, i, n in asg.layout:
+            want = Compose((Power(asg.f, i), asg.gens[n - 1], Power(asg.f, -i)))
+            assert exprs[v] == want and asg.expr_for(v) == want
+        with pytest.raises(KeyError):
+            asg.expr_for(5)
+        ident = dataclasses.replace(asg, f=Identity(asg.manifold))
+        assert ident.exprs() == {v: asg.gens[n - 1] for v, _, n in asg.layout}
 
     def test_alpha_height_covers_word_len(self):
         g = SimpleGraph.from_edges(4, [(0, 1), (2, 3)])
