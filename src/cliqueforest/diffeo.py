@@ -919,6 +919,11 @@ def grid_sups(exprs: Sequence[DiffeoExpr], grid_n: int = DEFAULT_GRID,
     return sups
 
 
+def commutator(a: DiffeoExpr, b: DiffeoExpr) -> Compose:
+    """[a, b] = a b a^-1 b^-1."""
+    return Compose((a, b, Inverse(a), Inverse(b)))
+
+
 def commutator_residual(
     e1: DiffeoExpr,
     e2: DiffeoExpr,
@@ -940,7 +945,7 @@ def commutator_witness(
     domain=None,
 ) -> Tuple[float, float]:
     """(x, residual) maximizing the commutator residual over the grid."""
-    return grid_sups([Compose((e1, e2, Inverse(e1), Inverse(e2)))], grid_n, domain)[0]
+    return grid_sups([commutator(e1, e2)], grid_n, domain)[0]
 
 
 Word = Sequence[Tuple[str, int]]

@@ -31,8 +31,8 @@ class SimpleGraph:
     u < v in each row and the rows sorted and distinct.  ``from_edges``,
     ``from_dict`` and the parsers build it; the constructor takes it as
     given.  ``edges``, the frozenset of (u, v) tuples, is built on first use
-    only (``has_edge`` and ``hash`` use it); the decision, ``neighbors``,
-    the document (``FIELDS``) and ``to_dot`` read the array.
+    only (``has_edge`` and ``hash`` use it); the decision, the document
+    (``FIELDS``) and ``to_dot`` read the array.
     """
 
     n: int
@@ -70,14 +70,6 @@ class SimpleGraph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
-
-    def neighbors(self, u: int) -> List[int]:
-        e = self.ends  # rows sorted: lower neighbours first, each part increasing
-        return np.concatenate((e[e[:, 1] == u, 0], e[e[:, 0] == u, 1])).tolist()
-
-    def connected_components(self) -> List[Tuple[int, ...]]:
-        """Components ordered by their smallest vertex, each sorted."""
-        return _component_tuples(_scan_components(self))
 
     FIELDS = (("n", serialize.INTEGER),
               ("edges", replace(serialize.rows(serialize.INTEGER, serialize.INTEGER),
@@ -130,12 +122,6 @@ class CliqueForest:
     @property
     def sizes(self) -> Tuple[int, ...]:
         return tuple(map(len, self.components))
-
-    def component_of(self, v: int) -> int:
-        for i, comp in enumerate(self.components):
-            if v in comp:
-                return i
-        raise KeyError(v)
 
     def __eq__(self, other):
         if not isinstance(other, CliqueForest):

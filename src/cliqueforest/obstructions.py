@@ -17,11 +17,10 @@ from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 from . import serialize
 from .diffeo import (
     DEFAULT_GRID,
-    Compose,
-    Inverse,
     Power,
     SineShear,
     Translation,
+    commutator,
     grid_sups,
 )
 
@@ -133,12 +132,6 @@ def heisenberg_ball(radius: int) -> CommutationOracle:
     items = sorted(seen.items(), key=lambda kv: kv[1])
     labels = tuple(lbl for _, lbl in items)
     elems = tuple(m for m, _ in items)
-    return CommutationOracle(labels, elems)
-
-
-def oracle_from_matrices(entries: Sequence[Tuple[str, Sequence[Sequence[int]]]]) -> CommutationOracle:
-    labels = tuple(lbl for lbl, _ in entries)
-    elems = tuple(UnipotentMatrix.from_rows(rows) for _, rows in entries)
     return CommutationOracle(labels, elems)
 
 
@@ -308,10 +301,6 @@ class CounterexampleReport:
     res_ga_gb: float
     power_residuals: Tuple[PowerResidual, ...]
 
-    @property
-    def max_power_residual(self) -> float:
-        return max((r for _, _, r in self.power_residuals), default=0.0)
-
     FIELDS = (("a", serialize.NUMBER), ("b", serialize.NUMBER), ("n_max", serialize.INTEGER),
               ("grid_n", serialize.INTEGER), ("domain", serialize.NUMBERS),
               ("residual_fa_ga", replace(serialize.NUMBER, attr="res_fa_ga")),
@@ -333,6 +322,6 @@ def remark_counterexample_suite(
     ga, gb = Translation(2 * math.pi / a), Translation(2 * math.pi / b)
     pairs = [(fa, ga), (ga, gb)] + [(Power(fa, n), Power(fb, n)) for n in range(1, n_max + 1)]
     (_, res_fa_ga), (_, res_ga_gb), *sups = grid_sups(
-        [Compose((u, v, Inverse(u), Inverse(v))) for u, v in pairs], grid_n, domain)
+        [commutator(u, v) for u, v in pairs], grid_n, domain)
     powers = tuple(PowerResidual(n, *sup) for n, sup in enumerate(sups, 1))
     return CounterexampleReport(a, b, n_max, grid_n, domain, res_fa_ga, res_ga_gb, powers)

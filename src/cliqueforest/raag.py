@@ -13,11 +13,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .diffeo import (
     DEFAULT_GRID,
-    Compose,
     DiffeoExpr,
-    Inverse,
     Manifold,
     Power,
+    commutator,
     grid_sups,
 )
 from . import serialize
@@ -198,10 +197,7 @@ def commutation_graph(
     best: Dict[Tuple[int, int], float] = {}
     todo = list(combinations(range(len(fs)), 2))
     for k in range(1, power_bound + 1 if m is Manifold.CIRCLE else 2):
-        comms = []
-        for i, j in todo:
-            a, b = Power(fs[i], k), Power(fs[j], k)
-            comms.append(Compose((a, b, Inverse(a), Inverse(b))))
+        comms = [commutator(Power(fs[i], k), Power(fs[j], k)) for i, j in todo]
         rs = [r for _, r in grid_sups(comms, grid_n, domain)]
         for p, r in zip(todo, rs):
             if p not in best or r < best[p]:

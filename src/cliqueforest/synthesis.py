@@ -30,7 +30,6 @@ from .diffeo import (
     Compose,
     DiffeoExpr,
     Identity,
-    Inverse,
     Manifold,
     MobiusI,
     PerturbedF,
@@ -40,6 +39,7 @@ from .diffeo import (
     _grid,
     _walk,
     apply_letters,
+    commutator,
     # not called here: perfbench's spans hook both names in this module
     commutator_residual,
     commutator_witness,
@@ -322,8 +322,7 @@ class SynthesisState:
     texts, which the report's margin column shares (``verify_assignment``).
     The words are ``enumerate_words(num_g, max_len)`` for num_g = len(gens)
     and max_len = the word length, never stored: the recursion holds them as
-    the arrays of ``_Schedule(num_g, max_len)``, from which ``words`` also
-    derives.
+    the arrays of ``_Schedule(num_g, max_len)``.
     """
 
     manifold: Manifold
@@ -369,9 +368,6 @@ class SynthesisState:
         if count != self.word_count:
             raise ValueError(f"word_count {self.word_count} is not the number of words "
                              f"scheduled up to length {self.max_len} over {n} g generators")
-
-    def words(self) -> List[FreeWord]:
-        return enumerate_words(self.num_g, self.max_len)
 
 
 def _word_margin(word, f, gens, p, manifold) -> float:
@@ -430,14 +426,6 @@ def _candidate_bumps(manifold, stage, sup_budget, deriv_budget, grid_n):
             for frac in (2, 4, 8) for sign in (1.0, -1.0)]
 
 
-def _build_f(manifold, bumps, grid_n):
-    if not bumps:
-        return Identity(manifold)
-    if manifold is Manifold.INTERVAL:
-        return PerturbedF(bumps, grid_n)
-    return PerturbedLiftS1(bumps, grid_n)
-
-
 def perturb_f(
     gens: Sequence[DiffeoExpr],
     p: float,
@@ -459,8 +447,9 @@ def perturb_f(
     schedule (``_schedule_margins``) at the start and after each bump.
     Between two bumps f is fixed, so the stages up to the next bump are one
     numpy pass: the eps chain is a running minimum, and the budgets and the
-    stage decisions are bitwise those of a stage-by-stage loop.  The margins
-    are re-verified against the final f before returning.
+    stage decisions are bitwise those of a stage-by-stage loop.  Before
+    returning, the margins are checked against the walk of the f that is
+    returned: the last walk of the recursion.
     """
     if manifold is None:
         manifold = gens[0].manifold
@@ -484,6 +473,7 @@ def _perturb_f_at(gens, p, opts, manifold):
     shift = -np.arange(2, n + 2)  # stage m's budgets carry the factor 2^-(m+1)
     margins, eps = np.empty(n), np.empty(n)
     bumps: List[object] = []
+    perturbed = PerturbedF if manifold is Manifold.INTERVAL else PerturbedLiftS1
     f: DiffeoExpr = Identity(manifold)
     d = _schedule_margins(f, gens, p, manifold, schedule)
     start, eps_prev, decided = 0, 1.0, False
@@ -523,7 +513,7 @@ def _perturb_f_at(gens, p, opts, manifold):
         deriv_budget = math.ldexp(1.0, -(m + 1))
         best = None
         for bump in _candidate_bumps(manifold, m, sup_budget, deriv_budget, grid_n):
-            cand_f = _build_f(manifold, tuple(bumps) + (bump,), grid_n)
+            cand_f = perturbed(tuple(bumps) + (bump,), grid_n)
             d_c = _word_margin(word, cand_f, gens, p, manifold)
             if best is None or d_c > best[0]:
                 best = (d_c, bump, cand_f)
@@ -532,24 +522,24 @@ def _perturb_f_at(gens, p, opts, manifold):
                 f"stage {m} ({word_str(word)}): no candidate bump moves the "
                 f"basepoint {p} (budget {sup_budget:.3e})"
             )
-        d_m, bump, f = best
+        _, bump, f = best
         bumps.append(bump)
+        # the walk gives the value of apply_letters: at the bumped stage it
+        # is bitwise the candidate's margin
         d = _schedule_margins(f, gens, p, manifold, schedule)
-        d[stop] = d_m
         start, decided = stop, True
 
-    # final map and direct re-verification of every margin
-    final_f = _build_f(manifold, tuple(bumps), grid_n)
-    final = _schedule_margins(final_f, gens, p, manifold, schedule)
-    bad = _first(live & ~(final > margins / 2.0), None)
+    # every margin re-verified against the walk of the f returned, the last
+    # walk of the loop
+    bad = _first(live & ~(d > margins / 2.0), None)
     if bad is not None:
         raise SynthesisError(
             f"stage {bad + 1} ({word_str(schedule.word(bad))}): final margin "
-            f"{float(final[bad])} <= D/2 = {float(margins[bad]) / 2}"
+            f"{float(d[bad])} <= D/2 = {float(margins[bad]) / 2}"
         )
 
     xs = _grid(manifold, grid_n)
-    min_deriv = float(np.min(final_f._draw(xs)))
+    min_deriv = float(np.min(f._draw(xs)))
     bound = 1.0 - sum(math.ldexp(1.0, -(b.stage + 1)) for b in bumps)
     state = SynthesisState(
         manifold=manifold,
@@ -565,7 +555,7 @@ def _perturb_f_at(gens, p, opts, manifold):
         min_derivative=min_deriv,
         deriv_lower_bound=bound,
     )
-    return final_f, state
+    return f, state
 
 
 def _first(mask: np.ndarray, default):
@@ -598,9 +588,6 @@ class GeneratorAssignment:
               ("f", serialize.NODE), ("gens", serialize.NODE_LIST),
               ("state", serialize.nullable(serialize.document(SynthesisState))))
     to_dict = serialize.encode
-
-    def expr_for(self, v: int) -> DiffeoExpr:
-        return self.exprs()[v]
 
     def exprs(self) -> Dict[int, DiffeoExpr]:
         if isinstance(self.f, Identity):
@@ -637,7 +624,7 @@ def synthesize_embedding(
 
     Component i (1-based) receives h_{i,n} = f^i g_n f^-i for its n-th vertex.
     A single clique needs no f at all: its g's already form a free abelian
-    group of the right rank.
+    group of the right rank.  The empty graph needs no g either.
     """
     if manifold is Manifold.LINE:
         raise NotApplicableError("synthesis covers I and S1 only")
@@ -645,30 +632,24 @@ def synthesize_embedding(
         raise ValueError("word_len must be >= 1")
     if opts.alpha_k < 1:
         raise ValueError("alpha_k must be >= 1")
-    cert = is_clique_forest(g)
-    if isinstance(cert, MissingEdgeWitness):
-        raise NotEmbeddableError(cert)
-    forest = cert
-    if not forest.components:
-        alphas = AlphaSequence((), opts.alpha_k, math.inf)
-        return GeneratorAssignment(
-            g, manifold, forest, alphas, (), Identity(manifold), (), None
-        )
-    num_g = max(forest.sizes)
-    # relation height must cover the largest exponent any scheduled pure-g
-    # word can reach, i.e. the word length
-    alphas = choose_alphas(num_g, max(opts.alpha_k, opts.word_len))
-    if manifold is Manifold.INTERVAL:
-        gens = tuple(MobiusI(a) for a in alphas.alphas)
-    else:
-        gens = tuple(RotationS1(a) for a in alphas.alphas)
-    layout = forest_layout(forest)
-    if len(forest.components) == 1:
-        return GeneratorAssignment(
-            g, manifold, forest, alphas, layout, Identity(manifold), gens, None
-        )
-    f, state = perturb_f(gens, opts.basepoint, opts, manifold)
-    return GeneratorAssignment(g, manifold, forest, alphas, layout, f, gens, state)
+    if not 0.0 < opts.basepoint < 1.0:
+        raise ValueError("basepoint must lie in (0, 1)")
+    forest = is_clique_forest(g)
+    if isinstance(forest, MissingEdgeWitness):
+        raise NotEmbeddableError(forest)
+    alphas = AlphaSequence((), opts.alpha_k, math.inf)
+    gens: Tuple[DiffeoExpr, ...] = ()
+    f: DiffeoExpr = Identity(manifold)
+    state = None
+    if forest.components:
+        # relation height must cover the largest exponent any scheduled pure-g
+        # word can reach, i.e. the word length
+        alphas = choose_alphas(max(forest.sizes), max(opts.alpha_k, opts.word_len))
+        gen = MobiusI if manifold is Manifold.INTERVAL else RotationS1
+        gens = tuple(map(gen, alphas.alphas))
+    if len(forest.components) > 1:
+        f, state = perturb_f(gens, opts.basepoint, opts, manifold)
+    return GeneratorAssignment(g, manifold, forest, alphas, forest_layout(forest), f, gens, state)
 
 
 # ---------------------------------------------------------------------------
@@ -747,8 +728,7 @@ def verify_assignment(
     edges = sorted(g.edges)
     non_edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
     exprs = assignment.exprs()
-    sups = grid_sups([Compose((exprs[u], exprs[v], Inverse(exprs[u]), Inverse(exprs[v])))
-                      for u, v in edges + non_edges], grid_n)
+    sups = grid_sups([commutator(exprs[u], exprs[v]) for u, v in edges + non_edges], grid_n)
     edge_checks = [{"u": u, "v": v, "residual": r, "ok": r < tol}
                    for (u, v), (_, r) in zip(edges, sups)]
     non_edge_checks = [{"u": u, "v": v, "witness_x": x, "residual": r, "ok": r > 10 * tol}

@@ -1,4 +1,5 @@
 import time
+from collections import deque
 
 import numpy as np
 import pytest
@@ -24,6 +25,32 @@ def free_product_forest(num_g):
     """The clique forest of <f> * <g_1, ..., g_num_g abelian>: vertex 0 is f
     alone, vertices 1..num_g are one clique (the g's commute)."""
     return CliqueForest(((0,), tuple(range(1, num_g + 1))))
+
+
+def ref_components(g):
+    """Reference: the components of ``g`` by a plain BFS over ``g.edges``,
+    each sorted and in order of their smallest vertex, with the adjacency
+    lists it walked."""
+    adj = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = [False] * g.n
+    comps = []
+    for s in range(g.n):
+        if seen[s]:
+            continue
+        comp, q = [], deque([s])
+        seen[s] = True
+        while q:
+            u = q.popleft()
+            comp.append(u)
+            for w in adj[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    q.append(w)
+        comps.append(tuple(sorted(comp)))
+    return comps, adj
 
 
 def word_is_nontrivial(word, num_g):

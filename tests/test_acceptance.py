@@ -25,6 +25,7 @@ from cliqueforest import (
     commutation_graph,
     commutator_residual,
     derivative,
+    enumerate_words,
     evaluate,
     find_centralizer_quadruple,
     center_nonabelian_check,
@@ -63,7 +64,7 @@ def test_criterion_1_exhaustive_decision():
         # definitional check, written independently of the library routine
         want = all(
             g.has_edge(u, v)
-            for comp in g.connected_components()
+            for comp in conftest.ref_components(g)[0]
             for u, v in itertools.combinations(comp, 2)
         )
         if got != want:
@@ -112,7 +113,7 @@ def test_criterion_3_k2_k3_synthesis(k2_k3_assignment, k2_k3_synthesis_seconds):
     cond_a = worst_edge < 1e-9
 
     state = asg.state
-    words = state.words()
+    words = enumerate_words(state.num_g, state.max_len)
     cond_b = True
     checked = 0
     for word, d_w in zip(words, state.margins):
@@ -248,7 +249,7 @@ def test_criterion_5_commutation_graphs(k2_k3_assignment):
     res = commutation_graph([g2, g3, conj])
     rep = check_component_completeness(res.graph)
     # g2 and g3 commute; the f-conjugate must land in its own component
-    cond_a = rep.ok and res.graph.has_edge(0, 1) and res.graph.neighbors(2) == []
+    cond_a = rep.ok and res.graph.edges == {(0, 1)}
 
     alphas = choose_alphas(8, 2).alphas
     res8 = commutation_graph([MobiusI(a) for a in alphas])

@@ -500,6 +500,19 @@ class TestSynthesizeVerify:
         assert "alpha-k must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("basepoint", ["0", "1", "1.5", "nan"])
+    @pytest.mark.parametrize("text", [K3, "n=0\n", P3], ids=["K3", "empty", "path"])
+    def test_basepoint_outside_unit_interval_rejected(self, graph_file, tmp_path, capsys,
+                                                      text, basepoint):
+        # an input error on every graph, before the forest decision: a path
+        # gets no decision document
+        out = tmp_path / "out.json"
+        assert main(["synthesize", graph_file(text), "--basepoint", basepoint,
+                     "--out", str(out)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err == "input error: basepoint must lie in (0, 1)\n"
+        assert captured.out == "" and not out.exists()
+
     def test_single_clique(self, graph_file, tmp_path):
         asg = tmp_path / "asg.json"
         rep = tmp_path / "rep.json"

@@ -68,7 +68,6 @@ from cliqueforest.synthesis import (
     SynthesisError,
     SynthesisOptions,
     SynthesisState,
-    _build_f,
     _candidate_bumps,
     _measure_lambda,
     _perturb_f_at,
@@ -76,7 +75,7 @@ from cliqueforest.synthesis import (
     _word_margin,
     word_str,
 )
-from conftest import free_product_forest
+from conftest import free_product_forest, ref_components
 
 
 # ---------------------------------------------------------------------------
@@ -115,29 +114,6 @@ def ref_center(oracle):
     if central is not None and pair is not None:
         return True, (central, pair)
     return False, None
-
-
-def ref_components(g):
-    adj = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = [False] * g.n
-    comps = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        comp, q = [], deque([s])
-        seen[s] = True
-        while q:
-            u = q.popleft()
-            comp.append(u)
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    q.append(w)
-        comps.append(tuple(sorted(comp)))
-    return comps, adj
 
 
 def ref_first_missing(g, comp):
@@ -322,7 +298,6 @@ def random_graph(rng):
 def assert_same_decision(g):
     assert is_clique_forest(g) == ref_is_clique_forest(g)
     assert check_component_completeness(g) == ref_completeness(g)
-    assert g.connected_components() == ref_components(g)[0]
 
 
 def test_random_graphs():
@@ -344,15 +319,6 @@ class RefGraph:
 
     def has_edge(self, u, v):
         return (min(u, v), max(u, v)) in self.edges
-
-    def neighbors(self, u):
-        out = []
-        for a, b in self.edges:
-            if a == u:
-                out.append(b)
-            elif b == u:
-                out.append(a)
-        return sorted(out)
 
     def to_dict(self):
         return {"n": self.n, "edges": sorted(list(e) for e in self.edges)}
@@ -380,8 +346,6 @@ def test_random_graphs_match_frozenset_reference():
         ref = RefGraph(n, frozenset((min(e), max(e)) for e in pairs))
         assert g.to_dict() == ref.to_dict()
         assert graphs.to_dot(g) == ref_to_dot(ref)
-        assert g.connected_components() == ref_components(ref)[0]
-        assert [g.neighbors(u) for u in range(n + 1)] == [ref.neighbors(u) for u in range(n + 1)]
         assert "edges" not in vars(g)  # none of the above builds the frozenset
         assert g.edges == ref.edges and hash(g) == hash(ref)
         assert all(g.has_edge(u, v) == ref.has_edge(u, v) for u in range(n) for v in range(n))
@@ -520,6 +484,14 @@ def test_array_reader_blocks(monkeypatch, block):
 # the perturbation recursion, stage by stage over word tuples
 
 
+def ref_build_f(manifold, bumps, grid_n):
+    if not bumps:
+        return Identity(manifold)
+    if manifold is Manifold.INTERVAL:
+        return PerturbedF(bumps, grid_n)
+    return PerturbedLiftS1(bumps, grid_n)
+
+
 def ref_perturb_f_at(gens, p, opts, manifold):
     """The recursion as a loop over the word tuples, one stage at a time:
     normal forms mark the vacuous stages and every margin is evaluated word
@@ -547,7 +519,7 @@ def ref_perturb_f_at(gens, p, opts, manifold):
         if not d_m > sup_budget:
             best = None
             for bump in _candidate_bumps(manifold, m, sup_budget, deriv_budget, grid_n):
-                cand_f = _build_f(manifold, tuple(bumps) + (bump,), grid_n)
+                cand_f = ref_build_f(manifold, tuple(bumps) + (bump,), grid_n)
                 d_c = _word_margin(word, cand_f, gens, p, manifold)
                 if best is None or d_c > best[0]:
                     best = (d_c, bump, cand_f)
@@ -570,7 +542,8 @@ def ref_perturb_f_at(gens, p, opts, manifold):
         eps.append(eps_m)
         eps_prev = eps_m
 
-    final_f = _build_f(manifold, tuple(bumps), grid_n)
+    # the final map rebuilt and every margin re-checked word by word
+    final_f = ref_build_f(manifold, tuple(bumps), grid_n)
     for m, (word, d_m) in enumerate(zip(words, margins), 1):
         got = _word_margin(word, final_f, gens, p, manifold)
         if d_m is not None and not got > d_m / 2.0:
@@ -681,6 +654,21 @@ def test_recursion_builds_no_word_list(monkeypatch):
     gens = alpha_gens(Manifold.INTERVAL, 3, 4)
     _, state = _perturb_f_at(gens, 0.70710678, SynthesisOptions(word_len=4), Manifold.INTERVAL)
     assert state.word_count == count
+
+
+@pytest.mark.parametrize("manifold", [Manifold.INTERVAL, Manifold.CIRCLE], ids=["I", "S1"])
+def test_recursion_walks_the_schedule_once_per_bump_and_once_more(monkeypatch, manifold):
+    """One walk for the identity, one after each bump, and no other: the
+    final check reads the walk of the last f."""
+    calls = []
+    walk = synthesis._schedule_margins
+    monkeypatch.setattr(synthesis, "_schedule_margins",
+                        lambda *args: calls.append(args[0]) or walk(*args))
+    gens = near_identity_gens(manifold, 1, 1e-9)
+    f, state = _perturb_f_at(gens, 0.70710678, SynthesisOptions(word_len=4), manifold)
+    assert len(state.bumps) == 2
+    assert len(calls) == len(state.bumps) + 1
+    assert calls[-1] is f
 
 
 @pytest.mark.parametrize("num_g, max_len, trivial", [(3, 6, 48), (2, 5, 0), (6, 4, 0)])

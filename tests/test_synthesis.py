@@ -191,7 +191,6 @@ class TestPerturbF:
         words = enumerate_words(2, 3)
         f, state = perturb_f(gens, 0.70710678, SynthesisOptions(word_len=3))
         assert state.word_count == len(words)
-        assert state.words() == words
         # margins: positive for nontrivial words, None for free-product-trivial
         for w, m in zip(words, state.margins):
             if word_is_nontrivial(w, 2):
@@ -308,6 +307,17 @@ class TestSynthesizeEmbedding:
         with pytest.raises(ValueError, match="alpha_k must be >= 1"):
             synthesize_embedding(g, opts=SynthesisOptions(word_len=2, alpha_k=alpha_k))
 
+    @pytest.mark.parametrize("basepoint", [0.0, 1.0, 1.5, math.nan])
+    @pytest.mark.parametrize("n, edges", [(3, [(0, 1), (0, 2), (1, 2)]), (0, []),
+                                          (3, [(0, 1), (1, 2)])],
+                             ids=["K3", "empty", "path"])
+    def test_basepoint_outside_unit_interval_rejected(self, n, edges, basepoint):
+        # rejected up front on every graph, though only a forest of two or
+        # more cliques runs the recursion that uses the basepoint
+        g = SimpleGraph.from_edges(n, edges)
+        with pytest.raises(ValueError, match=r"basepoint must lie in \(0, 1\)"):
+            synthesize_embedding(g, opts=SynthesisOptions(word_len=2, basepoint=basepoint))
+
     def test_empty_graph(self):
         asg = synthesize_embedding(SimpleGraph.from_edges(0, []))
         assert asg.layout == ()
@@ -334,13 +344,12 @@ class TestSynthesizeEmbedding:
         assert asg.layout == ((0, 1, 1), (1, 1, 2), (2, 2, 1), (3, 2, 2))
         # conjugation depth varies with the component, not the slot
         for v, i, n in asg.layout:
-            e = asg.expr_for(v)
+            e = asg.exprs()[v]
             if not isinstance(asg.f, Identity):
                 assert e.parts[0].exponent == i
 
     def test_exprs_follow_layout(self):
-        """``exprs`` gives h_{i,n} = f^i g_n f^-i in layout order, and
-        ``expr_for`` looks a vertex up there."""
+        """``exprs`` gives h_{i,n} = f^i g_n f^-i in layout order."""
         g = SimpleGraph.from_edges(5, [(0, 1), (2, 3), (2, 4), (3, 4)])
         asg = synthesize_embedding(g, opts=SynthesisOptions(word_len=3))
         assert not isinstance(asg.f, Identity)
@@ -348,9 +357,7 @@ class TestSynthesizeEmbedding:
         assert list(exprs) == [v for v, _, _ in asg.layout]
         for v, i, n in asg.layout:
             want = Compose((Power(asg.f, i), asg.gens[n - 1], Power(asg.f, -i)))
-            assert exprs[v] == want and asg.expr_for(v) == want
-        with pytest.raises(KeyError):
-            asg.expr_for(5)
+            assert exprs[v] == want
         ident = dataclasses.replace(asg, f=Identity(asg.manifold))
         assert ident.exprs() == {v: asg.gens[n - 1] for v, _, n in asg.layout}
 
@@ -430,7 +437,7 @@ class TestAcceptanceScaleRun:
 
     def test_k2_k3_distinct_components_forced_apart(self, k2_k3_assignment):
         # vertices in different components genuinely fail to commute
-        e0 = k2_k3_assignment.expr_for(0)
-        e2 = k2_k3_assignment.expr_for(2)
+        exprs = k2_k3_assignment.exprs()
+        e0, e2 = exprs[0], exprs[2]
         _, r = commutator_witness(e0, e2, 256)
         assert r > 1e-8
