@@ -30,8 +30,9 @@ from .obstructions import (
     heisenberg_ball,
     parse_oracle,
 )
-from .raag import EmbeddabilityDecision, commutation_graph, embeddable_raag
+from .raag import DEFAULT_POWER_BOUND, EmbeddabilityDecision, commutation_graph, embeddable_raag
 from .synthesis import (
+    DEFAULT_WORD_LEN,
     GeneratorAssignment,
     NotEmbeddableError,
     SynthesisError,
@@ -209,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synthesize", help="build and verify an explicit embedding")
     p.add_argument("graph")
     p.add_argument("--manifold", type=_manifold, default=Manifold.INTERVAL)
-    p.add_argument("--word-len", type=_at_least(1, "word length"), default=6)
+    p.add_argument("--word-len", type=_at_least(1, "word length"), default=DEFAULT_WORD_LEN)
     p.add_argument("--basepoint", type=float, default=SynthesisOptions().basepoint)
     p.add_argument("--alpha-k", type=_at_least(1, "alpha-k"), default=SynthesisOptions().alpha_k)
     p.add_argument("--report", help="verification report file (default: stdout)")
@@ -231,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("commgraph", help="empirical commutation graph of expressions")
     p.add_argument("exprs", nargs="+")
-    p.add_argument("--power-bound", type=int, default=12)
+    p.add_argument("--power-bound", type=int, default=DEFAULT_POWER_BOUND)
     p.add_argument("--dot", help="also write the graph as DOT to this file")
     p.add_argument("--lo", type=float, default=0.0)
     p.add_argument("--hi", type=float, default=4 * math.pi)

@@ -175,9 +175,6 @@ class DiffeoExpr:
             return _solve_increasing_array(self, y)
         return _solve_increasing(self, y)
 
-    def kind(self) -> str:
-        return self.KIND
-
 
 @dataclass(frozen=True)
 class Identity(DiffeoExpr):
@@ -448,27 +445,11 @@ def _solve_increasing(e: DiffeoExpr, y: float) -> float:
         # target in [0, 1] by an ulp; the endpoint is then the preimage.  A
         # NaN target fails both tests
         if not (flo <= 0 and fhi >= 0) and not 0.0 <= y <= 1.0:
-            raise InversionError(f"target {y} outside range of {e.kind()} on [0,1]")
+            raise InversionError(f"target {y} outside range of {e.KIND} on [0,1]")
     else:
         # expanding bracket around y (lift / line maps are near-translations)
-        lo, hi = y - 1.0, y + 1.0
-        step = 1.0
-        for _ in range(64):
-            if e._raw(lo) - y <= 0:
-                break
-            lo -= step
-            step *= 2
-        else:
-            raise InversionError("bracket expansion failed (lower)")
-        step = 1.0
-        for _ in range(64):
-            if e._raw(hi) - y >= 0:
-                break
-            hi += step
-            step *= 2
-        else:
-            raise InversionError("bracket expansion failed (upper)")
-        flo, fhi = e._raw(lo) - y, e._raw(hi) - y
+        lo, flo = _expand(e, y, False)
+        hi, fhi = _expand(e, y, True)
     if flo >= 0.0:
         return lo
     if fhi <= 0.0:
@@ -495,19 +476,31 @@ def _solve_increasing(e: DiffeoExpr, y: float) -> float:
         x = xn if xn is not None else 0.5 * (lo + hi)
     if abs(e._raw(x) - y) > 1e-9 * scale:
         raise InversionError(
-            f"inversion of {e.kind()} did not converge at y={y} (non-monotone expression?)"
+            f"inversion of {e.KIND} did not converge at y={y} (non-monotone expression?)"
         )
     return x
 
 
+def _expand(e: DiffeoExpr, y: float, upper: bool) -> Tuple[float, float]:
+    """The bracket end b above (``upper``) or below y of a map of a line or
+    lift, from y +- 1 in steps doubling from 1, and its residual e(b) - y."""
+    b, step = (y + 1.0 if upper else y - 1.0), 1.0
+    for _ in range(64):
+        r = e._raw(b) - y
+        if (r >= 0) if upper else (r <= 0):
+            return b, r
+        b = b + step if upper else b - step
+        step *= 2
+    raise InversionError(f"bracket expansion failed ({'upper' if upper else 'lower'})")
+
+
 def _expand_array(e: DiffeoExpr, y: np.ndarray, upper: bool) -> Tuple[np.ndarray, np.ndarray]:
-    """The bracket expansion of ``_solve_increasing`` for every element of y.
+    """``_expand`` for every element of y.
 
     Returns (b, r): the final bracket end b of each element and its residual
-    r = e(b) - y, which the scalar solver recomputes from the same b.  The
-    first test runs on the whole array; later ones only on the elements
-    still expanding, which after t steps all use the step 2^t, so one scalar
-    step serves them all.
+    r = e(b) - y.  The first test runs on the whole array; later ones only on
+    the elements still expanding, which after t steps all use the step 2^t,
+    so one scalar step serves them all.
     """
     b = y + 1.0 if upper else y - 1.0
     r = e._raw(b) - y
@@ -560,7 +553,7 @@ def _solve_increasing_array(e: DiffeoExpr, y: np.ndarray) -> np.ndarray:
         bad = ~((flo <= 0) & (fhi >= 0)) & ~((0.0 <= y) & (y <= 1.0))
         if np.any(bad):
             raise InversionError(
-                f"target {y[bad][0]} outside range of {e.kind()} on [0,1]"
+                f"target {y[bad][0]} outside range of {e.KIND} on [0,1]"
             )
     else:
         (lo, flo), (hi, fhi) = _expand_array(e, y, False), _expand_array(e, y, True)
@@ -611,7 +604,7 @@ def _solve_increasing_array(e: DiffeoExpr, y: np.ndarray) -> np.ndarray:
     bad = np.abs(e._raw(xa) - ya) > 1e-9 * np.maximum(1.0, np.abs(ya))
     if np.any(bad):
         raise InversionError(
-            f"inversion of {e.kind()} did not converge at y={ya[bad][0]} "
+            f"inversion of {e.KIND} did not converge at y={ya[bad][0]} "
             "(non-monotone expression?)"
         )
     return x
@@ -664,7 +657,7 @@ def derivative(e: DiffeoExpr, x: float) -> float:
     x = _check_domain(e, x)
     d = e._draw(x)
     if d <= 0:
-        raise InvariantBreach(f"derivative {d} <= 0 at x={x} for {e.kind()}")
+        raise InvariantBreach(f"derivative {d} <= 0 at x={x} for {e.KIND}")
     return d
 
 

@@ -16,15 +16,16 @@ back; integer fields are JSON integers, and the manifold tag sits at the
 root.  A kind whose class fixes a manifold is accepted only under that tag.
 
 ``write`` puts a document's text on a file straight from its table, piece by
-piece: the scalars, the decimal and integer lists, the rows and the nested
-documents through each codec's ``text`` writer, long lists in blocks of
-``_BLOCK`` entries, every other field through one ``json.dumps`` of its
-encoded value.  The text is exactly ``json.dumps(obj.to_dict(),
-sort_keys=True, indent=2)`` plus a newline, without building the JSON tree.
-Integer and decimal rows (a 2-D array, or ``Columns`` of 1-D arrays) and
-integer lists held flat (``Ragged``: a clique forest's components) are
-written one ``%`` of a template per block, over the block's values taken
-from the arrays, with no tuple and no Python function per entry.
+piece: every object field by field, and the lists and scalars in it,
+through each codec's ``text`` writer, long lists in blocks of ``_BLOCK``
+entries; a field whose codec has no writer (a number, a node, a list of
+records) goes through one ``json.dumps`` of its encoded value.  The text is
+exactly ``json.dumps(obj.to_dict(), sort_keys=True, indent=2)`` plus a
+newline, without building the JSON tree.  Integer and decimal rows (a 2-D
+array, or ``Columns`` of 1-D arrays) and integer lists held flat
+(``Ragged``: a clique forest's components) are written one ``%`` of a
+template per block, over the block's values taken from the arrays, with no
+tuple and no Python function per entry.
 
 Long decimal lists (a synthesis state's margins and eps, a report's margin
 columns) are held as ``Decimals``, a float64 array with a null mask, and
@@ -38,11 +39,11 @@ value formatted once, and a string equal to its value's text is proved a
 decimal (every such text of a non-NaN double matches the pattern) and is
 kept as the row's text, the very string read.  Only the other strings are
 matched against the pattern, and take the formatted text, so a document in
-other decimal forms is written back in ``"%.17g"``.  A list of some entries
-(``Decimals.take``) shares the table, so a report's margin column reuses
-the state's texts, and the halves of a list (``Decimals.halved``, the
-report's D/2 column) share its index, with a table of the halves of its
-distinct values.  The table lives on the object, and goes with it.  A
+other decimal forms is written back in ``"%.17g"``.  A slice or an index
+array of a list shares its table, so a report's margin column reuses the
+state's texts, and the halves of a list (``Decimals.halved``, the report's
+D/2 column) share its index, with a table of the halves of its distinct
+values.  The table lives on the object, and goes with it.  A
 block's ``"%.17g"`` texts come from an exact numpy kernel (``_digits``: the
 17 significant digits and the decimal exponent from float64 alone, by
 Dekker's error-free product) written by one ``%`` of an integer template
@@ -151,11 +152,20 @@ def _blocks(count, block, inner, close):
     yield close
 
 
-def _list_text(entries: Callable[[Sequence, str], Iterable[str]]):
-    """Text writer of a list whose entries ``entries(block, indent)`` gives
-    for a slice of the list, at the list's inner indentation."""
-    return lambda vs, indent: _list_pieces(
-        len(vs), lambda lo, hi, inner: (",\n" + inner).join(entries(vs[lo:hi], inner)), indent)
+def list_of(codec: Codec) -> Codec:
+    """Codec of a JSON list, each entry by ``codec``; written entry by entry
+    when ``codec`` has a writer.  Lists of integer lists held as arrays take
+    ``INTEGER_LISTS`` instead, written one ``%`` per block."""
+    def decode(vs, manifold):
+        if not isinstance(vs, list):
+            raise ExprFormatError(f"expected a list, got {reprlib.repr(vs)}")
+        return tuple(codec.decode(v, manifold) for v in vs)
+
+    def text(vs, indent):
+        return _list_pieces(len(vs), lambda lo, hi, inner: (",\n" + inner).join(
+            ["".join(codec.text(v, inner)) for v in vs[lo:hi]]), indent)
+    return Codec(lambda vs: [codec.encode(v) for v in vs], decode,
+                 {"type": "array", "items": codec.schema}, text=codec.text and text)
 
 
 def _scalar_text(fmt: Callable[[object], str]):
@@ -203,8 +213,9 @@ class Decimals:
     (None when no entry is null).
 
     It reads as the sequence of its entries: an index gives a float or None,
-    a slice another ``Decimals``, iteration and ``tolist`` the floats and
-    Nones; ``==`` and ``hash`` are those of the tuple of its entries.
+    a slice or an index array another ``Decimals``, iteration and ``tolist``
+    the floats and Nones; ``==`` and ``hash`` are those of the tuple of its
+    entries.
 
     Its JSON texts come from one table (``table``), built on first use and
     kept on the object: distinct values, the bare text of each (its
@@ -213,9 +224,9 @@ class Decimals:
     A list built from values has a row per distinct bit pattern (so that
     -0.0 keeps its own text), written ``_BLOCK`` at a time by ``_texts``; a
     list read from a document (``parse``) has a row per distinct string
-    read.  ``take`` gives entries of the list on its table, and ``halved``
-    the halves of the entries on its index, with a table of the halves of
-    its values.
+    read.  A slice or an index array gives entries of the list on its table,
+    and ``halved`` the halves of the entries on its index, with a table of
+    the halves of its values.
     """
 
     __slots__ = ("values", "null", "_table", "_source")
@@ -328,20 +339,6 @@ class Decimals:
         index[live] = inverse
         return distinct, _texts(distinct), index
 
-    def take(self, rows: np.ndarray) -> "Decimals":
-        """The entries ``rows``, on this list's table."""
-        part = Decimals(self.values[rows], None if self.null is None else self.null[rows])
-        # ``take`` and ``halved`` build their tables when first written, not
-        # here: built at once, the report's index arrays and halves' texts
-        # were held before they were needed, and the peak of a word-length-6
-        # ``verify`` rose from 62.8 to 64.3 MB
-
-        def table():
-            values, texts, index = self.table()
-            return values, texts, index[rows]
-        part._source = table
-        return part
-
     def halved(self) -> "Decimals":
         """The entries halved, on this list's index: its table holds this
         table's values / 2.0 (so each entry is bitwise its own half, where a
@@ -381,9 +378,21 @@ class Decimals:
         return iter(self.tolist())
 
     def __getitem__(self, k):
-        if isinstance(k, slice):
-            return Decimals(self.values[k], None if self.null is None else self.null[k])
-        return None if self.null is not None and self.null[k] else float(self.values[k])
+        """An entry for an index; for a slice or an index array, the entries
+        on this list's table."""
+        if not isinstance(k, (slice, np.ndarray)):
+            return None if self.null is not None and self.null[k] else float(self.values[k])
+        part = Decimals(self.values[k], None if self.null is None else self.null[k])
+        # a part and ``halved`` build their tables when first written, not
+        # here: built at once, the report's index arrays and halves' texts
+        # were held before they were needed, and the peak of a word-length-6
+        # ``verify`` rose from 62.8 to 64.3 MB
+
+        def table():
+            values, texts, index = self.table()
+            return values, texts, index[k]
+        part._source = table
+        return part
 
     def __eq__(self, other):
         if not isinstance(other, Decimals):
@@ -621,20 +630,13 @@ def _decimal_array(nullable: bool) -> Codec:
                  text=_decimals_text)
 
 
-# a few decimals held as a tuple (alphas, a bump's coefficients), read entry
-# by entry, and the per-word lists of a synthesis state held as ``Decimals``
-DECIMALS = Codec(lambda vs: [_fmt(v) for v in vs],
-                 _checked(lambda v: isinstance(v, list), "a list of decimal strings",
-                          lambda vs: tuple(DECIMAL.decode(v, None) for v in vs)),
-                 {"type": "array", "items": _DECIMAL_SCHEMA},
-                 text=_list_text(lambda vs, indent: map(_QUOTED.__mod__, vs)))
 DECIMAL_ARRAY = _decimal_array(False)
 NULLABLE_DECIMAL_ARRAY = _decimal_array(True)
 INTEGER = Codec(_same, _checked(_is_int, "an integer"), {"type": "integer"},
                 text=_scalar_text(int.__repr__))
-INTEGERS = Codec(list, _checked(_int_list, "a list of integers", tuple),
-                 {"type": "array", "items": {"type": "integer"}},
-                 text=_list_text(lambda vs, indent: map(int.__repr__, vs)))
+# a few decimals held as a tuple (alphas, a bump's coefficients)
+DECIMALS = list_of(DECIMAL)
+INTEGERS = list_of(INTEGER)
 
 
 class Ragged(NamedTuple):
@@ -690,29 +692,6 @@ NUMBER = Codec(_same, _checked(lambda v: _is_int(v) or isinstance(v, float), "a 
                {"type": "number"})
 STRING = Codec(_same, _checked(lambda v: isinstance(v, str), "a string"), {"type": "string"},
                text=_scalar_text(encode_basestring_ascii))
-
-
-def _streamed(codec: Codec) -> bool:
-    """Whether ``codec`` writes a list or an object of its own (not a scalar,
-    not through ``json.dumps``)."""
-    return codec.text is not None and (codec.schema.get("type") in ("array", "object")
-                                       or "anyOf" in codec.schema)
-
-
-def list_of(codec: Codec) -> Codec:
-    """Codec of a JSON list, each entry by ``codec``; written entry by entry
-    when ``codec`` writes a list or an object of its own.  Lists of integer
-    lists held as arrays take ``INTEGER_LISTS`` instead, written one ``%``
-    per block."""
-    def decode(vs, manifold):
-        if not isinstance(vs, list):
-            raise ExprFormatError(f"expected a list, got {reprlib.repr(vs)}")
-        return tuple(codec.decode(v, manifold) for v in vs)
-    text = None
-    if _streamed(codec):
-        text = _list_text(lambda vs, indent: ["".join(codec.text(v, indent)) for v in vs])
-    return Codec(lambda vs: [codec.encode(v) for v in vs], decode,
-                 {"type": "array", "items": codec.schema}, text=text)
 
 
 class Columns(tuple):
@@ -875,10 +854,7 @@ def object_schema(fields: Fields) -> dict:
 
 def _object_text(fields: Fields):
     """Text writer of an object by ``fields``, field by field in sorted key
-    order; None when no field writes a list or an object of its own, since
-    one ``json.dumps`` of the encoded object then costs less."""
-    if not any(_streamed(codec) for _, codec in fields):
-        return None
+    order."""
     order = [(encode_basestring_ascii(name) + ": ", codec.attr or name, codec)
              for name, codec in sorted(fields, key=lambda f: f[0])]
 
@@ -899,8 +875,7 @@ def write(obj, fh) -> None:
     """Write the document of ``obj``, by the ``FIELDS`` table of its class,
     to the text file ``fh``: ``json.dumps(obj.to_dict(), sort_keys=True,
     indent=2)`` and a newline, in pieces."""
-    text = _object_text(type(obj).FIELDS)
-    fh.writelines(text(obj, "") if text else (json.dumps(encode(obj), sort_keys=True, indent=2),))
+    fh.writelines(_object_text(type(obj).FIELDS)(obj, ""))
     fh.write("\n")
 
 
@@ -931,7 +906,7 @@ FixedPointSet.to_dict = encode
 
 
 def expr_to_node(e: DiffeoExpr) -> dict:
-    return {"kind": e.kind(), **encode(e, NODES[e.kind()][1])}
+    return {"kind": e.KIND, **encode(e, NODES[e.KIND][1])}
 
 
 def node_to_expr(node: dict, manifold: Manifold) -> DiffeoExpr:

@@ -64,6 +64,7 @@ DEFAULT_ALPHA_K = 5
 _RELATION_TOL = 1e-9
 _RELATION_CHECK_LIMIT = 5_000_000
 _RELATION_CHUNK = 1 << 16  # relation vectors summed per numpy pass
+_EPS_FLOOR = 1e-300  # a stage tolerance at or below this is an underflow
 
 
 class SynthesisError(RuntimeError):
@@ -306,7 +307,6 @@ class SynthesisOptions:
     basepoint: float = DEFAULT_BASEPOINT
     alpha_k: int = DEFAULT_ALPHA_K
     fallback_basepoints: Tuple[float, ...] = (0.58113883, 0.41421356, 0.8660254)
-    eps_floor: float = 1e-300
 
 
 @dataclass(frozen=True)
@@ -393,7 +393,7 @@ def _measure_lambda(f: DiffeoExpr, gens: Sequence[DiffeoExpr], grid_n: int) -> f
         ds = e._draw(xs)
         dmin, dmax = float(np.min(ds)), float(np.max(ds))
         if dmin <= 0:
-            raise SynthesisError(f"letter {e.kind()} has non-positive grid derivative")
+            raise SynthesisError(f"letter {e.KIND} has non-positive grid derivative")
         lam = max(lam, dmax, 1.0 / dmin)
     return lam
 
@@ -430,10 +430,9 @@ def perturb_f(
     gens: Sequence[DiffeoExpr],
     p: float,
     opts: SynthesisOptions = SynthesisOptions(),
-    manifold: Optional[Manifold] = None,
 ) -> Tuple[DiffeoExpr, SynthesisState]:
     """Run the recursion over ``enumerate_words(len(gens), opts.word_len)``
-    and return (f, audit state).
+    on the manifold of ``gens`` and return (f, audit state).
 
     Stage m leaves f unchanged when the word already moves p by more than the
     stage's sup budget; otherwise it picks the budgeted bump maximizing the
@@ -451,19 +450,18 @@ def perturb_f(
     returning, the margins are checked against the walk of the f that is
     returned: the last walk of the recursion.
     """
-    if manifold is None:
-        manifold = gens[0].manifold
     for basepoint in (p,) + tuple(opts.fallback_basepoints):
         try:
-            return _perturb_f_at(gens, basepoint, opts, manifold)
+            return _perturb_f_at(gens, basepoint, opts)
         except SynthesisError as exc:
             last_exc = exc
     raise SynthesisError(f"all basepoint retries failed; last: {last_exc}")
 
 
-def _perturb_f_at(gens, p, opts, manifold):
+def _perturb_f_at(gens, p, opts):
     if not (0.0 < p < 1.0):
         raise ValueError("basepoint must lie in (0, 1)")
+    manifold = gens[0].manifold
     grid_n, num_g, max_len = opts.grid_n, len(gens), opts.word_len
     schedule = _Schedule(num_g, max_len)
     n = schedule.word_count
@@ -497,7 +495,7 @@ def _perturb_f_at(gens, p, opts, manifold):
         moved = d[seg] > np.ldexp(before, shift[seg])
         moved[0] |= decided
         k = _first(live[seg] & ~moved, n - start)  # the next bump, counted from start
-        low = _first(live[start:start + k] & ~(after[:k] > opts.eps_floor), None)
+        low = _first(live[start:start + k] & ~(after[:k] > _EPS_FLOOR), None)
         if low is not None:
             raise SynthesisError(
                 f"stage {start + low + 1}: tolerance underflow "
@@ -648,7 +646,7 @@ def synthesize_embedding(
         gen = MobiusI if manifold is Manifold.INTERVAL else RotationS1
         gens = tuple(map(gen, alphas.alphas))
     if len(forest.components) > 1:
-        f, state = perturb_f(gens, opts.basepoint, opts, manifold)
+        f, state = perturb_f(gens, opts.basepoint, opts)
     return GeneratorAssignment(g, manifold, forest, alphas, forest_layout(forest), f, gens, state)
 
 
@@ -759,7 +757,7 @@ def verify_assignment(
         # the recorded margins on the state's texts, and their halves on the
         # same index, each distinct half written once; margins bitwise equal
         # to the recorded ones are written with the state's texts too
-        recorded = state.margins.take(live)
+        recorded = state.margins[live]
         half = recorded.halved()
         same = np.array_equal(margins.view(np.int64), recorded.values.view(np.int64))
         margin_checks = serialize.Columns((live + 1, recorded if same else margins, half))

@@ -350,6 +350,23 @@ class TestSynthesizeVerify:
         assert main(["verify", str(asg), "--out", str(tmp_path / "v.json")]) == EXIT_INPUT
         assert "expected a" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alphas, message", [
+        ("1.5", "expected a list, got '1.5'"),
+        ({"a": "1.5"}, "expected a list, got {'a': '1.5'}"),
+        (["1.5", 2], "expected a decimal string, got 2"),
+        (["1.5", "x"], "expected a decimal string, got 'x'"),
+    ], ids=["string", "object", "number-entry", "bad-string-entry"])
+    def test_verify_rejects_bad_alpha_list(self, graph_file, tmp_path, capsys, alphas, message):
+        asg = tmp_path / "asg.json"
+        assert main(["synthesize", graph_file(K2_K3), "--word-len", "2",
+                     "--out", str(asg), "--report", str(tmp_path / "rep.json")]) == EXIT_OK
+        doc = json.loads(asg.read_text())
+        doc["alphas"]["alphas"] = alphas
+        asg.write_text(json.dumps(doc))
+        assert main(["verify", str(asg), "--out", str(tmp_path / "v.json")]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"input error: bad assignment: bad alpha sequence: {message}\n")
+
     @pytest.mark.parametrize("edit, message", [
         (lambda st: {"margins": st["margins"][:2]}, "2 margins and 28 eps recorded"),
         (lambda st: {"margins": [None] * len(st["margins"])}, "not null exactly at"),

@@ -504,8 +504,57 @@ class _LineMap(DiffeoExpr):
     def _draw(self, x):
         return self._d(x)
 
-    def kind(self):
-        return "test_line_map"
+    KIND = "test_line_map"
+
+
+def _two_loop_solve_increasing(e, y):
+    """``_solve_increasing`` off the interval with the bracket expanded by
+    two loops, each bracket end evaluated once more after its loop: the
+    reference for ``diffeo._expand``."""
+    lo, hi = y - 1.0, y + 1.0
+    step = 1.0
+    for _ in range(64):
+        if e._raw(lo) - y <= 0:
+            break
+        lo -= step
+        step *= 2
+    else:
+        raise InversionError("bracket expansion failed (lower)")
+    step = 1.0
+    for _ in range(64):
+        if e._raw(hi) - y >= 0:
+            break
+        hi += step
+        step *= 2
+    else:
+        raise InversionError("bracket expansion failed (upper)")
+    flo, fhi = e._raw(lo) - y, e._raw(hi) - y
+    if flo >= 0.0:
+        return lo
+    if fhi <= 0.0:
+        return hi
+    scale = max(1.0, abs(y))
+    x = min(max(y, lo), hi)
+    for _ in range(diffeo.INVERSION_MAX_ITER):
+        fx = e._raw(x) - y
+        if fx == 0.0:
+            return x
+        if fx > 0:
+            hi = x
+        else:
+            lo = x
+        if hi - lo <= 4e-16 * max(1.0, abs(lo), abs(hi)) and abs(fx) <= diffeo.INVERSION_TOL * scale:
+            return x
+        xn = None
+        d = e._draw(x)
+        if d > 0:
+            cand = x - fx / d
+            if lo < cand < hi:
+                xn = cand
+        x = xn if xn is not None else 0.5 * (lo + hi)
+    if abs(e._raw(x) - y) > 1e-9 * scale:
+        raise InversionError(f"inversion of {e.KIND} did not converge at y={y}")
+    return x
 
 
 def _conjugate(f, g, depth):
@@ -640,6 +689,39 @@ class TestArrayGridPath:
         assert _bits(got) == _bits([_solve_increasing(self.LIFT, y) for y in ys])
         first_draw = next(i for i, (kind, _) in enumerate(calls) if kind == "draw")
         assert sum(n for _, n in calls[:first_draw]) <= 3 * len(ys)
+
+    @pytest.mark.parametrize("cls, args, ys", [
+        (PerturbedLiftS1, ((BumpTrig(0.02, 1, 0.5), BumpTrig(-0.004, 2, math.pi / 4)),),
+         [-2.5, -1.0, 0.0, 0.5, 0.999, 3.25] + [-2.0 + i / 64 for i in range(257)]),
+        (SineShear, (1.9,), [-40.0, -3.0, 0.0, 0.5, math.pi, 12.0]
+         + [-10.0 + i / 10 for i in range(201)]),
+        # far shifts: the bracket expands several times on one side
+        (_LineMap, (lambda x: x + 37.5 + 0.5 * np.sin(1.9 * x),
+                    lambda x: 1.0 + 0.95 * np.cos(1.9 * x)),
+         [-100.0, 0.0, 3.3] + [i / 10 for i in range(100)]),
+    ], ids=["lift", "shear", "far-shift"])
+    def test_scalar_bracket_ends_evaluated_once(self, cls, args, ys):
+        """Bitwise the results of the two-loop expansion, with two fewer
+        evaluations per solve: each bracket end's residual is the one its
+        expansion computed."""
+        calls = []
+
+        class Counted(cls):
+            def _raw(self, x):
+                calls.append(x)
+                return super()._raw(x)
+
+        e = Counted(*args)
+        for y in ys:
+            calls.clear()
+            got = _solve_increasing(e, y)
+            new = len(calls)
+            calls.clear()
+            want = _two_loop_solve_increasing(e, y)
+            assert (_bits([got]), new) == (_bits([want]), len(calls) - 2), y
+        for solve in (_solve_increasing, _two_loop_solve_increasing):
+            with pytest.raises(InversionError, match=r"bracket expansion failed \(lower\)"):
+                solve(e, math.nan)
 
     def test_array_solver_out_of_range(self):
         # small arrays are solved element by element, larger ones in one

@@ -492,12 +492,13 @@ def ref_build_f(manifold, bumps, grid_n):
     return PerturbedLiftS1(bumps, grid_n)
 
 
-def ref_perturb_f_at(gens, p, opts, manifold):
+def ref_perturb_f_at(gens, p, opts):
     """The recursion as a loop over the word tuples, one stage at a time:
     normal forms mark the vacuous stages and every margin is evaluated word
     by word."""
     if not (0.0 < p < 1.0):
         raise ValueError("basepoint must lie in (0, 1)")
+    manifold = gens[0].manifold
     grid_n, num_g, max_len = opts.grid_n, len(gens), opts.word_len
     words = enumerate_words(num_g, max_len)
     bumps = []
@@ -535,7 +536,7 @@ def ref_perturb_f_at(gens, p, opts, manifold):
         margins.append(d_m)
         length = len(word)
         eps_m = min(eps_prev, d_m / (8.0 * length * lam ** (length - 1)))
-        if not (eps_m > opts.eps_floor):
+        if not (eps_m > synthesis._EPS_FLOOR):
             raise SynthesisError(
                 f"stage {m}: tolerance underflow (eps={eps_m!r}); margins too small"
             )
@@ -584,9 +585,9 @@ def near_identity_gens(manifold, num_g, delta):
     return tuple(RotationS1(delta * (k + 1)) for k in range(num_g))
 
 
-def outcome(run, gens, p, opts, manifold):
+def outcome(run, gens, p, opts):
     try:
-        f, state = run(gens, p, opts, manifold)
+        f, state = run(gens, p, opts)
     except SynthesisError as exc:
         return ("error", str(exc))
     return f, state_bits(state)
@@ -596,9 +597,9 @@ def outcome(run, gens, p, opts, manifold):
 @pytest.mark.parametrize("num_g, word_len", [(3, 5), (6, 3), (1, 2)])
 def test_recursion_matches_stage_loop(manifold, num_g, word_len):
     gens, opts = alpha_gens(manifold, num_g, word_len), SynthesisOptions(word_len=word_len)
-    got = outcome(_perturb_f_at, gens, 0.70710678, opts, manifold)
+    got = outcome(_perturb_f_at, gens, 0.70710678, opts)
     assert got[0] != "error"
-    assert got == outcome(ref_perturb_f_at, gens, 0.70710678, opts, manifold)
+    assert got == outcome(ref_perturb_f_at, gens, 0.70710678, opts)
 
 
 @pytest.mark.parametrize("manifold", [Manifold.INTERVAL, Manifold.CIRCLE], ids=["I", "S1"])
@@ -609,9 +610,9 @@ def test_recursion_matches_stage_loop(manifold, num_g, word_len):
 def test_recursion_matches_stage_loop_with_a_later_bump(manifold, num_g, word_len, delta,
                                                         stages):
     gens, opts = near_identity_gens(manifold, num_g, delta), SynthesisOptions(word_len=word_len)
-    got = outcome(_perturb_f_at, gens, 0.70710678, opts, manifold)
+    got = outcome(_perturb_f_at, gens, 0.70710678, opts)
     assert tuple(b.stage for b in got[1][7]) == stages
-    assert got == outcome(ref_perturb_f_at, gens, 0.70710678, opts, manifold)
+    assert got == outcome(ref_perturb_f_at, gens, 0.70710678, opts)
 
 
 @pytest.mark.parametrize("manifold", [Manifold.INTERVAL, Manifold.CIRCLE], ids=["I", "S1"])
@@ -621,27 +622,28 @@ def test_recursion_matches_stage_loop_near_a_budget(manifold, num_g, word_len, d
     # a later stage moves p by more than its sup budget but by less than
     # twice it, so only the exact budget keeps the stage free of a bump
     gens, opts = near_identity_gens(manifold, num_g, delta), SynthesisOptions(word_len=word_len)
-    got = outcome(_perturb_f_at, gens, 0.70710678, opts, manifold)
+    got = outcome(_perturb_f_at, gens, 0.70710678, opts)
     assert tuple(b.stage for b in got[1][7]) == (1,)
-    assert got == outcome(ref_perturb_f_at, gens, 0.70710678, opts, manifold)
+    assert got == outcome(ref_perturb_f_at, gens, 0.70710678, opts)
 
 
 @pytest.mark.parametrize("eps_floor", [1e-4, 1e-6, 1e-9, 1e-12])
-def test_recursion_matches_stage_loop_on_tolerance_underflow(eps_floor):
+def test_recursion_matches_stage_loop_on_tolerance_underflow(monkeypatch, eps_floor):
+    monkeypatch.setattr(synthesis, "_EPS_FLOOR", eps_floor)
     gens = near_identity_gens(Manifold.INTERVAL, 1, 1e-9)
-    opts = SynthesisOptions(word_len=4, eps_floor=eps_floor)
-    got = outcome(_perturb_f_at, gens, 0.70710678, opts, Manifold.INTERVAL)
+    opts = SynthesisOptions(word_len=4)
+    got = outcome(_perturb_f_at, gens, 0.70710678, opts)
     assert got[0] == "error" and "tolerance underflow" in got[1]
-    assert got == outcome(ref_perturb_f_at, gens, 0.70710678, opts, Manifold.INTERVAL)
+    assert got == outcome(ref_perturb_f_at, gens, 0.70710678, opts)
 
 
 def test_recursion_matches_stage_loop_when_no_bump_moves():
     # with g = id, f g f^-1 g^-1 fixes every point whatever f is
     gens = (Identity(Manifold.INTERVAL),)
     opts = SynthesisOptions(word_len=3)
-    got = outcome(_perturb_f_at, gens, 0.70710678, opts, Manifold.INTERVAL)
+    got = outcome(_perturb_f_at, gens, 0.70710678, opts)
     assert got[0] == "error" and "no candidate bump" in got[1]
-    assert got == outcome(ref_perturb_f_at, gens, 0.70710678, opts, Manifold.INTERVAL)
+    assert got == outcome(ref_perturb_f_at, gens, 0.70710678, opts)
 
 
 def test_recursion_builds_no_word_list(monkeypatch):
@@ -652,7 +654,7 @@ def test_recursion_builds_no_word_list(monkeypatch):
     monkeypatch.setattr(synthesis, "normal_form", forbidden)
     monkeypatch.setattr(synthesis, "enumerate_words", forbidden)
     gens = alpha_gens(Manifold.INTERVAL, 3, 4)
-    _, state = _perturb_f_at(gens, 0.70710678, SynthesisOptions(word_len=4), Manifold.INTERVAL)
+    _, state = _perturb_f_at(gens, 0.70710678, SynthesisOptions(word_len=4))
     assert state.word_count == count
 
 
@@ -665,7 +667,7 @@ def test_recursion_walks_the_schedule_once_per_bump_and_once_more(monkeypatch, m
     monkeypatch.setattr(synthesis, "_schedule_margins",
                         lambda *args: calls.append(args[0]) or walk(*args))
     gens = near_identity_gens(manifold, 1, 1e-9)
-    f, state = _perturb_f_at(gens, 0.70710678, SynthesisOptions(word_len=4), manifold)
+    f, state = _perturb_f_at(gens, 0.70710678, SynthesisOptions(word_len=4))
     assert len(state.bumps) == 2
     assert len(calls) == len(state.bumps) + 1
     assert calls[-1] is f

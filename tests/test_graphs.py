@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cliqueforest import (
     CliqueForest,
+    EmbeddabilityDecision,
     GraphFormatError,
     MissingEdgeWitness,
     SimpleGraph,
@@ -117,6 +118,22 @@ class TestCliqueForestDecision:
     def test_witness_takes_only_json_integers(self, doc):
         with pytest.raises(ValueError, match="must be JSON integers"):
             MissingEdgeWitness.from_dict(doc)
+
+    @pytest.mark.parametrize("path, message", [
+        ("012", "expected a list, got '012'"),
+        (None, "expected a list, got None"),
+        ([0, "1", 2], "expected an integer, got '1'"),
+        ([0, True], "expected an integer, got True"),
+    ], ids=["string", "null", "string-entry", "bool-entry"])
+    def test_witness_path_errors(self, path, message):
+        """A decision's reader raises a ``ValueError`` (exit 2 in the CLI)
+        naming the first bad part of the path."""
+        doc = {"embeddable": False, "manifold": "I",
+               "missing_edge": {"u": 0, "v": 2, "path": path}}
+        with pytest.raises(ValueError) as ei:
+            EmbeddabilityDecision.from_dict(doc)
+        assert str(ei.value).endswith(
+            f"bad missing_edge (u, v and the path must be JSON integers): {message}")
 
     def test_forest_round_trip(self):
         f = CliqueForest(((0, 1), (2, 3, 4)))

@@ -83,15 +83,15 @@ SAMPLES = [
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("e", SAMPLES, ids=lambda e: e.kind())
+    @pytest.mark.parametrize("e", SAMPLES, ids=lambda e: e.KIND)
     def test_exact_round_trip(self, e):
         assert loads_expr(dumps_expr(e)) == e
 
-    @pytest.mark.parametrize("e", SAMPLES, ids=lambda e: e.kind())
+    @pytest.mark.parametrize("e", SAMPLES, ids=lambda e: e.KIND)
     def test_schema_valid(self, e):
         jsonschema.validate(expr_to_dict(e), EXPR_SCHEMA)
 
-    @pytest.mark.parametrize("e", SAMPLES, ids=lambda e: e.kind())
+    @pytest.mark.parametrize("e", SAMPLES, ids=lambda e: e.KIND)
     def test_byte_stable(self, e):
         assert dumps_expr(e) == dumps_expr(loads_expr(dumps_expr(e)))
 
@@ -146,9 +146,9 @@ LITERAL_NODES = [
 
 class TestNodeFormat:
     def test_every_kind_pinned(self):
-        assert {e.kind() for e, _ in LITERAL_NODES} == set(NODES)
+        assert {e.KIND for e, _ in LITERAL_NODES} == set(NODES)
 
-    @pytest.mark.parametrize("e, node", LITERAL_NODES, ids=[e.kind() for e, _ in LITERAL_NODES])
+    @pytest.mark.parametrize("e, node", LITERAL_NODES, ids=[e.KIND for e, _ in LITERAL_NODES])
     def test_literal_node(self, e, node):
         assert expr_to_node(e) == node
         assert node_to_expr(node, e.manifold) == e
@@ -225,7 +225,7 @@ class TestErrors:
             "infinity-word", "unicode-digit", "list-number", "list-as-string",
             "optional-bool"])
     def test_decimal_fields_take_only_decimal_strings(self, manifold, node):
-        with pytest.raises(ExprFormatError, match="expected a (list of )?decimal string"):
+        with pytest.raises(ExprFormatError, match="expected a (decimal string|list), got"):
             dict_to_expr({"manifold": manifold, "expr": node})
 
     @pytest.mark.parametrize("text, value", [
@@ -386,6 +386,15 @@ class TestWriter:
         with mock.patch.object(serialize, "_BLOCK", 2):
             assert _written(doc) == reference
 
+    @pytest.mark.parametrize("certificate", [None, ObstructionCertificate("x", "y", "z", "w")],
+                             ids=["no-certificate", "certificate"])
+    @pytest.mark.parametrize("witness", [None, CenterWitness("z", ("x", "y"))],
+                             ids=["no-witness", "witness"])
+    def test_obstruction_search(self, certificate, witness):
+        """Written field by field, as every document is."""
+        doc = ObstructionSearch(certificate, witness, 29)
+        assert _written(doc) == json.dumps(doc.to_dict(), sort_keys=True, indent=2) + "\n"
+
     def test_long_lists_written_in_blocks(self):
         """A list longer than a block is written as several pieces, none
         holding the whole list."""
@@ -514,13 +523,32 @@ class TestDecimals:
         (every other entry) and whose D/2 column is a plain array."""
         margins = _lists(2 * count).eps
         rows = np.arange(0, 2 * count, 2)
-        cols = serialize.Columns((rows + 1, margins.take(rows), margins.values[rows] / 2))
+        cols = serialize.Columns((rows + 1, margins[rows], margins.values[rows] / 2))
         report = VerificationReport(True, Manifold.INTERVAL, 2, 1e-9, 6, (), (), cols, (), 0,
                                     True, ())
         with mock.patch.object(serialize, "_BLOCK", block):
             assert _written(report) == json.dumps(report.to_dict(), sort_keys=True,
                                                   indent=2) + "\n"
         assert cols[1].table()[1] is margins.table()[1]
+
+    @pytest.mark.parametrize("parsed", [False, True], ids=["built", "read"])
+    @pytest.mark.parametrize("part", [slice(1, 6), slice(None, None, -2), np.array([5, 0, 2, 2])],
+                             ids=["slice", "reversed-slice", "index-array"])
+    def test_parts_share_the_table(self, parsed, part):
+        """A slice or an index array of a list is written with the very text
+        objects of the list's table."""
+        values = [0.5, None, 1 / 3, -0.0, 0.5, 1e100, None]
+        d = (serialize.Decimals.parse(json.loads(json.dumps(
+            [None if v is None else "%.17g" % v for v in values])), True) if parsed
+             else serialize.Decimals.of(values))
+        sub = d[part]
+        assert sub.tolist() == [values[k] for k in np.arange(len(values))[part]]
+        _, texts, index = d.table()
+        assert sub.table()[1] is texts
+        live = [k for k in np.arange(len(values))[part].tolist() if values[k] is not None]
+        assert all(a is texts[index[k]] for a, k in zip(sub.block_texts(0, len(sub)), live))
+        doc = _Lists(sub, serialize.Decimals(sub.values))
+        assert _written(doc) == json.dumps(doc.to_dict(), sort_keys=True, indent=2) + "\n"
 
     def test_equal_values_written_in_one_form(self):
         doc = _Lists.from_dict({"margins": ["0.5", None, "0.50", "5e-1", "-0", "0"],
@@ -592,7 +620,7 @@ class TestDecimals:
         d = (serialize.Decimals.parse([None, *("%.17g" % m for m in ms), None], True) if parsed
              else serialize.Decimals.of([None, *ms, None]))
         live = d.live()
-        margins = d.take(live)
+        margins = d[live]
         halves = margins.halved()
         assert halves.table()[2] is margins.table()[2]
         assert halves.values.tobytes() == (d.values[live] / 2.0).tobytes()
