@@ -10,19 +10,13 @@ the (non-compact) line.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from . import serialize
-from .diffeo import (
-    DEFAULT_GRID,
-    Power,
-    SineShear,
-    Translation,
-    commutator,
-    grid_sups,
-)
+from .diffeo import Power, SineShear, Translation, commutator, grid_sups
 
 
 @dataclass(frozen=True)
@@ -38,9 +32,8 @@ class UnipotentMatrix:
     c: int
 
     def __mul__(self, other: "UnipotentMatrix") -> "UnipotentMatrix":
-        return UnipotentMatrix(
-            self.a + other.a, self.b + other.b, self.c + other.c + self.a * other.b
-        )
+        return UnipotentMatrix(self.a + other.a, self.b + other.b,
+                               self.c + other.c + self.a * other.b)
 
     def inverse(self) -> "UnipotentMatrix":
         return UnipotentMatrix(-self.a, -self.b, self.a * self.b - self.c)
@@ -92,22 +85,30 @@ class CommutationOracle:
         return self.element(la).commutes_with(self.element(lb))
 
     @cached_property
-    def commutation(self) -> Tuple[int, ...]:
-        """Bitset rows of the commutation relation: bit j of row i is set
-        when element i commutes with element j.  One ``commutes_with`` call
-        per unordered pair; every element commutes with itself."""
-        rows = [1 << i for i in range(len(self.elements))]
-        for i, e in enumerate(self.elements):
-            for j in range(i + 1, len(self.elements)):
-                if e.commutes_with(self.elements[j]):
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-        return tuple(rows)
+    def classes(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """Each element's centralizer class id and each class's size: 0 for
+        the center, a = b = 0, else its primitive direction (a, b)/gcd with
+        the sign fixed, numbered by first appearance.  Two elements commute
+        iff one is central or both share a class."""
+        ids: Dict[Tuple[int, int], int] = {(0, 0): 0}
+        of = []
+        for e in self.elements:
+            g = (math.gcd(e.a, e.b) or 1) * (-1 if (e.a, e.b) < (0, 0) else 1)
+            of.append(ids.setdefault((e.a // g, e.b // g), len(ids)))
+        sizes = Counter(of)
+        return tuple(of), tuple(sizes[k] for k in range(len(ids)))
 
     @cached_property
-    def non_identity(self) -> int:
-        """Bitset of the indices of non-identity elements."""
-        return sum(1 << i for i, e in enumerate(self.elements) if not e.is_identity())
+    def commutation(self) -> Tuple[int, ...]:
+        """Bitset rows of the commutation relation: bit j of row i is set when
+        element i commutes with element j.  A class's row, its members and the
+        center, is built once and shared; the center's row is the full mask."""
+        of, sizes = self.classes
+        members = [0] * len(sizes)
+        for i, k in enumerate(of):
+            members[k] |= 1 << i
+        rows = [(1 << len(of)) - 1] + [m | members[0] for m in members[1:]]
+        return tuple(rows[k] for k in of)
 
 
 def heisenberg_ball(radius: int) -> CommutationOracle:
@@ -115,29 +116,28 @@ def heisenberg_ball(radius: int) -> CommutationOracle:
     inverses, deduplicated by exact matrix equality."""
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    gens = [("x", X), ("x^-1", X.inverse()), ("y", Y), ("y^-1", Y.inverse()),
-            ("z", Z), ("z^-1", Z.inverse())]
-    seen: Dict[UnipotentMatrix, str] = {UnipotentMatrix(0, 0, 0): "id"}
-    frontier = [UnipotentMatrix(0, 0, 0)]
+    # the (a, b, c) entries of x, x^-1, y, y^-1, z, z^-1; m * g adds a_m b_g to c
+    gens = [("x", 1, 0, 0), ("x^-1", -1, 0, 0), ("y", 0, 1, 0), ("y^-1", 0, -1, 0),
+            ("z", 0, 0, 1), ("z^-1", 0, 0, -1)]
+    seen: Dict[Tuple[int, int, int], str] = {(0, 0, 0): "id"}
+    frontier = [(0, 0, 0)]
     for _ in range(radius):
         nxt = []
         for m in frontier:
-            base = seen[m]
-            for gname, gm in gens:
-                prod = m * gm
+            base, (a, b, c) = seen[m], m
+            for gname, ga, gb, gc in gens:
+                prod = (a + ga, b + gb, c + gc + a * gb)
                 if prod not in seen:
                     seen[prod] = gname if base == "id" else f"{base}.{gname}"
                     nxt.append(prod)
         frontier = nxt
-    items = sorted(seen.items(), key=lambda kv: kv[1])
-    labels = tuple(lbl for _, lbl in items)
-    elems = tuple(m for m, _ in items)
-    return CommutationOracle(labels, elems)
+    triples, labels = zip(*sorted(seen.items(), key=lambda kv: kv[1]))
+    return CommutationOracle(labels, tuple(UnipotentMatrix(*m) for m in triples))
 
 
 def parse_oracle(text: str) -> CommutationOracle:
     """One element per line: 'label a11 a12 a13 a21 a22 a23 a31 a32 a33'."""
-    labels, elems = [], []
+    labels, elems = {}, []  # each label's line, in file order, and its element
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -153,7 +153,9 @@ def parse_oracle(text: str) -> CommutationOracle:
             elems.append(UnipotentMatrix.from_rows([nums[0:3], nums[3:6], nums[6:9]]))
         except ValueError as exc:
             raise ValueError(f"line {ln}: {exc}")
-        labels.append(parts[0])
+        if parts[0] in labels:
+            raise ValueError(f"line {ln}: duplicate label {parts[0]!r}")
+        labels[parts[0]] = ln
     return CommutationOracle(tuple(labels), tuple(elems))
 
 
@@ -167,12 +169,8 @@ class ObstructionCertificate:
     h2: str
 
     def facts(self) -> Tuple[Tuple[str, str, bool], ...]:
-        return (
-            (self.g1, self.h1, True),
-            (self.g2, self.h1, True),
-            (self.g2, self.h2, True),
-            (self.g1, self.h2, False),
-        )
+        return ((self.g1, self.h1, True), (self.g2, self.h1, True),
+                (self.g2, self.h2, True), (self.g1, self.h2, False))
 
     def reverify(self, oracle: CommutationOracle) -> bool:
         return all(oracle.commute(a, b) == want for a, b, want in self.facts())
@@ -193,32 +191,34 @@ def _lowest_bit(mask: int) -> int:
 
 
 def find_centralizer_quadruple(oracle: CommutationOracle) -> Optional[ObstructionCertificate]:
-    """Exhaustive deterministic search for a centralizer quadruple.
+    """Exhaustive deterministic search for a centralizer quadruple: the first
+    pair (g1, g2) of non-identity labels, in list order, whose candidates h1
+    in C[g1] & C[g2] and h2 in C[g2] - C[g1] (other than g1, g2 and
+    identities) are nonempty, with its lowest h1 and lowest h2.
 
-    The search is lexicographic over the non-identity labels, in list order,
-    on the commutation bitsets: for each pair (g1, g2) the candidates are
-    h1 in C[g1] & C[g2] and h2 in C[g2] - C[g1], and the first pair with
-    both nonempty yields its lowest h1 and lowest h2 (h1 != h2 since only h1
-    commutes with g1).  A None result means no quadruple exists within this
+    The pair is read from the classes, not tried.  With Z the non-identity
+    central elements, a central g1 has no h2; for g1 in class K, a central
+    g2 works when another class exists and |K| + |Z| >= 3, and a g2 in
+    another class K2 when Z is nonempty and |K2| >= 2; so every non-central
+    g1 has a g2 or none has.  None means no quadruple exists within this
     element list, never a group-level conclusion.
     """
-    rows, live = oracle.commutation, oracle.non_identity
-    labels = oracle.labels
-    idx = [i for i in range(len(labels)) if live >> i & 1]
-    for g1 in idx:
-        c1 = rows[g1]
-        for g2 in idx:
-            if g2 == g1:
-                continue
-            rest = live & ~(1 << g1 | 1 << g2)
-            h2s = rows[g2] & ~c1 & rest
-            h1s = rows[g2] & c1 & rest
-            if h1s and h2s:
-                cert = ObstructionCertificate(labels[g1], labels[g2],
-                                              labels[_lowest_bit(h1s)], labels[_lowest_bit(h2s)])
-                assert cert.reverify(oracle)
-                return cert
-    return None
+    (of, sizes), labels = oracle.classes, oracle.labels
+    zero = [i for i, k in enumerate(of) if k == 0]
+    center = [i for i in zero if not oracle.elements[i].is_identity()]
+    if not center or len(sizes) < 3 or (max(sizes[1:]) < 2 and len(center) < 2):
+        return None
+    g1 = next(i for i, k in enumerate(of) if k)
+    g2s = [next((j for j, k in enumerate(of) if k not in (0, of[g1]) and sizes[k] >= 2), len(of))]
+    if sizes[of[g1]] + len(center) >= 3:
+        g2s.append(center[0])
+    g2, rows = min(g2s), oracle.commutation
+    rest = ~(1 << g1 | 1 << g2 | sum(1 << i for i in set(zero).difference(center)))
+    h1s, h2s = rows[g2] & rows[g1] & rest, rows[g2] & ~rows[g1] & rest
+    cert = ObstructionCertificate(labels[g1], labels[g2],
+                                  labels[_lowest_bit(h1s)], labels[_lowest_bit(h2s)])
+    assert cert.reverify(oracle)
+    return cert
 
 
 @dataclass(frozen=True)
@@ -231,18 +231,18 @@ class CenterWitness:
 
 def center_nonabelian_check(oracle: CommutationOracle) -> Tuple[bool, Optional[CenterWitness]]:
     """True with witnesses when some non-identity element commutes with every
-    listed element while the list is not abelian."""
-    rows, labels = oracle.commutation, oracle.labels
-    full = (1 << len(labels)) - 1
-    central = next((labels[i] for i, row in enumerate(rows)
-                     if oracle.non_identity >> i & 1 and row == full), None)
-    # commutation is symmetric, so the first incomplete row's lowest
-    # missing bit lies above its own index
-    pair = next(((labels[i], labels[_lowest_bit(full & ~row)])
-                 for i, row in enumerate(rows) if row != full), None)
-    if central is not None and pair is not None:
-        return True, CenterWitness(central, pair)
-    return False, None
+    listed element while the list is not abelian.  An element commutes with
+    every element iff its class and the center hold them all; the first that
+    does not and the first element outside both are the first non-commuting pair."""
+    (of, sizes), labels = oracle.classes, oracle.labels
+    whole = [k == 0 or size + sizes[0] == len(of) for k, size in enumerate(sizes)]
+    central = next((labels[i] for i, k in enumerate(of)
+                    if whole[k] and not oracle.elements[i].is_identity()), None)
+    i = next((i for i, k in enumerate(of) if not whole[k]), None)
+    if central is None or i is None:
+        return False, None
+    j = next(j for j, k in enumerate(of) if k not in (0, of[i]))
+    return True, CenterWitness(central, (labels[i], labels[j]))
 
 
 @dataclass(frozen=True)

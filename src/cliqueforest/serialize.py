@@ -822,17 +822,36 @@ def encode(obj, fields: Optional[Fields] = None) -> dict:
     return doc
 
 
+class _ObjectError(ExprFormatError):
+    """A decoding error that names its object, as ``build``'s do."""
+
+
 def build(cls: Callable, d: dict, fields: Fields, what: str, manifold: Optional[Manifold] = None):
     """Decode the fields of ``d`` and pass them to ``cls`` by attribute name;
-    ``what`` names the object in errors.  The node and bump fields take
-    ``manifold``, which a document gives by its own tag."""
+    ``what`` names the object in errors, followed by the key of the field
+    whose value failed.  The node and bump fields take ``manifold``, which a
+    document gives by its own tag."""
     try:
         if manifold is None and "manifold" in d:
             manifold = MANIFOLD.decode(d["manifold"], None)
-        return cls(**{codec.attr or name: codec.decode(d[name], manifold) for name, codec in fields
-                      if codec.decode and not (codec.optional and name not in d)})
+        values = {}
+        for name, codec in fields:
+            if codec.decode and not (codec.optional and name not in d):
+                values[codec.attr or name] = _field(name, codec.decode, d[name], manifold)
+        return cls(**values)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ExprFormatError(f"bad {what}: {exc}") from exc
+        raise _ObjectError(f"bad {what}: {exc}") from exc
+
+
+def _field(name: str, decode: Callable, value, manifold: Optional[Manifold]):
+    """``decode(value, manifold)``; an error that names no object of its own
+    (a nested document's does) takes the field's key."""
+    try:
+        return decode(value, manifold)
+    except _ObjectError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ExprFormatError(f"{name}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

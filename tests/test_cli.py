@@ -365,7 +365,21 @@ class TestSynthesizeVerify:
         asg.write_text(json.dumps(doc))
         assert main(["verify", str(asg), "--out", str(tmp_path / "v.json")]) == EXIT_INPUT
         assert capsys.readouterr().err == (
-            f"input error: bad assignment: bad alpha sequence: {message}\n")
+            f"input error: bad assignment: bad alpha sequence: alphas: {message}\n")
+
+    @pytest.mark.parametrize("key", ["margins", "eps"])
+    def test_verify_names_the_list_of_a_bad_decimal(self, graph_file, tmp_path, capsys, key):
+        asg = tmp_path / "asg.json"
+        assert main(["synthesize", graph_file(K2_K3), "--word-len", "2",
+                     "--out", str(asg), "--report", str(tmp_path / "rep.json")]) == EXIT_OK
+        doc = json.loads(asg.read_text())
+        texts = doc["state"][key]
+        texts[next(i for i, t in enumerate(texts) if t is not None)] = "1_0"
+        asg.write_text(json.dumps(doc))
+        assert main(["verify", str(asg), "--out", str(tmp_path / "v.json")]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"input error: bad assignment: bad synthesis state: {key}: "
+            "expected a decimal string, got '1_0'\n")
 
     @pytest.mark.parametrize("edit, message", [
         (lambda st: {"margins": st["margins"][:2]}, "2 margins and 28 eps recorded"),
@@ -762,6 +776,12 @@ class TestObstruct:
         ef.write_text("a 1 1 0 0 1 0 0 0 1\nb 2 0 0 0 1 0 0 0 1\n")
         assert main(["obstruct", "--elements", str(ef)]) == EXIT_INPUT
         assert "line 2: matrix is not upper-triangular unipotent" in capsys.readouterr().err
+
+    def test_repeated_label_names_line(self, tmp_path, capsys):
+        ef = tmp_path / "elems.txt"
+        ef.write_text("a 1 1 0 0 1 0 0 0 1\nb 1 0 0 0 1 1 0 0 1\na 1 0 1 0 1 0 0 0 1\n")
+        assert main(["obstruct", "--elements", str(ef)]) == EXIT_INPUT
+        assert capsys.readouterr().err == "input error: line 3: duplicate label 'a'\n"
 
     @pytest.mark.parametrize("radius", ["2", "3"])
     def test_radius_and_elements_exclusive(self, tmp_path, capsys, radius):

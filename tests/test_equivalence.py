@@ -4,11 +4,13 @@ composite maps against the procedures they replaced.
 
 The reference functions below are those procedures, kept verbatim in
 behaviour: the four-loop quadruple search, the all-pairs center check, the
-BFS component walk with its first-missing-pair witness, the per-line
-edge-list parser, the stage-by-stage perturbation recursion over word
-tuples, the per-node recursion of Compose, Inverse and Power, and the
-per-expression grid scan and the per-pair loop of the commutation graph
-that ``diffeo.grid_sups`` replaced by one walk over shared letter prefixes.
+pairwise commutation rows and the ball built from matrix products that the
+centralizer classes replaced, the BFS component walk with its
+first-missing-pair witness, the per-line edge-list parser, the
+stage-by-stage perturbation recursion over word tuples, the per-node
+recursion of Compose, Inverse and Power, and the per-expression grid scan
+and the per-pair loop of the commutation graph that ``diffeo.grid_sups``
+replaced by one walk over shared letter prefixes.
 Their commutation predicate multiplies the matrices, so the closed form of
 ``commutes_with`` is checked on the way.
 """
@@ -62,6 +64,7 @@ from cliqueforest import (
 from cliqueforest import diffeo, graphs, synthesis
 from cliqueforest.diffeo import DEFAULT_GRID, _grid, apply_letters, grid_sups
 from cliqueforest.graphs import ComponentReport, CompletenessReport, parse_edge_list
+from cliqueforest.obstructions import X, Y, Z
 from cliqueforest.raag import normal_form
 from cliqueforest.synthesis import (
     Identity,
@@ -114,6 +117,38 @@ def ref_center(oracle):
     if central is not None and pair is not None:
         return True, (central, pair)
     return False, None
+
+
+def ref_commutation(oracle):
+    """Bitset rows built one unordered pair at a time."""
+    elems = oracle.elements
+    rows = [1 << i for i in range(len(elems))]
+    for i in range(len(elems)):
+        for j in range(i + 1, len(elems)):
+            if ref_commutes(elems[i], elems[j]):
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return tuple(rows)
+
+
+def ref_heisenberg_ball(radius):
+    """The ball by a BFS over ``UnipotentMatrix`` products."""
+    gens = [("x", X), ("x^-1", X.inverse()), ("y", Y), ("y^-1", Y.inverse()),
+            ("z", Z), ("z^-1", Z.inverse())]
+    seen = {UnipotentMatrix(0, 0, 0): "id"}
+    frontier = [UnipotentMatrix(0, 0, 0)]
+    for _ in range(radius):
+        nxt = []
+        for m in frontier:
+            base = seen[m]
+            for gname, gm in gens:
+                prod = m * gm
+                if prod not in seen:
+                    seen[prod] = gname if base == "id" else f"{base}.{gname}"
+                    nxt.append(prod)
+        frontier = nxt
+    items = sorted(seen.items(), key=lambda kv: kv[1])
+    return CommutationOracle(tuple(lbl for _, lbl in items), tuple(m for m, _ in items))
 
 
 def ref_first_missing(g, comp):
@@ -246,22 +281,71 @@ def test_random_oracles_with_identities_and_duplicates():
         assert_same_obstruction(CommutationOracle(labels, elems))
 
 
+@pytest.mark.parametrize("radius", [1, 2, 3, 4, 5, 6])
+def test_ball_and_rows_match_matrix_products(radius):
+    oracle = heisenberg_ball(radius)
+    ref = ref_heisenberg_ball(radius)
+    assert (oracle.labels, oracle.elements) == (ref.labels, ref.elements)
+    assert oracle.commutation == ref_commutation(oracle)
+
+
+ENTRIES = st.one_of(st.integers(-3, 3), st.integers(-10**30, 10**30))
+
+
+@st.composite
+def element_lists(draw):
+    """Elements of every centralizer kind: identities, central elements,
+    a = 0 or b = 0, multiples of a few directions, any (a, b), and copies."""
+    directions = draw(st.lists(st.tuples(ENTRIES, ENTRIES), min_size=1, max_size=3))
+    kinds = st.one_of(
+        st.just((0, 0, 0)),
+        st.builds(lambda c: (0, 0, c), ENTRIES),
+        st.builds(lambda a, c: (a, 0, c), ENTRIES, ENTRIES),
+        st.builds(lambda b, c: (0, b, c), ENTRIES, ENTRIES),
+        st.builds(lambda d, m, c: (m * d[0], m * d[1], c),
+                  st.sampled_from(directions), ENTRIES, ENTRIES),
+        st.tuples(ENTRIES, ENTRIES, ENTRIES))
+    entries = draw(st.lists(kinds, min_size=2, max_size=10))
+    entries += draw(st.lists(st.sampled_from(entries), max_size=3))  # duplicates
+    entries = draw(st.permutations(entries))
+    labels = draw(st.permutations([f"m{i}" for i in range(len(entries))]))
+    return CommutationOracle(tuple(labels), tuple(UnipotentMatrix(*e) for e in entries))
+
+
+@given(element_lists())
+@settings(max_examples=300, deadline=None)
+def test_classes_match_matrix_products(oracle):
+    assert oracle.commutation == ref_commutation(oracle)
+    assert_same_obstruction(oracle)
+
+
 def test_commutation_tests_shared_and_counted(monkeypatch):
-    calls = []
+    calls, builds = [], []
     closed_form = UnipotentMatrix.commutes_with
 
     def counted(self, other):
         calls.append(1)
         return closed_form(self, other)
 
+    def counting(name, build):
+        def counted_build(self):
+            builds.append(name)
+            return build(self)
+        return counted_build
+
     monkeypatch.setattr(UnipotentMatrix, "commutes_with", counted)
+    for name in ("classes", "commutation"):
+        prop = CommutationOracle.__dict__[name]
+        monkeypatch.setattr(prop, "func", counting(name, prop.func))
     oracle = heisenberg_ball(3)
-    n = len(oracle.labels)
     find_centralizer_quadruple(oracle)
     center_nonabelian_check(oracle)
-    # one call per unordered pair, built once for both checks (the
-    # certificate's re-verification adds its four facts)
-    assert len(calls) == n * (n - 1) // 2 + 4
+    # the classes and their rows are built once for both checks, and only
+    # the certificate's re-verification of its four facts tests a pair
+    assert sorted(builds) == ["classes", "commutation"]
+    assert len(calls) == 4
+    of, _ = oracle.classes
+    assert len({id(row) for row in oracle.commutation}) == len(set(of))
 
 
 # ---------------------------------------------------------------------------

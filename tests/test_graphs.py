@@ -127,13 +127,13 @@ class TestCliqueForestDecision:
     ], ids=["string", "null", "string-entry", "bool-entry"])
     def test_witness_path_errors(self, path, message):
         """A decision's reader raises a ``ValueError`` (exit 2 in the CLI)
-        naming the first bad part of the path."""
+        naming the field and the first bad part of the path."""
         doc = {"embeddable": False, "manifold": "I",
                "missing_edge": {"u": 0, "v": 2, "path": path}}
         with pytest.raises(ValueError) as ei:
             EmbeddabilityDecision.from_dict(doc)
         assert str(ei.value).endswith(
-            f"bad missing_edge (u, v and the path must be JSON integers): {message}")
+            f"bad missing_edge (u, v and the path must be JSON integers): path: {message}")
 
     def test_forest_round_trip(self):
         f = CliqueForest(((0, 1), (2, 3, 4)))

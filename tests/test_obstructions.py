@@ -162,8 +162,8 @@ class TestOracleParsing:
             parse_oracle("# header\nx 1 1 0 0 1 0 0 0 1\ny 1 0 0 1 1 0 0 0 1\n")
 
     def test_duplicate_labels(self):
-        with pytest.raises(ValueError):
-            parse_oracle("x 1 1 0 0 1 0 0 0 1\nx 1 0 0 0 1 1 0 0 1\n")
+        with pytest.raises(ValueError, match="^line 3: duplicate label 'x'$"):
+            parse_oracle("x 1 1 0 0 1 0 0 0 1\n# a comment line\nx 1 0 0 0 1 1 0 0 1\n")
 
 
 class TestLineCounterexample:
