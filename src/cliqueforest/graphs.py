@@ -273,6 +273,14 @@ def is_clique_forest(g: SimpleGraph) -> Union[CliqueForest, MissingEdgeWitness]:
     return MissingEdgeWitness(path[0], path[-1], tuple(path))
 
 
+def is_component_partition(forest: CliqueForest, g: SimpleGraph) -> bool:
+    """Whether the components of ``forest``, each taken as a set, are the
+    connected components of ``g``, with every vertex of ``g`` in exactly one
+    of them.  The order of the components and within them is free."""
+    return sorted(tuple(sorted(c)) for c in forest.components) == _component_tuples(
+        _scan_components(g))
+
+
 @dataclass(frozen=True)
 class ComponentReport:
     vertices: Tuple[int, ...]

@@ -98,18 +98,6 @@ class CommutationOracle:
         sizes = Counter(of)
         return tuple(of), tuple(sizes[k] for k in range(len(ids)))
 
-    @cached_property
-    def commutation(self) -> Tuple[int, ...]:
-        """Bitset rows of the commutation relation: bit j of row i is set when
-        element i commutes with element j.  A class's row, its members and the
-        center, is built once and shared; the center's row is the full mask."""
-        of, sizes = self.classes
-        members = [0] * len(sizes)
-        for i, k in enumerate(of):
-            members[k] |= 1 << i
-        rows = [(1 << len(of)) - 1] + [m | members[0] for m in members[1:]]
-        return tuple(rows[k] for k in of)
-
 
 def heisenberg_ball(radius: int) -> CommutationOracle:
     """All products of at most ``radius`` standard generators x, y, z and
@@ -186,10 +174,6 @@ class ObstructionCertificate:
     to_dict = serialize.encode
 
 
-def _lowest_bit(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
-
-
 def find_centralizer_quadruple(oracle: CommutationOracle) -> Optional[ObstructionCertificate]:
     """Exhaustive deterministic search for a centralizer quadruple: the first
     pair (g1, g2) of non-identity labels, in list order, whose candidates h1
@@ -212,11 +196,14 @@ def find_centralizer_quadruple(oracle: CommutationOracle) -> Optional[Obstructio
     g2s = [next((j for j, k in enumerate(of) if k not in (0, of[g1]) and sizes[k] >= 2), len(of))]
     if sizes[of[g1]] + len(center) >= 3:
         g2s.append(center[0])
-    g2, rows = min(g2s), oracle.commutation
-    rest = ~(1 << g1 | 1 << g2 | sum(1 << i for i in set(zero).difference(center)))
-    h1s, h2s = rows[g2] & rows[g1] & rest, rows[g2] & ~rows[g1] & rest
-    cert = ObstructionCertificate(labels[g1], labels[g2],
-                                  labels[_lowest_bit(h1s)], labels[_lowest_bit(h2s)])
+    g2 = min(g2s)
+    # c2: the candidates (not g1, g2 or an identity) commuting with g2; g1 is
+    # not central, so one commutes with g1 iff it is central or in g1's class
+    skip, k1, k2 = {g1, g2} | (set(zero) - set(center)), of[g1], of[g2]
+    c2 = [i for i, k in enumerate(of) if i not in skip and (k2 == 0 or k in (0, k2))]
+    h1 = next(i for i in c2 if of[i] in (0, k1))
+    h2 = next(i for i in c2 if of[i] not in (0, k1))
+    cert = ObstructionCertificate(labels[g1], labels[g2], labels[h1], labels[h2])
     assert cert.reverify(oracle)
     return cert
 

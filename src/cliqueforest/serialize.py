@@ -271,7 +271,7 @@ class Decimals:
         against the pattern, and take the written text.  A list with an
         entry that is no decimal string raises on the first such entry."""
         if not isinstance(vs, list):
-            raise ExprFormatError(f"expected a list of decimal strings, got {reprlib.repr(vs)}")
+            raise ExprFormatError(f"expected a list, got {reprlib.repr(vs)}")
         try:
             distinct = set(vs)
         except TypeError:  # an unhashable entry, which no decimal string is

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain, compress
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import ClassVar, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -46,7 +46,13 @@ from .diffeo import (
     grid_sups,
     point_distance,
 )
-from .graphs import CliqueForest, MissingEdgeWitness, SimpleGraph, is_clique_forest
+from .graphs import (
+    CliqueForest,
+    MissingEdgeWitness,
+    SimpleGraph,
+    is_clique_forest,
+    is_component_partition,
+)
 from .raag import (
     NotApplicableError,
     # not called here: perfbench's spans hook this name in this module
@@ -306,7 +312,8 @@ class SynthesisOptions:
     grid_n: int = DEFAULT_GRID
     basepoint: float = DEFAULT_BASEPOINT
     alpha_k: int = DEFAULT_ALPHA_K
-    fallback_basepoints: Tuple[float, ...] = (0.58113883, 0.41421356, 0.8660254)
+    # tried in this order after ``basepoint`` when a stage fails
+    fallback_basepoints: ClassVar[Tuple[float, ...]] = (0.58113883, 0.41421356, 0.8660254)
 
 
 @dataclass(frozen=True)
@@ -352,7 +359,10 @@ class SynthesisState:
         the ``word_count`` scheduled words, which number the sum over
         L <= max_len of 2r(2r-1)^(L-1) - 2n(2n-1)^(L-1), n = num_g and
         r = n + 1 (the reduced words with f).  The sum stops once it passes
-        ``word_count``, so a huge ``max_len`` fails fast.  No eps is null."""
+        ``word_count``, so a huge ``max_len`` fails fast.  No eps is null, and
+        a state schedules at least one word: num_g and max_len are >= 1."""
+        if min(self.num_g, self.max_len) < 1:
+            raise ValueError(f"num_g {self.num_g} and max_len {self.max_len} must both be >= 1")
         for name in ("margins", "eps"):
             object.__setattr__(self, name, serialize.Decimals.of(getattr(self, name)))
         if self.eps.null is not None:
@@ -450,7 +460,7 @@ def perturb_f(
     returning, the margins are checked against the walk of the f that is
     returned: the last walk of the recursion.
     """
-    for basepoint in (p,) + tuple(opts.fallback_basepoints):
+    for basepoint in (p,) + opts.fallback_basepoints:
         try:
             return _perturb_f_at(gens, basepoint, opts)
         except SynthesisError as exc:
@@ -595,9 +605,14 @@ class GeneratorAssignment:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GeneratorAssignment":
-        """Load a document; its layout must be the one its clique forest
-        gives (``forest_layout``), with every slot among its generators."""
+        """Load a document; its clique forest must partition the graph's
+        vertices into its connected components, and its layout must be the
+        one the forest gives (``forest_layout``), with every slot among its
+        generators."""
         asg = serialize.build(cls, d, cls.FIELDS, "assignment")
+        if not is_component_partition(asg.forest, asg.graph):
+            raise ValueError("clique forest components are not the connected components "
+                             "of the graph, with each vertex in exactly one")
         if asg.layout != forest_layout(asg.forest):
             raise ValueError("layout differs from the one the clique forest gives")
         slots = max(asg.forest.sizes, default=0)
@@ -611,6 +626,12 @@ def forest_layout(forest: CliqueForest) -> Tuple[Tuple[int, int, int], ...]:
     vertex of the i-th component, both counted from 1, gets h_{i,n}."""
     return tuple(sorted((v, i, n) for i, comp in enumerate(forest.components, 1)
                         for n, v in enumerate(comp, 1)))
+
+
+def alpha_generators(manifold: Manifold, alphas: AlphaSequence) -> Tuple[DiffeoExpr, ...]:
+    """The g generators of ``alphas``: Mobius maps on I, rotations on S1."""
+    gen = MobiusI if manifold is Manifold.INTERVAL else RotationS1
+    return tuple(map(gen, alphas.alphas))
 
 
 def synthesize_embedding(
@@ -643,8 +664,7 @@ def synthesize_embedding(
         # relation height must cover the largest exponent any scheduled pure-g
         # word can reach, i.e. the word length
         alphas = choose_alphas(max(forest.sizes), max(opts.alpha_k, opts.word_len))
-        gen = MobiusI if manifold is Manifold.INTERVAL else RotationS1
-        gens = tuple(map(gen, alphas.alphas))
+        gens = alpha_generators(manifold, alphas)
     if len(forest.components) > 1:
         f, state = perturb_f(gens, opts.basepoint, opts)
     return GeneratorAssignment(g, manifold, forest, alphas, forest_layout(forest), f, gens, state)
@@ -703,7 +723,9 @@ def verify_assignment(
     (``grid_sups``); each residual and witness is that of
     ``commutator_residual`` and ``commutator_witness``.  Margin
     certification is truncated at ``word_len`` (the state's own schedule
-    length by default); the report says so prominently.  A state whose
+    length by default); the report says so prominently.  The alpha record
+    certifies the pure-g words only of generators that are the maps of its
+    alphas (``alpha_generators``); any others fail that check.  A state whose
     basepoint is not in (0, 1), or whose recorded margins are not all finite
     and positive, raises ``ValueError``.
     """
@@ -736,7 +758,10 @@ def verify_assignment(
     margin_checks = serialize.Columns((np.empty(0, np.int64), np.empty(0), np.empty(0)))
     margin_failures: List[dict] = []
     pure_g_checked = 0
-    pure_g_ok = True
+    # the alpha record certifies pure-g words of the maps of its alphas only
+    pure_g_ok = assignment.gens == alpha_generators(assignment.manifold, assignment.alphas)
+    if not pure_g_ok:
+        notes.append("the g generators are not the maps of the recorded alphas")
     if state is not None:
         wl = state.max_len if word_len is None else min(word_len, state.max_len)
         if word_len is not None and word_len > state.max_len:
@@ -744,8 +769,6 @@ def verify_assignment(
                 f"requested word_len {word_len} exceeds the recorded schedule "
                 f"({state.max_len}); certification truncated there"
             )
-        if wl < 1:
-            raise ValueError("word_len must be >= 1")
         # the schedule is length-major: these are its words of length <= wl
         schedule = _Schedule(state.num_g, wl)
         live = state.margins[:schedule.word_count].live()
@@ -774,14 +797,14 @@ def verify_assignment(
         # 2n(2n-1)^(L-1) of length L, and g_1^wl reaches the highest exponent.
         n = state.num_g
         pure_g_checked = sum(2 * n * (2 * n - 1) ** (L - 1) for L in range(1, wl + 1))
-        pure_g_ok = wl <= assignment.alphas.k_bound
-        if not pure_g_ok:
+        if wl > assignment.alphas.k_bound:
+            pure_g_ok = False
             notes.append(f"pure-g words reach exponent height {wl} (g1^{wl}), above "
                          f"the checked alpha relation bound {assignment.alphas.k_bound}")
-        ok = ok and pure_g_ok
     else:
         wl = word_len or 0
         notes.append("single-clique assignment: no f, free-product checks vacuous")
+    ok = ok and pure_g_ok
 
     return VerificationReport(
         ok=ok,

@@ -13,6 +13,7 @@ import pytest
 
 from cliqueforest import (
     BumpPoly,
+    CliqueForest,
     EmbeddabilityDecision,
     GeneratorAssignment,
     MobiusI,
@@ -26,6 +27,7 @@ from cliqueforest import (
 )
 from cliqueforest import cli
 from cliqueforest.cli import EXIT_FINDING, EXIT_INPUT, EXIT_OK, build_parser, main
+from cliqueforest.synthesis import forest_layout
 from cliqueforest.schemas import (
     ASSIGNMENT_SCHEMA,
     COMMGRAPH_SCHEMA,
@@ -50,6 +52,15 @@ def graph_file(tmp_path):
         return str(p)
 
     return write
+
+
+def _synthesized(graph_file, tmp_path, graph, word_len, name="asg"):
+    """Synthesize ``graph`` on I at ``word_len``: the assignment's path and
+    its document."""
+    asg = tmp_path / f"{name}.json"
+    assert main(["synthesize", graph_file(graph, f"{name}.txt"), "--word-len", str(word_len),
+                 "--out", str(asg), "--report", str(tmp_path / f"{name}-rep.json")]) == EXIT_OK
+    return asg, json.loads(asg.read_text())
 
 
 class TestDecide:
@@ -299,14 +310,71 @@ class TestSynthesizeVerify:
         assert json.loads(out2.read_text())["ok"]
 
     def test_verify_rejects_num_g_mismatch(self, graph_file, tmp_path, capsys):
-        asg = tmp_path / "asg.json"
-        assert main(["synthesize", graph_file(TWO_CLIQUES), "--word-len", "3",
-                     "--out", str(asg), "--report", str(tmp_path / "rep.json")]) == EXIT_OK
-        doc = json.loads(asg.read_text())
-        doc["state"]["num_g"] = len(doc["gens"]) - 1
+        # the state of a K2+K2 synthesis covers its own schedule, over 2 g
+        # generators, where the K2+K3 assignment has 3
+        asg, doc = _synthesized(graph_file, tmp_path, K2_K3, 3)
+        _, other = _synthesized(graph_file, tmp_path, TWO_CLIQUES, 3, "other")
+        doc["state"] = other["state"]
         asg.write_text(json.dumps(doc))
         assert main(["verify", str(asg)]) == EXIT_INPUT
-        assert "g generators" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "input error: synthesis state schedules 2 g generators, the assignment has 3\n")
+
+    @pytest.mark.parametrize("graph, word_len, pair, checked", [
+        (K2_K3, 2, (2, 3), 36),
+        (K3, 3, (0, 1), 0),
+    ], ids=["K2+K3", "K3"])
+    def test_verify_rejects_generators_not_of_the_alphas(self, graph_file, tmp_path,
+                                                        graph, word_len, pair, checked):
+        """g2 := g1 keeps every edge commuting, and the alpha record still
+        certifies its height, but two vertices get one map."""
+        asg, doc = _synthesized(graph_file, tmp_path, graph, word_len)
+        doc["gens"][1]["alpha"] = doc["gens"][0]["alpha"]
+        exprs = GeneratorAssignment.from_dict(doc).exprs()
+        assert exprs[pair[0]] == exprs[pair[1]]
+        asg.write_text(json.dumps(doc))
+        out = tmp_path / "v.json"
+        assert main(["verify", str(asg), "--out", str(out)]) == EXIT_FINDING
+        rep = json.loads(out.read_text())
+        assert not rep["ok"] and not rep["pure_g_all_nontrivial"]
+        assert all(c["ok"] for c in rep["edge_checks"])
+        assert rep["pure_g_checked"] == checked
+        assert rep["notes"][0] == "the g generators are not the maps of the recorded alphas"
+
+    @pytest.mark.parametrize("components, code", [
+        ([[0, 1, 7], [2, 3, 4]], EXIT_INPUT),
+        ([[0, 1, 2], [2, 3, 4]], EXIT_INPUT),
+        ([[0, 1, -3], [2, 3, 4]], EXIT_INPUT),
+        ([[0, 1], [2, 3]], EXIT_INPUT),
+        ([[2, 3, 4], [0, 1]], EXIT_OK),
+        ([[1, 0], [4, 2, 3]], EXIT_OK),
+    ], ids=["foreign-vertex", "shared-vertex", "negative-vertex", "missing-vertex",
+            "components-reordered", "vertices-reordered"])
+    def test_verify_checks_the_forest_against_the_graph(self, graph_file, tmp_path, capsys,
+                                                        components, code):
+        # the layout is rebuilt from the edited forest, so only the forest is wrong
+        asg, doc = _synthesized(graph_file, tmp_path, K2_K3, 2)
+        doc["clique_forest"]["components"] = components
+        doc["layout"] = [list(row) for row in forest_layout(CliqueForest(components))]
+        asg.write_text(json.dumps(doc))
+        assert main(["verify", str(asg), "--out", str(tmp_path / "v.json")]) == code
+        assert capsys.readouterr().err == ("" if code == EXIT_OK else (
+            "input error: clique forest components are not the connected components "
+            "of the graph, with each vertex in exactly one\n"))
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"max_len": 0, "word_count": 0, "margins": [], "eps": []}, "num_g 3 and max_len 0"),
+        ({"num_g": 0}, "num_g 0 and max_len 2"),
+    ], ids=["no-length", "no-generator"])
+    def test_verify_rejects_a_state_scheduling_nothing(self, graph_file, tmp_path, capsys,
+                                                       edit, message):
+        asg, doc = _synthesized(graph_file, tmp_path, K2_K3, 2)
+        doc["state"].update(edit)
+        asg.write_text(json.dumps(doc))
+        assert main(["verify", str(asg), "--word-len", "2",
+                     "--out", str(tmp_path / "v.json")]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"input error: bad assignment: bad synthesis state: {message} must both be >= 1\n")
 
     @pytest.mark.parametrize("section, edits", [
         ("state", {"num_g": 3.7, "max_len": 4.2}),
@@ -366,6 +434,17 @@ class TestSynthesizeVerify:
         assert main(["verify", str(asg), "--out", str(tmp_path / "v.json")]) == EXIT_INPUT
         assert capsys.readouterr().err == (
             f"input error: bad assignment: bad alpha sequence: alphas: {message}\n")
+
+    @pytest.mark.parametrize("key", ["margins", "eps"])
+    def test_verify_rejects_a_decimal_list_that_is_no_list(self, graph_file, tmp_path, capsys,
+                                                           key):
+        asg, doc = _synthesized(graph_file, tmp_path, K2_K3, 2)
+        doc["state"][key] = "abc"
+        asg.write_text(json.dumps(doc))
+        assert main(["verify", str(asg), "--out", str(tmp_path / "v.json")]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"input error: bad assignment: bad synthesis state: {key}: "
+            "expected a list, got 'abc'\n")
 
     @pytest.mark.parametrize("key", ["margins", "eps"])
     def test_verify_names_the_list_of_a_bad_decimal(self, graph_file, tmp_path, capsys, key):

@@ -1,10 +1,10 @@
-"""The bitset obstruction search, the labelled clique-forest decision, the
+"""The class-based obstruction search, the labelled clique-forest decision, the
 array-held synthesis schedule and the letter-sequence evaluation of
 composite maps against the procedures they replaced.
 
 The reference functions below are those procedures, kept verbatim in
 behaviour: the four-loop quadruple search, the all-pairs center check, the
-pairwise commutation rows and the ball built from matrix products that the
+pairwise commutation relation and the ball built from matrix products that the
 centralizer classes replaced, the BFS component walk with its
 first-missing-pair witness, the per-line edge-list parser, the
 stage-by-stage perturbation recursion over word tuples, the per-node
@@ -119,16 +119,14 @@ def ref_center(oracle):
     return False, None
 
 
-def ref_commutation(oracle):
-    """Bitset rows built one unordered pair at a time."""
-    elems = oracle.elements
-    rows = [1 << i for i in range(len(elems))]
-    for i in range(len(elems)):
-        for j in range(i + 1, len(elems)):
-            if ref_commutes(elems[i], elems[j]):
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return tuple(rows)
+def assert_classes_commute(oracle):
+    """The class relation, either element central or both in one class, is
+    the commutation of the matrix products, pair by pair, and each class's
+    size counts its members."""
+    (of, sizes), elems = oracle.classes, oracle.elements
+    assert sizes == tuple(of.count(k) for k in range(len(sizes)))
+    for i, j in itertools.product(range(len(elems)), repeat=2):
+        assert (0 in (of[i], of[j]) or of[i] == of[j]) == ref_commutes(elems[i], elems[j])
 
 
 def ref_heisenberg_ball(radius):
@@ -286,7 +284,7 @@ def test_ball_and_rows_match_matrix_products(radius):
     oracle = heisenberg_ball(radius)
     ref = ref_heisenberg_ball(radius)
     assert (oracle.labels, oracle.elements) == (ref.labels, ref.elements)
-    assert oracle.commutation == ref_commutation(oracle)
+    assert_classes_commute(oracle)
 
 
 ENTRIES = st.one_of(st.integers(-3, 3), st.integers(-10**30, 10**30))
@@ -315,7 +313,7 @@ def element_lists(draw):
 @given(element_lists())
 @settings(max_examples=300, deadline=None)
 def test_classes_match_matrix_products(oracle):
-    assert oracle.commutation == ref_commutation(oracle)
+    assert_classes_commute(oracle)
     assert_same_obstruction(oracle)
 
 
@@ -327,25 +325,22 @@ def test_commutation_tests_shared_and_counted(monkeypatch):
         calls.append(1)
         return closed_form(self, other)
 
-    def counting(name, build):
-        def counted_build(self):
-            builds.append(name)
-            return build(self)
-        return counted_build
+    classes = CommutationOracle.__dict__["classes"]
+    build = classes.func
+
+    def counted_build(self):
+        builds.append(1)
+        return build(self)
 
     monkeypatch.setattr(UnipotentMatrix, "commutes_with", counted)
-    for name in ("classes", "commutation"):
-        prop = CommutationOracle.__dict__[name]
-        monkeypatch.setattr(prop, "func", counting(name, prop.func))
+    monkeypatch.setattr(classes, "func", counted_build)
     oracle = heisenberg_ball(3)
     find_centralizer_quadruple(oracle)
     center_nonabelian_check(oracle)
-    # the classes and their rows are built once for both checks, and only
-    # the certificate's re-verification of its four facts tests a pair
-    assert sorted(builds) == ["classes", "commutation"]
+    # the classes are built once for both checks, and only the certificate's
+    # re-verification of its four facts tests a pair
+    assert len(builds) == 1
     assert len(calls) == 4
-    of, _ = oracle.classes
-    assert len({id(row) for row in oracle.commutation}) == len(set(of))
 
 
 # ---------------------------------------------------------------------------

@@ -28,10 +28,11 @@ from cliqueforest import (
     synthesize_embedding,
     verify_assignment,
 )
-from cliqueforest import diffeo
+from cliqueforest import diffeo, synthesis
 from cliqueforest.synthesis import (
     DEFAULT_BASEPOINT,
     GeneratorAssignment,
+    SynthesisError,
     SynthesisOptions,
     SynthesisState,
     _measure_lambda,
@@ -234,8 +235,20 @@ class TestPerturbF:
 
     def test_bad_basepoint(self):
         with pytest.raises(ValueError):
-            perturb_f((MobiusI(2.0),), 1.5,
-                      SynthesisOptions(word_len=1, fallback_basepoints=()))
+            perturb_f((MobiusI(2.0),), 1.5, SynthesisOptions(word_len=1))
+
+    def test_all_basepoint_retries_fail(self, monkeypatch):
+        tried = []
+
+        def fail(gens, p, opts):
+            tried.append(p)
+            raise SynthesisError(f"stage 1 at {p}")
+
+        monkeypatch.setattr(synthesis, "_perturb_f_at", fail)
+        with pytest.raises(SynthesisError) as info:
+            perturb_f((MobiusI(2.0),), 0.6, SynthesisOptions(word_len=1))
+        assert str(info.value) == "all basepoint retries failed; last: stage 1 at 0.8660254"
+        assert tried == [0.6, 0.58113883, 0.41421356, 0.8660254]
 
 
 class TestScheduleValues:
@@ -398,6 +411,7 @@ class TestVerifyAssignment:
         )
         rep = verify_assignment(doctored)
         assert not rep.ok
+        assert not all(c["ok"] for c in rep.edge_checks)
 
     def test_inflated_margins_fail_and_name_their_words(self):
         g = SimpleGraph.from_edges(5, [(0, 1), (2, 3), (2, 4), (3, 4)])
