@@ -7,8 +7,8 @@ immutable after construction and every operation is a pure function.
 
 Every grid sup (commutator and identity residuals, the verification of an
 assignment, commutation graphs) is taken by ``grid_sups``, one walk over
-the trie of the expressions' letter sequences; ``apply_letters`` is the
-reference of each value it walks.
+the radix trie of the expressions' letter sequences; ``apply_letters`` is
+the reference of each value it walks.
 """
 from __future__ import annotations
 
@@ -91,13 +91,15 @@ class BumpPoly:
     def coeffs(self) -> Tuple[float, ...]:
         return _bump_coeffs(self.c, self.k, self.t_coeffs)
 
+    @cached_property
+    def dcoeffs(self) -> Tuple[float, ...]:
+        return _derivative(self.coeffs)
+
     def values(self, xs):
-        return np.polynomial.polynomial.polyval(xs, self.coeffs)
+        return _polyval(self.coeffs, xs)
 
     def deriv_values(self, xs):
-        return np.polynomial.polynomial.polyval(
-            xs, np.polynomial.polynomial.polyder(self.coeffs)
-        )
+        return _polyval(self.dcoeffs, xs)
 
 
 @lru_cache(maxsize=None)
@@ -106,6 +108,41 @@ def _bump_coeffs(c: float, k: int, t_coeffs: Tuple[float, ...]) -> Tuple[float, 
     shape = P.polypow((0.0, 1.0), k)          # x^k
     shape = P.polymul(shape, P.polypow((1.0, -1.0), k))  # (1-x)^k
     return tuple(float(v) for v in c * P.polymul(shape, t_coeffs))
+
+
+# Plain-float forms of numpy.polynomial's polyval, polyder and polyadd, with
+# their float operations in their order, so every result is bitwise theirs.
+
+
+def _polyval(cs: Sequence[float], x):
+    """The polynomial of ascending coefficients ``cs`` at x, by Horner's rule
+    from ``cs[-1] + x * 0``."""
+    acc = cs[-1] + x * 0
+    for c in cs[-2::-1]:
+        acc = c + acc * x
+    return acc
+
+
+def _derivative(cs: Sequence[float]) -> Tuple[float, ...]:
+    """The coefficients j cs[j] of the derivative, or (cs[0] * 0,) for a
+    constant."""
+    return tuple(j * c for j, c in enumerate(cs) if j) or (cs[0] * 0,)
+
+
+def _trimmed(cs: Sequence[float]) -> Sequence[float]:
+    """``cs`` without its trailing zeros, keeping at least one coefficient."""
+    n = len(cs)
+    while n > 1 and cs[n - 1] == 0:
+        n -= 1
+    return cs[:n]
+
+
+def _sum(c1: Sequence[float], c2: Sequence[float]) -> Tuple[float, ...]:
+    """The trimmed sum of two trimmed coefficient sequences, each overlapping
+    coefficient of the longer one (of c2 at equal lengths) added first."""
+    c1, c2 = _trimmed(c1), _trimmed(c2)
+    short, long = (c2, c1) if len(c1) > len(c2) else (c1, c2)
+    return _trimmed(tuple(b + a for a, b in zip(short, long)) + tuple(long[len(short):]))
 
 
 @dataclass(frozen=True)
@@ -294,12 +331,11 @@ class PerturbedF(DiffeoExpr):
 
     def __post_init__(self, grid_n):
         object.__setattr__(self, "bumps", tuple(self.bumps))
-        P = np.polynomial.polynomial
-        coeffs = np.array([0.0, 1.0])
+        coeffs = (0.0, 1.0)
         for b in self.bumps:
-            coeffs = P.polyadd(coeffs, b.coeffs)
-        object.__setattr__(self, "_coeffs", tuple(float(v) for v in coeffs))
-        object.__setattr__(self, "_dcoeffs", tuple(float(v) for v in P.polyder(self._coeffs)))
+            coeffs = _sum(coeffs, b.coeffs)
+        object.__setattr__(self, "_coeffs", coeffs)
+        object.__setattr__(self, "_dcoeffs", _derivative(coeffs))
         dmin = float(np.min(self._draw(_grid(self.manifold, grid_n))))
         if dmin <= 0:
             raise InvariantBreach(f"perturbed map not increasing (min grid derivative {dmin})")
@@ -688,15 +724,23 @@ class FixedPointSet:
 def _grid(m: Manifold, grid_n: int, domain=None) -> np.ndarray:
     """The grid_n + 1 evenly spaced points of [0, 1] (I, and the lift of
     S^1 over one turn) or, on the line, of ``domain`` = (lo, hi), which must
-    be finite with lo < hi."""
-    lo, hi = 0.0, 1.0
-    if m is Manifold.LINE:
-        if domain is None:
-            raise DomainError("line expressions need an explicit (lo, hi) domain")
-        lo, hi = domain
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise DomainError(f"line domain ({lo}, {hi}) is not finite with lo < hi")
+    be finite with lo < hi.  The grid of [0, 1] is one cached read-only
+    array per grid_n, shared by I and S^1; a line grid is built per call."""
+    if m is not Manifold.LINE:
+        return _unit_grid(grid_n)
+    if domain is None:
+        raise DomainError("line expressions need an explicit (lo, hi) domain")
+    lo, hi = domain
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise DomainError(f"line domain ({lo}, {hi}) is not finite with lo < hi")
     return np.linspace(lo, hi, grid_n + 1)
+
+
+@lru_cache(maxsize=8)
+def _unit_grid(grid_n: int) -> np.ndarray:
+    xs = np.linspace(0.0, 1.0, grid_n + 1)
+    xs.flags.writeable = False
+    return xs
 
 
 def fixed_points(
@@ -807,29 +851,35 @@ def apply_letters(letters: Sequence[Tuple[DiffeoExpr, int]], x):
 _APPLY_ELEMENTS = 1 << 13
 
 
-def _walk(levels: Sequence[Tuple[Optional[np.ndarray], List[int]]],
+def _walk(levels: Sequence[Tuple[Optional[np.ndarray], List[int], Sequence[int]]],
           exprs: Sequence[DiffeoExpr], xs: np.ndarray):
     """Yield, level by level, the values at the points ``xs`` of the words of
     ``levels``, each given as the ``parent`` array and the ``bounds`` list of
-    a ``synthesis._Level``: one row of ``xs.size`` values per word.  A
-    ``parent`` of None stands for each word of the level below, in order.
+    a ``synthesis._Level`` and a ``tail`` of letters: one row of ``xs.size``
+    values per word.  A ``parent`` of None stands for each word of the level
+    below, in order.
 
     ``value(l w) = l(value(w))``: letter i is ``exprs[i // 2]``, inverted
     for odd i, applied once per level to the values of all the words it
     precedes, as flat arrays of at most ``_APPLY_ELEMENTS`` values (or one
-    word).  The float operations of each element are those of
-    ``apply_letters``, so every value is bitwise its result.
+    word).  The letters of a level's ``tail``, only ever given to a level of
+    one word, then apply to that word in order.  The float operations of
+    each element are those of ``apply_letters``, so every value is bitwise
+    its result.
     """
     width, vals = xs.size, xs.reshape(1, -1)
     step = max(1, _APPLY_ELEMENTS // width)
-    for parent, bounds in levels:
+    for parent, bounds, tail in levels:
         parts = []
         for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
             for start in range(lo, hi, step):
                 rows = slice(start, min(start + step, hi))
                 v = (vals[rows] if parent is None else np.take(vals, parent[rows], 0)).ravel()
                 parts.append(exprs[i // 2]._inv_raw(v) if i % 2 else exprs[i // 2]._raw(v))
-        vals = (np.concatenate(parts) if len(parts) > 1 else parts[0]).reshape(-1, width)
+        v = np.concatenate(parts) if len(parts) > 1 else parts[0]
+        for i in tail:
+            v = exprs[i // 2]._inv_raw(v) if i % 2 else exprs[i // 2]._raw(v)
+        vals = v.reshape(-1, width)
         yield vals
 
 
@@ -837,13 +887,15 @@ _WALK_ELEMENTS = 1 << 20  # grid values held per level of one grid-sup walk
 
 
 def _trie(seqs: Sequence[Sequence[int]], n_letters: int):
-    """The trie of the letter sequences ``seqs``, each in the order its
-    letters apply: for each level, its (parent, bounds) as in
-    ``synthesis._Level``, and the sequences that end there with their words.
+    """The radix trie of the letter sequences ``seqs``, each in the order
+    its letters apply: for each level, its (parent, bounds, tail) as in
+    ``_walk``, and the sequences that end there with their words.
 
-    Level L holds the distinct prefixes of L + 1 letters, as the words
-    ``l w`` of a last letter l over a prefix w of level L - 1, numbered by
-    l, then w.
+    Level L of the plain trie holds the distinct prefixes of L + 1 letters,
+    as the words ``l w`` of a last letter l over a prefix w of level L - 1,
+    numbered by l, then w.  A level of one word over a level of one word at
+    which no sequence ends is merged into that level, its letter appended to
+    the ``tail``: a chain of one-word levels is walked as one level.
     """
     tables: List[Dict[Tuple[int, int], int]] = [{} for _ in range(max(map(len, seqs)))]
     ends: List[Tuple[List[int], List[int]]] = [([], []) for _ in tables]
@@ -853,19 +905,27 @@ def _trie(seqs: Sequence[Sequence[int]], n_letters: int):
             w = table.setdefault((letter, w), len(table))
         ends[len(seq) - 1][0].append(k)
         ends[len(seq) - 1][1].append(w)
-    levels, ids = [], [0]
-    for table, (_, words_ending) in zip(tables, ends):
+    levels, level_ends, ids = [], [], [0]
+    for table, end in zip(tables, ends):
+        if len(table) == 1 and len(ids) == 1 and levels and not level_ends[-1][0]:
+            # its one word is the one word below extended by one letter: each
+            # word ending here is word 0, as numbered
+            ((letter, _),) = table
+            levels[-1][2].append(letter)
+            level_ends[-1] = end
+            continue
         words = sorted((letter, ids[w], v) for (letter, w), v in table.items())
         below, ids, counts = len(ids), [0] * len(words), [0] * (n_letters + 1)
         for j, (letter, _, v) in enumerate(words):
             ids[v] = j
             counts[letter + 1] += 1
-        words_ending[:] = [ids[v] for v in words_ending]
+        end[1][:] = [ids[v] for v in end[1]]
         parent = [w for _, w, _ in words]
         # a level extending each word below once, in order, is a path: None
         levels.append((None if parent == list(range(below)) else np.array(parent),
-                       list(accumulate(counts))))
-    return levels, ends
+                       list(accumulate(counts)), []))
+        level_ends.append(end)
+    return levels, level_ends
 
 
 def grid_sups(exprs: Sequence[DiffeoExpr], grid_n: int = DEFAULT_GRID,
@@ -877,8 +937,9 @@ def grid_sups(exprs: Sequence[DiffeoExpr], grid_n: int = DEFAULT_GRID,
     apply; the distinct leaves, in order of first use, index them as in
     ``_walk``, equal leaves being one even as separate objects (read from
     separate documents, say).  The sequences share their first letters
-    across expressions, so all of them are one trie, walked over the grid,
-    and each value is bitwise ``apply_letters(e.letters, xs)``.  A level holds
+    across expressions, so all of them are one radix trie (``_trie``),
+    walked over the grid, and each value is bitwise
+    ``apply_letters(e.letters, xs)``.  A level holds
     at most one word per sequence, so the expressions are walked in runs of
     as many as keep a level within ``_WALK_ELEMENTS`` values.  An
     expression without letters is the identity: (xs[0], 0.0).

@@ -391,7 +391,8 @@ def _schedule_margins(f: DiffeoExpr, gens: Sequence[DiffeoExpr], p: float,
     """Margins at p of the words of ``schedule`` (over ``len(gens)`` g
     generators), in schedule order: the walk of its levels from p."""
     levels = schedule.levels
-    walk = _walk([(lv.parent, lv.bounds.tolist()) for lv in levels], (f, *gens), np.array([p]))
+    walk = _walk([(lv.parent, lv.bounds.tolist(), ()) for lv in levels], (f, *gens),
+                 np.array([p]))
     return np.concatenate([point_distance(manifold, vals[lv.has_f, 0], p)
                            for lv, vals in zip(levels, walk)])
 
@@ -725,7 +726,10 @@ def verify_assignment(
     certification is truncated at ``word_len`` (the state's own schedule
     length by default); the report says so prominently.  The alpha record
     certifies the pure-g words only of generators that are the maps of its
-    alphas (``alpha_generators``); any others fail that check.  A state whose
+    alphas (``alpha_generators``); any others fail that check, and so do
+    words above its height.  A single clique counts no pure-g word
+    (``pure_g_checked`` 0): its claim rests on the alpha record alone, and
+    the report notes it.  A state whose
     basepoint is not in (0, 1), or whose recorded margins are not all finite
     and positive, raises ``ValueError``.
     """
@@ -797,13 +801,16 @@ def verify_assignment(
         # 2n(2n-1)^(L-1) of length L, and g_1^wl reaches the highest exponent.
         n = state.num_g
         pure_g_checked = sum(2 * n * (2 * n - 1) ** (L - 1) for L in range(1, wl + 1))
-        if wl > assignment.alphas.k_bound:
-            pure_g_ok = False
-            notes.append(f"pure-g words reach exponent height {wl} (g1^{wl}), above "
-                         f"the checked alpha relation bound {assignment.alphas.k_bound}")
     else:
         wl = word_len or 0
         notes.append("single-clique assignment: no f, free-product checks vacuous")
+        if assignment.gens:
+            notes.append(f"no pure-g word was enumerated: the claim rests on the alpha "
+                         f"relation record up to height {assignment.alphas.k_bound}")
+    if assignment.gens and wl > assignment.alphas.k_bound:
+        pure_g_ok = False
+        notes.append(f"pure-g words reach exponent height {wl} (g1^{wl}), above "
+                     f"the checked alpha relation bound {assignment.alphas.k_bound}")
     ok = ok and pure_g_ok
 
     return VerificationReport(

@@ -631,6 +631,24 @@ class TestSynthesizeVerify:
         doc = json.loads(asg.read_text())
         assert doc["f"] == {"kind": "identity"}
 
+    def test_single_clique_pure_g_claim(self, graph_file, tmp_path):
+        """No pure-g word is counted on a single clique: the report says the
+        claim rests on the alpha record, which fails above its height."""
+        asg, rep, ver = (tmp_path / name for name in ("asg.json", "rep.json", "ver.json"))
+        assert main(["synthesize", graph_file(K3), "--word-len", "3", "--alpha-k", "2",
+                     "--out", str(asg), "--report", str(rep)]) == EXIT_OK
+        note = ("no pure-g word was enumerated: the claim rests on the alpha relation "
+                "record up to height 3")
+        report = json.loads(rep.read_text())
+        assert report["pure_g_checked"] == 0 and report["pure_g_all_nontrivial"]
+        assert report["notes"] == ["single-clique assignment: no f, free-product checks vacuous",
+                                   note]
+        assert main(["verify", str(asg), "--word-len", "9", "--out", str(ver)]) == EXIT_FINDING
+        report = json.loads(ver.read_text())
+        assert report["pure_g_checked"] == 0 and not report["pure_g_all_nontrivial"]
+        assert report["notes"][1:] == [note, "pure-g words reach exponent height 9 (g1^9), "
+                                       "above the checked alpha relation bound 3"]
+
 
 class TestDocuments:
     """Every decide, synthesize and verify document, of either verdict,

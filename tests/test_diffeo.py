@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -20,9 +21,12 @@ from cliqueforest import (
     PerturbedLiftS1,
     Power,
     RotationS1,
+    SimpleGraph,
     SineShear,
+    SynthesisOptions,
     TagMismatchError,
     Translation,
+    commutation_graph,
     commutator_residual,
     commutator_witness,
     derivative,
@@ -30,6 +34,8 @@ from cliqueforest import (
     fixed_points,
     lift_evaluate,
     point_distance,
+    synthesize_embedding,
+    verify_assignment,
     word_evaluate,
 )
 from cliqueforest import diffeo
@@ -486,6 +492,88 @@ class TestPerturbedMaps:
         assert repr(e) == f"{cls.__name__}(bumps={bumps!r})"
 
 
+P = np.polynomial.polynomial  # the reference of the plain-float polynomial path
+
+
+def _random_bumps(seed, count):
+    """``count`` small bumps of random shape: their sum keeps x + bumps
+    increasing."""
+    rng = random.Random(seed)
+    return tuple(BumpPoly(rng.uniform(-0.02, 0.02), stage, rng.randint(1, 3),
+                          tuple(rng.uniform(-1.0, 1.0) for _ in range(rng.randint(1, 3))))
+                 for stage in range(1, count + 1))
+
+
+def _numpy_coeffs(bumps):
+    """x plus the bumps' coefficients, summed by ``polyadd``."""
+    coeffs = np.array([0.0, 1.0])
+    for b in bumps:
+        coeffs = P.polyadd(coeffs, b.coeffs)
+    return coeffs
+
+
+class TestPolynomialPath:
+    """Bump values and derivatives and the coefficients of perturbed maps are
+    plain-float Horner sums, bitwise numpy.polynomial's ``polyval``,
+    ``polyder`` and ``polyadd``."""
+
+    # top coefficients that cancel: x^2 (1-x) against x (1-x)^2 leaves
+    # degree 2, and two opposite bumps leave x itself
+    CANCELLING = [
+        (BumpPoly(0.1, 1, 1, (0.0, 1.0)), BumpPoly(0.1, 2, 1, (1.0, -1.0))),
+        (BumpPoly(0.1, 1), BumpPoly(-0.1, 2)),
+        (BumpPoly(-0.05, 1, 2), BumpPoly(0.02, 2, 1, (1.0, 1.0)), BumpPoly(0.05, 3, 2)),
+        (BumpPoly(0.0, 1, 2, (1.0, -1.0)),),  # all coefficients zero, some -0.0
+    ]
+
+    def _assert_bitwise_numpy(self, bumps, grid_n):
+        f = PerturbedF(bumps, grid_n)
+        ref = _numpy_coeffs(bumps)
+        assert _bits(f._coeffs) == _bits(ref)
+        assert _bits(f._dcoeffs) == _bits(P.polyder(ref))
+        xs = _grid(Manifold.INTERVAL, grid_n)
+        assert _bits(f._draw(xs)) == _bits(P.polyval(xs, P.polyder(ref)))
+        for b in bumps:
+            assert _bits(b.values(xs)) == _bits(P.polyval(xs, b.coeffs))
+            assert _bits(b.dcoeffs) == _bits(P.polyder(b.coeffs))
+            assert _bits(b.deriv_values(xs)) == _bits(P.polyval(xs, P.polyder(b.coeffs)))
+        return f
+
+    @pytest.mark.parametrize("grid_n", [64, 1000, diffeo.DEFAULT_GRID])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_bumps(self, seed, grid_n):
+        self._assert_bitwise_numpy(_random_bumps(seed, 1 + seed % 4), grid_n)
+
+    @pytest.mark.parametrize("grid_n", [64, 1000, diffeo.DEFAULT_GRID])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bumps_read_back_from_a_document(self, seed, grid_n):
+        f = PerturbedF(_random_bumps(10 + seed, 3), grid_n)
+        back = loads_expr(dumps_expr(f))
+        assert all(type(v) is float for b in back.bumps for v in b.t_coeffs)
+        assert _bits(self._assert_bitwise_numpy(back.bumps, grid_n)._coeffs) == _bits(f._coeffs)
+
+    @pytest.mark.parametrize("grid_n", [64, 1000, diffeo.DEFAULT_GRID])
+    @pytest.mark.parametrize("case", range(len(CANCELLING)))
+    def test_cancelling_top_coefficients_are_trimmed(self, case, grid_n):
+        bumps = self.CANCELLING[case]
+        f = self._assert_bitwise_numpy(bumps, grid_n)
+        assert len(f._coeffs) < max(len(b.coeffs) for b in bumps)
+        assert f._coeffs[-1] != 0 and len(f._dcoeffs) == len(f._coeffs) - 1
+
+    @pytest.mark.parametrize("c1, c2", [
+        ((0.0, 1.0), (1.0, -1.0, 1.0)), ((1.0, 2.0, 3.0), (0.5, -2.0, -3.0)),
+        ((1.0, 0.0, -0.0), (-0.0, 2.0)), ((0.0,), (-0.0, -0.0)), ((2.0, 3.0), (1.0, -3.0)),
+        ((-0.0, 1.0, 0.0), (0.0, -1.0)), ((3.0,), (4.0, 0.0, 0.0, 5.0)),
+        ((1.0, 0.0), (1.0, -0.0, 3.0)),  # -0.0 stays: the trimmed 0.0 is never added
+    ])
+    def test_helpers_on_zeros_and_cancellations(self, c1, c2):
+        xs = np.linspace(-2.0, 2.0, 65)
+        assert _bits(diffeo._sum(c1, c2)) == _bits(P.polyadd(c1, c2))
+        for cs in (c1, c2, diffeo._sum(c1, c2)):
+            assert _bits(diffeo._derivative(cs)) == _bits(P.polyder(cs))
+            assert _bits(diffeo._polyval(cs, xs)) == _bits(P.polyval(xs, cs))
+
+
 def _bits(values):
     return np.asarray(values, dtype=float).tobytes()
 
@@ -864,6 +952,139 @@ class TestGridSups:
         assert len(walked) == 2
         for leaves in walked:
             assert len(leaves) == len(distinct) and set(leaves) == distinct
+
+
+def _per_call_grid(m, grid_n, domain=None):
+    """The grids as built on every call, before the grid of [0, 1] was cached."""
+    lo, hi = (0.0, 1.0) if m is not Manifold.LINE else domain
+    return np.linspace(lo, hi, grid_n + 1)
+
+
+class TestGridCache:
+    """The grid of [0, 1] is one read-only array per grid size; line grids
+    are built per call, and every scan gives what per-call grids gave."""
+
+    @pytest.mark.parametrize("grid_n", [2, 64, 1000, diffeo.DEFAULT_GRID])
+    def test_one_read_only_array_per_grid(self, grid_n):
+        xs = _grid(Manifold.INTERVAL, grid_n)
+        assert _grid(Manifold.INTERVAL, grid_n) is xs and _grid(Manifold.CIRCLE, grid_n) is xs
+        assert _bits(xs) == _bits(np.linspace(0.0, 1.0, grid_n + 1))
+        assert not xs.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            xs[0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            xs += 1.0
+        assert xs[0] == 0.0 and xs[-1] == 1.0
+
+    def test_line_grids_are_built_per_call(self):
+        a = _grid(Manifold.LINE, 64, (0.0, 4 * math.pi))
+        b = _grid(Manifold.LINE, 64, (0.0, 4 * math.pi))
+        assert a is not b and _bits(a) == _bits(b)
+        assert _bits(a) == _bits(np.linspace(0.0, 4 * math.pi, 65))
+        assert _bits(_grid(Manifold.LINE, 64, (-3.0, 7.0))) == _bits(np.linspace(-3.0, 7.0, 65))
+
+    FIXED = [
+        (SineShear(1.0), (0.0, 4 * math.pi)), (SineShear(1.0), (-3.0, 7.0)),
+        (SineShear(0.5), (-20.0, 20.0)), (Translation(0.25), (0.0, 1.0)),
+        (SEAM, None), (PerturbedF((BumpPoly(0.05, 1, 1, (1.0, -2.0)),)), None),
+    ]
+
+    @pytest.mark.parametrize("grid_n", [64, 500, diffeo.DEFAULT_GRID])
+    def test_fixed_points_match_per_call_grids(self, monkeypatch, grid_n):
+        got = [fixed_points(e, grid_n, 1e-10, domain) for e, domain in self.FIXED]
+        monkeypatch.setattr(diffeo, "_grid", _per_call_grid)
+        ref = [fixed_points(e, grid_n, 1e-10, domain) for e, domain in self.FIXED]
+        for a, b in zip(got, ref):
+            assert _bits(a.points) == _bits(b.points)
+            assert (a.flags, a.interval_signs, a.degenerate) == (
+                b.flags, b.interval_signs, b.degenerate)
+
+    @pytest.mark.parametrize("domain", [(0.0, 4 * math.pi), (-3.0, 7.0), (1.0, 2.0)])
+    def test_commgraph_matches_per_call_grids(self, monkeypatch, domain):
+        fs = [SineShear(1.0), Translation(2 * math.pi), SineShear(0.5), Translation(0.5)]
+        got = [commutation_graph(fs, 1e-9, 1, n, domain) for n in (64, 256)]
+        monkeypatch.setattr(diffeo, "_grid", _per_call_grid)
+        ref = [commutation_graph(fs, 1e-9, 1, n, domain) for n in (64, 256)]
+        assert [(r.residuals, r.graph.edges) for r in got] == [
+            (r.residuals, r.graph.edges) for r in ref]
+
+
+def _as_expr(seq, leaves):
+    """The expression applying the letters of ``seq`` in order, letter i
+    being ``leaves[i // 2]``, inverted for odd i."""
+    return Compose(tuple(Inverse(leaves[i // 2]) if i % 2 else leaves[i // 2]
+                         for i in reversed(seq)))
+
+
+class TestRadixTrie:
+    """A chain of one-word levels is walked as one level, and every grid sup
+    stays bitwise that of ``apply_letters``."""
+
+    LEAVES = (PerturbedF((BumpPoly(0.1, 1),)), MobiusI(2.3), MobiusI(0.7))
+    SEQ = (0, 2, 5, 1, 3, 3, 4, 0, 2, 2, 5, 1, 4, 3, 0, 2)
+
+    def _assert_apply_letters(self, seqs, grid_n=64):
+        exprs = [_as_expr(seq, self.LEAVES) for seq in seqs]
+        xs = _grid(Manifold.INTERVAL, grid_n)
+        ref = []
+        for e in exprs:
+            d = point_distance(Manifold.INTERVAL, apply_letters(e.letters, xs), xs)
+            i = int(np.argmax(d))
+            ref.append((float(xs[i]), float(d[i])))
+        assert grid_sups(exprs, grid_n) == ref
+
+    def _shape(self, seqs):
+        """(word count, tail length) of each level of the trie of ``seqs``."""
+        levels, _ = diffeo._trie(seqs, 2 * len(self.LEAVES))
+        return [(bounds[-1], len(tail)) for _, bounds, tail in levels]
+
+    def test_single_sequence_is_one_level(self):
+        levels, ends = diffeo._trie([self.SEQ], 6)
+        assert len(levels) == 1
+        parent, bounds, tail = levels[0]
+        assert parent is None and bounds[-1] == 1 and bounds[self.SEQ[0] + 1] == 1
+        assert tuple(tail) == self.SEQ[1:] and ends == [([0], [0])]
+        self._assert_apply_letters([self.SEQ])
+
+    def test_prefixes_of_one_another(self):
+        seqs = [self.SEQ, self.SEQ[:5], self.SEQ[:1], self.SEQ[:12], self.SEQ[:5]]
+        # a chain breaks after each level where a sequence ends
+        assert self._shape(seqs) == [(1, 0), (1, 3), (1, 6), (1, 3)]
+        self._assert_apply_letters(seqs)
+
+    def test_sequences_ending_mid_chain(self):
+        # a third sequence branches off after two letters, so levels 2 to 6
+        # hold two words; from level 7 the first sequence is alone, and the
+        # second ends at level 8, splitting that chain in two
+        other = self.SEQ[:2] + (1, 4, 4, 3, 0)
+        seqs = [self.SEQ, self.SEQ[:9], other, other[:4]]
+        assert self._shape(seqs) == [(1, 1)] + [(2, 0)] * 5 + [(1, 1), (1, 6)]
+        self._assert_apply_letters(seqs)
+        self._assert_apply_letters(seqs[::-1], grid_n=8)
+
+    @given(st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=14), min_size=1,
+                    max_size=6), st.sampled_from([8, 64]))
+    @settings(max_examples=40, deadline=None)
+    def test_random_sequences(self, seqs, grid_n):
+        levels, ends = diffeo._trie(seqs, 6)
+        assert all(bounds[-1] == 1 for _, bounds, tail in levels if tail)
+        assert sorted(k for done, _ in ends for k in done) == list(range(len(seqs)))
+        self._assert_apply_letters(seqs, grid_n)
+
+    def test_k1_k1_commutator_takes_one_walk_step(self, monkeypatch):
+        """K1+K1 verifies one commutator of 16 letters: one level, one word,
+        its first letter and a tail of 15."""
+        asg = synthesize_embedding(SimpleGraph.from_edges(2, []),
+                                   opts=SynthesisOptions(word_len=2))
+        walked, walk = [], diffeo._walk
+
+        def recording(levels, leaves, xs):
+            walked.append([(bounds[-1], len(tail)) for _, bounds, tail in levels])
+            return walk(levels, leaves, xs)
+
+        monkeypatch.setattr(diffeo, "_walk", recording)
+        assert verify_assignment(asg).ok
+        assert walked == [[(1, 15)]]
 
 
 class TestLetters:

@@ -1029,7 +1029,7 @@ def test_commutator_walk_in_chunks(monkeypatch, cap, apply, runs):
     widths, walk = [], diffeo._walk
 
     def recording(levels, exprs, xs):
-        widths.append(max(bounds[-1] for _, bounds in levels) * xs.size)
+        widths.append(max(bounds[-1] for _, bounds, _ in levels) * xs.size)
         return walk(levels, exprs, xs)
 
     # the schedule's walk from p is synthesis's own name for _walk: only

@@ -287,6 +287,32 @@ class TestSynthesizeEmbedding:
         assert rep.ok
         assert rep.non_edge_checks == ()
 
+    @pytest.mark.parametrize("manifold", [Manifold.INTERVAL, Manifold.CIRCLE], ids=["I", "S1"])
+    def test_single_clique_pure_g_claim_rests_on_the_alpha_record(self, manifold):
+        g = SimpleGraph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
+        asg = synthesize_embedding(g, manifold, SynthesisOptions(word_len=3, alpha_k=2))
+        assert asg.alphas.k_bound == 3
+        note = ("no pure-g word was enumerated: the claim rests on the alpha relation "
+                "record up to height 3")
+        for word_len in (None, 1, 3):
+            rep = verify_assignment(asg, word_len=word_len)
+            assert rep.ok and rep.pure_g_all_nontrivial and rep.pure_g_checked == 0
+            assert rep.notes[1:] == (note,)
+        # the same note as a schedule above the alpha height (see
+        # test_alpha_height_below_word_len_fails)
+        rep = verify_assignment(asg, word_len=4)
+        assert not rep.ok and not rep.pure_g_all_nontrivial and rep.pure_g_checked == 0
+        assert rep.notes[1:] == (note, "pure-g words reach exponent height 4 (g1^4), above "
+                                 "the checked alpha relation bound 3")
+
+    def test_empty_graph_makes_no_pure_g_claim(self):
+        # no generator, so no pure-g word: the claim holds at any word length
+        asg = synthesize_embedding(SimpleGraph.from_edges(0, []),
+                                   opts=SynthesisOptions(word_len=2, alpha_k=1))
+        rep = verify_assignment(asg, word_len=9)
+        assert rep.ok and rep.pure_g_all_nontrivial and rep.pure_g_checked == 0
+        assert rep.notes == ("single-clique assignment: no f, free-product checks vacuous",)
+
     def test_not_embeddable(self):
         g = SimpleGraph.from_edges(3, [(0, 1), (1, 2)])
         with pytest.raises(NotEmbeddableError) as ei:
