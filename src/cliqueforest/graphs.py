@@ -19,8 +19,6 @@ class GraphFormatError(ValueError):
 
 
 _MAX_N = 2**31  # largest vertex count: vertices fit int32, packed edge keys lo*n + hi int64
-_DIGITS = bytes(48 <= b < 58 for b in range(256))  # bytes.translate tables: digit or not,
-_NEWLINES = bytes(b == 10 for b in range(256))  # newline or not
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,28 +159,26 @@ class _ComponentScan(NamedTuple):
 
 def _component_labels(n: int, ends: np.ndarray) -> np.ndarray:
     """Smallest vertex of every vertex's component; ``ends`` is the (2, m)
-    array of edge ends.
+    array of edge ends (lo, hi), lo < hi.
 
-    Each round hooks, for every edge whose ends lie in different trees, the
-    larger root onto the smaller, then jumps pointers until every vertex
-    points at its root.  Roots only ever point lower, so the root of a
-    component is its smallest vertex.  An edge whose ends share a root keeps
-    sharing it, so each round carries only the edges still crossing.
+    Each round hooks the larger root of every crossing edge onto the
+    smallest root proposed for it, jumps pointers until every vertex points
+    at its root, and drops the edges no longer crossing.  Roots only ever
+    point lower, so a component's root is its smallest vertex.  The first
+    round, on the raw ends, labels a clique forest; a star takes at most two.
     """
     parent = np.arange(n, dtype=ends.dtype)
-    while True:
+    lo, hi = ends
+    while len(lo):
+        np.minimum.at(parent, hi, lo)
+        jumped = parent[parent]
+        while (jumped != parent).any():
+            parent, jumped = jumped, jumped[jumped]
         roots = parent[ends]
         cross = roots[0] != roots[1]
-        if not cross.any():
-            return parent
-        ends = ends[:, cross]
-        roots = roots[:, cross]
-        parent[np.maximum(roots[0], roots[1])] = np.minimum(roots[0], roots[1])
-        while True:
-            jumped = parent[parent]
-            if (jumped == parent).all():
-                break
-            parent = jumped
+        ends, roots = ends[:, cross], roots[:, cross]
+        lo, hi = np.minimum(*roots), np.maximum(*roots)
+    return parent
 
 
 def _scan_components(g: SimpleGraph) -> _ComponentScan:
@@ -196,26 +192,28 @@ def _scan_components(g: SimpleGraph) -> _ComponentScan:
     return _ComponentScan(labels, roots, s, complete)
 
 
+def _grouped(labels: np.ndarray) -> np.ndarray:
+    """``labels.argsort(kind="stable")`` by one sort of the packed int64 keys
+    labels[k]*len + k (labels below 2**31, lengths below 2**32)."""
+    key = labels.astype(np.int64) * len(labels) + np.arange(len(labels))
+    key.sort()
+    return key % max(len(labels), 1)
+
+
 def _components(scan: _ComponentScan) -> serialize.Ragged:
     """The components, each sorted, ordered by smallest vertex."""
-    return serialize.Ragged(scan.labels.argsort(kind="stable"), scan.sizes.cumsum())
+    return serialize.Ragged(_grouped(scan.labels), scan.sizes.cumsum())
 
 
-def _component_tuples(scan: _ComponentScan) -> List[Tuple[int, ...]]:
-    return list(map(tuple, _components(scan).lists()))
-
-
-def _incomplete(g: SimpleGraph, scan: _ComponentScan):
-    """Each incomplete component, by smallest vertex, as its sorted vertices
-    and its sorted edges (a[k], b[k]) in their numbering 0..s-1.  One stable
-    sort gathers the vertices and edges of just those components."""
-    roots = scan.roots[~scan.complete]
-    bad = np.zeros(g.n, bool)
-    bad[roots] = True
-    verts, rows = bad[scan.labels].nonzero()[0], g.ends[bad[scan.labels[g.ends[:, 0]]]]
+def _incomplete(g: SimpleGraph, scan: _ComponentScan, roots: np.ndarray):
+    """The components with smallest vertices ``roots`` (increasing), each as
+    its sorted vertices and its sorted edges (a[k], b[k]) in its numbering
+    0..s-1; one ``_grouped`` sort gathers the vertices, one the edges."""
+    bad = np.isin(scan.labels, roots)
+    verts, rows = bad.nonzero()[0], g.ends[bad[g.ends[:, 0]]]
     parts = []
     for items, key in ((verts, scan.labels[verts]), (rows, scan.labels[rows[:, 0]])):
-        order = np.argsort(key, kind="stable")
+        order = _grouped(key)
         parts.append(np.split(items[order], np.searchsorted(key[order], roots))[1:])
     for verts, rows in zip(*parts):
         yield (verts, *np.searchsorted(verts, rows.T))
@@ -268,7 +266,7 @@ def is_clique_forest(g: SimpleGraph) -> Union[CliqueForest, MissingEdgeWitness]:
     scan = _scan_components(g)
     if scan.complete.all():
         return CliqueForest(_components(scan))
-    verts, a, b = next(_incomplete(g, scan))
+    verts, a, b = next(_incomplete(g, scan, scan.roots[~scan.complete][:1]))
     path = verts[_bfs_path(len(verts), a, b, *_first_missing_pair(len(verts), a, b))].tolist()
     return MissingEdgeWitness(path[0], path[-1], tuple(path))
 
@@ -277,8 +275,7 @@ def is_component_partition(forest: CliqueForest, g: SimpleGraph) -> bool:
     """Whether the components of ``forest``, each taken as a set, are the
     connected components of ``g``, with every vertex of ``g`` in exactly one
     of them.  The order of the components and within them is free."""
-    return sorted(tuple(sorted(c)) for c in forest.components) == _component_tuples(
-        _scan_components(g))
+    return sorted(map(sorted, forest.components)) == _components(_scan_components(g)).lists()
 
 
 @dataclass(frozen=True)
@@ -305,9 +302,9 @@ def check_component_completeness(g: SimpleGraph) -> CompletenessReport:
     """Per-component completeness report (empirical commutation-graph check)."""
     scan = _scan_components(g)
     missing = iter([tuple(verts[list(_first_missing_pair(len(verts), a, b))].tolist())
-                    for verts, a, b in _incomplete(g, scan)])
-    reports = tuple(ComponentReport(comp, ok, None if ok else next(missing))
-                    for comp, ok in zip(_component_tuples(scan), scan.complete.tolist()))
+                    for verts, a, b in _incomplete(g, scan, scan.roots[~scan.complete])])
+    reports = tuple(ComponentReport(tuple(comp), ok, None if ok else next(missing))
+                    for comp, ok in zip(_components(scan).lists(), scan.complete.tolist()))
     return CompletenessReport(reports, bool(scan.complete.all()))
 
 
@@ -367,10 +364,12 @@ _BLOCK = 1 << 20  # body bytes per block: bounds the text-sized temporary arrays
 def _read_block(block: bytes) -> Optional[np.ndarray]:
     """The integers of lines that lie between a leading and a trailing
     newline, or None unless every line holds exactly two tokens.  The line
-    shape is checked on the bytes at once; numpy reads the integers."""
-    digit = np.frombuffer(block.translate(_DIGITS), bool)
+    shape is checked on the bytes at once (digits are the only bytes from
+    48 up, given the caller's character check); numpy reads the integers."""
+    byte = np.frombuffer(block, np.uint8)
+    digit = byte >= 48
     before = (digit[1:] > digit[:-1]).nonzero()[0]  # the byte before each token
-    nls = np.frombuffer(block.translate(_NEWLINES), bool).nonzero()[0]
+    nls = (byte == 10).nonzero()[0]
     # tokens 2k and 2k+1 lie between newlines k and k+1
     if (len(before) != 2 * len(nls) - 2 or (before[0::2] < nls[:-1]).any()
             or (before[1::2] >= nls[1:]).any()):

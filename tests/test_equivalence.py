@@ -443,6 +443,50 @@ def test_shuffled_long_path():
     assert_same_decision(g)
 
 
+def hooking_families(n, rng):
+    """Edge lists on n vertices that stress the labelling rounds: hubs whose
+    leaves all propose at once, long chains of hooks to jump, and many
+    small components to group."""
+    perm = rng.sample(range(n), n)
+    half, spine = n // 2, n // 30
+    recursive = [(rng.randrange(v), v) for v in range(1, n)]
+    sizes = [rng.randint(1, 6) for _ in range(n)]
+    starts = list(itertools.accumulate(sizes, initial=0))
+    cliques = [perm[a:b] for a, b in zip(starts, starts[1:]) if a < n]
+    return {
+        "star centred at n-1": [(v, n - 1) for v in range(n - 1)],
+        "broom": [(v, half) for v in range(half)] + [(v, v + 1) for v in range(half, n - 1)],
+        "path numbered downward": [(v, v - 1) for v in range(n - 1, 0, -1)],
+        "caterpillar": [(v, v + 1) for v in range(n - spine, n - 1)]
+                       + [(v, n - spine + v % spine) for v in range(n - spine)],
+        "random recursive tree": recursive,
+        "relabelled random recursive tree": [(perm[u], perm[v]) for u, v in recursive],
+        "three-vertex paths": [e for i in range(n // 3) for e in ((3 * i, 3 * i + 1),
+                                                                  (3 * i + 1, 3 * i + 2))],
+        "shuffled clique forest": [e for q in cliques for e in itertools.combinations(q, 2)],
+    }
+
+
+@pytest.mark.parametrize("family", list(hooking_families(3000, random.Random(41))))
+def test_hooking_families(family):
+    g = SimpleGraph.from_edges(3000, hooking_families(3000, random.Random(41))[family])
+    assert_same_decision(g)
+    scan = graphs._scan_components(g)
+    got, want = graphs._components(scan).values, scan.labels.argsort(kind="stable")
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 7, 1000])
+def test_grouped_matches_stable_argsort(size):
+    rng = np.random.default_rng(size)
+    for high in (1, 3, 2**31 - 1):
+        labels = rng.integers(0, high, size).astype(np.int32)
+        got, want = graphs._grouped(labels), labels.argsort(kind="stable")
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # edge-list parsing
 
