@@ -32,25 +32,23 @@ columns) are held as ``Decimals``, a float64 array with a null mask, and
 written from one table of bare texts (``"%.17g"``, no quotes: each writer
 puts in the quotes and the nulls, ``_decimals_text`` by joining each run of
 texts between nulls with a quoted separator, ``rows`` in its ``%``
-template).  A list built from values has one table row per distinct value,
-each formatted once, ``_BLOCK`` values at a time.  A list read from a
-document has one row per distinct string: each is converted once and its
-value formatted once, and a string equal to its value's text is proved a
-decimal (every such text of a non-NaN double matches the pattern) and is
-kept as the row's text, the very string read.  Only the other strings are
-matched against the pattern, and take the formatted text, so a document in
+template).  The table has one row per distinct value, each formatted once,
+``_BLOCK`` values at a time.  A list read from a document keeps only its
+values and nulls: each distinct string is converted once, the strings are
+proved decimals a block at a time by their characters, and the table is
+built from the values as for a list built by synthesis, so a document in
 other decimal forms is written back in ``"%.17g"``.  A slice or an index
 array of a list shares its table, so a report's margin column reuses the
 state's texts, and the halves of a list (``Decimals.halved``, the report's
 D/2 column) share its index, with a table of the halves of its distinct
-values.  The table lives on the object, and goes with it.  A
-block's ``"%.17g"`` texts come from an exact numpy kernel (``_digits``: the
-17 significant digits and the decimal exponent from float64 alone, by
-Dekker's error-free product) written by one ``%`` of an integer template
-per layout; the values it does not prove (zeros, infinities, NaN,
-magnitudes outside its range, values near a rounding tie or a power of
-ten) and blocks of fewer than ``_KERNEL_MIN`` values take one ``%`` of
-``"%.17g"``, into the same table.
+values.  The table lives on the object, and goes with it.  A block's
+``"%.17g"`` texts come from an exact numpy kernel (``_digits``: the 17
+significant digits and the decimal exponent of a positive float64 alone,
+by Dekker's error-free product) written by one ``%`` of an integer template
+per layout; the values it does not prove (negative values, zeros,
+infinities, NaN, magnitudes outside its range, values near a rounding tie
+or a power of ten) and blocks of fewer than ``_KERNEL_MIN`` values take one
+``%`` of ``"%.17g"``, into the same table.
 
 A document nested beyond the interpreter's recursion limit is an
 ``ExprFormatError`` when decoded inside ``nesting_limit``.
@@ -64,7 +62,7 @@ import re
 import reprlib
 import sys
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import chain, count
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 
@@ -198,6 +196,9 @@ def _int_list(v) -> bool:
 
 _DECIMAL_SCHEMA = {"type": "string", "pattern": r"^-?((\d+\.?\d*|\.\d+)([eE][+-]?\d+)?|inf)$"}
 _DECIMAL_RE = re.compile(_DECIMAL_SCHEMA["pattern"], re.ASCII)
+# the characters of a decimal and the separator: ``Decimals.parse`` deletes
+# them from a joined block of strings, which leaves the others
+_DECIMAL_CHARS = dict.fromkeys(map(ord, "0123456789.eE+-inf,"))
 _NODE_REF = {"$ref": "#/$defs/node"}
 
 
@@ -220,13 +221,12 @@ class Decimals:
     Its JSON texts come from one table (``table``), built on first use and
     kept on the object: distinct values, the bare text of each (its
     ``"%.17g"``, without quotes: each writer puts in the quotes and the
-    nulls) and, for each entry, the row of its value.
-    A list built from values has a row per distinct bit pattern (so that
-    -0.0 keeps its own text), written ``_BLOCK`` at a time by ``_texts``; a
-    list read from a document (``parse``) has a row per distinct string
-    read.  A slice or an index array gives entries of the list on its table,
-    and ``halved`` the halves of the entries on its index, with a table of
-    the halves of its values.
+    nulls) and, for each entry, the row of its value.  A list, whether built
+    from values or read from a document (``parse``), has a row per distinct
+    bit pattern (so that -0.0 keeps its own text), written ``_BLOCK`` at a
+    time by ``_texts``.  A slice or an index array gives entries of the list
+    on its table, and ``halved`` the halves of the entries on its index,
+    with a table of the halves of its values.
     """
 
     __slots__ = ("values", "null", "_table", "_source")
@@ -261,57 +261,33 @@ class Decimals:
     @classmethod
     def parse(cls, vs, nullable: bool) -> "Decimals":
         """The decimals of a JSON list of decimal strings (and nulls, when
-        ``nullable``), on a table of the distinct strings read.
+        ``nullable``); its table is built from its values, as a built list's.
 
-        Each distinct string is converted once and its value written once
-        ``"%.17g"`` (``_format``, ``_BLOCK`` values at a time).  A string
-        equal to that text matches the decimal pattern, as the text of every
-        value but NaN does, and is its own table text.  Only the others (a
-        string in another form, NaN, an entry that is no string) are matched
-        against the pattern, and take the written text.  A list with an
-        entry that is no decimal string raises on the first such entry."""
+        One ``dict.setdefault`` pass numbers each entry by the place of its
+        first occurrence (a null past the end), and each distinct string is
+        converted once, by ``float()``.  The strings are proved decimals
+        ``_BLOCK`` at a time, joined: a string that ``float()`` converts,
+        whose characters are all ``0-9 . e E + - i n f`` and that does not
+        start with ``+`` matches the decimal pattern.  A list with an entry
+        that is no decimal string raises on the first such entry."""
         if not isinstance(vs, list):
             raise ExprFormatError(f"expected a list, got {reprlib.repr(vs)}")
-        try:
-            distinct = set(vs)
-        except TypeError:  # an unhashable entry, which no decimal string is
+        rows = {None: len(vs)} if nullable else {}
+        try:  # TypeError: an entry unhashable or no string; ValueError: no decimal
+            index = np.fromiter(map(rows.setdefault, vs, count()), np.uint32, len(vs))
+            firsts = np.fromiter(rows.values(), np.int64, len(rows))[nullable:]
+            strings = list(rows)[nullable:]
+            del rows  # freed before the conversion's arrays are made
+            for lo in range(0, len(strings), _BLOCK):
+                text = "," + ",".join(strings[lo:lo + _BLOCK])
+                if ",+" in text or text.translate(_DECIMAL_CHARS):
+                    raise ValueError("not a decimal string")
+            values = np.full(len(vs) + 1, math.nan)
+            values[firsts] = np.fromiter(map(float, strings), np.float64, len(strings))
+        except (TypeError, ValueError):
             _first_non_decimal(vs, nullable)
             raise
-        if nullable:
-            distinct.discard(None)
-        # each table is dropped once done with: at 10^6 words they weigh
-        # about as much as the document's own list
-        rows = dict.fromkeys(distinct)  # sized once, from the set
-        del distinct
-        strings = np.empty(len(rows), object)
-        strings[:] = list(rows)
-        try:  # np.array converts each string as float() does
-            values = np.array(strings, np.float64)
-        except (TypeError, ValueError, OverflowError):
-            _first_non_decimal(vs, nullable)
-            raise
-        table = np.empty(len(strings), object)
-        # a block at a time, so that only one block's written texts are held
-        # beside the strings: all of them at once (``_texts``, then one
-        # replacement pass) raised the peak of a word-length-6 ``verify``
-        # from 62.9 to 64.4 MB
-        for lo in range(0, len(strings), _BLOCK):
-            read, texts = strings[lo:lo + _BLOCK], table[lo:lo + _BLOCK]
-            texts[:] = _format(values[lo:lo + _BLOCK])
-            own = texts == read
-            own &= ~np.isnan(values[lo:lo + _BLOCK])
-            texts[own] = read[own]
-            if not all(isinstance(v, str) and _DECIMAL_RE.fullmatch(v)
-                       for v in read[~own].tolist()):
-                _first_non_decimal(vs, nullable)
-        rows.update(zip(strings.tolist(), range(len(strings))))
-        del strings
-        rows[None] = len(table)  # past the table, reached only when nullable
-        index = np.fromiter(map(rows.__getitem__, vs), np.min_scalar_type(len(table)), len(vs))
-        del rows
-        d = cls(np.append(values, math.nan)[index], index == len(table) if nullable else None)
-        d._table = (values, table, index)
-        return d
+        return cls(values[index], index == len(vs) if nullable else None)
 
     def live(self) -> np.ndarray:
         """The indices of the entries that are not null."""
@@ -322,7 +298,9 @@ class Decimals:
         """(values, texts, index): the entry k that is not null is
         ``values[index[k]]``, bitwise, with the bare text ``texts[index[k]]``
         (``texts`` an object array; ``index`` of the smallest unsigned type
-        that holds ``len(texts)``, the row of a null entry)."""
+        that holds ``len(texts)``, the row of a null entry).  Built from the
+        values on first use (``_own_table``), or, for a part or the halves of
+        a list, from that list's table."""
         if self._table is None:
             self._table = (self._source or self._own_table)()
             self._source = None
@@ -421,15 +399,13 @@ _KERNEL_RANGE = (1e-280, 1e280)  # the magnitudes the kernel takes
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's constant: a double into two 26-bit halves
 _TIE_BAND = 2.0 ** -46  # the deferral band, above the error of the scaled value
 _POW10 = np.array([10 ** j for j in range(18)], np.int64)
-# the layouts of "%.17g" by row: integer, fixed with a fraction, exponent
-# without and with a fraction, then "0." and 0 to 3 zeros before the digits
-# (-5 < k < 0), and those four for a negative value; each row's template and
-# its integers out of (signed integer part, fraction width, fraction,
-# exponent); five templates with the sign and the leading zeros as
-# arguments wrote 67,179 margins in 30 ms instead of 20 ms
+# the layouts of "%.17g" of a positive value by row: integer, fixed with a
+# fraction, exponent without and with a fraction, then "0." and 0 to 3 zeros
+# before the digits (-5 < k < 0); each row's template and its integers out
+# of (integer part, fraction width, fraction, exponent); templates with the
+# leading zeros as arguments wrote 67,179 margins in 30 ms instead of 20 ms
 _TEMPLATES = (("%d", (0,)), ("%d.%0*d", (0, 1, 2)), ("%de%+03d", (0, 3)),
-              ("%d.%0*de%+03d", (0, 1, 2, 3)),
-              *((f"{sign}0.{'0' * j}%d", (2,)) for sign in ("", "-") for j in range(4)))
+              ("%d.%0*de%+03d", (0, 1, 2, 3)), *((f"0.{'0' * j}%d", (2,)) for j in range(4)))
 
 
 def _pow10_parts(p: int) -> Tuple[float, float, float, float]:
@@ -453,16 +429,17 @@ def _pow10_parts(p: int) -> Tuple[float, float, float, float]:
 def _digits(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(proved, n, k): the indices of the values of ``x`` whose ``"%.17g"``
     this kernel proves, and for each the 17 significant digits n (10**16 <=
-    n < 10**17) and the decimal exponent k: |x| rounded to 17 significant
-    digits is n * 10**(k - 16).
+    n < 10**17) and the decimal exponent k: x rounded to 17 significant
+    digits is n * 10**(k - 16).  Only positive values are proved: every long
+    list the program writes (margins, eps, their halves) is positive.
 
-    With k0 = floor(log10 |x|), which may miss the decade near a power of
-    ten, and p = 16 - k0, the scaled value S = |x| 10**p is taken as hi + s
+    With k0 = floor(log10 x), which may miss the decade near a power of
+    ten, and p = 16 - k0, the scaled value S = x 10**p is taken as hi + s
     in float64 alone, no FMA, each operation its own ufunc call:
-    10**p = P_hi + P_lo (``_pow10_parts``); hi + lo = |x| P_hi exactly
-    (Dekker's product over the Veltkamp halves); t = RN(|x| P_lo) and
+    10**p = P_hi + P_lo (``_pow10_parts``); hi + lo = x P_hi exactly
+    (Dekker's product over the Veltkamp halves); t = RN(x P_lo) and
     s = RN(lo + t).  With u = 2**-53, |10**p - P_hi - P_lo| <= u**2 10**p,
-    |t - |x| P_lo| <= (1 + u) u**2 S and |s - lo - t| <= u (|lo| + |t|) <=
+    |t - x P_lo| <= (1 + u) u**2 S and |s - lo - t| <= u (|lo| + |t|) <=
     2 (1 + u)**2 u**2 S, so |S - hi - s| < 4.01 u**2 S + 2**-140 (underflow
     in P_lo or t) < 2**-46.9 wherever S <= 2**57.
 
@@ -473,12 +450,12 @@ def _digits(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     k0 is the decade, and n = 10**17, the carry to 10**16 at k0 + 1, is right
     for S >= 10**17 too).  The rest are deferred: exact and near ties, and
     products outside the decade, which the exact powers 1 ... 1e16 and
-    values within a few ulps of a power of ten can give.  1e-280 <= |x| <
-    1e280 keeps |x|, P_hi and their splits finite and every partial product
-    normal; zeros, infinities, NaN and other magnitudes are not proved."""
-    a = np.abs(x)
-    proved = np.flatnonzero((a >= _KERNEL_RANGE[0]) & (a < _KERNEL_RANGE[1]))
-    a = a[proved]
+    values within a few ulps of a power of ten can give.  1e-280 <= x <
+    1e280 keeps x, P_hi and their splits finite and every partial product
+    normal; negative values, zeros, infinities, NaN and other magnitudes are
+    not proved."""
+    proved = np.flatnonzero((x >= _KERNEL_RANGE[0]) & (x < _KERNEL_RANGE[1]))
+    a = x[proved]
     if not len(a):
         return proved, proved, proved
     k = np.floor(np.log10(a)).astype(np.int64)
@@ -510,13 +487,12 @@ def _digits(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return proved[ok], n, k
 
 
-def _digit_texts(neg: np.ndarray, n: np.ndarray, k: np.ndarray) -> Sequence[str]:
-    """The texts ``"%.17g" % v`` of the nonzero values v of sign ``neg``,
-    digits n and exponent k (``_digits``), a list or an object array: the
-    digits lose the trailing zeros after the point (all 16 at most), are
-    split at the point into a signed integer part and a fraction with its
-    width, and each layout's values are written by one ``%`` of its integer
-    template."""
+def _digit_texts(n: np.ndarray, k: np.ndarray) -> Sequence[str]:
+    """The texts ``"%.17g" % v`` of the positive values v of digits n and
+    exponent k (``_digits``), a list or an object array: the digits lose the
+    trailing zeros after the point (all 16 at most), are split at the point
+    into an integer part and a fraction with its width, and each layout's
+    values are written by one ``%`` of its integer template."""
     fixed = (k >= -4) & (k <= 16)
     width = np.where(fixed, 16 - k, 16)  # digits after the point, trailing zeros too
     m = n.copy()
@@ -534,10 +510,8 @@ def _digit_texts(neg: np.ndarray, n: np.ndarray, k: np.ndarray) -> Sequence[str]
     scale = _POW10[np.minimum(width, 17)]
     whole = m // scale
     m -= whole * scale
-    np.negative(whole, out=whole, where=neg)
     row = np.where(fixed, np.where(k < 0, 2 - k, 0), 2)
     row += width > 0
-    row += 4 * (neg & (row >= 4))
     columns = (whole, width, m, k)
     rows = np.flatnonzero(np.bincount(row)).tolist()
     if len(rows) == 1:
@@ -563,34 +537,24 @@ def _percent(x: np.ndarray) -> list:
     return ("\n".join(["%.17g"] * len(vs)) % tuple(vs)).split("\n")
 
 
-def _format(x: np.ndarray) -> Sequence[str]:
-    """``"%.17g" % v`` for each value v of the 1-D float64 array ``x``, a
-    list or an object array: the values ``_digits`` proves by
-    ``_digit_texts``, the others (and every value of a block of fewer than
-    ``_KERNEL_MIN``) by ``_percent``."""
-    if len(x) < _KERNEL_MIN:
-        return _percent(x)
-    proved, n, k = _digits(x)
-    if len(proved) == len(x):
-        return _digit_texts(x < 0, n, k)
-    texts = np.empty(len(x), object)
-    rest = np.ones(len(x), bool)
-    rest[proved] = False
-    texts[rest] = _percent(x[rest])
-    if len(proved):
-        texts[proved] = _digit_texts(x[proved] < 0, n, k)
-    return texts
-
-
 def _texts(x: np.ndarray) -> np.ndarray:
-    """``"%.17g" % v`` for each value v of ``x``, an object array, written
-    ``_BLOCK`` values at a time by ``_format``."""
+    """``"%.17g" % v`` for each value v of the 1-D float64 array ``x``, an
+    object array, written ``_BLOCK`` values at a time: the values ``_digits``
+    proves by ``_digit_texts``, the others (and every value of a block of
+    fewer than ``_KERNEL_MIN``) by ``_percent``."""
     # the kernel holds over a dozen temporaries of the values' size: over
     # the whole array at once they raised the peak of a word-length-6
     # ``verify`` from 62.8 to 72.6 MB
     texts = np.empty(len(x), object)
     for lo in range(0, len(x), _BLOCK):
-        texts[lo:lo + _BLOCK] = _format(x[lo:lo + _BLOCK])
+        block, out = x[lo:lo + _BLOCK], texts[lo:lo + _BLOCK]
+        proved, n, k = _digits(block) if len(block) >= _KERNEL_MIN else (np.arange(0),) * 3
+        rest = np.ones(len(block), bool)
+        rest[proved] = False
+        if rest.any():
+            out[rest] = _percent(block[rest])
+        if len(proved):
+            out[proved] = _digit_texts(n, k)
     return texts
 
 

@@ -325,8 +325,10 @@ class SynthesisState:
     tolerance after stage m.  Both are ``serialize.Decimals``: float64 arrays,
     the margins with a null mask, which read as sequences of floats (and
     Nones) and compare and hash as tuples do; the constructor also takes
-    sequences.  Each writes its document list from a table of its distinct
-    texts, which the report's margin column shares (``verify_assignment``).
+    sequences.  Each writes its document list from a table of the texts of
+    its distinct values, built from the values whether the list was computed
+    or read back (a read list keeps no string of its document), which the
+    report's margin column shares (``verify_assignment``).
     The words are ``enumerate_words(num_g, max_len)`` for num_g = len(gens)
     and max_len = the word length, never stored: the recursion holds them as
     the arrays of ``_Schedule(num_g, max_len)``.

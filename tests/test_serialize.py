@@ -670,15 +670,25 @@ class TestDecimals:
     @example(["infinity", "inf"], True)
     @example(["NaN"], False)
     @example(["\u0661"], True)  # ARABIC-INDIC DIGIT ONE
+    # the edges of the character proof: float() and the characters pass, the
+    # leading + does not; or the characters fail
+    @example(["+inf"], True)
+    @example(["0.5", "+1e5"], False)
+    @example(["1e+5", "-inf"], False)
+    @example(["inF"], True)
+    @example(["1,5"], True)
+    @example([""], True)
+    @example(["\uff15"], True)  # FULLWIDTH DIGIT FIVE
+    @example(["0x1p3"], True)
+    @example(["1e5 "], True)
     # entries that are no string among canonical ones
     @example(["0.5", "1", 0.5], True)
     @example(["1", True, "0.5"], False)
     @example(["0.5", None, 1], True)
     @settings(max_examples=300, deadline=None)
     def test_read_accepts_exactly_the_pattern(self, vs, nullable):
-        """Also with blocks of three, each through the kernel: a string is
-        checked against its value's kernel text, and only a string of
-        another form against the pattern."""
+        """Also with blocks of three, each through the kernel: the character
+        proof runs on each block of strings, joined."""
         bad = [v for v in vs if not ((nullable and v is None)
                                      or (isinstance(v, str) and _DECIMAL_RE.fullmatch(v)))]
         for block, kernel_min in ((serialize._BLOCK, serialize._KERNEL_MIN), (3, 0)):
@@ -697,24 +707,32 @@ class TestDecimals:
 
     @pytest.mark.parametrize("block, kernel_min", [
         (serialize._BLOCK, serialize._KERNEL_MIN), (3, 0)], ids=["default", "blocks-of-3"])
-    def test_read_strings_are_the_table(self, block, kernel_min):
-        """A string read that is its value's ``"%.17g"`` is its own table
-        text, the very object; one in another form takes that text."""
+    def test_read_list_is_written_in_percent_17g(self, block, kernel_min):
+        """A read list is written as its values' ``"%.17g"``, whatever form
+        its strings take."""
         values = [0.5, 0.1, -0.0, 1e100, 5e-324, math.inf, 1 / 3]
         canonical = ["%.17g" % v for v in values]
         others = ["0.50", "5e-1", ".1", "-0.0", "1E+100", "4.9406564584124654E-324", "0.333"]
-        vs = json.loads(json.dumps(canonical + [None] + others))  # fresh string objects
+        vs = json.loads(json.dumps(canonical + [None] + others + [None]))
         with mock.patch.object(serialize, "_BLOCK", block), \
                 mock.patch.object(serialize, "_KERNEL_MIN", kernel_min):
             d = serialize.Decimals.parse(vs, True)
-            texts, index = d.table()[1:]
-            for k, v in enumerate(vs):
-                if v in canonical:
-                    assert texts[index[k]] is v
-                elif v is not None:
-                    assert texts[index[k]] == "%.17g" % float(v) != v
             written = json.loads(_written(_Lists(d, serialize.Decimals(values))))
-        assert written["margins"] == canonical + [None] + ["%.17g" % float(v) for v in others]
+        assert written["margins"] == canonical + [None] + [
+            "0.5", "0.5", "0.10000000000000001", "-0", "1e+100", "4.9406564584124654e-324",
+            "0.33300000000000002", None]
+
+    def test_read_list_holds_no_document_string(self):
+        """The table of a read list is written from its values: none of its
+        texts is a string object of the document, which would keep the
+        document's strings alive."""
+        values = [0.5, 0.1, 1e100, 5e-324, math.inf, 1 / 3, 0.25]
+        vs = json.loads(json.dumps(["%.17g" % v for v in values] * 2 + [None, "0.50"]))
+        d = serialize.Decimals.parse(vs, True)
+        texts = d.table()[1]
+        assert sorted(texts.tolist()) == sorted("%.17g" % v for v in values)
+        read = {id(v) for v in vs}
+        assert not any(id(t) in read for t in texts.tolist())
 
 
 def _reference(x: np.ndarray) -> list:
@@ -808,11 +826,15 @@ class TestDecimalKernel:
         x = _layout_values()
         proved, _, _ = serialize._digits(x)
         layouts = {_layout(t) for t in _reference(x[proved])}
-        assert layouts == {"", ".", "e", ".e", "0.", "0.0", "0.00", "0.000",
-                           "-0.", "-0.0", "-0.00", "-0.000"}
-        assert any(abs(v) >= 1e100 or abs(v) < 1e-99 for v in x[proved])  # 3-digit exponents
-        left = {"0", "-0", "nan", "inf", "-inf", "4.9406564584124654e-324", "1", "10000000000000000"}
-        assert left <= set(_reference(np.delete(x, proved)))
+        assert layouts == {"", ".", "e", ".e", "0.", "0.0", "0.00", "0.000"}
+        assert any(v >= 1e100 or v < 1e-99 for v in x[proved])  # 3-digit exponents
+        left = _reference(np.delete(x, proved))
+        assert {"0", "-0", "nan", "inf", "-inf", "4.9406564584124654e-324", "1",
+                "10000000000000000"} <= set(left)
+        # negative values are left to ``%``, in every layout
+        assert (x[proved] > 0).all() and len(left) > len(x) / 2
+        assert {"-0.", "-0.0", "-0.00", "-0.000", "-.", "-.e"} <= {
+            _layout(t) if t.startswith("-0.") else "-" + _layout(t) for t in left}
 
     def test_ties_are_deferred(self):
         x = _short_expansions()
@@ -834,7 +856,7 @@ class TestDecimalKernel:
         with mock.patch.object(np, "log10", lambda a: np.nextafter(log10(a), -math.inf)):
             proved, n, k = serialize._digits(below)
             assert len(proved) == len(below) and (n == 10 ** 16).all()
-            assert serialize._digit_texts(below < 0, n, k) == _reference(below)
+            assert serialize._digit_texts(n, k) == _reference(below)
             x = _ulps_around_powers_of_ten()
             assert _table_texts(x) == _reference(x)
 
