@@ -24,6 +24,9 @@ import numpy as np
 INVERSION_TOL = 1e-14
 INVERSION_MAX_ITER = 200
 SCALAR_SOLVE_MAX = 32  # arrays up to this size invert faster element by element
+PROVEN_TARGET_MAX = 2.0 ** 40  # targets whose bracket a shift bound proves
+# an allowance for one rounding of a value below 2^41, whose ulp is 2^-12
+_ROUNDING = 2.0 ** -12
 DEFAULT_GRID = 1024
 
 
@@ -200,6 +203,12 @@ class DiffeoExpr:
     def _draw(self, x: float) -> float:
         raise NotImplementedError
 
+    def _shift_bound(self) -> Optional[float]:
+        """None, or a bound s >= |e(x) - x| on the computed value of e at
+        every |x| < 2^41, its rounding included: ``_solve_increasing_array``
+        then proves its bracket ends without evaluating them."""
+        return None
+
     def _inv_raw(self, y: float) -> float:
         """Invert via guaranteed-bracketing monotone root search.
 
@@ -294,6 +303,11 @@ class SineShear(DiffeoExpr):
         cos = np.cos if isinstance(x, np.ndarray) else math.cos
         return 0.5 * self.a * cos(self.a * x) + 1.0
 
+    def _shift_bound(self):
+        # for |a| <= 2, a x is finite at every |x| < 2^41, so |0.5 sin| <=
+        # 0.5; the one addition rounds by at most 2^-13
+        return 0.5 + _ROUNDING if abs(self.a) <= 2 else None
+
 
 @dataclass(frozen=True)
 class Translation(DiffeoExpr):
@@ -383,6 +397,10 @@ class PerturbedLiftS1(DiffeoExpr):
         for b in self.bumps:
             d = d + b.c * 2 * math.pi * cos(2 * math.pi * x + b.phase)
         return d
+
+    def _shift_bound(self):
+        # |c sin| <= |c|, and each addition rounds by at most 2^-13
+        return sum(abs(b.c) for b in self.bumps) + len(self.bumps) * _ROUNDING
 
 
 def _invert(letters: Letters) -> Letters:
@@ -560,16 +578,28 @@ def _solve_increasing_array(e: DiffeoExpr, y: np.ndarray) -> np.ndarray:
 
     Each element takes the scalar solver's steps with the same float
     operations on the same operands, so each result is bitwise the scalar
-    solver's: the bracket and its end residuals (``[0, 1]`` on I, where
-    e(0) and e(1) are evaluated once for all elements; else
-    ``_expand_array``), an element at a bracket end returns it, the others
-    start from y clipped to the bracket.  Each iteration then runs on the
-    active elements only:
+    solver's.  The bracket and its end residuals come first: ``[0, 1]`` on
+    I, where e(0) and e(1) are evaluated once for all elements; else
+    ``_expand_array``, which evaluates e once per element at each end.  An
+    element at a bracket end returns it, the others start from y clipped to
+    the bracket.
 
-    1. fx = e(x) - y, and x replaces hi where fx > 0, else lo;
+    A map of a line or lift that declares a shift bound s (``_shift_bound``,
+    rounding included) skips the bracket ends when every target has
+    |y| <= 2^40 and s + 2^-12 < 1.  The scalar solver's first ends are then
+    y - 1.0 and y + 1.0, each rounded by at most 2^-13, so
+    e(y - 1.0) - y <= -1 + 2^-13 + s < 0, and likewise e(y + 1.0) - y > 0:
+    each expansion stops at its first test, and neither end is the
+    preimage.  So the bracket is set to [y - 1.0, y + 1.0] with no
+    evaluation of e.  Any other array (a non-finite or larger target, a map
+    without a bound, a larger s) goes through ``_expand_array``.
+
+    Each iteration then runs on the active elements only:
+
+    1. fx = e(x) - y, and x replaces hi where fx > 0, else lo, in place;
     2. the stopping test: only elements with |fx| <= tol (tol = 1e-14
        max(1, |y|), computed once) can stop, so the bracket width is
-       tested on those alone;
+       tested only if some element passes that test;
     3. if some element stopped, its x is stored and the active arrays are
        compacted, with one index array and a ``take`` per array;
     4. x - fx / e'(x) for every element, replaced by the bisection midpoint
@@ -592,14 +622,21 @@ def _solve_increasing_array(e: DiffeoExpr, y: np.ndarray) -> np.ndarray:
                 f"target {y[bad][0]} outside range of {e.KIND} on [0,1]"
             )
     else:
-        (lo, flo), (hi, fhi) = _expand_array(e, y, False), _expand_array(e, y, True)
+        s = e._shift_bound()
+        if s is not None and s + _ROUNDING < 1.0 and np.abs(y).max() <= PROVEN_TARGET_MAX:
+            lo, hi = y - 1.0, y + 1.0
+            flo = fhi = None
+        else:
+            (lo, flo), (hi, fhi) = _expand_array(e, y, False), _expand_array(e, y, True)
 
     x = np.minimum(np.maximum(y, lo), hi)  # good first guess for near-identity maps
-    at_hi = fhi <= 0.0
-    at_lo = flo >= 0.0
-    x[at_hi] = hi[at_hi]
-    x[at_lo] = lo[at_lo]  # the scalar solver tests the lower end first
-    idx = np.flatnonzero(~(at_lo | at_hi))
+    idx = np.arange(y.size)  # no element is at a proven bracket's end
+    if flo is not None:
+        at_hi = fhi <= 0.0
+        at_lo = flo >= 0.0
+        x[at_hi] = hi[at_hi]
+        x[at_lo] = lo[at_lo]  # the scalar solver tests the lower end first
+        idx = np.flatnonzero(~(at_lo | at_hi))
     xa, ya = x, y  # compacted only if some element is at a bracket end
     if idx.size < y.size:
         if not idx.size:
@@ -611,29 +648,29 @@ def _solve_increasing_array(e: DiffeoExpr, y: np.ndarray) -> np.ndarray:
         for _ in range(INVERSION_MAX_ITER):
             fx = e._raw(xa) - ya
             up = fx > 0
-            hi = np.where(up, xa, hi)
-            lo = np.where(up, lo, xa)
-            near = np.flatnonzero(np.abs(fx) <= tol)
-            if near.size:
-                ln, hn = lo.take(near), hi.take(near)
-                stop = (fx.take(near) == 0.0) | (
-                    hn - ln <= 4e-16 * np.maximum(np.maximum(1.0, np.abs(ln)), np.abs(hn))
+            np.copyto(hi, xa, where=up)
+            np.copyto(lo, xa, where=~up)
+            stop = np.abs(fx) <= tol
+            if stop.any():
+                stop &= (fx == 0.0) | (
+                    hi - lo <= 4e-16 * np.maximum(np.maximum(1.0, np.abs(lo)), np.abs(hi))
                 )
-                done = near[stop]
+                done = np.flatnonzero(stop)
                 if done.size:
                     x[idx.take(done)] = xa.take(done)
                     if done.size == idx.size:
                         return x
-                    keep = np.ones(idx.size, dtype=bool)
-                    keep[done] = False
-                    keep = np.flatnonzero(keep)
+                    keep = np.flatnonzero(~stop)
                     idx, xa, lo, hi, ya, tol, fx = (
                         a.take(keep) for a in (idx, xa, lo, hi, ya, tol, fx)
                     )
             d = e._draw(xa)
             xn = xa - fx / d
-            out = np.flatnonzero(~((lo < xn) & (xn < hi) & (d > 0)))
-            if out.size:
+            ok = lo < xn
+            ok &= xn < hi
+            ok &= d > 0
+            if not ok.all():
+                out = np.flatnonzero(~ok)
                 xn[out] = 0.5 * (lo.take(out) + hi.take(out))
             xa = xn
     x[idx] = xa

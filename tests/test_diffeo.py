@@ -1,5 +1,7 @@
+import json
 import math
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from cliqueforest import (
     BumpTrig,
     Compose,
     DomainError,
+    GeneratorAssignment,
     Identity,
     Inverse,
     InvariantBreach,
@@ -750,10 +753,30 @@ class TestArrayGridPath:
         # just past the element-by-element size, and one past the walk's chunk
         (LIFT, [-1.0 + i / 16 for i in range(SCALAR_SOLVE_MAX + 1)]),
         (LIFT, [-2.0 + i / 1024 for i in range(2 ** 13 + 1)]),
+        # the ends of the proven bracket's range, and -0.0
+        (LIFT, [-(2.0 ** 40), 2.0 ** 40, -0.0] + PAD),
+        (SineShear(1.9), [-(2.0 ** 40), 2.0 ** 40, -0.0, -40.0, 40.0] + PAD),
+        # one target past 2^40 sends the whole array through the expansion
+        (LIFT, [-(2.0 ** 41), 2.0 ** 41, -3e12, 3e12] + PAD),
+        (SineShear(1.9), [-(2.0 ** 41), 2.0 ** 41, -3e12, 3e12] + PAD),
+        (LIFT, [3e12 + i / 64 for i in range(100)]),
+        # a four-bump lift over one walk chunk of a wide-forest verify
+        (PerturbedLiftS1((BumpTrig(0.03, 1, 0.3), BumpTrig(-0.01, 2, 1.1),
+                          BumpTrig(0.005, 3, 2.0), BumpTrig(0.002, 4, 4.5))),
+         [-3.5 + i / 1025 for i in range(7175)]),
     ])
     def test_array_solver_matches_scalar(self, e, ys):
         got = _solve_increasing_array(e, np.array(ys))
         assert _bits(got) == _bits([_solve_increasing(e, y) for y in ys])
+
+    @pytest.mark.parametrize("e", [LIFT, SineShear(1.9)], ids=["lift", "shear"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_target_fails_expansion(self, e, bad):
+        # a non-finite target is outside the proven range, so the array
+        # expands its bracket and fails there
+        with np.errstate(invalid="ignore"), pytest.raises(
+                InversionError, match="bracket expansion failed"):
+            _solve_increasing_array(e, np.array([bad] + self.PAD))
 
     def test_lift_bracket_evaluated_once_per_side(self):
         # the bracket [y - 1, y + 1] of a near-identity lift holds at once:
@@ -777,6 +800,67 @@ class TestArrayGridPath:
         assert _bits(got) == _bits([_solve_increasing(self.LIFT, y) for y in ys])
         first_draw = next(i for i, (kind, _) in enumerate(calls) if kind == "draw")
         assert sum(n for _, n in calls[:first_draw]) <= 3 * len(ys)
+
+    @pytest.mark.parametrize("cls, args, start, evals", [
+        (PerturbedLiftS1, (LIFT.bumps,), -40.0, 1),
+        (SineShear, (1.9,), -40.0, 1),
+        # the shear's values without a declared bound
+        (_LineMap, (lambda x: 0.5 * np.sin(1.9 * x) + x,
+                    lambda x: 0.5 * 1.9 * np.cos(1.9 * x) + 1.0), -40.0, 3),
+        # bumps that cancel: a bound above 1.2, too large to prove the bracket
+        (PerturbedLiftS1, ((BumpTrig(0.6, 1), BumpTrig(-0.6, 1)),), -40.0, 3),
+        # targets past 2^40
+        (PerturbedLiftS1, (LIFT.bumps,), 3e12, 3),
+    ], ids=["lift", "shear", "unbounded", "large-bound", "far-targets"])
+    def test_proven_bracket_evaluates_no_end(self, cls, args, start, evals):
+        # a declared shift bound proves [y - 1, y + 1] a bracket with neither
+        # end the preimage: e is evaluated once per element, at the first
+        # iterate, before the first derivative.  Otherwise each end is
+        # evaluated once more
+        calls = []
+
+        class Counted(cls):
+            def _raw(self, x):
+                calls.append(("raw", np.size(x)))
+                return super()._raw(x)
+
+            def _draw(self, x):
+                calls.append(("draw", np.size(x)))
+                return super()._draw(x)
+
+        e = Counted(*args)
+        calls.clear()  # the lift's constructor checks its derivative
+        ys = [start + i / 16 for i in range(1281)]
+        got = _solve_increasing_array(e, np.array(ys))
+        assert _bits(got) == _bits([_solve_increasing(e, y) for y in ys])
+        first_draw = next(i for i, (kind, _) in enumerate(calls) if kind == "draw")
+        assert sum(n for _, n in calls[:first_draw]) == evals * len(ys)
+
+    def test_shift_bounds_are_sound(self):
+        # |e(x) - x| <= s on the turn, where the bumps peak, and over the
+        # whole proven range |x| < 2^41, where the additions round most
+        xs = np.concatenate([np.linspace(0.0, 1.0, 2 ** 16, endpoint=False),
+                             np.linspace(-(2.0 ** 41), 2.0 ** 41, 2 ** 16 + 2)[1:-1]])
+        rng = random.Random(29)
+        maps = [PerturbedLiftS1(tuple(
+            BumpTrig(rng.uniform(-0.035, 0.035), k, rng.uniform(0.0, 2 * math.pi))
+            for k in range(1, rng.randint(1, 4) + 1))) for _ in range(12)]
+        # the lift of a K6+3xK2 embedding at word length 4, read back
+        edges = list(combinations(range(6), 2)) + [(6, 7), (8, 9), (10, 11)]
+        asg = synthesize_embedding(SimpleGraph.from_edges(12, edges), Manifold.CIRCLE,
+                                   SynthesisOptions(word_len=4))
+        back = GeneratorAssignment.from_dict(json.loads(json.dumps(asg.to_dict())))
+        lifts = {e for h in back.exprs().values() for e, _ in h.letters
+                 if isinstance(e, PerturbedLiftS1)}
+        assert lifts
+        maps += lifts
+        maps += [SineShear(a) for a in [-2.0, 2.0, 1.9, -0.25]
+                 + [rng.uniform(-2.0, 2.0) for _ in range(8)]]
+        for e in maps:
+            s = e._shift_bound()
+            assert s is not None and s + 2.0 ** -12 < 1.0, e
+            assert np.max(np.abs(e._raw(xs) - xs)) <= s, e
+        assert SineShear(2.5)._shift_bound() is None
 
     @pytest.mark.parametrize("cls, args, ys", [
         (PerturbedLiftS1, ((BumpTrig(0.02, 1, 0.5), BumpTrig(-0.004, 2, math.pi / 4)),),
