@@ -491,6 +491,12 @@ class Power(_Composite):
 # monotone inversion
 
 
+def _non_finite_target(e: DiffeoExpr, y: float) -> InversionError:
+    """The error of both solvers for a target of a line or lift map that is
+    infinite or NaN, raised before e is evaluated."""
+    return InversionError(f"non-finite target {y} for {e.KIND}")
+
+
 def _solve_increasing(e: DiffeoExpr, y: float) -> float:
     if e.manifold is Manifold.INTERVAL:
         lo, hi = 0.0, 1.0
@@ -501,6 +507,8 @@ def _solve_increasing(e: DiffeoExpr, y: float) -> float:
         if not (flo <= 0 and fhi >= 0) and not 0.0 <= y <= 1.0:
             raise InversionError(f"target {y} outside range of {e.KIND} on [0,1]")
     else:
+        if not math.isfinite(y):
+            raise _non_finite_target(e, y)
         # expanding bracket around y (lift / line maps are near-translations)
         lo, flo = _expand(e, y, False)
         hi, fhi = _expand(e, y, True)
@@ -591,8 +599,10 @@ def _solve_increasing_array(e: DiffeoExpr, y: np.ndarray) -> np.ndarray:
     e(y - 1.0) - y <= -1 + 2^-13 + s < 0, and likewise e(y + 1.0) - y > 0:
     each expansion stops at its first test, and neither end is the
     preimage.  So the bracket is set to [y - 1.0, y + 1.0] with no
-    evaluation of e.  Any other array (a non-finite or larger target, a map
-    without a bound, a larger s) goes through ``_expand_array``.
+    evaluation of e.  Any other array (a larger target, a map without a
+    bound, a larger s) goes through ``_expand_array``.  A non-finite target
+    of a line or lift map raises InversionError before e is evaluated, at
+    every size, with the scalar solver's message.
 
     Each iteration then runs on the active elements only:
 
@@ -610,6 +620,10 @@ def _solve_increasing_array(e: DiffeoExpr, y: np.ndarray) -> np.ndarray:
     element by element.  Raises InversionError if any element fails.
     """
     y = np.asarray(y, dtype=float)
+    if e.manifold is not Manifold.INTERVAL:
+        top = np.abs(y).max(initial=0.0)  # NaN if some target is
+        if not top < math.inf:
+            raise _non_finite_target(e, y[~np.isfinite(y)][0])
     if y.size <= SCALAR_SOLVE_MAX:
         return np.array([_solve_increasing(e, v) for v in y.tolist()])
     if e.manifold is Manifold.INTERVAL:
@@ -623,7 +637,7 @@ def _solve_increasing_array(e: DiffeoExpr, y: np.ndarray) -> np.ndarray:
             )
     else:
         s = e._shift_bound()
-        if s is not None and s + _ROUNDING < 1.0 and np.abs(y).max() <= PROVEN_TARGET_MAX:
+        if s is not None and s + _ROUNDING < 1.0 and top <= PROVEN_TARGET_MAX:
             lo, hi = y - 1.0, y + 1.0
             flo = fhi = None
         else:

@@ -221,12 +221,13 @@ class Decimals:
     Its JSON texts come from one table (``table``), built on first use and
     kept on the object: distinct values, the bare text of each (its
     ``"%.17g"``, without quotes: each writer puts in the quotes and the
-    nulls) and, for each entry, the row of its value.  A list, whether built
-    from values or read from a document (``parse``), has a row per distinct
-    bit pattern (so that -0.0 keeps its own text), written ``_BLOCK`` at a
-    time by ``_texts``.  A slice or an index array gives entries of the list
-    on its table, and ``halved`` the halves of the entries on its index,
-    with a table of the halves of its values.
+    nulls) and, for each entry, the row of its value.  A list built from
+    values has a row per distinct bit pattern (so that -0.0 keeps its own
+    text), one read from a document (``parse``) a row per distinct string;
+    either table is written ``_BLOCK`` values at a time by ``_texts``.  A
+    slice or an index array gives entries of the list on its table, and
+    ``halved`` the halves of the entries on its index, with a table of the
+    halves of its values.
     """
 
     __slots__ = ("values", "null", "_table", "_source")
@@ -261,15 +262,18 @@ class Decimals:
     @classmethod
     def parse(cls, vs, nullable: bool) -> "Decimals":
         """The decimals of a JSON list of decimal strings (and nulls, when
-        ``nullable``); its table is built from its values, as a built list's.
+        ``nullable``); its table rows are the distinct strings' values, in
+        the order the read numbered them, written on first use.
 
         One ``dict.setdefault`` pass numbers each entry by the place of its
         first occurrence (a null past the end), and each distinct string is
-        converted once, by ``float()``.  The strings are proved decimals
-        ``_BLOCK`` at a time, joined: a string that ``float()`` converts,
-        whose characters are all ``0-9 . e E + - i n f`` and that does not
-        start with ``+`` matches the decimal pattern.  A list with an entry
-        that is no decimal string raises on the first such entry."""
+        converted once, by ``float()``; a rank array over those first places
+        turns the numbering into table rows, with no sort.  The strings are
+        proved decimals ``_BLOCK`` at a time, joined: a string that
+        ``float()`` converts, whose characters are all ``0-9 . e E + - i n f``
+        and that does not start with ``+`` matches the decimal pattern.  A
+        list with an entry that is no decimal string raises on the first
+        such entry."""
         if not isinstance(vs, list):
             raise ExprFormatError(f"expected a list, got {reprlib.repr(vs)}")
         rows = {None: len(vs)} if nullable else {}
@@ -282,12 +286,22 @@ class Decimals:
                 text = "," + ",".join(strings[lo:lo + _BLOCK])
                 if ",+" in text or text.translate(_DECIMAL_CHARS):
                     raise ValueError("not a decimal string")
-            values = np.full(len(vs) + 1, math.nan)
-            values[firsts] = np.fromiter(map(float, strings), np.float64, len(strings))
+            distinct = np.fromiter(map(float, strings), np.float64, len(strings))
         except (TypeError, ValueError):
             _first_non_decimal(vs, nullable)
             raise
-        return cls(values[index], index == len(vs) if nullable else None)
+        n = len(vs)  # the table below holds no reference to the strings
+        values = np.full(n + 1, math.nan)
+        values[firsts] = distinct
+        decimals = cls(values[index], index == n if nullable else None)
+
+        def table():  # a row per distinct string, numbered in order of first use
+            rank = np.empty(n + 1, np.min_scalar_type(len(distinct)))
+            rank[firsts] = np.arange(len(distinct))
+            rank[n] = len(distinct)  # a null's row, past the table
+            return distinct, _texts(distinct), rank[index]
+        decimals._source = table
+        return decimals
 
     def live(self) -> np.ndarray:
         """The indices of the entries that are not null."""
@@ -299,8 +313,9 @@ class Decimals:
         ``values[index[k]]``, bitwise, with the bare text ``texts[index[k]]``
         (``texts`` an object array; ``index`` of the smallest unsigned type
         that holds ``len(texts)``, the row of a null entry).  Built from the
-        values on first use (``_own_table``), or, for a part or the halves of
-        a list, from that list's table."""
+        values on first use (``_own_table``), from the numbering of its read
+        (``parse``), or, for a part or the halves of a list, from that list's
+        table."""
         if self._table is None:
             self._table = (self._source or self._own_table)()
             self._source = None

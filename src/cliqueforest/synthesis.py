@@ -69,7 +69,6 @@ DEFAULT_WORD_LEN = 6
 DEFAULT_ALPHA_K = 5
 _RELATION_TOL = 1e-9
 _RELATION_CHECK_LIMIT = 5_000_000
-_RELATION_CHUNK = 1 << 16  # relation vectors summed per numpy pass
 _EPS_FLOOR = 1e-300  # a stage tolerance at or below this is an underflow
 
 
@@ -124,8 +123,9 @@ def choose_alphas(n: int, k: int = DEFAULT_ALPHA_K) -> AlphaSequence:
     """alpha_i = exp(sqrt(p_i)/C) for the first n primes, scaled into (1, pi).
 
     The logs are proportional to square roots of distinct primes, hence
-    rationally independent; the height-k relation minimum is verified by
-    exhaustive enumeration and recorded.
+    rationally independent; the height-k relation minimum is computed by
+    ``_min_relation`` (a meet-in-the-middle search, bitwise the minimum over
+    every relation vector) and recorded.
     """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
@@ -146,30 +146,62 @@ def choose_alphas(n: int, k: int = DEFAULT_ALPHA_K) -> AlphaSequence:
 
 
 def _min_relation(logs: Sequence[float], k: int) -> float:
-    """min |sum_i k_i logs[i]| over nonzero integer vectors with max|k_i| <= k.
+    """min |sum_i k_i logs[i]| over nonzero integer vectors with max|k_i| <= k,
+    each sum accumulated left to right over the coordinates from 0.0, the
+    products k_i * logs[i] rounded first.  Callers pass k >= 1 and at least
+    one log, every log finite.
 
-    Each sum is accumulated left to right over the coordinates: the prefix
-    sums of all but the last two coordinates first, then the last two added
-    as a (2k+1)^2 block per prefix, a chunk of prefixes at a time so that
-    memory stays small.
+    Meet in the middle (Horowitz and Sahni, J. ACM 21, 1974): H runs over
+    the sums of the first n // 2 coordinates and T over those of the others
+    (both left to right, so H is the full sum's own prefix), T sorted.  A
+    full sum S and its split sum H + T differ by at most
+    2 gamma_{n-1} sum_i |k_i logs[i]| (the bound of recursive summation,
+    Higham, Accuracy and Stability of Numerical Algorithms, 2002, 4.2).  So
+    a minimiser, whose |S| is at most the |S| = U of any nonzero vector, has
+    |H + T| <= U + E, with E = 4 n u k sum_i |logs[i]| covering that bound
+    and the rounding of the search window.  U is taken from the nearest
+    nonzero pair (H, T), and every pair within U + E of zero is summed
+    again in the order above: the zero vector excluded, the smallest |S|
+    among them is the minimum, bit for bit that of summing every vector.
     """
     ks = np.arange(-k, k + 1, dtype=float)
-    head, tail = logs[:-2], logs[-2:]
-    pre, pre_zero = np.zeros(1), np.ones(1, dtype=bool)
-    for lg in head:
-        pre = (pre[:, None] + ks * lg).ravel()
-        pre_zero = (pre_zero[:, None] & (ks == 0)).ravel()
-    chunk = max(1, _RELATION_CHUNK // ks.size ** len(tail))
-    best = math.inf
-    for start in range(0, pre.size, chunk):
-        v, zero = pre[start:start + chunk], pre_zero[start:start + chunk]
-        for lg in tail:
-            v = v[..., None] + ks * lg
-            zero = zero[..., None] & (ks == 0)
-        v = np.abs(v)
-        v[zero] = math.inf  # the all-zero vector is no relation
-        best = min(best, float(v.min()))
-    return best
+    base, n, m = ks.size, len(logs), len(logs) // 2
+
+    def sums(part):
+        s = np.zeros(1)
+        for lg in part:
+            s = (s[:, None] + ks * lg).ravel()
+        return s
+
+    head, tail = sums(logs[:m]), sums(logs[m:])
+    order = tail.argsort(kind="stable")
+    t = tail[order]
+    zero_h, zero_t = (base ** m - 1) // 2, (base ** (n - m) - 1) // 2  # every k_i = 0
+
+    def full(h, j):
+        """|S| of head rows h with tail rows j (rows of ``tail``, unsorted)."""
+        s = head[h]
+        for q, lg in enumerate(logs[m:]):  # digit q of j, the first the highest
+            s = s + ks[j // base ** (n - m - 1 - q) % base] * lg
+        return np.abs(s)
+
+    # the nearest T on either side of -H, and the one after
+    near = np.maximum(t.searchsorted(-head)[:, None] + np.arange(-1, 2), 0)
+    np.minimum(near, t.size - 1, out=near)
+    gap = np.abs(head[:, None] + t[near])
+    gap[zero_h, order[near[zero_h]] == zero_t] = math.inf
+    at = int(gap.argmin())
+    upper = float(full(at // 3, order[near.flat[at]]))
+    if upper == 0.0:  # no |S| is smaller; exact ties would all be rechecked
+        return upper
+    err = 4 * n * 2.0 ** -53 * k * sum(map(abs, logs)) + 2.0 ** -1074
+    lo = t.searchsorted(-head - (upper + err), "left")
+    count = t.searchsorted(-head + (upper + err), "right") - lo
+    h = np.arange(head.size).repeat(count)
+    j = order[np.arange(h.size) - (count.cumsum() - count - lo).repeat(count)]
+    s = full(h, j)
+    s[(h == zero_h) & (j == zero_t)] = math.inf  # the zero vector is no relation
+    return float(s.min())
 
 
 # ---------------------------------------------------------------------------
@@ -712,6 +744,27 @@ class VerificationReport:
     from_dict = serialize.loader("report")
 
 
+def _relation_recomputed(alphas: AlphaSequence, notes: List[str]) -> bool:
+    """Whether the height-k_bound relation minimum of the alphas' logs,
+    recomputed, is above ``_RELATION_TOL``; if not, a note says why."""
+    n, k = len(alphas.alphas), alphas.k_bound
+    if k < 1:
+        why = "a height below 1 has no relation vector"
+    elif not all(0.0 < a < math.inf for a in alphas.alphas):
+        why = "not every alpha has a finite log"
+    elif (2 * k + 1) ** n - 1 > _RELATION_CHECK_LIMIT:
+        why = f"{n} generators give more than {_RELATION_CHECK_LIMIT} vectors"
+    else:
+        best = _min_relation([math.log(a) for a in alphas.alphas], k)
+        if best > _RELATION_TOL:
+            return True
+        notes.append(f"the alpha relation minimum recomputed at height {k} is {best!r}, "
+                     f"at most {_RELATION_TOL!r}: the g generators may satisfy a relation")
+        return False
+    notes.append(f"the alpha relation minimum at height {k} was not recomputed: {why}")
+    return False
+
+
 def verify_assignment(
     assignment: GeneratorAssignment,
     word_len: Optional[int] = None,
@@ -729,7 +782,10 @@ def verify_assignment(
     length by default); the report says so prominently.  The alpha record
     certifies the pure-g words only of generators that are the maps of its
     alphas (``alpha_generators``); any others fail that check, and so do
-    words above its height.  A single clique counts no pure-g word
+    words above its height.  Its relation minimum is recomputed from the
+    alphas, not read: a minimum at most ``_RELATION_TOL``, an alpha without
+    a finite log, or a height below 1 or past ``_RELATION_CHECK_LIMIT``
+    fails the check too, with a note.  A single clique counts no pure-g word
     (``pure_g_checked`` 0): its claim rests on the alpha record alone, and
     the report notes it.  A state whose
     basepoint is not in (0, 1), or whose recorded margins are not all finite
@@ -809,6 +865,8 @@ def verify_assignment(
         if assignment.gens:
             notes.append(f"no pure-g word was enumerated: the claim rests on the alpha "
                          f"relation record up to height {assignment.alphas.k_bound}")
+    if assignment.gens and pure_g_ok:
+        pure_g_ok = _relation_recomputed(assignment.alphas, notes)
     if assignment.gens and wl > assignment.alphas.k_bound:
         pure_g_ok = False
         notes.append(f"pure-g words reach exponent height {wl} (g1^{wl}), above "

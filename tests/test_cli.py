@@ -341,6 +341,22 @@ class TestSynthesizeVerify:
         assert rep["pure_g_checked"] == checked
         assert rep["notes"][0] == "the g generators are not the maps of the recorded alphas"
 
+    def test_verify_recomputes_the_alpha_relation(self, graph_file, tmp_path):
+        """Alphas and generators 2, 4 and 8 satisfy log 4 = 2 log 2; the
+        recorded minimum is not read, so the forged K3 document fails."""
+        asg, doc = _synthesized(graph_file, tmp_path, K3, 3)
+        doc["alphas"]["alphas"] = ["2", "4", "8"]
+        for gen, alpha in zip(doc["gens"], doc["alphas"]["alphas"]):
+            gen["alpha"] = alpha
+        asg.write_text(json.dumps(doc))
+        out = tmp_path / "v.json"
+        assert main(["verify", str(asg), "--word-len", "3", "--out", str(out)]) == EXIT_FINDING
+        rep = json.loads(out.read_text())
+        assert not rep["ok"] and not rep["pure_g_all_nontrivial"]
+        assert all(c["ok"] for c in rep["edge_checks"])
+        assert rep["notes"][-1].startswith("the alpha relation minimum recomputed at height 5 "
+                                           "is 0.0")
+
     @pytest.mark.parametrize("components, code", [
         ([[0, 1, 7], [2, 3, 4]], EXIT_INPUT),
         ([[0, 1, 2], [2, 3, 4]], EXIT_INPUT),

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import random
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -772,11 +774,37 @@ class TestArrayGridPath:
     @pytest.mark.parametrize("e", [LIFT, SineShear(1.9)], ids=["lift", "shear"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_target_fails_expansion(self, e, bad):
-        # a non-finite target is outside the proven range, so the array
-        # expands its bracket and fails there
-        with np.errstate(invalid="ignore"), pytest.raises(
-                InversionError, match="bracket expansion failed"):
-            _solve_increasing_array(e, np.array([bad] + self.PAD))
+        # a non-finite target has no bracket: the array is rejected before
+        # any expansion, with no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InversionError, match=f"non-finite target {bad} for {e.KIND}"):
+                _solve_increasing_array(e, np.array([bad] + self.PAD))
+
+    @pytest.mark.parametrize("e", [LIFT, SineShear(1.9)], ids=["lift", "shear"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("size", [1, SCALAR_SOLVE_MAX, SCALAR_SOLVE_MAX + 8])
+    def test_non_finite_target_rejected_before_evaluation(self, e, bad, size):
+        # both solvers, element by element and whole-array, raise the same
+        # InversionError without evaluating the map and without a warning
+        calls = []
+
+        class Counted(type(e)):
+            def _raw(self, x):
+                calls.append(np.size(x))
+                return super()._raw(x)
+
+        counted = Counted(*(getattr(e, f.name) for f in dataclasses.fields(e)))
+        ys = np.linspace(-2.0, 2.0, size)
+        ys[size // 2] = bad
+        message = f"non-finite target {bad} for {e.KIND}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InversionError, match=message):
+                _solve_increasing_array(counted, ys)
+            with pytest.raises(InversionError, match=message):
+                _solve_increasing(counted, bad)
+        assert calls == []
 
     def test_lift_bracket_evaluated_once_per_side(self):
         # the bracket [y - 1, y + 1] of a near-identity lift holds at once:
@@ -891,9 +919,14 @@ class TestArrayGridPath:
             calls.clear()
             want = _two_loop_solve_increasing(e, y)
             assert (_bits([got]), new) == (_bits([want]), len(calls) - 2), y
-        for solve in (_solve_increasing, _two_loop_solve_increasing):
-            with pytest.raises(InversionError, match=r"bracket expansion failed \(lower\)"):
-                solve(e, math.nan)
+        # a NaN target: the two-loop expansion fails after its steps, the
+        # solver before any evaluation
+        with pytest.raises(InversionError, match=r"bracket expansion failed \(lower\)"):
+            _two_loop_solve_increasing(e, math.nan)
+        calls.clear()
+        with pytest.raises(InversionError, match="non-finite target nan"):
+            _solve_increasing(e, math.nan)
+        assert calls == []
 
     def test_array_solver_out_of_range(self):
         # small arrays are solved element by element, larger ones in one

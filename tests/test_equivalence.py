@@ -10,7 +10,9 @@ first-missing-pair witness, the per-line edge-list parser, the
 stage-by-stage perturbation recursion over word tuples, the per-node
 recursion of Compose, Inverse and Power, and the per-expression grid scan
 and the per-pair loop of the commutation graph that ``diffeo.grid_sups``
-replaced by one walk over shared letter prefixes.
+replaced by one walk over shared letter prefixes, and the exhaustive scan of
+every alpha relation vector that the meet-in-the-middle search of
+``synthesis._min_relation`` replaced.
 Their commutation predicate multiplies the matrices, so the closed form of
 ``commutes_with`` is checked on the way.
 """
@@ -1155,3 +1157,86 @@ def test_commutation_graph_rejections():
             build(fs, 1e-9, 2, 64)
     with pytest.raises(TagMismatchError):
         commutation_graph([LIFT, MobiusI(2.0)], 1e-9, 2, 64)
+
+
+# ---------------------------------------------------------------------------
+# the alpha relation minimum: the exhaustive scan that the meet-in-the-middle
+# search of ``synthesis._min_relation`` replaced
+
+
+def ref_min_relation(logs, k):
+    """min |sum_i k_i logs[i]| over every nonzero vector with max|k_i| <= k,
+    each sum accumulated left to right: the prefix sums of all but the last
+    two coordinates, then the last two added as a (2k+1)^2 block per prefix,
+    2^16 vectors per numpy pass."""
+    ks = np.arange(-k, k + 1, dtype=float)
+    head, tail = logs[:-2], logs[-2:]
+    pre, pre_zero = np.zeros(1), np.ones(1, dtype=bool)
+    for lg in head:
+        pre = (pre[:, None] + ks * lg).ravel()
+        pre_zero = (pre_zero[:, None] & (ks == 0)).ravel()
+    chunk = max(1, (1 << 16) // ks.size ** len(tail))
+    best = math.inf
+    for start in range(0, pre.size, chunk):
+        v, zero = pre[start:start + chunk], pre_zero[start:start + chunk]
+        for lg in tail:
+            v = v[..., None] + ks * lg
+            zero = zero[..., None] & (ks == 0)
+        v = np.abs(v)
+        v[zero] = math.inf  # the all-zero vector is no relation
+        best = min(best, float(v.min()))
+    return best
+
+
+def assert_same_minimum(logs, k):
+    assert _bits(synthesis._min_relation(logs, k)) == _bits(ref_min_relation(logs, k)), (logs, k)
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 7) for k in range(1, 7)
+                                  if (2 * k + 1) ** n <= 5_000_000])
+def test_relation_minimum_matches_scan(n, k):
+    primes = synthesis._first_primes(n)
+    c = math.sqrt(primes[-1]) / 1.1
+    assert_same_minimum([math.sqrt(p) / c for p in primes], k)
+
+
+def relation_logs(kind, rng):
+    """(logs, k) of one kind, with at most 10^5 vectors below seven logs."""
+    n = 7 if kind == "seven" else rng.randint(1, 6)
+    k = rng.randint(1, 3 if n == 7 else max(1, int((1e5 ** (1 / n) - 1) // 2)))
+    logs = [rng.uniform(0.01, 1.1) for _ in range(n)]
+    if kind == "exact" and n > 1:  # logs[b] a simple multiple of logs[a]
+        a, b = rng.sample(range(n), 2)
+        logs[b] = logs[a] * rng.choice([2.0, 3.0, 0.5, -1.0, 1.5])
+    elif kind == "rounded":  # few distinct sums: many ties, many exact zeros
+        logs = [rng.choice([round(rng.uniform(-1.1, 1.1), 2), rng.randint(-8, 8) * 0.25])
+                for _ in range(n)]
+    elif kind == "negative":
+        logs = [rng.uniform(-1.1, 1.1) for _ in range(n)]
+    elif kind == "zero":
+        logs[rng.randrange(n)] = 0.0
+    elif kind == "equal" and n > 1:
+        a, b = rng.sample(range(n), 2)
+        logs[b] = logs[a]
+    elif kind == "seven" and rng.random() < 0.5:
+        logs = [round(v, 2) for v in logs]
+    return logs, k
+
+
+@pytest.mark.parametrize("kind", ["exact", "rounded", "negative", "zero", "equal", "seven"])
+def test_relation_minimum_matches_scan_on_random_logs(kind):
+    rng = random.Random(f"relation-{kind}")
+    for _ in range(84):
+        assert_same_minimum(*relation_logs(kind, rng))
+
+
+@pytest.mark.parametrize("logs, k", [
+    ([0.0] * 6, 6),  # every sum an exact zero
+    ([0.5, 1.0, 0.25], 2),
+    ([5e-324, 1e-323, 1.5e-323], 4),  # subnormal, exact sums
+    ([1e-300, 3e-300, -2e-300, 7e-301], 5),
+    ([709.0, -744.0, 1e-10, 0.3], 5),  # the widest logs of finite alphas
+    ([0.1 * (1 + i * 2.0 ** -50) for i in range(6)], 5),  # near ties, no exact one
+])
+def test_relation_minimum_matches_scan_on_edge_logs(logs, k):
+    assert_same_minimum(logs, k)

@@ -725,12 +725,14 @@ class TestDecimals:
     def test_read_list_holds_no_document_string(self):
         """The table of a read list is written from its values: none of its
         texts is a string object of the document, which would keep the
-        document's strings alive."""
+        document's strings alive.  Its rows are the distinct strings in the
+        order of their first use, so "0.50" has a row of its own, written as
+        "0.5"."""
         values = [0.5, 0.1, 1e100, 5e-324, math.inf, 1 / 3, 0.25]
         vs = json.loads(json.dumps(["%.17g" % v for v in values] * 2 + [None, "0.50"]))
         d = serialize.Decimals.parse(vs, True)
         texts = d.table()[1]
-        assert sorted(texts.tolist()) == sorted("%.17g" % v for v in values)
+        assert texts.tolist() == ["%.17g" % v for v in values] + ["0.5"]
         read = {id(v) for v in vs}
         assert not any(id(t) in read for t in texts.tolist())
 

@@ -31,6 +31,7 @@ from cliqueforest import (
 from cliqueforest import diffeo, synthesis
 from cliqueforest.synthesis import (
     DEFAULT_BASEPOINT,
+    AlphaSequence,
     GeneratorAssignment,
     SynthesisError,
     SynthesisOptions,
@@ -40,6 +41,7 @@ from cliqueforest.synthesis import (
     _Schedule,
     _schedule_margins,
     _word_margin,
+    alpha_generators,
     word_str,
 )
 from conftest import word_is_nontrivial
@@ -465,6 +467,43 @@ class TestVerifyAssignment:
         assert rep.pure_g_checked == 4 + 12 + 36 + 108
         assert sum("exponent height 4" in n for n in rep.notes) == 1
         assert verify_assignment(asg, word_len=4).pure_g_all_nontrivial
+
+    @pytest.mark.parametrize("edges", [[(0, 1), (0, 2), (1, 2)], [(0, 1), (2, 3), (2, 4), (3, 4)]],
+                             ids=["K3", "K2+K3"])
+    @pytest.mark.parametrize("manifold, alphas, k_bound, note", [
+        # log 4 = 2 log 2: a relation of height 2, whatever the record says
+        (Manifold.INTERVAL, (2.0, 4.0, 8.0), 5,
+         "the alpha relation minimum recomputed at height 5 is 0.0, at most 1e-09: "
+         "the g generators may satisfy a relation"),
+        # rotations take any finite angle; a non-positive one has no log
+        (Manifold.CIRCLE, (2.0, -1.5, 3.0), 5,
+         "the alpha relation minimum at height 5 was not recomputed: "
+         "not every alpha has a finite log"),
+        (Manifold.CIRCLE, (2.0, 0.0, 3.0), 5,
+         "the alpha relation minimum at height 5 was not recomputed: "
+         "not every alpha has a finite log"),
+        # 201^3 - 1 vectors
+        (Manifold.INTERVAL, None, 100,
+         "the alpha relation minimum at height 100 was not recomputed: "
+         "3 generators give more than 5000000 vectors"),
+        # the empty set of relation vectors certifies nothing
+        (Manifold.INTERVAL, None, 0,
+         "the alpha relation minimum at height 0 was not recomputed: "
+         "a height below 1 has no relation vector"),
+    ], ids=["relation", "negative", "zero", "past-limit", "height-0"])
+    def test_alpha_relation_is_recomputed(self, edges, manifold, alphas, k_bound, note):
+        """The record's own minimum stays as synthesized; verify recomputes
+        it from the alphas, on a single clique and on a forest."""
+        g = SimpleGraph.from_edges(max(map(max, edges)) + 1, edges)
+        asg = synthesize_embedding(g, manifold, SynthesisOptions(word_len=3))
+        assert verify_assignment(asg).pure_g_all_nontrivial
+        record = AlphaSequence(alphas or asg.alphas.alphas, k_bound, asg.alphas.min_relation)
+        forged = dataclasses.replace(asg, alphas=record,
+                                     gens=alpha_generators(manifold, record))
+        rep = verify_assignment(forged)
+        assert not rep.ok and not rep.pure_g_all_nontrivial
+        assert rep.notes.count(note) == 1
+        assert rep.to_dict()["pure_g_all_nontrivial"] is False
 
 
 class TestAcceptanceScaleRun:
