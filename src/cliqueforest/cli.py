@@ -122,6 +122,13 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--out", help="output file (default: stdout)")
 
 
+def _add_line_domain(p: argparse.ArgumentParser):
+    p.add_argument("--lo", type=float, default=0.0,
+                   help="line domain lower bound, for line maps only (ignored on I and S1)")
+    p.add_argument("--hi", type=float, default=4 * math.pi,
+                   help="line domain upper bound, for line maps only (ignored on I and S1)")
+
+
 def cmd_decide(args) -> int:
     # the graph is not kept alive while the decision is written
     decision = embeddable_raag(parse_graph(_read(args.graph)), args.manifold)
@@ -225,17 +232,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fixpoints", help="fixed points of a serialized expression")
     p.add_argument("expr")
-    p.add_argument("--lo", type=float, default=0.0, help="line domain lower bound")
-    p.add_argument("--hi", type=float, default=4 * math.pi, help="line domain upper bound")
+    _add_line_domain(p)
     _add_common(p)
     p.set_defaults(func=cmd_fixpoints)
 
     p = sub.add_parser("commgraph", help="empirical commutation graph of expressions")
     p.add_argument("exprs", nargs="+")
-    p.add_argument("--power-bound", type=int, default=DEFAULT_POWER_BOUND)
+    p.add_argument("--power-bound", type=int, default=DEFAULT_POWER_BOUND,
+                   help="largest power tested for commutation, on circle maps only "
+                        "(elsewhere only recorded)")
     p.add_argument("--dot", help="also write the graph as DOT to this file")
-    p.add_argument("--lo", type=float, default=0.0)
-    p.add_argument("--hi", type=float, default=4 * math.pi)
+    _add_line_domain(p)
     _add_common(p)
     p.set_defaults(func=cmd_commgraph)
 

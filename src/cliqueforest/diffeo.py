@@ -203,11 +203,11 @@ class DiffeoExpr:
     def _draw(self, x: float) -> float:
         raise NotImplementedError
 
-    def _shift_bound(self) -> Optional[float]:
-        """None, or a bound s >= |e(x) - x| on the computed value of e at
-        every |x| < 2^41, its rounding included: ``_solve_increasing_array``
-        then proves its bracket ends without evaluating them."""
-        return None
+    def _shift_bound(self) -> float:
+        """A bound s >= |e(x) - x| on the computed value of e at every
+        |x| < 2^41, its rounding included, or inf where none is known: with
+        s + 2^-12 < 1, ``_solve_increasing_array`` proves its bracket."""
+        return math.inf
 
     def _inv_raw(self, y: float) -> float:
         """Invert via guaranteed-bracketing monotone root search.
@@ -284,7 +284,8 @@ class RotationS1(DiffeoExpr):
 
 @dataclass(frozen=True)
 class SineShear(DiffeoExpr):
-    """x -> sin(a x) / 2 + x on the line (monotone for |a| <= 2)."""
+    """x -> sin(a x) / 2 + x on the line, for 0 < |a| <= 2: its derivative
+    1 + (a/2) cos(a x) goes negative for |a| > 2."""
 
     KIND = "sine_shear"
     manifold = Manifold.LINE
@@ -294,6 +295,9 @@ class SineShear(DiffeoExpr):
         _finite("sine-shear parameter", self.a)
         if self.a == 0:
             raise ValueError("sine-shear parameter must be nonzero")
+        if abs(self.a) > 2:
+            raise ValueError(f"sine-shear parameter a = {self.a} must satisfy |a| <= 2, "
+                             "where the map is increasing")
 
     def _raw(self, x):
         sin = np.sin if isinstance(x, np.ndarray) else math.sin
@@ -304,9 +308,9 @@ class SineShear(DiffeoExpr):
         return 0.5 * self.a * cos(self.a * x) + 1.0
 
     def _shift_bound(self):
-        # for |a| <= 2, a x is finite at every |x| < 2^41, so |0.5 sin| <=
+        # |a| <= 2, so a x is finite at every |x| < 2^41 and |0.5 sin| <=
         # 0.5; the one addition rounds by at most 2^-13
-        return 0.5 + _ROUNDING if abs(self.a) <= 2 else None
+        return 0.5 + _ROUNDING
 
 
 @dataclass(frozen=True)
@@ -355,16 +359,10 @@ class PerturbedF(DiffeoExpr):
             raise InvariantBreach(f"perturbed map not increasing (min grid derivative {dmin})")
 
     def _raw(self, x):
-        acc = 0.0
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
+        return _polyval(self._coeffs, x)
 
     def _draw(self, x):
-        acc = 0.0
-        for c in reversed(self._dcoeffs):
-            acc = acc * x + c
-        return acc
+        return _polyval(self._dcoeffs, x)
 
 
 @dataclass(frozen=True)
@@ -556,53 +554,27 @@ def _expand(e: DiffeoExpr, y: float, upper: bool) -> Tuple[float, float]:
     raise InversionError(f"bracket expansion failed ({'upper' if upper else 'lower'})")
 
 
-def _expand_array(e: DiffeoExpr, y: np.ndarray, upper: bool) -> Tuple[np.ndarray, np.ndarray]:
-    """``_expand`` for every element of y.
-
-    Returns (b, r): the final bracket end b of each element and its residual
-    r = e(b) - y.  The first test runs on the whole array; later ones only on
-    the elements still expanding, which after t steps all use the step 2^t,
-    so one scalar step serves them all.
-    """
-    b = y + 1.0 if upper else y - 1.0
-    r = e._raw(b) - y
-    todo = np.flatnonzero(~(r >= 0) if upper else ~(r <= 0))
-    step = 1.0
-    for _ in range(63):  # with the test above, the scalar solver's 64
-        if not todo.size:
-            break
-        b[todo] = b[todo] + step if upper else b[todo] - step
-        step *= 2
-        rt = e._raw(b[todo]) - y[todo]
-        r[todo] = rt
-        todo = todo[~(rt >= 0) if upper else ~(rt <= 0)]
-    if todo.size:
-        raise InversionError(f"bracket expansion failed ({'upper' if upper else 'lower'})")
-    return b, r
-
-
 def _solve_increasing_array(e: DiffeoExpr, y: np.ndarray) -> np.ndarray:
     """``_solve_increasing`` for every element of a float64 array at once.
 
     Each element takes the scalar solver's steps with the same float
     operations on the same operands, so each result is bitwise the scalar
-    solver's.  The bracket and its end residuals come first: ``[0, 1]`` on
-    I, where e(0) and e(1) are evaluated once for all elements; else
-    ``_expand_array``, which evaluates e once per element at each end.  An
-    element at a bracket end returns it, the others start from y clipped to
-    the bracket.
+    solver's.  Only a bracket known in advance is vectorised: ``[0, 1]`` on
+    I, or [y - 1.0, y + 1.0] where a shift bound proves it; anything else
+    goes element by element through ``_solve_increasing``, as do arrays of
+    at most ``SCALAR_SOLVE_MAX`` elements.
 
-    A map of a line or lift that declares a shift bound s (``_shift_bound``,
-    rounding included) skips the bracket ends when every target has
-    |y| <= 2^40 and s + 2^-12 < 1.  The scalar solver's first ends are then
-    y - 1.0 and y + 1.0, each rounded by at most 2^-13, so
-    e(y - 1.0) - y <= -1 + 2^-13 + s < 0, and likewise e(y + 1.0) - y > 0:
-    each expansion stops at its first test, and neither end is the
-    preimage.  So the bracket is set to [y - 1.0, y + 1.0] with no
-    evaluation of e.  Any other array (a larger target, a map without a
-    bound, a larger s) goes through ``_expand_array``.  A non-finite target
+    On I, e(0) and e(1) are evaluated once for all elements, and an element
+    at a bracket end returns it.  A map of a line or lift proves its bracket
+    when every target has |y| <= 2^40 and its shift bound s
+    (``_shift_bound``, rounding included) has s + 2^-12 < 1.  The scalar
+    solver's first ends are then y - 1.0 and y + 1.0, each rounded by at
+    most 2^-13, so e(y - 1.0) - y <= -1 + 2^-13 + s < 0, and likewise
+    e(y + 1.0) - y > 0: each expansion stops at its first test, and neither
+    end is the preimage, so the ends are not evaluated.  A non-finite target
     of a line or lift map raises InversionError before e is evaluated, at
-    every size, with the scalar solver's message.
+    every size, with the scalar solver's message.  Every element starts from
+    y clipped to its bracket.
 
     Each iteration then runs on the active elements only:
 
@@ -616,17 +588,18 @@ def _solve_increasing_array(e: DiffeoExpr, y: np.ndarray) -> np.ndarray:
        on the few elements whose derivative is not positive or whose Newton
        step leaves the open bracket.
 
-    Arrays of at most ``SCALAR_SOLVE_MAX`` elements run the scalar solver
-    element by element.  Raises InversionError if any element fails.
+    Raises InversionError if any element fails.
     """
     y = np.asarray(y, dtype=float)
-    if e.manifold is not Manifold.INTERVAL:
+    interval = e.manifold is Manifold.INTERVAL
+    if not interval:
         top = np.abs(y).max(initial=0.0)  # NaN if some target is
         if not top < math.inf:
             raise _non_finite_target(e, y[~np.isfinite(y)][0])
-    if y.size <= SCALAR_SOLVE_MAX:
+    if y.size <= SCALAR_SOLVE_MAX or not (
+            interval or top <= PROVEN_TARGET_MAX and e._shift_bound() + _ROUNDING < 1.0):
         return np.array([_solve_increasing(e, v) for v in y.tolist()])
-    if e.manifold is Manifold.INTERVAL:
+    if interval:
         lo, hi = np.zeros_like(y), np.ones_like(y)
         e0, e1 = e._raw(np.array([0.0, 1.0]))
         flo, fhi = e0 - y, e1 - y
@@ -635,22 +608,16 @@ def _solve_increasing_array(e: DiffeoExpr, y: np.ndarray) -> np.ndarray:
             raise InversionError(
                 f"target {y[bad][0]} outside range of {e.KIND} on [0,1]"
             )
-    else:
-        s = e._shift_bound()
-        if s is not None and s + _ROUNDING < 1.0 and top <= PROVEN_TARGET_MAX:
-            lo, hi = y - 1.0, y + 1.0
-            flo = fhi = None
-        else:
-            (lo, flo), (hi, fhi) = _expand_array(e, y, False), _expand_array(e, y, True)
-
-    x = np.minimum(np.maximum(y, lo), hi)  # good first guess for near-identity maps
-    idx = np.arange(y.size)  # no element is at a proven bracket's end
-    if flo is not None:
+        x = np.minimum(np.maximum(y, lo), hi)  # good first guess for near-identity maps
         at_hi = fhi <= 0.0
         at_lo = flo >= 0.0
         x[at_hi] = hi[at_hi]
         x[at_lo] = lo[at_lo]  # the scalar solver tests the lower end first
         idx = np.flatnonzero(~(at_lo | at_hi))
+    else:
+        lo, hi = y - 1.0, y + 1.0
+        x = np.minimum(np.maximum(y, lo), hi)
+        idx = np.arange(y.size)  # no element is at a proven bracket's end
     xa, ya = x, y  # compacted only if some element is at a bracket end
     if idx.size < y.size:
         if not idx.size:

@@ -758,7 +758,7 @@ class TestArrayGridPath:
         # the ends of the proven bracket's range, and -0.0
         (LIFT, [-(2.0 ** 40), 2.0 ** 40, -0.0] + PAD),
         (SineShear(1.9), [-(2.0 ** 40), 2.0 ** 40, -0.0, -40.0, 40.0] + PAD),
-        # one target past 2^40 sends the whole array through the expansion
+        # one target past 2^40 sends the whole array element by element
         (LIFT, [-(2.0 ** 41), 2.0 ** 41, -3e12, 3e12] + PAD),
         (SineShear(1.9), [-(2.0 ** 41), 2.0 ** 41, -3e12, 3e12] + PAD),
         (LIFT, [3e12 + i / 64 for i in range(100)]),
@@ -829,22 +829,26 @@ class TestArrayGridPath:
         first_draw = next(i for i, (kind, _) in enumerate(calls) if kind == "draw")
         assert sum(n for _, n in calls[:first_draw]) <= 3 * len(ys)
 
-    @pytest.mark.parametrize("cls, args, start, evals", [
-        (PerturbedLiftS1, (LIFT.bumps,), -40.0, 1),
-        (SineShear, (1.9,), -40.0, 1),
+    SHEAR_VALUES = (lambda x: 0.5 * np.sin(1.9 * x) + x,
+                    lambda x: 0.5 * 1.9 * np.cos(1.9 * x) + 1.0)
+
+    @pytest.mark.parametrize("cls, args, start, size, proven", [
+        (PerturbedLiftS1, (LIFT.bumps,), -40.0, 1281, True),
+        (SineShear, (1.9,), -40.0, 1281, True),
         # the shear's values without a declared bound
-        (_LineMap, (lambda x: 0.5 * np.sin(1.9 * x) + x,
-                    lambda x: 0.5 * 1.9 * np.cos(1.9 * x) + 1.0), -40.0, 3),
+        (_LineMap, SHEAR_VALUES, -40.0, 1281, False),
         # bumps that cancel: a bound above 1.2, too large to prove the bracket
-        (PerturbedLiftS1, ((BumpTrig(0.6, 1), BumpTrig(-0.6, 1)),), -40.0, 3),
+        (PerturbedLiftS1, ((BumpTrig(0.6, 1), BumpTrig(-0.6, 1)),), -40.0, 1281, False),
         # targets past 2^40
-        (PerturbedLiftS1, (LIFT.bumps,), 3e12, 3),
-    ], ids=["lift", "shear", "unbounded", "large-bound", "far-targets"])
-    def test_proven_bracket_evaluates_no_end(self, cls, args, start, evals):
+        (PerturbedLiftS1, (LIFT.bumps,), 3e12, 1281, False),
+        # just past the element-by-element size
+        (_LineMap, SHEAR_VALUES, -1.0, SCALAR_SOLVE_MAX + 1, False),
+    ], ids=["lift", "shear", "unbounded", "large-bound", "far-targets", "unbounded-past-scalar"])
+    def test_proven_bracket_evaluates_no_end(self, cls, args, start, size, proven):
         # a declared shift bound proves [y - 1, y + 1] a bracket with neither
         # end the preimage: e is evaluated once per element, at the first
-        # iterate, before the first derivative.  Otherwise each end is
-        # evaluated once more
+        # iterate, before the first derivative.  Any other array is solved
+        # element by element by the scalar solver
         calls = []
 
         class Counted(cls):
@@ -858,11 +862,14 @@ class TestArrayGridPath:
 
         e = Counted(*args)
         calls.clear()  # the lift's constructor checks its derivative
-        ys = [start + i / 16 for i in range(1281)]
+        ys = [start + i / 16 for i in range(size)]
         got = _solve_increasing_array(e, np.array(ys))
+        if proven:
+            first_draw = next(i for i, (kind, _) in enumerate(calls) if kind == "draw")
+            assert sum(n for _, n in calls[:first_draw]) == len(ys)
+        else:
+            assert {n for _, n in calls} == {1}
         assert _bits(got) == _bits([_solve_increasing(e, y) for y in ys])
-        first_draw = next(i for i, (kind, _) in enumerate(calls) if kind == "draw")
-        assert sum(n for _, n in calls[:first_draw]) == evals * len(ys)
 
     def test_shift_bounds_are_sound(self):
         # |e(x) - x| <= s on the turn, where the bumps peak, and over the
@@ -886,9 +893,13 @@ class TestArrayGridPath:
                  + [rng.uniform(-2.0, 2.0) for _ in range(8)]]
         for e in maps:
             s = e._shift_bound()
-            assert s is not None and s + 2.0 ** -12 < 1.0, e
+            assert s + 2.0 ** -12 < 1.0, e
             assert np.max(np.abs(e._raw(xs) - xs)) <= s, e
-        assert SineShear(2.5)._shift_bound() is None
+        # past |a| = 2 the shear is not increasing, so it has no bound to prove
+        for a in (2.5, -2.5):
+            with pytest.raises(ValueError, match=f"sine-shear parameter a = {a} "):
+                SineShear(a)
+        assert SineShear(2.0).a == 2.0 and SineShear(-2.0).a == -2.0
 
     @pytest.mark.parametrize("cls, args, ys", [
         (PerturbedLiftS1, ((BumpTrig(0.02, 1, 0.5), BumpTrig(-0.004, 2, math.pi / 4)),),
