@@ -10,8 +10,9 @@ Lipschitz bound and protect all earlier margins against later bumps.  The
 schedule is held as per-level arrays (``_Schedule``) and the stages between
 two bumps are settled in one numpy pass.  The level walk of
 ``diffeo._walk`` evaluates the schedule's words at the basepoint;
-verification takes the grid sups of its commutators from
-``diffeo.grid_sups``, the same walk over the trie of their letter sequences.
+verification takes the grid sups of one commutator word per class of vertex
+pairs from ``diffeo.grid_sups``, the same walk over the trie of their letter
+sequences.
 """
 from __future__ import annotations
 
@@ -623,13 +624,17 @@ class GeneratorAssignment:
     f: DiffeoExpr
     gens: Tuple[DiffeoExpr, ...]
     state: Optional[SynthesisState]
+    # the word length synthesis was given, kept only without a state (whose
+    # max_len is that length); None in a document that does not record it
+    word_len: Optional[int] = None
 
     FIELDS = (("graph", serialize.document(SimpleGraph)), ("manifold", serialize.MANIFOLD),
               ("clique_forest", serialize.document(CliqueForest, attr="forest")),
               ("alphas", serialize.document(AlphaSequence)),
               ("layout", serialize.rows(serialize.INTEGER, serialize.INTEGER, serialize.INTEGER)),
               ("f", serialize.NODE), ("gens", serialize.NODE_LIST),
-              ("state", serialize.nullable(serialize.document(SynthesisState))))
+              ("state", serialize.nullable(serialize.document(SynthesisState))),
+              ("word_len", replace(serialize.INTEGER, optional=True)))
     to_dict = serialize.encode
 
     def exprs(self) -> Dict[int, DiffeoExpr]:
@@ -643,8 +648,15 @@ class GeneratorAssignment:
         """Load a document; its clique forest must partition the graph's
         vertices into its connected components, and its layout must be the
         one the forest gives (``forest_layout``), with every slot among its
-        generators."""
+        generators.  A word length, if recorded, is at least 1 and stands
+        in for a synthesis state."""
         asg = serialize.build(cls, d, cls.FIELDS, "assignment")
+        if asg.word_len is not None:
+            if asg.state is not None:
+                raise ValueError("an assignment with a synthesis state records its word "
+                                 "length there (max_len), not as word_len")
+            if asg.word_len < 1:
+                raise ValueError(f"word_len {asg.word_len} is below 1")
         if not is_component_partition(asg.forest, asg.graph):
             raise ValueError("clique forest components are not the connected components "
                              "of the graph, with each vertex in exactly one")
@@ -702,7 +714,8 @@ def synthesize_embedding(
         gens = alpha_generators(manifold, alphas)
     if len(forest.components) > 1:
         f, state = perturb_f(gens, opts.basepoint, opts)
-    return GeneratorAssignment(g, manifold, forest, alphas, forest_layout(forest), f, gens, state)
+    return GeneratorAssignment(g, manifold, forest, alphas, forest_layout(forest), f, gens, state,
+                               opts.word_len if state is None else None)
 
 
 # ---------------------------------------------------------------------------
@@ -733,8 +746,9 @@ class VerificationReport:
               ("truncation_note", serialize.Codec(
                   lambda wl: f"certification covers words of length <= {wl} only", None,
                   {"type": "string"}, attr="word_len")),
-              ("edge_checks", serialize.records("u", "v", "residual", "ok")),
-              ("non_edge_checks", serialize.records("u", "v", "witness_x", "residual", "ok")),
+              ("edge_checks", serialize.records("u", "v", "class", "residual", "ok")),
+              ("non_edge_checks", serialize.records("u", "v", "class", "witness_x", "residual",
+                                                    "ok")),
               ("margins", replace(serialize.rows(serialize.INTEGER, serialize.DECIMAL,
                                                  serialize.DECIMAL), attr="margin_checks")),
               ("margin_failures", serialize.records("index", "word", "margin", "threshold")),
@@ -765,6 +779,29 @@ def _relation_recomputed(alphas: AlphaSequence, notes: List[str]) -> bool:
     return False
 
 
+def _commutator_classes(layout: Sequence[Tuple[int, int, int]],
+                        pairs: Sequence[Tuple[int, int]]) -> List[Tuple[int, int, int]]:
+    """The class (d, n, m) of each vertex pair by the ``layout`` rows
+    (vertex, i, n): with h_{i,n} = f^i g_n f^-i and (i, n) <= (j, m),
+    [h_{i,n}, h_{j,m}] = f^i [g_n, f^d g_m f^-d] f^-i with d = j - i, and
+    [h_{j,m}, h_{i,n}] is its inverse, so the pair's commutator in either
+    order is the identity exactly when its class word (``_class_word``)
+    is."""
+    place = {v: (i, n) for v, i, n in layout}
+    classes = []
+    for u, v in pairs:
+        (i, n), (j, m) = sorted((place[u], place[v]))
+        classes.append((j - i, n, m))
+    return classes
+
+
+def _class_word(assignment: GeneratorAssignment, d: int, n: int, m: int) -> Compose:
+    """[g_n, g_m] for d = 0, else [g_n, f^d g_m f^-d]."""
+    f, g_m = assignment.f, assignment.gens[m - 1]
+    return commutator(assignment.gens[n - 1],
+                      g_m if d == 0 else Compose((Power(f, d), g_m, Power(f, -d))))
+
+
 def verify_assignment(
     assignment: GeneratorAssignment,
     word_len: Optional[int] = None,
@@ -774,12 +811,17 @@ def verify_assignment(
     """Check edges (commutation), non-edges (a witness point moved by more
     than 10 tol), and the free-product margins of the synthesis state.
 
-    Every checked commutator [h_u, h_v] is evaluated on the grid in one
-    walk over the shared letter prefixes of all of them, in bounded memory
-    (``grid_sups``); each residual and witness is that of
-    ``commutator_residual`` and ``commutator_witness``.  Margin
-    certification is truncated at ``word_len`` (the state's own schedule
-    length by default); the report says so prominently.  The alpha record
+    The commutator [h_u, h_v] of a vertex pair is a conjugate of the word
+    of its class (d, n, m), or of its inverse (``_commutator_classes``),
+    so it is the identity exactly when the class word is.  Each distinct
+    class word is evaluated on the grid once, all of them in one walk over
+    their shared letter prefixes, in bounded memory (``grid_sups``).  Each
+    edge and non-edge row names its class and carries the residual and
+    witness x of the class word, not of the pair's own commutator, whose
+    witness for components i <= j is f^i(x).  Margin certification is
+    truncated at ``word_len`` (by default the state's own schedule length,
+    or the word length a stateless assignment records, else 0); the report
+    says so prominently.  The alpha record
     certifies the pure-g words only of generators that are the maps of its
     alphas (``alpha_generators``); any others fail that check, and so do
     words above its height.  Its relation minimum is recomputed from the
@@ -809,12 +851,15 @@ def verify_assignment(
     notes = []
     edges = sorted(g.edges)
     non_edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
-    exprs = assignment.exprs()
-    sups = grid_sups([commutator(exprs[u], exprs[v]) for u, v in edges + non_edges], grid_n)
-    edge_checks = [{"u": u, "v": v, "residual": r, "ok": r < tol}
-                   for (u, v), (_, r) in zip(edges, sups)]
-    non_edge_checks = [{"u": u, "v": v, "witness_x": x, "residual": r, "ok": r > 10 * tol}
-                       for (u, v), (x, r) in zip(non_edges, sups[len(edges):])]
+    classes = _commutator_classes(assignment.layout, edges + non_edges)
+    distinct = sorted(set(classes))
+    sups = dict(zip(distinct, grid_sups([_class_word(assignment, *c) for c in distinct],
+                                        grid_n)))
+    edge_checks = [{"u": u, "v": v, "class": list(c), "residual": sups[c][1],
+                    "ok": sups[c][1] < tol} for (u, v), c in zip(edges, classes)]
+    non_edge_checks = [{"u": u, "v": v, "class": list(c), "witness_x": sups[c][0],
+                        "residual": sups[c][1], "ok": sups[c][1] > 10 * tol}
+                       for (u, v), c in zip(non_edges, classes[len(edges):])]
     ok = all(c["ok"] for c in chain(edge_checks, non_edge_checks))
 
     margin_checks = serialize.Columns((np.empty(0, np.int64), np.empty(0), np.empty(0)))
@@ -860,7 +905,7 @@ def verify_assignment(
         n = state.num_g
         pure_g_checked = sum(2 * n * (2 * n - 1) ** (L - 1) for L in range(1, wl + 1))
     else:
-        wl = word_len or 0
+        wl = word_len or assignment.word_len or 0
         notes.append("single-clique assignment: no f, free-product checks vacuous")
         if assignment.gens:
             notes.append(f"no pure-g word was enumerated: the claim rests on the alpha "

@@ -647,6 +647,23 @@ class TestSynthesizeVerify:
         doc = json.loads(asg.read_text())
         assert doc["f"] == {"kind": "identity"}
 
+    def test_single_clique_verify_takes_the_recorded_word_len(self, graph_file, tmp_path):
+        """A single clique records its word length, which verify takes when
+        given none; a document without it reads as one at length 0."""
+        asg, rep, ver = (tmp_path / name for name in ("asg.json", "rep.json", "ver.json"))
+        assert main(["synthesize", graph_file(K3), "--word-len", "3",
+                     "--out", str(asg), "--report", str(rep)]) == EXIT_OK
+        doc = json.loads(asg.read_text())
+        assert doc["word_len"] == 3 and doc["state"] is None
+        assert main(["verify", str(asg), "--out", str(ver)]) == EXIT_OK
+        assert ver.read_bytes() == rep.read_bytes()
+        del doc["word_len"]
+        asg.write_text(json.dumps(doc))
+        assert main(["verify", str(asg), "--out", str(ver)]) == EXIT_OK
+        report = json.loads(ver.read_text())
+        assert report["word_len"] == 0
+        assert report["truncation_note"] == "certification covers words of length <= 0 only"
+
     def test_single_clique_pure_g_claim(self, graph_file, tmp_path):
         """No pure-g word is counted on a single clique: the report says the
         claim rests on the alpha record, which fails above its height."""
@@ -698,7 +715,16 @@ class TestDocuments:
         assert main(["synthesize", graph_file(K2_K3), "--word-len", "3", "--out", str(asg),
                      "--report", str(tmp_path / "rep.json")]) == EXIT_OK
         assert main(["verify", str(asg), "--out", str(out)]) == EXIT_OK
-        assert self._check(out, REPORT_SCHEMA, VerificationReport)["ok"]
+        report = self._check(out, REPORT_SCHEMA, VerificationReport)
+        assert report["ok"]
+        # K2 and K3: the edges of K3 in two classes with d = 0 besides K2's
+        # (0, 1, 2), every non-edge in one of six with d = 1; the reload
+        # keeps each row's class
+        rows = VerificationReport.from_dict(report)
+        assert [c["class"] for c in rows.edge_checks] == [
+            [0, 1, 2], [0, 1, 2], [0, 1, 3], [0, 2, 3]]
+        assert sorted({tuple(c["class"]) for c in rows.non_edge_checks}) == [
+            (1, n, m) for n in (1, 2) for m in (1, 2, 3)]
         # recorded margins four times the actual ones fail every margin check
         doc = json.loads(asg.read_text())
         doc["state"]["margins"] = [m if m is None else repr(4 * float(m))

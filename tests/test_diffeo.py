@@ -1200,8 +1200,9 @@ class TestRadixTrie:
         self._assert_apply_letters(seqs, grid_n)
 
     def test_k1_k1_commutator_takes_one_walk_step(self, monkeypatch):
-        """K1+K1 verifies one commutator of 16 letters: one level, one word,
-        its first letter and a tail of 15."""
+        """K1+K1 verifies one commutator, the 8 letters of its class word
+        [g_1, f g_1 f^-1]: one level, one word, its first letter and a tail
+        of 7."""
         asg = synthesize_embedding(SimpleGraph.from_edges(2, []),
                                    opts=SynthesisOptions(word_len=2))
         walked, walk = [], diffeo._walk
@@ -1212,7 +1213,7 @@ class TestRadixTrie:
 
         monkeypatch.setattr(diffeo, "_walk", recording)
         assert verify_assignment(asg).ok
-        assert walked == [[(1, 15)]]
+        assert walked == [[(1, 7)]]
 
 
 class TestLetters:

@@ -1006,11 +1006,29 @@ def commutator(a, b):
     return Compose((a, b, Inverse(a), Inverse(b)))
 
 
-def assert_walk_matches_pair_scans(asg, grid_n, sample=None):
+def pair_class(asg, u, v):
+    """(d, n, m) of the pair: n the slot of the vertex in the shallower
+    component (the lower slot within one), m that of the other, d the
+    difference of their component indices."""
+    (i, n), (j, m) = sorted((i, n) for w, i, n in asg.layout if w in (u, v))
+    return j - i, n, m
+
+
+def class_word(asg, d, n, m):
+    """[g_n, f^d g_m f^-d]: f^-i [h_u, h_v] f^i, or its inverse, for the
+    pair's components i <= j; [g_n, g_m] for d = 0."""
+    g_m = asg.gens[m - 1]
+    return commutator(asg.gens[n - 1],
+                      g_m if d == 0 else Compose((Power(asg.f, d), g_m, Power(asg.f, -d))))
+
+
+def assert_walk_matches_pair_scans(asg, grid_n, sample=None, tol=1e-9):
     """The walk's (witness_x, residual) of every vertex pair's commutator is
-    == that of ``reference_sup``, and so are the report's edge residuals and
-    non-edge rows.  With ``sample``, the per-pair scans run on that many
-    random pairs and the first and last, while the walks cover all."""
+    == that of ``reference_sup``; each report row names the pair's class,
+    carries == the ``reference_sup`` of its class word, and has the verdict
+    of the pair's own commutator.  With ``sample``, the per-pair scans run
+    on that many random pairs and the first and last, while the walks
+    cover all.  Returns the report."""
     g, exprs = asg.graph, asg.exprs()
     pairs = list(itertools.combinations(range(g.n), 2))
     checked = pairs if sample is None else sorted(
@@ -1018,20 +1036,29 @@ def assert_walk_matches_pair_scans(asg, grid_n, sample=None):
     ref = {(u, v): reference_sup(commutator(exprs[u], exprs[v]), grid_n) for u, v in checked}
     sups = dict(zip(pairs, grid_sups([commutator(exprs[u], exprs[v]) for u, v in pairs], grid_n)))
     assert [sups[p] for p in checked] == [ref[p] for p in checked]
-    report = verify_assignment(asg, grid_n=grid_n)
-    edges = [(c["u"], c["v"], c["residual"]) for c in report.edge_checks]
-    assert [(u, v) for u, v, _ in edges] == sorted(g.edges)
-    assert [e for e in edges if e[:2] in ref] == [
-        (u, v, ref[u, v][1]) for u, v in checked if (u, v) in g.edges]
-    rows = [(c["u"], c["v"], c["witness_x"], c["residual"]) for c in report.non_edge_checks]
-    assert [r[:2] for r in rows] == [p for p in pairs if p not in g.edges]
-    assert [r for r in rows if r[:2] in ref] == [
-        (u, v, *ref[u, v]) for u, v in checked if (u, v) not in g.edges]
+    report = verify_assignment(asg, grid_n=grid_n, tol=tol)
+    assert [(c["u"], c["v"]) for c in report.edge_checks] == sorted(g.edges)
+    assert [(c["u"], c["v"]) for c in report.non_edge_checks] == [
+        p for p in pairs if p not in g.edges]
+    class_ref = {}
+    for c in report.edge_checks + report.non_edge_checks:
+        cls = pair_class(asg, c["u"], c["v"])
+        assert c["class"] == list(cls)
+        if cls not in class_ref:
+            class_ref[cls] = reference_sup(class_word(asg, *cls), grid_n)
+    for c in report.edge_checks:
+        assert c["residual"] == class_ref[tuple(c["class"])][1]
+        assert c["ok"] == (sups[c["u"], c["v"]][1] < tol)
+    for c in report.non_edge_checks:
+        assert (c["witness_x"], c["residual"]) == class_ref[tuple(c["class"])]
+        assert c["ok"] == (sups[c["u"], c["v"]][1] > 10 * tol)
+    return report
 
 
 # 20xK2 is checked on a 64-cell grid and on a sample of pairs: its per-pair
-# scans invert f 2(i + j) times for the pair of components i and j, 32,760
-# solver calls over its 780 pairs
+# reference scans invert f 2(i + j) times for the pair of components i and
+# j, 32,760 solver calls over its 780 pairs, where the report's 77 class
+# words invert it 2d times each, 1,520 calls over the 76 with d >= 1
 @pytest.mark.parametrize("sizes, manifold, word_len, grid_n, sample", [
     ((2,) * 20, Manifold.INTERVAL, 2, 64, 40),
     ((6, 2, 2, 2), Manifold.CIRCLE, 3, DEFAULT_GRID, None),
@@ -1062,6 +1089,30 @@ def test_commutator_walk_matches_pair_scans_on_random_forests(sizes, manifold, w
     assert_walk_matches_pair_scans(asg, grid_n)
 
 
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=5),
+       st.sampled_from([Manifold.INTERVAL, Manifold.CIRCLE]))
+@settings(max_examples=12, deadline=None)
+def test_class_verdicts_match_pair_verdicts_on_random_forests(sizes, manifold):
+    asg = synthesize_embedding(forest_graph(sizes), manifold, SynthesisOptions(word_len=1))
+    report = assert_walk_matches_pair_scans(asg, 64)
+    assert len({tuple(c["class"]) for c in report.edge_checks + report.non_edge_checks}) <= (
+        max(sizes) ** 2 * (len(sizes) - 1) + math.comb(max(sizes), 2))
+
+
+@pytest.mark.parametrize("manifold", [Manifold.INTERVAL, Manifold.CIRCLE], ids=["I", "S1"])
+def test_class_of_a_lower_vertex_in_a_deeper_component(manifold):
+    # vertex 1 lies in component 2 and vertex 5 in component 1: the pair
+    # (1, 5) is the class of (h_{1,2}, h_{2,1}), n from vertex 5
+    g = SimpleGraph.from_edges(6, [(0, 5), (1, 2)])
+    asg = synthesize_embedding(g, manifold, SynthesisOptions(word_len=2))
+    assert asg.forest.components[:2] == ((0, 5), (1, 2))
+    report = assert_walk_matches_pair_scans(asg, DEFAULT_GRID)
+    rows = {(c["u"], c["v"]): c for c in report.edge_checks + report.non_edge_checks}
+    assert rows[1, 5]["class"] == [1, 2, 1]
+    assert rows[0, 1]["class"] == [1, 1, 1]
+    assert rows[1, 2]["class"] == rows[0, 5]["class"] == [0, 1, 2]
+
+
 @pytest.mark.parametrize("cap, apply, runs", [
     (1, 1, 28), (3 * (DEFAULT_GRID + 1), 2 * (DEFAULT_GRID + 1) + 5, 10),
     (40 * (DEFAULT_GRID + 1), diffeo._APPLY_ELEMENTS, 1)])
@@ -1081,11 +1132,12 @@ def test_commutator_walk_in_chunks(monkeypatch, cap, apply, runs):
     # the schedule's walk from p is synthesis's own name for _walk: only
     # grid_sups's walks are recorded
     monkeypatch.setattr(diffeo, "_walk", recording)
-    assert_walk_matches_pair_scans(asg, DEFAULT_GRID)
-    # one walk per run of pairs, in the direct call and in the report's;
-    # a run of one pair may exceed the cap
+    report = assert_walk_matches_pair_scans(asg, DEFAULT_GRID)
+    # one walk per run of pairs in the direct call and per run of classes in
+    # the report's; a run of one word may exceed the cap
+    classes = len({tuple(c["class"]) for c in report.edge_checks + report.non_edge_checks})
     assert max(widths) <= max(cap, DEFAULT_GRID + 1)
-    assert len(widths) == 2 * runs
+    assert len(widths) == runs + -(-classes // max(1, cap // (DEFAULT_GRID + 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ from cliqueforest import (
 )
 from cliqueforest import serialize
 from cliqueforest.obstructions import CenterWitness, CounterexampleReport, PowerResidual
-from cliqueforest.schemas import EXPR_SCHEMA
+from cliqueforest.schemas import EXPR_SCHEMA, REPORT_SCHEMA
 from cliqueforest.serialize import (
     _DECIMAL_RE,
     _DECIMAL_SCHEMA,
@@ -319,15 +319,18 @@ def _assignments(draw):
         draw(_graphs()), m, draw(FORESTS),
         AlphaSequence(draw(_tuples(DECIMALS, max_size=3)), draw(INTS), draw(DECIMALS)),
         draw(_tuples(st.tuples(INTS, INTS, INTS), max_size=5)), draw(st.sampled_from(fs)),
-        gens[:draw(st.integers(0, len(gens)))], draw(st.none() | _states(m)))
+        gens[:draw(st.integers(0, len(gens)))], *draw(
+            st.tuples(_states(m), st.none()) | st.tuples(st.none(), st.none() | INTS)))
 
 
 @st.composite
 def _reports(draw):
-    edge = st.fixed_dictionaries({"u": INTS, "v": INTS, "residual": st.floats(),
+    cls = st.lists(INTS, min_size=3, max_size=3)
+    edge = st.fixed_dictionaries({"u": INTS, "v": INTS, "class": cls, "residual": st.floats(),
                                   "ok": st.booleans()})
-    non_edge = st.fixed_dictionaries({"u": INTS, "v": INTS, "witness_x": st.floats(),
-                                      "residual": st.floats(), "ok": st.booleans()})
+    non_edge = st.fixed_dictionaries({"u": INTS, "v": INTS, "class": cls,
+                                      "witness_x": st.floats(), "residual": st.floats(),
+                                      "ok": st.booleans()})
     failure = st.fixed_dictionaries({"index": INTS, "word": TEXTS, "margin": st.floats(),
                                      "threshold": st.floats()})
     return VerificationReport(
@@ -495,6 +498,16 @@ def _lists(count: int) -> _Lists:
 def k2_k3_word_len_3():
     g = SimpleGraph.from_edges(5, [(0, 1), (2, 3), (2, 4), (3, 4)])
     return synthesize_embedding(g, opts=SynthesisOptions(word_len=3))
+
+
+@pytest.mark.parametrize("key", ["edge_checks", "non_edge_checks"])
+def test_report_schema_requires_each_row_class(k2_k3_word_len_3, key):
+    assert "class" in REPORT_SCHEMA["properties"][key]["items"]["required"]
+    doc = json.loads(_written(verify_assignment(k2_k3_word_len_3)))
+    jsonschema.validate(doc, REPORT_SCHEMA)
+    del doc[key][-1]["class"]
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, REPORT_SCHEMA)
 
 
 class TestDecimals:

@@ -307,6 +307,32 @@ class TestSynthesizeEmbedding:
         assert rep.notes[1:] == (note, "pure-g words reach exponent height 4 (g1^4), above "
                                  "the checked alpha relation bound 3")
 
+    @pytest.mark.parametrize("n, edges", [(0, []), (3, [(0, 1), (0, 2), (1, 2)])],
+                             ids=["empty", "K3"])
+    def test_stateless_assignment_records_its_word_len(self, n, edges):
+        asg = synthesize_embedding(SimpleGraph.from_edges(n, edges),
+                                   opts=SynthesisOptions(word_len=3))
+        assert asg.state is None and asg.word_len == 3
+        assert asg.to_dict()["word_len"] == 3
+        assert GeneratorAssignment.from_dict(json.loads(json.dumps(asg.to_dict()))) == asg
+        assert verify_assignment(asg).word_len == 3
+        assert verify_assignment(asg, word_len=2).word_len == 2
+        # a document written without it reads as before: length 0
+        doc = asg.to_dict()
+        del doc["word_len"]
+        assert verify_assignment(GeneratorAssignment.from_dict(doc)).word_len == 0
+
+    def test_word_len_recorded_beside_a_state_or_below_one_rejected(self):
+        asg = synthesize_embedding(SimpleGraph.from_edges(2, []),
+                                   opts=SynthesisOptions(word_len=2))
+        assert asg.word_len is None and "word_len" not in asg.to_dict()
+        with pytest.raises(ValueError, match="records its word length there"):
+            GeneratorAssignment.from_dict({**asg.to_dict(), "word_len": 2})
+        clique = synthesize_embedding(SimpleGraph.from_edges(2, [(0, 1)]))
+        for word_len in (0, -1):
+            with pytest.raises(ValueError, match=f"word_len {word_len} is below 1"):
+                GeneratorAssignment.from_dict({**clique.to_dict(), "word_len": word_len})
+
     def test_empty_graph_makes_no_pure_g_claim(self):
         # no generator, so no pure-g word: the claim holds at any word length
         asg = synthesize_embedding(SimpleGraph.from_edges(0, []),
