@@ -17,7 +17,7 @@ sequences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import chain, compress
 from typing import ClassVar, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -71,6 +71,11 @@ DEFAULT_ALPHA_K = 5
 _RELATION_TOL = 1e-9
 _RELATION_CHECK_LIMIT = 5_000_000
 _EPS_FLOOR = 1e-300  # a stage tolerance at or below this is an underflow
+# the most scheduled words a synthesis or a verification takes on.  CLI
+# verify peaks at about 240 bytes per word (254 MB for K2+K3 at word length
+# 7, 980,870 words; 1,637 MB at 8, 7,100,464 words), so this keeps it under
+# about 2.5 GB; K2+K3 at word length 9 (50,875,122 words) is refused
+_SCHEDULE_WORD_LIMIT = 10_000_000
 
 
 class SynthesisError(RuntimeError):
@@ -225,6 +230,23 @@ def _letters(num_g: int) -> List[Letter]:
     return [(s, sgn) for s in range(num_g + 1) for sgn in (1, -1)]
 
 
+def _schedule_size(num_g: int, max_len: int) -> int:
+    """The number of scheduled words, the reduced words with f of length
+    1..max_len: the sum over L of 2r(2r-1)^(L-1) - 2n(2n-1)^(L-1), n = num_g
+    and r = n + 1.  A schedule of more than ``_SCHEDULE_WORD_LIMIT`` words
+    raises ValueError as soon as the sum passes the limit, so a huge
+    ``max_len`` fails fast."""
+    n, r, count = num_g, num_g + 1, 0
+    for length in range(1, max_len + 1):
+        count += 2 * r * (2 * r - 1) ** (length - 1) - 2 * n * (2 * n - 1) ** (length - 1)
+        if count > _SCHEDULE_WORD_LIMIT:
+            upto = "" if length == max_len else f" up to length {length} alone"
+            raise ValueError(
+                f"word length {max_len} over {n} g generators schedules {count:,} words"
+                f"{upto}, more than the schedule limit of {_SCHEDULE_WORD_LIMIT:,} words")
+    return count
+
+
 class _Level(NamedTuple):
     parent: np.ndarray  # index in the level below of the suffix w of each word l w
     first: np.ndarray  # letter index i of l
@@ -248,7 +270,10 @@ class _Schedule:
             raise ValueError("need at least one g generator")
         if max_len < 1:
             raise ValueError("max_len must be >= 1")
+        # refused past the limit before any level is built
+        self.word_count = _schedule_size(num_g, max_len)
         self.num_g, self.max_len = num_g, max_len
+        self._trivial: Optional[np.ndarray] = None
         n_letters = 2 * num_g + 2
         letter_ids = np.arange(n_letters, dtype=np.min_scalar_type(n_letters))
         first, has_f = np.array([-1]), np.array([False])
@@ -264,7 +289,6 @@ class _Schedule:
         counts = [int(np.count_nonzero(lv.has_f)) for lv in self.levels]
         self._ends = np.cumsum(counts)
         self.lengths = np.repeat(np.arange(1, max_len + 1), counts)  # of the scheduled words
-        self.word_count = int(self._ends[-1])
 
     def word(self, k: int) -> FreeWord:
         """The scheduled word of index k (stage k + 1)."""
@@ -278,24 +302,36 @@ class _Schedule:
         return tuple(word)
 
     def trivial(self) -> np.ndarray:
-        """Mask of the scheduled words that are trivial in
-        <f> * <g_1, ..., g_num_g abelian>.
+        """Read-only mask of the scheduled words that are trivial in
+        <f> * <g_1, ..., g_num_g abelian>, computed on the first call and
+        kept: a schedule is built once per synthesis and its verification.
 
-        The free-product normal form is carried through the levels as a
-        persistent syllable stack.  Node 0 is the empty form (kind -1); node
-        j > 0 is a head syllable, of kind ``kind[j]`` (0 for f, 1 for g) and
-        exponent vector ``head[j]`` over f, g_1..g_num_g, above the node
-        ``tail[j]``.
+        The free-product normal form of each word is carried through the
+        levels as a persistent syllable stack.  Node 0 is the empty form
+        (kind -1); node j > 0 is a head syllable, of kind ``kind[j]`` (0 for
+        f, 1 for g) and exponent vector ``head[j]`` over f, g_1..g_num_g,
+        above the node ``tail[j]``.
         Prepending a letter adds it to the head when the kinds match, and
         leaves the tail when the head becomes zero; otherwise it pushes a new
         head.  Adjacent syllables differ in kind, so nothing else cancels.
+        Nodes are pushed only for the levels below the last.  A word ``l w``
+        of the last level is trivial exactly when the form of w is the one
+        syllable l^-1 over the empty form, so the last level is read off the
+        few words w of the level below whose form is a single letter.
         """
-        size = 1 + sum(lv.parent.size for lv in self.levels)
+        if self._trivial is None:
+            self._trivial = self._trivial_mask()
+            self._trivial.flags.writeable = False
+        return self._trivial
+
+    def _trivial_mask(self) -> np.ndarray:
+        *below_last, last = self.levels
+        size = 1 + sum(lv.parent.size for lv in below_last)
         kind = np.full(size, -1, np.int8)
         head = np.zeros((size, self.num_g + 1), np.min_scalar_type(-self.max_len))
         tail = np.zeros(size, np.intp)
         node, used, out = np.zeros(1, np.intp), 1, []
-        for lv in self.levels:
+        for lv in below_last:
             below = node[lv.parent]
             k = (lv.first >= 2).astype(np.int8)
             same = kind[below] == k
@@ -314,6 +350,22 @@ class _Schedule:
             node[new] = np.arange(fresh.start, fresh.stop)
             used = fresh.stop
             out.append(node[lv.has_f] == 0)
+        # the words w below the last level whose form is one letter c, and
+        # the letter l = c ^ 1 (its inverse) that makes l w trivial
+        w = np.flatnonzero(tail[node] == 0)
+        h = head[node[w]]
+        one = np.abs(h).sum(axis=1) == 1
+        w, h = w[one], h[one]
+        c = 2 * np.abs(h).argmax(axis=1) + (h.sum(axis=1) < 0)
+        mask = np.zeros(last.parent.size, bool)
+        if w.size:  # then the level below is a level, not the empty word
+            # the block of l in the last level lists, in order, the words
+            # below that do not start with c; those that do are a block there
+            start, stop = self.levels[-2].bounds[c], self.levels[-2].bounds[c + 1]
+            reduced = (w < start) | (w >= stop)
+            rank = w - (np.clip(w, start, stop) - start)
+            mask[(last.bounds[c ^ 1] + rank)[reduced]] = True
+        out.append(mask[last.has_f])
         return np.concatenate(out)
 
 
@@ -364,7 +416,8 @@ class SynthesisState:
     report's margin column shares (``verify_assignment``).
     The words are ``enumerate_words(num_g, max_len)`` for num_g = len(gens)
     and max_len = the word length, never stored: the recursion holds them as
-    the arrays of ``_Schedule(num_g, max_len)``.
+    the arrays of ``_Schedule(num_g, max_len)``, which the state it returns
+    carries to the verification (``schedule``, no document field).
     """
 
     manifold: Manifold
@@ -379,6 +432,9 @@ class SynthesisState:
     grid_n: int
     min_derivative: float
     deriv_lower_bound: float
+    # the schedule the recursion ran on, for the verification that follows
+    # it: no document field, and not compared; a state read back has none
+    schedule: Optional[_Schedule] = field(default=None, compare=False, repr=False)
 
     FIELDS = (("manifold", serialize.MANIFOLD), ("p", serialize.DECIMAL),
               ("num_g", serialize.INTEGER), ("max_len", serialize.INTEGER),
@@ -391,13 +447,13 @@ class SynthesisState:
 
     def __post_init__(self):
         """A state covers its own schedule: one margin and one eps for each of
-        the ``word_count`` scheduled words, which number the sum over
-        L <= max_len of 2r(2r-1)^(L-1) - 2n(2n-1)^(L-1), n = num_g and
-        r = n + 1 (the reduced words with f).  The sum stops once it passes
-        ``word_count``, so a huge ``max_len`` fails fast.  No eps is null, and
-        a state schedules at least one word: num_g and max_len are >= 1."""
+        the ``word_count`` scheduled words, which number ``_schedule_size``
+        (a schedule past ``_SCHEDULE_WORD_LIMIT`` is refused first).  No eps
+        is null, and a state schedules at least one word: num_g and max_len
+        are >= 1."""
         if min(self.num_g, self.max_len) < 1:
             raise ValueError(f"num_g {self.num_g} and max_len {self.max_len} must both be >= 1")
+        count = _schedule_size(self.num_g, self.max_len)
         for name in ("margins", "eps"):
             object.__setattr__(self, name, serialize.Decimals.of(getattr(self, name)))
         if self.eps.null is not None:
@@ -405,14 +461,10 @@ class SynthesisState:
         if not len(self.margins) == len(self.eps) == self.word_count:
             raise ValueError(f"{len(self.margins)} margins and {len(self.eps)} eps recorded "
                              f"for {self.word_count} scheduled words")
-        n, r, count = self.num_g, self.num_g + 1, 0
-        for length in range(1, self.max_len + 1):
-            count += 2 * r * (2 * r - 1) ** (length - 1) - 2 * n * (2 * n - 1) ** (length - 1)
-            if count > self.word_count:
-                break
         if count != self.word_count:
             raise ValueError(f"word_count {self.word_count} is not the number of words "
-                             f"scheduled up to length {self.max_len} over {n} g generators")
+                             f"scheduled up to length {self.max_len} over {self.num_g} "
+                             f"g generators")
 
 
 def _word_margin(word, f, gens, p, manifold) -> float:
@@ -485,31 +537,34 @@ def perturb_f(
     margin D_m.  The margin of every earlier word is protected by the eps
     chain.
 
-    The schedule is held as arrays (``_Schedule``): no word tuple is built
+    The schedule is held as arrays (``_Schedule``), built once for every
+    basepoint tried and returned with the state: no word tuple is built
     except to name a word or for the candidate trials of a bumped stage.
-    The walk over its levels carries the free-product normal form, which
-    marks the vacuous stages, and evaluates the margins of the whole
-    schedule (``_schedule_margins``) at the start and after each bump.
+    Its trivial-word mask marks the vacuous stages, and the walk over its
+    levels evaluates the margins of the whole schedule
+    (``_schedule_margins``) at the start and after each bump.
     Between two bumps f is fixed, so the stages up to the next bump are one
     numpy pass: the eps chain is a running minimum, and the budgets and the
     stage decisions are bitwise those of a stage-by-stage loop.  Before
     returning, the margins are checked against the walk of the f that is
     returned: the last walk of the recursion.
     """
+    schedule = _Schedule(len(gens), opts.word_len)
     for basepoint in (p,) + opts.fallback_basepoints:
         try:
-            return _perturb_f_at(gens, basepoint, opts)
+            return _perturb_f_at(gens, basepoint, opts, schedule)
         except SynthesisError as exc:
             last_exc = exc
     raise SynthesisError(f"all basepoint retries failed; last: {last_exc}")
 
 
-def _perturb_f_at(gens, p, opts):
+def _perturb_f_at(gens, p, opts, schedule: _Schedule):
+    """The recursion of ``perturb_f`` at the basepoint ``p``, on ``schedule``,
+    the ``_Schedule(len(gens), opts.word_len)``."""
     if not (0.0 < p < 1.0):
         raise ValueError("basepoint must lie in (0, 1)")
     manifold = gens[0].manifold
     grid_n, num_g, max_len = opts.grid_n, len(gens), opts.word_len
-    schedule = _Schedule(num_g, max_len)
     n = schedule.word_count
     # words trivial in <f> * <g's abelian>: the paper's free-group schedule
     # includes such words but no basepoint displacement exists for them
@@ -582,9 +637,7 @@ def _perturb_f_at(gens, p, opts):
             f"{float(d[bad])} <= D/2 = {float(margins[bad]) / 2}"
         )
 
-    xs = _grid(manifold, grid_n)
-    min_deriv = float(np.min(f._draw(xs)))
-    bound = 1.0 - sum(math.ldexp(1.0, -(b.stage + 1)) for b in bumps)
+    min_deriv, bound = _derivative_scalars(f, bumps, grid_n)
     state = SynthesisState(
         manifold=manifold,
         p=p,
@@ -598,8 +651,18 @@ def _perturb_f_at(gens, p, opts):
         grid_n=grid_n,
         min_derivative=min_deriv,
         deriv_lower_bound=bound,
+        schedule=schedule,
     )
     return f, state
+
+
+def _derivative_scalars(f: DiffeoExpr, bumps: Sequence[object], grid_n: int
+                        ) -> Tuple[float, float]:
+    """(min_derivative, deriv_lower_bound) of a state: the least derivative
+    of f on the grid of ``grid_n`` cells, and 1 - sum 2^-(stage + 1) over
+    the bumps."""
+    min_deriv = float(np.min(f._draw(_grid(f.manifold, grid_n))))
+    return min_deriv, 1.0 - sum(math.ldexp(1.0, -(b.stage + 1)) for b in bumps)
 
 
 def _first(mask: np.ndarray, default):
@@ -779,6 +842,34 @@ def _relation_recomputed(alphas: AlphaSequence, notes: List[str]) -> bool:
     return False
 
 
+def _scalars_recomputed(assignment: GeneratorAssignment, state: SynthesisState,
+                        notes: List[str]) -> bool:
+    """Whether the state's bumps are those of f and its derived scalars are
+    bitwise the ones recomputed as the recursion computes them:
+    ``lambda_est`` from f and the g generators and ``min_derivative`` from f,
+    on the grid of the state's ``grid_n`` cells, and ``deriv_lower_bound``
+    from the state's bumps.  A note names each field that differs."""
+    f = assignment.f
+    ok = state.bumps == (f.bumps if isinstance(f, (PerturbedF, PerturbedLiftS1)) else
+                         () if isinstance(f, Identity) else None)
+    if not ok:
+        notes.append("the state's bumps are not the bumps of f")
+    try:
+        lam = _measure_lambda(f, assignment.gens, state.grid_n)
+    except SynthesisError:  # a letter not increasing on that grid
+        lam = math.nan
+    min_deriv, bound = _derivative_scalars(f, state.bumps, state.grid_n)
+    on_grid = f"on its grid of grid_n = {state.grid_n} cells"
+    for name, value, how in (("lambda_est", lam, f"from f and the g generators {on_grid}"),
+                             ("min_derivative", min_deriv, f"from f {on_grid}"),
+                             ("deriv_lower_bound", bound, "from its bumps")):
+        if float(getattr(state, name)).hex() != value.hex():
+            notes.append(f"the state's {name} {getattr(state, name)!r} is not {value!r}, "
+                         f"recomputed {how}")
+            ok = False
+    return ok
+
+
 def _commutator_classes(layout: Sequence[Tuple[int, int, int]],
                         pairs: Sequence[Tuple[int, int]]) -> List[Tuple[int, int, int]]:
     """The class (d, n, m) of each vertex pair by the ``layout`` rows
@@ -821,7 +912,14 @@ def verify_assignment(
     witness for components i <= j is f^i(x).  Margin certification is
     truncated at ``word_len`` (by default the state's own schedule length,
     or the word length a stateless assignment records, else 0); the report
-    says so prominently.  The alpha record
+    says so prominently.  The margins are evaluated afresh by the walk of
+    the schedule up to that length, and the null margins checked against
+    its trivial-word mask; the schedule is the one a state fresh from the
+    recursion carries when that length is the state's ``max_len``, else
+    built here.  The state's bumps must be those of f, and its
+    ``lambda_est``, ``min_derivative`` and ``deriv_lower_bound`` are
+    recomputed and compared bitwise (``_scalars_recomputed``); each
+    mismatch fails the report with a note naming the field.  The alpha record
     certifies the pure-g words only of generators that are the maps of its
     alphas (``alpha_generators``); any others fail that check, and so do
     words above its height.  Its relation minimum is recomputed from the
@@ -876,8 +974,11 @@ def verify_assignment(
                 f"requested word_len {word_len} exceeds the recorded schedule "
                 f"({state.max_len}); certification truncated there"
             )
-        # the schedule is length-major: these are its words of length <= wl
-        schedule = _Schedule(state.num_g, wl)
+        # the schedule is length-major: these are its words of length <= wl;
+        # a state fresh from the recursion brings the one it ran on
+        schedule = state.schedule
+        if schedule is None or (schedule.num_g, schedule.max_len) != (state.num_g, wl):
+            schedule = _Schedule(state.num_g, wl)
         live = state.margins[:schedule.word_count].live()
         if not np.array_equal(np.flatnonzero(~schedule.trivial()), live):
             raise ValueError("the state's margins are not null exactly at the scheduled "
@@ -897,7 +998,8 @@ def verify_assignment(
             for i, m, t in zip(*(col[failing].tolist()
                                  for col in (live + 1, margins, half.values)))
         ]
-        ok = ok and not failing.any()
+        scalars_ok = _scalars_recomputed(assignment, state, notes)
+        ok = ok and not failing.any() and scalars_ok
         # pure-g words: nontrivial exactly when the exponent vector is nonzero;
         # the alpha independence record certifies the nonzero case as long as
         # the exponents stay within the checked height.  There are

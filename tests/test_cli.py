@@ -25,9 +25,15 @@ from cliqueforest import (
     VerificationReport,
     dumps_expr,
 )
-from cliqueforest import cli
+from cliqueforest import cli, synthesis
 from cliqueforest.cli import EXIT_FINDING, EXIT_INPUT, EXIT_OK, build_parser, main
-from cliqueforest.synthesis import forest_layout
+from cliqueforest.graphs import parse_graph
+from cliqueforest.synthesis import (
+    SynthesisOptions,
+    forest_layout,
+    synthesize_embedding,
+    verify_assignment,
+)
 from cliqueforest.schemas import (
     ASSIGNMENT_SCHEMA,
     COMMGRAPH_SCHEMA,
@@ -681,6 +687,105 @@ class TestSynthesizeVerify:
         assert report["pure_g_checked"] == 0 and not report["pure_g_all_nontrivial"]
         assert report["notes"][1:] == [note, "pure-g words reach exponent height 9 (g1^9), "
                                        "above the checked alpha relation bound 3"]
+
+
+class TestDerivedScalars:
+    """verify recomputes the state's derived scalars and compares them
+    bitwise; a forged one fails the report with a note naming the field."""
+
+    @pytest.mark.parametrize("manifold, key, value, named", [
+        ("I", "lambda_est", "1000000", ["lambda_est"]),
+        ("I", "min_derivative", "5", ["min_derivative"]),
+        ("I", "deriv_lower_bound", "0.99", ["deriv_lower_bound"]),
+        ("I", "bumps", [], ["bumps", "deriv_lower_bound"]),
+        # f' is least at the midpoint of the turn, off the grid of 7 cells
+        ("S1", "grid_n", 7, ["lambda_est", "min_derivative"]),
+    ], ids=["lambda_est", "min_derivative", "deriv_lower_bound", "bumps", "grid_n"])
+    def test_forged_scalar_fails(self, graph_file, tmp_path, manifold, key, value, named):
+        asg, rep, ver = (tmp_path / name for name in ("asg.json", "rep.json", "ver.json"))
+        assert main(["synthesize", graph_file(K2_K3), "--manifold", manifold, "--word-len", "4",
+                     "--out", str(asg), "--report", str(rep)]) == EXIT_OK
+        assert main(["verify", str(asg), "--out", str(ver)]) == EXIT_OK
+        assert ver.read_bytes() == rep.read_bytes()
+        doc = json.loads(asg.read_text())
+        doc["state"][key] = value
+        asg.write_text(json.dumps(doc))
+        assert main(["verify", str(asg), "--out", str(ver)]) == EXIT_FINDING
+        report = json.loads(ver.read_text())
+        assert not report["ok"]
+        assert [n.split()[2] for n in report["notes"]] == named
+        if key == "grid_n":
+            assert "on its grid of grid_n = 7 cells" in report["notes"][0]
+
+    def test_grid_n_that_moves_no_scalar_is_honest(self, graph_file, tmp_path):
+        """On I the bump's least derivative and every letter's largest one
+        sit at the ends of [0, 1], on every grid: the document with grid_n
+        set to 8 is the one synthesize --grid 8 writes, and it verifies."""
+        asg, doc = _synthesized(graph_file, tmp_path, K2_K3, 4)
+        doc["state"]["grid_n"] = 8
+        other = tmp_path / "grid8.json"
+        assert main(["synthesize", graph_file(K2_K3), "--word-len", "4", "--grid", "8",
+                     "--out", str(other), "--report", str(tmp_path / "grid8-rep.json")]) == EXIT_OK
+        assert json.loads(other.read_text()) == doc
+        assert main(["verify", str(other), "--out", str(tmp_path / "v.json")]) == EXIT_OK
+
+
+class TestScheduleLimit:
+    def test_synthesize_refuses_a_schedule_past_the_limit(self, graph_file, tmp_path, capsys):
+        out = tmp_path / "asg.json"
+        assert main(["synthesize", graph_file(K2_K3), "--word-len", "9",
+                     "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "input error: word length 9 over 3 g generators schedules 50,875,122 words, "
+            "more than the schedule limit of 10,000,000 words\n")
+        assert not out.exists()
+
+    def test_verify_refuses_a_document_recording_one(self, graph_file, tmp_path, capsys):
+        asg, doc = _synthesized(graph_file, tmp_path, K2_K3, 4)
+        doc["state"].update(max_len=9, word_count=50_875_122)
+        asg.write_text(json.dumps(doc))
+        assert main(["verify", str(asg), "--out", str(tmp_path / "v.json")]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "input error: bad assignment: bad synthesis state: word length 9 over 3 g "
+            "generators schedules 50,875,122 words, more than the schedule limit of "
+            "10,000,000 words\n")
+
+
+class TestScheduleBuilds:
+    """synthesize builds one word schedule, for every basepoint it tries and
+    for the report; verify of the written document builds its own."""
+
+    def test_one_schedule_per_command(self, graph_file, tmp_path, monkeypatch):
+        built, tried = [], []
+
+        class Counted(synthesis._Schedule):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        real = synthesis._perturb_f_at
+
+        def first_basepoint_fails(gens, p, opts, schedule):
+            tried.append(schedule)
+            result = real(gens, p, opts, schedule)
+            if len(tried) == 1:
+                raise synthesis.SynthesisError("retry")
+            return result
+
+        monkeypatch.setattr(synthesis, "_Schedule", Counted)
+        monkeypatch.setattr(synthesis, "_perturb_f_at", first_basepoint_fails)
+        asg, rep, ver = (tmp_path / name for name in ("asg.json", "rep.json", "ver.json"))
+        assert main(["synthesize", graph_file(K2_K3), "--word-len", "4",
+                     "--out", str(asg), "--report", str(rep)]) == EXIT_OK
+        assert built == [(3, 4)] and len(tried) == 2 and tried[0] is tried[1]
+        assert main(["verify", str(asg), "--out", str(ver)]) == EXIT_OK
+        assert built == [(3, 4), (3, 4)]
+        assert ver.read_bytes() == rep.read_bytes()
+        # a fresh state verified at a shorter word length builds that schedule
+        fresh = synthesize_embedding(parse_graph(K2_K3), opts=SynthesisOptions(word_len=4))
+        assert fresh.state.schedule is tried[2]
+        assert verify_assignment(fresh, word_len=3).ok
+        assert built[2:] == [(3, 4), (3, 3)]
 
 
 class TestDocuments:

@@ -685,6 +685,11 @@ def ref_perturb_f_at(gens, p, opts):
     )
 
 
+def perturb_at(gens, p, opts):
+    """``_perturb_f_at`` on the schedule that ``perturb_f`` builds for it."""
+    return _perturb_f_at(gens, p, opts, _Schedule(len(gens), opts.word_len))
+
+
 def _bits(x):
     return None if x is None else float(x).hex()
 
@@ -722,7 +727,7 @@ def outcome(run, gens, p, opts):
 @pytest.mark.parametrize("num_g, word_len", [(3, 5), (6, 3), (1, 2)])
 def test_recursion_matches_stage_loop(manifold, num_g, word_len):
     gens, opts = alpha_gens(manifold, num_g, word_len), SynthesisOptions(word_len=word_len)
-    got = outcome(_perturb_f_at, gens, 0.70710678, opts)
+    got = outcome(perturb_at, gens, 0.70710678, opts)
     assert got[0] != "error"
     assert got == outcome(ref_perturb_f_at, gens, 0.70710678, opts)
 
@@ -735,7 +740,7 @@ def test_recursion_matches_stage_loop(manifold, num_g, word_len):
 def test_recursion_matches_stage_loop_with_a_later_bump(manifold, num_g, word_len, delta,
                                                         stages):
     gens, opts = near_identity_gens(manifold, num_g, delta), SynthesisOptions(word_len=word_len)
-    got = outcome(_perturb_f_at, gens, 0.70710678, opts)
+    got = outcome(perturb_at, gens, 0.70710678, opts)
     assert tuple(b.stage for b in got[1][7]) == stages
     assert got == outcome(ref_perturb_f_at, gens, 0.70710678, opts)
 
@@ -747,7 +752,7 @@ def test_recursion_matches_stage_loop_near_a_budget(manifold, num_g, word_len, d
     # a later stage moves p by more than its sup budget but by less than
     # twice it, so only the exact budget keeps the stage free of a bump
     gens, opts = near_identity_gens(manifold, num_g, delta), SynthesisOptions(word_len=word_len)
-    got = outcome(_perturb_f_at, gens, 0.70710678, opts)
+    got = outcome(perturb_at, gens, 0.70710678, opts)
     assert tuple(b.stage for b in got[1][7]) == (1,)
     assert got == outcome(ref_perturb_f_at, gens, 0.70710678, opts)
 
@@ -757,7 +762,7 @@ def test_recursion_matches_stage_loop_on_tolerance_underflow(monkeypatch, eps_fl
     monkeypatch.setattr(synthesis, "_EPS_FLOOR", eps_floor)
     gens = near_identity_gens(Manifold.INTERVAL, 1, 1e-9)
     opts = SynthesisOptions(word_len=4)
-    got = outcome(_perturb_f_at, gens, 0.70710678, opts)
+    got = outcome(perturb_at, gens, 0.70710678, opts)
     assert got[0] == "error" and "tolerance underflow" in got[1]
     assert got == outcome(ref_perturb_f_at, gens, 0.70710678, opts)
 
@@ -766,7 +771,7 @@ def test_recursion_matches_stage_loop_when_no_bump_moves():
     # with g = id, f g f^-1 g^-1 fixes every point whatever f is
     gens = (Identity(Manifold.INTERVAL),)
     opts = SynthesisOptions(word_len=3)
-    got = outcome(_perturb_f_at, gens, 0.70710678, opts)
+    got = outcome(perturb_at, gens, 0.70710678, opts)
     assert got[0] == "error" and "no candidate bump" in got[1]
     assert got == outcome(ref_perturb_f_at, gens, 0.70710678, opts)
 
@@ -779,7 +784,7 @@ def test_recursion_builds_no_word_list(monkeypatch):
     monkeypatch.setattr(synthesis, "normal_form", forbidden)
     monkeypatch.setattr(synthesis, "enumerate_words", forbidden)
     gens = alpha_gens(Manifold.INTERVAL, 3, 4)
-    _, state = _perturb_f_at(gens, 0.70710678, SynthesisOptions(word_len=4))
+    _, state = perturb_at(gens, 0.70710678, SynthesisOptions(word_len=4))
     assert state.word_count == count
 
 
@@ -792,19 +797,87 @@ def test_recursion_walks_the_schedule_once_per_bump_and_once_more(monkeypatch, m
     monkeypatch.setattr(synthesis, "_schedule_margins",
                         lambda *args: calls.append(args[0]) or walk(*args))
     gens = near_identity_gens(manifold, 1, 1e-9)
-    f, state = _perturb_f_at(gens, 0.70710678, SynthesisOptions(word_len=4))
+    f, state = perturb_at(gens, 0.70710678, SynthesisOptions(word_len=4))
     assert len(state.bumps) == 2
     assert len(calls) == len(state.bumps) + 1
     assert calls[-1] is f
 
 
-@pytest.mark.parametrize("num_g, max_len, trivial", [(3, 6, 48), (2, 5, 0), (6, 4, 0)])
+@pytest.mark.parametrize("num_g, max_len, trivial", [
+    (3, 6, 48), (2, 5, 0), (6, 4, 0),
+    # the last level is the only one
+    (1, 1, 0), (3, 1, 0),
+    (2, 6, 16), (4, 6, 96),
+])
 def test_trivial_mask_matches_normal_form(num_g, max_len, trivial):
     forest = free_product_forest(num_g)
     ref = [normal_form(w, forest).trivial for w in enumerate_words(num_g, max_len)]
     got = _Schedule(num_g, max_len).trivial()
     assert got.tolist() == ref
     assert int(got.sum()) == trivial
+
+
+def ref_trivial_mask(schedule):
+    """Reference: the mask from a node table that every level, the last
+    included, pushes its syllables to (the mask as first written)."""
+    size = 1 + sum(lv.parent.size for lv in schedule.levels)
+    kind = np.full(size, -1, np.int8)
+    head = np.zeros((size, schedule.num_g + 1), np.min_scalar_type(-schedule.max_len))
+    tail = np.zeros(size, np.intp)
+    node, used, out = np.zeros(1, np.intp), 1, []
+    for lv in schedule.levels:
+        below = node[lv.parent]
+        k = (lv.first >= 2).astype(np.int8)
+        same = kind[below] == k
+        h = np.take(head, below, axis=0)
+        np.multiply(h, same[:, None], out=h)
+        for i, (lo, hi) in enumerate(zip(lv.bounds[:-1], lv.bounds[1:])):
+            h[lo:hi, i // 2] += -1 if i % 2 else 1
+        new = ~same
+        for column in h.T:
+            new |= column != 0
+        node = np.where(same, tail[below], below)
+        fresh = slice(used, used + np.count_nonzero(new))
+        kind[fresh], tail[fresh] = k[new], node[new]
+        head[fresh] = np.compress(new, h, axis=0)
+        node[new] = np.arange(fresh.start, fresh.stop)
+        used = fresh.stop
+        out.append(node[lv.has_f] == 0)
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("num_g, max_len, by_length", [
+    (2, 8, {6: 16, 8: 160}),
+    (3, 7, {6: 48}),
+    (4, 6, {6: 96}),
+    (1, 8, {}), (5, 5, {}), (3, 2, {}),
+])
+def test_trivial_mask_matches_node_table(num_g, max_len, by_length):
+    schedule = _Schedule(num_g, max_len)
+    got = schedule.trivial()
+    ref = ref_trivial_mask(schedule)
+    assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    lengths, counts = np.unique(schedule.lengths[got], return_counts=True)
+    assert dict(zip(lengths.tolist(), counts.tolist())) == by_length
+    # computed once, and kept read-only
+    assert schedule.trivial() is got and not got.flags.writeable
+
+
+@pytest.mark.parametrize("num_g, max_len, count", [(3, 8, 7_100_464), (6, 6, 3_505_404)])
+def test_schedule_limit_admits(num_g, max_len, count):
+    assert synthesis._schedule_size(num_g, max_len) == count <= synthesis._SCHEDULE_WORD_LIMIT
+
+
+@pytest.mark.parametrize("num_g, max_len, message", [
+    (3, 9, "word length 9 over 3 g generators schedules 50,875,122 words, more than"),
+    (3, 10 ** 12, "word length 1000000000000 over 3 g generators schedules 50,875,122 "
+                  "words up to length 9 alone, more than"),
+])
+def test_schedule_limit_refuses_before_building(monkeypatch, num_g, max_len, message):
+    monkeypatch.setattr(synthesis, "_Level", None)  # no level may be built
+    with pytest.raises(ValueError) as info:
+        _Schedule(num_g, max_len)
+    assert str(info.value) == f"{message} the schedule limit of 10,000,000 words"
 
 
 @pytest.mark.parametrize("num_g, max_len", [(3, 6), (1, 5), (6, 3)])

@@ -242,7 +242,7 @@ class TestPerturbF:
     def test_all_basepoint_retries_fail(self, monkeypatch):
         tried = []
 
-        def fail(gens, p, opts):
+        def fail(gens, p, opts, schedule):
             tried.append(p)
             raise SynthesisError(f"stage 1 at {p}")
 
