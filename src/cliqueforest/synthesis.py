@@ -526,11 +526,12 @@ def _candidate_bumps(manifold, stage, sup_budget, deriv_budget, grid_n):
 
 def perturb_f(
     gens: Sequence[DiffeoExpr],
-    p: float,
     opts: SynthesisOptions = SynthesisOptions(),
 ) -> Tuple[DiffeoExpr, SynthesisState]:
     """Run the recursion over ``enumerate_words(len(gens), opts.word_len)``
-    on the manifold of ``gens`` and return (f, audit state).
+    on the manifold of ``gens``, at the basepoint ``opts.basepoint`` (then
+    at each of ``opts.fallback_basepoints`` while a stage fails), and return
+    (f, audit state).  A basepoint outside (0, 1) raises ``ValueError``.
 
     Stage m leaves f unchanged when the word already moves p by more than the
     stage's sup budget; otherwise it picks the budgeted bump maximizing the
@@ -542,15 +543,17 @@ def perturb_f(
     except to name a word or for the candidate trials of a bumped stage.
     Its trivial-word mask marks the vacuous stages, and the walk over its
     levels evaluates the margins of the whole schedule
-    (``_schedule_margins``) at the start and after each bump.
+    (``_schedule_margins``) after each bump.
     Between two bumps f is fixed, so the stages up to the next bump are one
     numpy pass: the eps chain is a running minimum, and the budgets and the
     stage decisions are bitwise those of a stage-by-stage loop.  Before
     returning, the margins are checked against the walk of the f that is
     returned: the last walk of the recursion.
     """
+    if not 0.0 < opts.basepoint < 1.0:
+        raise ValueError("basepoint must lie in (0, 1)")
     schedule = _Schedule(len(gens), opts.word_len)
-    for basepoint in (p,) + opts.fallback_basepoints:
+    for basepoint in (opts.basepoint,) + opts.fallback_basepoints:
         try:
             return _perturb_f_at(gens, basepoint, opts, schedule)
         except SynthesisError as exc:
@@ -560,54 +563,22 @@ def perturb_f(
 
 def _perturb_f_at(gens, p, opts, schedule: _Schedule):
     """The recursion of ``perturb_f`` at the basepoint ``p``, on ``schedule``,
-    the ``_Schedule(len(gens), opts.word_len)``."""
-    if not (0.0 < p < 1.0):
-        raise ValueError("basepoint must lie in (0, 1)")
+    the ``_Schedule(len(gens), opts.word_len)``.  Stage 1, the word f, fixes
+    p under the identity, so each pass bumps a stage (the first under eps 1),
+    walks the schedule once under the new f and settles the stages from the
+    bumped one up to the next that fails its budget."""
     manifold = gens[0].manifold
     grid_n, num_g, max_len = opts.grid_n, len(gens), opts.word_len
     n = schedule.word_count
     # words trivial in <f> * <g's abelian>: the paper's free-group schedule
     # includes such words but no basepoint displacement exists for them
     live = ~schedule.trivial()
-    shift = -np.arange(2, n + 2)  # stage m's budgets carry the factor 2^-(m+1)
     margins, eps = np.empty(n), np.empty(n)
     bumps: List[object] = []
     perturbed = PerturbedF if manifold is Manifold.INTERVAL else PerturbedLiftS1
-    f: DiffeoExpr = Identity(manifold)
-    d = _schedule_margins(f, gens, p, manifold, schedule)
-    start, eps_prev, decided = 0, 1.0, False
-    while True:
-        # f and lam stay fixed up to the next bump, so the stages from start on
-        # are one pass: the eps chain is a running minimum (vacuous stages
-        # carry it), the sup budget of a stage scales the eps before it, and
-        # the first nonvacuous stage whose word moves p by no more than its
-        # budget takes the next bump.  A stage already decided (the bumped
-        # one) is not tested again.
-        lam = _measure_lambda(f, gens, grid_n)
-        # Lipschitz tolerance: a word of length L built from letters with grid
-        # derivative sup <= lam moves by at most L lam^(L-1) times a sup-norm
-        # perturbation of one letter; divide by a safety factor of 4
-        lip = np.array([8.0 * length * lam ** (length - 1) for length in range(max_len + 1)])
-        seg = slice(start, n)
-        ratio = np.where(live[seg], d[seg] / lip[schedule.lengths[seg]], np.inf)
-        # np.fmin, like min(eps, x), keeps eps over a NaN
-        run = np.fmin.accumulate(np.concatenate(([eps_prev], ratio)))
-        before, after = run[:-1], run[1:]  # eps before and after each stage
-        moved = d[seg] > np.ldexp(before, shift[seg])
-        moved[0] |= decided
-        k = _first(live[seg] & ~moved, n - start)  # the next bump, counted from start
-        low = _first(live[start:start + k] & ~(after[:k] > _EPS_FLOOR), None)
-        if low is not None:
-            raise SynthesisError(
-                f"stage {start + low + 1}: tolerance underflow "
-                f"(eps={float(after[low])!r}); margins too small"
-            )
-        stop = start + k
-        margins[start:stop], eps[start:stop] = d[start:stop], after[:k]
-        if stop == n:
-            break
-        m, eps_prev = stop + 1, float(before[k])
-        word = schedule.word(stop)
+    stop, eps_prev = 0, 1.0
+    while stop < n:
+        m, word = stop + 1, schedule.word(stop)
         sup_budget = math.ldexp(eps_prev, -(m + 1))
         deriv_budget = math.ldexp(1.0, -(m + 1))
         best = None
@@ -626,7 +597,32 @@ def _perturb_f_at(gens, p, opts, schedule: _Schedule):
         # the walk gives the value of apply_letters: at the bumped stage it
         # is bitwise the candidate's margin
         d = _schedule_margins(f, gens, p, manifold, schedule)
-        start, decided = stop, True
+        # f and lam stay fixed up to the next bump, so the stages from the
+        # bumped one on are one pass: the eps chain is a running minimum
+        # (vacuous stages carry it), stage j's sup budget scales the eps
+        # before it by 2^-(j+1), and the first later nonvacuous stage whose
+        # word moves p by no more than its budget takes the next bump.
+        lam = _measure_lambda(f, gens, grid_n)
+        # Lipschitz tolerance: a word of length L built from letters with grid
+        # derivative sup <= lam moves by at most L lam^(L-1) times a sup-norm
+        # perturbation of one letter; divide by a safety factor of 4
+        lip = np.array([8.0 * length * lam ** (length - 1) for length in range(max_len + 1)])
+        seg = slice(stop, n)
+        ratio = np.where(live[seg], d[seg] / lip[schedule.lengths[seg]], np.inf)
+        # np.fmin, like min(eps, x), keeps eps over a NaN
+        run = np.fmin.accumulate(np.concatenate(([eps_prev], ratio)))
+        before, after = run[:-1], run[1:]  # eps before and after each stage
+        moved = d[seg] > np.ldexp(before, -np.arange(stop + 2, n + 2))
+        moved[0] = True  # the bumped stage
+        k = _first(live[seg] & ~moved, n - stop)  # the stages settled here
+        low = _first(live[stop:stop + k] & ~(after[:k] > _EPS_FLOOR), None)
+        if low is not None:
+            raise SynthesisError(
+                f"stage {stop + low + 1}: tolerance underflow "
+                f"(eps={float(after[low])!r}); margins too small"
+            )
+        margins[stop:stop + k], eps[stop:stop + k] = d[stop:stop + k], after[:k]
+        stop, eps_prev = stop + k, float(run[k])
 
     # every margin re-verified against the walk of the f returned, the last
     # walk of the loop
@@ -711,8 +707,10 @@ class GeneratorAssignment:
         """Load a document; its clique forest must partition the graph's
         vertices into its connected components, and its layout must be the
         one the forest gives (``forest_layout``), with every slot among its
-        generators.  A word length, if recorded, is at least 1 and stands
-        in for a synthesis state."""
+        generators.  It has a synthesis state exactly when the forest has
+        two or more components, as ``synthesize_embedding`` gives one.  A
+        word length, if recorded, is at least 1 and stands in for a
+        synthesis state."""
         asg = serialize.build(cls, d, cls.FIELDS, "assignment")
         if asg.word_len is not None:
             if asg.state is not None:
@@ -728,6 +726,11 @@ class GeneratorAssignment:
         slots = max(asg.forest.sizes, default=0)
         if slots > len(asg.gens):
             raise ValueError(f"layout names slot {slots} of {len(asg.gens)} generators")
+        count = len(asg.forest.components)
+        if (asg.state is None) == (count > 1):
+            raise ValueError(f"an assignment has a synthesis state exactly when its clique "
+                             f"forest has two or more components: this one has {count} and "
+                             f"{'no' if asg.state is None else 'a'} state")
         return asg
 
 
@@ -776,7 +779,7 @@ def synthesize_embedding(
         alphas = choose_alphas(max(forest.sizes), max(opts.alpha_k, opts.word_len))
         gens = alpha_generators(manifold, alphas)
     if len(forest.components) > 1:
-        f, state = perturb_f(gens, opts.basepoint, opts)
+        f, state = perturb_f(gens, opts)
     return GeneratorAssignment(g, manifold, forest, alphas, forest_layout(forest), f, gens, state,
                                opts.word_len if state is None else None)
 
@@ -823,7 +826,16 @@ class VerificationReport:
 
 def _relation_recomputed(alphas: AlphaSequence, notes: List[str]) -> bool:
     """Whether the height-k_bound relation minimum of the alphas' logs,
-    recomputed, is above ``_RELATION_TOL``; if not, a note says why."""
+    recomputed, is above ``_RELATION_TOL`` and agrees with the recorded
+    ``min_relation``; if not, a note says why.
+
+    The record is summed from the logs the alphas were rounded from
+    (``choose_alphas``), not from their logs as recomputed here, so the two
+    minima may differ in the last bits.  A log of exp(v) lies within
+    2u(1 + |log|) of v, u = 2^-53, exp and log each within an ulp, and each
+    minimum within 4 n u k sum|log| of the exact one over its logs
+    (``_min_relation``), so they agree within 4 u k (2n + 1) sum(1 + |log|).
+    """
     n, k = len(alphas.alphas), alphas.k_bound
     if k < 1:
         why = "a height below 1 has no relation vector"
@@ -832,9 +844,15 @@ def _relation_recomputed(alphas: AlphaSequence, notes: List[str]) -> bool:
     elif (2 * k + 1) ** n - 1 > _RELATION_CHECK_LIMIT:
         why = f"{n} generators give more than {_RELATION_CHECK_LIMIT} vectors"
     else:
-        best = _min_relation([math.log(a) for a in alphas.alphas], k)
+        logs = [math.log(a) for a in alphas.alphas]
+        best = _min_relation(logs, k)
+        slack = 4 * 2.0 ** -53 * k * (2 * n + 1) * sum(1.0 + abs(lg) for lg in logs)
+        agrees = abs(alphas.min_relation - best) <= slack
+        if not agrees:
+            notes.append(f"the alphas' min_relation {alphas.min_relation!r} is not "
+                         f"{best!r}, recomputed at height {k}, within {slack!r}")
         if best > _RELATION_TOL:
-            return True
+            return agrees
         notes.append(f"the alpha relation minimum recomputed at height {k} is {best!r}, "
                      f"at most {_RELATION_TOL!r}: the g generators may satisfy a relation")
         return False
@@ -844,16 +862,25 @@ def _relation_recomputed(alphas: AlphaSequence, notes: List[str]) -> bool:
 
 def _scalars_recomputed(assignment: GeneratorAssignment, state: SynthesisState,
                         notes: List[str]) -> bool:
-    """Whether the state's bumps are those of f and its derived scalars are
-    bitwise the ones recomputed as the recursion computes them:
-    ``lambda_est`` from f and the g generators and ``min_derivative`` from f,
-    on the grid of the state's ``grid_n`` cells, and ``deriv_lower_bound``
-    from the state's bumps.  A note names each field that differs."""
+    """Whether the state's bumps are those of f, at stages where the
+    recursion can put them, and its derived scalars are bitwise the ones
+    recomputed as the recursion computes them: ``lambda_est`` from f and
+    the g generators and ``min_derivative`` from f, on the grid of the
+    state's ``grid_n`` cells, and ``deriv_lower_bound`` from the state's
+    bumps.  The recursion bumps stage 1 first (the word f, which the
+    identity leaves at p), and each later bump at a later stage, at most
+    ``word_count``.  A note names each field that is wrong."""
     f = assignment.f
     ok = state.bumps == (f.bumps if isinstance(f, (PerturbedF, PerturbedLiftS1)) else
                          () if isinstance(f, Identity) else None)
     if not ok:
         notes.append("the state's bumps are not the bumps of f")
+    stages = [b.stage for b in state.bumps]
+    if stages and (stages[0] != 1 or stages[-1] > state.word_count
+                   or any(a >= b for a, b in zip(stages, stages[1:]))):
+        notes.append(f"the state's bumps sit at stages {stages}: not stage 1 first and "
+                     f"later ones strictly later, up to word_count {state.word_count}")
+        ok = False
     try:
         lam = _measure_lambda(f, assignment.gens, state.grid_n)
     except SynthesisError:  # a letter not increasing on that grid
@@ -916,16 +943,19 @@ def verify_assignment(
     the schedule up to that length, and the null margins checked against
     its trivial-word mask; the schedule is the one a state fresh from the
     recursion carries when that length is the state's ``max_len``, else
-    built here.  The state's bumps must be those of f, and its
+    built here.  The state's bumps must be those of f, the first at stage
+    1 and each later one at a later stage, within ``word_count``, and its
     ``lambda_est``, ``min_derivative`` and ``deriv_lower_bound`` are
     recomputed and compared bitwise (``_scalars_recomputed``); each
     mismatch fails the report with a note naming the field.  The alpha record
     certifies the pure-g words only of generators that are the maps of its
     alphas (``alpha_generators``); any others fail that check, and so do
     words above its height.  Its relation minimum is recomputed from the
-    alphas, not read: a minimum at most ``_RELATION_TOL``, an alpha without
-    a finite log, or a height below 1 or past ``_RELATION_CHECK_LIMIT``
-    fails the check too, with a note.  A single clique counts no pure-g word
+    alphas: a minimum at most ``_RELATION_TOL``, an alpha without a finite
+    log, or a height below 1 or past ``_RELATION_CHECK_LIMIT`` fails the
+    check too, with a note, and so does a recorded ``min_relation`` that
+    differs from the recomputed one by more than the rounding of the logs
+    (``_relation_recomputed``).  A single clique counts no pure-g word
     (``pure_g_checked`` 0): its claim rests on the alpha record alone, and
     the report notes it.  A state whose
     basepoint is not in (0, 1), or whose recorded margins are not all finite
@@ -936,7 +966,7 @@ def verify_assignment(
         if state.num_g != len(assignment.gens):
             raise ValueError(f"synthesis state schedules {state.num_g} g generators, "
                              f"the assignment has {len(assignment.gens)}")
-        # what _perturb_f_at guarantees when it records a state; a margin
+        # what perturb_f guarantees when it records a state; a margin
         # D <= 0 would pass the check D > D/2 below for any displacement
         if not 0 < state.p < 1:
             raise ValueError(f"the state's basepoint {state.p!r} is not in (0, 1)")

@@ -363,6 +363,19 @@ class TestSynthesizeVerify:
         assert rep["notes"][-1].startswith("the alpha relation minimum recomputed at height 5 "
                                            "is 0.0")
 
+    def test_verify_rejects_a_state_of_a_single_clique(self, graph_file, tmp_path, capsys):
+        """A single clique has no f, so a state recorded for it (here that of
+        a K2+K3 synthesis, over as many g generators) is refused."""
+        asg, doc = _synthesized(graph_file, tmp_path, K3, 3)
+        _, other = _synthesized(graph_file, tmp_path, K2_K3, 3, "other")
+        doc["state"] = other["state"]
+        del doc["word_len"]
+        asg.write_text(json.dumps(doc))
+        assert main(["verify", str(asg)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "input error: an assignment has a synthesis state exactly when its clique forest "
+            "has two or more components: this one has 1 and a state\n")
+
     @pytest.mark.parametrize("components, code", [
         ([[0, 1, 7], [2, 3, 4]], EXIT_INPUT),
         ([[0, 1, 2], [2, 3, 4]], EXIT_INPUT),
@@ -509,13 +522,16 @@ class TestSynthesizeVerify:
         (lambda doc: doc["state"]["margins"].__setitem__(0, "-1"), "finite and positive"),
         (lambda doc: doc["state"]["margins"].__setitem__(0, "0"), "finite and positive"),
         (lambda doc: doc["state"]["margins"].__setitem__(0, "inf"), "finite and positive"),
+        # a forest of two components has an f, so its margins are checked
+        (lambda doc: doc.update(state=None, word_len=3), "this one has 2 and no state"),
     ], ids=["infinite-alpha", "infinite-p", "zero-p", "negative-margin", "zero-margin",
-            "infinite-margin"])
+            "infinite-margin", "null-state"])
     def test_verify_rejects_non_finite_or_non_positive_state(self, graph_file, tmp_path,
                                                               capsys, edit, message):
         """An assignment the synthesis could not have written: a generator or
-        basepoint that is not finite, or a recorded margin D <= 0, which
-        would pass the check D > D/2 for any displacement."""
+        basepoint that is not finite, a recorded margin D <= 0, which would
+        pass the check D > D/2 for any displacement, or no state for a
+        forest of two components."""
         asg = tmp_path / "asg.json"
         assert main(["synthesize", graph_file(K2_K3), "--word-len", "3",
                      "--out", str(asg), "--report", str(tmp_path / "rep.json")]) == EXIT_OK
@@ -689,32 +705,45 @@ class TestSynthesizeVerify:
                                        "above the checked alpha relation bound 3"]
 
 
-class TestDerivedScalars:
-    """verify recomputes the state's derived scalars and compares them
-    bitwise; a forged one fails the report with a note naming the field."""
+def _bump_moved_to_stage_7(doc):
+    """The single bump moved from stage 1 to stage 7, in the state and in
+    f, with the deriv_lower_bound 1 - 2^-8 of a stage-7 bump."""
+    for bumps in (doc["state"]["bumps"], doc["f"]["bumps"]):
+        (bump,) = bumps
+        bump["stage"] = 7
+    doc["state"]["deriv_lower_bound"] = "0.99609375"
 
-    @pytest.mark.parametrize("manifold, key, value, named", [
-        ("I", "lambda_est", "1000000", ["lambda_est"]),
-        ("I", "min_derivative", "5", ["min_derivative"]),
-        ("I", "deriv_lower_bound", "0.99", ["deriv_lower_bound"]),
-        ("I", "bumps", [], ["bumps", "deriv_lower_bound"]),
+
+class TestDerivedScalars:
+    """verify recomputes the state's derived scalars and the alpha relation
+    minimum, and checks the stages of the bumps; a forged field fails the
+    report with a note naming the field."""
+
+    @pytest.mark.parametrize("manifold, edit, named", [
+        ("I", lambda doc: doc["state"].update(lambda_est="1000000"), ["lambda_est"]),
+        ("I", lambda doc: doc["state"].update(min_derivative="5"), ["min_derivative"]),
+        ("I", lambda doc: doc["state"].update(deriv_lower_bound="0.99"), ["deriv_lower_bound"]),
+        ("I", lambda doc: doc["state"].update(bumps=[]), ["bumps", "deriv_lower_bound"]),
         # f' is least at the midpoint of the turn, off the grid of 7 cells
-        ("S1", "grid_n", 7, ["lambda_est", "min_derivative"]),
-    ], ids=["lambda_est", "min_derivative", "deriv_lower_bound", "bumps", "grid_n"])
-    def test_forged_scalar_fails(self, graph_file, tmp_path, manifold, key, value, named):
+        ("S1", lambda doc: doc["state"].update(grid_n=7), ["lambda_est", "min_derivative"]),
+        ("I", lambda doc: doc["alphas"].update(min_relation="1"), ["min_relation"]),
+        ("I", _bump_moved_to_stage_7, ["bumps"]),
+    ], ids=["lambda_est", "min_derivative", "deriv_lower_bound", "bumps", "grid_n",
+            "min_relation", "bump-stage"])
+    def test_forged_scalar_fails(self, graph_file, tmp_path, manifold, edit, named):
         asg, rep, ver = (tmp_path / name for name in ("asg.json", "rep.json", "ver.json"))
         assert main(["synthesize", graph_file(K2_K3), "--manifold", manifold, "--word-len", "4",
                      "--out", str(asg), "--report", str(rep)]) == EXIT_OK
         assert main(["verify", str(asg), "--out", str(ver)]) == EXIT_OK
         assert ver.read_bytes() == rep.read_bytes()
         doc = json.loads(asg.read_text())
-        doc["state"][key] = value
+        edit(doc)
         asg.write_text(json.dumps(doc))
         assert main(["verify", str(asg), "--out", str(ver)]) == EXIT_FINDING
         report = json.loads(ver.read_text())
         assert not report["ok"]
         assert [n.split()[2] for n in report["notes"]] == named
-        if key == "grid_n":
+        if manifold == "S1":
             assert "on its grid of grid_n = 7 cells" in report["notes"][0]
 
     def test_grid_n_that_moves_no_scalar_is_honest(self, graph_file, tmp_path):

@@ -789,9 +789,10 @@ def test_recursion_builds_no_word_list(monkeypatch):
 
 
 @pytest.mark.parametrize("manifold", [Manifold.INTERVAL, Manifold.CIRCLE], ids=["I", "S1"])
-def test_recursion_walks_the_schedule_once_per_bump_and_once_more(monkeypatch, manifold):
-    """One walk for the identity, one after each bump, and no other: the
-    final check reads the walk of the last f."""
+def test_recursion_walks_the_schedule_once_per_bump(monkeypatch, manifold):
+    """One walk after each bump and no other: the identity is never walked,
+    the first walk is of f with its stage-1 bump, and the final check reads
+    the walk of the last f."""
     calls = []
     walk = synthesis._schedule_margins
     monkeypatch.setattr(synthesis, "_schedule_margins",
@@ -799,7 +800,8 @@ def test_recursion_walks_the_schedule_once_per_bump_and_once_more(monkeypatch, m
     gens = near_identity_gens(manifold, 1, 1e-9)
     f, state = perturb_at(gens, 0.70710678, SynthesisOptions(word_len=4))
     assert len(state.bumps) == 2
-    assert len(calls) == len(state.bumps) + 1
+    assert len(calls) == len(state.bumps)
+    assert calls[0].bumps == state.bumps[:1] and calls[0].bumps[0].stage == 1
     assert calls[-1] is f
 
 

@@ -38,6 +38,7 @@ from cliqueforest.synthesis import (
     SynthesisState,
     _measure_lambda,
     _min_relation,
+    _relation_recomputed,
     _Schedule,
     _schedule_margins,
     _word_margin,
@@ -192,7 +193,7 @@ class TestPerturbF:
     def test_small_interval_run(self):
         gens = (MobiusI(2.0), MobiusI(2.5))
         words = enumerate_words(2, 3)
-        f, state = perturb_f(gens, 0.70710678, SynthesisOptions(word_len=3))
+        f, state = perturb_f(gens, SynthesisOptions(word_len=3))
         assert state.word_count == len(words)
         # margins: positive for nontrivial words, None for free-product-trivial
         for w, m in zip(words, state.margins):
@@ -224,20 +225,22 @@ class TestPerturbF:
     def test_margins_survive_final_map(self):
         gens = (MobiusI(2.0), MobiusI(2.5))
         words = enumerate_words(2, 3)
-        f, state = perturb_f(gens, 0.70710678, SynthesisOptions(word_len=3))
+        f, state = perturb_f(gens, SynthesisOptions(word_len=3))
         for w, m in zip(words, state.margins):
             if m is not None:
                 assert _word_margin(w, f, gens, state.p, Manifold.INTERVAL) > m / 2
 
     def test_state_round_trip_exact(self):
         gens = (MobiusI(2.0), MobiusI(2.5))
-        f, state = perturb_f(gens, 0.70710678, SynthesisOptions(word_len=3))
+        f, state = perturb_f(gens, SynthesisOptions(word_len=3))
         back = SynthesisState.from_dict(json.loads(json.dumps(state.to_dict())))
         assert back == state
 
     def test_bad_basepoint(self):
-        with pytest.raises(ValueError):
-            perturb_f((MobiusI(2.0),), 1.5, SynthesisOptions(word_len=1))
+        # checked before the schedule, which word length 0 would refuse
+        for word_len in (1, 0):
+            with pytest.raises(ValueError, match=r"^basepoint must lie in \(0, 1\)$"):
+                perturb_f((MobiusI(2.0),), SynthesisOptions(word_len=word_len, basepoint=1.5))
 
     def test_all_basepoint_retries_fail(self, monkeypatch):
         tried = []
@@ -248,7 +251,7 @@ class TestPerturbF:
 
         monkeypatch.setattr(synthesis, "_perturb_f_at", fail)
         with pytest.raises(SynthesisError) as info:
-            perturb_f((MobiusI(2.0),), 0.6, SynthesisOptions(word_len=1))
+            perturb_f((MobiusI(2.0),), SynthesisOptions(word_len=1, basepoint=0.6))
         assert str(info.value) == "all basepoint retries failed; last: stage 1 at 0.8660254"
         assert tried == [0.6, 0.58113883, 0.41421356, 0.8660254]
 
@@ -530,6 +533,19 @@ class TestVerifyAssignment:
         assert not rep.ok and not rep.pure_g_all_nontrivial
         assert rep.notes.count(note) == 1
         assert rep.to_dict()["pure_g_all_nontrivial"] is False
+
+    @pytest.mark.parametrize("n, k", [(2, 5), (3, 4), (4, 3), (7, 4), (9, 1)])
+    def test_recorded_relation_minimum_agrees_within_its_rounding(self, n, k):
+        """choose_alphas sums the logs the alphas are rounded from, verify
+        the logs of the rounded alphas: here the two minima differ in their
+        last bits, and the record still agrees; moved by 1e-12 it does not."""
+        record = choose_alphas(n, k)
+        assert _min_relation([math.log(a) for a in record.alphas], k) != record.min_relation
+        notes = []
+        assert _relation_recomputed(record, notes) and notes == []
+        moved = dataclasses.replace(record, min_relation=record.min_relation + 1e-12)
+        assert not _relation_recomputed(moved, notes)
+        assert [note.split()[2] for note in notes] == ["min_relation"]
 
 
 class TestAcceptanceScaleRun:
