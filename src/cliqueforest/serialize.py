@@ -29,19 +29,22 @@ tuple and no Python function per entry.
 
 Long decimal lists (a synthesis state's margins and eps, a report's margin
 columns) are held as ``Decimals``, a float64 array with a null mask, and
-written from one table of bare texts (``"%.17g"``, no quotes: each writer
-puts in the quotes and the nulls, ``_decimals_text`` by joining each run of
-texts between nulls with a quoted separator, ``rows`` in its ``%``
-template).  The table has one row per distinct value, each formatted once,
-``_BLOCK`` values at a time.  A list read from a document keeps only its
-values and nulls: each distinct string is converted once, the strings are
-proved decimals a block at a time by their characters, and the table is
-built from the values as for a list built by synthesis, so a document in
-other decimal forms is written back in ``"%.17g"``.  A slice or an index
-array of a list shares its table, so a report's margin column reuses the
-state's texts, and the halves of a list (``Decimals.halved``, the report's
-D/2 column) share its index, with a table of the halves of its distinct
-values.  The table lives on the object, and goes with it.  A block's
+written from one text table (``_Table``), held by reference, and an index
+of each entry's row.  The table has one row per distinct value and, once
+written, the bare text of each (``"%.17g"``, no quotes) with a ``null`` row
+past them: ``_decimals_text`` quotes a block of texts with one join and
+takes the quotes off its nulls, ``rows`` quotes them in its ``%`` template.
+A list read from a document keeps only its values and nulls: each distinct
+string is converted once, the strings are proved decimals a block at a
+time by their characters, and the table rows are the distinct strings'
+values in the order the read numbered them, so a document in other decimal
+forms is written back in ``"%.17g"``.  A computed list takes the table of
+its distinct bit patterns on first write, a slice or an index array of a
+list its list's table and the sub-index, so a report's margin column
+reuses the state's texts, and the halves of a list (``Decimals.halved``,
+the report's D/2 column) a table of the halves of its list's values on
+its list's index, writing only the rows an entry uses.  Each table is
+formatted once, ``_BLOCK`` values at a time, when first written.  The
 ``"%.17g"`` texts come from an exact numpy kernel (``_digits``: the 17
 significant digits and the decimal exponent of a positive float64 alone,
 by Dekker's error-free product) written by one ``%`` of an integer template
@@ -208,6 +211,17 @@ DECIMAL = Codec(_fmt, _checked(lambda v: isinstance(v, str) and _DECIMAL_RE.full
 OPTIONAL_DECIMAL = replace(DECIMAL, optional=True)
 
 
+class _Table:
+    """The distinct values of a list of decimals, which its parts share, and,
+    once written, their bare texts (``_texts``) with a ``null`` row past
+    them, the row of a null entry."""
+
+    __slots__ = ("values", "texts")
+
+    def __init__(self, values: np.ndarray):
+        self.values, self.texts = values, None
+
+
 class Decimals:
     """A list of floats, None where ``null`` is set, held as one read-only
     float64 array ``values`` (NaN at the nulls) and a boolean mask ``null``
@@ -218,19 +232,18 @@ class Decimals:
     the floats and Nones; ``==`` and ``hash`` are those of the tuple of its
     entries.
 
-    Its JSON texts come from one table (``table``), built on first use and
-    kept on the object: distinct values, the bare text of each (its
-    ``"%.17g"``, without quotes: each writer puts in the quotes and the
-    nulls) and, for each entry, the row of its value.  A list built from
-    values has a row per distinct bit pattern (so that -0.0 keeps its own
-    text), one read from a document (``parse``) a row per distinct string;
-    either table is written ``_BLOCK`` values at a time by ``_texts``.  A
-    slice or an index array gives entries of the list on its table, and
-    ``halved`` the halves of the entries on its index, with a table of the
-    halves of its values.
+    Its JSON texts come from one ``_Table`` (``table``), held by reference,
+    and an index into it, each entry's row.  The table of a list read from
+    a document (``parse``) has a row per distinct string, in the order the
+    read numbered them; that of a list built from values a row per distinct
+    bit pattern (so that -0.0 keeps its own text), taken on first write.  A
+    slice or an index array takes its list's table and the sub-index on its
+    first write, and ``halved`` a table of the halves of its list's values
+    on its list's index.  Each table formats its texts once, when first
+    written.
     """
 
-    __slots__ = ("values", "null", "_table", "_source")
+    __slots__ = ("values", "null", "_table", "_index", "_of")
 
     def __init__(self, values, null=None):
         values = np.array(values, np.float64)
@@ -247,7 +260,9 @@ class Decimals:
                 null = None
         values.flags.writeable = False
         self.values, self.null = values, null
-        self._table = self._source = None
+        # (list, key): a part of the list (key a slice or an index array) or
+        # its halves (key None), until the table is taken on first write
+        self._table = self._index = self._of = None
 
     @classmethod
     def of(cls, entries) -> "Decimals":
@@ -290,17 +305,14 @@ class Decimals:
         except (TypeError, ValueError):
             _first_non_decimal(vs, nullable)
             raise
-        n = len(vs)  # the table below holds no reference to the strings
-        values = np.full(n + 1, math.nan)
-        values[firsts] = distinct
-        decimals = cls(values[index], index == n if nullable else None)
-
-        def table():  # a row per distinct string, numbered in order of first use
-            rank = np.empty(n + 1, np.min_scalar_type(len(distinct)))
-            rank[firsts] = np.arange(len(distinct))
-            rank[n] = len(distinct)  # a null's row, past the table
-            return distinct, _texts(distinct), rank[index]
-        decimals._source = table
+        # the table holds no reference to the strings
+        rank = np.empty(len(vs) + 1, np.min_scalar_type(len(distinct)))
+        rank[firsts] = np.arange(len(distinct))
+        rank[-1] = len(distinct)  # a null's row, past the table
+        index = rank[index]
+        decimals = cls(np.append(distinct, math.nan)[index],
+                       index == len(distinct) if nullable else None)
+        decimals._table, decimals._index = _Table(distinct), index
         return decimals
 
     def live(self) -> np.ndarray:
@@ -308,54 +320,48 @@ class Decimals:
         n = len(self.values)
         return np.arange(n) if self.null is None else np.flatnonzero(~self.null)
 
-    def table(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(values, texts, index): the entry k that is not null is
-        ``values[index[k]]``, bitwise, with the bare text ``texts[index[k]]``
-        (``texts`` an object array; ``index`` of the smallest unsigned type
-        that holds ``len(texts)``, the row of a null entry).  Built from the
-        values on first use (``_own_table``), from the numbering of its read
-        (``parse``), or, for a part or the halves of a list, from that list's
-        table."""
-        if self._table is None:
-            self._table = (self._source or self._own_table)()
-            self._source = None
-        return self._table
-
-    def _own_table(self):
-        """The distinct bit patterns among the live values (np.unique of the
-        values would merge -0.0 into 0.0), written by ``_texts``; a null
-        entry's row is past the table."""
-        live = self.live()
-        keys, inverse = np.unique(self.values[live].view(np.int64), return_inverse=True)
-        distinct = keys.view(np.float64)
-        index = np.full(len(self.values), len(distinct), np.min_scalar_type(len(distinct)))
-        index[live] = inverse
-        return distinct, _texts(distinct), index
+    def table(self) -> Tuple[_Table, np.ndarray]:
+        """(table, index): the entry k that is not null is
+        ``table.values[index[k]]``, bitwise, and a null entry's row is the
+        last (``index`` of the smallest unsigned type that holds it).  Taken
+        on first use: for a list built from values, the distinct bit patterns
+        of its live values (np.unique of the values would merge -0.0 into
+        0.0); for a part, its list's table and index; for the halves, a table
+        of its list's values / 2.0 (so each entry is bitwise its own half,
+        where a subnormal half rounds too) on its list's index, which writes
+        at once the rows that an entry uses."""
+        if self._index is None:
+            if self._of is None:
+                live = self.live()
+                keys, inverse = np.unique(self.values[live].view(np.int64), return_inverse=True)
+                table = _Table(keys.view(np.float64))
+                index = np.full(len(self.values), len(keys), np.min_scalar_type(len(keys)))
+                index[live] = inverse
+            else:
+                (of, k), self._of = self._of, None
+                table, index = of.table()
+                if k is None:
+                    table = _Table(table.values / 2.0)
+                    used = np.zeros(len(table.values) + 1, bool)
+                    used[index] = True
+                    table.texts = _texts(table.values, np.flatnonzero(used[:-1]))
+                else:
+                    index = index[k]
+            self._table, self._index = table, index
+        return self._table, self._index
 
     def halved(self) -> "Decimals":
-        """The entries halved, on this list's index: its table holds this
-        table's values / 2.0 (so each entry is bitwise its own half, where a
-        subnormal half rounds too), and writes those that an entry uses."""
+        """The entries halved, on this list's index (``table``)."""
         half = Decimals(self.values / 2.0, self.null)
-
-        def table():
-            values, _, index = self.table()
-            halves = values / 2.0
-            used = np.zeros(len(halves), bool)
-            used[index[self.live()]] = True
-            texts = np.empty(len(halves), object)
-            texts[used] = _texts(halves[used])
-            return halves, texts, index
-        half._source = table
+        half._of = (self, None)
         return half
 
     def block_texts(self, lo: int, hi: int) -> list:
-        """The bare texts of the entries lo..hi-1 that are not null."""
-        _, texts, index = self.table()
-        index = index[lo:hi]
-        if self.null is not None and self.null[lo:hi].any():
-            index = index[~self.null[lo:hi]]
-        return texts[index].tolist()
+        """The bare texts of the entries lo..hi-1, ``null`` at a null entry."""
+        table, index = self.table()
+        if table.texts is None:
+            table.texts = _texts(table.values, np.arange(len(table.values)))
+        return table.texts[index[lo:hi]].tolist()
 
     def tolist(self) -> list:
         vs = self.values.tolist()
@@ -376,15 +382,11 @@ class Decimals:
         if not isinstance(k, (slice, np.ndarray)):
             return None if self.null is not None and self.null[k] else float(self.values[k])
         part = Decimals(self.values[k], None if self.null is None else self.null[k])
-        # a part and ``halved`` build their tables when first written, not
-        # here: built at once, the report's index arrays and halves' texts
+        # a part and ``halved`` take their tables when first written, not
+        # here: taken at once, the report's index arrays and halves' texts
         # were held before they were needed, and the peak of a word-length-6
         # ``verify`` rose from 62.8 to 64.3 MB
-
-        def table():
-            values, texts, index = self.table()
-            return values, texts, index[k]
-        part._source = table
+        part._of = (self, k)
         return part
 
     def __eq__(self, other):
@@ -552,51 +554,43 @@ def _percent(x: np.ndarray) -> list:
     return ("\n".join(["%.17g"] * len(vs)) % tuple(vs)).split("\n")
 
 
-def _texts(x: np.ndarray) -> np.ndarray:
-    """``"%.17g" % v`` for each value v of the 1-D float64 array ``x``, an
-    object array, written ``_BLOCK`` values at a time: the values ``_digits``
-    proves by ``_digit_texts``, the others (and every value of a block of
-    fewer than ``_KERNEL_MIN``) by ``_percent``."""
+def _texts(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The bare texts of a table of the values ``x``, an object array:
+    ``"%.17g" % x[r]`` for each index r of ``rows``, None at the others,
+    and a last entry ``null`` past them.  The rows are written ``_BLOCK``
+    at a time: the values ``_digits`` proves by ``_digit_texts``, the others
+    (and every value of a block of fewer than ``_KERNEL_MIN``) by
+    ``_percent``."""
     # the kernel holds over a dozen temporaries of the values' size: over
     # the whole array at once they raised the peak of a word-length-6
     # ``verify`` from 62.8 to 72.6 MB
-    texts = np.empty(len(x), object)
-    for lo in range(0, len(x), _BLOCK):
-        block, out = x[lo:lo + _BLOCK], texts[lo:lo + _BLOCK]
+    texts = np.empty(len(x) + 1, object)
+    texts[-1] = "null"
+    for lo in range(0, len(rows), _BLOCK):
+        at = rows[lo:lo + _BLOCK]
+        block = x[at]
         proved, n, k = _digits(block) if len(block) >= _KERNEL_MIN else (np.arange(0),) * 3
         rest = np.ones(len(block), bool)
         rest[proved] = False
         if rest.any():
-            out[rest] = _percent(block[rest])
+            texts[at[rest]] = _percent(block[rest])
         if len(proved):
-            out[proved] = _digit_texts(n, k)
+            texts[at[proved]] = _digit_texts(n, k)
     return texts
 
 
 def _decimals_text(vs, indent: str) -> Iterable[str]:
-    """The text of a list of decimals (and nulls), a block at a time from
-    the block's table texts: the nulls cut the texts into runs, each run
-    quoted and joined by a quoted separator, with ``null`` between runs."""
+    """The text of a list of decimals (and nulls), a block at a time: the
+    block's table texts quoted by one join, and, in a block with a null,
+    the quotes taken off each ``null`` (no decimal text holds an ``l``)."""
     d = Decimals.of(vs)
 
     def block(lo, hi, inner):
-        texts, sep = d.block_texts(lo, hi), '",\n' + inner + '"'
-
-        def run(texts):  # the quotes go on its ends, so the join is the one copy
-            texts[0] = '"' + texts[0]
-            texts[-1] += '"'
-            return sep.join(texts)
-        if d.null is None or not d.null[lo:hi].any():
-            return run(texts)
-        cells, start = [], 0
-        for k, at in enumerate(np.flatnonzero(d.null[lo:hi]).tolist()):
-            if at - k > start:  # the k-th null follows at - k texts
-                cells.append(run(texts[start:at - k]))
-            cells.append("null")
-            start = at - k
-        if start < len(texts):
-            cells.append(run(texts[start:]))
-        return (",\n" + inner).join(cells)
+        texts = d.block_texts(lo, hi)
+        texts[0] = '"' + texts[0]  # the quotes go on the ends, so the join is the one copy
+        texts[-1] += '"'
+        text = ('",\n' + inner + '"').join(texts)
+        return text if d.null is None or not d.null[lo:hi].any() else text.replace('"null"', "null")
     return _list_pieces(len(d), block, indent)
 
 

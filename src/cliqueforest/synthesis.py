@@ -603,14 +603,8 @@ def _perturb_f_at(gens, p, opts, schedule: _Schedule):
         # before it by 2^-(j+1), and the first later nonvacuous stage whose
         # word moves p by no more than its budget takes the next bump.
         lam = _measure_lambda(f, gens, grid_n)
-        # Lipschitz tolerance: a word of length L built from letters with grid
-        # derivative sup <= lam moves by at most L lam^(L-1) times a sup-norm
-        # perturbation of one letter; divide by a safety factor of 4
-        lip = np.array([8.0 * length * lam ** (length - 1) for length in range(max_len + 1)])
         seg = slice(stop, n)
-        ratio = np.where(live[seg], d[seg] / lip[schedule.lengths[seg]], np.inf)
-        # np.fmin, like min(eps, x), keeps eps over a NaN
-        run = np.fmin.accumulate(np.concatenate(([eps_prev], ratio)))
+        run = _eps_chain(d[seg], live[seg], schedule.lengths[seg], lam, eps_prev)
         before, after = run[:-1], run[1:]  # eps before and after each stage
         moved = d[seg] > np.ldexp(before, -np.arange(stop + 2, n + 2))
         moved[0] = True  # the bumped stage
@@ -650,6 +644,24 @@ def _perturb_f_at(gens, p, opts, schedule: _Schedule):
         schedule=schedule,
     )
     return f, state
+
+
+def _eps_chain(d: np.ndarray, live: np.ndarray, lengths: np.ndarray, lam: float,
+               eps_prev: float) -> np.ndarray:
+    """The eps chain over stages of margins ``d`` (``live`` the nonvacuous
+    stages, ``lengths`` their words' lengths) under one f of derivative
+    bound ``lam``, from ``eps_prev``: ``eps_prev`` and the eps after each
+    stage, a running minimum that vacuous stages carry."""
+    # Lipschitz tolerance: a word of length L built from letters with grid
+    # derivative sup <= lam moves by at most L lam^(L-1) times a sup-norm
+    # perturbation of one letter; divide by a safety factor of 4
+    lip = np.array([8.0 * length * lam ** (length - 1) for length in range(lengths.max() + 1)])
+    run = np.empty(len(d) + 1)
+    run[0] = eps_prev
+    np.divide(d, lip[lengths], out=run[1:])
+    run[1:][~live] = np.inf
+    # np.fmin, like min(eps, x), keeps eps over a NaN
+    return np.fmin.accumulate(run, out=run)
 
 
 def _derivative_scalars(f: DiffeoExpr, bumps: Sequence[object], grid_n: int
@@ -860,16 +872,17 @@ def _relation_recomputed(alphas: AlphaSequence, notes: List[str]) -> bool:
     return False
 
 
-def _scalars_recomputed(assignment: GeneratorAssignment, state: SynthesisState,
+def _scalars_recomputed(assignment: GeneratorAssignment, state: SynthesisState, lam: float,
                         notes: List[str]) -> bool:
     """Whether the state's bumps are those of f, at stages where the
     recursion can put them, and its derived scalars are bitwise the ones
-    recomputed as the recursion computes them: ``lambda_est`` from f and
-    the g generators and ``min_derivative`` from f, on the grid of the
-    state's ``grid_n`` cells, and ``deriv_lower_bound`` from the state's
-    bumps.  The recursion bumps stage 1 first (the word f, which the
-    identity leaves at p), and each later bump at a later stage, at most
-    ``word_count``.  A note names each field that is wrong."""
+    recomputed as the recursion computes them: ``lambda_est`` (``lam``,
+    recomputed by the caller) from f and the g generators and
+    ``min_derivative`` from f, on the grid of the state's ``grid_n`` cells,
+    and ``deriv_lower_bound`` from the state's bumps.  The recursion bumps
+    stage 1 first (the word f, which the identity leaves at p), and each
+    later bump at a later stage, at most ``word_count``.  A note names each
+    field that is wrong."""
     f = assignment.f
     ok = state.bumps == (f.bumps if isinstance(f, (PerturbedF, PerturbedLiftS1)) else
                          () if isinstance(f, Identity) else None)
@@ -881,10 +894,6 @@ def _scalars_recomputed(assignment: GeneratorAssignment, state: SynthesisState,
         notes.append(f"the state's bumps sit at stages {stages}: not stage 1 first and "
                      f"later ones strictly later, up to word_count {state.word_count}")
         ok = False
-    try:
-        lam = _measure_lambda(f, assignment.gens, state.grid_n)
-    except SynthesisError:  # a letter not increasing on that grid
-        lam = math.nan
     min_deriv, bound = _derivative_scalars(f, state.bumps, state.grid_n)
     on_grid = f"on its grid of grid_n = {state.grid_n} cells"
     for name, value, how in (("lambda_est", lam, f"from f and the g generators {on_grid}"),
@@ -894,6 +903,33 @@ def _scalars_recomputed(assignment: GeneratorAssignment, state: SynthesisState,
             notes.append(f"the state's {name} {getattr(state, name)!r} is not {value!r}, "
                          f"recomputed {how}")
             ok = False
+    return ok
+
+
+def _settled_recomputed(state: SynthesisState, schedule: _Schedule, d: np.ndarray, lam: float,
+                        notes: List[str]) -> bool:
+    """Whether the margins and eps of the stages from the last bump's on,
+    within ``schedule``, are bitwise those of the recursion's last pass,
+    which settles them under the f it returns: the margins those of its
+    walk ``d`` and the eps its chain (``_eps_chain``) under ``lam``, from
+    the recorded eps before that stage (1 before stage 1).  A note names
+    each list that is wrong.  The stages before, which only a state of
+    several bumps has, are not checked."""
+    start = state.bumps[-1].stage - 1 if state.bumps else schedule.word_count
+    if not 0 <= start < schedule.word_count:
+        return True
+    seg, ok = slice(start, schedule.word_count), True
+    live = ~schedule.trivial()[seg]
+    if ((state.margins.values[seg].view(np.int64) != d[seg].view(np.int64)) & live).any():
+        notes.append(f"the state's margins from stage {start + 1} on are not those of the "
+                     f"walk of f")
+        ok = False
+    run = _eps_chain(d[seg], live, schedule.lengths[seg], lam,
+                     state.eps[start - 1] if start else 1.0)
+    if not np.array_equal(state.eps.values[seg].view(np.int64), run[1:].view(np.int64)):
+        notes.append(f"the state's eps from stage {start + 1} on are not the recursion's "
+                     f"eps chain under lambda {lam!r}")
+        ok = False
     return ok
 
 
@@ -946,8 +982,12 @@ def verify_assignment(
     built here.  The state's bumps must be those of f, the first at stage
     1 and each later one at a later stage, within ``word_count``, and its
     ``lambda_est``, ``min_derivative`` and ``deriv_lower_bound`` are
-    recomputed and compared bitwise (``_scalars_recomputed``); each
-    mismatch fails the report with a note naming the field.  The alpha record
+    recomputed and compared bitwise (``_scalars_recomputed``), and so are
+    the margins and eps of the stages from the last bump's on, within that
+    length, which the recursion's last pass settles under the f it returns
+    (``_settled_recomputed``: the walk's margins, and the eps chain under
+    the recomputed ``lambda_est``); each mismatch fails the report with a
+    note naming the field.  The alpha record
     certifies the pure-g words only of generators that are the maps of its
     alphas (``alpha_generators``); any others fail that check, and so do
     words above its height.  Its relation minimum is recomputed from the
@@ -1009,27 +1049,36 @@ def verify_assignment(
         schedule = state.schedule
         if schedule is None or (schedule.num_g, schedule.max_len) != (state.num_g, wl):
             schedule = _Schedule(state.num_g, wl)
-        live = state.margins[:schedule.word_count].live()
-        if not np.array_equal(np.flatnonzero(~schedule.trivial()), live):
+        trivial, null = schedule.trivial(), state.margins.null
+        if trivial.any() if null is None else not np.array_equal(null[:len(trivial)], trivial):
             raise ValueError("the state's margins are not null exactly at the scheduled "
                              "words trivial in the free product")
-        margins = _schedule_margins(assignment.f, assignment.gens, state.p,
-                                    assignment.manifold, schedule)[live]
+        live = np.flatnonzero(~trivial)
+        d = _schedule_margins(assignment.f, assignment.gens, state.p, assignment.manifold,
+                              schedule)
+        margins = d[live]
+        try:
+            lam = _measure_lambda(assignment.f, assignment.gens, state.grid_n)
+        except SynthesisError:  # a letter not increasing on that grid
+            lam = math.nan
+        recomputed_ok = _scalars_recomputed(assignment, state, lam, notes)
+        recomputed_ok &= _settled_recomputed(state, schedule, d, lam, notes)
+        del d  # freed before the report's columns are made
         # the recorded margins on the state's texts, and their halves on the
         # same index, each distinct half written once; margins bitwise equal
         # to the recorded ones are written with the state's texts too
         recorded = state.margins[live]
         half = recorded.halved()
         same = np.array_equal(margins.view(np.int64), recorded.values.view(np.int64))
-        margin_checks = serialize.Columns((live + 1, recorded if same else margins, half))
+        stages = live + 1
+        margin_checks = serialize.Columns((stages, recorded if same else margins, half))
         failing = ~(margins > half.values)
         margin_failures = [
             {"index": i, "word": word_str(schedule.word(i - 1)), "margin": m, "threshold": t}
             for i, m, t in zip(*(col[failing].tolist()
-                                 for col in (live + 1, margins, half.values)))
+                                 for col in (stages, margins, half.values)))
         ]
-        scalars_ok = _scalars_recomputed(assignment, state, notes)
-        ok = ok and not failing.any() and scalars_ok
+        ok = ok and not failing.any() and recomputed_ok
         # pure-g words: nontrivial exactly when the exponent vector is nonzero;
         # the alpha independence record certifies the nonzero case as long as
         # the exponents stay within the checked height.  There are

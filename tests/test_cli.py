@@ -714,6 +714,11 @@ def _bump_moved_to_stage_7(doc):
     doc["state"]["deriv_lower_bound"] = "0.99609375"
 
 
+def _every_live_margin_tiny(doc):
+    state = doc["state"]
+    state["margins"] = [m if m is None else "1e-300" for m in state["margins"]]
+
+
 class TestDerivedScalars:
     """verify recomputes the state's derived scalars and the alpha relation
     minimum, and checks the stages of the bumps; a forged field fails the
@@ -725,11 +730,18 @@ class TestDerivedScalars:
         ("I", lambda doc: doc["state"].update(deriv_lower_bound="0.99"), ["deriv_lower_bound"]),
         ("I", lambda doc: doc["state"].update(bumps=[]), ["bumps", "deriv_lower_bound"]),
         # f' is least at the midpoint of the turn, off the grid of 7 cells
-        ("S1", lambda doc: doc["state"].update(grid_n=7), ["lambda_est", "min_derivative"]),
+        # the eps chain under the lambda of that grid is not the recorded one
+        ("S1", lambda doc: doc["state"].update(grid_n=7), ["lambda_est", "min_derivative",
+                                                           "eps"]),
         ("I", lambda doc: doc["alphas"].update(min_relation="1"), ["min_relation"]),
         ("I", _bump_moved_to_stage_7, ["bumps"]),
+        ("I", _every_live_margin_tiny, ["margins"]),
+        ("S1", _every_live_margin_tiny, ["margins"]),
+        ("I", lambda doc: doc["state"].update(eps=["1"] * len(doc["state"]["eps"])), ["eps"]),
+        ("S1", lambda doc: doc["state"].update(eps=["1e-300"] * len(doc["state"]["eps"])),
+         ["eps"]),
     ], ids=["lambda_est", "min_derivative", "deriv_lower_bound", "bumps", "grid_n",
-            "min_relation", "bump-stage"])
+            "min_relation", "bump-stage", "margins-I", "margins-S1", "eps-I", "eps-S1"])
     def test_forged_scalar_fails(self, graph_file, tmp_path, manifold, edit, named):
         asg, rep, ver = (tmp_path / name for name in ("asg.json", "rep.json", "ver.json"))
         assert main(["synthesize", graph_file(K2_K3), "--manifold", manifold, "--word-len", "4",
@@ -743,7 +755,7 @@ class TestDerivedScalars:
         report = json.loads(ver.read_text())
         assert not report["ok"]
         assert [n.split()[2] for n in report["notes"]] == named
-        if manifold == "S1":
+        if doc["state"]["grid_n"] == 7:
             assert "on its grid of grid_n = 7 cells" in report["notes"][0]
 
     def test_grid_n_that_moves_no_scalar_is_honest(self, graph_file, tmp_path):

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import io
 import itertools
@@ -494,6 +495,23 @@ def _lists(count: int) -> _Lists:
     return _Lists(serialize.Decimals(values, null), serialize.Decimals(values[::-1]))
 
 
+@contextlib.contextmanager
+def _formatted():
+    """Inside: the values of each ``_texts`` call, one array per call (each
+    call writes the texts of one table)."""
+    calls, real = [], serialize._texts
+
+    def texts(x, rows):
+        calls.append(x[rows])
+        return real(x, rows)
+    with mock.patch.object(serialize, "_texts", texts):
+        yield calls
+
+
+def _distinct(values: np.ndarray) -> int:
+    return len(np.unique(values.view(np.int64)))
+
+
 @pytest.fixture(scope="module")
 def k2_k3_word_len_3():
     g = SimpleGraph.from_edges(5, [(0, 1), (2, 3), (2, 4), (3, 4)])
@@ -539,27 +557,36 @@ class TestDecimals:
         cols = serialize.Columns((rows + 1, margins[rows], margins.values[rows] / 2))
         report = VerificationReport(True, Manifold.INTERVAL, 2, 1e-9, 6, (), (), cols, (), 0,
                                     True, ())
-        with mock.patch.object(serialize, "_BLOCK", block):
+        with mock.patch.object(serialize, "_BLOCK", block), _formatted() as calls:
             assert _written(report) == json.dumps(report.to_dict(), sort_keys=True,
                                                   indent=2) + "\n"
-        assert cols[1].table()[1] is margins.table()[1]
+            # the margin column wrote the list's table: the list writes nothing more
+            written = len(calls)
+            _written(_Lists(margins, margins))
+            assert len(calls) == written
 
     @pytest.mark.parametrize("parsed", [False, True], ids=["built", "read"])
     @pytest.mark.parametrize("part", [slice(1, 6), slice(None, None, -2), np.array([5, 0, 2, 2])],
                              ids=["slice", "reversed-slice", "index-array"])
     def test_parts_share_the_table(self, parsed, part):
-        """A slice or an index array of a list is written with the very text
-        objects of the list's table."""
+        """A slice or an index array of a list formats nothing until it is
+        written, and then nothing more than its list's table: the list's
+        distinct values, each once, whichever of the two is written first."""
         values = [0.5, None, 1 / 3, -0.0, 0.5, 1e100, None]
-        d = (serialize.Decimals.parse(json.loads(json.dumps(
-            [None if v is None else "%.17g" % v for v in values])), True) if parsed
-             else serialize.Decimals.of(values))
-        sub = d[part]
-        assert sub.tolist() == [values[k] for k in np.arange(len(values))[part]]
-        _, texts, index = d.table()
-        assert sub.table()[1] is texts
-        live = [k for k in np.arange(len(values))[part].tolist() if values[k] is not None]
-        assert all(a is texts[index[k]] for a, k in zip(sub.block_texts(0, len(sub)), live))
+        texts = [None if v is None else "%.17g" % v for v in values]
+        for first in ("list", "part"):
+            with _formatted() as calls:
+                d = (serialize.Decimals.parse(json.loads(json.dumps(texts)), True) if parsed
+                     else serialize.Decimals.of(values))
+                sub = d[part]
+                assert sub.tolist() == [values[k] for k in np.arange(len(values))[part]]
+                assert not calls
+                for each in ((d, sub) if first == "list" else (sub, d)):
+                    assert json.loads("".join(serialize._decimals_text(each, ""))) == [
+                        None if v is None else "%.17g" % v for v in each]
+                (table,) = calls  # -0.0 has a row of its own
+                assert sorted(table.view(np.int64).tolist()) == sorted(
+                    np.array([0.5, 1 / 3, -0.0, 1e100]).view(np.int64).tolist())
         doc = _Lists(sub, serialize.Decimals(sub.values))
         assert _written(doc) == json.dumps(doc.to_dict(), sort_keys=True, indent=2) + "\n"
 
@@ -598,16 +625,49 @@ class TestDecimals:
             dataclasses.replace(state, eps=(None,) + tuple(state.eps)[1:])
 
     def test_report_shares_the_state_texts(self, k2_k3_word_len_3):
-        """The margin column takes the state's texts, and the D/2 column is
-        on the margin column's index."""
-        state = k2_k3_word_len_3.state
-        report = verify_assignment(k2_k3_word_len_3)
-        _, margins, halves = report.margin_checks
-        assert isinstance(margins, serialize.Decimals)
-        assert margins.table()[1] is state.margins.table()[1]
-        assert halves.table()[2] is margins.table()[2]
-        assert halves.values.tobytes() == (margins.values / 2.0).tobytes()
-        assert _written(report) == json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+        """The margin column writes the state's texts, and the D/2 column the
+        halves of the state's distinct margins: with the state written, the
+        report formats the halves alone."""
+        asg = GeneratorAssignment.from_dict(json.loads(_written(k2_k3_word_len_3)))
+        with _formatted() as calls:
+            report = verify_assignment(asg)
+            _, margins, halves = report.margin_checks
+            assert isinstance(margins, serialize.Decimals)
+            assert halves.values.tobytes() == (margins.values / 2.0).tobytes()
+            _written(asg)
+            assert len(calls) == 2  # the state's eps and margins, in key order
+            text = _written(report)
+        assert len(calls) == 3 and calls[2].tobytes() == (calls[1] / 2.0).tobytes()
+        assert text == json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+
+    def test_each_distinct_value_formatted_once(self):
+        """K2+K3 at word length 6: synthesis with both writes formats each
+        distinct margin, eps and half once, and the verification of the read
+        assignment each distinct margin and half once; a part and the halves
+        format nothing before they are written, and at word length 4 only the
+        halves that an entry uses are formatted."""
+        g = SimpleGraph.from_edges(5, [(0, 1), (2, 3), (2, 4), (3, 4)])
+        with _formatted() as calls:
+            asg = synthesize_embedding(g, opts=SynthesisOptions(word_len=6))
+            text = _written(asg)
+            report = verify_assignment(asg)
+            assert len(calls) == 2
+            written = json.loads(_written(report))
+        doc = json.loads(text)
+        margins = {t for t in doc["state"]["margins"] if t is not None}
+        halves = {row[2] for row in written["margins"]}
+        assert [len(c) for c in calls] == [len(set(doc["state"]["eps"])), len(margins),
+                                           len(halves)]
+        assert all(_distinct(c) == len(c) for c in calls)
+        for word_len in (None, 4):
+            with _formatted() as calls:
+                report = verify_assignment(GeneratorAssignment.from_dict(doc), word_len)
+                assert not calls
+                written = json.loads(_written(report))
+            used = {row[2] for row in written["margins"]}
+            assert [len(c) for c in calls] == [len(margins), len(used)]
+            assert all(_distinct(c) == len(c) for c in calls)
+        assert len(used) < len(halves)
 
     def test_report_of_a_rewritten_state(self, k2_k3_word_len_3):
         """A state read back with every margin and eps in another form of the
@@ -634,12 +694,16 @@ class TestDecimals:
              else serialize.Decimals.of([None, *ms, None]))
         live = d.live()
         margins = d[live]
-        halves = margins.halved()
-        assert halves.table()[2] is margins.table()[2]
-        assert halves.values.tobytes() == (d.values[live] / 2.0).tobytes()
-        report = VerificationReport(True, Manifold.INTERVAL, 2, 1e-9, 6, (), (),
-                                    serialize.Columns((live + 1, margins, halves)), (), 0, True, ())
-        text = _written(report)
+        with _formatted() as calls:
+            halves = margins.halved()
+            assert halves.values.tobytes() == (d.values[live] / 2.0).tobytes()
+            report = VerificationReport(True, Manifold.INTERVAL, 2, 1e-9, 6, (), (),
+                                        serialize.Columns((live + 1, margins, halves)), (), 0,
+                                        True, ())
+            assert not calls
+            text = _written(report)
+        # a row per distinct margin, each halved: 0 and the half of 4 * 2**-1074 twice
+        assert [c.tolist() for c in calls] == [ms, [m / 2 for m in ms]]
         assert text == json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
         assert json.loads(text)["margins"] == [
             [k + 1, "%.17g" % m, "%.17g" % (m / 2)] for k, m in zip(live.tolist(), ms)]
@@ -657,7 +721,7 @@ class TestDecimals:
         report = verify_assignment(dataclasses.replace(asg, state=state))
         assert not isinstance(report.margin_checks[1], serialize.Decimals)
         live, _, halves = report.margin_checks
-        assert np.array_equal(halves.table()[2], state.margins.table()[2][live - 1])
+        assert np.array_equal(halves.table()[1], state.margins.table()[1][live - 1])
         text = _written(report)
         assert text == json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
         row = json.loads(text)["margins"][0]
@@ -715,8 +779,8 @@ class TestDecimals:
                 d = serialize.Decimals.parse(vs, nullable)
                 assert [None if v is None else v.hex() for v in d.tolist()] == [
                     None if v is None else float(v).hex() for v in vs]
-                assert d.block_texts(0, len(d)) == ["%.17g" % float(v) for v in vs
-                                                    if v is not None]
+                assert d.block_texts(0, len(d)) == ["null" if v is None else "%.17g" % float(v)
+                                                    for v in vs]
 
     @pytest.mark.parametrize("block, kernel_min", [
         (serialize._BLOCK, serialize._KERNEL_MIN), (3, 0)], ids=["default", "blocks-of-3"])
@@ -740,14 +804,17 @@ class TestDecimals:
         texts is a string object of the document, which would keep the
         document's strings alive.  Its rows are the distinct strings in the
         order of their first use, so "0.50" has a row of its own, written as
-        "0.5"."""
+        "0.5", and the row of a null is past them."""
         values = [0.5, 0.1, 1e100, 5e-324, math.inf, 1 / 3, 0.25]
         vs = json.loads(json.dumps(["%.17g" % v for v in values] * 2 + [None, "0.50"]))
         d = serialize.Decimals.parse(vs, True)
-        texts = d.table()[1]
-        assert texts.tolist() == ["%.17g" % v for v in values] + ["0.5"]
+        table, index = d.table()
+        assert table.texts is None  # written on first use
+        assert d.block_texts(0, len(d))[-2:] == ["null", "0.5"]
+        assert table.texts.tolist() == ["%.17g" % v for v in values] + ["0.5", "null"]
+        assert index.tolist() == [*range(7)] * 2 + [8, 7]
         read = {id(v) for v in vs}
-        assert not any(id(t) in read for t in texts.tolist())
+        assert not any(id(t) in read for t in table.texts.tolist())
 
 
 def _reference(x: np.ndarray) -> list:
