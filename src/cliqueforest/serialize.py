@@ -43,8 +43,8 @@ its distinct bit patterns on first write, a slice or an index array of a
 list its list's table and the sub-index, so a report's margin column
 reuses the state's texts, and the halves of a list (``Decimals.halved``,
 the report's D/2 column) a table of the halves of its list's values on
-its list's index, writing only the rows an entry uses.  Each table is
-formatted once, ``_BLOCK`` values at a time, when first written.  The
+its list's index.  A list's first write formats the rows of its table
+that it uses and no list formatted, ``_BLOCK`` values at a time.  The
 ``"%.17g"`` texts come from an exact numpy kernel (``_digits``: the 17
 significant digits and the decimal exponent of a positive float64 alone,
 by Dekker's error-free product) written by one ``%`` of an integer template
@@ -214,12 +214,21 @@ OPTIONAL_DECIMAL = replace(DECIMAL, optional=True)
 class _Table:
     """The distinct values of a list of decimals, which its parts share, and,
     once written, their bare texts (``_texts``) with a ``null`` row past
-    them, the row of a null entry."""
+    them, the row of a null entry; ``todo`` marks the rows not formatted."""
 
-    __slots__ = ("values", "texts")
+    __slots__ = ("values", "texts", "todo")
 
     def __init__(self, values: np.ndarray):
-        self.values, self.texts = values, None
+        self.values, self.texts, self.todo = values, None, np.ones(len(values), bool)
+
+    def write(self, index: np.ndarray) -> None:
+        """Format the rows ``index`` uses that are not formatted yet, in one call."""
+        if self.texts is None or self.todo.any():
+            used = np.zeros(len(self.values) + 1, bool)
+            used[index] = True
+            rows = np.flatnonzero(used[:-1] & self.todo)
+            self.texts = _texts(self.values, rows, self.texts)
+            self.todo[rows] = False
 
 
 class Decimals:
@@ -239,11 +248,11 @@ class Decimals:
     bit pattern (so that -0.0 keeps its own text), taken on first write.  A
     slice or an index array takes its list's table and the sub-index on its
     first write, and ``halved`` a table of the halves of its list's values
-    on its list's index.  Each table formats its texts once, when first
-    written.
+    on its list's index.  The first write of a list formats the rows of its
+    table that it uses and no list formatted before (``_Table.write``).
     """
 
-    __slots__ = ("values", "null", "_table", "_index", "_of")
+    __slots__ = ("values", "null", "_table", "_index", "_of", "_written")
 
     def __init__(self, values, null=None):
         values = np.array(values, np.float64)
@@ -263,6 +272,7 @@ class Decimals:
         # (list, key): a part of the list (key a slice or an index array) or
         # its halves (key None), until the table is taken on first write
         self._table = self._index = self._of = None
+        self._written = False  # whether the rows it uses are formatted
 
     @classmethod
     def of(cls, entries) -> "Decimals":
@@ -328,8 +338,7 @@ class Decimals:
         of its live values (np.unique of the values would merge -0.0 into
         0.0); for a part, its list's table and index; for the halves, a table
         of its list's values / 2.0 (so each entry is bitwise its own half,
-        where a subnormal half rounds too) on its list's index, which writes
-        at once the rows that an entry uses."""
+        where a subnormal half rounds too) on its list's index."""
         if self._index is None:
             if self._of is None:
                 live = self.live()
@@ -340,13 +349,8 @@ class Decimals:
             else:
                 (of, k), self._of = self._of, None
                 table, index = of.table()
-                if k is None:
-                    table = _Table(table.values / 2.0)
-                    used = np.zeros(len(table.values) + 1, bool)
-                    used[index] = True
-                    table.texts = _texts(table.values, np.flatnonzero(used[:-1]))
-                else:
-                    index = index[k]
+                table, index = ((_Table(table.values / 2.0), index) if k is None
+                                else (table, index[k]))
             self._table, self._index = table, index
         return self._table, self._index
 
@@ -359,8 +363,9 @@ class Decimals:
     def block_texts(self, lo: int, hi: int) -> list:
         """The bare texts of the entries lo..hi-1, ``null`` at a null entry."""
         table, index = self.table()
-        if table.texts is None:
-            table.texts = _texts(table.values, np.arange(len(table.values)))
+        if not self._written:
+            table.write(index)
+            self._written = True
         return table.texts[index[lo:hi]].tolist()
 
     def tolist(self) -> list:
@@ -554,18 +559,19 @@ def _percent(x: np.ndarray) -> list:
     return ("\n".join(["%.17g"] * len(vs)) % tuple(vs)).split("\n")
 
 
-def _texts(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The bare texts of a table of the values ``x``, an object array:
-    ``"%.17g" % x[r]`` for each index r of ``rows``, None at the others,
-    and a last entry ``null`` past them.  The rows are written ``_BLOCK``
-    at a time: the values ``_digits`` proves by ``_digit_texts``, the others
-    (and every value of a block of fewer than ``_KERNEL_MIN``) by
-    ``_percent``."""
+def _texts(x: np.ndarray, rows: np.ndarray, texts: Optional[np.ndarray] = None) -> np.ndarray:
+    """The bare texts of a table of the values ``x``, an object array, or
+    ``texts`` when given: ``"%.17g" % x[r]`` for each index r of ``rows``
+    and, in a new array, None at the others and a last entry ``null``.  The
+    rows are written ``_BLOCK`` at a time: the values ``_digits`` proves by
+    ``_digit_texts``, the others (and every value of a block of fewer than
+    ``_KERNEL_MIN``) by ``_percent``."""
     # the kernel holds over a dozen temporaries of the values' size: over
     # the whole array at once they raised the peak of a word-length-6
     # ``verify`` from 62.8 to 72.6 MB
-    texts = np.empty(len(x) + 1, object)
-    texts[-1] = "null"
+    if texts is None:
+        texts = np.empty(len(x) + 1, object)
+        texts[-1] = "null"
     for lo in range(0, len(rows), _BLOCK):
         at = rows[lo:lo + _BLOCK]
         block = x[at]

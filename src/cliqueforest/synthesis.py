@@ -31,6 +31,7 @@ from .diffeo import (
     Compose,
     DiffeoExpr,
     Identity,
+    InvariantBreach,
     Manifold,
     MobiusI,
     PerturbedF,
@@ -406,14 +407,14 @@ class SynthesisState:
     """Audit trail of the recursion.
 
     ``margins[m-1]`` is D_m for the m-th scheduled word (None when the word is
-    trivial in the free product and the stage is vacuous), ``eps[m-1]`` the
-    tolerance after stage m.  Both are ``serialize.Decimals``: float64 arrays,
-    the margins with a null mask, which read as sequences of floats (and
-    Nones) and compare and hash as tuples do; the constructor also takes
-    sequences.  Each writes its document list from a table of the texts of
-    its distinct values, built from the values whether the list was computed
-    or read back (a read list keeps no string of its document), which the
-    report's margin column shares (``verify_assignment``).
+    trivial in the free product and the stage is vacuous), a
+    ``serialize.Decimals``: a float64 array with a null mask, which reads as
+    a sequence of floats and Nones and compares and hashes as a tuple does
+    (the constructor also takes a sequence), written from a table of the
+    texts of its distinct values, which the report's margin column shares.
+    The tolerance eps_m after stage m follows bitwise from the margins,
+    bumps and g generators (``_derived_eps``): ``eps`` is None, except in a
+    state read from a version-1 document, which records it.
     The words are ``enumerate_words(num_g, max_len)`` for num_g = len(gens)
     and max_len = the word length, never stored: the recursion holds them as
     the arrays of ``_Schedule(num_g, max_len)``, which the state it returns
@@ -426,12 +427,12 @@ class SynthesisState:
     max_len: int
     word_count: int
     margins: serialize.Decimals
-    eps: serialize.Decimals
     bumps: Tuple[object, ...]  # BumpPoly on I, BumpTrig on S1
     lambda_est: float
     grid_n: int
     min_derivative: float
     deriv_lower_bound: float
+    eps: Optional[serialize.Decimals] = None  # read from a version-1 document only
     # the schedule the recursion ran on, for the verification that follows
     # it: no document field, and not compared; a state read back has none
     schedule: Optional[_Schedule] = field(default=None, compare=False, repr=False)
@@ -439,28 +440,29 @@ class SynthesisState:
     FIELDS = (("manifold", serialize.MANIFOLD), ("p", serialize.DECIMAL),
               ("num_g", serialize.INTEGER), ("max_len", serialize.INTEGER),
               ("word_count", serialize.INTEGER), ("margins", serialize.NULLABLE_DECIMAL_ARRAY),
-              ("eps", serialize.DECIMAL_ARRAY), ("bumps", serialize.BUMPS),
+              ("eps", replace(serialize.DECIMAL_ARRAY, optional=True)), ("bumps", serialize.BUMPS),
               ("lambda_est", serialize.DECIMAL), ("grid_n", serialize.INTEGER),
               ("min_derivative", serialize.DECIMAL), ("deriv_lower_bound", serialize.DECIMAL))
     to_dict = serialize.encode
     from_dict = serialize.loader("synthesis state")
 
     def __post_init__(self):
-        """A state covers its own schedule: one margin and one eps for each of
-        the ``word_count`` scheduled words, which number ``_schedule_size``
-        (a schedule past ``_SCHEDULE_WORD_LIMIT`` is refused first).  No eps
-        is null, and a state schedules at least one word: num_g and max_len
-        are >= 1."""
+        """A state covers its own schedule: one margin, and one eps if it
+        records eps, for each of the ``word_count`` scheduled words, which
+        number ``_schedule_size`` (a schedule past ``_SCHEDULE_WORD_LIMIT``
+        is refused first).  No eps is null, and a state schedules at least
+        one word: num_g and max_len are >= 1."""
         if min(self.num_g, self.max_len) < 1:
             raise ValueError(f"num_g {self.num_g} and max_len {self.max_len} must both be >= 1")
         count = _schedule_size(self.num_g, self.max_len)
-        for name in ("margins", "eps"):
+        names = ("margins",) if self.eps is None else ("margins", "eps")
+        for name in names:
             object.__setattr__(self, name, serialize.Decimals.of(getattr(self, name)))
-        if self.eps.null is not None:
+        if self.eps is not None and self.eps.null is not None:
             raise ValueError("an eps is null")
-        if not len(self.margins) == len(self.eps) == self.word_count:
-            raise ValueError(f"{len(self.margins)} margins and {len(self.eps)} eps recorded "
-                             f"for {self.word_count} scheduled words")
+        if any(len(getattr(self, name)) != self.word_count for name in names):
+            recorded = " and ".join(f"{len(getattr(self, name))} {name}" for name in names)
+            raise ValueError(f"{recorded} recorded for {self.word_count} scheduled words")
         if count != self.word_count:
             raise ValueError(f"word_count {self.word_count} is not the number of words "
                              f"scheduled up to length {self.max_len} over {self.num_g} "
@@ -573,7 +575,7 @@ def _perturb_f_at(gens, p, opts, schedule: _Schedule):
     # words trivial in <f> * <g's abelian>: the paper's free-group schedule
     # includes such words but no basepoint displacement exists for them
     live = ~schedule.trivial()
-    margins, eps = np.empty(n), np.empty(n)
+    margins = np.empty(n)
     bumps: List[object] = []
     perturbed = PerturbedF if manifold is Manifold.INTERVAL else PerturbedLiftS1
     stop, eps_prev = 0, 1.0
@@ -615,7 +617,7 @@ def _perturb_f_at(gens, p, opts, schedule: _Schedule):
                 f"stage {stop + low + 1}: tolerance underflow "
                 f"(eps={float(after[low])!r}); margins too small"
             )
-        margins[stop:stop + k], eps[stop:stop + k] = d[stop:stop + k], after[:k]
+        margins[stop:stop + k] = d[stop:stop + k]
         stop, eps_prev = stop + k, float(run[k])
 
     # every margin re-verified against the walk of the f returned, the last
@@ -635,7 +637,6 @@ def _perturb_f_at(gens, p, opts, schedule: _Schedule):
         max_len=max_len,
         word_count=n,
         margins=serialize.Decimals(margins, ~live),
-        eps=serialize.Decimals(eps),
         bumps=tuple(bumps),
         lambda_est=lam,
         grid_n=grid_n,
@@ -906,29 +907,47 @@ def _scalars_recomputed(assignment: GeneratorAssignment, state: SynthesisState, 
     return ok
 
 
-def _settled_recomputed(state: SynthesisState, schedule: _Schedule, d: np.ndarray, lam: float,
-                        notes: List[str]) -> bool:
-    """Whether the margins and eps of the stages from the last bump's on,
-    within ``schedule``, are bitwise those of the recursion's last pass,
-    which settles them under the f it returns: the margins those of its
-    walk ``d`` and the eps its chain (``_eps_chain``) under ``lam``, from
-    the recorded eps before that stage (1 before stage 1).  A note names
-    each list that is wrong.  The stages before, which only a state of
-    several bumps has, are not checked."""
-    start = state.bumps[-1].stage - 1 if state.bumps else schedule.word_count
-    if not 0 <= start < schedule.word_count:
-        return True
-    seg, ok = slice(start, schedule.word_count), True
-    live = ~schedule.trivial()[seg]
-    if ((state.margins.values[seg].view(np.int64) != d[seg].view(np.int64)) & live).any():
-        notes.append(f"the state's margins from stage {start + 1} on are not those of the "
+def _derived_eps(state: SynthesisState, gens, schedule: _Schedule) -> np.ndarray:
+    """The eps after each stage of ``schedule`` (the state's first stages),
+    bitwise the recursion's: in each bump's segment, up to the next bump, the
+    eps chain (``_eps_chain``) of the recorded margins under the
+    ``_measure_lambda`` of the f of the bumps so far, from the last eps of
+    the segment before (1 before the first); NaN where no segment reaches or
+    its f is not increasing on the state's grid."""
+    n = schedule.word_count
+    eps, eps_prev, live = np.full(n, np.nan), 1.0, ~schedule.trivial()
+    perturbed = PerturbedF if state.manifold is Manifold.INTERVAL else PerturbedLiftS1
+    starts = [min(b.stage - 1, n) for b in state.bumps]
+    for k, (lo, hi) in enumerate(zip(starts, starts[1:] + [n]), 1):
+        if not 0 <= lo < hi:
+            break
+        try:
+            lam = _measure_lambda(perturbed(state.bumps[:k], state.grid_n), gens, state.grid_n)
+        except (SynthesisError, InvariantBreach):
+            break
+        run = _eps_chain(state.margins.values[lo:hi], live[lo:hi], schedule.lengths[lo:hi],
+                         lam, eps_prev)
+        eps[lo:hi], eps_prev = run[1:], float(run[-1])
+    return eps
+
+
+def _settled_recomputed(state: SynthesisState, gens: Sequence[DiffeoExpr], schedule: _Schedule,
+                        d: np.ndarray, notes: List[str]) -> bool:
+    """Whether, within ``schedule``, the margins from the last bump's stage
+    on are bitwise those of the walk ``d`` of f, under which the recursion's
+    last pass settles them, and the recorded eps, if any, bitwise
+    ``_derived_eps``; a note names each list that is wrong.  The margins
+    before, which only a state of several bumps has, are not checked."""
+    n, ok = schedule.word_count, True
+    seg = slice(state.bumps[-1].stage - 1 if state.bumps else n, n)
+    if 0 <= seg.start < n and ((state.margins.values[seg].view(np.int64)
+                                != d[seg].view(np.int64)) & ~schedule.trivial()[seg]).any():
+        notes.append(f"the state's margins from stage {seg.start + 1} on are not those of the "
                      f"walk of f")
         ok = False
-    run = _eps_chain(d[seg], live, schedule.lengths[seg], lam,
-                     state.eps[start - 1] if start else 1.0)
-    if not np.array_equal(state.eps.values[seg].view(np.int64), run[1:].view(np.int64)):
-        notes.append(f"the state's eps from stage {start + 1} on are not the recursion's "
-                     f"eps chain under lambda {lam!r}")
+    derived = None if state.eps is None else _derived_eps(state, gens, schedule)
+    if derived is not None and derived.tobytes() != state.eps.values[:n].tobytes():
+        notes.append("the state's eps are not those derived from its margins and bumps")
         ok = False
     return ok
 
@@ -983,11 +1002,11 @@ def verify_assignment(
     1 and each later one at a later stage, within ``word_count``, and its
     ``lambda_est``, ``min_derivative`` and ``deriv_lower_bound`` are
     recomputed and compared bitwise (``_scalars_recomputed``), and so are
-    the margins and eps of the stages from the last bump's on, within that
-    length, which the recursion's last pass settles under the f it returns
-    (``_settled_recomputed``: the walk's margins, and the eps chain under
-    the recomputed ``lambda_est``); each mismatch fails the report with a
-    note naming the field.  The alpha record
+    the margins of the stages from the last bump's on, within that length,
+    which the recursion's last pass settles under the f it returns, with
+    the walk's, and a recorded eps list, within that length, with the one
+    derived from the margins and bumps (``_settled_recomputed``); each
+    mismatch fails the report with a note naming the field.  The alpha record
     certifies the pure-g words only of generators that are the maps of its
     alphas (``alpha_generators``); any others fail that check, and so do
     words above its height.  Its relation minimum is recomputed from the
@@ -1062,7 +1081,7 @@ def verify_assignment(
         except SynthesisError:  # a letter not increasing on that grid
             lam = math.nan
         recomputed_ok = _scalars_recomputed(assignment, state, lam, notes)
-        recomputed_ok &= _settled_recomputed(state, schedule, d, lam, notes)
+        recomputed_ok &= _settled_recomputed(state, assignment.gens, schedule, d, notes)
         del d  # freed before the report's columns are made
         # the recorded margins on the state's texts, and their halves on the
         # same index, each distinct half written once; margins bitwise equal

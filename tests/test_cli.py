@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -9,6 +10,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import jsonschema
+import numpy as np
 import pytest
 
 from cliqueforest import (
@@ -25,7 +27,7 @@ from cliqueforest import (
     VerificationReport,
     dumps_expr,
 )
-from cliqueforest import cli, synthesis
+from cliqueforest import cli, serialize, synthesis
 from cliqueforest.cli import EXIT_FINDING, EXIT_INPUT, EXIT_OK, build_parser, main
 from cliqueforest.graphs import parse_graph
 from cliqueforest.synthesis import (
@@ -48,6 +50,9 @@ K3 = "n=3\n0 1\n0 2\n1 2\n"
 P3 = "n=3\n0 1\n1 2\n"
 TWO_CLIQUES = "n=4\n0 1\n2 3\n"
 K2_K3 = "n=5\n0 1\n2 3\n2 4\n3 4\n"
+# K2+K3 on I and on S1 at word length 3, as written when a synthesis state
+# recorded its eps list (version 1)
+VERSION_1 = {m: Path(__file__).parent / "data" / f"k2k3_{m}_len3_v1.json" for m in ("I", "S1")}
 
 
 @pytest.fixture
@@ -67,6 +72,16 @@ def _synthesized(graph_file, tmp_path, graph, word_len, name="asg"):
     assert main(["synthesize", graph_file(graph, f"{name}.txt"), "--word-len", str(word_len),
                  "--out", str(asg), "--report", str(tmp_path / f"{name}-rep.json")]) == EXIT_OK
     return asg, json.loads(asg.read_text())
+
+
+def _version_1(doc):
+    """``doc`` given the eps list of a version-1 document: the derived eps,
+    as their "%.17g" texts."""
+    asg = GeneratorAssignment.from_dict(doc)
+    state = asg.state
+    eps = synthesis._derived_eps(state, asg.gens, synthesis._Schedule(state.num_g, state.max_len))
+    doc["state"]["eps"] = ["%.17g" % e for e in eps.tolist()]
+    return doc
 
 
 class TestDecide:
@@ -448,6 +463,8 @@ class TestSynthesizeVerify:
         assert main(["synthesize", graph_file(K2_K3), "--word-len", "4",
                      "--out", str(asg), "--report", str(tmp_path / "rep.json")]) == EXIT_OK
         doc = json.loads(asg.read_text())
+        if key == "eps":
+            _version_1(doc)
         doc[section][key] = value(doc[section][key]) if callable(value) else value
         asg.write_text(json.dumps(doc))
         assert main(["verify", str(asg), "--out", str(tmp_path / "v.json")]) == EXIT_INPUT
@@ -487,6 +504,8 @@ class TestSynthesizeVerify:
         assert main(["synthesize", graph_file(K2_K3), "--word-len", "2",
                      "--out", str(asg), "--report", str(tmp_path / "rep.json")]) == EXIT_OK
         doc = json.loads(asg.read_text())
+        if key == "eps":
+            _version_1(doc)
         texts = doc["state"][key]
         texts[next(i for i, t in enumerate(texts) if t is not None)] = "1_0"
         asg.write_text(json.dumps(doc))
@@ -504,12 +523,26 @@ class TestSynthesizeVerify:
     ], ids=["truncated-margins", "null-margins", "word-count", "word-count-and-lists"])
     def test_verify_rejects_state_not_covering_its_schedule(self, graph_file, tmp_path, capsys,
                                                             edit, message):
-        # K2+K3 at word length 2 schedules 28 words
+        # K2+K3 at word length 2 schedules 28 words; a version-1 document
+        # records an eps for each
         asg = tmp_path / "asg.json"
         assert main(["synthesize", graph_file(K2_K3), "--word-len", "2",
                      "--out", str(asg), "--report", str(tmp_path / "rep.json")]) == EXIT_OK
-        doc = json.loads(asg.read_text())
+        doc = _version_1(json.loads(asg.read_text()))
         assert doc["state"]["word_count"] == 28
+        doc["state"].update(edit(doc["state"]))
+        asg.write_text(json.dumps(doc))
+        assert main(["verify", str(asg), "--out", str(tmp_path / "v.json")]) == EXIT_INPUT
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda st: {"margins": st["margins"][:2]}, "2 margins recorded for 28 scheduled words"),
+        (lambda st: {"word_count": 7}, "28 margins recorded for 7 scheduled words"),
+    ], ids=["truncated-margins", "word-count"])
+    def test_verify_rejects_fresh_state_not_covering_its_schedule(self, graph_file, tmp_path,
+                                                                  capsys, edit, message):
+        asg, doc = _synthesized(graph_file, tmp_path, K2_K3, 2)
+        assert "eps" not in doc["state"]
         doc["state"].update(edit(doc["state"]))
         asg.write_text(json.dumps(doc))
         assert main(["verify", str(asg), "--out", str(tmp_path / "v.json")]) == EXIT_INPUT
@@ -724,31 +757,39 @@ class TestDerivedScalars:
     minimum, and checks the stages of the bumps; a forged field fails the
     report with a note naming the field."""
 
-    @pytest.mark.parametrize("manifold, edit, named", [
-        ("I", lambda doc: doc["state"].update(lambda_est="1000000"), ["lambda_est"]),
-        ("I", lambda doc: doc["state"].update(min_derivative="5"), ["min_derivative"]),
-        ("I", lambda doc: doc["state"].update(deriv_lower_bound="0.99"), ["deriv_lower_bound"]),
-        ("I", lambda doc: doc["state"].update(bumps=[]), ["bumps", "deriv_lower_bound"]),
-        # f' is least at the midpoint of the turn, off the grid of 7 cells
-        # the eps chain under the lambda of that grid is not the recorded one
-        ("S1", lambda doc: doc["state"].update(grid_n=7), ["lambda_est", "min_derivative",
-                                                           "eps"]),
-        ("I", lambda doc: doc["alphas"].update(min_relation="1"), ["min_relation"]),
-        ("I", _bump_moved_to_stage_7, ["bumps"]),
-        ("I", _every_live_margin_tiny, ["margins"]),
-        ("S1", _every_live_margin_tiny, ["margins"]),
-        ("I", lambda doc: doc["state"].update(eps=["1"] * len(doc["state"]["eps"])), ["eps"]),
-        ("S1", lambda doc: doc["state"].update(eps=["1e-300"] * len(doc["state"]["eps"])),
+    @pytest.mark.parametrize("manifold, version_1, edit, named", [
+        ("I", False, lambda doc: doc["state"].update(lambda_est="1000000"), ["lambda_est"]),
+        ("I", False, lambda doc: doc["state"].update(min_derivative="5"), ["min_derivative"]),
+        ("I", False, lambda doc: doc["state"].update(deriv_lower_bound="0.99"),
+         ["deriv_lower_bound"]),
+        ("I", False, lambda doc: doc["state"].update(bumps=[]), ["bumps", "deriv_lower_bound"]),
+        # f' is least at the midpoint of the turn, off the grid of 7 cells;
+        # the eps derived under the lambda of that grid are not the recorded ones
+        ("S1", False, lambda doc: doc["state"].update(grid_n=7), ["lambda_est",
+                                                                  "min_derivative"]),
+        ("S1", True, lambda doc: doc["state"].update(grid_n=7), ["lambda_est", "min_derivative",
+                                                                 "eps"]),
+        ("I", False, lambda doc: doc["alphas"].update(min_relation="1"), ["min_relation"]),
+        ("I", False, _bump_moved_to_stage_7, ["bumps"]),
+        ("I", False, _every_live_margin_tiny, ["margins"]),
+        ("S1", False, _every_live_margin_tiny, ["margins"]),
+        ("I", True, lambda doc: doc["state"].update(eps=["1"] * len(doc["state"]["eps"])),
          ["eps"]),
-    ], ids=["lambda_est", "min_derivative", "deriv_lower_bound", "bumps", "grid_n",
+        ("S1", True, lambda doc: doc["state"].update(eps=["1e-300"] * len(doc["state"]["eps"])),
+         ["eps"]),
+    ], ids=["lambda_est", "min_derivative", "deriv_lower_bound", "bumps", "grid_n", "grid_n-v1",
             "min_relation", "bump-stage", "margins-I", "margins-S1", "eps-I", "eps-S1"])
-    def test_forged_scalar_fails(self, graph_file, tmp_path, manifold, edit, named):
+    def test_forged_scalar_fails(self, graph_file, tmp_path, manifold, version_1, edit, named):
+        """A version-1 document, with the derived eps, verifies as the fresh
+        one does before it is forged."""
         asg, rep, ver = (tmp_path / name for name in ("asg.json", "rep.json", "ver.json"))
         assert main(["synthesize", graph_file(K2_K3), "--manifold", manifold, "--word-len", "4",
                      "--out", str(asg), "--report", str(rep)]) == EXIT_OK
+        doc = json.loads(asg.read_text())
+        if version_1:
+            asg.write_text(json.dumps(_version_1(doc)))
         assert main(["verify", str(asg), "--out", str(ver)]) == EXIT_OK
         assert ver.read_bytes() == rep.read_bytes()
-        doc = json.loads(asg.read_text())
         edit(doc)
         asg.write_text(json.dumps(doc))
         assert main(["verify", str(asg), "--out", str(ver)]) == EXIT_FINDING
@@ -879,6 +920,65 @@ class TestDocuments:
         assert main(["verify", str(asg), "--out", str(out)]) == EXIT_FINDING
         report = self._check(out, REPORT_SCHEMA, VerificationReport)
         assert not report["ok"] and len(report["margin_failures"]) == len(report["margins"])
+
+    def test_fresh_and_version_1_states(self, graph_file, tmp_path):
+        """A fresh state has no eps, which the schema does not require; a
+        version-1 state has its list of decimals."""
+        state_schema = ASSIGNMENT_SCHEMA["properties"]["state"]["anyOf"][1]
+        assert "eps" not in state_schema["required"] and "margins" in state_schema["required"]
+        asg, doc = _synthesized(graph_file, tmp_path, K2_K3, 3)
+        assert "eps" not in self._check(asg, ASSIGNMENT_SCHEMA, GeneratorAssignment)["state"]
+        for path in VERSION_1.values():
+            doc = self._check(path, ASSIGNMENT_SCHEMA, GeneratorAssignment)
+            assert len(doc["state"]["eps"]) == doc["state"]["word_count"]
+            doc["state"]["eps"][0] = 0.5
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(doc, ASSIGNMENT_SCHEMA)
+
+
+@pytest.mark.parametrize("manifold", ["I", "S1"])
+class TestVersion1Documents:
+    """An assignment whose state records its eps (version 1) is read, written
+    back byte for byte, and verified: its eps must be bitwise the derived
+    ones (``synthesis._derived_eps``)."""
+
+    def test_verifies_as_a_fresh_synthesis(self, graph_file, tmp_path, manifold):
+        """Its report is the one synthesize writes today, and the assignment
+        synthesize writes is the version-1 one without its eps."""
+        asg, rep, ver = (tmp_path / name for name in ("asg.json", "rep.json", "ver.json"))
+        assert main(["synthesize", graph_file(K2_K3), "--manifold", manifold, "--word-len", "3",
+                     "--out", str(asg), "--report", str(rep)]) == EXIT_OK
+        assert main(["verify", str(VERSION_1[manifold]), "--out", str(ver)]) == EXIT_OK
+        assert ver.read_bytes() == rep.read_bytes()
+        doc = json.loads(VERSION_1[manifold].read_text())
+        del doc["state"]["eps"]
+        assert asg.read_text() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    def test_reload_is_byte_identical(self, manifold):
+        text = VERSION_1[manifold].read_text()
+        asg = GeneratorAssignment.from_dict(json.loads(text))
+        assert json.dumps(asg.to_dict(), sort_keys=True, indent=2) + "\n" == text
+        written = io.StringIO()
+        serialize.write(asg, written)
+        assert written.getvalue() == text
+
+    def test_recorded_eps_are_the_derived_ones(self, manifold):
+        asg = GeneratorAssignment.from_dict(json.loads(VERSION_1[manifold].read_text()))
+        state = asg.state
+        eps = synthesis._derived_eps(state, asg.gens,
+                                     synthesis._Schedule(state.num_g, state.max_len))
+        assert eps.tobytes() == state.eps.values.tobytes()
+
+    @pytest.mark.parametrize("where", [0, 135, -1], ids=["first", "middle", "last"])
+    def test_one_eps_off_by_its_last_bit_fails(self, tmp_path, manifold, where):
+        doc = json.loads(VERSION_1[manifold].read_text())
+        eps = doc["state"]["eps"]
+        eps[where] = "%.17g" % np.nextafter(float(eps[where]), math.inf)
+        asg, ver = tmp_path / "asg.json", tmp_path / "ver.json"
+        asg.write_text(json.dumps(doc))
+        assert main(["verify", str(asg), "--out", str(ver)]) == EXIT_FINDING
+        assert json.loads(ver.read_text())["notes"] == [
+            "the state's eps are not those derived from its margins and bumps"]
 
 
 class TestFixpoints:

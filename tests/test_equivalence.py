@@ -17,10 +17,11 @@ Their commutation predicate multiplies the matrices, so the closed form of
 ``commutes_with`` is checked on the way.
 """
 import itertools
+import json
 import math
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -63,12 +64,14 @@ from cliqueforest import (
     synthesize_embedding,
     verify_assignment,
 )
-from cliqueforest import diffeo, graphs, synthesis
+from cliqueforest import diffeo, graphs, serialize, synthesis
+from cliqueforest.cli import EXIT_FINDING, main
 from cliqueforest.diffeo import DEFAULT_GRID, _grid, apply_letters, grid_sups
 from cliqueforest.graphs import ComponentReport, CompletenessReport, parse_edge_list
 from cliqueforest.obstructions import X, Y, Z
 from cliqueforest.raag import normal_form
 from cliqueforest.synthesis import (
+    GeneratorAssignment,
     Identity,
     SynthesisError,
     SynthesisOptions,
@@ -78,6 +81,7 @@ from cliqueforest.synthesis import (
     _perturb_f_at,
     _Schedule,
     _word_margin,
+    forest_layout,
     word_str,
 )
 from conftest import free_product_forest, ref_components
@@ -686,8 +690,13 @@ def ref_perturb_f_at(gens, p, opts):
 
 
 def perturb_at(gens, p, opts):
-    """``_perturb_f_at`` on the schedule that ``perturb_f`` builds for it."""
-    return _perturb_f_at(gens, p, opts, _Schedule(len(gens), opts.word_len))
+    """``_perturb_f_at`` on the schedule that ``perturb_f`` builds for it,
+    its state given the eps that ``_derived_eps`` derives from it: the
+    recursion records none."""
+    schedule = _Schedule(len(gens), opts.word_len)
+    f, state = _perturb_f_at(gens, p, opts, schedule)
+    assert state.eps is None
+    return f, replace(state, eps=synthesis._derived_eps(state, gens, schedule))
 
 
 def _bits(x):
@@ -743,6 +752,38 @@ def test_recursion_matches_stage_loop_with_a_later_bump(manifold, num_g, word_le
     got = outcome(perturb_at, gens, 0.70710678, opts)
     assert tuple(b.stage for b in got[1][7]) == stages
     assert got == outcome(ref_perturb_f_at, gens, 0.70710678, opts)
+
+
+@pytest.mark.parametrize("manifold", [Manifold.INTERVAL, Manifold.CIRCLE], ids=["I", "S1"])
+@pytest.mark.parametrize("num_g, delta, stages", [(1, 1e-9, (1, 17)), (2, 1e-11, (1, 27))])
+def test_version_1_document_of_two_bumps(tmp_path, manifold, num_g, delta, stages):
+    """A version-1 document of a two-bump state, which records the derived
+    eps, verifies with no eps note, and one eps edited in the first bump's
+    segment fails verify (exit 1) with a note naming eps.  The generators
+    are not the maps of the recorded alphas, so both reports fail on
+    that."""
+    gens = near_identity_gens(manifold, num_g, delta)
+    f, state = perturb_at(gens, 0.70710678, SynthesisOptions(word_len=4))
+    assert tuple(b.stage for b in state.bumps) == stages
+    # K1+K1 or K2+K2
+    graph = SimpleGraph.from_edges(2 * num_g, [(0, 1), (2, 3)] if num_g == 2 else [])
+    forest = is_clique_forest(graph)
+    asg = GeneratorAssignment(graph, manifold, forest, choose_alphas(num_g, 5),
+                              forest_layout(forest), f, gens, state)
+    path, out = tmp_path / "asg.json", tmp_path / "ver.json"
+    with open(path, "w") as fh:
+        serialize.write(asg, fh)
+    doc = json.loads(path.read_text())
+    assert len(doc["state"]["eps"]) == state.word_count
+
+    def eps_notes():
+        assert main(["verify", str(path), "--out", str(out)]) == EXIT_FINDING
+        return [n for n in json.loads(out.read_text())["notes"] if n.split()[2] == "eps"]
+    assert eps_notes() == []
+    k = stages[1] - 2  # the last stage of the first segment
+    doc["state"]["eps"][k] = "%.17g" % (float(doc["state"]["eps"][k]) / 2)
+    path.write_text(json.dumps(doc))
+    assert eps_notes() == ["the state's eps are not those derived from its margins and bumps"]
 
 
 @pytest.mark.parametrize("manifold", [Manifold.INTERVAL, Manifold.CIRCLE], ids=["I", "S1"])

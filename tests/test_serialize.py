@@ -63,6 +63,7 @@ from cliqueforest.serialize import (
     expr_to_node,
     node_to_expr,
 )
+from cliqueforest.synthesis import _derived_eps, _Schedule
 
 SAMPLES = [
     Identity(Manifold.INTERVAL),
@@ -302,11 +303,12 @@ def _states(draw, m):
     count = sum(2 * r * (2 * r - 1) ** (L - 1) - 2 * num_g * (2 * num_g - 1) ** (L - 1)
                 for L in range(1, max_len + 1))
     margins = draw(_tuples(st.none() | DECIMALS, min_size=count, max_size=count))
-    eps = draw(_tuples(DECIMALS, min_size=count, max_size=count))
+    # a version-1 state records its eps
+    eps = draw(st.none() | _tuples(DECIMALS, min_size=count, max_size=count))
     bump = BumpPoly(0.01, 1, sup_bound=0.02) if m is Manifold.INTERVAL else BumpTrig(0.02, 1, 0.5)
     bumps = draw(st.sampled_from([(), (bump,)]))
-    return SynthesisState(m, draw(DECIMALS), num_g, max_len, count, margins, eps, bumps,
-                          draw(DECIMALS), draw(INTS), draw(DECIMALS), draw(DECIMALS))
+    return SynthesisState(m, draw(DECIMALS), num_g, max_len, count, margins, bumps,
+                          draw(DECIMALS), draw(INTS), draw(DECIMALS), draw(DECIMALS), eps)
 
 
 @st.composite
@@ -501,9 +503,9 @@ def _formatted():
     call writes the texts of one table)."""
     calls, real = [], serialize._texts
 
-    def texts(x, rows):
+    def texts(x, rows, *into):
         calls.append(x[rows])
-        return real(x, rows)
+        return real(x, rows, *into)
     with mock.patch.object(serialize, "_texts", texts):
         yield calls
 
@@ -516,6 +518,14 @@ def _distinct(values: np.ndarray) -> int:
 def k2_k3_word_len_3():
     g = SimpleGraph.from_edges(5, [(0, 1), (2, 3), (2, 4), (3, 4)])
     return synthesize_embedding(g, opts=SynthesisOptions(word_len=3))
+
+
+def _version_1(asg: GeneratorAssignment) -> GeneratorAssignment:
+    """``asg`` with the eps list that a version-1 document records: the
+    derived one."""
+    state = asg.state
+    eps = _derived_eps(state, asg.gens, _Schedule(state.num_g, state.max_len))
+    return dataclasses.replace(asg, state=dataclasses.replace(state, eps=eps))
 
 
 @pytest.mark.parametrize("key", ["edge_checks", "non_edge_checks"])
@@ -560,18 +570,29 @@ class TestDecimals:
         with mock.patch.object(serialize, "_BLOCK", block), _formatted() as calls:
             assert _written(report) == json.dumps(report.to_dict(), sort_keys=True,
                                                   indent=2) + "\n"
-            # the margin column wrote the list's table: the list writes nothing more
+            # the margin column wrote the rows of the list's table that it
+            # uses (the D/2 column, a plain array, has a table of its own);
+            # the list writes the others, and then nothing more
+            assert [len(c) for c in calls] == ([_distinct(margins.values[rows]),
+                                                 _distinct(margins.values[rows] / 2)]
+                                                if count else [])
+            _written(_Lists(margins, margins))
             written = len(calls)
             _written(_Lists(margins, margins))
             assert len(calls) == written
+        formatted = np.concatenate([np.empty(0)] + calls[:1] + calls[2:])
+        assert len(formatted) == _distinct(formatted) == _distinct(margins.values)
 
     @pytest.mark.parametrize("parsed", [False, True], ids=["built", "read"])
     @pytest.mark.parametrize("part", [slice(1, 6), slice(None, None, -2), np.array([5, 0, 2, 2])],
                              ids=["slice", "reversed-slice", "index-array"])
     def test_parts_share_the_table(self, parsed, part):
         """A slice or an index array of a list formats nothing until it is
-        written, and then nothing more than its list's table: the list's
-        distinct values, each once, whichever of the two is written first."""
+        written, and then only the rows of its list's table that it uses:
+        written first, the list formats all of its distinct values in one
+        call, and the part nothing more; written after the part, the list
+        formats the values the part did not use.  Either way each distinct
+        value is formatted once."""
         values = [0.5, None, 1 / 3, -0.0, 0.5, 1e100, None]
         texts = [None if v is None else "%.17g" % v for v in values]
         for first in ("list", "part"):
@@ -581,12 +602,17 @@ class TestDecimals:
                 sub = d[part]
                 assert sub.tolist() == [values[k] for k in np.arange(len(values))[part]]
                 assert not calls
+                used = {v.hex() for v in sub if v is not None}
                 for each in ((d, sub) if first == "list" else (sub, d)):
                     assert json.loads("".join(serialize._decimals_text(each, ""))) == [
                         None if v is None else "%.17g" % v for v in each]
-                (table,) = calls  # -0.0 has a row of its own
+                if first == "part":  # its own rows alone
+                    assert {v.hex() for v in calls[0].tolist()} == used
+                table = np.concatenate(calls)  # -0.0 has a row of its own
                 assert sorted(table.view(np.int64).tolist()) == sorted(
                     np.array([0.5, 1 / 3, -0.0, 1e100]).view(np.int64).tolist())
+                # a part that uses every row formats them in one call
+                assert len(calls) == (1 if first == "list" or len(used) == 4 else 2)
         doc = _Lists(sub, serialize.Decimals(sub.values))
         assert _written(doc) == json.dumps(doc.to_dict(), sort_keys=True, indent=2) + "\n"
 
@@ -612,10 +638,14 @@ class TestDecimals:
             d.values[0] = 1.0
 
     def test_state_round_trip_and_tuples(self, k2_k3_word_len_3):
-        state = k2_k3_word_len_3.state
-        assert isinstance(state.margins, serialize.Decimals)
-        back = SynthesisState.from_dict(json.loads(json.dumps(state.to_dict())))
-        assert back == state and hash(back) == hash(state)
+        """A state of the recursion records no eps, and a version-1 state
+        its eps; each reads back as itself."""
+        assert k2_k3_word_len_3.state.eps is None
+        assert "eps" not in k2_k3_word_len_3.state.to_dict()
+        for state in (k2_k3_word_len_3.state, _version_1(k2_k3_word_len_3).state):
+            assert isinstance(state.margins, serialize.Decimals)
+            back = SynthesisState.from_dict(json.loads(json.dumps(state.to_dict())))
+            assert back == state and hash(back) == hash(state)
         from_tuples = dataclasses.replace(state, margins=tuple(state.margins),
                                           eps=tuple(state.eps))
         assert from_tuples == state and hash(from_tuples) == hash(state)
@@ -635,44 +665,45 @@ class TestDecimals:
             assert isinstance(margins, serialize.Decimals)
             assert halves.values.tobytes() == (margins.values / 2.0).tobytes()
             _written(asg)
-            assert len(calls) == 2  # the state's eps and margins, in key order
+            assert len(calls) == 1  # the state's margins: it records no eps
             text = _written(report)
-        assert len(calls) == 3 and calls[2].tobytes() == (calls[1] / 2.0).tobytes()
+        assert len(calls) == 2 and calls[1].tobytes() == (calls[0] / 2.0).tobytes()
         assert text == json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
 
     def test_each_distinct_value_formatted_once(self):
         """K2+K3 at word length 6: synthesis with both writes formats each
-        distinct margin, eps and half once, and the verification of the read
+        distinct margin and half once, and the verification of the read
         assignment each distinct margin and half once; a part and the halves
         format nothing before they are written, and at word length 4 only the
-        halves that an entry uses are formatted."""
+        margins and halves that an entry uses are formatted."""
         g = SimpleGraph.from_edges(5, [(0, 1), (2, 3), (2, 4), (3, 4)])
         with _formatted() as calls:
             asg = synthesize_embedding(g, opts=SynthesisOptions(word_len=6))
             text = _written(asg)
             report = verify_assignment(asg)
-            assert len(calls) == 2
+            assert len(calls) == 1
             written = json.loads(_written(report))
         doc = json.loads(text)
+        assert "eps" not in doc["state"]
         margins = {t for t in doc["state"]["margins"] if t is not None}
         halves = {row[2] for row in written["margins"]}
-        assert [len(c) for c in calls] == [len(set(doc["state"]["eps"])), len(margins),
-                                           len(halves)]
+        assert [len(c) for c in calls] == [len(margins), len(halves)]
         assert all(_distinct(c) == len(c) for c in calls)
         for word_len in (None, 4):
             with _formatted() as calls:
                 report = verify_assignment(GeneratorAssignment.from_dict(doc), word_len)
                 assert not calls
                 written = json.loads(_written(report))
+            rows = {row[1] for row in written["margins"]}
             used = {row[2] for row in written["margins"]}
-            assert [len(c) for c in calls] == [len(margins), len(used)]
+            assert [len(c) for c in calls] == [len(rows), len(used)]
             assert all(_distinct(c) == len(c) for c in calls)
-        assert len(used) < len(halves)
+        assert len(rows) < len(margins) and len(used) < len(halves)
 
     def test_report_of_a_rewritten_state(self, k2_k3_word_len_3):
         """A state read back with every margin and eps in another form of the
         same value gives the report of the state as written."""
-        doc = json.loads(_written(k2_k3_word_len_3))
+        doc = json.loads(_written(_version_1(k2_k3_word_len_3)))
 
         def other_form(text):  # the shortest repr, a trailing zero or a capital E
             t = repr(float(text))

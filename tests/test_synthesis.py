@@ -201,9 +201,11 @@ class TestPerturbF:
                 assert m is not None and m > 0
             else:
                 assert m is None
-        # eps chain is nonincreasing and positive
-        assert all(a >= b for a, b in zip(state.eps, state.eps[1:]))
-        assert state.eps[-1] > 0
+        # the state records no eps; the derived chain is nonincreasing and positive
+        assert state.eps is None
+        eps = synthesis._derived_eps(state, gens, state.schedule).tolist()
+        assert all(a >= b for a, b in zip(eps, eps[1:]))
+        assert eps[-1] > 0
         assert state.min_derivative > 0
         xs = [i / state.grid_n for i in range(state.grid_n + 1)]
         assert state.min_derivative == min(f._draw(x) for x in xs)
